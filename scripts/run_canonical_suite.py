@@ -3,11 +3,13 @@
 print one line per check id with its worst margin across scenarios."""
 
 import argparse
+import json
+import os
 import sys
 import time
 
 from wrp.cli import RunConfig, run
-from wrp.verify import ALL_CHECK_IDS, ScenarioUnit, run_suite
+from wrp.verify import ALL_CHECK_IDS
 
 
 def main() -> int:
@@ -21,9 +23,11 @@ def main() -> int:
     config = RunConfig(seeds=tuple(range(args.seeds)), out=args.out, jobs=args.jobs)
     status = run(config)
     elapsed = time.time() - t0
+    if status == 4:  # outputs could not be written; run() printed why
+        return status
 
-    payload = run_suite([ScenarioUnit(seed=s) for s in config.seeds], jobs=args.jobs)
-    margins = payload["summary"]["min_margin"]
+    with open(os.path.join(args.out, "report.json"), encoding="utf-8") as fh:
+        margins = json.load(fh)["summary"]["min_margin"]
     for cid in ALL_CHECK_IDS:
         m = margins.get(cid)
         print(f"{cid:60s} worst margin {m:.3e}" if m is not None else f"{cid:60s} (skipped)")

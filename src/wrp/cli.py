@@ -147,32 +147,6 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def _apply_tolerance_overrides(payload: dict, overrides) -> dict:
-    table = dict(overrides)
-    if not table:
-        return payload
-    for scenario in payload["scenarios"]:
-        for check in scenario["checks"]:
-            tol = table.get(check["check_id"])
-            if tol is None or check["status"] == "skipped-precondition":
-                continue
-            check["tolerance"] = tol
-            check["status"] = "pass" if check["margin"] >= -tol else "fail"
-    n_pass = n_fail = n_skip = 0
-    for scenario in payload["scenarios"]:
-        for check in scenario["checks"]:
-            if check["status"] == "pass":
-                n_pass += 1
-            elif check["status"] == "fail":
-                n_fail += 1
-            else:
-                n_skip += 1
-    payload["summary"]["n_pass"] = n_pass
-    payload["summary"]["n_fail"] = n_fail
-    payload["summary"]["n_skipped"] = n_skip
-    return payload
-
-
 def run(config: RunConfig) -> int:
     """Execute the suite and persist report.json plus margins.csv."""
     units = [ScenarioUnit(seed=s) for s in config.seeds] + [
@@ -180,8 +154,9 @@ def run(config: RunConfig) -> int:
     ]
     if not units:
         raise ConfigError("no seeds or scenario files selected")
-    payload = run_suite(units, config.checks, jobs=config.jobs)
-    payload = _apply_tolerance_overrides(payload, config.tolerances)
+    payload = run_suite(
+        units, config.checks, jobs=config.jobs, tolerances=config.tolerances
+    )
     payload["config"] = emit_config(config)
     try:
         os.makedirs(config.out, exist_ok=True)

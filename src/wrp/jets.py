@@ -341,8 +341,36 @@ def identity_map(domain: DomainSet) -> AffineMap:
     return AffineMap(domain, np.eye(domain.dim))
 
 
-def zero_map(domain: DomainSet, out_dim: int) -> ConstMap:
-    return ConstMap(domain, np.zeros(out_dim))
+def _identity(c):
+    return c
+
+
+def _poly_derivative(terms, point, ell: int, coef) -> np.ndarray:
+    """Entries ``(n,) + (m,)*ell`` of the order-``ell`` derivative at
+    ``point`` of the polynomial with ``(c, powers)`` terms, each term's
+    coefficient vector replaced by ``coef(c)``."""
+    n, m = terms[0][0].shape[0], len(terms[0][1])
+    ent = np.zeros((n,) + (m,) * ell)
+    for c, pw in terms:
+        cc = coef(c)
+        if ell == 0:
+            ent += cc * float(np.prod(point ** np.array(pw)))
+            continue
+        if sum(pw) < ell:
+            continue
+        for jidx in itertools.product(range(m), repeat=ell):
+            beta = [0] * m
+            for j in jidx:
+                beta[j] += 1
+            if any(beta[a] > pw[a] for a in range(m)):
+                continue
+            scale = 1.0
+            for a in range(m):
+                for k in range(beta[a]):
+                    scale *= pw[a] - k
+                scale *= point[a] ** (pw[a] - beta[a])
+            ent[(slice(None),) + jidx] += cc * scale
+    return ent
 
 
 class PolynomialMap(JetMap):
@@ -369,28 +397,7 @@ class PolynomialMap(JetMap):
     def tensor(self, x, ell):
         self._check_order(ell)
         x = np.asarray(x, dtype=float)
-        m, n = self.dim, self.out_shape[0]
-        ent = np.zeros((n,) + (m,) * ell)
-        if ell == 0:
-            for c, pw in self.terms:
-                ent += c * float(np.prod(x ** np.array(pw)))
-            return MultilinearMap(ent, 1)
-        for c, pw in self.terms:
-            if sum(pw) < ell:
-                continue
-            for jidx in itertools.product(range(m), repeat=ell):
-                beta = [0] * m
-                for j in jidx:
-                    beta[j] += 1
-                if any(beta[a] > pw[a] for a in range(m)):
-                    continue
-                scale = 1.0
-                for a in range(m):
-                    for k in range(beta[a]):
-                        scale *= pw[a] - k
-                    scale *= x[a] ** (pw[a] - beta[a])
-                ent[(slice(None),) + jidx] += c * scale
-        return MultilinearMap(ent, 1)
+        return MultilinearMap(_poly_derivative(self.terms, x, ell, _identity), 1)
 
 
 class TrigPolynomialMap(JetMap):
@@ -1062,25 +1069,7 @@ def _entry_bounds(map_: JetMap, ell: int) -> np.ndarray:
             return np.abs(map_.a)
         return np.zeros((map_.out_dim, m**ell))
     if isinstance(map_, PolynomialMap):
-        n = map_.out_dim
-        out = np.zeros((n,) + (m,) * ell)
-        for c, pw in map_.terms:
-            if ell == 0:
-                out[...] += np.abs(c) * float(np.prod(s ** np.array(pw)))
-                continue
-            for jidx in itertools.product(range(m), repeat=ell):
-                beta = [0] * m
-                for j in jidx:
-                    beta[j] += 1
-                if any(beta[a] > pw[a] for a in range(m)):
-                    continue
-                scale = 1.0
-                for a in range(m):
-                    for k in range(beta[a]):
-                        scale *= pw[a] - k
-                    scale *= s[a] ** (pw[a] - beta[a])
-                out[(slice(None),) + jidx] += np.abs(c) * scale
-        return out.reshape(n, -1)
+        return _poly_derivative(map_.terms, s, ell, np.abs).reshape(map_.out_dim, -1)
     if isinstance(map_, TrigPolynomialMap):
         n = map_.out_dim
         out = np.zeros((n,) + (m,) * ell)

@@ -40,9 +40,6 @@ from .spaces import DomainSet, Weight
 
 DEFAULT_PER_AXIS = {1: 11, 2: 9, 3: 5}
 
-GRID_LOWER_KIND = "grid_lower"
-CERTIFIED_UPPER_KIND = "certified_upper"
-
 
 @dataclass(frozen=True)
 class SampleGrid:
@@ -170,7 +167,7 @@ class SeminormValue:
 
 def certified_seminorm(wf: WeightedFunction, weight_name: str, ell: int) -> SeminormValue:
     """The author-certified upper bound as a seminorm value."""
-    return SeminormValue(wf.require_bound(weight_name, ell), CERTIFIED_UPPER_KIND)
+    return SeminormValue(wf.require_bound(weight_name, ell), CERTIFIED_UPPER)
 
 
 def weighted_seminorm(wf: WeightedFunction, weight: Weight, ell: int) -> SeminormValue:
@@ -193,7 +190,7 @@ def weighted_seminorm(wf: WeightedFunction, weight: Weight, ell: int) -> Seminor
             best, witness = v, tuple(float(c) for c in x)
         if math.isinf(best):
             break
-    return SeminormValue(best, GRID_LOWER_KIND, witness)
+    return SeminormValue(best, GRID_LOWER, witness)
 
 
 def seminorm_axioms_check(

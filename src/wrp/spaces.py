@@ -222,10 +222,6 @@ def ball(center: Sequence[float], radius: float, norm_kind: str = SUP) -> Domain
     )
 
 
-def interval(lo: float, hi: float) -> DomainSet:
-    return box([lo], [hi])
-
-
 def product_box(a: DomainSet, b: DomainSet) -> DomainSet:
     """The product of two sup-norm boxy domains, as a box."""
     ab, bb = a.as_box(), b.as_box()
@@ -423,9 +419,6 @@ class FamilyWeight:
     def __len__(self) -> int:
         return len(self.factors)
 
-    def restriction(self, i: int) -> Weight:
-        return self.factors[i]
-
 
 @dataclass(frozen=True)
 class WeightFamily:
@@ -457,10 +450,6 @@ class WeightFamily:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.members)
-
-
-def constant_one_family(name: str, n_factors: int) -> FamilyWeight:
-    return FamilyWeight(name, tuple(const_weight(name, 1.0) for _ in range(n_factors)))
 
 
 @dataclass(frozen=True)

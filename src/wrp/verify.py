@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,7 +71,10 @@ from .operators import (
 from .report import (
     CERTIFIED_UPPER,
     EXACT,
+    FAIL,
     GRID_LOWER,
+    PASS,
+    SKIPPED,
     CheckReport,
     bound_report,
     identity_report,
@@ -512,10 +515,17 @@ class ScenarioSeed:
     coeff_scale: float = 0.8
 
 
+def _sampled_on(grid: str):
+    """A per-factor element field whose factor i is sampled on factor i's
+    ``grid_u`` (``"u"``) or ``grid_w`` (``"w"``) lattice."""
+    return field(metadata={"grid": grid})
+
+
 @dataclass(frozen=True)
 class FamilyScenario:
     """Everything one suite run needs: geometry, weights, certificates and
-    the per-factor operator data."""
+    the per-factor operator data.  The ``_sampled_on`` fields, in
+    declaration order, are the ``elements`` of the scenario JSON schema."""
 
     name: str
     dim: int
@@ -526,31 +536,31 @@ class FamilyScenario:
     tau_nb: float
     clearance_nb: float
     xis: tuple[SuperpositionOperand, ...]
-    gammas: RestrictedElement
-    gamma_alts: RestrictedElement
-    gamma_diffs: RestrictedElement
-    gamma_dirs: RestrictedElement
-    comp_gammas: RestrictedElement
-    comp_etas: RestrictedElement
+    gammas: RestrictedElement = _sampled_on("u")
+    gamma_alts: RestrictedElement = _sampled_on("u")
+    gamma_diffs: RestrictedElement = _sampled_on("u")
+    gamma_dirs: RestrictedElement = _sampled_on("u")
+    comp_gammas: RestrictedElement = _sampled_on("w")
+    comp_etas: RestrictedElement = _sampled_on("u")
     comp_gamma_lips: tuple[float, ...]
-    comp_gamma0s: RestrictedElement
-    comp_eta0s: RestrictedElement
-    comp_gamma_diffs: RestrictedElement
-    comp_eta_diffs: RestrictedElement
-    comp_gamma_dirs: RestrictedElement
-    comp_eta_dirs: RestrictedElement
-    phis: RestrictedElement
-    psis: RestrictedElement
-    phi_diffs: RestrictedElement
-    phi_dirs: RestrictedElement
-    multipliers: RestrictedElement
+    comp_gamma0s: RestrictedElement = _sampled_on("w")
+    comp_eta0s: RestrictedElement = _sampled_on("u")
+    comp_gamma_diffs: RestrictedElement = _sampled_on("w")
+    comp_eta_diffs: RestrictedElement = _sampled_on("u")
+    comp_gamma_dirs: RestrictedElement = _sampled_on("w")
+    comp_eta_dirs: RestrictedElement = _sampled_on("u")
+    phis: RestrictedElement = _sampled_on("u")
+    psis: RestrictedElement = _sampled_on("u")
+    phi_diffs: RestrictedElement = _sampled_on("u")
+    phi_dirs: RestrictedElement = _sampled_on("u")
+    multipliers: RestrictedElement = _sampled_on("u")
     bilinears: tuple[np.ndarray, ...]
     beta2s: tuple[np.ndarray, ...]
-    ml_args1: RestrictedElement
-    ml_args2: RestrictedElement
+    ml_args1: RestrictedElement = _sampled_on("u")
+    ml_args2: RestrictedElement = _sampled_on("u")
     sigmas: tuple[JetMap, ...]
     sigma_k: tuple[tuple[int, float], ...]
-    op_gammas: RestrictedElement
+    op_gammas: RestrictedElement = _sampled_on("u")
     op_q: float
     dominance: tuple[DominanceCertificate, ...]
     factorizations: tuple[FactorizationCertificate, ...]
@@ -569,6 +579,11 @@ class FamilyScenario:
             if order == ell:
                 return k
         raise KeyError(ell)
+
+
+ELEMENT_GRIDS: dict[str, str] = {
+    f.name: f.metadata["grid"] for f in fields(FamilyScenario) if "grid" in f.metadata
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1657,29 +1672,23 @@ def _fw_to_dict(fw: FamilyWeight) -> dict:
     return {"name": fw.name, "factors": [weight_to_desc(w) for w in fw.factors]}
 
 
-def _fw_from_dict(d: dict, domains: list[DomainSet]) -> FamilyWeight:
+def _per_factor(items, path: str, n: int) -> list:
+    """``items`` (at JSON pointer ``path``), checked to be a list with one
+    entry per factor."""
+    if not isinstance(items, list) or len(items) != n:
+        raise DataError(f"{path}: must list exactly one entry per factor ({n})")
+    return items
+
+
+def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
+    entries = _per_factor(d["factors"], f"{path}/factors", len(domains))
     return FamilyWeight(
         d["name"],
-        tuple(
-            weight_from_desc(w, d["name"], domains[i])
-            for i, w in enumerate(d["factors"])
-        ),
+        tuple(weight_from_desc(w, d["name"], dom) for w, dom in zip(entries, domains)),
     )
 
 
 def scenario_to_dict(sc: FamilyScenario) -> dict:
-    elems = {
-        "gammas": sc.gammas, "gamma_alts": sc.gamma_alts,
-        "gamma_diffs": sc.gamma_diffs, "gamma_dirs": sc.gamma_dirs,
-        "comp_gammas": sc.comp_gammas, "comp_etas": sc.comp_etas,
-        "comp_gamma0s": sc.comp_gamma0s, "comp_eta0s": sc.comp_eta0s,
-        "comp_gamma_diffs": sc.comp_gamma_diffs, "comp_eta_diffs": sc.comp_eta_diffs,
-        "comp_gamma_dirs": sc.comp_gamma_dirs, "comp_eta_dirs": sc.comp_eta_dirs,
-        "phis": sc.phis, "psis": sc.psis, "phi_diffs": sc.phi_diffs,
-        "phi_dirs": sc.phi_dirs, "multipliers": sc.multipliers,
-        "ml_args1": sc.ml_args1, "ml_args2": sc.ml_args2,
-        "op_gammas": sc.op_gammas,
-    }
     return {
         "name": sc.name,
         "dim": sc.dim,
@@ -1713,7 +1722,7 @@ def scenario_to_dict(sc: FamilyScenario) -> dict:
             }
             for op in sc.xis
         ],
-        "elements": {k: _elem_to_dict(v) for k, v in elems.items()},
+        "elements": {k: _elem_to_dict(getattr(sc, k)) for k in ELEMENT_GRIDS},
         "comp_gamma_lips": list(sc.comp_gamma_lips),
         "bilinears": [b.tolist() for b in sc.bilinears],
         "beta2s": [b.tolist() for b in sc.beta2s],
@@ -1757,32 +1766,34 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
                 v_tilde=vt, grid_vt=lattice(vt, per_axis=fd["grid_vt"]),
             )
         )
+    n = len(factors)
+
+    def per_factor(key: str) -> list:
+        return _per_factor(d[key], f"/{key}", n)
+
     u_domains = [fs.u for fs in factors]
-    members = tuple(_fw_from_dict(m, u_domains) for m in d["weights"]["members"])
+    members = tuple(
+        _fw_from_dict(m, u_domains, f"/weights/members/{i}")
+        for i, m in enumerate(d["weights"]["members"])
+    )
     family = WeightFamily(members, contains_one=True,
                           adjusting=d["weights"]["adjusting"])
-
-    def elem(key, grids, domains):
-        return RestrictedElement(
-            tuple(
-                _wf_from_dict(e, domains[i], grids[i])
-                for i, e in enumerate(d["elements"][key])
-            )
-        )
-
-    gu = [fs.grid_u for fs in factors]
-    gw = [fs.grid_w for fs in factors]
-    du = [fs.u for fs in factors]
-    dw = [fs.w for fs in factors]
+    elements = {}
+    for key, grid in ELEMENT_GRIDS.items():
+        entries = _per_factor(d["elements"][key], f"/elements/{key}", n)
+        elements[key] = RestrictedElement(tuple(
+            _wf_from_dict(e, getattr(fs, grid), getattr(fs, f"grid_{grid}"))
+            for e, fs in zip(entries, factors)
+        ))
     xis = tuple(
         SuperpositionOperand(
-            map_from_desc(x["map"], product_box(factors[i].u, factors[i].v)),
-            factors[i].u,
-            factors[i].v,
+            map_from_desc(x["map"], product_box(fs.u, fs.v)),
+            fs.u,
+            fs.v,
             tuple((int(l), float(b)) for l, b in x["sup_1"]),
             float(x["d2_sup"]),
         )
-        for i, x in enumerate(d["xis"])
+        for x, fs in zip(per_factor("xis"), factors)
     )
     return validate_scenario(FamilyScenario(
         name=d["name"],
@@ -1794,53 +1805,38 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         tau_nb=d["tau_nb"],
         clearance_nb=d["clearance_nb"],
         xis=xis,
-        gammas=elem("gammas", gu, du),
-        gamma_alts=elem("gamma_alts", gu, du),
-        gamma_diffs=elem("gamma_diffs", gu, du),
-        gamma_dirs=elem("gamma_dirs", gu, du),
-        comp_gammas=elem("comp_gammas", gw, dw),
-        comp_etas=elem("comp_etas", gu, du),
-        comp_gamma_lips=tuple(d["comp_gamma_lips"]),
-        comp_gamma0s=elem("comp_gamma0s", gw, dw),
-        comp_eta0s=elem("comp_eta0s", gu, du),
-        comp_gamma_diffs=elem("comp_gamma_diffs", gw, dw),
-        comp_eta_diffs=elem("comp_eta_diffs", gu, du),
-        comp_gamma_dirs=elem("comp_gamma_dirs", gw, dw),
-        comp_eta_dirs=elem("comp_eta_dirs", gu, du),
-        phis=elem("phis", gu, du),
-        psis=elem("psis", gu, du),
-        phi_diffs=elem("phi_diffs", gu, du),
-        phi_dirs=elem("phi_dirs", gu, du),
-        multipliers=elem("multipliers", gu, du),
-        bilinears=tuple(np.array(b) for b in d["bilinears"]),
-        beta2s=tuple(np.array(b) for b in d["beta2s"]),
-        ml_args1=elem("ml_args1", gu, du),
-        ml_args2=elem("ml_args2", gu, du),
+        comp_gamma_lips=tuple(per_factor("comp_gamma_lips")),
+        bilinears=tuple(np.array(b) for b in per_factor("bilinears")),
+        beta2s=tuple(np.array(b) for b in per_factor("beta2s")),
         sigmas=tuple(
-            map_from_desc(s, factors[i].v.as_box()) for i, s in enumerate(d["sigmas"])
+            map_from_desc(s, fs.v.as_box())
+            for s, fs in zip(per_factor("sigmas"), factors)
         ),
         sigma_k=tuple((int(l), float(k)) for l, k in d["sigma_k"]),
-        op_gammas=elem("op_gammas", gu, du),
         op_q=d["op_q"],
         dominance=tuple(
             DominanceCertificate(
-                _fw_from_dict(c["f"], u_domains),
+                _fw_from_dict(c["f"], u_domains, f"/dominance/{i}/f"),
                 int(c["ell"]),
-                _fw_from_dict(c["g"], u_domains),
+                _fw_from_dict(c["g"], u_domains, f"/dominance/{i}/g"),
                 tuple(float(k) for k in c["k"]),
                 context=c["context"],
             )
-            for c in d["dominance"]
+            for i, c in enumerate(d["dominance"])
         ),
         factorizations=tuple(
             FactorizationCertificate(
-                _fw_from_dict(c["f"], u_domains),
-                tuple(_fw_from_dict(p, u_domains) for p in c["parts"]),
+                _fw_from_dict(c["f"], u_domains, f"/factorizations/{i}/f"),
+                tuple(
+                    _fw_from_dict(p, u_domains, f"/factorizations/{i}/parts/{j}")
+                    for j, p in enumerate(c["parts"])
+                ),
             )
-            for c in d["factorizations"]
+            for i, c in enumerate(d["factorizations"])
         ),
         contraction=ContractionConfig(**d["contraction"]),
         neumann=NeumannConfig(**d["neumann"]),
+        **elements,
     ))
 
 
@@ -1877,10 +1873,13 @@ def run_suite(
     units: Sequence[ScenarioUnit],
     check_ids: Sequence[str] | None = None,
     jobs: int = 1,
+    tolerances: Sequence[tuple[str, float]] = (),
 ) -> dict:
     """Deterministic, ordered execution of the selected checks over the
     scenario units.  Output order is fixed by (unit index, check id)
-    regardless of worker scheduling."""
+    regardless of worker scheduling.  ``tolerances`` pairs (check id,
+    tolerance) re-grade that id's non-skipped reports by the rule
+    ``margin >= -tolerance`` before they are counted and hashed."""
     work = [(u, tuple(check_ids) if check_ids is not None else None) for u in units]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -1889,6 +1888,7 @@ def run_suite(
             results = list(ex.map(_run_unit, work))
     else:
         results = [_run_unit(w) for w in work]
+    overrides = dict(tolerances)
     scenarios = []
     min_margin: dict[str, float] = {}
     n_pass = n_fail = n_skip = 0
@@ -1897,13 +1897,17 @@ def run_suite(
             {"name": name, "unit": unit.label(), "checks": reports}
         )
         for r in reports:
-            if r["status"] == "pass":
+            tol = overrides.get(r["check_id"])
+            if tol is not None and r["status"] != SKIPPED:
+                r["tolerance"] = tol
+                r["status"] = PASS if r["margin"] >= -tol else FAIL
+            if r["status"] == PASS:
                 n_pass += 1
-            elif r["status"] == "fail":
+            elif r["status"] == FAIL:
                 n_fail += 1
             else:
                 n_skip += 1
-            if r["status"] != "skipped-precondition":
+            if r["status"] != SKIPPED:
                 cur = min_margin.get(r["check_id"])
                 if cur is None or r["margin"] < cur:
                     min_margin[r["check_id"]] = r["margin"]

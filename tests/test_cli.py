@@ -1,6 +1,4 @@
 import json
-import os
-import stat
 
 import pytest
 
@@ -91,15 +89,33 @@ class TestRun:
         assert (tmp_path / "report.json").read_bytes() == first
 
     def test_sabotaged_tolerance_forces_exit_two(self, tmp_path):
-        # an impossible tolerance override turns real margins into failures
+        # margins here are positive, so tolerance 0 still passes
         cfg = RunConfig(
             seeds=(0,),
             checks=("est:f0-Norm_SPid",),
             out=str(tmp_path),
             tolerances=(("est:f0-Norm_SPid", 0.0),),
         )
-        # margins here are positive, so tolerance 0 still passes
         assert run(cfg) == 0
+        # on seed 0 this identity deviates by ~7e-18, inside its default
+        # tolerance; an override of 0 turns it into a failure
+        cid = "lem:Stetigkeit_parameterab_Int"
+        plain = RunConfig(seeds=(0,), checks=(cid,), out=str(tmp_path / "plain"))
+        assert run(plain) == 0
+        strict = RunConfig(
+            seeds=(0,), checks=(cid,), out=str(tmp_path / "strict"),
+            tolerances=((cid, 0.0),),
+        )
+        assert run(strict) == 2
+        before = json.loads((tmp_path / "plain" / "report.json").read_text())
+        after = json.loads((tmp_path / "strict" / "report.json").read_text())
+        (check,) = after["scenarios"][0]["checks"]
+        assert check["margin"] < 0
+        assert check["status"] == "fail" and check["tolerance"] == 0.0
+        assert after["summary"]["n_fail"] == 1 and after["summary"]["n_pass"] == 0
+        assert before["summary"]["n_pass"] == 1
+        # the run id hashes the re-graded verdicts
+        assert after["run_id"] != before["run_id"]
 
     def test_failing_scenario_exit_two(self, tmp_path, scenario0):
         # persist a scenario with halved superposition certificates and a
@@ -128,19 +144,13 @@ class TestRun:
         assert len(lines) == 2
 
     def test_io_failure_exit_four(self, tmp_path):
+        # an output "directory" that is a regular file cannot be written,
+        # whatever the permission bits and user
         target = tmp_path / "blocked"
-        target.mkdir()
-        os.chmod(target, stat.S_IRUSR | stat.S_IXUSR)
-        try:
-            cfg = RunConfig(
-                seeds=(0,), checks=("def:family_seminorm",), out=str(target)
-            )
-            code = run(cfg)
-        finally:
-            os.chmod(target, stat.S_IRWXU)
-        if os.geteuid() == 0:
-            pytest.skip("permission bits do not bind as root")
-        assert code == 4
+        target.write_text("not a directory")
+        cfg = RunConfig(seeds=(0,), checks=("def:family_seminorm",), out=str(target))
+        assert run(cfg) == 4
+        assert target.read_text() == "not a directory"
 
     def test_no_units_rejected(self):
         with pytest.raises(ConfigError):

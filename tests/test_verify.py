@@ -5,12 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from wrp.errors import ConfigError, PreconditionError
+from wrp.errors import ConfigError, DataError, PreconditionError
 from wrp.report import CheckReport
 from wrp.restricted import neighborhood_inclusion_check
 from wrp.verify import (
     ALL_CHECK_IDS,
     CHECK_REGISTRY,
+    ELEMENT_GRIDS,
     RUNNERS,
     FamilyScenario,
     ScenarioSeed,
@@ -117,6 +118,29 @@ class TestSerialization:
         with pytest.raises(Exception) as exc_info:
             scenario_from_dict(doc)
         assert "certified" in str(exc_info.value)
+
+    @pytest.mark.parametrize("change", ["drop", "append"])
+    def test_ingest_rejects_per_factor_length_mismatch(self, scenario0, change):
+        # every per-factor list must have exactly one entry per factor; a
+        # wrong length is rejected with the list's pointer, never truncated
+        base = json.dumps(scenario_to_dict(scenario0))
+        pointers = [f"elements/{k}" for k in ELEMENT_GRIDS] + [
+            "xis", "sigmas", "bilinears", "beta2s", "comp_gamma_lips",
+            "weights/members/1/factors", "dominance/0/g/factors",
+        ]
+        assert len(pointers) == 27
+        for pointer in pointers:
+            doc = json.loads(base)
+            *parents, key = pointer.split("/")
+            node = doc
+            for p in parents:
+                node = node[int(p)] if p.isdigit() else node[p]
+            if change == "drop":
+                node[key].pop()
+            else:
+                node[key].append(node[key][0])
+            with pytest.raises(DataError, match=f"^/{pointer}: "):
+                scenario_from_dict(doc)
 
     def test_load_scenario_unit(self, tmp_path, scenario0):
         path = tmp_path / "sc.json"
