@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     DomainMembershipError,
     EnumerationBudgetError,
     OrderError,
@@ -122,6 +123,10 @@ def op_norm(t: MultilinearMap, norm_kind: str = SUP) -> float:
     while t.out_rank > 1:
         t = uncurry_last(t)
     e = t.entries
+    if np.isnan(e).any():
+        # a NaN entry would otherwise drop out of the max over vertices
+        idx = tuple(np.argwhere(np.isnan(e))[0].tolist())
+        raise DataError(f"operator norm of a tensor with a NaN entry at {idx}")
     if norm_kind == EUCLIDEAN:
         if t.order == 0:
             return float(np.linalg.norm(e))
@@ -251,7 +256,12 @@ def compose_jet(outer: Jet, inner: Jet, order: int) -> Jet:
 
 
 class JetMap:
-    """A C^k map on a box/ball domain with exact derivative tensors."""
+    """A C^k map on a box/ball domain with exact derivative tensors.
+
+    Subclasses implement :meth:`tensors`, which evaluates one derivative
+    order at a whole array of points; every other evaluation (one tensor,
+    one value, one jet) is a batch of one.
+    """
 
     def __init__(
         self,
@@ -285,11 +295,18 @@ class JetMap:
                 f"order {ell} exceeds declared max order {self.max_order}"
             )
 
-    def tensor(self, x, ell: int) -> MultilinearMap:
+    def tensors(self, points: np.ndarray, ell: int) -> np.ndarray:
+        """Order-``ell`` derivative entries at each row of the float array
+        ``points`` ``(N, dim)``: shape ``(N,) + out_shape + (dim,) * ell``.
+        Row ``i`` is bit-identical whatever the other rows are."""
         raise NotImplementedError
 
+    def tensor(self, x, ell: int) -> MultilinearMap:
+        x = np.asarray(x, dtype=float)
+        return MultilinearMap(self.tensors(x[None], ell)[0], len(self.out_shape))
+
     def value(self, x) -> np.ndarray:
-        return self.tensor(x, 0).entries
+        return self.tensors(np.asarray(x, dtype=float)[None], 0)[0]
 
     def jet(self, x, order: int) -> Jet:
         self._check_order(order)
@@ -306,13 +323,11 @@ class ConstMap(JetMap):
         super().__init__(domain, c.shape, desc={"kind": "const", "c": c.tolist()})
         self.c = c
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
         if ell == 0:
-            return MultilinearMap(self.c.copy(), len(self.out_shape))
-        return MultilinearMap(
-            np.zeros(self.out_shape + (self.dim,) * ell), len(self.out_shape)
-        )
+            return np.broadcast_to(self.c, (len(points),) + self.c.shape).copy()
+        return np.zeros((len(points),) + self.out_shape + (self.dim,) * ell)
 
 
 class AffineMap(JetMap):
@@ -328,49 +343,102 @@ class AffineMap(JetMap):
         )
         self.a, self.b = a, b
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
+        n = len(points)
         if ell == 0:
-            return MultilinearMap(self.a @ np.asarray(x, float) + self.b, 1)
+            # a stack of matrix-vector products: one BLAS gemv per point, as
+            # ``a @ x`` does (a single gemm over all points rounds differently)
+            return (self.a @ points[:, :, None])[:, :, 0] + self.b
         if ell == 1:
-            return MultilinearMap(self.a.copy(), 1)
-        return MultilinearMap(np.zeros(self.out_shape + (self.dim,) * ell), 1)
+            return np.broadcast_to(self.a, (n,) + self.a.shape).copy()
+        return np.zeros((n,) + self.out_shape + (self.dim,) * ell)
 
 
 def identity_map(domain: DomainSet) -> AffineMap:
     return AffineMap(domain, np.eye(domain.dim))
 
 
-def _identity(c):
-    return c
+def _poly_table(terms, m: int, ell: int):
+    """Index tables of the order-``ell`` (>= 1) derivative of a polynomial.
 
-
-def _poly_derivative(terms, point, ell: int, coef) -> np.ndarray:
-    """Entries ``(n,) + (m,)*ell`` of the order-``ell`` derivative at
-    ``point`` of the polynomial with ``(c, powers)`` terms, each term's
-    coefficient vector replaced by ``coef(c)``."""
-    n, m = terms[0][0].shape[0], len(terms[0][1])
-    ent = np.zeros((n,) + (m,) * ell)
-    for c, pw in terms:
-        cc = coef(c)
-        if ell == 0:
-            ent += cc * float(np.prod(point ** np.array(pw)))
-            continue
+    One row per (term, multi-index j*) whose entry survives, i.e. no axis
+    is differentiated more often than its power, in term order.  Returns
+    the rows' flat entry indices and term indices, and per axis the
+    falling-factorial factor columns (padded with exact 1.0 multipliers)
+    and the rows' remaining exponents.  On axis 0 the factors multiply
+    1.0, so their (exact, integer) product is one column.
+    """
+    flat, term, falls, expos = [], [], [], []
+    for t, (_, pw) in enumerate(terms):
         if sum(pw) < ell:
             continue
-        for jidx in itertools.product(range(m), repeat=ell):
-            beta = [0] * m
-            for j in jidx:
-                beta[j] += 1
-            if any(beta[a] > pw[a] for a in range(m)):
+        for f, jidx in enumerate(itertools.product(range(m), repeat=ell)):
+            beta = [jidx.count(a) for a in range(m)]
+            if any(b > p for b, p in zip(beta, pw)):
                 continue
-            scale = 1.0
-            for a in range(m):
-                for k in range(beta[a]):
-                    scale *= pw[a] - k
-                scale *= point[a] ** (pw[a] - beta[a])
-            ent[(slice(None),) + jidx] += cc * scale
-    return ent
+            fall = [[pw[a] - k for k in range(beta[a])] for a in range(m)]
+            fall[0] = [math.prod(fall[0])] if fall[0] else []
+            flat.append(f)
+            term.append(t)
+            falls.append(fall)
+            expos.append([p - b for p, b in zip(pw, beta)])
+    axes = []
+    for a in range(m):
+        width = max((len(fall[a]) for fall in falls), default=0)
+        cols = [
+            np.array([fall[a][k] if k < len(fall[a]) else 1.0 for fall in falls])
+            for k in range(width)
+        ]
+        axes.append((cols, np.array([e[a] for e in expos], dtype=np.intp)))
+    return np.array(flat, dtype=np.intp), np.array(term, dtype=np.intp), axes
+
+
+def _poly_tensors(pm: "PolynomialMap", coefs: np.ndarray, points: np.ndarray,
+                  ell: int) -> np.ndarray:
+    """Order-``ell`` derivative entries ``(N, n) + (m,)*ell`` of ``pm`` at
+    ``points``, with the term coefficient vectors ``coefs`` ``(T, n)``.
+
+    Every entry is computed in the order of the one-point formula: per
+    term, the coefficient times (per axis: falling factorials, then the
+    power), summed over terms in term order.  At order 0 the powers are
+    numpy's ``point ** powers``; at higher orders they are libm's ``pow``
+    (``math.pow``), which numpy's vectorized ``power`` does not match in
+    the last bit on every CPU.
+    """
+    n_pts, m = points.shape
+    n_terms, n = coefs.shape
+    if ell == 0:
+        # every power in one call on flat arrays: numpy's loop for a
+        # broadcast exponent (or a 2-D batch of one) squares where the
+        # one-point ``point ** powers`` calls pow
+        base = np.empty((n_pts, n_terms, m))
+        base[:] = points[:, None, :]
+        expo = np.empty(base.shape, dtype=pm._powers.dtype)
+        expo[:] = pm._powers
+        pows = (base.reshape(-1) ** expo.reshape(-1)).reshape(base.shape)
+        prods = np.multiply.reduce(pows, axis=2)
+        ent = np.zeros((n_pts, n))
+        for t, cc in enumerate(coefs):
+            ent += cc * prods[:, t:t + 1]
+        return ent
+    table = pm._tables.get(ell)
+    if table is None:
+        table = pm._tables[ell] = _poly_table(pm.terms, m, ell)
+    flat, term, axes = table
+    scale = np.ones((n_pts, len(flat)))
+    for a, (cols, expo) in enumerate(axes):
+        for col in cols:
+            scale *= col
+        top = int(expo.max(initial=0))
+        if top:
+            pows = [[math.pow(x, k) for k in range(top + 1)] for x in points[:, a].tolist()]
+            scale *= np.array(pows)[:, expo]
+    ent = np.zeros((n_pts, n, m**ell))
+    # unbuffered adds in row (= term) order, as the one-point sum runs
+    np.add.at(ent, (slice(None), slice(None), flat),
+              coefs[term].T * scale[:, None, :])
+    return ent.reshape((n_pts, n) + (m,) * ell)
 
 
 class PolynomialMap(JetMap):
@@ -393,11 +461,13 @@ class PolynomialMap(JetMap):
         }
         super().__init__(domain, (n,), desc=desc, in_blocks=in_blocks)
         self.terms = terms
+        self._coefs = np.array([c for c, _ in terms])
+        self._powers = np.array([pw for _, pw in terms])
+        self._tables: dict[int, tuple] = {}  # derivative order -> _poly_table
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
-        x = np.asarray(x, dtype=float)
-        return MultilinearMap(_poly_derivative(self.terms, x, ell, _identity), 1)
+        return _poly_tensors(self, self._coefs, points, ell)
 
 
 class TrigPolynomialMap(JetMap):
@@ -422,17 +492,20 @@ class TrigPolynomialMap(JetMap):
         super().__init__(domain, (n,), desc=desc, in_blocks=in_blocks)
         self.terms = terms
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
-        x = np.asarray(x, dtype=float)
-        ent = np.zeros(self.out_shape + (self.dim,) * ell)
+        ent = np.zeros((len(points),) + self.out_shape + (self.dim,) * ell)
         for c, u, phase in self.terms:
-            s = math.sin(float(np.dot(u, x)) + phase + ell * math.pi / 2.0)
+            # math.sin per point: numpy's vectorized sin rounds differently
+            s = np.array([
+                math.sin(float(np.dot(u, x)) + phase + ell * math.pi / 2.0)
+                for x in points
+            ])
             block = c
             for _ in range(ell):
                 block = np.multiply.outer(block, u)
-            ent += s * block
-        return MultilinearMap(ent, 1)
+            ent += s.reshape((-1,) + (1,) * block.ndim) * block
+        return ent
 
 
 class SumMap(JetMap):
@@ -454,13 +527,13 @@ class SumMap(JetMap):
         )
         self.parts = parts
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
-        ts = [p.tensor(x, ell) for p in self.parts]
-        ent = ts[0].entries.copy()
+        ts = [p.tensors(points, ell) for p in self.parts]
+        ent = ts[0].copy()
         for t in ts[1:]:
-            ent += t.entries
-        return MultilinearMap(ent, ts[0].out_rank)
+            ent += t
+        return ent
 
 
 class ScaledMap(JetMap):
@@ -474,9 +547,8 @@ class ScaledMap(JetMap):
         )
         self.base, self.c = base, float(c)
 
-    def tensor(self, x, ell):
-        t = self.base.tensor(x, ell)
-        return MultilinearMap(self.c * t.entries, t.out_rank)
+    def tensors(self, points, ell):
+        return self.c * self.base.tensors(points, ell)
 
 
 def difference_map(a: JetMap, b: JetMap) -> SumMap:
@@ -503,11 +575,9 @@ class PairMap(JetMap):
         )
         self.parts = parts
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
-        return MultilinearMap(
-            np.concatenate([p.tensor(x, ell).entries for p in self.parts], axis=0), 1
-        )
+        return np.concatenate([p.tensors(points, ell) for p in self.parts], axis=1)
 
 
 class ComponentMap(JetMap):
@@ -522,9 +592,8 @@ class ComponentMap(JetMap):
         super().__init__(base.domain, (hi - lo,), base.max_order, desc=desc)
         self.base, self.lo_idx, self.hi_idx = base, lo, hi
 
-    def tensor(self, x, ell):
-        t = self.base.tensor(x, ell)
-        return MultilinearMap(t.entries[self.lo_idx:self.hi_idx], 1)
+    def tensors(self, points, ell):
+        return self.base.tensors(points, ell)[:, self.lo_idx:self.hi_idx]
 
 
 class ComposeMap(JetMap):
@@ -542,17 +611,29 @@ class ComposeMap(JetMap):
         )
         self.outer, self.inner = outer, inner
 
-    def jet(self, x, order):
-        self._check_order(order)
-        inner_jet = self.inner.jet(x, order)
-        outer_jet = self.outer.jet(inner_jet.value, order)
-        return compose_jet(outer_jet, inner_jet, order)
-
-    def tensor(self, x, ell):
-        return self.jet(x, ell).tensors[ell]
-
-    def value(self, x):
-        return self.outer.value(self.inner.value(x))
+    def tensors(self, points, ell):
+        self._check_order(ell)
+        inner = [self.inner.tensors(points, b) for b in range(ell + 1)]
+        outer = [self.outer.tensors(inner[0], b) for b in range(ell + 1)]
+        if ell == 0:
+            return outer[0]
+        if ell == 1:
+            # the single partition of one slot: outer' . inner', contracted
+            # by one BLAS call per point as compose_tensor's tensordot does
+            v = outer[1].reshape(len(points), -1, self.outer.dim) @ inner[1]
+            total = np.zeros(outer[0].shape + (self.dim,))
+            total += v.reshape(total.shape)
+            return total
+        # higher orders sum tensordot terms per point, in compose_tensor's order
+        o = len(self.out_shape)
+        return np.stack([
+            compose_tensor(
+                [MultilinearMap(t[i], o) for t in outer],
+                [MultilinearMap(t[i], 1) for t in inner],
+                ell,
+            ).entries
+            for i in range(len(points))
+        ])
 
 
 class DifferentialMap(JetMap):
@@ -571,9 +652,10 @@ class DifferentialMap(JetMap):
         )
         self.base = base
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
-        return curry_last(self.base.tensor(x, ell + 1))
+        t = self.base.tensors(points, ell + 1)
+        return np.moveaxis(t, -1, 1 + len(self.base.out_shape))
 
 
 class PartialD2Map(JetMap):
@@ -597,11 +679,40 @@ class PartialD2Map(JetMap):
         )
         self.base = base
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
-        t = self.base.tensor(x, ell + 1)
-        sliced = t.entries[..., self.m1:]
-        return MultilinearMap(np.moveaxis(sliced, -1, 1), 2)
+        t = self.base.tensors(points, ell + 1)
+        return np.moveaxis(t[..., self.m1:], -1, 2)
+
+
+def _leibniz_pair(b, lj, rj, ell: int, m: int) -> np.ndarray:
+    """Order-``ell`` tensor of x -> b(left(x), right(x)) at one point from
+    the factors' tensors ``lj[r]``, ``rj[r]`` of orders 0..ell."""
+    ent = np.zeros((b.shape[0],) + (m,) * ell)
+    for r in range(ell + 1):
+        for subset in itertools.combinations(range(ell), r):
+            v = np.tensordot(b, lj[r], axes=(1, 0))
+            v = np.tensordot(v, rj[ell - r], axes=(1, 0))
+            slots = list(subset) + [s for s in range(ell) if s not in subset]
+            perm = [0] + [1 + slots.index(s) for s in range(ell)]
+            ent += np.transpose(v, perm)
+    return _symmetrized(ent, 1)
+
+
+def _leibniz_multi(b, jets, ell: int, m: int) -> np.ndarray:
+    """Order-``ell`` tensor of x -> b(f_1(x), ..., f_k(x)) at one point
+    from the factors' tensors ``jets[j][r]`` of orders 0..ell."""
+    k = len(jets)
+    ent = np.zeros((b.shape[0],) + (m,) * ell)
+    for assign in itertools.product(range(k), repeat=ell):
+        blocks = [[s for s in range(ell) if assign[s] == j] for j in range(k)]
+        v = b
+        for j in range(k):
+            v = np.tensordot(v, jets[j][len(blocks[j])], axes=(1, 0))
+        slots = [s for block in blocks for s in block]
+        perm = [0] + [1 + slots.index(s) for s in range(ell)]
+        ent += np.transpose(v, perm)
+    return _symmetrized(ent, 1)
 
 
 class BilinearPairMap(JetMap):
@@ -619,20 +730,15 @@ class BilinearPairMap(JetMap):
         )
         self.b, self.left, self.right = b, left, right
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
-        lj = self.left.jet(x, ell)
-        rj = self.right.jet(x, ell)
-        m = self.dim
-        ent = np.zeros(self.out_shape + (m,) * ell)
-        for r in range(ell + 1):
-            for subset in itertools.combinations(range(ell), r):
-                v = np.tensordot(self.b, lj.tensors[r].entries, axes=(1, 0))
-                v = np.tensordot(v, rj.tensors[ell - r].entries, axes=(1, 0))
-                slots = list(subset) + [s for s in range(ell) if s not in subset]
-                perm = [0] + [1 + slots.index(s) for s in range(ell)]
-                ent += np.transpose(v, perm)
-        return MultilinearMap(_symmetrized(ent, 1), 1)
+        lj = [self.left.tensors(points, r) for r in range(ell + 1)]
+        rj = [self.right.tensors(points, r) for r in range(ell + 1)]
+        # contracted per point: tensordot's BLAS calls fix the bits
+        return np.stack([
+            _leibniz_pair(self.b, [t[i] for t in lj], [t[i] for t in rj], ell, self.dim)
+            for i in range(len(points))
+        ])
 
 
 class MultilinearPairMap(JetMap):
@@ -652,23 +758,14 @@ class MultilinearPairMap(JetMap):
         )
         self.b, self.maps = b, maps
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
-        jets = [mp.jet(x, ell) for mp in self.maps]
-        k = len(self.maps)
-        m = self.dim
-        ent = np.zeros(self.out_shape + (m,) * ell)
-        for assign in itertools.product(range(k), repeat=ell):
-            blocks = [
-                [s for s in range(ell) if assign[s] == j] for j in range(k)
-            ]
-            v = self.b
-            for j in range(k):
-                v = np.tensordot(v, jets[j].tensors[len(blocks[j])].entries, axes=(1, 0))
-            slots = [s for block in blocks for s in block]
-            perm = [0] + [1 + slots.index(s) for s in range(ell)]
-            ent += np.transpose(v, perm)
-        return MultilinearMap(_symmetrized(ent, 1), 1)
+        jets = [[mp.tensors(points, r) for r in range(ell + 1)] for mp in self.maps]
+        # contracted per point: tensordot's BLAS calls fix the bits
+        return np.stack([
+            _leibniz_multi(self.b, [[t[i] for t in jet] for jet in jets], ell, self.dim)
+            for i in range(len(points))
+        ])
 
 
 class PairedDerivativeMap(JetMap):
@@ -707,58 +804,52 @@ class PairedDerivativeMap(JetMap):
         )
         self.g, self.pairing, self.e_shape = g, pairing, e_shape
 
-    def _split(self, point):
-        point = np.asarray(point, dtype=float)
-        mu = self.g.domain.dim
-        return point[:mu], point[mu:]
-
     def _pair(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
         if self.pairing == "evaluate":
             return a @ e
         return a @ e.reshape(self.e_shape)
 
-    def value(self, point):
-        u, e = self._split(point)
-        return self._pair(self.g.value(u), e)
-
-    def tensor(self, point, ell):
+    def tensors(self, points, ell):
+        # the pairing contracts one point at a time: numpy's dot picks its
+        # BLAS (or scalar) path from the one-point shapes, which fixes the
+        # bits (signed zeros included)
         self._check_order(ell)
-        u, e = self._split(point)
         mu = self.g.domain.dim
+        u = np.ascontiguousarray(points[:, :mu])
+        e = np.ascontiguousarray(points[:, mu:])
+        n = len(points)
+        if ell == 0:
+            return np.stack([self._pair(a, ei) for a, ei in zip(self.g.tensors(u, 0), e)])
         me = int(np.prod(self.e_shape))
         m = mu + me
-        o = len(self.out_shape)
-        if ell == 0:
-            return MultilinearMap(self.value(point), o)
-        ent = np.zeros(self.out_shape + (m,) * ell)
-        out_sl = (slice(None),) * o
+        ent = np.zeros((n,) + self.out_shape + (m,) * ell)
+        pts_sl = (slice(None),) * (1 + len(self.out_shape))
         # all argument slots in the u block
-        tl = self.g.tensor(u, ell).entries  # (p, q) + (mu,)*ell
-        if self.pairing == "evaluate":
-            t1 = np.tensordot(tl, e, axes=(1, 0))  # (p,) + (mu,)*ell
-        else:
-            em = e.reshape(self.e_shape)
-            t1 = np.tensordot(tl, em, axes=(1, 0))  # (p,) + (mu,)*ell + (s,)
-            t1 = np.moveaxis(t1, -1, 1)  # (p, s) + (mu,)*ell
-        ent[out_sl + (slice(0, mu),) * ell] = t1
+        tl = self.g.tensors(u, ell)  # (n, p, q) + (mu,)*ell
+        if self.pairing == "compose":
+            e = e.reshape((n,) + self.e_shape)
+        t1 = np.stack([np.tensordot(a, ei, axes=(1, 0)) for a, ei in zip(tl, e)])
+        if self.pairing == "compose":
+            t1 = np.moveaxis(t1, -1, 2)  # (n, p, s) + (mu,)*ell
+        ent[pts_sl + (slice(0, mu),) * ell] = t1
         # exactly one argument slot in the e block
-        tl1 = self.g.tensor(u, ell - 1).entries  # (p, q) + (mu,)*(ell-1)
+        tl1 = self.g.tensors(u, ell - 1)  # (n, p, q) + (mu,)*(ell-1)
         for j in range(ell):
             for kappa in range(me):
                 if self.pairing == "evaluate":
-                    piece = tl1[:, kappa, ...]
+                    piece = tl1[:, :, kappa, ...]
                 else:
                     qi, si = divmod(kappa, self.e_shape[1])
-                    piece = np.zeros(self.out_shape + (mu,) * (ell - 1))
-                    piece[:, si, ...] = tl1[:, qi, ...]
+                    piece = np.zeros((n,) + self.out_shape + (mu,) * (ell - 1))
+                    piece[:, :, si, ...] = tl1[:, :, qi, ...]
                 idx = (
-                    out_sl
+                    pts_sl
                     + (slice(0, mu),) * j
                     + (mu + kappa,)
                     + (slice(0, mu),) * (ell - 1 - j)
                 )
                 ent[idx] = piece
-        return MultilinearMap(ent, o)
+        return ent
 
 
 def xi2_build(xi: JetMap, pairing: str, e_box_radius: float = 1.0) -> PairedDerivativeMap:
@@ -813,73 +904,79 @@ def mixed_partial1_tensor(xi: JetMap, point, ell: int) -> MultilinearMap:
 
 
 def fd_jet(map_: JetMap, x, order: int, h: float | None = None) -> Jet:
-    """Central-difference jet with O(h^2) error; stencil must stay inside."""
+    """Central-difference jet with O(h^2) error; stencil must stay inside.
+
+    The whole stencil is evaluated by one batched call; the first stencil
+    point outside the domain is named in the error."""
     if order > 2:
         raise OrderError("finite differences provided for orders <= 2")
     x = np.asarray(x, dtype=float)
     m = map_.dim
+    h1 = FD_STEP_ORDER1 if h is None else h
+    h2 = FD_STEP_ORDER2 if h is None else h
 
-    def val(p):
+    def step(j, size):
+        e = np.zeros(m)
+        e[j] = size
+        return e
+
+    stencil = [x]
+    if order >= 1:
+        for j in range(m):
+            stencil += [x + step(j, h1), x - step(j, h1)]
+    if order >= 2:
+        for i in range(m):
+            ei = step(i, h2)
+            stencil += [x + ei, x - ei]
+            for j in range(i + 1, m):
+                ej = step(j, h2)
+                stencil += [x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
+    for p in stencil:
         if not map_.domain.contains(p):
             raise DomainMembershipError(
                 f"finite-difference stencil point {p.tolist()} leaves the domain"
             )
-        return map_.value(p)
-
-    tensors = [MultilinearMap(val(x), len(map_.out_shape))]
+    vals = iter(map_.tensors(np.array(stencil), 0))
+    f0 = next(vals)
+    rank = len(map_.out_shape)
+    tensors = [MultilinearMap(f0, rank)]
     if order >= 1:
-        h1 = FD_STEP_ORDER1 if h is None else h
-        cols = []
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h1
-            cols.append((val(x + e) - val(x - e)) / (2 * h1))
-        tensors.append(
-            MultilinearMap(np.stack(cols, axis=-1), len(map_.out_shape))
-        )
+        cols = [(next(vals) - next(vals)) / (2 * h1) for _ in range(m)]
+        tensors.append(MultilinearMap(np.stack(cols, axis=-1), rank))
     if order >= 2:
-        h2 = FD_STEP_ORDER2 if h is None else h
-        f0 = val(x)
         ent = np.zeros(map_.out_shape + (m, m))
         for i in range(m):
-            ei = np.zeros(m)
-            ei[i] = h2
-            ent[..., i, i] = (val(x + ei) - 2 * f0 + val(x - ei)) / h2**2
+            ent[..., i, i] = (next(vals) - 2 * f0 + next(vals)) / h2**2
             for j in range(i + 1, m):
-                ej = np.zeros(m)
-                ej[j] = h2
-                v = (
-                    val(x + ei + ej)
-                    - val(x + ei - ej)
-                    - val(x - ei + ej)
-                    + val(x - ei - ej)
-                ) / (4 * h2**2)
+                v = (next(vals) - next(vals) - next(vals) + next(vals)) / (4 * h2**2)
                 ent[..., i, j] = v
                 ent[..., j, i] = v
-        tensors.append(MultilinearMap(ent, len(map_.out_shape)))
+        tensors.append(MultilinearMap(ent, rank))
     return Jet(x, tuple(tensors))
 
 
 def validate_jet_map(map_: JetMap, rng: np.random.Generator, points: int = 3,
                      rtol: float = 1e-4):
-    """Ingest check: coded tensors agree with central differences."""
+    """Ingest check: coded tensors agree with central differences.  A NaN
+    on either side is a disagreement."""
     if map_.max_order is not None and map_.max_order < 1:
         return  # value-only map, nothing differentiable to cross-check
     lo, hi = map_.domain.bounding_box()
     mid, half = (lo + hi) / 2, (hi - lo) / 2
-    tried = 0
-    while tried < points:
+    probes = []
+    while len(probes) < points:
         x = mid + 0.5 * half * rng.uniform(-1, 1, size=map_.dim)
-        if not map_.domain.contains(x):
-            continue
-        tried += 1
-        top = 1 if (map_.max_order is not None and map_.max_order < 2) else 2
+        if map_.domain.contains(x):
+            probes.append(x)
+    top = 1 if (map_.max_order is not None and map_.max_order < 2) else 2
+    exact = [map_.tensors(np.array(probes), ell) for ell in range(1, top + 1)]
+    for i, x in enumerate(probes):
         approx = fd_jet(map_, x, top)
         for ell in range(1, top + 1):
-            exact = map_.tensor(x, ell)
-            scale = max(1.0, float(np.max(np.abs(exact.entries))))
-            err = float(np.max(np.abs(exact.entries - approx.tensors[ell].entries)))
-            if err > rtol * scale:
+            ex = exact[ell - 1][i]
+            scale = max(1.0, float(np.max(np.abs(ex))))
+            err = float(np.max(np.abs(ex - approx.tensors[ell].entries)))
+            if not err <= rtol * scale:
                 raise PreconditionError(
                     f"jet of order {ell} disagrees with finite differences "
                     f"by {err:.3e} at {x.tolist()}"
@@ -1069,7 +1166,8 @@ def _entry_bounds(map_: JetMap, ell: int) -> np.ndarray:
             return np.abs(map_.a)
         return np.zeros((map_.out_dim, m**ell))
     if isinstance(map_, PolynomialMap):
-        return _poly_derivative(map_.terms, s, ell, np.abs).reshape(map_.out_dim, -1)
+        coefs = np.abs(map_._coefs)
+        return _poly_tensors(map_, coefs, s[None], ell)[0].reshape(map_.out_dim, -1)
     if isinstance(map_, TrigPolynomialMap):
         n = map_.out_dim
         out = np.zeros((n,) + (m,) * ell)

@@ -179,8 +179,8 @@ def superpose(
     if not op.v.star_shaped_at_zero:
         raise PreconditionError("the value domain must be star-shaped at 0")
     pts = gamma.grid.points
-    for x in pts:
-        if not op.v.contains(gamma.map.value(x)):
+    for x, g in zip(pts, gamma.map.tensors(pts, 0)):
+        if not op.v.contains(g):
             raise RangeEscapeError(
                 f"gamma({np.asarray(x).tolist()}) escapes the value domain"
             )
@@ -245,8 +245,8 @@ def superpose(
             seg = "segment condition automatic (convex value domain)" if op.v.convex \
                 else "segment condition checked at grid midpoints only"
             if not op.v.convex:
-                for x in pts:
-                    midv = 0.5 * (gamma.map.value(x) + gamma_alt.map.value(x))
+                mids = 0.5 * (gamma.map.tensors(pts, 0) + gamma_alt.map.tensors(pts, 0))
+                for midv in mids:
                     if not op.v.contains(midv):
                         raise RangeEscapeError("segment midpoint escapes value domain")
             reports.append(
@@ -271,23 +271,19 @@ def superpose_derivative_check(
     stated directional derivative, with a second-order convergence fit."""
     pts = gamma.grid.points
     m2 = op.v.dim
-    d2 = lambda x, y: op.xi.tensor(np.concatenate([x, y]), 1).entries[:, -m2:]
+    g, d = gamma.map.tensors(pts, 0), direction.map.tensors(pts, 0)
+    d2 = op.xi.tensors(np.concatenate([pts, g], axis=1), 1)[:, :, -m2:]
+    # d2 @ d one point at a time: the BLAS call of the one-point formula
+    exact = np.array([a @ b for a, b in zip(d2, d)])
     used_steps, errors = [], []
     for t in steps:
-        ok = True
-        worst = 0.0
-        for x in pts:
-            g, d = gamma.map.value(x), direction.map.value(x)
-            if not (op.v.contains(g + t * d) and op.v.contains(g - t * d)):
-                ok = False
-                break
-            plus = op.xi.value(np.concatenate([x, g + t * d]))
-            minus = op.xi.value(np.concatenate([x, g - t * d]))
-            exact = d2(np.asarray(x, float), g) @ d
-            worst = max(worst, float(np.max(np.abs((plus - minus) / (2 * t) - exact))))
-        if ok:
-            used_steps.append(t)
-            errors.append(worst)
+        if not all(op.v.contains(gi + t * di) and op.v.contains(gi - t * di)
+                   for gi, di in zip(g, d)):
+            continue
+        plus = op.xi.tensors(np.concatenate([pts, g + t * d], axis=1), 0)
+        minus = op.xi.tensors(np.concatenate([pts, g - t * d], axis=1), 0)
+        used_steps.append(t)
+        errors.append(float(np.max(np.abs((plus - minus) / (2 * t) - exact))))
     detail = "" if len(used_steps) == len(steps) else \
         f"{len(steps) - len(used_steps)} step(s) rejected by range checks;"
     return convergence_report(check_id, used_steps, errors, detail=detail)
@@ -319,8 +315,9 @@ def compose_perturbed(
     if not w.contains_set(v.minkowski_sum(u)):
         raise GeometryError("V + U is not contained in W")
     pts = eta.grid.points
-    for x in pts:
-        if not v.contains(eta.map.value(x)):
+    eta_vals = eta.map.tensors(pts, 0)
+    for x, ex in zip(pts, eta_vals):
+        if not v.contains(ex):
             raise RangeEscapeError(
                 f"eta({np.asarray(x).tolist()}) escapes the perturbation range"
             )
@@ -329,15 +326,17 @@ def compose_perturbed(
     max_order = min(gamma.max_order, eta.max_order)
     result = WeightedFunction(result_map, eta.grid, max_order)
 
-    sup = lambda vec: float(np.max(np.abs(vec)))
+    sup = lambda vals: np.max(np.abs(vals), axis=1).tolist()
+    sup_eta = sup(eta_vals)
+    sup_result = sup(result_map.tensors(pts, 0))
+    sup_gamma = sup(gamma.map.tensors(pts, 0))
     reports: list[CheckReport] = []
     for wgt in weights:
         per_point = []
-        for x in pts:
+        for i, x in enumerate(pts):
             fx = abs(wgt(x))
-            ex = eta.map.value(x)
-            lhs = fx * sup(result_map.value(x))
-            rhs = fx * (gamma_lip * sup(ex) + sup(gamma.map.value(x)))
+            lhs = fx * sup_result[i]
+            rhs = fx * (gamma_lip * sup_eta[i] + sup_gamma[i])
             per_point.append(
                 bound_report(
                     "est:Funktionswerte_Gewicht_K-Kompo", lhs, rhs, tolerance=1e-9,
@@ -390,23 +389,21 @@ def compose_derivative_check(
 ) -> CheckReport:
     """The derivative of composition splits into the two stated terms."""
     pts = eta.grid.points
-    dgamma = gamma.map.differential()
+    ex, dx = eta.map.tensors(pts, 0), eta_dir.tensors(pts, 0)
+    z = ex + pts
+    dgamma = gamma.map.differential().tensors(z, 0)
+    # dgamma @ dx one point at a time: the BLAS call of the one-point formula
+    exact = np.array([a @ b for a, b in zip(dgamma, dx)]) + gamma_dir.tensors(z, 0)
     used, errors = [], []
     for t in steps:
-        ok, worst = True, 0.0
-        for x in pts:
-            ex, dx = eta.map.value(x), eta_dir.value(x)
-            if not (v.contains(ex + t * dx) and v.contains(ex - t * dx)):
-                ok = False
-                break
-            z = ex + np.asarray(x, float)
-            plus = (gamma.map.value(z + t * dx) + t * gamma_dir.value(z + t * dx))
-            minus = (gamma.map.value(z - t * dx) - t * gamma_dir.value(z - t * dx))
-            exact = dgamma.value(z) @ dx + gamma_dir.value(z)
-            worst = max(worst, float(np.max(np.abs((plus - minus) / (2 * t) - exact))))
-        if ok:
-            used.append(t)
-            errors.append(worst)
+        if not all(v.contains(e + t * d) and v.contains(e - t * d)
+                   for e, d in zip(ex, dx)):
+            continue
+        zp, zm = z + t * dx, z - t * dx
+        plus = gamma.map.tensors(zp, 0) + t * gamma_dir.tensors(zp, 0)
+        minus = gamma.map.tensors(zm, 0) - t * gamma_dir.tensors(zm, 0)
+        used.append(t)
+        errors.append(float(np.max(np.abs((plus - minus) / (2 * t) - exact))))
     return convergence_report(check_id, used, errors)
 
 
@@ -510,18 +507,15 @@ class InverseMap(JetMap):
             prev_inc = inc
         raise IterationError(f"no convergence within {cfg.max_iters} iterations")
 
-    def value(self, y):
-        x, _, _ = self.solve(y)
-        return x - np.asarray(y, dtype=float)
-
-    def tensor(self, y, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
+        # the fixed point is solved one point at a time
+        xs = np.array([self.solve(y)[0] for y in points])
         if ell == 0:
-            return MultilinearMap(self.value(y), 1)
-        x, _, _ = self.solve(y)
-        a = self.phi.tensor(x, 1).entries
-        qi = quasi_inverse(-a, self.neumann)
-        return MultilinearMap(a @ qi - a, 1)
+            return xs - points
+        return np.stack([
+            a @ quasi_inverse(-a, self.neumann) - a for a in self.phi.tensors(xs, 1)
+        ])
 
 
 def invert_perturbed(
@@ -551,17 +545,19 @@ def invert_perturbed(
     inv = InverseMap(phi.map, u, v, cfg)
     result = WeightedFunction(inv, grid_v, 1)
 
-    residuals, ratios = [], []
-    sup = lambda vec: float(np.max(np.abs(vec)))
+    ys = grid_v.points
+    solved = [inv.solve(y) for y in ys]
+    xs = np.array([x for x, _, _ in solved])
+    ratios = [ratio for _, _, ratio in solved]
+    sup = lambda vals: np.max(np.abs(vals), axis=1).tolist()
+    residuals = sup(xs + phi.map.tensors(xs, 0) - ys)
+    sup_gap, sup_phi = sup(xs - ys), sup(phi.map.tensors(ys, 0))
     est_reports = {w.name: [] for w in weights}
-    for y in grid_v.points:
-        x, _, ratio = inv.solve(y)
-        residuals.append(sup(x + phi.map.value(x) - y))
-        ratios.append(ratio)
+    for i, y in enumerate(ys):
         for w in weights:
             fy = abs(w(y))
-            lhs = fy * sup(x - y)
-            rhs = fy * sup(phi.map.value(y)) / (1.0 - c11)
+            lhs = fy * sup_gap[i]
+            rhs = fy * sup_phi[i] / (1.0 - c11)
             est_reports[w.name].append(
                 bound_report(
                     "est:Abschaetzung_gewichteter_FWert_der_K-Inversion",
@@ -615,10 +611,10 @@ def inversion_pair_difference_check(
     inv_psi = InverseMap(psi.map, u, v, cfg)
     lhs = 0.0
     witness = ()
-    for y in grid_v.points:
-        gap = abs(weight(y)) * float(
-            np.max(np.abs(inv_psi.value(y) - inv_phi.value(y)))
-        )
+    ys = grid_v.points
+    dist = np.max(np.abs(inv_psi.tensors(ys, 0) - inv_phi.tensors(ys, 0)), axis=1)
+    for y, d in zip(ys, dist.tolist()):
+        gap = abs(weight(y)) * d
         if gap > lhs:
             lhs, witness = gap, tuple(float(c) for c in y)
     rhs = (c_diff_11 * c_phi_f0 / (1.0 - c_phi_11) + c_diff_f0) / (1.0 - c_psi_11)

@@ -210,17 +210,15 @@ def product_iso_roundtrip(
     )
     for i, wf in enumerate(elem.factors):
         rec = PairMap([e1.factors[i].map, e2.factors[i].map])
-        for x in wf.grid.points[:: max(1, len(wf.grid.points) // 4)]:
-            for order in range(min(ell, wf.max_order) + 1):
-                if not np.array_equal(
-                    rec.tensor(x, order).entries, wf.map.tensor(x, order).entries
-                ):
-                    reports.append(
-                        identity_report(
-                            check_id, math.inf, tolerance=0.0,
-                            detail=f"recombination not bit-exact on factor {i}",
-                        )
+        probes = wf.grid.points[:: max(1, len(wf.grid.points) // 4)]
+        for order in range(min(ell, wf.max_order) + 1):
+            if not np.array_equal(rec.tensors(probes, order), wf.map.tensors(probes, order)):
+                reports.append(
+                    identity_report(
+                        check_id, math.inf, tolerance=0.0,
+                        detail=f"recombination not bit-exact on factor {i}",
                     )
+                )
     return merge_min_margin(check_id, reports)
 
 
@@ -287,8 +285,7 @@ def neighborhood_inclusion_check(
             raise PreconditionError(f"value domain {i} is not star-shaped at 0")
         d_i = v.boundary_distance(np.zeros(v.dim))
         tv = v.scaled(tau)
-        for x in wf.grid.points:
-            val = wf.map.value(x)
+        for x, val in zip(wf.grid.points, wf.map.tensors(wf.grid.points, 0)):
             member = tv.contains(val)
             q = float(np.max(np.abs(val))) + s / abs(w(x))
             rep = bound_report(
@@ -317,8 +314,7 @@ def neighborhood_openness_check(
     """If gamma has clearance r in the adjusted sense and eta is within r
     of gamma, eta keeps a positive adjusted clearance s = r - |eta-gamma|."""
     for i, (wf, w, v) in enumerate(zip(gamma.factors, omega.factors, v_domains)):
-        for x in wf.grid.points:
-            val = wf.map.value(x)
+        for x, val in zip(wf.grid.points, wf.map.tensors(wf.grid.points, 0)):
             if not v.contains(val) or v.boundary_distance(val) < clearance / abs(w(x)):
                 raise PreconditionError(
                     f"base element lacks the claimed clearance on factor {i}"
@@ -331,8 +327,7 @@ def neighborhood_openness_check(
     s = clearance - nu
     reports = []
     for i, (wf, w, v) in enumerate(zip(eta.factors, omega.factors, v_domains)):
-        for x in wf.grid.points:
-            val = wf.map.value(x)
+        for x, val in zip(wf.grid.points, wf.map.tensors(wf.grid.points, 0)):
             inside = v.contains(val)
             dist = v.boundary_distance(val) if inside else 0.0
             reports.append(
@@ -483,11 +478,13 @@ class PointwiseQIMap(JetMap):
         self.op_dim = op_dim
         self.neumann = neumann
 
-    def tensor(self, x, ell):
+    def tensors(self, points, ell):
         self._check_order(ell)
         p = self.op_dim
-        a = self.base.value(x).reshape(p, p)
-        return MultilinearMap(quasi_inverse(a, self.neumann).reshape(-1), 1)
+        return np.stack([
+            quasi_inverse(a.reshape(p, p), self.neumann).reshape(-1)
+            for a in self.base.tensors(points, 0)
+        ])
 
 
 def sim_power_series(
@@ -504,8 +501,8 @@ def sim_power_series(
     reports = []
     out = []
     for i, wf in enumerate(x.factors):
-        for pt in wf.grid.points:
-            a = wf.map.value(pt).reshape(op_dim, op_dim)
+        for pt, val in zip(wf.grid.points, wf.map.tensors(wf.grid.points, 0)):
+            a = val.reshape(op_dim, op_dim)
             norm_a = opnorm_inf(a)
             if norm_a > q + 1e-12:
                 return RestrictedElement(tuple(out)), CheckReport(
@@ -672,12 +669,10 @@ def restrict_scenario_outputs(
     dev = 0.0
     for j, i in enumerate(sub_indices):
         a, b = full.factors[i], sub.factors[j]
-        for x in a.grid.points:
-            for order in range(min(probe_order, a.max_order, b.max_order) + 1):
-                if not np.array_equal(
-                    a.map.tensor(x, order).entries, b.map.tensor(x, order).entries
-                ):
-                    dev = math.inf
+        pts = a.grid.points
+        for order in range(min(probe_order, a.max_order, b.max_order) + 1):
+            if not np.array_equal(a.map.tensors(pts, order), b.map.tensors(pts, order)):
+                dev = math.inf
     return identity_report(
         "sim:factor_restriction",
         dev,

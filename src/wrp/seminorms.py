@@ -21,6 +21,7 @@ from .errors import DataError, DomainMembershipError, OrderError, PreconditionEr
 from .jets import (
     ComponentMap,
     JetMap,
+    MultilinearMap,
     PairMap,
     ScaledMap,
     SumMap,
@@ -36,7 +37,7 @@ from .report import (
     identity_report,
     merge_min_margin,
 )
-from .spaces import DomainSet, Weight
+from .spaces import SUP, DomainSet, Weight
 
 DEFAULT_PER_AXIS = {1: 11, 2: 9, 3: 5}
 
@@ -170,22 +171,44 @@ def certified_seminorm(wf: WeightedFunction, weight_name: str, ell: int) -> Semi
     return SeminormValue(wf.require_bound(weight_name, ell), CERTIFIED_UPPER)
 
 
+def _grid_norms(t: np.ndarray, out_rank: int, norm_kind: str) -> np.ndarray:
+    """Operator norm of each tensor in the batch ``t``.  Vector-valued
+    tensors of order <= 1 under the sup norm take the closed form op_norm
+    reduces to (largest absolute entry, largest absolute row sum); every
+    other shape goes through op_norm one point at a time."""
+    order = t.ndim - 1 - out_rank
+    if norm_kind == SUP and out_rank == 1 and order <= 1 and t[0].size:
+        a = np.abs(t)
+        return (a if order == 0 else a.sum(axis=2)).max(axis=1)
+    return np.array([op_norm(MultilinearMap(ti, out_rank), norm_kind) for ti in t])
+
+
 def weighted_seminorm(wf: WeightedFunction, weight: Weight, ell: int) -> SeminormValue:
     """Grid lower bound of sup |f(x)| * |D^l map(x)|, with its witness.
 
     A grid point where the weight is infinite forces the value to +inf
-    unless the tensor vanishes there.
+    unless the tensor vanishes there, and an infinite tensor norm forces
+    +inf unless the weight vanishes there.  A NaN tensor entry raises
+    DataError naming the grid point: it must not drop out of the sup.
     """
     if ell > wf.max_order:
         raise OrderError(f"order {ell} exceeds max order {wf.max_order}")
+    pts = wf.grid.points
+    t = wf.map.tensors(pts, ell)
+    nan = np.isnan(t).reshape(len(pts), -1).any(axis=1)
+    if nan.any():
+        raise DataError(
+            f"order-{ell} tensor has a NaN entry at grid point "
+            f"{pts[int(np.argmax(nan))].tolist()}"
+        )
+    norms = _grid_norms(t, len(wf.map.out_shape), wf.grid.domain.space.norm_kind)
     best, witness = 0.0, None
-    for x in wf.grid.points:
+    for x, n in zip(pts, norms.tolist()):
         w = abs(weight(x))
-        t = op_norm(wf.map.tensor(x, ell), wf.grid.domain.space.norm_kind)
-        if math.isinf(w):
-            v = 0.0 if t == 0.0 else math.inf
+        if math.isinf(w) or math.isinf(n):
+            v = 0.0 if w == 0.0 or n == 0.0 else math.inf
         else:
-            v = w * t
+            v = w * n
         if v > best or witness is None:
             best, witness = v, tuple(float(c) for c in x)
         if math.isinf(best):
@@ -272,15 +295,15 @@ def pair_split_check(
         check_id, abs(whole - parts), tolerance=0.0, detail="max of block seminorms"
     )
     recombined = PairMap([a.map, b.map])
-    for x in wf.grid.points[:: max(1, len(wf.grid.points) // 5)]:
-        for order in range(min(ell + 1, wf.max_order + 1)):
-            if not np.array_equal(
-                recombined.tensor(x, order).entries, wf.map.tensor(x, order).entries
-            ):
-                return identity_report(
-                    check_id, math.inf, tolerance=0.0,
-                    detail="recombination is not bit-exact",
-                )
+    probes = wf.grid.points[:: max(1, len(wf.grid.points) // 5)]
+    for order in range(min(ell + 1, wf.max_order + 1)):
+        if not np.array_equal(
+            recombined.tensors(probes, order), wf.map.tensors(probes, order)
+        ):
+            return identity_report(
+                check_id, math.inf, tolerance=0.0,
+                detail="recombination is not bit-exact",
+            )
     return norm_id
 
 
@@ -305,8 +328,8 @@ def norm_comparison_1U(
     sup_norm = phi.grid.domain.space.norm
     pointwise = []
     unweighted = 0.0
-    for x in phi.grid.points:
-        gap = sup_norm(diff.value(x))
+    for x, dx in zip(phi.grid.points, diff.tensors(phi.grid.points, 0)):
+        gap = sup_norm(dx)
         unweighted = max(unweighted, gap)
         w = abs(weight(x))
         bound = math.inf if w == 0 else fnorm / w

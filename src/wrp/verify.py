@@ -629,13 +629,14 @@ def _draw_poly(
 
 
 def _certified(map_: JetMap, weights: dict[str, Weight], orders=(0, 1, 2)) -> tuple:
-    out = []
-    for name, w in weights.items():
-        if w.certified_sup is None:
-            continue
-        for ell in orders:
-            out.append((name, ell, w.certified_sup * crude_sup_bound(map_, ell)))
-    return tuple(out)
+    sups = [(name, w.certified_sup) for name, w in weights.items()
+            if w.certified_sup is not None]
+    if not sups:
+        return ()
+    bounds = [crude_sup_bound(map_, ell) for ell in orders]  # shared by all weights
+    return tuple(
+        (name, ell, sup * b) for name, sup in sups for ell, b in zip(orders, bounds)
+    )
 
 
 def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
@@ -1133,7 +1134,7 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
     xi2e = xi2_build(op0.xi, "evaluate", slab)
     grid = lattice(xi2e.domain, per_axis=3 if sc.dim == 1 else 2)
     for ell in (1, 2) if sc.dim == 1 else (1,):
-        lhs = max(op_norm(xi2e.tensor(p, ell)) for p in grid.points)
+        lhs = max(op_norm(MultilinearMap(t, 1)) for t in xi2e.tensors(grid.points, ell))
         rhs = ell * op0.bound(ell) + slab * op0.bound(ell + 1)
         slab_reports.append(
             bound_report(
@@ -1440,7 +1441,7 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
         dmap = PairedDerivativeMap(DifferentialMap(m), "evaluate", slab)
         grid = lattice(dmap.domain, per_axis=3 if sc.dim == 1 else 2)
         for ell in (1, 2) if sc.dim == 1 else (1,):
-            lhs = max(op_norm(dmap.tensor(p, ell)) for p in grid.points)
+            lhs = max(op_norm(MultilinearMap(t, 1)) for t in dmap.tensors(grid.points, ell))
             k_prev = crude_sup_bound(m, ell)      # bounds |Dm|_(1, l-1)
             k_curr = crude_sup_bound(m, ell + 1)  # bounds |Dm|_(1, l)
             transfer.append(
@@ -1641,10 +1642,45 @@ def _domain_to_dict(d: DomainSet) -> dict:
             "norm": d.space.norm_kind}
 
 
-def _domain_from_dict(d: dict) -> DomainSet:
-    if d["kind"] == "box":
-        return box(d["lo"], d["hi"], d.get("norm", "sup"))
-    return ball(d["center"], d["radius"], d.get("norm", "sup"))
+# Readers take the JSON pointer of the node they read, so that a missing
+# or malformed entry is a DataError naming where it is.
+
+
+def _at(node, key, path: str):
+    """``node[key]``, where ``path`` is the JSON pointer of ``node``."""
+    try:
+        return node[key]
+    except (KeyError, IndexError, TypeError):
+        raise DataError(f"{path}/{key}: missing") from None
+
+
+def _number(node, key: str, path: str):
+    v = _at(node, key, path)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise DataError(f"{path}/{key}: must be a finite number, got {v!r}")
+    return v
+
+
+def _grid_size(node, key: str, path: str) -> int:
+    v = _at(node, key, path)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise DataError(f"{path}/{key}: must be a positive integer, got {v!r}")
+    return v
+
+
+def _from_desc(build, desc, path: str, *args):
+    """``build(desc, *args)`` for the descriptor at ``path``; a key the
+    descriptor lacks is a DataError naming it."""
+    try:
+        return build(desc, *args)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
+
+
+def _domain_from_dict(d: dict, path: str) -> DomainSet:
+    if _at(d, "kind", path) == "box":
+        return box(_at(d, "lo", path), _at(d, "hi", path), d.get("norm", "sup"))
+    return ball(_at(d, "center", path), _at(d, "radius", path), d.get("norm", "sup"))
 
 
 def _wf_to_dict(wf: WeightedFunction) -> dict:
@@ -1655,12 +1691,12 @@ def _wf_to_dict(wf: WeightedFunction) -> dict:
     }
 
 
-def _wf_from_dict(d: dict, domain: DomainSet, grid: SampleGrid) -> WeightedFunction:
+def _wf_from_dict(d: dict, domain: DomainSet, grid: SampleGrid, path: str) -> WeightedFunction:
     return WeightedFunction(
-        map_from_desc(d["map"], domain),
+        _from_desc(map_from_desc, _at(d, "map", path), f"{path}/map", domain),
         grid,
-        d["max_order"],
-        tuple((n, int(l), float(b)) for n, l, b in d["certified"]),
+        _at(d, "max_order", path),
+        tuple((n, int(l), float(b)) for n, l, b in _at(d, "certified", path)),
     )
 
 
@@ -1681,11 +1717,33 @@ def _per_factor(items, path: str, n: int) -> list:
 
 
 def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
-    entries = _per_factor(d["factors"], f"{path}/factors", len(domains))
+    entries = _per_factor(_at(d, "factors", path), f"{path}/factors", len(domains))
+    name = _at(d, "name", path)
     return FamilyWeight(
-        d["name"],
-        tuple(weight_from_desc(w, d["name"], dom) for w, dom in zip(entries, domains)),
+        name,
+        tuple(
+            _from_desc(weight_from_desc, w, f"{path}/factors/{i}", name, dom)
+            for i, (w, dom) in enumerate(zip(entries, domains))
+        ),
     )
+
+
+def _sigma_k(d: dict) -> tuple[tuple[int, float], ...]:
+    """The (order, bound) pairs of ``/sigma_k``; the runners read order 1."""
+    try:
+        pairs = tuple((int(l), float(k)) for l, k in _at(d, "sigma_k", ""))
+    except (TypeError, ValueError):
+        raise DataError("/sigma_k: must list [order, bound] pairs") from None
+    if 1 not in dict(pairs):
+        raise DataError("/sigma_k: must give the bound for order 1")
+    return pairs
+
+
+def _config_from_dict(cls, d: dict, key: str):
+    try:
+        return cls(**_at(d, key, ""))
+    except TypeError as exc:
+        raise DataError(f"/{key}: {exc}") from None
 
 
 def scenario_to_dict(sc: FamilyScenario) -> dict:
@@ -1752,90 +1810,98 @@ def scenario_to_dict(sc: FamilyScenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> FamilyScenario:
+    """Load a scenario document.  Anything missing or malformed is a
+    DataError whose message starts with the JSON pointer of the entry."""
     factors = []
-    for fd in d["factors"]:
-        u = _domain_from_dict(fd["u"])
-        v = _domain_from_dict(fd["v"])
-        w = _domain_from_dict(fd["w"])
-        vt = _domain_from_dict(fd["v_tilde"])
+    for i, fd in enumerate(_at(d, "factors", "")):
+        path = f"/factors/{i}"
+        u = _domain_from_dict(_at(fd, "u", path), f"{path}/u")
+        v = _domain_from_dict(_at(fd, "v", path), f"{path}/v")
+        w = _domain_from_dict(_at(fd, "w", path), f"{path}/w")
+        vt = _domain_from_dict(_at(fd, "v_tilde", path), f"{path}/v_tilde")
         factors.append(
             FactorSpace(
-                u=u, grid_u=lattice(u, per_axis=fd["grid_u"]),
+                u=u, grid_u=lattice(u, per_axis=_grid_size(fd, "grid_u", path)),
                 v=v,
-                w=w, grid_w=lattice(w, per_axis=fd["grid_w"]),
-                v_tilde=vt, grid_vt=lattice(vt, per_axis=fd["grid_vt"]),
+                w=w, grid_w=lattice(w, per_axis=_grid_size(fd, "grid_w", path)),
+                v_tilde=vt,
+                grid_vt=lattice(vt, per_axis=_grid_size(fd, "grid_vt", path)),
             )
         )
     n = len(factors)
 
     def per_factor(key: str) -> list:
-        return _per_factor(d[key], f"/{key}", n)
+        return _per_factor(_at(d, key, ""), f"/{key}", n)
 
     u_domains = [fs.u for fs in factors]
+    weights = _at(d, "weights", "")
     members = tuple(
         _fw_from_dict(m, u_domains, f"/weights/members/{i}")
-        for i, m in enumerate(d["weights"]["members"])
+        for i, m in enumerate(_at(weights, "members", "/weights"))
     )
     family = WeightFamily(members, contains_one=True,
-                          adjusting=d["weights"]["adjusting"])
+                          adjusting=_at(weights, "adjusting", "/weights"))
     elements = {}
     for key, grid in ELEMENT_GRIDS.items():
-        entries = _per_factor(d["elements"][key], f"/elements/{key}", n)
+        path = f"/elements/{key}"
+        entries = _per_factor(_at(_at(d, "elements", ""), key, "/elements"), path, n)
         elements[key] = RestrictedElement(tuple(
-            _wf_from_dict(e, getattr(fs, grid), getattr(fs, f"grid_{grid}"))
-            for e, fs in zip(entries, factors)
+            _wf_from_dict(e, getattr(fs, grid), getattr(fs, f"grid_{grid}"), f"{path}/{i}")
+            for i, (e, fs) in enumerate(zip(entries, factors))
         ))
     xis = tuple(
         SuperpositionOperand(
-            map_from_desc(x["map"], product_box(fs.u, fs.v)),
+            _from_desc(map_from_desc, _at(x, "map", f"/xis/{i}"), f"/xis/{i}/map",
+                       product_box(fs.u, fs.v)),
             fs.u,
             fs.v,
-            tuple((int(l), float(b)) for l, b in x["sup_1"]),
-            float(x["d2_sup"]),
+            tuple((int(l), float(b)) for l, b in _at(x, "sup_1", f"/xis/{i}")),
+            float(_number(x, "d2_sup", f"/xis/{i}")),
         )
-        for x, fs in zip(per_factor("xis"), factors)
+        for i, (x, fs) in enumerate(zip(per_factor("xis"), factors))
     )
     return validate_scenario(FamilyScenario(
-        name=d["name"],
-        dim=d["dim"],
+        name=_at(d, "name", ""),
+        dim=_at(d, "dim", ""),
         factors=tuple(factors),
         weights=family,
-        tau=d["tau"],
-        r=d["r"],
-        tau_nb=d["tau_nb"],
-        clearance_nb=d["clearance_nb"],
+        tau=_number(d, "tau", ""),
+        r=_number(d, "r", ""),
+        tau_nb=_number(d, "tau_nb", ""),
+        clearance_nb=_number(d, "clearance_nb", ""),
         xis=xis,
         comp_gamma_lips=tuple(per_factor("comp_gamma_lips")),
         bilinears=tuple(np.array(b) for b in per_factor("bilinears")),
         beta2s=tuple(np.array(b) for b in per_factor("beta2s")),
         sigmas=tuple(
-            map_from_desc(s, fs.v.as_box())
-            for s, fs in zip(per_factor("sigmas"), factors)
+            _from_desc(map_from_desc, s, f"/sigmas/{i}", fs.v.as_box())
+            for i, (s, fs) in enumerate(zip(per_factor("sigmas"), factors))
         ),
-        sigma_k=tuple((int(l), float(k)) for l, k in d["sigma_k"]),
-        op_q=d["op_q"],
+        sigma_k=_sigma_k(d),
+        op_q=_number(d, "op_q", ""),
         dominance=tuple(
             DominanceCertificate(
-                _fw_from_dict(c["f"], u_domains, f"/dominance/{i}/f"),
-                int(c["ell"]),
-                _fw_from_dict(c["g"], u_domains, f"/dominance/{i}/g"),
-                tuple(float(k) for k in c["k"]),
-                context=c["context"],
+                _fw_from_dict(_at(c, "f", f"/dominance/{i}"), u_domains, f"/dominance/{i}/f"),
+                int(_at(c, "ell", f"/dominance/{i}")),
+                _fw_from_dict(_at(c, "g", f"/dominance/{i}"), u_domains, f"/dominance/{i}/g"),
+                tuple(float(k) for k in _at(c, "k", f"/dominance/{i}")),
+                context=_at(c, "context", f"/dominance/{i}"),
             )
-            for i, c in enumerate(d["dominance"])
+            for i, c in enumerate(_at(d, "dominance", ""))
         ),
         factorizations=tuple(
             FactorizationCertificate(
-                _fw_from_dict(c["f"], u_domains, f"/factorizations/{i}/f"),
+                _fw_from_dict(_at(c, "f", f"/factorizations/{i}"), u_domains,
+                              f"/factorizations/{i}/f"),
                 tuple(
                     _fw_from_dict(p, u_domains, f"/factorizations/{i}/parts/{j}")
-                    for j, p in enumerate(c["parts"])
+                    for j, p in enumerate(_at(c, "parts", f"/factorizations/{i}"))
                 ),
             )
-            for i, c in enumerate(d["factorizations"])
+            for i, c in enumerate(_at(d, "factorizations", ""))
         ),
-        contraction=ContractionConfig(**d["contraction"]),
-        neumann=NeumannConfig(**d["neumann"]),
+        contraction=_config_from_dict(ContractionConfig, d, "contraction"),
+        neumann=_config_from_dict(NeumannConfig, d, "neumann"),
         **elements,
     ))
 

@@ -176,6 +176,37 @@ class TestRun:
         assert run(RunConfig(**base, strict_preconditions=True)) == 2
 
 
+def _mutated_scenario_file(tmp_path, scenario0, mutate):
+    from wrp.verify import scenario_to_dict
+
+    doc = scenario_to_dict(scenario0)
+    mutate(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scenarios": [str(path)], "out": str(tmp_path)}))
+    return cfg
+
+
+class TestIngestErrors:
+    """A malformed scenario file exits 1 with an error naming the JSON
+    pointer of the offending entry, never with a traceback or a run."""
+
+    @pytest.mark.parametrize("mutate, pointer", [
+        (lambda d: d["elements"].pop("phis"), "/elements/phis"),
+        (lambda d: d["factors"][0].__setitem__("grid_u", -3), "/factors/0/grid_u"),
+        (lambda d: d["factors"][1].__setitem__("grid_w", 0), "/factors/1/grid_w"),
+        (lambda d: d.__setitem__("tau", "x"), "/tau"),
+        (lambda d: d.__setitem__("sigma_k", []), "/sigma_k"),
+    ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k"])
+    def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
+        cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pointer}: "), err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestMain:
     def test_list_checks(self, capsys):
         assert main(["list-checks"]) == 0

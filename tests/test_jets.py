@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrp.errors import (
+    DataError,
     DomainMembershipError,
     EnumerationBudgetError,
     OrderError,
@@ -114,6 +115,13 @@ class TestOpNorm:
 
     def test_zero_order(self):
         assert op_norm(MultilinearMap(np.array([1.0, -2.0]), 1)) == 2.0
+
+    def test_nan_entry_raises(self):
+        # max(0.0, nan) is 0.0: a NaN entry must not vanish from the sup
+        with pytest.raises(DataError, match=r"\(0, 0\)"):
+            op_norm(MultilinearMap(np.array([[np.nan, 1.0]]), 1))
+        with pytest.raises(DataError):
+            op_norm(MultilinearMap(np.array([1.0, np.nan]), 1))
 
     @given(st.floats(min_value=-3, max_value=3), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -466,17 +474,17 @@ class _SinTimesY(PolynomialMap):
     def __init__(self, domain):
         super().__init__(domain, [([0.0], (0, 1))], in_blocks=(1, 1))
 
-    def tensor(self, x, ell):
-        x = np.asarray(x, float)
-        ent = np.zeros((1,) + (2,) * ell)
-        for idx in itertools.product(range(2), repeat=ell):
-            k = sum(1 for j in idx if j == 0)  # x-derivatives
-            n_y = ell - k
-            if n_y == 0:
-                ent[(0,) + idx] = math.sin(x[0] + k * math.pi / 2) * x[1]
-            elif n_y == 1:
-                ent[(0,) + idx] = math.sin(x[0] + k * math.pi / 2)
-        return MultilinearMap(ent, 1)
+    def tensors(self, points, ell):
+        ent = np.zeros((len(points), 1) + (2,) * ell)
+        for i, x in enumerate(points):
+            for idx in itertools.product(range(2), repeat=ell):
+                k = sum(1 for j in idx if j == 0)  # x-derivatives
+                n_y = ell - k
+                if n_y == 0:
+                    ent[(i, 0) + idx] = math.sin(x[0] + k * math.pi / 2) * x[1]
+                elif n_y == 1:
+                    ent[(i, 0) + idx] = math.sin(x[0] + k * math.pi / 2)
+        return ent
 
 
 class TestLinearInSecondArgument:

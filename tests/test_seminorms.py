@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrp.errors import OrderError, PreconditionError, ShapeError
+from wrp.errors import DataError, OrderError, PreconditionError, ShapeError
 from wrp.jets import PairMap, PolynomialMap, TrigPolynomialMap, ConstMap
 from wrp.seminorms import (
     WeightedFunction,
@@ -27,6 +28,19 @@ ONE = const_weight("one", 1.0)
 def wf_poly(terms, dom=None, spacing=0.1, order=3):
     dom = dom or box([-1.0], [1.0])
     return WeightedFunction(PolynomialMap(dom, terms), lattice(dom, spacing=spacing), order)
+
+
+class _PokedPoly(PolynomialMap):
+    """x with every tensor entry at one point replaced by ``poke``."""
+
+    def __init__(self, dom, at, poke):
+        super().__init__(dom, [([1.0], (1,))])
+        self.at, self.poke = at, poke
+
+    def tensors(self, points, ell):
+        t = super().tensors(points, ell)
+        t[(points == self.at).all(axis=1)] = self.poke
+        return t
 
 
 class TestGrids:
@@ -87,6 +101,25 @@ class TestWeightedSeminorm:
         assert weighted_seminorm(zero, inf_w, 0).value == 0.0
         nonzero = wf_poly([([1.0], (0,))])
         assert weighted_seminorm(nonzero, inf_w, 0).value == math.inf
+
+    def test_nan_tensor_names_grid_point(self):
+        # NaN > best is False, so a NaN point must raise, not drop out of
+        # the sup and leave a grid value that is too low
+        dom = box([-1.0], [1.0])
+        grid = lattice(dom, per_axis=5)
+        bad = grid.points[3]
+        wf = WeightedFunction(_PokedPoly(dom, bad, math.nan), grid, 2)
+        for ell in (0, 1, 2):
+            with pytest.raises(DataError, match=re.escape(str(bad.tolist()))):
+                weighted_seminorm(wf, ONE, ell)
+
+    def test_infinite_norm_rules(self):
+        # an infinite tensor norm forces +inf unless the weight vanishes
+        dom = box([-1.0], [1.0])
+        grid = lattice(dom, per_axis=5)
+        wf = WeightedFunction(_PokedPoly(dom, grid.points[3], math.inf), grid, 0)
+        assert weighted_seminorm(wf, ONE, 0).value == math.inf
+        assert weighted_seminorm(wf, Weight("zero", lambda x: 0.0), 0).value == 0.0
 
     def test_certified_kind(self):
         wf = WeightedFunction(
