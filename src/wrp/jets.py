@@ -11,6 +11,7 @@ Finite differences appear only as oracles, never in the main path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -359,8 +360,11 @@ def identity_map(domain: DomainSet) -> AffineMap:
     return AffineMap(domain, np.eye(domain.dim))
 
 
-def _poly_table(terms, m: int, ell: int):
-    """Index tables of the order-``ell`` (>= 1) derivative of a polynomial.
+@functools.cache
+def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
+    """Index tables of the order-``ell`` (>= 1) derivative of a polynomial
+    with term powers ``powers``, built once per (powers, ell) and shared by
+    every map with those powers.
 
     One row per (term, multi-index j*) whose entry survives, i.e. no axis
     is differentiated more often than its power, in term order.  Returns
@@ -369,8 +373,9 @@ def _poly_table(terms, m: int, ell: int):
     and the rows' remaining exponents.  On axis 0 the factors multiply
     1.0, so their (exact, integer) product is one column.
     """
+    m = len(powers[0])
     flat, term, falls, expos = [], [], [], []
-    for t, (_, pw) in enumerate(terms):
+    for t, pw in enumerate(powers):
         if sum(pw) < ell:
             continue
         for f, jidx in enumerate(itertools.product(range(m), repeat=ell)):
@@ -422,10 +427,7 @@ def _poly_tensors(pm: "PolynomialMap", coefs: np.ndarray, points: np.ndarray,
         for t, cc in enumerate(coefs):
             ent += cc * prods[:, t:t + 1]
         return ent
-    table = pm._tables.get(ell)
-    if table is None:
-        table = pm._tables[ell] = _poly_table(pm.terms, m, ell)
-    flat, term, axes = table
+    flat, term, axes = _poly_table(pm._power_key, ell)
     scale = np.ones((n_pts, len(flat)))
     for a, (cols, expo) in enumerate(axes):
         for col in cols:
@@ -462,8 +464,8 @@ class PolynomialMap(JetMap):
         super().__init__(domain, (n,), desc=desc, in_blocks=in_blocks)
         self.terms = terms
         self._coefs = np.array([c for c, _ in terms])
-        self._powers = np.array([pw for _, pw in terms])
-        self._tables: dict[int, tuple] = {}  # derivative order -> _poly_table
+        self._power_key = tuple(pw for _, pw in terms)  # key of _poly_table
+        self._powers = np.array(self._power_key)
 
     def tensors(self, points, ell):
         self._check_order(ell)
@@ -903,15 +905,19 @@ def mixed_partial1_tensor(xi: JetMap, point, ell: int) -> MultilinearMap:
 # finite differences (oracle only)
 
 
-def fd_jet(map_: JetMap, x, order: int, h: float | None = None) -> Jet:
-    """Central-difference jet with O(h^2) error; stencil must stay inside.
+def _fd_prefix(map_: JetMap, points, order: int, h: float | None):
+    """Central differences of orders 0..``order`` at the leading rows of
+    ``points`` whose stencils lie inside the domain, and the error naming
+    the first stencil point outside (``None`` when every stencil is inside).
 
-    The whole stencil is evaluated by one batched call; the first stencil
-    point outside the domain is named in the error."""
+    Each stencil is built with the additions of a one-point stencil, all
+    stencils take one membership test and one ``tensors`` call, and the
+    differences run over the points at once, so row ``i`` carries the bits
+    of a one-point difference at ``points[i]``."""
     if order > 2:
         raise OrderError("finite differences provided for orders <= 2")
-    x = np.asarray(x, dtype=float)
-    m = map_.dim
+    x = np.asarray(points, dtype=float)
+    n, m = x.shape
     h1 = FD_STEP_ORDER1 if h is None else h
     h2 = FD_STEP_ORDER2 if h is None else h
 
@@ -931,34 +937,64 @@ def fd_jet(map_: JetMap, x, order: int, h: float | None = None) -> Jet:
             for j in range(i + 1, m):
                 ej = step(j, h2)
                 stencil += [x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
-    for p in stencil:
-        if not map_.domain.contains(p):
-            raise DomainMembershipError(
-                f"finite-difference stencil point {p.tolist()} leaves the domain"
-            )
-    vals = iter(map_.tensors(np.array(stencil), 0))
-    f0 = next(vals)
-    rank = len(map_.out_shape)
-    tensors = [MultilinearMap(f0, rank)]
+    # (point, stencil entry, axis): probe order is row-major
+    stencil = np.stack(stencil, axis=1)
+    inside = map_.domain.members(stencil.reshape(-1, m)).reshape(n, -1)
+    n_in = int(np.argmin(inside.all(axis=1))) if not inside.all() else n
+    outside = None
+    if n_in < n:
+        p = stencil[n_in][np.argmin(inside[n_in])]
+        outside = DomainMembershipError(
+            f"finite-difference stencil point {p.tolist()} leaves the domain"
+        )
+    vals = map_.tensors(stencil[:n_in].reshape(-1, m), 0) if n_in else \
+        np.empty((0,) + map_.out_shape)
+    vals = vals.reshape((n_in, stencil.shape[1]) + map_.out_shape)
+    cols = iter(np.moveaxis(vals, 1, 0))
+    f0 = next(cols)
+    tensors = [f0]
     if order >= 1:
-        cols = [(next(vals) - next(vals)) / (2 * h1) for _ in range(m)]
-        tensors.append(MultilinearMap(np.stack(cols, axis=-1), rank))
+        d1 = [(next(cols) - next(cols)) / (2 * h1) for _ in range(m)]
+        tensors.append(np.stack(d1, axis=-1))
     if order >= 2:
-        ent = np.zeros(map_.out_shape + (m, m))
+        d2 = np.zeros((n_in,) + map_.out_shape + (m, m))
         for i in range(m):
-            ent[..., i, i] = (next(vals) - 2 * f0 + next(vals)) / h2**2
+            d2[..., i, i] = (next(cols) - 2 * f0 + next(cols)) / h2**2
             for j in range(i + 1, m):
-                v = (next(vals) - next(vals) - next(vals) + next(vals)) / (4 * h2**2)
-                ent[..., i, j] = v
-                ent[..., j, i] = v
-        tensors.append(MultilinearMap(ent, rank))
-    return Jet(x, tuple(tensors))
+                v = (next(cols) - next(cols) - next(cols) + next(cols)) / (4 * h2**2)
+                d2[..., i, j] = v
+                d2[..., j, i] = v
+        tensors.append(d2)
+    return tensors, outside
+
+
+def fd_tensors(map_: JetMap, points, order: int, h: float | None = None) -> list:
+    """Central-difference derivative entries of orders 0..``order`` (O(h^2)
+    error) at every row of ``points``: one ``(N,) + out_shape + (dim,)*l``
+    array per order.  Every stencil must stay inside the domain; the first
+    stencil point outside, in the order of the points, is named."""
+    tensors, outside = _fd_prefix(map_, points, order, h)
+    if outside is not None:
+        raise outside
+    return tensors
+
+
+def fd_jet(map_: JetMap, x, order: int, h: float | None = None) -> Jet:
+    """Central-difference jet at one point: :func:`fd_tensors` on a batch
+    of one."""
+    x = np.asarray(x, dtype=float)
+    rank = len(map_.out_shape)
+    return Jet(x, tuple(
+        MultilinearMap(t[0], rank) for t in fd_tensors(map_, x[None], order, h)
+    ))
 
 
 def validate_jet_map(map_: JetMap, rng: np.random.Generator, points: int = 3,
                      rtol: float = 1e-4):
     """Ingest check: coded tensors agree with central differences.  A NaN
-    on either side is a disagreement."""
+    on either side is a disagreement.  Probes are checked in draw order:
+    a disagreement at one probe is raised before a stencil that leaves
+    the domain at a later one."""
     if map_.max_order is not None and map_.max_order < 1:
         return  # value-only map, nothing differentiable to cross-check
     lo, hi = map_.domain.bounding_box()
@@ -968,19 +1004,22 @@ def validate_jet_map(map_: JetMap, rng: np.random.Generator, points: int = 3,
         x = mid + 0.5 * half * rng.uniform(-1, 1, size=map_.dim)
         if map_.domain.contains(x):
             probes.append(x)
+    probes = np.array(probes)
     top = 1 if (map_.max_order is not None and map_.max_order < 2) else 2
-    exact = [map_.tensors(np.array(probes), ell) for ell in range(1, top + 1)]
-    for i, x in enumerate(probes):
-        approx = fd_jet(map_, x, top)
+    exact = [map_.tensors(probes, ell) for ell in range(1, top + 1)]
+    approx, outside = _fd_prefix(map_, probes, top, None)
+    for i in range(len(approx[0])):
         for ell in range(1, top + 1):
             ex = exact[ell - 1][i]
             scale = max(1.0, float(np.max(np.abs(ex))))
-            err = float(np.max(np.abs(ex - approx.tensors[ell].entries)))
+            err = float(np.max(np.abs(ex - approx[ell][i])))
             if not err <= rtol * scale:
                 raise PreconditionError(
                     f"jet of order {ell} disagrees with finite differences "
-                    f"by {err:.3e} at {x.tolist()}"
+                    f"by {err:.3e} at {probes[i].tolist()}"
                 )
+    if outside is not None:
+        raise outside
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from .jets import (
     PairMap,
     ScaledMap,
     SumMap,
+    _fd_prefix,
     difference_map,
-    fd_jet,
     identity_map,
     op_norm,
     opnorm_inf,
@@ -120,11 +120,13 @@ def convergence_report(
 
 
 def weak_integral(g, a: float, b: float, quad_n: int = 64) -> np.ndarray:
-    """Composite Simpson quadrature of a vector-valued integrand."""
+    """Composite Simpson quadrature of a vector-valued integrand.  ``g``
+    takes the ``quad_n + 1`` nodes as one array and returns the integrand
+    values stacked along the first axis."""
     if quad_n < 2 or quad_n % 2 != 0:
         raise PreconditionError("quad_n must be even and >= 2")
     ts = np.linspace(a, b, quad_n + 1)
-    vals = np.array([np.asarray(g(t), dtype=float) for t in ts])
+    vals = np.asarray(g(ts), dtype=float)
     w = np.ones(quad_n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -179,11 +181,11 @@ def superpose(
     if not op.v.star_shaped_at_zero:
         raise PreconditionError("the value domain must be star-shaped at 0")
     pts = gamma.grid.points
-    for x, g in zip(pts, gamma.map.tensors(pts, 0)):
-        if not op.v.contains(g):
-            raise RangeEscapeError(
-                f"gamma({np.asarray(x).tolist()}) escapes the value domain"
-            )
+    inside = op.v.members(gamma.map.tensors(pts, 0))
+    if not inside.all():
+        raise RangeEscapeError(
+            f"gamma({pts[np.argmin(inside)].tolist()}) escapes the value domain"
+        )
     _probe_zero_section(op, pts)
 
     result_map = ComposeMap(op.xi, PairMap([identity_map(op.u), gamma.map]))
@@ -246,9 +248,8 @@ def superpose(
                 else "segment condition checked at grid midpoints only"
             if not op.v.convex:
                 mids = 0.5 * (gamma.map.tensors(pts, 0) + gamma_alt.map.tensors(pts, 0))
-                for midv in mids:
-                    if not op.v.contains(midv):
-                        raise RangeEscapeError("segment midpoint escapes value domain")
+                if not op.v.members(mids).all():
+                    raise RangeEscapeError("segment midpoint escapes value domain")
             reports.append(
                 bound_report(
                     "est:f0-Norm_SPid-Differenz", lhs_d, op.d2_sup * dcert,
@@ -277,8 +278,7 @@ def superpose_derivative_check(
     exact = np.array([a @ b for a, b in zip(d2, d)])
     used_steps, errors = [], []
     for t in steps:
-        if not all(op.v.contains(gi + t * di) and op.v.contains(gi - t * di)
-                   for gi, di in zip(g, d)):
+        if not (op.v.members(g + t * d).all() and op.v.members(g - t * d).all()):
             continue
         plus = op.xi.tensors(np.concatenate([pts, g + t * d], axis=1), 0)
         minus = op.xi.tensors(np.concatenate([pts, g - t * d], axis=1), 0)
@@ -316,11 +316,11 @@ def compose_perturbed(
         raise GeometryError("V + U is not contained in W")
     pts = eta.grid.points
     eta_vals = eta.map.tensors(pts, 0)
-    for x, ex in zip(pts, eta_vals):
-        if not v.contains(ex):
-            raise RangeEscapeError(
-                f"eta({np.asarray(x).tolist()}) escapes the perturbation range"
-            )
+    inside = v.members(eta_vals)
+    if not inside.all():
+        raise RangeEscapeError(
+            f"eta({pts[np.argmin(inside)].tolist()}) escapes the perturbation range"
+        )
     shifted = SumMap([eta.map, identity_map(u)])
     result_map = ComposeMap(gamma.map, shifted)
     max_order = min(gamma.max_order, eta.max_order)
@@ -396,8 +396,7 @@ def compose_derivative_check(
     exact = np.array([a @ b for a, b in zip(dgamma, dx)]) + gamma_dir.tensors(z, 0)
     used, errors = [], []
     for t in steps:
-        if not all(v.contains(e + t * d) and v.contains(e - t * d)
-                   for e, d in zip(ex, dx)):
+        if not (v.members(ex + t * dx).all() and v.members(ex - t * dx).all()):
             continue
         zp, zm = z + t * dx, z - t * dx
         plus = gamma.map.tensors(zp, 0) + t * gamma_dir.tensors(zp, 0)
@@ -480,37 +479,68 @@ class InverseMap(JetMap):
 
     def solve(self, y) -> tuple[np.ndarray, int, float]:
         """Fixed point of x -> y - phi(x); returns (x, iterations, worst
-        contraction ratio observed)."""
-        y = np.asarray(y, dtype=float)
-        key = y.tobytes()
-        if key in self._cache:
-            return self._cache[key]
+        contraction ratio observed).  A batch of one of :meth:`solves`."""
+        return self.solves(np.asarray(y, dtype=float)[None])[0]
+
+    def solves(self, points) -> list[tuple[np.ndarray, int, float]]:
+        """:meth:`solve` for every row of ``points``.  The unsolved rows
+        iterate together, each with its own escape check on every iterate,
+        stop test, iteration count and worst ratio, so row ``i`` carries
+        the bits of a one-point iteration.  A failure is raised for the
+        lowest-index failing row, with that row's index as ``row``; rows
+        after it are not solved or cached, as a per-point loop would stop
+        there."""
+        points = np.asarray(points, dtype=float)
+        keys = [y.tobytes() for y in points]
+        rows = np.array([i for i, key in enumerate(keys) if key not in self._cache],
+                        dtype=np.intp)
         cfg = self.cfg
         stop = cfg.fix_tol * (1.0 - cfg.tau) / cfg.tau
-        x = y.copy()
-        prev_inc = None
-        worst_ratio = 0.0
+        ys = points[rows]
+        x = ys.copy()
+        prev_inc = np.full(len(rows), np.nan)  # NaN: no previous increment
+        worst = np.zeros(len(rows))
+        iters = np.zeros(len(rows), dtype=int)
+        live = np.arange(len(rows))  # positions in ``rows`` still iterating
+        failed = None  # (position, error) of the lowest-index failing row
         for it in range(1, cfg.max_iters + 1):
-            if not self.u.contains(x):
-                raise ContractionViolationError(
-                    f"iterate {x.tolist()} escaped the domain; a certificate is wrong"
-                )
-            x_next = y - self.phi.value(x)
-            inc = float(np.max(np.abs(x_next - x)))
-            if prev_inc is not None and prev_inc > 1e-14:
-                worst_ratio = max(worst_ratio, inc / prev_inc)
-            x = x_next
-            if inc <= stop:
-                out = (x, it, worst_ratio)
-                self._cache[key] = out
-                return out
-            prev_inc = inc
-        raise IterationError(f"no convergence within {cfg.max_iters} iterations")
+            inside = self.u.members(x[live])
+            if not inside.all():
+                j = int(np.argmin(inside))
+                failed = (live[j], ContractionViolationError(
+                    f"iterate {x[live[j]].tolist()} escaped the domain; "
+                    "a certificate is wrong"
+                ))
+                live = live[:j]  # later rows cannot fail first
+            if not len(live):
+                break
+            xl = x[live]
+            x_next = ys[live] - self.phi.tensors(xl, 0)
+            inc = np.max(np.abs(x_next - xl), axis=1)
+            prev = prev_inc[live]
+            ratio = np.divide(inc, prev, out=np.zeros_like(inc), where=prev > 1e-14)
+            # max(worst, ratio) as Python takes it: a NaN ratio is skipped
+            worst[live] = np.where((prev > 1e-14) & (ratio > worst[live]), ratio, worst[live])
+            x[live] = x_next
+            iters[live] = it
+            prev_inc[live] = inc
+            live = live[~(inc <= stop)]
+        if len(live):
+            failed = (live[0], IterationError(
+                f"no convergence within {cfg.max_iters} iterations "
+                f"at {ys[live[0]].tolist()}"
+            ))
+        solved = len(rows) if failed is None else failed[0]
+        for k in range(solved):
+            self._cache[keys[rows[k]]] = (x[k].copy(), int(iters[k]), float(worst[k]))
+        if failed is not None:
+            failed[1].row = int(rows[failed[0]])
+            raise failed[1]
+        return [self._cache[key] for key in keys]
 
     def tensors(self, points, ell):
         self._check_order(ell)
-        # the fixed point is solved one point at a time
-        xs = np.array([self.solve(y)[0] for y in points])
+        xs = np.array([x for x, _, _ in self.solves(points)])
         if ell == 0:
             return xs - points
         return np.stack([
@@ -546,7 +576,7 @@ def invert_perturbed(
     result = WeightedFunction(inv, grid_v, 1)
 
     ys = grid_v.points
-    solved = [inv.solve(y) for y in ys]
+    solved = inv.solves(ys)
     xs = np.array([x for x, _, _ in solved])
     ratios = [ratio for _, _, ratio in solved]
     sup = lambda vals: np.max(np.abs(vals), axis=1).tolist()
@@ -650,14 +680,22 @@ def inversion_direction_check(
             continue
         plus = InverseMap(SumMap([phi.map, ScaledMap(direction.map, t)]), u, v, cfg)
         minus = InverseMap(SumMap([phi.map, ScaledMap(direction.map, -t)]), u, v, cfg)
+        try:
+            x_star = np.array([x for x, _, _ in base.solves(probes)])
+            fd = (plus.tensors(probes, 0) - minus.tensors(probes, 0)) / (2 * t)
+        except (ContractionViolationError, IterationError) as exc:
+            # as one probe at a time would, an earlier probe's failure in
+            # any of the three solves is raised first
+            for y in probes[:exc.row]:
+                for inv in (base, plus, minus):
+                    inv.solve(y)
+            raise
         worst = 0.0
-        for y in probes:
-            x_star, _, _ = base.solve(y)
-            a = phi.map.tensor(x_star, 1).entries
+        for a, dv, fd_y in zip(phi.map.tensors(x_star, 1),
+                               direction.map.tensors(x_star, 0), fd):
             qi = quasi_inverse(-a)
-            exact = -((np.eye(a.shape[0]) - qi) @ direction.map.value(x_star))
-            fd = (plus.value(y) - minus.value(y)) / (2 * t)
-            worst = max(worst, float(np.max(np.abs(fd - exact))))
+            exact = -((np.eye(a.shape[0]) - qi) @ dv)
+            worst = max(worst, float(np.max(np.abs(fd_y - exact))))
         used.append(t)
         errors.append(worst)
     # each quotient carries solver noise up to 2 fix_tol / (2t); below a few
@@ -683,17 +721,20 @@ def inversion_jacobian_check(
     """The assembled first-order jet of the inverse against a central
     finite-difference Jacobian at probe points."""
     inv = InverseMap(phi.map, u, v, cfg)
+    # the stencils start with the probes, so the probes and then their
+    # neighbours are solved in probe order, as one probe at a time would
+    approx, outside = _fd_prefix(inv, probes, 1, None)
+    n_in = len(approx[1])
+    exact = inv.tensors(probes[:n_in + 1], 1)
     reports = []
-    for y in probes:
-        exact = inv.tensor(y, 1)
-        approx = fd_jet(inv, y, 1).tensors[1]
-        dev = op_norm(
-            MultilinearMap(exact.entries - approx.entries, 1)
-        )
+    for y, ex, ap in zip(probes, exact, approx[1]):
+        dev = op_norm(MultilinearMap(ex - ap, 1))
         reports.append(
             identity_report(
                 check_id, dev, tolerance=tol,
                 witness=tuple(float(c) for c in y),
             )
         )
+    if outside is not None:
+        raise outside
     return merge_min_margin(check_id, reports)

@@ -285,8 +285,8 @@ def neighborhood_inclusion_check(
             raise PreconditionError(f"value domain {i} is not star-shaped at 0")
         d_i = v.boundary_distance(np.zeros(v.dim))
         tv = v.scaled(tau)
-        for x, val in zip(wf.grid.points, wf.map.tensors(wf.grid.points, 0)):
-            member = tv.contains(val)
+        vals = wf.map.tensors(wf.grid.points, 0)
+        for x, val, member in zip(wf.grid.points, vals, tv.members(vals)):
             q = float(np.max(np.abs(val))) + s / abs(w(x))
             rep = bound_report(
                 check_id, q, tau * d_i, tolerance=1e-12,
@@ -314,8 +314,9 @@ def neighborhood_openness_check(
     """If gamma has clearance r in the adjusted sense and eta is within r
     of gamma, eta keeps a positive adjusted clearance s = r - |eta-gamma|."""
     for i, (wf, w, v) in enumerate(zip(gamma.factors, omega.factors, v_domains)):
-        for x, val in zip(wf.grid.points, wf.map.tensors(wf.grid.points, 0)):
-            if not v.contains(val) or v.boundary_distance(val) < clearance / abs(w(x)):
+        vals = wf.map.tensors(wf.grid.points, 0)
+        for x, val, inside in zip(wf.grid.points, vals, v.members(vals)):
+            if not inside or v.boundary_distance(val) < clearance / abs(w(x)):
                 raise PreconditionError(
                     f"base element lacks the claimed clearance on factor {i}"
                 )
@@ -327,8 +328,8 @@ def neighborhood_openness_check(
     s = clearance - nu
     reports = []
     for i, (wf, w, v) in enumerate(zip(eta.factors, omega.factors, v_domains)):
-        for x, val in zip(wf.grid.points, wf.map.tensors(wf.grid.points, 0)):
-            inside = v.contains(val)
+        vals = wf.map.tensors(wf.grid.points, 0)
+        for x, val, inside in zip(wf.grid.points, vals, v.members(vals)):
             dist = v.boundary_distance(val) if inside else 0.0
             reports.append(
                 bound_report(
@@ -639,14 +640,11 @@ def sim_invert(
     arg = family_seminorm(result, f, 0).argmax
     inv_map = result.factors[arg].map
     chain_dev = 0.0
-    for y in factors[arg].grid_vt.points[:: max(1, len(factors[arg].grid_vt) // 3)]:
-        x_star, _, _ = inv_map.solve(y)
-        a = phi.factors[arg].map.tensor(x_star, 1).entries
+    ys = factors[arg].grid_vt.points[:: max(1, len(factors[arg].grid_vt) // 3)]
+    x_star = np.array([x for x, _, _ in inv_map.solves(ys)])
+    for a, jet1 in zip(phi.factors[arg].map.tensors(x_star, 1), inv_map.tensors(ys, 1)):
         chain = a @ quasi_inverse(-a) - a
-        chain_dev = max(
-            chain_dev,
-            float(np.max(np.abs(chain - inv_map.tensor(y, 1).entries))),
-        )
+        chain_dev = max(chain_dev, float(np.max(np.abs(chain - jet1))))
     reports.append(
         identity_report(
             "prop:Simultane_Inv-Kompo_glatt", chain_dev, tolerance=1e-12,

@@ -59,8 +59,7 @@ class SampleGrid:
 def _assemble(domain, axes, pinned) -> np.ndarray:
     grids = np.meshgrid(*[np.asarray(a) for a in axes], indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    keep = [p for p in pts if domain.contains(p)]
-    rows = [tuple(p) for p in keep]
+    rows = [tuple(p) for p in pts[domain.members(pts)]]
     for p in pinned:
         if not domain.contains(np.asarray(p)):
             raise DomainMembershipError(f"pinned point {p} not interior")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,13 +107,30 @@ class DomainSet:
             return all(c == 0.0 for c in self.center)
         return all(a == -b for a, b in zip(self.lo, self.hi))
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``lo``, ``hi`` and ``center`` as float arrays, built once."""
+        return tuple(np.asarray(v, float) for v in (self.lo, self.hi, self.center))
+
+    def members(self, points) -> np.ndarray:
+        """Membership of every row of the ``(N, dim)`` array ``points``, as
+        an ``(N,)`` bool array; a NaN coordinate is never a member."""
+        x = np.asarray(points, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise GeometryError("point dimension mismatch")
+        lo, hi, center = self._arrays
+        if self.kind == BOX:
+            return np.all((x > lo) & (x < hi), axis=1)
+        if self.space.norm_kind == SUP:
+            return np.max(np.abs(x - center), axis=1) < self.radius
+        # one np.linalg.norm per row, as a single point takes
+        return np.array([self.space.norm(v) < self.radius for v in x - center], dtype=bool)
+
     def contains(self, point) -> bool:
         x = np.asarray(point, dtype=float)
-        if x.shape != (self.dim,):
+        if x.ndim != 1:
             raise GeometryError("point dimension mismatch")
-        if self.kind == BOX:
-            return bool(np.all(x > self.lo) and np.all(x < self.hi))
-        return self.space.norm(x - np.asarray(self.center)) < self.radius
+        return bool(self.members(x[None])[0])
 
     def boundary_distance(self, point) -> float:
         """Distance from an interior point to the complement; exact for

@@ -531,8 +531,6 @@ class FamilyScenario:
     dim: int
     factors: tuple[FactorSpace, ...]
     weights: WeightFamily
-    tau: float
-    r: float
     tau_nb: float
     clearance_nb: float
     xis: tuple[SuperpositionOperand, ...]
@@ -875,8 +873,6 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         dim=dim,
         factors=tuple(factors),
         weights=family,
-        tau=tau,
-        r=r_shared,
         tau_nb=tau_nb,
         clearance_nb=clearance_nb,
         xis=tuple(xis),
@@ -1161,12 +1157,15 @@ def _run_integrals(sc: FamilyScenario) -> list[CheckReport]:
         g = sc.gammas[0].map.value(x)
         e = sc.gamma_alts[0].map.value(x)
         lhs = op0.xi.value(np.concatenate([x, g])) - op0.xi.value(np.concatenate([x, e]))
-        rhs = weak_integral(
-            lambda t: d2.value(np.concatenate([x, t * g + (1 - t) * e])) @ (g - e),
-            0.0,
-            1.0,
-            64,
-        )
+
+        def integrand(ts):
+            t = ts[:, None]
+            nodes = np.concatenate([np.broadcast_to(x, t.shape[:1] + x.shape),
+                                    t * g + (1 - t) * e], axis=1)
+            # one matrix-vector product per node, as at a single node
+            return np.array([a @ (g - e) for a in d2.tensors(nodes, 0)])
+
+        rhs = weak_integral(integrand, 0.0, 1.0, 64)
         reports.append(
             identity_report(
                 "lem:Stetigkeit_parameterab_Int",
@@ -1746,12 +1745,22 @@ def _config_from_dict(cls, d: dict, key: str):
         raise DataError(f"/{key}: {exc}") from None
 
 
+def _contraction(d: dict) -> ContractionConfig:
+    """``/contraction``.  Older files also carry its ``tau`` and ``r`` at
+    the top level; such a copy must agree with it."""
+    cfg = _config_from_dict(ContractionConfig, d, "contraction")
+    for key in ("tau", "r"):
+        if key in d and _number(d, key, "") != getattr(cfg, key):
+            raise DataError(
+                f"/{key}: {d[key]!r} contradicts /contraction/{key} = {getattr(cfg, key)!r}"
+            )
+    return cfg
+
+
 def scenario_to_dict(sc: FamilyScenario) -> dict:
     return {
         "name": sc.name,
         "dim": sc.dim,
-        "tau": sc.tau,
-        "r": sc.r,
         "tau_nb": sc.tau_nb,
         "clearance_nb": sc.clearance_nb,
         "op_q": sc.op_q,
@@ -1865,8 +1874,6 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         dim=_at(d, "dim", ""),
         factors=tuple(factors),
         weights=family,
-        tau=_number(d, "tau", ""),
-        r=_number(d, "r", ""),
         tau_nb=_number(d, "tau_nb", ""),
         clearance_nb=_number(d, "clearance_nb", ""),
         xis=xis,
@@ -1900,7 +1907,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
             )
             for i, c in enumerate(_at(d, "factorizations", ""))
         ),
-        contraction=_config_from_dict(ContractionConfig, d, "contraction"),
+        contraction=_contraction(d),
         neumann=_config_from_dict(NeumannConfig, d, "neumann"),
         **elements,
     ))

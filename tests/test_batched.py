@@ -3,7 +3,10 @@
 ``JetMap.tensors`` evaluates a whole point array at once; ``tensor`` and
 ``value`` are batches of one.  Every row of a batch must carry exactly the
 bits of the one-point evaluation, and the polynomial kernel must carry the
-bits of the plain one-point formula below.
+bits of the plain one-point formula below.  The same holds for domain
+membership (``DomainSet.members``), finite-difference stencils
+(``fd_tensors``) and the fixed-point inversion (``InverseMap.solves``),
+each against its one-point rule kept here as the oracle.
 """
 
 import itertools
@@ -11,7 +14,13 @@ import itertools
 import numpy as np
 import pytest
 
-from wrp.errors import DomainMembershipError
+from wrp.errors import (
+    ContractionViolationError,
+    DomainMembershipError,
+    GeometryError,
+    IterationError,
+    PreconditionError,
+)
 from wrp.jets import (
     AffineMap,
     BilinearPairMap,
@@ -30,12 +39,14 @@ from wrp.jets import (
     TrigPolynomialMap,
     crude_sup_bound,
     fd_jet,
+    fd_tensors,
     identity_map,
+    validate_jet_map,
     xi2_build,
 )
-from wrp.operators import InverseMap
+from wrp.operators import ContractionConfig, InverseMap
 from wrp.restricted import PointwiseQIMap
-from wrp.spaces import box
+from wrp.spaces import BOX, ball, box
 from wrp.verify import ELEMENT_GRIDS, generate_scenario
 
 MAX_ORDER_CAP = 3  # orders checked for maps without a declared max order
@@ -204,27 +215,50 @@ def test_polynomial_matches_one_point_formula():
             assert crude_sup_bound(pm, ell) == float(np.max(oracle.sum(axis=1)))
 
 
-def test_fd_jet_matches_stencil_formula():
+def _stencil_formula(f, x, h):
+    """Oracle: value, central first differences and second differences at
+    one point, written out from the stencil formulas."""
+    m = len(x)
+    e = np.eye(m) * h
+    d1 = np.stack([(f(x + e[j]) - f(x - e[j])) / (2 * h) for j in range(m)], axis=-1)
+    d2 = np.zeros(f(x).shape + (m, m))
+    for i in range(m):
+        d2[..., i, i] = (f(x + e[i]) - 2 * f(x) + f(x - e[i])) / h**2
+        for j in range(i + 1, m):
+            v = (f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j])
+                 + f(x - e[i] - e[j])) / (4 * h**2)
+            d2[..., i, j] = d2[..., j, i] = v
+    return f(x), d1, d2
+
+
+def _fd_poly():
     rng = np.random.default_rng(5)
     dom = box([-1.0] * 3, [1.0] * 3)
-    pm = PolynomialMap(dom, [(rng.normal(size=2), tuple(int(p) for p in rng.integers(0, 4, 3)))
-                             for _ in range(5)])
+    return rng, PolynomialMap(dom, [
+        (rng.normal(size=2), tuple(int(p) for p in rng.integers(0, 4, 3))) for _ in range(5)])
+
+
+def test_fd_jet_matches_stencil_formula():
+    rng, pm = _fd_poly()
     h = 1e-3
-    f = pm.value
-    e = np.eye(3) * h
     for x in rng.uniform(-0.5, 0.5, size=(10, 3)):
-        d1 = np.stack([(f(x + e[j]) - f(x - e[j])) / (2 * h) for j in range(3)], axis=-1)
-        d2 = np.zeros((2, 3, 3))
-        for i in range(3):
-            d2[:, i, i] = (f(x + e[i]) - 2 * f(x) + f(x - e[i])) / h**2
-            for j in range(i + 1, 3):
-                v = (f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j])
-                     + f(x - e[i] - e[j])) / (4 * h**2)
-                d2[:, i, j] = d2[:, j, i] = v
         jet = fd_jet(pm, x, 2, h=h)
-        assert _same_bits(jet.tensors[0].entries, f(x))
-        assert _same_bits(jet.tensors[1].entries, d1)
-        assert _same_bits(jet.tensors[2].entries, d2)
+        for got, want in zip(jet.tensors, _stencil_formula(pm.value, x, h)):
+            assert _same_bits(got.entries, want)
+
+
+def test_fd_tensors_rows_match_stencil_formula():
+    rng, pm = _fd_poly()
+    h = 1e-3
+    xs = rng.uniform(-0.5, 0.5, size=(10, 3))
+    xs[0] = [-0.0, 0.0, -0.0]  # signed zeros: x + 0.0 and x - 0.0 differ
+    for order in (0, 1, 2):
+        batch = fd_tensors(pm, xs, order, h=h)
+        assert len(batch) == order + 1
+        for i, x in enumerate(xs):
+            want = _stencil_formula(pm.value, x, h)
+            for ell in range(order + 1):
+                assert _same_bits(batch[ell][i], want[ell]), (order, i, ell)
 
 
 def test_fd_jet_names_first_stencil_point_outside():
@@ -233,3 +267,251 @@ def test_fd_jet_names_first_stencil_point_outside():
     # x + h e_0 is inside; x + h e_1 is the first point outside
     with pytest.raises(DomainMembershipError, match=r"\[0\.5, 1\.0005"):
         fd_jet(pm, x, 1, h=1e-3)
+
+
+def test_fd_tensors_names_first_outside_point_in_probe_order():
+    pm = PolynomialMap(box([-1.0, -1.0], [1.0, 1.0]), [([1.0], (2, 1))])
+    # probe 1 leaves through x - h e_0, probe 2 through x + h e_0, which
+    # comes earlier in a stencil: probe 1's point is named
+    xs = np.array([[0.0, 0.0], [-0.9995, 0.25], [0.9995, 0.5]])
+    with pytest.raises(DomainMembershipError, match=r"\[-1\.0005\d*, 0\.25\]"):
+        fd_tensors(pm, xs, 1, h=1e-3)
+    with pytest.raises(DomainMembershipError, match=r"\[1\.0005\d*, 0\.5\]"):
+        fd_tensors(pm, xs[[0, 2]], 1, h=1e-3)
+
+
+class _OffByOne(PolynomialMap):
+    """A polynomial whose coded first derivative is off by 1 everywhere."""
+
+    def tensors(self, points, ell):
+        return super().tensors(points, ell) + (1.0 if ell == 1 else 0.0)
+
+
+def _probe_draws(map_, seed):
+    """The probes ``validate_jet_map`` draws with ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    lo, hi = map_.domain.bounding_box()
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    probes = []
+    while len(probes) < 3:
+        x = mid + 0.5 * half * rng.uniform(-1, 1, size=map_.dim)
+        if _contains_oracle(map_.domain, x):
+            probes.append(x)
+    return probes
+
+
+def _stencil_leaves(map_, x) -> bool:
+    try:
+        fd_jet(map_, x, 2)
+    except DomainMembershipError:
+        return True
+    return False
+
+
+def test_validate_jet_map_raises_for_the_earliest_probe():
+    # a ball so small that the order-2 stencil of an outer probe leaves it
+    dom = ball([0.0, 0.0], 0.004, norm_kind="euclidean")
+    bad = _OffByOne(dom, [([1.0], (2, 1))])
+    seen = set()
+    for seed in range(200):
+        leaves = [_stencil_leaves(bad, x) for x in _probe_draws(bad, seed)]
+        if not any(leaves):
+            continue
+        if leaves[0]:
+            with pytest.raises(DomainMembershipError):
+                validate_jet_map(bad, np.random.default_rng(seed))
+            seen.add("stencil")
+        else:
+            # probe 0 disagrees before a later probe's stencil leaves
+            with pytest.raises(PreconditionError, match="disagrees"):
+                validate_jet_map(bad, np.random.default_rng(seed))
+            seen.add("disagreement")
+        with pytest.raises(DomainMembershipError):
+            validate_jet_map(PolynomialMap(dom, bad.terms), np.random.default_rng(seed))
+    assert seen == {"stencil", "disagreement"}
+
+
+# -- domain membership
+
+
+def _contains_oracle(domain, x) -> bool:
+    """The one-point membership rule."""
+    x = np.asarray(x, dtype=float)
+    if domain.kind == BOX:
+        return bool(np.all(x > domain.lo) and np.all(x < domain.hi))
+    return domain.space.norm(x - np.asarray(domain.center)) < domain.radius
+
+
+def _membership_domains():
+    return [
+        box([-1.0, 0.25, -2.0], [1.0, 0.75, 0.5]),
+        box([-1.0], [1.0], norm_kind="euclidean"),
+        ball([0.5, -0.25], 0.75),
+        ball([0.0, 0.0, 0.0], 1.0),
+        ball([0.25, -0.5], 0.75, norm_kind="euclidean"),
+        ball([0.0, 0.0, 0.0], 1.0, norm_kind="euclidean"),
+    ]
+
+
+def _membership_points(domain, rng) -> np.ndarray:
+    lo, hi = domain.bounding_box()
+    d = domain.dim
+    pts = [rng.uniform(lo - 0.2, hi + 0.2) for _ in range(200)]
+    pts += [lo.copy(), hi.copy(), (lo + hi) / 2, np.full(d, -0.0), np.zeros(d)]
+    for a in range(d):  # exactly on each face, and one ulp inside
+        for face in (lo[a], hi[a]):
+            p = (lo + hi) / 2
+            p[a] = face
+            pts.append(p.copy())
+            p[a] = np.nextafter(face, (lo[a] + hi[a]) / 2)
+            pts.append(p.copy())
+    if domain.kind != BOX:  # on the sphere of a euclidean ball
+        c = np.asarray(domain.center)
+        pts += [c + domain.radius * v for v in (np.eye(d)[0], np.ones(d) / np.sqrt(d))]
+    pts.append(np.full(d, np.nan))
+    pts = np.array(pts)
+    pts[::7, 0] = -0.0
+    return pts
+
+
+def test_members_match_one_point_rule():
+    rng = np.random.default_rng(13)
+    for domain in _membership_domains():
+        pts = _membership_points(domain, rng)
+        got = domain.members(pts)
+        assert got.dtype == bool and got.shape == (len(pts),)
+        want = [_contains_oracle(domain, x) for x in pts]
+        assert got.tolist() == want, domain
+        assert [domain.contains(x) for x in pts] == want
+        assert 0 < sum(want) < len(want)
+
+
+def test_members_dimension_mismatch():
+    for domain in _membership_domains():
+        d = domain.dim
+        for bad in (np.zeros((3, d + 1)), np.zeros(d), np.zeros((1, 1, d))):
+            with pytest.raises(GeometryError):
+                domain.members(bad)
+        for bad in (np.zeros(d + 1), np.zeros((1, d)), 0.0):
+            with pytest.raises(GeometryError):
+                domain.contains(bad)
+        assert domain.members(np.zeros((0, d))).shape == (0,)
+
+
+# -- fixed-point inversion
+
+
+def _solve_oracle(inv: InverseMap, y):
+    """The one-point fixed-point iteration: (x, iterations, worst ratio)."""
+    y = np.asarray(y, dtype=float)
+    cfg = inv.cfg
+    stop = cfg.fix_tol * (1.0 - cfg.tau) / cfg.tau
+    x = y.copy()
+    prev_inc = None
+    worst_ratio = 0.0
+    for it in range(1, cfg.max_iters + 1):
+        if not _contains_oracle(inv.u, x):
+            raise ContractionViolationError(
+                f"iterate {x.tolist()} escaped the domain; a certificate is wrong"
+            )
+        x_next = y - inv.phi.value(x)
+        inc = float(np.max(np.abs(x_next - x)))
+        if prev_inc is not None and prev_inc > 1e-14:
+            worst_ratio = max(worst_ratio, inc / prev_inc)
+        x = x_next
+        if inc <= stop:
+            return x, it, worst_ratio
+        prev_inc = inc
+    raise IterationError(f"no convergence within {cfg.max_iters} iterations at {y.tolist()}")
+
+
+def _oracle_error(inv, ys):
+    for y in ys:
+        try:
+            _solve_oracle(inv, y)
+        except (ContractionViolationError, IterationError) as exc:
+            return exc
+    raise AssertionError("no row fails")
+
+
+def _inverse_cases():
+    cases = []
+    for seed in (0, 1, 2, 3):
+        sc = generate_scenario(seed)
+        for i, fs in enumerate(sc.factors):
+            cases.append((InverseMap(sc.phis[i].map, fs.u, fs.v_tilde, sc.contraction),
+                          fs.grid_vt.points))
+    u, v = box([-1.0], [1.0]), box([-0.5], [0.5])
+    phi = PolynomialMap(u, [(np.array([0.1]), (2,)), (np.array([0.05]), (1,))])
+    ys = np.array([[0.45 * np.sin(k)] for k in range(40)] + [[-0.0], [0.0]])
+    cases.append((InverseMap(phi, u, v, ContractionConfig(tau=0.5, r=1.0)), ys))
+    return cases
+
+
+def test_solves_rows_match_one_point_iteration():
+    for inv, ys in _inverse_cases():
+        fresh = InverseMap(inv.phi, inv.u, inv.v, inv.cfg)
+        rows = fresh.solves(ys)
+        assert len(rows) == len(ys)
+        for y, (x, it, ratio) in zip(ys, rows):
+            x0, it0, ratio0 = _solve_oracle(inv, y)
+            assert _same_bits(x, x0) and it == it0 and ratio == ratio0
+            assert isinstance(it, int) and isinstance(ratio, float)
+        # a batch of one and a repeated batch give the cached rows
+        assert fresh.solve(ys[0]) is rows[0]
+        again = fresh.solves(ys[::-1])
+        assert all(a is b for a, b in zip(again, rows[::-1]))
+
+
+def test_solves_duplicate_rows_and_cache_reuse():
+    inv, ys = _inverse_cases()[-1]
+    inv.solves(ys[:5])
+    rows = inv.solves(np.concatenate([ys[3:8], ys[3:8]]))
+    for y, (x, it, ratio) in zip(np.concatenate([ys[3:8], ys[3:8]]), rows):
+        x0, it0, ratio0 = _solve_oracle(inv, y)
+        assert _same_bits(x, x0) and (it, ratio) == (it0, ratio0)
+    assert len(inv._cache) == 8
+
+
+def _failing_inverse(slope: float, max_iters: int) -> InverseMap:
+    """phi(x) = slope * x on (-1, 1): |slope| > 1 makes iterates escape."""
+    u = box([-1.0], [1.0])
+    return InverseMap(AffineMap(u, [[slope]]), u, box([-0.95], [0.95]),
+                      ContractionConfig(tau=0.5, r=0.05, max_iters=max_iters))
+
+
+def test_solves_escape_names_lowest_failing_row():
+    inv = _failing_inverse(-1.5, 200)
+    # row 2 escapes after a few iterations, row 1 only much later, row 0
+    # (y = 0) is a fixed point
+    ys = np.array([[0.0], [0.001], [0.9], [0.002]])
+    want = _oracle_error(inv, ys)
+    with pytest.raises(ContractionViolationError) as exc_info:
+        inv.solves(ys)
+    assert str(exc_info.value) == str(want) and exc_info.value.row == 1
+    # rows before the failing one are cached, rows after it are not
+    assert set(inv._cache) == {ys[0].tobytes()}
+
+
+def test_solves_iteration_error_before_later_escape():
+    inv = _failing_inverse(-1.5, 6)
+    # row 0 creeps without escaping within 6 iterations; row 1 escapes
+    ys = np.array([[0.001], [0.9]])
+    want = _oracle_error(inv, ys)
+    assert isinstance(want, IterationError)
+    with pytest.raises(IterationError) as exc_info:
+        inv.solves(ys)
+    assert str(exc_info.value) == str(want) and exc_info.value.row == 0
+    with pytest.raises(ContractionViolationError) as exc_info:
+        inv.solves(ys[1:])
+    assert str(exc_info.value) == str(_oracle_error(inv, ys[1:]))
+
+
+def test_solves_iteration_error_names_lowest_row():
+    inv = _failing_inverse(0.4, 3)  # converges, but not within 3 iterations
+    ys = np.array([[0.0], [0.3], [-0.0], [0.5]])
+    want = _oracle_error(inv, ys)
+    with pytest.raises(IterationError) as exc_info:
+        inv.solves(ys)
+    assert str(exc_info.value) == str(want) and exc_info.value.row == 1
+    assert "[0.3]" in str(want)

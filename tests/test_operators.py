@@ -441,12 +441,25 @@ class TestQuasiInverse:
 
 
 class TestWeakIntegral:
+    # the integrand takes all quadrature nodes at once and stacks its values
+
     def test_constant(self):
-        assert weak_integral(lambda t: np.array([2.5]), 0, 1, 8)[0] == pytest.approx(2.5)
+        got = weak_integral(lambda ts: np.full((len(ts), 1), 2.5), 0, 1, 8)[0]
+        assert got == pytest.approx(2.5)
 
     def test_quadratic_closed_form(self):
-        got = weak_integral(lambda t: np.array([t * t]), 0.0, 1.0, 64)[0]
+        got = weak_integral(lambda ts: (ts * ts)[:, None], 0.0, 1.0, 64)[0]
         assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_simpson_sum_of_stacked_values(self):
+        # the node values enter the Simpson sum exactly as stacked
+        ts = np.linspace(0.0, 1.0, 9)
+        vals = np.stack([np.sin(ts), ts**3], axis=1)
+        w = np.array([1, 4, 2, 4, 2, 4, 2, 4, 1], dtype=float)
+        want = 0.125 / 3.0 * np.tensordot(w, vals, axes=(0, 0))
+        got = weak_integral(lambda nodes: np.stack([np.sin(nodes), nodes**3], axis=1),
+                            0.0, 1.0, 8)
+        assert got.tobytes() == want.tobytes()
 
     def test_mean_value_identity(self):
         # xi = x y^2: xi(x, g) - xi(x, e) equals the integral of the
@@ -455,13 +468,13 @@ class TestWeakIntegral:
         x, g, e = 0.7, 0.6, -0.2
         lhs = xi.value(np.array([x, g])) - xi.value(np.array([x, e]))
         rhs = weak_integral(
-            lambda t: np.array([2 * x * (t * g + (1 - t) * e)]) * (g - e), 0, 1, 64
+            lambda ts: (2 * x * (ts * g + (1 - ts) * e) * (g - e))[:, None], 0, 1, 64
         )
         assert lhs[0] == pytest.approx(rhs[0], abs=1e-10)
 
     def test_odd_n_rejected(self):
         with pytest.raises(PreconditionError):
-            weak_integral(lambda t: np.array([t]), 0, 1, 5)
+            weak_integral(lambda ts: ts[:, None], 0, 1, 5)
 
 
 class TestConvergenceReport:

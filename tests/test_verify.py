@@ -142,6 +142,21 @@ class TestSerialization:
             with pytest.raises(DataError, match=f"^/{pointer}: "):
                 scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["tau", "r"])
+    def test_top_level_contraction_copy_that_agrees_loads(self, scenario0, key):
+        # files written before the copy was dropped carry /tau and /r
+        doc = scenario_to_dict(scenario0)
+        assert key not in doc
+        doc[key] = doc["contraction"][key]
+        assert scenario_from_dict(doc).contraction == scenario0.contraction
+
+    @pytest.mark.parametrize("key", ["tau", "r"])
+    def test_top_level_contraction_copy_that_contradicts_is_rejected(self, scenario0, key):
+        doc = scenario_to_dict(scenario0)
+        doc[key] = 0.5 * doc["contraction"][key]
+        with pytest.raises(DataError, match=f"^/{key}: .*/contraction/{key}"):
+            scenario_from_dict(doc)
+
     def test_load_scenario_unit(self, tmp_path, scenario0):
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(scenario_to_dict(scenario0)), encoding="utf-8")
