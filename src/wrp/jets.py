@@ -364,7 +364,7 @@ def identity_map(domain: DomainSet) -> AffineMap:
 def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
     """Index tables of the order-``ell`` (>= 1) derivative of a polynomial
     with term powers ``powers``, built once per (powers, ell) and shared by
-    every map with those powers.
+    every map with those powers, so callers only read them.
 
     One row per (term, multi-index j*) whose entry survives, i.e. no axis
     is differentiated more often than its power, in term order.  Returns
