@@ -90,6 +90,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: the quartiles need two runs per side")
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     gated = [m["name"] for m in spec["end_to_end"]]

@@ -7,9 +7,10 @@ Subcommands:
   explain      print the stored statement and hypothesis list of one id
 
 Reports are deterministic: the same configuration writes byte-identical
-report.json.  Exit codes: 0 all passed, 2 any check failed, 3 only
-precondition skips occurred (0 instead when the config sets skips_ok),
-4 on I/O failure.
+report.json.  Exit codes: 0 all passed, 1 bad usage or a malformed
+configuration or scenario, 2 any check failed, 3 only precondition skips
+occurred (0 instead when the config sets skips_ok, 2 with
+--strict-preconditions), 4 on I/O failure.
 """
 
 from __future__ import annotations

@@ -627,32 +627,41 @@ def inversion_pair_difference_check(
     v: DomainSet,
     grid_v: SampleGrid,
     cfg: ContractionConfig,
-    weight: Weight,
+    weights: Sequence[Weight],
     check_id: str = "est:f0-norm_Diff_KoorInv",
 ) -> CheckReport:
     """Weighted distance of two inverses against the certified bound built
-    from the pair's certificates (diff = phi - psi symbolically)."""
+    from the pair's certificates (diff = phi - psi symbolically), merged
+    over the weights; both inverses are solved once for all of them."""
     c_psi_11 = psi.require_bound("one", 1)
     c_phi_11 = phi.require_bound("one", 1)
     c_diff_11 = diff.require_bound("one", 1)
-    c_phi_f0 = phi.require_bound(weight.name, 0)
-    c_diff_f0 = diff.require_bound(weight.name, 0)
+    rhs = [
+        (c_diff_11 * phi.require_bound(w.name, 0) / (1.0 - c_phi_11)
+         + diff.require_bound(w.name, 0)) / (1.0 - c_psi_11)
+        for w in weights
+    ]
+    ys = grid_v.points
     inv_phi = InverseMap(phi.map, u, v, cfg)
     inv_psi = InverseMap(psi.map, u, v, cfg)
-    lhs = 0.0
-    witness = ()
-    ys = grid_v.points
-    dist = np.max(np.abs(inv_psi.tensors(ys, 0) - inv_phi.tensors(ys, 0)), axis=1)
-    for y, d in zip(ys, dist.tolist()):
-        gap = abs(weight(y)) * d
-        if gap > lhs:
-            lhs, witness = gap, tuple(float(c) for c in y)
-    rhs = (c_diff_11 * c_phi_f0 / (1.0 - c_phi_11) + c_diff_f0) / (1.0 - c_psi_11)
-    return bound_report(
-        check_id, lhs, rhs, tolerance=1e-9,
-        lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-        witness=witness, detail=f"weight {weight.name}",
-    )
+    gaps = inv_psi.tensors(ys, 0) - inv_phi.tensors(ys, 0)
+    dist = np.max(np.abs(gaps), axis=1).tolist()
+    reports = []
+    for weight, rhs_w in zip(weights, rhs):
+        lhs = 0.0
+        witness = ()
+        for y, d in zip(ys, dist):
+            gap = abs(weight(y)) * d
+            if gap > lhs:
+                lhs, witness = gap, tuple(float(c) for c in y)
+        reports.append(
+            bound_report(
+                check_id, lhs, rhs_w, tolerance=1e-9,
+                lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
+                witness=witness, detail=f"weight {weight.name}",
+            )
+        )
+    return merge_min_margin(check_id, reports)
 
 
 def inversion_direction_check(

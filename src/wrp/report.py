@@ -86,9 +86,14 @@ def bound_report(
     witness: tuple = (),
     detail: str = "",
 ) -> CheckReport:
-    """Report for the upper-bound claim ``lhs <= rhs``."""
+    """Report for the upper-bound claim ``lhs <= rhs``.
+
+    Equal sides give margin 0, also when both are infinite: ``inf <= inf``
+    passes, because the claim holds, but it says nothing about slack (an
+    unbounded grid value against an unbounded certificate), so it is a
+    vacuous tie like ``0 <= 0`` rather than a finite margin.
+    """
     margin = rhs - lhs
-    # inf <= inf counts as a pass with zero margin
     if lhs == rhs:
         margin = 0.0
     status = PASS if margin >= -tolerance else FAIL

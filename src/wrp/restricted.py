@@ -65,7 +65,6 @@ from .spaces import (
     DominanceCertificate,
     FactorizationCertificate,
     FamilyWeight,
-    Weight,
     WeightFamily,
 )
 
@@ -427,40 +426,32 @@ def sim_superpose(
     omega: FamilyWeight,
     v_domains: Sequence[DomainSet],
     tau: float,
-    f_single: Sequence[Weight] | None = None,
     directions: RestrictedElement | None = None,
 ) -> tuple[RestrictedElement, list[CheckReport]]:
     """Factor-wise superposition on an adjusted neighborhood.
 
-    Emits the per-factor estimates, the family-level bound against the
-    dominating weight family, and (when directions are supplied) the
-    directional-derivative convergence check on the argmax factor.
+    Emits the family-level bound against the dominating weight family and
+    (when directions are supplied) the directional-derivative convergence
+    check on the argmax factor; the per-factor estimates are the
+    single-factor superposition's own checks.
     """
     gate = neighborhood_inclusion_check(x, omega, v_domains, tau)
     if gate.status != "pass":
         raise PreconditionError("element leaves the adjusted neighborhood")
-    results = []
-    factor_reports: list[CheckReport] = []
-    for i, (op, x_i) in enumerate(zip(ops, x.factors)):
-        weights = [f.factors[i]] if f_single is None else [f_single[i]]
-        res_i, reps_i = superpose(op, x_i, weights=weights)
-        results.append(res_i)
-        factor_reports.extend(reps_i)
-    result = RestrictedElement(tuple(results))
-    reports = [merge_min_margin("est:f0-Norm_SPid", [
-        r for r in factor_reports if r.check_id == "est:f0-Norm_SPid"
-    ])]
-    lhs = family_seminorm(result, f, 0).value
-    rhs = family_seminorm(x, g, 0).value
-    reports.append(
+    result = RestrictedElement(
+        tuple(superpose(op, x_i)[0] for op, x_i in zip(ops, x.factors))
+    )
+    fam = family_seminorm(result, f, 0)
+    reports = [
         bound_report(
-            "prop:simultane_SP_BCinf0_Produkt", lhs, rhs, tolerance=1e-9,
+            "prop:simultane_SP_BCinf0_Produkt", fam.value,
+            family_seminorm(x, g, 0).value, tolerance=1e-9,
             lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
             detail="family bound through the dominating weight",
         )
-    )
+    ]
     if directions is not None:
-        arg = family_seminorm(result, f, 0).argmax
+        arg = fam.argmax
         reports.append(
             superpose_derivative_check(
                 ops[arg], x.factors[arg], directions.factors[arg],
@@ -535,7 +526,6 @@ def sim_compose(
     gamma_lips: Sequence[float],
     f: FamilyWeight,
     tau: float,
-    pairs=None,
     directions: tuple[RestrictedElement, RestrictedElement] | None = None,
 ) -> tuple[RestrictedElement, list[CheckReport]]:
     """Factor-wise composition with the perturbed identity, guarded by the
@@ -544,24 +534,14 @@ def sim_compose(
     gate = neighborhood_inclusion_check(eta, omega, v_domains, tau)
     if gate.status != "pass":
         raise PreconditionError("perturbation leaves the adjusted neighborhood")
-    results = []
-    reports: list[CheckReport] = []
-    per_factor = []
-    for i, fs in enumerate(factors):
-        pair_i = None if pairs is None else pairs[i]
-        res_i, reps_i = compose_perturbed(
-            gamma.factors[i], eta.factors[i], fs.u, fs.v, fs.w,
-            gamma_lips[i], weights=[f.factors[i]], pair=pair_i,
-        )
-        results.append(res_i)
-        per_factor.extend(reps_i)
-    result = RestrictedElement(tuple(results))
-    for cid in ("est:Funktionswerte_Gewicht_K-Kompo", "est:f,0-Norm_Differenz_Kompo"):
-        sub = [r for r in per_factor if r.check_id == cid and r.status != "skipped-precondition"]
-        if sub:
-            reports.append(merge_min_margin(cid, sub))
+    result = RestrictedElement(tuple(
+        compose_perturbed(
+            gamma.factors[i], eta.factors[i], fs.u, fs.v, fs.w, gamma_lips[i]
+        )[0]
+        for i, fs in enumerate(factors)
+    ))
     fam = family_seminorm(result, f, 0)
-    reports.append(
+    reports = [
         bound_report(
             "prop:Simultane_Koor-Kompo_diffbar",
             fam.value,
@@ -573,7 +553,7 @@ def sim_compose(
             lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
             detail="family seminorm is the exact factor max",
         )
-    )
+    ]
     if directions is not None:
         from .operators import compose_derivative_check
 
@@ -606,32 +586,18 @@ def sim_invert(
         )
     results = []
     residuals = []
-    per_factor: list[CheckReport] = []
     for i, fs in enumerate(factors):
-        res_i, reps_i = invert_perturbed(
-            phi.factors[i], fs.u, fs.v_tilde, fs.grid_vt, cfg,
-            weights=[f.factors[i]],
+        res_i, (residual, _ratio) = invert_perturbed(
+            phi.factors[i], fs.u, fs.v_tilde, fs.grid_vt, cfg
         )
         results.append(res_i)
-        per_factor.extend(reps_i)
-        residuals.append(
-            max(
-                r.lhs for r in reps_i
-                if r.check_id == "prop:Zsf_Inversion_gewAbb"
-                and "residual" in r.detail
-            )
-        )
+        residuals.append(residual.lhs)
     result = RestrictedElement(tuple(results))
     reports = [
         bound_report(
             "prop:Simultane_Inv-Kompo_glatt", max(residuals), 2 * cfg.fix_tol,
             tolerance=0.0, lhs_provenance=EXACT, rhs_provenance=EXACT,
             detail="family right-inverse residual",
-        ),
-        merge_min_margin(
-            "est:Abschaetzung_gewichteter_FWert_der_K-Inversion",
-            [r for r in per_factor
-             if r.check_id == "est:Abschaetzung_gewichteter_FWert_der_K-Inversion"],
         ),
     ]
     # the derivative chain: pointwise quasi-inversion of -D phi, operator
@@ -655,14 +621,13 @@ def sim_invert(
 
 
 def restrict_scenario_outputs(
+    full: RestrictedElement,
     apply_fn: Callable[[Sequence[int]], RestrictedElement],
-    n_factors: int,
     sub_indices: Sequence[int],
     probe_order: int = 1,
 ) -> CheckReport:
     """Factor-restriction bit-identity: running on a sub-family reproduces
-    the surviving factors exactly."""
-    full = apply_fn(list(range(n_factors)))
+    the surviving factors of the full family's result exactly."""
     sub = apply_fn(list(sub_indices))
     dev = 0.0
     for j, i in enumerate(sub_indices):
@@ -675,5 +640,5 @@ def restrict_scenario_outputs(
         "sim:factor_restriction",
         dev,
         tolerance=0.0,
-        detail=f"sub-family {list(sub_indices)} of {n_factors} factors",
+        detail=f"sub-family {list(sub_indices)} of {len(full)} factors",
     )

@@ -1182,10 +1182,12 @@ def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
     per_id: dict[str, list[CheckReport]] = {}
     for i in range(sc.n_factors):
         weights = [sc.fw("one").factors[i], sc.fw("gauss").factors[i]]
-        _, reps = superpose(
+        res, reps = superpose(
             sc.xis[i], sc.gammas[i], weights,
             pair=(sc.gamma_alts[i], sc.gamma_diffs[i]),
         )
+        if i == 0:
+            via = res
         for r in reps:
             per_id.setdefault(r.check_id, []).append(r)
     for cid in ("est:f0-Norm_SPid", "est:f0-Norm_SPid-Differenz", "est:f1-Norm_SPid"):
@@ -1205,7 +1207,6 @@ def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
     dev = max(
         float(np.max(np.abs(zres.map.value(x)))) for x in fs0.grid_u.points
     )
-    via, _ = superpose(sc.xis[0], sc.gammas[0], [])
     value_dev = 0.0
     for x in fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]:
         direct = sc.xis[0].xi.value(np.concatenate([x, sc.gammas[0].map.value(x)]))
@@ -1276,14 +1277,12 @@ def _run_invert(sc: FamilyScenario) -> list[CheckReport]:
                 "est:Abschaetzung_gewichteter_FWert_der_K-Inversion"):
         out.append(merge_min_margin(cid, per_id[cid]))
     fs0 = sc.factors[0]
-    pair_reports = [
+    out.append(
         inversion_pair_difference_check(
             sc.phis[0], sc.psis[0], sc.phi_diffs[0], fs0.u, fs0.v_tilde,
-            fs0.grid_vt, cfg, w,
+            fs0.grid_vt, cfg, _factor0_weights(sc),
         )
-        for w in _factor0_weights(sc)
-    ]
-    out.append(merge_min_margin("est:f0-norm_Diff_KoorInv", pair_reports))
+    )
     probes = fs0.grid_vt.points[:: max(1, len(fs0.grid_vt) // 3)]
     out.append(
         inversion_direction_check(sc.phis[0], sc.phi_dirs[0], fs0.u, fs0.v_tilde,
@@ -1431,7 +1430,7 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
         sc.xis, sc.gammas, fw_gauss, g_fam, sc.fw("omega"), v_domains, sc.tau_nb,
         directions=sc.gamma_dirs,
     )
-    out.extend(r for r in sp_reports if r.check_id != "est:f0-Norm_SPid")
+    out.extend(sp_reports)
 
     transfer = []
     slab = 0.5
@@ -1476,23 +1475,15 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
     _, ps_rep = sim_power_series(sc.op_gammas, sc.dim, sc.op_q, sc.neumann)
     out.append(ps_rep)
 
-    pairs = [
-        (sc.comp_gamma0s[i], sc.comp_eta0s[i], sc.comp_gamma_diffs[i], sc.comp_eta_diffs[i])
-        for i in range(sc.n_factors)
-    ]
     _, comp_reports = sim_compose(
         sc.comp_gammas, sc.comp_etas, sc.factors, sc.fw("omega"),
-        sc.comp_gamma_lips, sc.fw("one"), sc.tau_nb, pairs=pairs,
+        sc.comp_gamma_lips, sc.fw("one"), sc.tau_nb,
         directions=(sc.comp_gamma_dirs, sc.comp_eta_dirs),
     )
-    out.extend(
-        r for r in comp_reports if r.check_id == "prop:Simultane_Koor-Kompo_diffbar"
-    )
+    out.extend(comp_reports)
 
-    _, inv_reports = sim_invert(sc.phis, sc.factors, sc.contraction, sc.fw("one"))
-    out.extend(
-        r for r in inv_reports if r.check_id == "prop:Simultane_Inv-Kompo_glatt"
-    )
+    inverted, inv_reports = sim_invert(sc.phis, sc.factors, sc.contraction, sc.fw("one"))
+    out.extend(inv_reports)
 
     def apply_sub(indices):
         results = []
@@ -1506,7 +1497,7 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
 
     out.append(
         restrict_scenario_outputs(
-            apply_sub, sc.n_factors, list(range(0, sc.n_factors, 2))
+            inverted, apply_sub, list(range(0, sc.n_factors, 2))
         )
     )
     return out

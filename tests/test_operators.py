@@ -363,7 +363,7 @@ class TestInversion:
         )
         rep = inversion_pair_difference_check(
             phi, psi, diff, u, v, lattice(v, spacing=0.1),
-            ContractionConfig(tau=0.5, r=1.5), ONE,
+            ContractionConfig(tau=0.5, r=1.5), [ONE],
         )
         assert rep.status == "pass"
         # closed-form oracle: Inv cphi - Inv cpsi at the worst grid point

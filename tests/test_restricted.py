@@ -471,6 +471,40 @@ class TestSimPowerSeries:
         assert "spectral" in rep.detail
 
 
+class TestSimSuperpose:
+    def _run(self, sc, g, directions=None):
+        return sim_superpose(
+            sc.xis, sc.gammas, sc.fw("gauss"), g, sc.fw("omega"),
+            [fs.v for fs in sc.factors], sc.tau_nb, directions=directions,
+        )
+
+    def _dominating(self, sc):
+        return next(
+            c.g for c in sc.dominance
+            if c.context == "sp" and c.f.name == "gauss" and c.ell == 1
+        )
+
+    def test_seed0_passes_with_family_ids_only(self, scenario0):
+        res, reports = self._run(
+            scenario0, self._dominating(scenario0), scenario0.gamma_dirs
+        )
+        assert len(res) == scenario0.n_factors
+        assert [r.check_id for r in reports] == [
+            "prop:simultane_SP_BCinf0_Produkt",
+            "lem:Abb_nach_Linf_Ck_wenn_Komp_Ck_mit_stetigem_Diff",
+        ]
+        assert all(r.status == "pass" for r in reports)
+
+    def test_shrunk_dominating_family_fails(self, scenario0):
+        g = self._dominating(scenario0)
+        small = FamilyWeight(
+            g.name, tuple(scaled_weight(w, 1e-3, w.name) for w in g.factors)
+        )
+        _, reports = self._run(scenario0, small)
+        assert [r.check_id for r in reports] == ["prop:simultane_SP_BCinf0_Produkt"]
+        assert reports[0].status == "fail"
+
+
 class TestSimComposeInvert:
     def _omega(self, n):
         return FamilyWeight(
@@ -503,6 +537,8 @@ class TestSimComposeInvert:
                     (p[0] + consts[i]) ** 2, abs=1e-13
                 )
         assert all(r.status == "pass" for r in reports)
+        # the single-factor estimates are the compose runner's, not these
+        assert {r.check_id for r in reports} == {"prop:Simultane_Koor-Kompo_diffbar"}
 
     def test_invert_closed_form_linear_family(self):
         factors = two_factor_spaces()
@@ -527,6 +563,7 @@ class TestSimComposeInvert:
                 expect = -cs[i] / (1 + cs[i]) * y[0]
                 assert res[i].map.value(y)[0] == pytest.approx(expect, abs=1e-12)
         assert all(r.status == "pass" for r in reports)
+        assert {r.check_id for r in reports} == {"prop:Simultane_Inv-Kompo_glatt"}
 
     def test_invert_family_gate(self):
         factors = two_factor_spaces()
@@ -568,5 +605,5 @@ class TestSimComposeInvert:
                 out.append(res_i)
             return RestrictedElement(tuple(out))
 
-        rep = restrict_scenario_outputs(apply_fn, 2, [1])
+        rep = restrict_scenario_outputs(apply_fn([0, 1]), apply_fn, [1])
         assert rep.status == "pass" and rep.lhs == 0.0

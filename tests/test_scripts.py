@@ -32,3 +32,15 @@ def test_margin_survey_script():
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
     assert len(lines) == 2
     assert all("min" in l and "median" in l for l in lines)
+
+
+def test_bench_pairs_rejects_a_single_pair(tmp_path):
+    # the checkouts do not exist: the count is rejected before they are read
+    out = tmp_path / "BENCH_x.json"
+    proc = run_script(
+        "bench_pairs.py", "--before", str(tmp_path / "a"), "--after",
+        str(tmp_path / "b"), "--pairs", "1", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert "--pairs" in proc.stderr
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ class TestRegistry:
     def test_suite_emits_every_id(self, scenario0):
         ids = {r.check_id for r in run_scenario_checks(scenario0)}
         assert ids == set(ALL_CHECK_IDS)
+
+    def test_each_runner_returns_exactly_its_ids(self, scenario0):
+        for name, fn in RUNNERS.items():
+            counts = Counter(r.check_id for r in fn(scenario0))
+            assert set(counts) == set(runner_ids(name)), name
+            doubled = {cid: n for cid, n in counts.items() if n != 1}
+            expected = {
+                "prop:Simultane_Koor-Kompo_diffbar": 2,
+                "prop:Simultane_Inv-Kompo_glatt": 2,
+            } if name == "sim" else {}
+            assert doubled == expected, name
 
     def test_unknown_id_rejected(self, scenario0):
         with pytest.raises(ConfigError):
