@@ -29,7 +29,6 @@ from .errors import (
     TruncationError,
 )
 from .jets import (
-    AffineMap,
     ComposeMap,
     JetMap,
     MultilinearMap,
@@ -48,6 +47,7 @@ from .report import (
     GRID_LOWER,
     CheckReport,
     bound_report,
+    bound_rows,
     identity_report,
     merge_min_margin,
     skipped_report,
@@ -158,12 +158,10 @@ class SuperpositionOperand:
 
 
 def _probe_zero_section(op: SuperpositionOperand, points: np.ndarray):
-    m2 = op.v.dim
-    for x in points[:: max(1, len(points) // 3)][:3]:
-        pt = np.concatenate([np.asarray(x, float), np.zeros(m2)])
-        v = op.xi.value(pt)
-        if float(np.max(np.abs(v))) > 1e-12:
-            raise PreconditionError("xi does not vanish on the zero section")
+    probes = points[:: max(1, len(points) // 3)][:3]
+    zero = np.zeros((len(probes), op.v.dim))
+    if np.max(np.abs(op.xi.tensors(np.concatenate([probes, zero], axis=1), 0))) > 1e-12:
+        raise PreconditionError("xi does not vanish on the zero section")
 
 
 def superpose(
@@ -326,26 +324,18 @@ def compose_perturbed(
     max_order = min(gamma.max_order, eta.max_order)
     result = WeightedFunction(result_map, eta.grid, max_order)
 
-    sup = lambda vals: np.max(np.abs(vals), axis=1).tolist()
-    sup_eta = sup(eta_vals)
+    sup = lambda vals: np.max(np.abs(vals), axis=1)
     sup_result = sup(result_map.tensors(pts, 0))
-    sup_gamma = sup(gamma.map.tensors(pts, 0))
+    sup_bound = gamma_lip * sup(eta_vals) + sup(gamma.map.tensors(pts, 0))
     reports: list[CheckReport] = []
     for wgt in weights:
-        per_point = []
-        for i, x in enumerate(pts):
-            fx = abs(wgt(x))
-            lhs = fx * sup_result[i]
-            rhs = fx * (gamma_lip * sup_eta[i] + sup_gamma[i])
-            per_point.append(
-                bound_report(
-                    "est:Funktionswerte_Gewicht_K-Kompo", lhs, rhs, tolerance=1e-9,
-                    lhs_provenance=EXACT, rhs_provenance=CERTIFIED_UPPER,
-                    witness=tuple(float(c) for c in x), detail=f"weight {wgt.name}",
-                )
-            )
+        fx = np.abs(wgt.values(pts))
         reports.append(
-            merge_min_margin("est:Funktionswerte_Gewicht_K-Kompo", per_point)
+            bound_rows(
+                "est:Funktionswerte_Gewicht_K-Kompo", fx * sup_result, fx * sup_bound,
+                tolerance=1e-9, lhs_provenance=EXACT, rhs_provenance=CERTIFIED_UPPER,
+                witness=lambda k: tuple(pts[k].tolist()), detail=f"weight {wgt.name}",
+            )
         )
         if pair is not None:
             gamma0, eta0, gamma_diff, eta_diff = pair
@@ -579,23 +569,9 @@ def invert_perturbed(
     solved = inv.solves(ys)
     xs = np.array([x for x, _, _ in solved])
     ratios = [ratio for _, _, ratio in solved]
-    sup = lambda vals: np.max(np.abs(vals), axis=1).tolist()
-    residuals = sup(xs + phi.map.tensors(xs, 0) - ys)
+    sup = lambda vals: np.max(np.abs(vals), axis=1)
+    residuals = sup(xs + phi.map.tensors(xs, 0) - ys).tolist()
     sup_gap, sup_phi = sup(xs - ys), sup(phi.map.tensors(ys, 0))
-    est_reports = {w.name: [] for w in weights}
-    for i, y in enumerate(ys):
-        for w in weights:
-            fy = abs(w(y))
-            lhs = fy * sup_gap[i]
-            rhs = fy * sup_phi[i] / (1.0 - c11)
-            est_reports[w.name].append(
-                bound_report(
-                    "est:Abschaetzung_gewichteter_FWert_der_K-Inversion",
-                    lhs, rhs, tolerance=1e-9,
-                    lhs_provenance=EXACT, rhs_provenance=CERTIFIED_UPPER,
-                    witness=tuple(float(c) for c in y), detail=f"weight {w.name}",
-                )
-            )
     reports = [
         bound_report(
             "prop:Zsf_Inversion_gewAbb", max(residuals), 2.0 * cfg.fix_tol,
@@ -610,10 +586,13 @@ def invert_perturbed(
         ),
     ]
     for w in weights:
+        fy = np.abs(w.values(ys))
         reports.append(
-            merge_min_margin(
+            bound_rows(
                 "est:Abschaetzung_gewichteter_FWert_der_K-Inversion",
-                est_reports[w.name],
+                fy * sup_gap, fy * sup_phi / (1.0 - c11), tolerance=1e-9,
+                lhs_provenance=EXACT, rhs_provenance=CERTIFIED_UPPER,
+                witness=lambda k: tuple(ys[k].tolist()), detail=f"weight {w.name}",
             )
         )
     return result, reports
@@ -645,15 +624,17 @@ def inversion_pair_difference_check(
     inv_phi = InverseMap(phi.map, u, v, cfg)
     inv_psi = InverseMap(psi.map, u, v, cfg)
     gaps = inv_psi.tensors(ys, 0) - inv_phi.tensors(ys, 0)
-    dist = np.max(np.abs(gaps), axis=1).tolist()
+    dist = np.max(np.abs(gaps), axis=1)
     reports = []
     for weight, rhs_w in zip(weights, rhs):
-        lhs = 0.0
-        witness = ()
-        for y, d in zip(ys, dist):
-            gap = abs(weight(y)) * d
-            if gap > lhs:
-                lhs, witness = gap, tuple(float(c) for c in y)
+        with np.errstate(invalid="ignore"):
+            gaps_w = np.abs(weight.values(ys)) * dist
+        # the first largest positive gap; a NaN gap (an infinite weight
+        # where the inverses agree) never exceeds another
+        k = int(np.argmax(np.where(gaps_w > 0.0, gaps_w, 0.0)))
+        lhs, witness = 0.0, ()
+        if gaps_w[k] > 0.0:
+            lhs, witness = float(gaps_w[k]), tuple(ys[k].tolist())
         reports.append(
             bound_report(
                 check_id, lhs, rhs_w, tolerance=1e-9,

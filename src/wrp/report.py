@@ -11,7 +11,9 @@ side is a grid lower bound; the constructor rejects that pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable
+
+import numpy as np
 
 GRID_LOWER = "grid_lower"
 CERTIFIED_UPPER = "certified_upper"
@@ -156,3 +158,46 @@ def merge_min_margin(check_id: str, reports: list[CheckReport]) -> CheckReport:
     if w.check_id != check_id:
         w = replace(w, check_id=check_id)
     return w
+
+
+def worst_row(lhs, rhs, tolerance: float, failed=None) -> int:
+    """Row that :func:`worst` keeps among one :func:`bound_report` per row
+    of the claims ``lhs[k] <= rhs[k]``: failed rows (and those of the bool
+    array ``failed``) take precedence, then the first smallest margin wins;
+    as with Python's ``min``, a NaN margin wins only first in the pool."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    if not lhs.size:
+        raise ValueError("no reports to aggregate")
+    with np.errstate(invalid="ignore"):
+        margin = np.where(lhs == rhs, 0.0, rhs - lhs)
+    fails = ~(margin >= -tolerance) | (False if failed is None else failed)
+    pool = np.flatnonzero(fails) if fails.any() else np.arange(margin.size)
+    if np.isnan(margin[pool[0]]):
+        return int(pool[0])
+    return int(pool[np.nanargmin(margin[pool])])
+
+
+def bound_rows(check_id: str, lhs, rhs, *, tolerance: float, failed=None,
+               witness: Callable[[int], tuple] = lambda k: (),
+               detail: str | Callable[[int], str] = "", **provenance) -> CheckReport:
+    """``merge_min_margin`` of one :func:`bound_report` per row of the
+    claims ``lhs[k] <= rhs[k]``, building only the row :func:`worst_row`
+    keeps (``failed`` goes to it).  ``witness`` and a callable ``detail``
+    map a row index to that row's witness and detail."""
+    k = worst_row(lhs, rhs, tolerance, failed)
+    return bound_report(
+        check_id, float(lhs[k]), float(rhs[k]), tolerance=tolerance, witness=witness(k),
+        detail=detail(k) if callable(detail) else detail, **provenance,
+    )
+
+
+def stacked_points(grids) -> Callable[[int], tuple]:
+    """Row index -> ``(grid index,) + point`` for rows stacked grid by grid
+    over the point arrays ``grids``: the witness of per-factor checks."""
+    ends = np.cumsum([len(g) for g in grids])
+
+    def witness(k: int) -> tuple:
+        i = int(np.searchsorted(ends, k, side="right"))
+        return (i,) + tuple(np.asarray(grids[i][k - ends[i] + len(grids[i])], float).tolist())
+
+    return witness

@@ -11,37 +11,32 @@ sub-family reproduces the surviving factors bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     DataError,
-    GeometryError,
-    OrderError,
     PreconditionError,
     ShapeError,
     SpectralConditionError,
 )
 from .jets import (
     BilinearPairMap,
-    ComposeMap,
     JetMap,
     MultilinearMap,
     MultilinearPairMap,
     PairMap,
     ScaledMap,
-    SumMap,
     difference_map,
-    identity_map,
     op_norm,
     opnorm_inf,
 )
 from .operators import (
     ContractionConfig,
-    InverseMap,
     NeumannConfig,
     SuperpositionOperand,
     compose_perturbed,
@@ -53,11 +48,15 @@ from .operators import (
 from .report import (
     CERTIFIED_UPPER,
     EXACT,
+    FAIL,
     GRID_LOWER,
+    PASS,
     CheckReport,
     bound_report,
+    bound_rows,
     identity_report,
     merge_min_margin,
+    stacked_points,
 )
 from .seminorms import SampleGrid, WeightedFunction, weighted_seminorm
 from .spaces import (
@@ -65,7 +64,6 @@ from .spaces import (
     DominanceCertificate,
     FactorizationCertificate,
     FamilyWeight,
-    WeightFamily,
 )
 
 
@@ -153,20 +151,14 @@ def lipschitz_bound_check(
     if len(samples) < 2:
         raise PreconditionError("need at least two parameter samples")
     sup_l = max(factor_lipschitz)
-    reports = []
-    for a_idx in range(len(samples)):
-        for b_idx in range(a_idx + 1, len(samples)):
-            s, t = samples[a_idx], samples[b_idx]
-            gap = family_map(s).minus(family_map(t))
-            lhs = family_seminorm(gap, fw, ell).value
-            reports.append(
-                bound_report(
-                    check_id, lhs, sup_l * abs(s - t), tolerance=tolerance,
-                    lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-                    witness=(s, t),
-                )
-            )
-    return merge_min_margin(check_id, reports)
+    pairs = list(itertools.combinations(samples, 2))
+    lhs = [family_seminorm(family_map(s).minus(family_map(t)), fw, ell).value
+           for s, t in pairs]
+    return bound_rows(
+        check_id, lhs, [sup_l * abs(s - t) for s, t in pairs], tolerance=tolerance,
+        lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
+        witness=lambda k: pairs[k],
+    )
 
 
 def product_iso_roundtrip(
@@ -233,26 +225,18 @@ def cauchy_limit_check(
 ) -> CheckReport:
     """Cauchy increments below the declared envelope and convergence of
     the sequence to the closed-form limit at the envelope rate."""
-    reports = []
-    for n in range(len(elements) - 1):
-        inc = family_seminorm(elements[n + 1].minus(elements[n]), fw, ell).value
-        reports.append(
-            bound_report(
-                check_id, inc, increment_envelope(n), tolerance=tolerance,
-                lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-                witness=(n,), detail="increment envelope",
-            )
-        )
-    for n in range(len(elements)):
-        gap = family_seminorm(elements[n].minus(limit), fw, ell).value
-        reports.append(
-            bound_report(
-                check_id, gap, tail_envelope(n), tolerance=tolerance,
-                lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-                witness=(n,), detail="distance to the limit",
-            )
-        )
-    return merge_min_margin(check_id, reports)
+    m = len(elements) - 1  # rows 0..m-1 are increments, then distances
+    lhs = [family_seminorm(elements[n + 1].minus(elements[n]), fw, ell).value
+           for n in range(m)]
+    lhs += [family_seminorm(e.minus(limit), fw, ell).value for e in elements]
+    rhs = [increment_envelope(n) for n in range(m)]
+    rhs += [tail_envelope(n) for n in range(len(elements))]
+    return bound_rows(
+        check_id, lhs, rhs, tolerance=tolerance,
+        lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
+        witness=lambda k: (k if k < m else k - m,),
+        detail=lambda k: "increment envelope" if k < m else "distance to the limit",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +262,26 @@ def neighborhood_inclusion_check(
             f"family seminorm {nu} is not below tau = {tau}"
         )
     s = tau - nu
-    reports = []
+    lhs, rhs, member = [], [], []
     for i, (wf, w, v) in enumerate(zip(elem.factors, omega.factors, v_domains)):
         if not v.star_shaped_at_zero:
             raise PreconditionError(f"value domain {i} is not star-shaped at 0")
         d_i = v.boundary_distance(np.zeros(v.dim))
-        tv = v.scaled(tau)
         vals = wf.map.tensors(wf.grid.points, 0)
-        for x, val, member in zip(wf.grid.points, vals, tv.members(vals)):
-            q = float(np.max(np.abs(val))) + s / abs(w(x))
-            rep = bound_report(
-                check_id, q, tau * d_i, tolerance=1e-12,
-                lhs_provenance=EXACT, rhs_provenance=EXACT,
-                witness=(i,) + tuple(float(c) for c in x),
-                detail=f"factor {i}: worst perturbed value vs tau * d_i",
-            )
-            if not member and rep.status == "pass":
-                rep = CheckReport(
-                    check_id, "fail", rep.lhs, rep.rhs, rep.margin, rep.tolerance,
-                    EXACT, EXACT, rep.witness, "scaled-domain membership violated",
-                )
-            reports.append(rep)
-    return merge_min_margin(check_id, reports)
+        with np.errstate(divide="ignore"):
+            lhs.append(np.max(np.abs(vals), axis=1) + s / np.abs(w.values(wf.grid.points)))
+        rhs.append(np.full(len(vals), tau * d_i))
+        member.append(v.scaled(tau).members(vals))
+    member = np.concatenate(member)
+    witness = stacked_points([wf.grid.points for wf in elem.factors])
+    rep = bound_rows(
+        check_id, np.concatenate(lhs), np.concatenate(rhs), tolerance=1e-12,
+        failed=~member, lhs_provenance=EXACT, rhs_provenance=EXACT, witness=witness,
+        detail=lambda k: f"factor {witness(k)[0]}: worst perturbed value vs tau * d_i",
+    )
+    if rep.status == PASS and not member.all():  # the kept row is a non-member
+        rep = replace(rep, status=FAIL, detail="scaled-domain membership violated")
+    return rep
 
 
 def neighborhood_openness_check(
@@ -314,31 +296,34 @@ def neighborhood_openness_check(
     of gamma, eta keeps a positive adjusted clearance s = r - |eta-gamma|."""
     for i, (wf, w, v) in enumerate(zip(gamma.factors, omega.factors, v_domains)):
         vals = wf.map.tensors(wf.grid.points, 0)
-        for x, val, inside in zip(wf.grid.points, vals, v.members(vals)):
-            if not inside or v.boundary_distance(val) < clearance / abs(w(x)):
-                raise PreconditionError(
-                    f"base element lacks the claimed clearance on factor {i}"
-                )
+        with np.errstate(divide="ignore"):
+            needed = clearance / np.abs(w.values(wf.grid.points))
+        inside = v.members(vals)
+        if not inside.all() or (v.boundary_distances(vals) < needed).any():
+            raise PreconditionError(
+                f"base element lacks the claimed clearance on factor {i}"
+            )
     nu = family_seminorm(eta.minus(gamma), omega, 0).value
     if not nu < clearance:
         raise PreconditionError(
             f"distance {nu} to the base element is not below the clearance"
         )
     s = clearance - nu
-    reports = []
-    for i, (wf, w, v) in enumerate(zip(eta.factors, omega.factors, v_domains)):
+    lhs, rhs = [], []
+    for wf, w, v in zip(eta.factors, omega.factors, v_domains):
         vals = wf.map.tensors(wf.grid.points, 0)
-        for x, val, inside in zip(wf.grid.points, vals, v.members(vals)):
-            dist = v.boundary_distance(val) if inside else 0.0
-            reports.append(
-                bound_report(
-                    check_id, s / abs(w(x)), dist, tolerance=1e-12,
-                    lhs_provenance=EXACT, rhs_provenance=EXACT,
-                    witness=(i,) + tuple(float(c) for c in x),
-                    detail=f"factor {i}: remaining adjusted clearance",
-                )
-            )
-    return merge_min_margin(check_id, reports)
+        inside = v.members(vals)
+        dist = np.zeros(len(vals))
+        dist[inside] = v.boundary_distances(vals[inside])
+        with np.errstate(divide="ignore"):
+            lhs.append(s / np.abs(w.values(wf.grid.points)))
+        rhs.append(dist)
+    witness = stacked_points([wf.grid.points for wf in eta.factors])
+    return bound_rows(
+        check_id, np.concatenate(lhs), np.concatenate(rhs), tolerance=1e-12,
+        lhs_provenance=EXACT, rhs_provenance=EXACT, witness=witness,
+        detail=lambda k: f"factor {witness(k)[0]}: remaining adjusted clearance",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +475,7 @@ def sim_power_series(
     must hold at every grid point of every factor."""
     if not q < 1.0:
         raise SpectralConditionError(f"certified bound q = {q} is not below 1")
-    reports = []
+    residuals = []
     out = []
     for i, wf in enumerate(x.factors):
         for pt, val in zip(wf.grid.points, wf.map.tensors(wf.grid.points, 0)):
@@ -498,24 +483,20 @@ def sim_power_series(
             norm_a = opnorm_inf(a)
             if norm_a > q + 1e-12:
                 return RestrictedElement(tuple(out)), CheckReport(
-                    check_id, "fail", norm_a, q, q - norm_a, 0.0,
-                    EXACT, CERTIFIED_UPPER,
-                    (i,) + tuple(float(c) for c in pt),
+                    check_id, FAIL, norm_a, q, q - norm_a, 0.0,
+                    EXACT, CERTIFIED_UPPER, (i,) + tuple(pt.tolist()),
                     "spectral certificate violated",
                 )
             qi = quasi_inverse(a, cfg)
-            residual = opnorm_inf(a + qi - a @ qi)
-            reports.append(
-                bound_report(
-                    check_id, residual, 2.0 * cfg.tail_tol, tolerance=0.0,
-                    lhs_provenance=EXACT, rhs_provenance=EXACT,
-                    witness=(i,) + tuple(float(c) for c in pt),
-                )
-            )
+            residuals.append(opnorm_inf(a + qi - a @ qi))
         out.append(
             WeightedFunction(PointwiseQIMap(wf.map, op_dim, cfg), wf.grid, 0)
         )
-    return RestrictedElement(tuple(out)), merge_min_margin(check_id, reports)
+    return RestrictedElement(tuple(out)), bound_rows(
+        check_id, residuals, np.full(len(residuals), 2.0 * cfg.tail_tol),
+        tolerance=0.0, lhs_provenance=EXACT, rhs_provenance=EXACT,
+        witness=stacked_points([wf.grid.points for wf in x.factors]),
+    )
 
 
 def sim_compose(

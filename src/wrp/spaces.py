@@ -24,12 +24,11 @@ from .errors import (
     GeometryError,
 )
 from .report import (
-    CERTIFIED_UPPER,
     EXACT,
     GRID_LOWER,
     CheckReport,
-    bound_report,
-    merge_min_margin,
+    bound_rows,
+    stacked_points,
 )
 
 SUP = "sup"
@@ -50,10 +49,16 @@ class NormedSpaceDesc:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
 
     def norm(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
+        """A batch of one of :meth:`norms`, of ``v`` flattened."""
+        return float(self.norms(np.reshape(v, (1, -1)))[0])
+
+    def norms(self, rows) -> np.ndarray:
+        """The norm of every row of the 2-D array ``rows``."""
+        v = np.asarray(rows, dtype=float)
         if self.norm_kind == SUP:
-            return float(np.max(np.abs(v))) if v.size else 0.0
-        return float(np.linalg.norm(v))
+            return np.max(np.abs(v), axis=1) if v.shape[1] else np.zeros(len(v))
+        # one np.linalg.norm per row, as a single vector takes
+        return np.array([np.linalg.norm(r) for r in v], dtype=float)
 
 
 BOX = "box"
@@ -121,32 +126,31 @@ class DomainSet:
         lo, hi, center = self._arrays
         if self.kind == BOX:
             return np.all((x > lo) & (x < hi), axis=1)
-        if self.space.norm_kind == SUP:
-            return np.max(np.abs(x - center), axis=1) < self.radius
-        # one np.linalg.norm per row, as a single point takes
-        return np.array([self.space.norm(v) < self.radius for v in x - center], dtype=bool)
+        return self.space.norms(x - center) < self.radius
 
     def contains(self, point) -> bool:
-        x = np.asarray(point, dtype=float)
-        if x.ndim != 1:
-            raise GeometryError("point dimension mismatch")
-        return bool(self.members(x[None])[0])
+        """A batch of one of :meth:`members`."""
+        return bool(self.members(np.asarray(point, dtype=float)[None])[0])
 
-    def boundary_distance(self, point) -> float:
-        """Distance from an interior point to the complement; exact for
-        both shapes and both norm kinds."""
-        x = np.asarray(point, dtype=float)
-        if not self.contains(x):
-            raise DomainMembershipError(f"point {x.tolist()} outside domain")
+    def boundary_distances(self, points) -> np.ndarray:
+        """Distance from every row of ``points`` to the complement; exact
+        for both shapes and both norm kinds.  A row outside the domain is
+        a DomainMembershipError naming the first such row."""
+        x = np.asarray(points, dtype=float)
+        inside = self.members(x)
+        if not inside.all():
+            raise DomainMembershipError(
+                f"point {x[int(np.argmin(inside))].tolist()} outside domain"
+            )
+        lo, hi, center = self._arrays
         if self.kind == BOX:
             # nearest face; the same for sup and euclidean metrics
-            return float(
-                min(
-                    min(x[a] - self.lo[a], self.hi[a] - x[a])
-                    for a in range(self.dim)
-                )
-            )
-        return self.radius - self.space.norm(x - np.asarray(self.center))
+            return np.minimum(x - lo, hi - x).min(axis=1)
+        return self.radius - self.space.norms(x - center)
+
+    def boundary_distance(self, point) -> float:
+        """A batch of one of :meth:`boundary_distances`."""
+        return float(self.boundary_distances(np.asarray(point, dtype=float)[None])[0])
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == BOX:
@@ -269,27 +273,35 @@ class Weight:
     certified_inf: float | None = None
     desc: dict | None = field(default=None, compare=False)
 
-    def __call__(self, point) -> float:
-        v = float(self.fn(np.asarray(point, dtype=float)))
-        if math.isnan(v):
-            raise DataError(f"weight {self.name!r} evaluated to NaN")
+    def values(self, points) -> np.ndarray:
+        """``fn`` at every row of the ``(N, dim)`` array ``points``: the one
+        evaluation rule.  ``fn`` runs once per row, keeping the libm bits
+        of a one-point call; a NaN is a DataError naming its first row."""
+        pts = np.asarray(points, dtype=float)
+        v = np.array([float(self.fn(x)) for x in pts], dtype=float)
+        nan = np.isnan(v)
+        if nan.any():
+            raise DataError(
+                f"weight {self.name!r} evaluated to NaN at {pts[int(np.argmax(nan))].tolist()}"
+            )
         return v
+
+    def __call__(self, point) -> float:
+        """A batch of one of :meth:`values`."""
+        return float(self.values(np.asarray(point, dtype=float)[None])[0])
 
 
 def validate_weight_on_points(weight: Weight, points: np.ndarray, tol: float = 1e-9):
     """Raise if any grid evaluation contradicts a certified bound."""
-    for x in points:
-        v = abs(weight(x))
-        if weight.certified_sup is not None and v > weight.certified_sup + tol:
-            raise DataError(
-                f"weight {weight.name!r}: |f({np.asarray(x).tolist()})| = {v} "
-                f"exceeds certified sup {weight.certified_sup}"
-            )
-        if weight.certified_inf is not None and v < weight.certified_inf - tol:
-            raise DataError(
-                f"weight {weight.name!r}: |f({np.asarray(x).tolist()})| = {v} "
-                f"is below certified inf {weight.certified_inf}"
-            )
+    pts = np.asarray(points, dtype=float)
+    v = np.abs(weight.values(pts))
+    cs, ci = weight.certified_sup, weight.certified_inf
+    above = v > (math.inf if cs is None else cs + tol)
+    bad = above | (v < (-math.inf if ci is None else ci - tol))
+    if bad.any():
+        k = int(np.argmax(bad))
+        claim = f"exceeds certified sup {cs}" if above[k] else f"is below certified inf {ci}"
+        raise DataError(f"weight {weight.name!r}: |f({pts[k].tolist()})| = {float(v[k])} {claim}")
 
 
 def const_weight(name: str, c: float) -> Weight:
@@ -359,7 +371,7 @@ def scaled_weight(base: Weight, c: float, name: str | None = None) -> Weight:
     scale = abs(c)
     return Weight(
         name or f"{c}*{base.name}",
-        lambda x, b=base, c=c: c * b(x),
+        lambda x, b=base, c=c: c * float(b.fn(x)),
         certified_sup=None if base.certified_sup is None else scale * base.certified_sup,
         certified_inf=None if base.certified_inf is None else scale * base.certified_inf,
         desc={"kind": "scaled", "c": c, "base": base.desc},
@@ -377,7 +389,7 @@ def shifted_weight(
     s = np.asarray(shift, dtype=float)
     return Weight(
         name or f"{base.name}<<shift",
-        lambda x, b=base, s=s: b(x + s),
+        lambda x, b=base, s=s: float(b.fn(x + s)),
         certified_sup=certified_sup,
         certified_inf=certified_inf,
         desc={"kind": "shifted", "shift": s.tolist(), "base": base.desc},
@@ -525,7 +537,7 @@ def check_adjusting_weight(
     """
     if len(radii) != len(omega) or len(grids) != len(omega):
         raise DataError("factor counts disagree")
-    reports = []
+    rows = []  # (threshold, grid inf, witness) per factor
     for i, (w, r, pts) in enumerate(zip(omega.factors, radii, grids)):
         if w.certified_sup is None or not math.isfinite(w.certified_sup):
             raise CertificateRequiredError(
@@ -534,27 +546,20 @@ def check_adjusting_weight(
         if not r > 0:
             raise DataError(f"factor {i}: radius must be positive, got {r}")
         threshold = max((1.0 / r) if math.isfinite(r) else 0.0, 1.0)
-        lows = [(abs(w(x)), tuple(np.asarray(x, float).tolist())) for x in pts]
-        if not lows:
+        pts = np.asarray(pts, dtype=float)
+        if not len(pts):
             raise DataError(f"empty grid for factor {i}")
-        grid_inf, witness = min(lows, key=lambda t: t[0])
+        lows = np.abs(w.values(pts))
+        k = int(np.argmin(lows))
+        grid_inf = float(lows[k])
         if w.certified_inf is not None and w.certified_inf < threshold:
-            grid_inf, witness = min(
-                (grid_inf, witness), (w.certified_inf, witness), key=lambda t: t[0]
-            )
-        reports.append(
-            bound_report(
-                check_id,
-                threshold,
-                grid_inf,
-                tolerance=tolerance,
-                lhs_provenance=EXACT,
-                rhs_provenance=GRID_LOWER,
-                witness=(i,) + witness,
-                detail=f"factor {i}: inf|w| on grid vs max(1/r, 1)",
-            )
-        )
-    return merge_min_margin(check_id, reports)
+            grid_inf = min(grid_inf, w.certified_inf)
+        rows.append((threshold, grid_inf, (i,) + tuple(pts[k].tolist())))
+    return bound_rows(
+        check_id, [r[0] for r in rows], [r[1] for r in rows], tolerance=tolerance,
+        lhs_provenance=EXACT, rhs_provenance=GRID_LOWER, witness=lambda k: rows[k][2],
+        detail=lambda k: f"factor {k}: inf|w| on grid vs max(1/r, 1)",
+    )
 
 
 def check_dominance_certificate(
@@ -566,26 +571,17 @@ def check_dominance_certificate(
     """Verify K_i * |f_i(x)| <= |g_i(x)| at every grid point."""
     if len(grids) != len(cert.f):
         raise DataError("grid count disagrees with certificate factors")
-    reports = []
-    for i, (k, fw, gw, pts) in enumerate(
-        zip(cert.per_factor_k, cert.f.factors, cert.g.factors, grids)
-    ):
-        for x in pts:
-            lhs = k * abs(fw(x))
-            rhs = abs(gw(x))
-            reports.append(
-                bound_report(
-                    check_id,
-                    lhs,
-                    rhs,
-                    tolerance=tolerance,
-                    lhs_provenance=EXACT,
-                    rhs_provenance=EXACT,
-                    witness=(i,) + tuple(np.asarray(x, float).tolist()),
-                    detail=cert.context,
-                )
-            )
-    return merge_min_margin(check_id, reports)
+    sides = [
+        (k * np.abs(fw.values(pts)), np.abs(gw.values(pts)))
+        for k, fw, gw, pts in zip(cert.per_factor_k, cert.f.factors, cert.g.factors, grids)
+    ]
+    return bound_rows(
+        check_id,
+        np.concatenate([lhs for lhs, _ in sides]),
+        np.concatenate([rhs for _, rhs in sides]),
+        tolerance=tolerance, lhs_provenance=EXACT, rhs_provenance=EXACT,
+        witness=stacked_points(grids), detail=cert.context,
+    )
 
 
 def check_factorization_certificate(
@@ -595,22 +591,15 @@ def check_factorization_certificate(
     tolerance: float = 1e-9,
 ) -> CheckReport:
     """Verify |f_i(x)| <= prod_j |g_i^j(x)| at every grid point."""
-    reports = []
+    lhs, rhs = [], []
     for i, pts in enumerate(grids):
-        fw = cert.f.factors[i]
-        gs = [p.factors[i] for p in cert.parts]
-        for x in pts:
-            lhs = abs(fw(x))
-            rhs = float(np.prod([abs(g(x)) for g in gs]))
-            reports.append(
-                bound_report(
-                    check_id,
-                    lhs,
-                    rhs,
-                    tolerance=tolerance,
-                    lhs_provenance=EXACT,
-                    rhs_provenance=EXACT,
-                    witness=(i,) + tuple(np.asarray(x, float).tolist()),
-                )
-            )
-    return merge_min_margin(check_id, reports)
+        lhs.append(np.abs(cert.f.factors[i].values(pts)))
+        prod = np.ones(len(pts))
+        for part in cert.parts:
+            prod = prod * np.abs(part.factors[i].values(pts))
+        rhs.append(prod)
+    return bound_rows(
+        check_id, np.concatenate(lhs), np.concatenate(rhs),
+        tolerance=tolerance, lhs_provenance=EXACT, rhs_provenance=EXACT,
+        witness=stacked_points(grids),
+    )

@@ -39,7 +39,6 @@ from .jets import (
     PolynomialMap,
     ScaledMap,
     SumMap,
-    TrigPolynomialMap,
     _entry_bounds,
     crude_partial2_sup,
     crude_sup_bound,
@@ -48,7 +47,6 @@ from .jets import (
     map_from_desc,
     map_to_desc,
     op_norm,
-    partial1_tensor,
     xi2_build,
     xi2_pointwise_check,
 )
@@ -77,13 +75,13 @@ from .report import (
     SKIPPED,
     CheckReport,
     bound_report,
+    bound_rows,
     identity_report,
     merge_min_margin,
     skipped_report,
 )
 from .restricted import (
     FactorSpace,
-    FamilySeminorm,
     RestrictedElement,
     cauchy_limit_check,
     family_seminorm,
@@ -120,7 +118,6 @@ from .spaces import (
     box,
     check_adjusting_weight,
     check_dominance_certificate,
-    check_factorization_certificate,
     const_weight,
     gaussian_weight,
     product_box,
@@ -1029,21 +1026,17 @@ def _run_seminorms(sc: FamilyScenario) -> list[CheckReport]:
         )
     )
 
-    bem = []
-    for i in range(sc.n_factors):
-        om = sc.fw("omega").factors[i]
-        c = om.certified_inf
-        for ell in (0, 1):
-            lhs = weighted_seminorm(sc.gammas[i], sc.fw("one").factors[i], ell).value
-            rhs = weighted_seminorm(sc.gammas[i], om, ell).value / c
-            bem.append(
-                bound_report(
-                    "bem:konstantes-1-Gew_adjust-weight", lhs, rhs, tolerance=1e-12,
-                    lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
-                    witness=(i, ell),
-                )
-            )
-    out.append(merge_min_margin("bem:konstantes-1-Gew_adjust-weight", bem))
+    rows = [(i, ell) for i in range(sc.n_factors) for ell in (0, 1)]
+    om = sc.fw("omega").factors
+    out.append(bound_rows(
+        "bem:konstantes-1-Gew_adjust-weight",
+        [weighted_seminorm(sc.gammas[i], sc.fw("one").factors[i], ell).value
+         for i, ell in rows],
+        [weighted_seminorm(sc.gammas[i], om[i], ell).value / om[i].certified_inf
+         for i, ell in rows],
+        tolerance=1e-12, lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
+        witness=lambda k: rows[k],
+    ))
     return out
 
 
@@ -1152,11 +1145,11 @@ def _run_integrals(sc: FamilyScenario) -> list[CheckReport]:
 
     d2 = PartialD2Map(op0.xi)
     reports = []
-    pts = sc.factors[0].grid_u.points
-    for x in pts[:: max(1, len(pts) // 3)]:
-        g = sc.gammas[0].map.value(x)
-        e = sc.gamma_alts[0].map.value(x)
-        lhs = op0.xi.value(np.concatenate([x, g])) - op0.xi.value(np.concatenate([x, e]))
+    pts = sc.factors[0].grid_u.points[:: max(1, len(sc.factors[0].grid_u) // 3)]
+    gs, es = sc.gammas[0].map.tensors(pts, 0), sc.gamma_alts[0].map.tensors(pts, 0)
+    lhss = (op0.xi.tensors(np.concatenate([pts, gs], axis=1), 0)
+            - op0.xi.tensors(np.concatenate([pts, es], axis=1), 0))
+    for x, g, e, lhs in zip(pts, gs, es, lhss):
 
         def integrand(ts):
             t = ts[:, None]
@@ -1177,9 +1170,18 @@ def _run_integrals(sc: FamilyScenario) -> list[CheckReport]:
     return [merge_min_margin("lem:Stetigkeit_parameterab_Int", reports)]
 
 
-def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
+def _merge_live(reports, check_ids, reason: str) -> list[CheckReport]:
+    """Per id, the merge of its reports that were not skipped, or a skip
+    with ``reason`` when all were."""
     out = []
-    per_id: dict[str, list[CheckReport]] = {}
+    for cid in check_ids:
+        live = [r for r in reports if r.check_id == cid and r.status != SKIPPED]
+        out.append(merge_min_margin(cid, live) if live else skipped_report(cid, reason))
+    return out
+
+
+def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
+    reports = []
     for i in range(sc.n_factors):
         weights = [sc.fw("one").factors[i], sc.fw("gauss").factors[i]]
         res, reps = superpose(
@@ -1188,15 +1190,11 @@ def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
         )
         if i == 0:
             via = res
-        for r in reps:
-            per_id.setdefault(r.check_id, []).append(r)
-    for cid in ("est:f0-Norm_SPid", "est:f0-Norm_SPid-Differenz", "est:f1-Norm_SPid"):
-        live = [r for r in per_id.get(cid, []) if r.status != "skipped-precondition"]
-        out.append(
-            merge_min_margin(cid, live)
-            if live
-            else skipped_report(cid, "no certificates available")
-        )
+        reports += reps
+    out = _merge_live(
+        reports, ("est:f0-Norm_SPid", "est:f0-Norm_SPid-Differenz", "est:f1-Norm_SPid"),
+        "no certificates available",
+    )
 
     # well-definedness: zero argument maps to the zero function
     fs0 = sc.factors[0]
@@ -1204,16 +1202,16 @@ def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
         ConstMap(fs0.u, np.zeros(sc.dim)), fs0.grid_u, 2, (("one", 0, 0.0), ("one", 1, 0.0))
     )
     zres, _ = superpose(sc.xis[0], zero_gamma, [])
-    dev = max(
-        float(np.max(np.abs(zres.map.value(x)))) for x in fs0.grid_u.points
+    dev = float(np.max(np.abs(zres.map.tensors(fs0.grid_u.points, 0))))
+    probes = fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]
+    direct = sc.xis[0].xi.tensors(
+        np.concatenate([probes, sc.gammas[0].map.tensors(probes, 0)], axis=1), 0
     )
-    value_dev = 0.0
-    for x in fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]:
-        direct = sc.xis[0].xi.value(np.concatenate([x, sc.gammas[0].map.value(x)]))
-        value_dev = max(value_dev, float(np.max(np.abs(via.map.value(x) - direct))))
+    value_dev = float(np.max(np.abs(via.map.tensors(probes, 0) - direct)))
     out.append(
         identity_report(
-            "prop:SuperpostionCWZweiVars-id", max(dev, value_dev), tolerance=1e-12,
+            "prop:SuperpostionCWZweiVars-id", float(np.max([dev, value_dev])),
+            tolerance=1e-12,
             detail="zero argument and pointwise value agreement",
         )
     )
@@ -1224,7 +1222,6 @@ def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
 
 
 def _run_compose(sc: FamilyScenario) -> list[CheckReport]:
-    out = []
     fs0 = sc.factors[0]
     weights = _factor0_weights(sc)
     res, reps = compose_perturbed(
@@ -1233,22 +1230,19 @@ def _run_compose(sc: FamilyScenario) -> list[CheckReport]:
         pair=(sc.comp_gamma0s[0], sc.comp_eta0s[0],
               sc.comp_gamma_diffs[0], sc.comp_eta_diffs[0]),
     )
-    for cid in ("est:Funktionswerte_Gewicht_K-Kompo", "est:f,0-Norm_Differenz_Kompo"):
-        live = [r for r in reps if r.check_id == cid and r.status != "skipped-precondition"]
-        out.append(
-            merge_min_margin(cid, live) if live else skipped_report(cid, "missing certificates")
-        )
+    out = _merge_live(
+        reps, ("est:Funktionswerte_Gewicht_K-Kompo", "est:f,0-Norm_Differenz_Kompo"),
+        "missing certificates",
+    )
     zero_eta = WeightedFunction(ConstMap(fs0.u, np.zeros(sc.dim)), fs0.grid_u, 2)
     zres, _ = compose_perturbed(
         sc.comp_gammas[0], zero_eta, fs0.u, fs0.v, fs0.w, sc.comp_gamma_lips[0]
     )
-    dev = 0.0
-    for x in fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]:
-        for ell in (0, 1):
-            a = zres.map.tensor(x, ell).entries
-            b = sc.comp_gammas[0].map.tensor(x, ell).entries
-            if not np.array_equal(a, b):
-                dev = max(dev, float(np.max(np.abs(a - b))))
+    probes = fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]
+    dev = float(np.max([
+        np.max(np.abs(zres.map.tensors(probes, ell) - sc.comp_gammas[0].map.tensors(probes, ell)))
+        for ell in (0, 1)
+    ]))
     out.append(
         identity_report(
             "prop:Kompo_Koord_glatt", dev, tolerance=1e-12,
@@ -1265,17 +1259,15 @@ def _run_compose(sc: FamilyScenario) -> list[CheckReport]:
 
 
 def _run_invert(sc: FamilyScenario) -> list[CheckReport]:
-    out = []
-    per_id: dict[str, list[CheckReport]] = {}
+    reports = []
     cfg = sc.contraction
     for i, fs in enumerate(sc.factors):
         weights = [sc.fw("one").factors[i], sc.fw("gauss").factors[i]]
-        _, reps = invert_perturbed(sc.phis[i], fs.u, fs.v_tilde, fs.grid_vt, cfg, weights)
-        for r in reps:
-            per_id.setdefault(r.check_id, []).append(r)
-    for cid in ("prop:Zsf_Inversion_gewAbb",
-                "est:Abschaetzung_gewichteter_FWert_der_K-Inversion"):
-        out.append(merge_min_margin(cid, per_id[cid]))
+        reports += invert_perturbed(sc.phis[i], fs.u, fs.v_tilde, fs.grid_vt, cfg, weights)[1]
+    out = _merge_live(
+        reports, ("prop:Zsf_Inversion_gewAbb", "est:Abschaetzung_gewichteter_FWert_der_K-Inversion"),
+        "no reports",
+    )
     fs0 = sc.factors[0]
     out.append(
         inversion_pair_difference_check(
@@ -1291,12 +1283,8 @@ def _run_invert(sc: FamilyScenario) -> list[CheckReport]:
     out.append(
         inversion_jacobian_check(sc.phis[0], fs0.u, fs0.v_tilde, probes, cfg)
     )
-    qi_reports = []
-    base = sc.phis[0].map
-    for y in probes[:2]:
-        a = base.tensor(np.asarray(y, float), 1).entries
-        _, rep = quasi_inverse_report(-a, sc.neumann)
-        qi_reports.append(rep)
+    qi_reports = [quasi_inverse_report(-a, sc.neumann)[1]
+                  for a in sc.phis[0].map.tensors(probes[:2], 1)]
     out.append(merge_min_margin("qi:neumann_relation", qi_reports))
     return out
 
@@ -1660,11 +1648,28 @@ def _grid_size(node, key: str, path: str) -> int:
 
 def _from_desc(build, desc, path: str, *args):
     """``build(desc, *args)`` for the descriptor at ``path``; a key the
-    descriptor lacks is a DataError naming it."""
+    descriptor lacks or a non-finite number in it is a DataError naming
+    it."""
+    at = _nonfinite_at(desc)
+    if at is not None:
+        raise DataError(f"{path}{at}: must be a finite number")
     try:
         return build(desc, *args)
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
+
+
+def _nonfinite_at(node) -> str | None:
+    """The JSON pointer, relative to ``node``, of the first non-finite
+    number in it, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else ""
+    for key, child in (node.items() if isinstance(node, dict)
+                       else enumerate(node) if isinstance(node, list) else ()):
+        at = _nonfinite_at(child)
+        if at is not None:
+            return f"/{key}{at}"
+    return None
 
 
 def _domain_from_dict(d: dict, path: str) -> DomainSet:

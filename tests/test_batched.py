@@ -4,18 +4,26 @@
 ``value`` are batches of one.  Every row of a batch must carry exactly the
 bits of the one-point evaluation, and the polynomial kernel must carry the
 bits of the plain one-point formula below.  The same holds for domain
-membership (``DomainSet.members``), finite-difference stencils
-(``fd_tensors``) and the fixed-point inversion (``InverseMap.solves``),
-each against its one-point rule kept here as the oracle.
+membership (``DomainSet.members``), boundary distance
+(``DomainSet.boundary_distances``), norms (``NormedSpaceDesc.norms``),
+finite-difference stencils (``fd_tensors``), the fixed-point inversion
+(``InverseMap.solves``), weight evaluation (``Weight.values``, of which
+``Weight.__call__`` is a batch of one) and the weighted grid sup
+(``weighted_seminorm``), each against its one-point rule kept here as
+the oracle.
 """
 
 import itertools
+import math
+import os
+import re
 
 import numpy as np
 import pytest
 
 from wrp.errors import (
     ContractionViolationError,
+    DataError,
     DomainMembershipError,
     GeometryError,
     IterationError,
@@ -29,6 +37,7 @@ from wrp.jets import (
     ConstMap,
     DifferentialMap,
     JetMap,
+    MultilinearMap,
     MultilinearPairMap,
     PairedDerivativeMap,
     PairMap,
@@ -41,14 +50,17 @@ from wrp.jets import (
     fd_jet,
     fd_tensors,
     identity_map,
+    op_norm,
     validate_jet_map,
     xi2_build,
 )
 from wrp.operators import ContractionConfig, InverseMap
 from wrp.restricted import PointwiseQIMap
-from wrp.spaces import BOX, ball, box
-from wrp.verify import ELEMENT_GRIDS, generate_scenario
+from wrp.seminorms import WeightedFunction, weighted_seminorm
+from wrp.spaces import BOX, Weight, ball, box
+from wrp.verify import ELEMENT_GRIDS, ScenarioUnit, generate_scenario, load_scenario
 
+FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "scenario_seed0.json")
 MAX_ORDER_CAP = 3  # orders checked for maps without a declared max order
 
 
@@ -334,12 +346,20 @@ def test_validate_jet_map_raises_for_the_earliest_probe():
 # -- domain membership
 
 
+def _norm_oracle(space, v) -> float:
+    """The one-vector norm rule."""
+    v = np.asarray(v, dtype=float)
+    if space.norm_kind == "sup":
+        return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.linalg.norm(v))
+
+
 def _contains_oracle(domain, x) -> bool:
     """The one-point membership rule."""
     x = np.asarray(x, dtype=float)
     if domain.kind == BOX:
         return bool(np.all(x > domain.lo) and np.all(x < domain.hi))
-    return domain.space.norm(x - np.asarray(domain.center)) < domain.radius
+    return _norm_oracle(domain.space, x - np.asarray(domain.center)) < domain.radius
 
 
 def _membership_domains():
@@ -384,6 +404,34 @@ def test_members_match_one_point_rule():
         assert got.tolist() == want, domain
         assert [domain.contains(x) for x in pts] == want
         assert 0 < sum(want) < len(want)
+
+
+def _distance_oracle(domain, x) -> float:
+    """The one-point boundary-distance rule."""
+    x = np.asarray(x, dtype=float)
+    if domain.kind == BOX:
+        return float(min(min(x[a] - domain.lo[a], domain.hi[a] - x[a])
+                         for a in range(domain.dim)))
+    return domain.radius - _norm_oracle(domain.space, x - np.asarray(domain.center))
+
+
+def test_boundary_distances_match_one_point_rule():
+    rng = np.random.default_rng(17)
+    for domain in _membership_domains():
+        pts = _membership_points(domain, rng)
+        pts = pts[domain.members(pts)]
+        want = np.array([_distance_oracle(domain, x) for x in pts])
+        assert _same_bits(domain.boundary_distances(pts), want), domain
+        centred = pts - np.asarray(domain.center or np.zeros(domain.dim))
+        assert _same_bits(domain.space.norms(centred),
+                          [_norm_oracle(domain.space, v) for v in centred])
+        assert _same_bits([domain.space.norm(v) for v in centred],
+                          [_norm_oracle(domain.space, v) for v in centred])
+        assert _same_bits([domain.boundary_distance(x) for x in pts], want)
+        outside = np.concatenate([pts[:2], [domain.bounding_box()[1]], pts[2:]])
+        with pytest.raises(DomainMembershipError,
+                           match=re.escape(str(domain.bounding_box()[1].tolist()))):
+            domain.boundary_distances(outside)
 
 
 def test_members_dimension_mismatch():
@@ -515,3 +563,73 @@ def test_solves_iteration_error_names_lowest_row():
         inv.solves(ys)
     assert str(exc_info.value) == str(want) and exc_info.value.row == 1
     assert "[0.3]" in str(want)
+
+
+# -- weights
+
+
+def _scenario_weights(sc):
+    """Every weight a scenario carries, with the grid points of its factor."""
+    grids = [np.concatenate([fs.grid_u.points, fs.grid_vt.points]) for fs in sc.factors]
+    families = list(sc.weights.members)
+    for cert in sc.dominance:
+        families += [cert.f, cert.g]
+    for cert in sc.factorizations:
+        families += [cert.f, *cert.parts]
+    return [(fw.name, w, pts) for fw in families for w, pts in zip(fw.factors, grids)]
+
+
+@pytest.mark.parametrize("unit", [ScenarioUnit(seed=s) for s in range(10)]
+                         + [ScenarioUnit(path=FIXTURE)],
+                         ids=[f"seed{s}" for s in range(10)] + ["fixture"])
+def test_weight_values_match_one_point_calls(unit):
+    weights = _scenario_weights(load_scenario(unit))
+    assert len(weights) > 10
+    for name, w, pts in weights:
+        got = w.values(pts)
+        # the one-point rule: fn at one point, as a float
+        want = [float(w.fn(np.asarray(x, dtype=float))) for x in pts]
+        assert _same_bits(got, want), name
+        assert _same_bits([w(x) for x in pts], want), name
+
+
+def test_weight_values_name_the_first_nan_row():
+    w = Weight("half", lambda x: np.nan if x[0] > 0.2 else 1.0)
+    pts = np.array([[0.0], [0.5], [0.75], [0.1]])
+    with pytest.raises(DataError, match=re.escape("'half' evaluated to NaN at [0.5]")):
+        w.values(pts)
+    assert w.values(pts[[0, 3]]).tolist() == [1.0, 1.0]
+
+
+def _seminorm_oracle(wf, weight, ell):
+    """The one-point sup: |f(x)| * |D^l map(x)| point by point, the
+    infinite cases by the inf * 0 rules, the first largest point kept."""
+    norms = [op_norm(MultilinearMap(t, len(wf.map.out_shape)), wf.grid.domain.space.norm_kind)
+             for t in wf.map.tensors(wf.grid.points, ell)]
+    best, witness = 0.0, None
+    for x, n in zip(wf.grid.points, norms):
+        w = abs(float(weight.fn(np.asarray(x, dtype=float))))
+        if math.isinf(w) or math.isinf(n):
+            v = 0.0 if w == 0.0 or n == 0.0 else math.inf
+        else:
+            v = w * n
+        if v > best or witness is None:
+            best, witness = v, tuple(float(c) for c in x)
+    return best, witness
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_weighted_seminorm_matches_one_point_sup(seed):
+    sc = generate_scenario(seed)
+    dom = sc.factors[0].u
+    spiky = Weight("spiky", lambda x: math.inf if x[0] > 0.5 else 0.0 if x[0] < -0.5 else 2.0)
+    weights = [*(sc.fw(n).factors[0] for n in ("one", "gauss", "omega")), spiky]
+    for key in ("gammas", "comp_gammas", "phis"):
+        wf = getattr(sc, key).factors[0]
+        for w in weights:
+            for ell in range(min(wf.max_order, 2) + 1):
+                got = weighted_seminorm(wf, w, ell)
+                best, witness = _seminorm_oracle(wf, w, ell)
+                assert _same_bits(got.value, best) and got.witness == witness, (key, w.name, ell)
+    zero = WeightedFunction(ConstMap(dom, np.zeros(sc.dim)), sc.factors[0].grid_u, 0)
+    assert weighted_seminorm(zero, spiky, 0).value == _seminorm_oracle(zero, spiky, 0)[0] == 0.0

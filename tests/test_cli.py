@@ -179,7 +179,8 @@ class TestRun:
 def _mutated_scenario_file(tmp_path, scenario0, mutate):
     from wrp.verify import scenario_to_dict
 
-    doc = scenario_to_dict(scenario0)
+    # a copy: the document shares lists with the session's scenario
+    doc = json.loads(json.dumps(scenario_to_dict(scenario0)))
     mutate(doc)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -198,7 +199,13 @@ class TestIngestErrors:
         (lambda d: d["factors"][1].__setitem__("grid_w", 0), "/factors/1/grid_w"),
         (lambda d: d.__setitem__("tau", "x"), "/tau"),
         (lambda d: d.__setitem__("sigma_k", []), "/sigma_k"),
-    ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k"])
+        (lambda d: d["elements"]["comp_gamma0s"][1]["map"]["terms"][0]["coef"]
+         .__setitem__(0, float("nan")),
+         "/elements/comp_gamma0s/1/map/terms/0/coef/0"),
+        (lambda d: d["weights"]["members"][0]["factors"][1].__setitem__("c", float("inf")),
+         "/weights/members/0/factors/1/c"),
+    ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k",
+            "nan_map_coefficient", "infinite_weight_constant"])
     def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
         assert main(["run", "--config", str(cfg)]) == 1

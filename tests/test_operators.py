@@ -373,6 +373,26 @@ class TestInversion:
         )
         assert rep.lhs == pytest.approx(worst, abs=1e-11)
 
+    def test_pair_difference_fails_with_shrunk_certificates(self):
+        # the pair above with the difference certificates cut to 0.001: the
+        # inverses still differ by up to 0.0099 at y = -0.3 and y = 0.3,
+        # and the first of the two grid points is the witness
+        u, v = box([-2.0], [2.0]), box([-0.4], [0.4])
+        grid_u = lattice(u, spacing=0.25)
+        phi = WeightedFunction(AffineMap(u, [[0.12]]), grid_u, 2,
+                               (("one", 0, 0.24), ("one", 1, 0.12)))
+        psi = WeightedFunction(AffineMap(u, [[0.08]]), grid_u, 2,
+                               (("one", 0, 0.16), ("one", 1, 0.08)))
+        diff = WeightedFunction(AffineMap(u, [[0.04]]), grid_u, 2,
+                                (("one", 0, 0.001), ("one", 1, 0.001)))
+        grid_v = lattice(v, spacing=0.1)
+        rep = inversion_pair_difference_check(
+            phi, psi, diff, u, v, grid_v, ContractionConfig(tau=0.5, r=1.5), [ONE],
+        )
+        assert rep.status == "fail"
+        assert rep.witness == (float(grid_v.points[:, 0].min()),)
+        assert rep.lhs == pytest.approx(0.3 * (0.12 / 1.12 - 0.08 / 1.08), abs=1e-11)
+
     def test_direction_check_noise_floor_exactness(self):
         # an instance whose curvature term sits below the fixed-point noise
         # floor must take the exactness branch instead of fitting noise

@@ -1,17 +1,34 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrp.report import (
     CERTIFIED_UPPER,
     EXACT,
+    FAIL,
     GRID_LOWER,
+    PASS,
     CheckReport,
     bound_report,
+    bound_rows,
     identity_report,
     merge_min_margin,
     skipped_report,
+    stacked_points,
+    worst_row,
 )
+
+# few distinct values, so ties, signed zeros, infinities and NaN are common
+SIDE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-13, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+ROWS = st.lists(st.tuples(SIDE, SIDE, st.booleans()), min_size=1, max_size=12)
+TOLERANCE = st.sampled_from([0.0, 1e-12, 1e-9, 0.5])
 
 
 class TestCheckReport:
@@ -66,6 +83,75 @@ class TestCheckReport:
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError):
             CheckReport("x", "maybe", 0.0, 0.0, 0.0, 0.0)
+
+
+class TestBoundRows:
+    """The array report against its oracle: one bound_report per row,
+    merged by merge_min_margin."""
+
+    @staticmethod
+    def oracle(rows, tolerance, forced=False):
+        reports = []
+        for k, (lhs, rhs, force) in enumerate(rows):
+            rep = bound_report("x", lhs, rhs, tolerance=tolerance, witness=(k,),
+                               detail=f"row {k}")
+            if forced and force and rep.status == PASS:
+                rep = replace(rep, status=FAIL)
+            reports.append(rep)
+        return merge_min_margin("x", reports)
+
+    @given(ROWS, TOLERANCE)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_merged_per_row_reports(self, rows, tolerance):
+        lhs = np.array([r[0] for r in rows])
+        rhs = np.array([r[1] for r in rows])
+        got = bound_rows("x", lhs, rhs, tolerance=tolerance,
+                         witness=lambda k: (k,), detail=lambda k: f"row {k}")
+        # repr tells -0.0 from 0.0 and compares NaN fields as equal
+        assert repr(got) == repr(self.oracle(rows, tolerance))
+
+    @given(ROWS, TOLERANCE)
+    @settings(max_examples=200, deadline=None)
+    def test_forced_failures_join_the_pool(self, rows, tolerance):
+        lhs = np.array([r[0] for r in rows])
+        rhs = np.array([r[1] for r in rows])
+        failed = np.array([r[2] for r in rows])
+        k = worst_row(lhs, rhs, tolerance, failed=failed)
+        assert (k,) == self.oracle(rows, tolerance, forced=True).witness
+
+    def test_first_row_wins_ties_and_failures_first(self):
+        lhs = np.array([0.0, 1.0, 3.0, 1.0, 3.0])
+        rhs = np.array([5.0, 1.5, 2.0, 1.5, 2.0])
+        assert worst_row(lhs, rhs, 0.0) == 2  # the first of two failures
+        assert worst_row(lhs[:2], rhs[:2], 0.0) == 1
+        assert worst_row([1.0, 2.0], [1.5, 2.5], 0.0) == 0
+
+    def test_nan_margin_kept_only_first_in_pool(self):
+        nan = math.nan
+        assert worst_row([nan, 3.0], [1.0, 1.0], 0.0) == 0
+        assert worst_row([3.0, nan], [1.0, 1.0], 0.0) == 0
+
+    def test_infinite_sides_tie_at_zero_margin(self):
+        rep = bound_rows("x", [math.inf, 0.0], [math.inf, 1.0], tolerance=0.0,
+                         witness=lambda k: (k,))
+        assert rep.status == PASS and rep.margin == 0.0 and rep.witness == (0,)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError):
+            bound_rows("x", [], [], tolerance=0.0)
+
+    def test_provenance_guard_runs_on_the_kept_row(self):
+        with pytest.raises(ValueError, match="unsound"):
+            bound_rows("x", [1.0], [2.0], tolerance=0.0,
+                       lhs_provenance=CERTIFIED_UPPER, rhs_provenance=GRID_LOWER)
+
+    def test_stacked_points_witness(self):
+        a = np.array([[0.5], [0.25]])
+        b = np.array([[-1.0], [2.0], [3.0]])
+        witness = stacked_points([a, b])
+        assert [witness(k) for k in range(5)] == [
+            (0, 0.5), (0, 0.25), (1, -1.0), (1, 2.0), (1, 3.0)
+        ]
 
 
 class TestMoreNegativeControls:

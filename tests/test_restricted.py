@@ -267,6 +267,26 @@ class TestNeighborhoods:
         s = 0.3 - 1.2 * 0.05
         assert rep.margin == pytest.approx(0.75 - s / 1.2, abs=1e-12)
 
+    def test_openness_fails_off_the_base_grid(self):
+        # gamma = x is checked for clearance 0.3 on a grid inside [-0.6, 0.6]
+        # only; eta = x + 0.01 on the full grid reaches 0.91, where the
+        # distance 0.09 to the boundary is below s = 0.3 - 0.01.  Both
+        # factors are equal, so the first worst row is factor 0's x = 0.9
+        v_domains = [ball([0.0], 1.0)] * 2
+        omega = one_family(2)
+        inner = lattice(box([-0.6], [0.6]), spacing=0.1)
+        gamma = RestrictedElement(
+            (WeightedFunction(PolynomialMap(U, [([1.0], (1,))]), inner, 1),) * 2
+        )
+        eta = RestrictedElement((WeightedFunction(
+            PolynomialMap(U, [([0.01], (0,)), ([1.0], (1,))]), GRID, 1),) * 2)
+        rep = neighborhood_openness_check(gamma, eta, omega, v_domains, 0.3)
+        assert rep.status == "fail"
+        top = float(GRID.points[:, 0].max())
+        assert rep.witness == (0, top)
+        assert rep.lhs == pytest.approx(0.29) and rep.rhs == 1.0 - (0.01 + top)
+        assert rep.detail == "factor 0: remaining adjusted clearance"
+
     def test_openness_gate_on_base_clearance(self):
         v_domains = [ball([0.0], 0.3)]
         omega = FamilyWeight("omega", (const_weight("omega", 1.0),))

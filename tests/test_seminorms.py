@@ -113,6 +113,26 @@ class TestWeightedSeminorm:
             with pytest.raises(DataError, match=re.escape(str(bad.tolist()))):
                 weighted_seminorm(wf, ONE, ell)
 
+    def test_nan_weight_after_an_infinite_product_raises(self):
+        # the weight is evaluated on the whole grid before the sup is
+        # taken, so an infinite product earlier does not hide a later NaN
+        dom = box([-1.0], [1.0])
+        grid = lattice(dom, per_axis=5)
+        w = Weight("w", lambda x: math.inf if x[0] < -0.5 else
+                   (math.nan if x[0] > 0.5 else 1.0))
+        wf = wf_poly([([1.0], (0,))])
+        with pytest.raises(DataError, match=re.escape(str(grid.points[-1].tolist()))):
+            weighted_seminorm(WeightedFunction(wf.map, grid, 0), w, 0)
+
+    def test_first_max_is_the_witness(self):
+        dom = box([-1.0], [1.0])
+        grid = lattice(dom, per_axis=5)
+        wf = WeightedFunction(PolynomialMap(dom, [([1.0], (2,))]), grid, 0)
+        sv = weighted_seminorm(wf, ONE, 0)
+        # x^2 peaks at both ends of the symmetric grid; the first end wins
+        assert sv.witness == tuple(grid.points[0].tolist())
+        assert sv.value == grid.points[0, 0] ** 2
+
     def test_infinite_norm_rules(self):
         # an infinite tensor norm forces +inf unless the weight vanishes
         dom = box([-1.0], [1.0])
@@ -286,6 +306,21 @@ class TestNormComparison:
         xs = phi.grid.points.ravel()
         fnorm = max((2 + x * x) * abs(x) for x in xs)
         assert aggregate.rhs == pytest.approx(min(1.0, 1.0) * fnorm)
+
+    def test_pointwise_fails_where_an_infinite_weight_meets_a_gap(self):
+        # |phi - psi| = |x| > 0 where f = inf makes the f-norm infinite, and
+        # the pointwise bound inf / inf there is no bound: those rows fail,
+        # and the first of them (x = 0.4) is the witness
+        phi = wf_poly([([1.0], (1,))])
+        psi = wf_poly([([0.0], (1,))])
+        w = Weight("f", lambda x: math.inf if x[0] > 0.35 else 2.0,
+                   certified_inf=2.0)
+        pointwise, aggregate = norm_comparison_1U(phi, psi, w, 1.0)
+        assert pointwise.status == "fail"
+        assert pointwise.witness == (phi.grid.points[phi.grid.points[:, 0] > 0.35][0, 0],)
+        assert pointwise.witness[0] == pytest.approx(0.4)
+        assert math.isnan(pointwise.rhs) and pointwise.lhs == pointwise.witness[0]
+        assert aggregate.status == "pass" and aggregate.rhs == math.inf
 
     def test_threshold_precondition(self):
         wf = wf_poly([([1.0], (1,))])

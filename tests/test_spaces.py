@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wrp.errors import CertificateRequiredError, DataError, DomainMembershipError, GeometryError
 from wrp.spaces import (
     DominanceCertificate,
+    FactorizationCertificate,
     FamilyWeight,
     Weight,
     WeightFamily,
@@ -16,6 +17,7 @@ from wrp.spaces import (
     box,
     check_adjusting_weight,
     check_dominance_certificate,
+    check_factorization_certificate,
     const_weight,
     gaussian_weight,
     product_box,
@@ -124,8 +126,8 @@ class TestDomainGeometry:
 class TestWeights:
     def test_nan_rejected(self):
         w = Weight("bad", lambda x: float("nan"))
-        with pytest.raises(DataError):
-            w(np.array([0.0]))
+        with pytest.raises(DataError, match=r"'bad' evaluated to NaN at \[0\.25\]"):
+            w(np.array([0.25]))
 
     def test_infinity_allowed(self):
         w = Weight("inf", lambda x: math.inf)
@@ -294,6 +296,34 @@ class TestDominance:
         assert base.status == "pass"
         assert bigger.status == "pass"
         assert bigger.margin >= base.margin - 1e-12
+
+
+class TestFactorization:
+    def test_product_of_parts_passes(self):
+        # |f| = 1 <= 1 * (2 + sin x), which is at least 1
+        f = FamilyWeight("f", (const_weight("f", 1.0),))
+        g = FamilyWeight("g", (const_weight("g", 1.0),))
+        h = FamilyWeight("h", (two_plus_sin_weight("h", [1.0]),))
+        rep = check_factorization_certificate(
+            FactorizationCertificate(f, (g, h)), grids_1d()
+        )
+        assert rep.status == "pass"
+
+    def test_violation_fails_at_the_first_worst_row(self):
+        # |f| = 1 against 0.5 * (1 + |x|): the worst rows are x = -0.25 and
+        # x = 0.25 on both factors; the first of the four is kept
+        f1 = const_weight("f", 1.0)
+        g1 = const_weight("g", 0.5)
+        h1 = Weight("h", lambda x: 1.0 + abs(float(x[0])))
+        cert = FactorizationCertificate(
+            FamilyWeight("f", (f1, f1)),
+            (FamilyWeight("g", (g1, g1)), FamilyWeight("h", (h1, h1))),
+        )
+        pts = np.array([[-0.5], [-0.25], [0.25], [0.5]])
+        rep = check_factorization_certificate(cert, [pts, pts])
+        assert rep.status == "fail"
+        assert (rep.lhs, rep.rhs, rep.margin) == (1.0, 0.625, -0.375)
+        assert rep.witness == (0, -0.25)
 
 
 class TestWeightFamily:
