@@ -6,6 +6,7 @@ symbolically, so inequality margins are limited only by float rounding.
 Operator norms are taken with the sup norm on every argument and computed
 exactly by sign-vector enumeration: a multilinear map restricted to one
 argument is linear, hence attains its sup over the unit ball at a vertex.
+``op_norms`` enumerates once for a whole stack of tensors.
 Finite differences appear only as oracles, never in the main path.
 """
 
@@ -29,7 +30,7 @@ from .errors import (
     ShapeError,
     UnsupportedNormError,
 )
-from .report import CheckReport, bound_report, identity_report
+from .report import CheckReport, bound_report, bound_rows, identity_report
 from .spaces import EUCLIDEAN, SUP, DomainSet, box, product_box
 
 ENUM_BUDGET = 16
@@ -115,43 +116,80 @@ def _sign_vectors(d: int) -> list[np.ndarray]:
     ]
 
 
-def op_norm(t: MultilinearMap, norm_kind: str = SUP) -> float:
-    """Exact operator norm with the chosen norm on all arguments/outputs.
+def op_norms(entries, out_rank: int = 1, norm_kind: str = SUP) -> np.ndarray:
+    """Exact operator norm of every tensor of a stack, with the chosen norm
+    on all arguments and outputs.
 
-    Operator-valued outputs are uncurried first, so the norm is invariant
-    under curry round trips bit for bit.
+    ``entries`` is an ``(N,) + out + args`` array of N tensors with
+    ``out_rank`` output axes each; the result holds their N norms.
+    Operator-valued outputs are uncurried first, as :func:`uncurry_last`
+    does, so a norm is invariant under curry round trips bit for bit.  The
+    sup norm enumerates the sign vertices of all arguments but the last,
+    one ``tensordot`` per vertex and argument for the whole stack, and
+    optimizes the last analytically by an absolute row sum.  The sign
+    vectors are built once per call, and no cache outlives it.  Each
+    vertex sum is a BLAS call whose kernel follows the stack's layout, so
+    a row keeps the bits of :func:`op_norm` on its tensor where the
+    kernels sum alike: on every stack the runs of seeds 0..9 build, but
+    not for every shape (``tests/test_batched.py`` pins which).
+
+    A tensor with an infinite entry has norm +inf, since the norm bounds
+    every entry; so has one whose finite sums overflow into inf - inf at a
+    vertex.  A tensor with an empty axis is the zero map, of norm 0.  A NaN
+    entry raises DataError naming the first such tensor and entry.
     """
-    while t.out_rank > 1:
-        t = uncurry_last(t)
-    e = t.entries
-    if np.isnan(e).any():
+    e = np.asarray(entries, dtype=float)
+    if out_rank < 1 or out_rank >= e.ndim:
+        raise ShapeError("out_rank out of range")
+    nan = np.isnan(e)
+    if nan.any():
         # a NaN entry would otherwise drop out of the max over vertices
-        idx = tuple(np.argwhere(np.isnan(e))[0].tolist())
-        raise DataError(f"operator norm of a tensor with a NaN entry at {idx}")
+        k, *idx = np.argwhere(nan)[0].tolist()
+        raise DataError(f"operator norm of a tensor with a NaN entry at {tuple(idx)} in row {k}")
+    while out_rank > 1:
+        e = np.moveaxis(e, out_rank, -1)
+        out_rank -= 1
+    order, in_dims = e.ndim - 2, e.shape[2:]
     if norm_kind == EUCLIDEAN:
-        if t.order == 0:
-            return float(np.linalg.norm(e))
-        if t.order == 1:
-            return float(np.linalg.norm(e, 2))
-        raise UnsupportedNormError("euclidean norms only for order <= 1")
-    if norm_kind != SUP:
+        if order > 1:
+            raise UnsupportedNormError("euclidean norms only for order <= 1")
+    elif norm_kind != SUP:
         raise UnsupportedNormError(f"unknown norm kind {norm_kind!r}")
-    if t.order == 0:
-        return float(np.max(np.abs(e))) if e.size else 0.0
-    if sum(t.in_dims) > ENUM_BUDGET:
+    if not e.size:
+        return np.zeros(len(e))
+    if norm_kind == EUCLIDEAN:
+        if order == 0:
+            # one dot product per vector, as a single norm takes it; numpy's
+            # batched vector norm sums in another order
+            return np.array([np.linalg.norm(row) for row in e])
+        return np.linalg.norm(e, 2, axis=(1, 2))
+    if order == 0:
+        return np.abs(e).max(axis=1)
+    if sum(in_dims) > ENUM_BUDGET:
         raise EnumerationBudgetError(
-            f"total argument dimension {sum(t.in_dims)} exceeds {ENUM_BUDGET}"
+            f"total argument dimension {sum(in_dims)} exceeds {ENUM_BUDGET}"
         )
-    # enumerate sign vertices of all arguments but the last; the last is
-    # optimized analytically by an absolute row sum
-    lead = t.in_dims[:-1]
-    best = 0.0
-    for signs in itertools.product(*[_sign_vectors(d) for d in lead]):
+    # decided per row before the enumeration, so that no inf - inf of an
+    # infinite entry reaches the vertex max
+    inf = np.isinf(e).reshape(len(e), -1).any(axis=1)
+    if inf.any():
+        e = np.where(inf.reshape((-1,) + (1,) * (e.ndim - 1)), 0.0, e)
+    best = np.zeros(len(e))
+    for signs in itertools.product(*[_sign_vectors(d) for d in in_dims[:-1]]):
         v = e
         for s in signs:
-            v = np.tensordot(v, s, axes=(1, 0))
-        best = max(best, float(np.max(np.abs(v).sum(axis=1))))
+            v = np.tensordot(v, s, axes=(2, 0))
+        top = np.abs(v).sum(axis=2).max(axis=1)
+        # NaN here is finite sums overflowing into inf - inf
+        best = np.maximum(best, np.where(np.isnan(top), math.inf, top))
+    best[inf] = math.inf
     return best
+
+
+def op_norm(t: MultilinearMap, norm_kind: str = SUP) -> float:
+    """Exact operator norm of one multilinear map: :func:`op_norms` over a
+    stack of one."""
+    return float(op_norms(t.entries[None], t.out_rank, norm_kind)[0])
 
 
 def opnorm_inf(a: np.ndarray) -> float:
@@ -1144,13 +1182,14 @@ def linear2_identities_check(
 def xi2_pointwise_check(
     xi: JetMap,
     xi2: PairedDerivativeMap,
-    point,
+    points,
     ell: int,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Pointwise derivative bound for the paired-derivative auxiliary map:
-    the order-l norm is at most l times the base order-l norm plus |e|
-    times the order-(l+1) norm.
+    """Pointwise derivative bound for the paired-derivative auxiliary map
+    at each row of the point array ``points``: the order-l norm is at most
+    l times the base order-l norm plus |e| times the order-(l+1) norm.
+    The report is the worst row's (:func:`bound_rows`).
 
     The bound presumes the pairing has norm at most one, which holds
     exactly for the evaluation pairing; the composition pairing is only
@@ -1161,23 +1200,28 @@ def xi2_pointwise_check(
         raise UnsupportedNormError(
             "composition-pairing estimate needs a one-dimensional operator slot"
         )
-    point = np.asarray(point, dtype=float)
+    points = np.asarray(points, dtype=float)
     mu = xi.domain.dim
-    u, e = point[:mu], point[mu:]
-    if xi2.pairing == "compose":
-        e_norm = opnorm_inf(e.reshape(xi2.e_shape))
+    u, e = points[:, :mu], np.abs(points[:, mu:])
+    if not e.size:
+        e_norm = np.zeros(len(points))
+    elif xi2.pairing == "compose":
+        # opnorm_inf of each row's operator: its largest absolute row sum
+        e_norm = e.reshape((len(points), -1, xi2.e_shape[-1])).sum(axis=2).max(axis=1)
     else:
-        e_norm = float(np.max(np.abs(e))) if e.size else 0.0
-    lhs = op_norm(xi2.tensor(point, ell))
-    rhs = ell * op_norm(xi.tensor(u, ell)) + e_norm * op_norm(xi.tensor(u, ell + 1))
-    return bound_report(
+        e_norm = e.max(axis=1)
+    lhs = op_norms(xi2.tensors(points, ell), len(xi2.out_shape))
+    out_rank = len(xi.out_shape)
+    rhs = (ell * op_norms(xi.tensors(u, ell), out_rank)
+           + e_norm * op_norms(xi.tensors(u, ell + 1), out_rank))
+    return bound_rows(
         "lem:Abschaetzung_hoheDiffs_Spezialfall-linArg",
         lhs,
         rhs,
         tolerance=tol,
         lhs_provenance="exact",
         rhs_provenance="exact",
-        witness=tuple(point.tolist()),
+        witness=lambda k: tuple(points[k].tolist()),
     )
 
 

@@ -21,12 +21,11 @@ from .errors import DataError, DomainMembershipError, OrderError, PreconditionEr
 from .jets import (
     ComponentMap,
     JetMap,
-    MultilinearMap,
     PairMap,
     ScaledMap,
     SumMap,
     difference_map,
-    op_norm,
+    op_norms,
 )
 from .report import (
     CERTIFIED_UPPER,
@@ -38,7 +37,7 @@ from .report import (
     identity_report,
     merge_min_margin,
 )
-from .spaces import SUP, DomainSet, Weight
+from .spaces import DomainSet, Weight
 
 DEFAULT_PER_AXIS = {1: 11, 2: 9, 3: 5}
 
@@ -171,18 +170,6 @@ def certified_seminorm(wf: WeightedFunction, weight_name: str, ell: int) -> Semi
     return SeminormValue(wf.require_bound(weight_name, ell), CERTIFIED_UPPER)
 
 
-def _grid_norms(t: np.ndarray, out_rank: int, norm_kind: str) -> np.ndarray:
-    """Operator norm of each tensor in the batch ``t``.  Vector-valued
-    tensors of order <= 1 under the sup norm take the closed form op_norm
-    reduces to (largest absolute entry, largest absolute row sum); every
-    other shape goes through op_norm one point at a time."""
-    order = t.ndim - 1 - out_rank
-    if norm_kind == SUP and out_rank == 1 and order <= 1 and t[0].size:
-        a = np.abs(t)
-        return (a if order == 0 else a.sum(axis=2)).max(axis=1)
-    return np.array([op_norm(MultilinearMap(ti, out_rank), norm_kind) for ti in t])
-
-
 def weighted_seminorm(wf: WeightedFunction, weight: Weight, ell: int) -> SeminormValue:
     """Grid lower bound of sup |f(x)| * |D^l map(x)|, with its witness.
 
@@ -203,7 +190,7 @@ def weighted_seminorm(wf: WeightedFunction, weight: Weight, ell: int) -> Seminor
             f"order-{ell} tensor has a NaN entry at grid point "
             f"{pts[int(np.argmax(nan))].tolist()}"
         )
-    norms = _grid_norms(t, len(wf.map.out_shape), wf.grid.domain.space.norm_kind)
+    norms = op_norms(t, len(wf.map.out_shape), wf.grid.domain.space.norm_kind)
     w = np.abs(weight.values(pts))
     with np.errstate(invalid="ignore", over="ignore"):
         v = np.where(

@@ -47,6 +47,7 @@ from .jets import (
     map_from_desc,
     map_to_desc,
     op_norm,
+    op_norms,
     xi2_build,
     xi2_pointwise_check,
 )
@@ -1112,9 +1113,9 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
             )
         )
         probe_grid = lattice(xi2.domain, per_axis=2)
-        for pt2 in probe_grid.points[:: max(1, len(probe_grid) // 4)]:
-            for ell in (1, 2) if sc.dim == 1 else (1,):
-                xi2_reports.append(xi2_pointwise_check(op0.xi, xi2, pt2, ell))
+        probes = probe_grid.points[:: max(1, len(probe_grid) // 4)]
+        for ell in (1, 2) if sc.dim == 1 else (1,):
+            xi2_reports.append(xi2_pointwise_check(op0.xi, xi2, probes, ell))
     out.append(
         merge_min_margin("lem:Abschaetzung_hoheDiffs_Spezialfall-linArg", xi2_reports)
     )
@@ -1123,7 +1124,7 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
     xi2e = xi2_build(op0.xi, "evaluate", slab)
     grid = lattice(xi2e.domain, per_axis=3 if sc.dim == 1 else 2)
     for ell in (1, 2) if sc.dim == 1 else (1,):
-        lhs = max(op_norm(MultilinearMap(t, 1)) for t in xi2e.tensors(grid.points, ell))
+        lhs = op_norms(xi2e.tensors(grid.points, ell)).max()
         rhs = ell * op0.bound(ell) + slab * op0.bound(ell + 1)
         slab_reports.append(
             bound_report(
@@ -1427,7 +1428,7 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
         dmap = PairedDerivativeMap(DifferentialMap(m), "evaluate", slab)
         grid = lattice(dmap.domain, per_axis=3 if sc.dim == 1 else 2)
         for ell in (1, 2) if sc.dim == 1 else (1,):
-            lhs = max(op_norm(MultilinearMap(t, 1)) for t in dmap.tensors(grid.points, ell))
+            lhs = op_norms(dmap.tensors(grid.points, ell)).max()
             k_prev = crude_sup_bound(m, ell)      # bounds |Dm|_(1, l-1)
             k_curr = crude_sup_bound(m, ell + 1)  # bounds |Dm|_(1, l)
             transfer.append(

@@ -10,7 +10,12 @@ finite-difference stencils (``fd_tensors``), the fixed-point inversion
 (``InverseMap.solves``), weight evaluation (``Weight.values``, of which
 ``Weight.__call__`` is a batch of one) and the weighted grid sup
 (``weighted_seminorm``), each against its one-point rule kept here as
-the oracle.
+the oracle.  Operator norms (``op_norms`` over a stack, of which
+``op_norm`` is a batch of one) are pinned against the per-tensor
+enumeration kept here: bit for bit on every stack a scenario run of
+seeds 0..9 builds and on the shapes where BLAS sums a stack row as it
+sums one tensor, within rounding elsewhere; the paired-derivative check
+over a point array against the merge of its one-point reports.
 """
 
 import itertools
@@ -25,11 +30,14 @@ from wrp.errors import (
     ContractionViolationError,
     DataError,
     DomainMembershipError,
+    EnumerationBudgetError,
     GeometryError,
     IterationError,
     PreconditionError,
+    UnsupportedNormError,
 )
 from wrp.jets import (
+    ENUM_BUDGET,
     AffineMap,
     BilinearPairMap,
     ComponentMap,
@@ -51,14 +59,25 @@ from wrp.jets import (
     fd_tensors,
     identity_map,
     op_norm,
+    op_norms,
+    opnorm_inf,
+    uncurry_last,
     validate_jet_map,
+    xi2_pointwise_check,
     xi2_build,
 )
 from wrp.operators import ContractionConfig, InverseMap
 from wrp.restricted import PointwiseQIMap
-from wrp.seminorms import WeightedFunction, weighted_seminorm
-from wrp.spaces import BOX, Weight, ball, box
-from wrp.verify import ELEMENT_GRIDS, ScenarioUnit, generate_scenario, load_scenario
+from wrp.report import bound_report, merge_min_margin
+from wrp.seminorms import WeightedFunction, lattice, weighted_seminorm
+from wrp.spaces import BOX, EUCLIDEAN, SUP, Weight, ball, box
+from wrp.verify import (
+    ELEMENT_GRIDS,
+    ScenarioUnit,
+    generate_scenario,
+    load_scenario,
+    run_suite,
+)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "scenario_seed0.json")
 MAX_ORDER_CAP = 3  # orders checked for maps without a declared max order
@@ -601,10 +620,203 @@ def test_weight_values_name_the_first_nan_row():
     assert w.values(pts[[0, 3]]).tolist() == [1.0, 1.0]
 
 
+# -- operator norms
+
+
+def _op_norm_oracle(t: MultilinearMap, norm_kind: str = SUP) -> float:
+    """The per-tensor rule: uncurry, then enumerate the sign vertices of
+    all arguments but the last, one ``tensordot`` per vertex and argument,
+    the last optimized by an absolute row sum; the vertex max by Python's
+    ``max``."""
+    while t.out_rank > 1:
+        t = uncurry_last(t)
+    e = t.entries
+    if np.isnan(e).any():
+        idx = tuple(np.argwhere(np.isnan(e))[0].tolist())
+        raise DataError(f"operator norm of a tensor with a NaN entry at {idx}")
+    if norm_kind == EUCLIDEAN:
+        if t.order == 0:
+            return float(np.linalg.norm(e))
+        if t.order == 1:
+            return float(np.linalg.norm(e, 2))
+        raise UnsupportedNormError("euclidean norms only for order <= 1")
+    if t.order == 0:
+        return float(np.max(np.abs(e))) if e.size else 0.0
+    if sum(t.in_dims) > ENUM_BUDGET:
+        raise EnumerationBudgetError(f"total argument dimension {sum(t.in_dims)}")
+    signs_per_arg = [
+        [np.array((1.0,) + rest) for rest in itertools.product((1.0, -1.0), repeat=d - 1)]
+        for d in t.in_dims[:-1]
+    ]
+    best = 0.0
+    for signs in itertools.product(*signs_per_arg):
+        v = e
+        for s in signs:
+            v = np.tensordot(v, s, axes=(1, 0))
+        best = max(best, float(np.max(np.abs(v).sum(axis=1))))
+    return best
+
+
+def _rows_match_oracle(stack, out_rank, norm_kind=SUP) -> bool:
+    want = [_op_norm_oracle(MultilinearMap(t, out_rank), norm_kind) for t in stack]
+    return _same_bits(op_norms(stack, out_rank, norm_kind), want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_op_norms_rows_match_oracle_on_scenario_stacks(seed, monkeypatch):
+    """Every stack ``weighted_seminorm`` and the jets and sim runners pass
+    to ``op_norms`` in a full run of the seed."""
+    import wrp.seminorms
+    import wrp.verify
+
+    stacks = {"seminorms": [], "verify": []}
+    for name, mod in (("seminorms", wrp.seminorms), ("verify", wrp.verify)):
+        def record(entries, out_rank=1, norm_kind=SUP, _seen=stacks[name]):
+            _seen.append((np.array(entries), out_rank, norm_kind))
+            return op_norms(entries, out_rank, norm_kind)
+        monkeypatch.setattr(mod, "op_norms", record)
+    run_suite([ScenarioUnit(seed=seed)])
+    assert len(stacks["seminorms"]) > 100 and len(stacks["verify"]) >= 2
+    for stack, out_rank, norm_kind in stacks["seminorms"] + stacks["verify"]:
+        assert _rows_match_oracle(stack, out_rank, norm_kind), (stack.shape, out_rank)
+
+
+def _random_stack(rng, shape):
+    """A stack of 1 to 11 tensors of ``shape`` with signed zeros, the
+    first row all -0.0."""
+    stack = rng.normal(size=(int(rng.integers(1, 12)),) + shape) * 10.0 ** rng.integers(-3, 4)
+    stack[rng.random(stack.shape) < 0.2] = -0.0
+    stack[0] = -0.0
+    return stack
+
+
+def test_op_norms_rows_match_oracle_on_random_stacks():
+    """Output ranks 1 to 3 with arguments of dimension 1 to 3, and vector
+    outputs with arguments up to 7: the shapes where a stack row carries
+    the per-tensor bits (see the next test for the others)."""
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        out_rank = int(rng.integers(1, 4))
+        shape = tuple(int(d) for d in rng.integers(1, 4, size=out_rank + int(rng.integers(0, 3))))
+        assert _rows_match_oracle(_random_stack(rng, shape), out_rank), shape
+    for shape in ((2, 7, 3), (3, 4, 5, 2), (2, 6, 1, 4), (4, 5, 5)):
+        assert _rows_match_oracle(_random_stack(rng, shape), 1), shape
+
+
+def test_op_norms_rows_within_rounding_where_blas_kernels_differ():
+    """Each vertex sum goes through BLAS, whose kernel follows the
+    layout.  A scalar-valued tensor summed over 4 or more entries takes
+    a transposed gemv (or dot) alone but gemv in a stack, and gemv blocks
+    sums of 8 or more entries by row position, so there a stack row
+    agrees with the per-tensor rule to a bound set from the float64
+    epsilon; a batch of one keeps the per-tensor bits."""
+    rng = np.random.default_rng(12)
+    for shape, out_rank in (((1, 4, 2), 1), ((1, 5, 3, 2), 1), ((1, 3, 4), 2),
+                            ((1, 2, 6, 1), 3), ((2, 8, 2), 1), ((1, 9, 3), 1)):
+        for _ in range(3):
+            stack = _random_stack(rng, shape)
+            got = op_norms(stack, out_rank)
+            for row, t in zip(got, stack):
+                want = _op_norm_oracle(MultilinearMap(t, out_rank))
+                assert _same_bits(op_norm(MultilinearMap(t, out_rank)), want), shape
+                bound = 2 * sum(shape[1:]) * np.finfo(float).eps * np.abs(t).sum()
+                assert abs(row - want) <= bound, shape
+
+
+def test_op_norms_euclidean_and_budget_match_oracle():
+    rng = np.random.default_rng(12)
+    for shape in ((3,), (4, 1), (2, 3), (5, 5), (1, 4)):
+        stack = rng.normal(size=(7,) + shape)
+        stack[0] = -0.0
+        assert _rows_match_oracle(stack, 1, EUCLIDEAN), shape
+    with pytest.raises(UnsupportedNormError):
+        op_norms(np.zeros((2, 1, 2, 2)), 1, EUCLIDEAN)
+    with pytest.raises(UnsupportedNormError):
+        op_norms(np.zeros((2, 2)), 1, "taxicab")
+    big = np.zeros((2, 1) + (3,) * 6)
+    with pytest.raises(EnumerationBudgetError):
+        _op_norm_oracle(MultilinearMap(big[0], 1))
+    with pytest.raises(EnumerationBudgetError, match="18 exceeds 16"):
+        op_norms(big)
+
+
+def test_op_norms_names_the_first_nan_row_and_entry():
+    stack = np.ones((4, 2, 3, 2))
+    stack[2, 0, 0, 0] = np.nan
+    stack[1, 1, 2, 0] = np.nan
+    stack[1, 0, 1, 1] = np.nan
+    with pytest.raises(DataError, match=re.escape("NaN entry at (0, 1, 1) in row 1")):
+        op_norms(stack)
+    with pytest.raises(DataError, match=re.escape("NaN entry at (1, 2, 0) in row 0")):
+        op_norm(MultilinearMap(np.where(np.arange(12).reshape(2, 3, 2) == 10, np.nan, 1.0), 1))
+
+
+def test_op_norms_infinite_entries_and_overflow_give_inf():
+    inf = math.inf
+    # every vertex of the old enumeration hit inf - inf and max dropped the NaN
+    t = np.array([[[inf, inf], [-inf, inf]]])
+    assert op_norm(MultilinearMap(t, 1)) == inf
+    assert op_norms(np.array([[inf, 1.0]]), 1).tolist() == [inf]
+    # finite entries whose vertex sums overflow into inf - inf
+    big = np.zeros((1, 2, 2, 1))
+    big[0, :, :, 0] = [[1e308, -1e308], [1e308, -1e308]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert op_norm(MultilinearMap(big[0], 1)) == inf
+        got = op_norms(np.stack([big, np.ones((1, 2, 2, 1)), big]))
+    assert got.tolist() == [inf, _op_norm_oracle(MultilinearMap(np.ones((1, 2, 2, 1)), 1)), inf]
+    # an infinite row leaves the other rows of its stack untouched
+    rng = np.random.default_rng(13)
+    stack = rng.normal(size=(5, 2, 3, 3))
+    stack[3, 1, 0, 2] = -inf
+    got = op_norms(stack)
+    assert got[3] == inf
+    assert _same_bits(got[[0, 1, 2, 4]], op_norms(stack[[0, 1, 2, 4]]))
+
+
+def test_op_norms_empty_axes_are_the_zero_map():
+    for shape in ((2, 0, 3), (0, 3, 3), (2, 3, 0)):
+        assert op_norm(MultilinearMap(np.zeros(shape), 1)) == 0.0, shape
+        assert op_norms(np.zeros((3,) + shape)).tolist() == [0.0] * 3
+    assert op_norms(np.zeros((0, 2, 3, 3))).shape == (0,)
+
+
+def _xi2_point_report(xi, xi2, point, ell, tol):
+    """The one-point rule of ``xi2_pointwise_check``, with oracle norms."""
+    mu = xi.domain.dim
+    u, e = point[:mu], point[mu:]
+    if xi2.pairing == "compose":
+        e_norm = opnorm_inf(e.reshape(xi2.e_shape))
+    else:
+        e_norm = float(np.max(np.abs(e))) if e.size else 0.0
+    lhs = _op_norm_oracle(xi2.tensor(point, ell))
+    rhs = ell * _op_norm_oracle(xi.tensor(u, ell)) + e_norm * _op_norm_oracle(
+        xi.tensor(u, ell + 1))
+    return bound_report(
+        "lem:Abschaetzung_hoheDiffs_Spezialfall-linArg", lhs, rhs, tolerance=tol,
+        lhs_provenance="exact", rhs_provenance="exact", witness=tuple(point.tolist()),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_xi2_pointwise_check_is_the_merge_of_point_reports(seed):
+    sc = generate_scenario(seed)
+    xi = sc.xis[0].xi
+    for pairing in ("evaluate", "compose") if sc.dim == 1 else ("evaluate",):
+        xi2 = xi2_build(xi, pairing, 0.5)
+        pts = lattice(xi2.domain, per_axis=2).points
+        for ell in (1, 2) if sc.dim == 1 else (1,):
+            for tol in (1e-9, -1e9):  # the second makes every row fail
+                got = xi2_pointwise_check(xi, xi2, pts, ell, tol)
+                want = merge_min_margin(got.check_id, [
+                    _xi2_point_report(xi, xi2, p, ell, tol) for p in pts])
+                assert got.to_dict() == want.to_dict(), (pairing, ell, tol)
+
+
 def _seminorm_oracle(wf, weight, ell):
     """The one-point sup: |f(x)| * |D^l map(x)| point by point, the
     infinite cases by the inf * 0 rules, the first largest point kept."""
-    norms = [op_norm(MultilinearMap(t, len(wf.map.out_shape)), wf.grid.domain.space.norm_kind)
+    norms = [_op_norm_oracle(MultilinearMap(t, len(wf.map.out_shape)),
+                             wf.grid.domain.space.norm_kind)
              for t in wf.map.tensors(wf.grid.points, ell)]
     best, witness = 0.0, None
     for x, n in zip(wf.grid.points, norms):

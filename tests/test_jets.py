@@ -423,8 +423,8 @@ class TestXi2:
         kernel = _SinTimesY(product_box(box([-1.0], [1.0]), box([-1.0], [1.0])))
         xi2 = xi2_build(kernel, "evaluate", 1.0)
         pt = np.array([0.5, 0.2, 0.3])
-        rep = xi2_pointwise_check(kernel, xi2, pt, 1)
-        assert rep.status == "pass"
+        rep = xi2_pointwise_check(kernel, xi2, pt[None], 1)
+        assert rep.status == "pass" and rep.witness == (0.5, 0.2, 0.3)
         # oracle values computed by hand: lhs row sum, rhs from D xi, D^2 xi
         lhs = abs(math.cos(0.5) * 0.3) + abs(math.sin(0.5))
         d1 = abs(math.cos(0.5) * 0.2) + abs(math.sin(0.5))
