@@ -337,7 +337,9 @@ class JetMap:
     def tensors(self, points: np.ndarray, ell: int) -> np.ndarray:
         """Order-``ell`` derivative entries at each row of the float array
         ``points`` ``(N, dim)``: shape ``(N,) + out_shape + (dim,) * ell``.
-        Row ``i`` is bit-identical whatever the other rows are."""
+        Row ``i`` is bit-identical whatever the other rows are.  The
+        result may be a cached array (or a view of one) shared with other
+        callers and read-only; copy it before writing."""
         raise NotImplementedError
 
     def tensor(self, x, ell: int) -> MultilinearMap:
@@ -482,7 +484,14 @@ def _poly_tensors(pm: "PolynomialMap", coefs: np.ndarray, points: np.ndarray,
 
 
 class PolynomialMap(JetMap):
-    """sum over terms of coef * x^powers, with exact tensors of any order."""
+    """sum over terms of coef * x^powers, with exact tensors of any order.
+
+    Evaluations are cached per instance by the exact input bits, as
+    ``InverseMap.solves`` caches its fixed points: :meth:`tensors` by the
+    points' dtype, shape and bytes and the order, the certified entry
+    bounds by the order.  A cached array is shared and read-only; callers
+    copy before writing.
+    """
 
     def __init__(self, domain: DomainSet, terms, in_blocks=None):
         terms = tuple(
@@ -504,10 +513,18 @@ class PolynomialMap(JetMap):
         self._coefs = np.array([c for c, _ in terms])
         self._power_key = tuple(pw for _, pw in terms)  # key of _poly_table
         self._powers = np.array(self._power_key)
+        self._tensors_cache: dict[tuple, np.ndarray] = {}
+        self._bounds_cache: dict[int, np.ndarray] = {}
 
     def tensors(self, points, ell):
         self._check_order(ell)
-        return _poly_tensors(self, self._coefs, points, ell)
+        key = (points.dtype.str, points.shape, points.tobytes(), ell)
+        ent = self._tensors_cache.get(key)
+        if ent is None:
+            ent = _poly_tensors(self, self._coefs, points, ell)
+            ent.flags.writeable = False
+            self._tensors_cache[key] = ent
+        return ent
 
 
 class TrigPolynomialMap(JetMap):
@@ -1237,20 +1254,26 @@ def _axis_sups(domain: DomainSet) -> np.ndarray:
 def _entry_bounds(map_: JetMap, ell: int) -> np.ndarray:
     """Entrywise bounds sup_x |tensor(x, ell)[o, j*]|, rows flattened."""
     m = map_.dim
-    s = _axis_sups(map_.domain)
     if isinstance(map_, ConstMap):
         if ell == 0:
             return np.abs(map_.c).reshape(-1, 1)
         return np.zeros((map_.out_dim, m**ell))
     if isinstance(map_, AffineMap):
         if ell == 0:
-            return (np.abs(map_.a) @ s + np.abs(map_.b)).reshape(-1, 1)
+            return (np.abs(map_.a) @ _axis_sups(map_.domain) + np.abs(map_.b)).reshape(-1, 1)
         if ell == 1:
             return np.abs(map_.a)
         return np.zeros((map_.out_dim, m**ell))
     if isinstance(map_, PolynomialMap):
-        coefs = np.abs(map_._coefs)
-        return _poly_tensors(map_, coefs, s[None], ell)[0].reshape(map_.out_dim, -1)
+        # a function of the coefficients and the domain's box alone
+        ent = map_._bounds_cache.get(ell)
+        if ent is None:
+            coefs = np.abs(map_._coefs)
+            corner = _axis_sups(map_.domain)[None]
+            ent = _poly_tensors(map_, coefs, corner, ell)[0].reshape(map_.out_dim, -1)
+            ent.flags.writeable = False
+            map_._bounds_cache[ell] = ent
+        return ent
     if isinstance(map_, TrigPolynomialMap):
         n = map_.out_dim
         out = np.zeros((n,) + (m,) * ell)

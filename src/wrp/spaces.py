@@ -272,18 +272,31 @@ class Weight:
     certified_sup: float | None = None
     certified_inf: float | None = None
     desc: dict | None = field(default=None, compare=False)
+    _cache: dict[tuple, np.ndarray] = field(
+        default_factory=dict, compare=False, repr=False, init=False)
 
     def values(self, points) -> np.ndarray:
         """``fn`` at every row of the ``(N, dim)`` array ``points``: the one
         evaluation rule.  ``fn`` runs once per row, keeping the libm bits
-        of a one-point call; a NaN is a DataError naming its first row."""
+        of a one-point call; a NaN is a DataError naming its first row.
+
+        Results are cached per instance by the float points' shape and
+        bytes, as ``InverseMap.solves`` caches its fixed points; a NaN is
+        never cached, so it raises on every call.  The returned array is
+        shared and read-only; callers copy before writing."""
         pts = np.asarray(points, dtype=float)
+        key = (pts.shape, pts.tobytes())
+        v = self._cache.get(key)
+        if v is not None:
+            return v
         v = np.array([float(self.fn(x)) for x in pts], dtype=float)
         nan = np.isnan(v)
         if nan.any():
             raise DataError(
                 f"weight {self.name!r} evaluated to NaN at {pts[int(np.argmax(nan))].tolist()}"
             )
+        v.flags.writeable = False
+        self._cache[key] = v
         return v
 
     def __call__(self, point) -> float:

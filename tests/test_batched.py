@@ -15,7 +15,10 @@ the oracle.  Operator norms (``op_norms`` over a stack, of which
 enumeration kept here: bit for bit on every stack a scenario run of
 seeds 0..9 builds and on the shapes where BLAS sums a stack row as it
 sums one tensor, within rounding elsewhere; the paired-derivative check
-over a point array against the merge of its one-point reports.
+over a point array against the merge of its one-point reports.  The
+per-instance caches of ``PolynomialMap.tensors``, the polynomial entry
+bounds and ``Weight.values`` hand back read-only arrays with the bits of
+an uncached evaluation, keyed by the exact input bits.
 """
 
 import itertools
@@ -26,6 +29,7 @@ import re
 import numpy as np
 import pytest
 
+from wrp import jets
 from wrp.errors import (
     ContractionViolationError,
     DataError,
@@ -33,6 +37,7 @@ from wrp.errors import (
     EnumerationBudgetError,
     GeometryError,
     IterationError,
+    OrderError,
     PreconditionError,
     UnsupportedNormError,
 )
@@ -845,3 +850,129 @@ def test_weighted_seminorm_matches_one_point_sup(seed):
                 assert _same_bits(got.value, best) and got.witness == witness, (key, w.name, ell)
     zero = WeightedFunction(ConstMap(dom, np.zeros(sc.dim)), sc.factors[0].grid_u, 0)
     assert weighted_seminorm(zero, spiky, 0).value == _seminorm_oracle(zero, spiky, 0)[0] == 0.0
+
+
+# -- per-instance caches keyed by the input bits
+
+
+def _leaf_polys(map_, pts):
+    """The ``PolynomialMap`` leaves of ``map_`` that are evaluated at
+    ``pts`` themselves, each with ``pts``."""
+    if isinstance(map_, PolynomialMap):
+        return [(map_, pts)]
+    if isinstance(map_, (SumMap, PairMap)):
+        return [leaf for p in map_.parts for leaf in _leaf_polys(p, pts)]
+    if isinstance(map_, (ScaledMap, ComponentMap)):
+        return _leaf_polys(map_.base, pts)
+    return []
+
+
+def _scenario_polys(seed: int) -> list[tuple[str, PolynomialMap, np.ndarray]]:
+    """Every polynomial a generated scenario carries, on its grid (the
+    element factors) or at probe points (the superposition operands and
+    the sigmas)."""
+    sc = generate_scenario(seed)
+    out = []
+    for key in ELEMENT_GRIDS:
+        for i, wf in enumerate(getattr(sc, key).factors):
+            out += [(f"{key}[{i}]", pm, pts) for pm, pts in _leaf_polys(wf.map, wf.grid.points)]
+    for i, (op, sigma) in enumerate(zip(sc.xis, sc.sigmas)):
+        out += [(f"xi[{i}]", op.xi, _probe_points(op.xi, seed)),
+                (f"sigma[{i}]", sigma, _probe_points(sigma, seed))]
+    assert all(isinstance(pm, PolynomialMap) for _, pm, _ in out)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cached_tensors_and_values_carry_the_direct_bits(seed):
+    polys = _scenario_polys(seed)
+    assert len(polys) > 30
+    for label, pm, pts in polys:
+        for ell in range(3):
+            first = pm.tensors(pts, ell)
+            again = pm.tensors(pts, ell)
+            assert again is first, (label, ell)
+            assert _same_bits(again, jets._poly_tensors(pm, pm._coefs, pts, ell)), (label, ell)
+            assert not again.flags.writeable, (label, ell)
+    for name, w, pts in _scenario_weights(generate_scenario(seed)):
+        first, again = w.values(pts), w.values(pts)
+        assert again is first, name
+        assert _same_bits(again, [float(w.fn(x)) for x in pts]), name
+        assert not again.flags.writeable, name
+
+
+def test_tensors_cache_key_separates_dtype_and_signed_zero(monkeypatch):
+    pm = PolynomialMap(box([-2.0], [2.0]), [([1.0, -1.0], (1,)), ([0.5, 2.0], (3,))])
+    kernel, calls = jets._poly_tensors, []  # the (points, ell) of every miss
+    monkeypatch.setattr(jets, "_poly_tensors",
+                        lambda m, coefs, x, ell: calls.append((x, ell)) or kernel(m, coefs, x, ell))
+    pts = np.array([[1.0], [0.5]])
+    as_int = pts.view(np.int64)  # the same bytes, read as integers
+    zero, neg_zero = np.array([[0.0]]), np.array([[-0.0]])
+    for ell in range(3):
+        for x in (pts, as_int, zero, neg_zero):
+            got = pm.tensors(x, ell)
+            assert calls[-1][0] is x and calls[-1][1] == ell  # a miss
+            assert _same_bits(got, kernel(pm, pm._coefs, x, ell))
+    assert len(calls) == 12
+    assert not np.array_equal(pm.tensors(pts, 0), pm.tensors(as_int, 0))
+    # hits, for an equal copy and for a non-contiguous view with equal bits
+    assert pm.tensors(pts.copy(), 1) is pm.tensors(pts, 1)
+    wide = np.array([[1.0, 9.0], [0.5, 9.0]])
+    assert pm.tensors(wide[:, :1], 2) is pm.tensors(pts, 2)
+    assert len(calls) == 12
+
+
+def test_tensors_cache_checks_the_order_first():
+    pm = PolynomialMap(box([-1.0], [1.0]), [([1.0], (2,))])
+    pts = np.array([[0.5]])
+    pm.tensors(pts, 2)
+    pm.max_order = 1
+    with pytest.raises(OrderError):
+        pm.tensors(pts, 2)
+    with pytest.raises(OrderError):
+        pm.tensors(pts, -1)
+
+
+def test_values_cache_key_separates_shape_dtype_and_signed_zero():
+    seen = []
+
+    def fn(x):
+        seen.append(len(x))
+        return math.copysign(float(len(x)), x[0])
+
+    w = Weight("sign", fn)
+    cols, rows = np.array([[1.0], [2.0]]), np.array([[1.0, 2.0]])  # same bytes
+    assert w.values(cols).tolist() == [1.0, 1.0]
+    assert w.values(rows).tolist() == [2.0]
+    assert w.values(np.array([[0.0]])).tolist() == [1.0]
+    assert w.values(np.array([[-0.0]])).tolist() == [-1.0]
+    assert len(seen) == 5
+    # integer points are evaluated as floats: the same key as their values
+    assert w.values(np.array([[1], [2]])) is w.values(cols)
+    assert w(np.array([-0.0])) == -1.0 and len(seen) == 5  # a batch of one: a hit
+
+
+def test_nan_weight_raises_on_every_call():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return np.nan if x[0] > 0.2 else 1.0
+
+    w = Weight("half", fn)
+    pts = np.array([[0.0], [0.5]])
+    for n in (2, 4):
+        with pytest.raises(DataError, match=re.escape("'half' evaluated to NaN at [0.5]")):
+            w.values(pts)
+        assert len(calls) == n  # evaluated again: a NaN is never cached
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_crude_sup_bound_matches_uncached_arithmetic(seed):
+    for label, pm, _ in _scenario_polys(seed):
+        corner = jets._axis_sups(pm.domain)[None]
+        for ell in range(4):
+            ent = jets._poly_tensors(pm, np.abs(pm._coefs), corner, ell)[0]
+            want = float(np.max(ent.reshape(pm.out_dim, -1).sum(axis=1)))
+            assert crude_sup_bound(pm, ell) == crude_sup_bound(pm, ell) == want, (label, ell)

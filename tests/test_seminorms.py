@@ -38,7 +38,7 @@ class _PokedPoly(PolynomialMap):
         self.at, self.poke = at, poke
 
     def tensors(self, points, ell):
-        t = super().tensors(points, ell)
+        t = super().tensors(points, ell).copy()  # a cached result is read-only
         t[(points == self.at).all(axis=1)] = self.poke
         return t
 
