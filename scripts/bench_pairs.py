@@ -17,12 +17,16 @@ The record holds every run (its gated metrics, ``correct``, ``fail_ratio``
 and ``report.json`` sha256), each side's median and quartiles (the
 ``statistics.quantiles`` default method) of every gated metric per
 workload, the number of pairs the after side won per metric, the tier-1
-wall times and the machine it ran on.
+wall times and the machine it ran on.  Next to each side's git commit
+(``null`` outside a git checkout, e.g. for an exported copy) it holds a
+sha256 of the side's ``src/**/*.py``, so the record names the code it
+measured either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -65,6 +69,18 @@ def tier1(root: Path) -> dict:
 def commit(root: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return proc.stdout.strip() or None
+
+
+def source_sha256(root: Path) -> str:
+    """sha256 over ``src/**/*.py`` of a checkout: per file in the order of
+    the relative paths, the path, the byte count and the bytes."""
+    digest = hashlib.sha256()
+    files = sorted((p.relative_to(root).as_posix(), p) for p in (root / "src").rglob("*.py"))
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def cpu_model() -> dict:
@@ -138,6 +154,7 @@ def main() -> int:
             "cpu": cpu_model(),
         },
         "commits": {side: commit(path) for side, path in sides.items()},
+        "sources_sha256": {side: source_sha256(path) for side, path in sides.items()},
         "stats": stats,
         "tier1": {side: tier1(path) for side, path in sides.items()},
         "runs": runs,

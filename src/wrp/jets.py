@@ -960,40 +960,79 @@ def mixed_partial1_tensor(xi: JetMap, point, ell: int) -> MultilinearMap:
 # finite differences (oracle only)
 
 
-def _fd_prefix(map_: JetMap, points, order: int, h: float | None):
-    """Central differences of orders 0..``order`` at the leading rows of
-    ``points`` whose stencils lie inside the domain, and the error naming
-    the first stencil point outside (``None`` when every stencil is inside).
+@functools.cache
+def _fd_offsets(m: int, order: int, h1: float, h2: float):
+    """The central-difference stencil of orders 0..``order`` in dimension
+    ``m``, built once per (m, order, h1, h2) and shared, so callers only
+    read it.
 
-    Each stencil is built with the additions of a one-point stencil, all
-    stencils take one membership test and one ``tensors`` call, and the
-    differences run over the points at once, so row ``i`` carries the bits
-    of a one-point difference at ``points[i]``."""
-    if order > 2:
-        raise OrderError("finite differences provided for orders <= 2")
-    x = np.asarray(points, dtype=float)
-    n, m = x.shape
-    h1 = FD_STEP_ORDER1 if h is None else h
-    h2 = FD_STEP_ORDER2 if h is None else h
+    Entry ``s`` of the stencil at ``x`` is ``(x + o1[s]) + o2[s]``, in the
+    order x; x + h1 e_j, x - h1 e_j per j; then per i, x + h2 e_i,
+    x - h2 e_i and x ± h2 e_i ± h2 e_j per j > i.  ``x - e`` is
+    ``x + (-e)`` bit for bit, and where a one-point stencil adds nothing
+    the table holds -0.0, which leaves every coordinate, -0.0 included,
+    as it is; so each entry carries the bits of the one-point stencil
+    ``x``, ``x ± e_j`` or ``x ± e_i ± e_j``.
+
+    Also returns ``second``, the entries the second differences read,
+    grouped as x + e_i, x - e_i (per i), then x + e_i + e_j, x + e_i - e_j,
+    x - e_i + e_j, x - e_i - e_j (per pair i < j), and ``sym``, which
+    takes the flattened (m, m) matrix from the m diagonal differences
+    followed by the pairs' differences."""
+    none = np.full(m, -0.0)
 
     def step(j, size):
         e = np.zeros(m)
         e[j] = size
         return e
 
-    stencil = [x]
+    o1, o2 = [none], [none]
     if order >= 1:
         for j in range(m):
-            stencil += [x + step(j, h1), x - step(j, h1)]
+            o1 += [step(j, h1), -step(j, h1)]
+            o2 += [none, none]
+    diag, quad = [], []
+    sym = np.zeros(m * m, dtype=np.intp)
+    sym[::m + 1] = np.arange(m)
     if order >= 2:
         for i in range(m):
             ei = step(i, h2)
-            stencil += [x + ei, x - ei]
+            diag.append(len(o1))
+            o1 += [ei, -ei]
+            o2 += [none, none]
             for j in range(i + 1, m):
                 ej = step(j, h2)
-                stencil += [x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
+                sym[[i * m + j, j * m + i]] = m + len(quad)
+                quad.append(len(o1))
+                o1 += [ei, ei, -ei, -ei]
+                o2 += [ej, -ej, ej, -ej]
+    second = [s + k for k in (0, 1) for s in diag] + [s + k for k in range(4) for s in quad]
+    table = (np.array(o1), np.array(o2), np.array(second, dtype=np.intp), sym)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _fd_prefix(map_: JetMap, points, order: int, h: float | None):
+    """Central differences of orders 0..``order`` at the leading rows of
+    ``points`` whose stencils lie inside the domain, and the error naming
+    the first stencil point outside (``None`` when every stencil is inside).
+
+    All stencils are ``(x[:, None, :] + o1) + o2`` from the cached offset
+    table of :func:`_fd_offsets`, so each entry has the bits of a
+    one-point stencil, signed zeros included.  They take one membership
+    test and one ``tensors`` call, and each difference is one expression
+    over slices of the stencil axis for all points at once, so row ``i``
+    carries the bits of a one-point difference at ``points[i]``."""
+    if order > 2:
+        raise OrderError("finite differences provided for orders <= 2")
+    x = np.asarray(points, dtype=float)
+    n, m = x.shape
+    h1 = FD_STEP_ORDER1 if h is None else h
+    h2 = FD_STEP_ORDER2 if h is None else h
+    o1, o2, second, sym = _fd_offsets(m, order, h1, h2)
     # (point, stencil entry, axis): probe order is row-major
-    stencil = np.stack(stencil, axis=1)
+    stencil = (x[:, None, :] + o1) + o2
     inside = map_.domain.members(stencil.reshape(-1, m)).reshape(n, -1)
     n_in = int(np.argmin(inside.all(axis=1))) if not inside.all() else n
     outside = None
@@ -1004,22 +1043,20 @@ def _fd_prefix(map_: JetMap, points, order: int, h: float | None):
         )
     vals = map_.tensors(stencil[:n_in].reshape(-1, m), 0) if n_in else \
         np.empty((0,) + map_.out_shape)
-    vals = vals.reshape((n_in, stencil.shape[1]) + map_.out_shape)
-    cols = iter(np.moveaxis(vals, 1, 0))
-    f0 = next(cols)
+    # (point,) + out_shape + (stencil entry,)
+    v = np.moveaxis(vals.reshape((n_in, len(o1)) + map_.out_shape), 1, -1)
+    f0 = v[..., 0]
     tensors = [f0]
     if order >= 1:
-        d1 = [(next(cols) - next(cols)) / (2 * h1) for _ in range(m)]
-        tensors.append(np.stack(d1, axis=-1))
+        tensors.append((v[..., 1:2 * m + 1:2] - v[..., 2:2 * m + 2:2]) / (2 * h1))
     if order >= 2:
-        d2 = np.zeros((n_in,) + map_.out_shape + (m, m))
-        for i in range(m):
-            d2[..., i, i] = (next(cols) - 2 * f0 + next(cols)) / h2**2
-            for j in range(i + 1, m):
-                v = (next(cols) - next(cols) - next(cols) + next(cols)) / (4 * h2**2)
-                d2[..., i, j] = v
-                d2[..., j, i] = v
-        tensors.append(d2)
+        w = v.take(second, axis=-1)
+        d2 = (w[..., :m] - 2 * f0[..., None] + w[..., m:2 * m]) / h2**2
+        if m > 1:
+            s = np.split(w[..., 2 * m:], 4, axis=-1)
+            pairs = (s[0] - s[1] - s[2] + s[3]) / (4 * h2**2)
+            d2 = np.concatenate([d2, pairs], axis=-1).take(sym, axis=-1)
+        tensors.append(d2.reshape(d2.shape[:-1] + (m, m)))
     return tensors, outside
 
 
@@ -1046,33 +1083,43 @@ def fd_jet(map_: JetMap, x, order: int, h: float | None = None) -> Jet:
 
 def validate_jet_map(map_: JetMap, rng: np.random.Generator, points: int = 3,
                      rtol: float = 1e-4):
-    """Ingest check: coded tensors agree with central differences.  A NaN
-    on either side is a disagreement.  Probes are checked in draw order:
-    a disagreement at one probe is raised before a stencil that leaves
-    the domain at a later one."""
+    """Ingest check: coded tensors agree with central differences.
+
+    The probes are drawn in rounds of one ``(missing, dim)`` uniform draw
+    and one membership test, keeping the rows inside, until ``points``
+    are kept: the stream and the probes of drawing one row at a time.
+    Each order is compared at all probes at once: the largest entry error
+    must be at most ``rtol * max(1, largest coded entry)``, and a NaN or
+    infinite entry on either side is a disagreement.  The first failing
+    (probe, order), probe by probe and order by order, is raised, ahead
+    of a stencil that leaves the domain at a later probe."""
     if map_.max_order is not None and map_.max_order < 1:
         return  # value-only map, nothing differentiable to cross-check
     lo, hi = map_.domain.bounding_box()
     mid, half = (lo + hi) / 2, (hi - lo) / 2
-    probes = []
+    probes = np.empty((0, map_.dim))
     while len(probes) < points:
-        x = mid + 0.5 * half * rng.uniform(-1, 1, size=map_.dim)
-        if map_.domain.contains(x):
-            probes.append(x)
-    probes = np.array(probes)
+        x = mid + 0.5 * half * rng.uniform(-1, 1, size=(points - len(probes), map_.dim))
+        probes = np.concatenate([probes, x[map_.domain.members(x)]])
     top = 1 if (map_.max_order is not None and map_.max_order < 2) else 2
     exact = [map_.tensors(probes, ell) for ell in range(1, top + 1)]
     approx, outside = _fd_prefix(map_, probes, top, None)
-    for i in range(len(approx[0])):
-        for ell in range(1, top + 1):
-            ex = exact[ell - 1][i]
-            scale = max(1.0, float(np.max(np.abs(ex))))
-            err = float(np.max(np.abs(ex - approx[ell][i])))
-            if not err <= rtol * scale:
-                raise PreconditionError(
-                    f"jet of order {ell} disagrees with finite differences "
-                    f"by {err:.3e} at {probes[i].tolist()}"
-                )
+    n_in = len(approx[0])
+    errs, bad = [], []
+    for ex, ap in zip(exact, approx[1:]):
+        ex = ex[:n_in].reshape(n_in, math.prod(ap.shape[1:]))
+        err = np.abs(ex - ap.reshape(ex.shape)).max(axis=1)
+        scale = np.maximum(1.0, np.abs(ex).max(axis=1))
+        # a NaN or infinite entry on either side makes err NaN or infinite
+        bad.append(~((err <= rtol * scale) & np.isfinite(err)))
+        errs.append(err)
+    bad = np.array(bad).T  # (probe, order)
+    if bad.any():
+        i, k = divmod(int(np.argmax(bad)), top)
+        raise PreconditionError(
+            f"jet of order {k + 1} disagrees with finite differences "
+            f"by {float(errs[k][i]):.3e} at {probes[i].tolist()}"
+        )
     if outside is not None:
         raise outside
 

@@ -18,7 +18,11 @@ sums one tensor, within rounding elsewhere; the paired-derivative check
 over a point array against the merge of its one-point reports.  The
 per-instance caches of ``PolynomialMap.tensors``, the polynomial entry
 bounds and ``Weight.values`` hand back read-only arrays with the bits of
-an uncached evaluation, keyed by the exact input bits.
+an uncached evaluation, keyed by the exact input bits.  The stencils
+built from the cached offset table carry the bits of a list-built
+one-point stencil, signed zeros included, and ``validate_jet_map`` draws
+the probe stream of a one-row-at-a-time loop and raises what a
+one-probe-at-a-time comparison raises.
 """
 
 import itertools
@@ -323,9 +327,10 @@ class _OffByOne(PolynomialMap):
         return super().tensors(points, ell) + (1.0 if ell == 1 else 0.0)
 
 
-def _probe_draws(map_, seed):
-    """The probes ``validate_jet_map`` draws with ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
+def _probe_draws(map_, seed, rng=None):
+    """Oracle: the probes ``validate_jet_map`` draws with
+    ``default_rng(seed)`` (or ``rng``), one row at a time."""
+    rng = np.random.default_rng(seed) if rng is None else rng
     lo, hi = map_.domain.bounding_box()
     mid, half = (lo + hi) / 2, (hi - lo) / 2
     probes = []
@@ -350,6 +355,8 @@ def test_validate_jet_map_raises_for_the_earliest_probe():
     bad = _OffByOne(dom, [([1.0], (2, 1))])
     seen = set()
     for seed in range(200):
+        # the exception type and message of a one-probe-at-a-time loop
+        assert _validate_outcome(bad, seed) == _validate_oracle(bad, seed), seed
         leaves = [_stencil_leaves(bad, x) for x in _probe_draws(bad, seed)]
         if not any(leaves):
             continue
@@ -366,6 +373,287 @@ def test_validate_jet_map_raises_for_the_earliest_probe():
             validate_jet_map(PolynomialMap(dom, bad.terms), np.random.default_rng(seed))
     assert seen == {"stencil", "disagreement"}
 
+
+
+# -- finite-difference stencils and jet validation against one-point loops
+
+
+def _fd_one_point(map_, x, order, h=None):
+    """Oracle: the one-point stencil of ``x``, built as a list in stencil
+    order, and its differences of orders 0..``order`` (``None`` and the
+    first stencil point outside the domain when one leaves it)."""
+    m = len(x)
+    h1 = jets.FD_STEP_ORDER1 if h is None else h
+    h2 = jets.FD_STEP_ORDER2 if h is None else h
+
+    def step(j, size):
+        e = np.zeros(m)
+        e[j] = size
+        return e
+
+    pts = [x]
+    if order >= 1:
+        for j in range(m):
+            pts += [x + step(j, h1), x - step(j, h1)]
+    if order >= 2:
+        for i in range(m):
+            ei = step(i, h2)
+            pts += [x + ei, x - ei]
+            for j in range(i + 1, m):
+                ej = step(j, h2)
+                pts += [x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
+    for p in pts:
+        if not _contains_oracle(map_.domain, p):
+            return None, p
+    f = iter([map_.value(p) for p in pts])
+    f0 = next(f)
+    out = [f0]
+    if order >= 1:
+        out.append(np.stack([(next(f) - next(f)) / (2 * h1) for _ in range(m)], axis=-1))
+    if order >= 2:
+        d2 = np.zeros(f0.shape + (m, m))
+        for i in range(m):
+            d2[..., i, i] = (next(f) - 2 * f0 + next(f)) / h2**2
+            for j in range(i + 1, m):
+                d2[..., i, j] = d2[..., j, i] = (
+                    next(f) - next(f) - next(f) + next(f)) / (4 * h2**2)
+        out.append(d2)
+    return out, None
+
+
+def _signed_zero_points(rng, m, n=6, near=None):
+    """Random points with exact 0.0 and -0.0 coordinates mixed in; with
+    ``near`` some coordinates sit that close inside the faces of
+    [-1, 1]^m, so that stencils leave the box."""
+    xs = rng.uniform(-0.5, 0.5, size=(n, m))
+    xs[rng.random((n, m)) < 0.35] = 0.0
+    xs[rng.random((n, m)) < 0.35] = -0.0
+    xs[0], xs[1] = -0.0, 0.0
+    if near is not None:
+        edge = rng.random((n, m)) < 0.25
+        xs[edge] = rng.choice([-1.0, 1.0], size=edge.sum()) * (1.0 - near)
+    return xs
+
+
+class _Coordinates(JetMap):
+    """The identity as a map to be differenced: its values are the stencil
+    points themselves, signed zeros included (a polynomial's sums start
+    from +0.0 and lose them)."""
+
+    def __init__(self, domain):
+        super().__init__(domain, (domain.dim,), 0)
+
+    def tensors(self, points, ell):
+        self._check_order(ell)
+        return np.array(points, dtype=float)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fd_stencils_match_list_built_one_point_oracle(m):
+    rng = np.random.default_rng(40 + m)
+    dom = box([-1.0] * m, [1.0] * m)
+    random_poly = PolynomialMap(dom, [
+        (rng.normal(size=2), tuple(int(p) for p in rng.integers(0, 4, m))) for _ in range(4)])
+    for pm, order, h in itertools.product(
+            (random_poly, _Coordinates(dom)), (0, 1, 2), (None, 1e-3, 0.0625)):
+        xs = _signed_zero_points(rng, m)
+        batch = fd_tensors(pm, xs, order, h=h)
+        assert len(batch) == order + 1
+        for i, x in enumerate(xs):
+            want, outside = _fd_one_point(pm, x, order, h)
+            assert outside is None
+            for ell in range(order + 1):
+                assert _same_bits(batch[ell][i], want[ell]), (order, h, i, ell)
+        for ell, t in enumerate(fd_jet(pm, xs[0], order, h=h).tensors):
+            assert _same_bits(t.entries, _fd_one_point(pm, xs[0], order, h)[0][ell])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fd_prefix_names_the_oracle_outside_point(m):
+    rng = np.random.default_rng(50 + m)
+    pm = PolynomialMap(box([-1.0] * m, [1.0] * m), [
+        (rng.normal(size=2), tuple(int(p) for p in rng.integers(0, 3, m))) for _ in range(3)])
+    seen = 0
+    for order, h in itertools.product((0, 1, 2), (None, 1e-3)):
+        for _ in range(4):
+            # some stencils cross a face, at its first or a later entry
+            xs = _signed_zero_points(rng, m, near=0.5 * (h or jets.FD_STEP_ORDER2))
+            rows = [_fd_one_point(pm, x, order, h) for x in xs]
+            n_in = next((i for i, (_, p) in enumerate(rows) if p is not None), len(xs))
+            got, outside = jets._fd_prefix(pm, xs, order, h)
+            assert all(len(t) == n_in for t in got)
+            for i in range(n_in):
+                for ell in range(order + 1):
+                    assert _same_bits(got[ell][i], rows[i][0][ell])
+            if n_in == len(xs):
+                assert outside is None
+                continue
+            seen += 1
+            name = str(rows[n_in][1].tolist())
+            assert isinstance(outside, DomainMembershipError) and name in str(outside)
+            with pytest.raises(DomainMembershipError) as info:
+                fd_tensors(pm, xs, order, h=h)
+            assert name in str(info.value)
+    assert seen > 0
+
+
+def test_fd_offsets_are_one_shared_read_only_table():
+    table = jets._fd_offsets(2, 2, 1e-4, 1e-3)
+    assert jets._fd_offsets(2, 2, 1e-4, 1e-3) is table
+    o1, o2 = table[:2]
+    assert o1.shape == o2.shape == (1 + 4 + 2 * 2 + 4, 2)
+    assert all(not a.flags.writeable for a in table)
+    # one-point stencil entries add -0.0 where they add nothing: x, the
+    # four x ± h1 e_j and the four x ± h2 e_i (pair (0, 1) is at 7..10)
+    single = [0, 1, 2, 3, 4, 5, 6, 11, 12]
+    assert np.signbit(o2[single]).all() and not o2[single].any()
+    assert o2[7:11].tolist() == [[0.0, 1e-3], [-0.0, -1e-3]] * 2
+    assert np.signbit(o1[0]).all() and not o1[0].any()
+
+
+def _validate_oracle(map_, seed, rtol=1e-4):
+    """Oracle: ``validate_jet_map`` one probe at a time, the exception it
+    raises as (type, message), or ``None``.  A NaN or infinite entry on
+    either side is a disagreement."""
+    probes = _probe_draws(map_, seed)
+    top = 1 if (map_.max_order is not None and map_.max_order < 2) else 2
+    for x in probes:
+        approx, outside = _fd_one_point(map_, x, top)
+        if outside is not None:
+            return DomainMembershipError, (
+                f"finite-difference stencil point {outside.tolist()} leaves the domain")
+        for ell in range(1, top + 1):
+            ex = map_.tensors(x[None], ell)[0]
+            scale = max(1.0, float(np.max(np.abs(ex))))
+            err = float(np.max(np.abs(ex - approx[ell])))
+            finite = np.isfinite(ex).all() and np.isfinite(approx[ell]).all()
+            if not (finite and err <= rtol * scale):
+                return PreconditionError, (
+                    f"jet of order {ell} disagrees with finite differences "
+                    f"by {err:.3e} at {x.tolist()}")
+    return None
+
+
+def _validate_outcome(map_, seed):
+    try:
+        validate_jet_map(map_, np.random.default_rng(seed))
+    except (DomainMembershipError, PreconditionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class _Recording(PolynomialMap):
+    """A polynomial that keeps the points of its order-1 evaluations."""
+
+    def tensors(self, points, ell):
+        if ell == 1:
+            self.seen = points.copy()
+        return super().tensors(points, ell)
+
+
+@pytest.mark.parametrize("domain", [
+    box([-1.0, 0.25], [1.0, 0.75]),
+    ball([0.5], 0.75),
+    ball([0.0] * 5, 1.0, norm_kind="euclidean"),
+    ball([0.25, -0.5, 0.0, 0.0, 0.5, 0.0, 1.0], 2.0, norm_kind="euclidean"),
+    ball([0.0] * 10, 1.0, norm_kind="euclidean"),
+], ids=["box", "sup_ball", "euclid5", "euclid7", "euclid10"])
+def test_validate_jet_map_draws_the_one_at_a_time_stream(domain):
+    m = domain.dim
+    pm = _Recording(domain, [([1.0, -0.5], (1,) * m), ([0.25, 2.0], (2,) + (0,) * (m - 1))])
+    rejected = 0
+    for seed in range(30):
+        want_rng = np.random.default_rng(seed)
+        want = np.array(_probe_draws(pm, seed, want_rng))
+        rng = np.random.default_rng(seed)
+        validate_jet_map(pm, rng)
+        assert _same_bits(pm.seen, want), seed
+        assert rng.bit_generator.state == want_rng.bit_generator.state, seed
+        three_rows = np.random.default_rng(seed)
+        three_rows.uniform(size=3 * m)
+        rejected += three_rows.bit_generator.state != rng.bit_generator.state
+    if m >= 7:
+        assert rejected > 0  # these euclidean balls reject some draws
+
+
+class _Split(PolynomialMap):
+    """A polynomial whose coded order-2 tensor is off by 1 where x_0 < 0
+    and whose order-1 tensor is off by 1 elsewhere."""
+
+    def tensors(self, points, ell):
+        ent = super().tensors(points, ell)
+        if ell in (1, 2):
+            off = (points[:, 0] < 0) == (ell == 2)
+            ent = ent + off.reshape((-1,) + (1,) * (ent.ndim - 1))
+        return ent
+
+
+def test_validate_jet_map_raises_probe_by_probe_then_order_by_order():
+    bad = _Split(box([-1.0, -1.0], [1.0, 1.0]), [([1.0], (2, 1))])
+    seen = 0
+    for seed in range(40):
+        want = _validate_oracle(bad, seed)
+        assert _validate_outcome(bad, seed) == want, seed
+        probes = _probe_draws(bad, seed)
+        # order 2 fails at probe 0 although order 1 fails at a later probe
+        seen += probes[0][0] < 0 and any(x[0] >= 0 for x in probes[1:])
+    assert seen
+
+
+class _Poked(PolynomialMap):
+    """A polynomial whose coded order-``ell`` tensor has ``value`` at its
+    first entry of every row."""
+
+    def __init__(self, domain, terms, ell, value):
+        super().__init__(domain, terms)
+        self.poke = (ell, value)
+
+    def tensors(self, points, ell):
+        ent = super().tensors(points, ell)
+        if ell == self.poke[0]:
+            ent = ent.copy()
+            ent.reshape(len(ent), -1)[:, 0] = self.poke[1]
+        return ent
+
+
+@pytest.mark.parametrize("ell, value", [
+    (1, np.nan), (2, np.nan), (1, np.inf), (2, -np.inf),
+])
+def test_validate_jet_map_rejects_a_non_finite_coded_entry(ell, value):
+    dom = box([-1.0, -1.0], [1.0, 1.0])
+    terms = [([1.0, 0.5], (2, 1)), ([-2.0, 1.0], (0, 3))]
+    validate_jet_map(PolynomialMap(dom, terms), np.random.default_rng(3))
+    bad = _Poked(dom, terms, ell, value)
+    want = _validate_oracle(bad, 3)
+    assert want[0] is PreconditionError and f"order {ell}" in want[1]
+    assert _validate_outcome(bad, 3) == want
+    with pytest.raises(PreconditionError, match=f"order {ell} disagrees"):
+        validate_jet_map(bad, np.random.default_rng(3))
+
+
+class _Capped(JetMap):
+    """A polynomial declared differentiable to order ``max_order`` only."""
+
+    def __init__(self, base: PolynomialMap, max_order: int):
+        super().__init__(base.domain, base.out_shape, max_order)
+        self.base = base
+
+    def tensors(self, points, ell):
+        self._check_order(ell)
+        return self.base.tensors(points, ell)
+
+
+def test_validate_jet_map_max_order_one_compares_order_one_only():
+    dom = box([-1.0], [1.0])
+    pm = PolynomialMap(dom, [([1.0], (3,)), ([0.5], (1,))])
+    validate_jet_map(_Capped(pm, 1), np.random.default_rng(0))
+    validate_jet_map(_Capped(_Poked(dom, pm.terms, 0, np.nan), 0), np.random.default_rng(0))
+    # a wrong order-2 tensor is not looked at; a wrong order-1 one is
+    validate_jet_map(_Capped(_Poked(dom, pm.terms, 2, 7.0), 1), np.random.default_rng(0))
+    bad = _Capped(_Poked(dom, pm.terms, 1, 7.0), 1)
+    want = _validate_oracle(bad, 0)
+    assert want[0] is PreconditionError and "order 1" in want[1]
+    assert _validate_outcome(bad, 0) == want
 
 # -- domain membership
 

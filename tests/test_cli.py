@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from wrp.cli import RunConfig, emit_config, main, parse_config, run
 from wrp.errors import ConfigError
 from wrp.verify import ALL_CHECK_IDS
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "scenario_seed0.json"
 
 
 class TestParseConfig:
@@ -211,6 +214,31 @@ class TestIngestErrors:
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pointer}: "), err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("pointer", [
+        "/elements/comp_gamma0s/1/map/terms/0/coef/0",
+        "/elements/comp_eta0s/1/map/terms/0/coef/0",
+        "/elements/comp_gamma_diffs/1/map/parts/0/terms/0/coef/0",
+        "/elements/comp_eta_diffs/1/map/parts/0/terms/0/coef/0",
+    ], ids=["comp_gamma0s", "comp_eta0s", "comp_gamma_diffs", "comp_eta_diffs"])
+    def test_nan_in_a_later_compose_factor_exits_one(self, tmp_path, capsys, pointer):
+        # the compose pair estimate reads factor 0 of these lists only;
+        # a NaN in factor 1 is still rejected when the file is loaded
+        doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        *path, last = [int(k) if k.isdigit() else k for k in pointer.split("/")[1:]]
+        node = doc
+        for key in path:
+            node = node[key]
+        assert isinstance(node[last], float)
+        node[last] = float("nan")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenarios": [str(scenario)], "out": str(tmp_path)}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pointer}: must be a finite number"), err
         assert not (tmp_path / "report.json").exists()
 
 

@@ -44,3 +44,23 @@ def test_bench_pairs_rejects_a_single_pair(tmp_path):
     assert proc.returncode == 2
     assert "--pairs" in proc.stderr
     assert not out.exists()
+
+
+def test_bench_pairs_source_hash_names_the_code(tmp_path):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    files = {"src/pkg/__init__.py": b"", "src/pkg/core.py": b"X = 1\n",
+             "src/pkg/sub/more.py": b"def f():\n    return 2\n"}
+    for tree in ("a", "b"):
+        for rel, data in files.items():
+            path = tmp_path / tree / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+    digest = bench_pairs.source_sha256(tmp_path / "a")
+    assert len(digest) == 64
+    assert bench_pairs.source_sha256(tmp_path / "b") == digest
+    (tmp_path / "b" / "src/pkg/core.py").write_bytes(b"X = 2\n")
+    assert bench_pairs.source_sha256(tmp_path / "b") != digest
