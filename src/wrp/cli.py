@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .errors import ConfigError, WrpError
-from .verify import ALL_CHECK_IDS, CHECK_REGISTRY, ScenarioUnit, run_suite
+from .verify import ALL_CHECK_IDS, CHECK_REGISTRY, ScenarioUnit, is_finite_number, run_suite
 
 _CONFIG_FIELDS = {
     "seeds",
@@ -56,8 +56,9 @@ class RunConfig:
 def parse_config(doc) -> RunConfig:
     """Validate a configuration document (dict, JSON text, or file path).
 
-    Unknown fields and unknown check ids are rejected with JSON-pointer
-    style paths.
+    Unknown fields, unknown check ids and malformed values are rejected
+    with JSON-pointer style paths; numbers follow the scenario reader's
+    rule, :func:`~wrp.verify.is_finite_number`.
     """
     if isinstance(doc, (str, os.PathLike)) and os.path.exists(doc):
         with open(doc, "r", encoding="utf-8") as fh:
@@ -73,7 +74,7 @@ def parse_config(doc) -> RunConfig:
     if unknown:
         raise ConfigError(f"/{sorted(unknown)[0]}: unknown field")
     seeds = doc.get("seeds", [])
-    if not isinstance(seeds, list) or any(not isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not all(is_finite_number(s, int) for s in seeds):
         raise ConfigError("/seeds: must be a list of integers")
     scenarios = doc.get("scenarios", [])
     if not isinstance(scenarios, list) or any(
@@ -91,7 +92,7 @@ def parse_config(doc) -> RunConfig:
     else:
         raise ConfigError('/checks: must be "all" or a list of check ids')
     jobs = doc.get("jobs", 1)
-    if not isinstance(jobs, int) or jobs < 1:
+    if not is_finite_number(jobs, int) or jobs < 1:
         raise ConfigError("/jobs: must be a positive integer")
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -99,8 +100,8 @@ def parse_config(doc) -> RunConfig:
     for cid, val in tolerances.items():
         if cid not in ALL_CHECK_IDS:
             raise ConfigError(f"/tolerances/{cid}: unknown check id")
-        if not isinstance(val, (int, float)) or val < 0:
-            raise ConfigError(f"/tolerances/{cid}: must be a nonnegative number")
+        if not is_finite_number(val) or val < 0:
+            raise ConfigError(f"/tolerances/{cid}: must be a finite nonnegative number")
     for flag in ("strict_preconditions", "skips_ok", "histogram"):
         if flag in doc and not isinstance(doc[flag], bool):
             raise ConfigError(f"/{flag}: must be a boolean")

@@ -282,14 +282,6 @@ def compose_tensor(
     return MultilinearMap(_symmetrized(total, o), o)
 
 
-def compose_jet(outer: Jet, inner: Jet, order: int) -> Jet:
-    tensors = [
-        compose_tensor(outer.tensors, inner.tensors, ell)
-        for ell in range(order + 1)
-    ]
-    return Jet(inner.point, tuple(tensors))
-
-
 # ---------------------------------------------------------------------------
 # maps with exact jets
 
@@ -1081,15 +1073,14 @@ def fd_jet(map_: JetMap, x, order: int, h: float | None = None) -> Jet:
     ))
 
 
-def validate_jet_map(map_: JetMap, rng: np.random.Generator, points: int = 3,
-                     rtol: float = 1e-4):
+def validate_jet_map(map_: JetMap, rng: np.random.Generator):
     """Ingest check: coded tensors agree with central differences.
 
     The probes are drawn in rounds of one ``(missing, dim)`` uniform draw
-    and one membership test, keeping the rows inside, until ``points``
-    are kept: the stream and the probes of drawing one row at a time.
-    Each order is compared at all probes at once: the largest entry error
-    must be at most ``rtol * max(1, largest coded entry)``, and a NaN or
+    and one membership test, keeping the rows inside, until 3 are kept:
+    the stream and the probes of drawing one row at a time.  Each order
+    is compared at all probes at once: the largest entry error must be
+    at most ``1e-4 * max(1, largest coded entry)``, and a NaN or
     infinite entry on either side is a disagreement.  The first failing
     (probe, order), probe by probe and order by order, is raised, ahead
     of a stencil that leaves the domain at a later probe."""
@@ -1098,8 +1089,8 @@ def validate_jet_map(map_: JetMap, rng: np.random.Generator, points: int = 3,
     lo, hi = map_.domain.bounding_box()
     mid, half = (lo + hi) / 2, (hi - lo) / 2
     probes = np.empty((0, map_.dim))
-    while len(probes) < points:
-        x = mid + 0.5 * half * rng.uniform(-1, 1, size=(points - len(probes), map_.dim))
+    while len(probes) < 3:
+        x = mid + 0.5 * half * rng.uniform(-1, 1, size=(3 - len(probes), map_.dim))
         probes = np.concatenate([probes, x[map_.domain.members(x)]])
     top = 1 if (map_.max_order is not None and map_.max_order < 2) else 2
     exact = [map_.tensors(probes, ell) for ell in range(1, top + 1)]
@@ -1111,7 +1102,7 @@ def validate_jet_map(map_: JetMap, rng: np.random.Generator, points: int = 3,
         err = np.abs(ex - ap.reshape(ex.shape)).max(axis=1)
         scale = np.maximum(1.0, np.abs(ex).max(axis=1))
         # a NaN or infinite entry on either side makes err NaN or infinite
-        bad.append(~((err <= rtol * scale) & np.isfinite(err)))
+        bad.append(~((err <= 1e-4 * scale) & np.isfinite(err)))
         errs.append(err)
     bad = np.array(bad).T  # (probe, order)
     if bad.any():
@@ -1136,8 +1127,6 @@ def linear2_identities_check(
     ell: int,
     g: JetMap | None = None,
     b: np.ndarray | None = None,
-    fd_step: float = 1e-5,
-    tol: float = 1e-8,
 ) -> list[CheckReport]:
     """Check the derivative identity and norm estimates of a two-block map
     linear in its second argument; with ``xi = b(g(x), y)`` also the
@@ -1179,7 +1168,8 @@ def linear2_identities_check(
         pt = np.concatenate([x + t * h1, y + t * h2])
         return partial1_tensor(xi, pt, ell).entries
 
-    fd = (p1(fd_step) - p1(-fd_step)) / (2 * fd_step)
+    h = 1e-5
+    fd = (p1(h) - p1(-h)) / (2 * h)
     lin_term = partial1_tensor(
         xi, np.concatenate([x, h2]), ell
     ).entries
@@ -1187,7 +1177,7 @@ def linear2_identities_check(
     dev = float(np.max(np.abs(fd - (lin_term + contr))))
     reports.append(
         identity_report(
-            "id:Ableitung_Abb_linear_2Arg", dev, tolerance=tol,
+            "id:Ableitung_Abb_linear_2Arg", dev, tolerance=1e-8,
             detail="curve derivative splits into shift and contraction terms",
         )
     )

@@ -87,12 +87,11 @@ def convergence_report(
     check_id: str,
     steps: Sequence[float],
     errors: Sequence[float],
-    window: tuple[float, float] = SLOPE_WINDOW,
     exact_tol: float = EXACTNESS_TOL,
     detail: str = "",
 ) -> CheckReport:
-    """Least-squares slope of log error against log step; passes inside the
-    window or on the exactness branch (all errors below exact_tol)."""
+    """Least-squares slope of log error against log step; passes inside
+    ``SLOPE_WINDOW`` or on the exactness branch (all errors below exact_tol)."""
     pairs = [(h, e) for h, e in zip(steps, errors) if math.isfinite(e)]
     if not pairs:
         return skipped_report(check_id, "no finite difference steps survived")
@@ -107,11 +106,12 @@ def convergence_report(
     logs_h = np.log([h for h, _ in pairs])
     logs_e = np.log(errs)
     slope = float(np.polyfit(logs_h, logs_e, 1)[0])
-    margin = min(slope - window[0], window[1] - slope)
+    lo, hi = SLOPE_WINDOW
+    margin = min(slope - lo, hi - slope)
     status = "pass" if margin >= 0 else "fail"
     return CheckReport(
-        check_id, status, slope, window[1], margin, 0.0, EXACT, EXACT, (),
-        detail + f" slope {slope:.3f} in [{window[0]}, {window[1]}]",
+        check_id, status, slope, hi, margin, 0.0, EXACT, EXACT, (),
+        detail + f" slope {slope:.3f} in [{lo}, {hi}]",
     )
 
 
@@ -263,7 +263,6 @@ def superpose_derivative_check(
     op: SuperpositionOperand,
     gamma: WeightedFunction,
     direction: WeightedFunction,
-    steps: Sequence[float] = DEFAULT_FD_STEPS,
     check_id: str = "id:Differential_SuperposCWZweiVars-id",
 ) -> CheckReport:
     """Symmetric difference quotients of the superposition against the
@@ -275,15 +274,15 @@ def superpose_derivative_check(
     # d2 @ d one point at a time: the BLAS call of the one-point formula
     exact = np.array([a @ b for a, b in zip(d2, d)])
     used_steps, errors = [], []
-    for t in steps:
+    for t in DEFAULT_FD_STEPS:
         if not (op.v.members(g + t * d).all() and op.v.members(g - t * d).all()):
             continue
         plus = op.xi.tensors(np.concatenate([pts, g + t * d], axis=1), 0)
         minus = op.xi.tensors(np.concatenate([pts, g - t * d], axis=1), 0)
         used_steps.append(t)
         errors.append(float(np.max(np.abs((plus - minus) / (2 * t) - exact))))
-    detail = "" if len(used_steps) == len(steps) else \
-        f"{len(steps) - len(used_steps)} step(s) rejected by range checks;"
+    detail = "" if len(used_steps) == len(DEFAULT_FD_STEPS) else \
+        f"{len(DEFAULT_FD_STEPS) - len(used_steps)} step(s) rejected by range checks;"
     return convergence_report(check_id, used_steps, errors, detail=detail)
 
 
@@ -374,7 +373,6 @@ def compose_derivative_check(
     v: DomainSet,
     gamma_dir: JetMap,
     eta_dir: JetMap,
-    steps: Sequence[float] = DEFAULT_FD_STEPS,
     check_id: str = "id:Ableitung_Kompo",
 ) -> CheckReport:
     """The derivative of composition splits into the two stated terms."""
@@ -385,7 +383,7 @@ def compose_derivative_check(
     # dgamma @ dx one point at a time: the BLAS call of the one-point formula
     exact = np.array([a @ b for a, b in zip(dgamma, dx)]) + gamma_dir.tensors(z, 0)
     used, errors = [], []
-    for t in steps:
+    for t in DEFAULT_FD_STEPS:
         if not (v.members(ex + t * dx).all() and v.members(ex - t * dx).all()):
             continue
         zp, zm = z + t * dx, z - t * dx
@@ -438,12 +436,11 @@ def quasi_inverse(a, cfg: NeumannConfig = NeumannConfig()):
 
 def quasi_inverse_report(
     a: np.ndarray, cfg: NeumannConfig = NeumannConfig(),
-    check_id: str = "qi:neumann_relation",
 ) -> tuple[np.ndarray, CheckReport]:
     qi = quasi_inverse(a, cfg)
     residual = opnorm_inf(np.atleast_2d(a) + qi - np.atleast_2d(a) @ qi)
     return qi, bound_report(
-        check_id, residual, 2.0 * cfg.tail_tol, tolerance=0.0,
+        "qi:neumann_relation", residual, 2.0 * cfg.tail_tol, tolerance=0.0,
         lhs_provenance=EXACT, rhs_provenance=EXACT,
         detail="algebra relation a + QI(a) - a QI(a) = 0 up to the tail",
     )
@@ -461,10 +458,9 @@ class InverseMap(JetMap):
     appears with the sign pinned by the algebra relation.
     """
 
-    def __init__(self, phi: JetMap, u: DomainSet, v: DomainSet,
-                 cfg: ContractionConfig, neumann: NeumannConfig = NeumannConfig()):
+    def __init__(self, phi: JetMap, u: DomainSet, v: DomainSet, cfg: ContractionConfig):
         super().__init__(v, (phi.out_dim,), max_order=1)
-        self.phi, self.u, self.v, self.cfg, self.neumann = phi, u, v, cfg, neumann
+        self.phi, self.u, self.v, self.cfg = phi, u, v, cfg
         self._cache: dict[bytes, tuple[np.ndarray, int, float]] = {}
 
     def solve(self, y) -> tuple[np.ndarray, int, float]:
@@ -534,7 +530,7 @@ class InverseMap(JetMap):
         if ell == 0:
             return xs - points
         return np.stack([
-            a @ quasi_inverse(-a, self.neumann) - a for a in self.phi.tensors(xs, 1)
+            a @ quasi_inverse(-a) - a for a in self.phi.tensors(xs, 1)
         ])
 
 
@@ -607,11 +603,11 @@ def inversion_pair_difference_check(
     grid_v: SampleGrid,
     cfg: ContractionConfig,
     weights: Sequence[Weight],
-    check_id: str = "est:f0-norm_Diff_KoorInv",
 ) -> CheckReport:
     """Weighted distance of two inverses against the certified bound built
     from the pair's certificates (diff = phi - psi symbolically), merged
     over the weights; both inverses are solved once for all of them."""
+    check_id = "est:f0-norm_Diff_KoorInv"
     c_psi_11 = psi.require_bound("one", 1)
     c_phi_11 = phi.require_bound("one", 1)
     c_diff_11 = diff.require_bound("one", 1)
@@ -652,8 +648,6 @@ def inversion_direction_check(
     v: DomainSet,
     probes: np.ndarray,
     cfg: ContractionConfig,
-    steps: Sequence[float] = (0.05, 0.025, 0.0125, 0.00625),
-    check_id: str = "id:Ableitung_Inversion",
 ) -> CheckReport:
     """Directional derivative of the inversion operator in its function
     argument against the closed form -(1 - QI(-D phi)) phi_1 composed with
@@ -665,7 +659,7 @@ def inversion_direction_check(
     d10 = direction.require_bound("one", 0)
     base = InverseMap(phi.map, u, v, cfg)
     used, errors = [], []
-    for t in steps:
+    for t in (0.05, 0.025, 0.0125, 0.00625):
         if c11 + t * d11 >= cfg.tau or c10 + t * d10 >= cfg.r / 2 * (1 - cfg.tau):
             continue
         plus = InverseMap(SumMap([phi.map, ScaledMap(direction.map, t)]), u, v, cfg)
@@ -693,7 +687,7 @@ def inversion_direction_check(
     # already at the achievable precision
     noise_floor = 4.0 * cfg.fix_tol / min(used) if used else EXACTNESS_TOL
     return convergence_report(
-        check_id, used, errors,
+        "id:Ableitung_Inversion", used, errors,
         exact_tol=max(EXACTNESS_TOL, noise_floor),
         detail="derivative in the operator argument;",
     )
@@ -705,11 +699,10 @@ def inversion_jacobian_check(
     v: DomainSet,
     probes: np.ndarray,
     cfg: ContractionConfig,
-    tol: float = 1e-6,
-    check_id: str = "id:Differential_der_inversen_Abb",
 ) -> CheckReport:
     """The assembled first-order jet of the inverse against a central
     finite-difference Jacobian at probe points."""
+    check_id = "id:Differential_der_inversen_Abb"
     inv = InverseMap(phi.map, u, v, cfg)
     # the stencils start with the probes, so the probes and then their
     # neighbours are solved in probe order, as one probe at a time would
@@ -721,7 +714,7 @@ def inversion_jacobian_check(
         dev = op_norm(MultilinearMap(ex - ap, 1))
         reports.append(
             identity_report(
-                check_id, dev, tolerance=tol,
+                check_id, dev, tolerance=1e-6,
                 witness=tuple(float(c) for c in y),
             )
         )

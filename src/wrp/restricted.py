@@ -144,7 +144,6 @@ def lipschitz_bound_check(
     ell: int,
     factor_lipschitz: Sequence[float],
     check_id: str = "lem:L-Stetigkeit_Abb_in_LinfProd",
-    tolerance: float = 1e-9,
 ) -> CheckReport:
     """Family Lipschitz bound: the family seminorm of A(s) - A(t) is at
     most (sup over factors of the certified factor constants) |s - t|."""
@@ -155,7 +154,7 @@ def lipschitz_bound_check(
     lhs = [family_seminorm(family_map(s).minus(family_map(t)), fw, ell).value
            for s, t in pairs]
     return bound_rows(
-        check_id, lhs, [sup_l * abs(s - t) for s, t in pairs], tolerance=tolerance,
+        check_id, lhs, [sup_l * abs(s - t) for s, t in pairs], tolerance=1e-9,
         lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
         witness=lambda k: pairs[k],
     )
@@ -165,10 +164,10 @@ def product_iso_roundtrip(
     elem: RestrictedElement,
     fw: FamilyWeight,
     ell: int,
-    check_id: str = "lem:pktwProduktLInf",
 ) -> CheckReport:
     """Split a family of two-block-valued functions into two families and
     recombine: bit-exact round trip plus the two seminorm comparisons."""
+    check_id = "lem:pktwProduktLInf"
     first, second = [], []
     for wf in elem.factors:
         blocks = wf.map.out_blocks
@@ -220,8 +219,6 @@ def cauchy_limit_check(
     ell: int,
     increment_envelope: Callable[[int], float],
     tail_envelope: Callable[[int], float],
-    check_id: str = "lem:Linf_compl_wenn_Faktoren_c",
-    tolerance: float = 1e-12,
 ) -> CheckReport:
     """Cauchy increments below the declared envelope and convergence of
     the sequence to the closed-form limit at the envelope rate."""
@@ -232,7 +229,7 @@ def cauchy_limit_check(
     rhs = [increment_envelope(n) for n in range(m)]
     rhs += [tail_envelope(n) for n in range(len(elements))]
     return bound_rows(
-        check_id, lhs, rhs, tolerance=tolerance,
+        "lem:Linf_compl_wenn_Faktoren_c", lhs, rhs, tolerance=1e-12,
         lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
         witness=lambda k: (k if k < m else k - m,),
         detail=lambda k: "increment envelope" if k < m else "distance to the limit",
@@ -248,7 +245,6 @@ def neighborhood_inclusion_check(
     omega: FamilyWeight,
     v_domains: Sequence[DomainSet],
     tau: float,
-    check_id: str = "incl:1-Kugel_f0-norm_sub_CFof",
 ) -> CheckReport:
     """Elements with adjusted norm below tau map into tau-scaled value
     domains, with the worst-case perturbation radius of the proof route.
@@ -275,8 +271,9 @@ def neighborhood_inclusion_check(
     member = np.concatenate(member)
     witness = stacked_points([wf.grid.points for wf in elem.factors])
     rep = bound_rows(
-        check_id, np.concatenate(lhs), np.concatenate(rhs), tolerance=1e-12,
-        failed=~member, lhs_provenance=EXACT, rhs_provenance=EXACT, witness=witness,
+        "incl:1-Kugel_f0-norm_sub_CFof", np.concatenate(lhs), np.concatenate(rhs),
+        tolerance=1e-12, failed=~member, lhs_provenance=EXACT, rhs_provenance=EXACT,
+        witness=witness,
         detail=lambda k: f"factor {witness(k)[0]}: worst perturbed value vs tau * d_i",
     )
     if rep.status == PASS and not member.all():  # the kept row is a non-member
@@ -290,7 +287,6 @@ def neighborhood_openness_check(
     omega: FamilyWeight,
     v_domains: Sequence[DomainSet],
     clearance: float,
-    check_id: str = "lem:CFof_offen",
 ) -> CheckReport:
     """If gamma has clearance r in the adjusted sense and eta is within r
     of gamma, eta keeps a positive adjusted clearance s = r - |eta-gamma|."""
@@ -320,7 +316,7 @@ def neighborhood_openness_check(
         rhs.append(dist)
     witness = stacked_points([wf.grid.points for wf in eta.factors])
     return bound_rows(
-        check_id, np.concatenate(lhs), np.concatenate(rhs), tolerance=1e-12,
+        "lem:CFof_offen", np.concatenate(lhs), np.concatenate(rhs), tolerance=1e-12,
         lhs_provenance=EXACT, rhs_provenance=EXACT, witness=witness,
         detail=lambda k: f"factor {witness(k)[0]}: remaining adjusted clearance",
     )
@@ -337,7 +333,6 @@ def sim_multiply(
     f: FamilyWeight,
     cert: DominanceCertificate,
     grids: Sequence[np.ndarray],
-    check_id: str = "lem:simultane_mult-multiplier",
 ) -> tuple[RestrictedElement, CheckReport]:
     """Factor-wise b_i(M_i, gamma_i) with Leibniz jets and the family
     estimate against the dominating weight of the certificate."""
@@ -360,7 +355,7 @@ def sim_multiply(
     lhs = family_seminorm(result, f, 0).value
     rhs = sup_b * family_seminorm(x, cert.g, 0).value
     report = bound_report(
-        check_id, lhs, rhs, tolerance=1e-9,
+        "lem:simultane_mult-multiplier", lhs, rhs, tolerance=1e-9,
         lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
         detail="pointwise-transferred family bound",
     )
@@ -373,7 +368,6 @@ def sim_multilinear(
     f: FamilyWeight,
     factorization: FactorizationCertificate,
     grids: Sequence[np.ndarray],
-    check_id: str = "lem:multilineareSuperpos-Linf",
 ) -> tuple[RestrictedElement, CheckReport]:
     """Factor-wise constant-multilinear superposition with the product
     bound over the factorized weights."""
@@ -396,7 +390,7 @@ def sim_multilinear(
     for j in range(n):
         rhs *= family_seminorm(args[j], factorization.parts[j], 0).value
     report = bound_report(
-        check_id, lhs, rhs, tolerance=1e-9,
+        "lem:multilineareSuperpos-Linf", lhs, rhs, tolerance=1e-9,
         lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
         detail=f"{n}-linear family bound",
     )
@@ -469,10 +463,10 @@ def sim_power_series(
     op_dim: int,
     q: float,
     cfg: NeumannConfig = NeumannConfig(),
-    check_id: str = "lem:sim-SuperPos_QuasiInversion",
 ) -> tuple[RestrictedElement, CheckReport]:
     """Pointwise quasi-inversion across the family; the spectral bound q
     must hold at every grid point of every factor."""
+    check_id = "lem:sim-SuperPos_QuasiInversion"
     if not q < 1.0:
         raise SpectralConditionError(f"certified bound q = {q} is not below 1")
     residuals = []
@@ -605,7 +599,6 @@ def restrict_scenario_outputs(
     full: RestrictedElement,
     apply_fn: Callable[[Sequence[int]], RestrictedElement],
     sub_indices: Sequence[int],
-    probe_order: int = 1,
 ) -> CheckReport:
     """Factor-restriction bit-identity: running on a sub-family reproduces
     the surviving factors of the full family's result exactly."""
@@ -614,7 +607,7 @@ def restrict_scenario_outputs(
     for j, i in enumerate(sub_indices):
         a, b = full.factors[i], sub.factors[j]
         pts = a.grid.points
-        for order in range(min(probe_order, a.max_order, b.max_order) + 1):
+        for order in range(min(1, a.max_order, b.max_order) + 1):
             if not np.array_equal(a.map.tensors(pts, order), b.map.tensors(pts, order)):
                 dev = math.inf
     return identity_report(

@@ -207,11 +207,11 @@ def seminorm_axioms_check(
     wf_b: WeightedFunction,
     weight: Weight,
     ell: int,
-    alpha: float = -1.7,
-    check_id: str = "def:weighted_seminorm",
 ) -> CheckReport:
     """Absolute homogeneity (to 1e-12) and the triangle inequality on the
     shared grid."""
+    check_id = "def:weighted_seminorm"
+    alpha = -1.7
     na = weighted_seminorm(wf_a, weight, ell).value
     scaled = WeightedFunction(ScaledMap(wf_a.map, alpha), wf_a.grid, wf_a.max_order)
     dev = abs(weighted_seminorm(scaled, weight, ell).value - abs(alpha) * na)
@@ -233,7 +233,6 @@ def decomposition_check(
     weight: Weight,
     ell: int,
     tolerance: float = 1e-12,
-    check_id: str = "lem:topologische_Zerlegung_von_CFk",
 ) -> CheckReport:
     """Order-(l+1) seminorm of the map equals the order-l seminorm of its
     differential (the curry isometry realized on the same grid)."""
@@ -242,7 +241,7 @@ def decomposition_check(
     lhs = weighted_seminorm(wf, weight, ell + 1).value
     rhs = weighted_seminorm(wf.differential(), weight, ell).value
     return identity_report(
-        check_id,
+        "lem:topologische_Zerlegung_von_CFk",
         abs(lhs - rhs),
         tolerance=tolerance,
         detail=f"reduction to lower order at l = {ell}",
@@ -267,10 +266,10 @@ def pair_split_check(
     wf: WeightedFunction,
     weight: Weight,
     ell: int,
-    check_id: str = "lem:gewichtete_Abb_Produktisomorphie-endl",
 ) -> CheckReport:
     """Splitting is an isometric isomorphism: the seminorm is the max of
     the component seminorms and recombination is bit-exact."""
+    check_id = "lem:gewichtete_Abb_Produktisomorphie-endl"
     a, b = pair_split(wf)
     whole = weighted_seminorm(wf, weight, ell).value
     parts = max(
@@ -298,8 +297,6 @@ def norm_comparison_1U(
     psi: WeightedFunction,
     weight: Weight,
     d: float,
-    pointwise_id: str = "lem:est_1-0-norm_f-0-norm",
-    aggregate_id: str = "est:1-0-norm_f-0-norm_spezielles-f",
 ) -> list[CheckReport]:
     """Pointwise and aggregate comparison of the unweighted distance with
     the f-weighted one, given inf |f| >= max(1/d, 1)."""
@@ -318,12 +315,12 @@ def norm_comparison_1U(
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(w == 0.0, math.inf, fnorm / w)
     pointwise = bound_rows(
-        pointwise_id, gaps, bound, tolerance=1e-12,
+        "lem:est_1-0-norm_f-0-norm", gaps, bound, tolerance=1e-12,
         lhs_provenance=EXACT, rhs_provenance=GRID_LOWER,
         witness=lambda k: tuple(pts[k].tolist()),
     )
     agg = bound_report(
-        aggregate_id,
+        "est:1-0-norm_f-0-norm_spezielles-f",
         unweighted,
         min(d, 1.0) * fnorm,
         tolerance=1e-12,

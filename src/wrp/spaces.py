@@ -304,8 +304,9 @@ class Weight:
         return float(self.values(np.asarray(point, dtype=float)[None])[0])
 
 
-def validate_weight_on_points(weight: Weight, points: np.ndarray, tol: float = 1e-9):
+def validate_weight_on_points(weight: Weight, points: np.ndarray):
     """Raise if any grid evaluation contradicts a certified bound."""
+    tol = 1e-9
     pts = np.asarray(points, dtype=float)
     v = np.abs(weight.values(pts))
     cs, ci = weight.certified_sup, weight.certified_inf
@@ -540,7 +541,6 @@ def check_adjusting_weight(
     radii: Sequence[float],
     grids: Sequence[np.ndarray],
     check_id: str = "cond:adjusting_weight",
-    tolerance: float = 0.0,
 ) -> CheckReport:
     """Verify sup |w_i| < inf (certified) and inf |w_i| >= max(1/r_i, 1).
 
@@ -569,7 +569,7 @@ def check_adjusting_weight(
             grid_inf = min(grid_inf, w.certified_inf)
         rows.append((threshold, grid_inf, (i,) + tuple(pts[k].tolist())))
     return bound_rows(
-        check_id, [r[0] for r in rows], [r[1] for r in rows], tolerance=tolerance,
+        check_id, [r[0] for r in rows], [r[1] for r in rows], tolerance=0.0,
         lhs_provenance=EXACT, rhs_provenance=GRID_LOWER, witness=lambda k: rows[k][2],
         detail=lambda k: f"factor {k}: inf|w| on grid vs max(1/r, 1)",
     )
@@ -579,7 +579,6 @@ def check_dominance_certificate(
     cert: DominanceCertificate,
     grids: Sequence[np.ndarray],
     check_id: str = "cond:dominance",
-    tolerance: float = 1e-9,
 ) -> CheckReport:
     """Verify K_i * |f_i(x)| <= |g_i(x)| at every grid point."""
     if len(grids) != len(cert.f):
@@ -592,7 +591,7 @@ def check_dominance_certificate(
         check_id,
         np.concatenate([lhs for lhs, _ in sides]),
         np.concatenate([rhs for _, rhs in sides]),
-        tolerance=tolerance, lhs_provenance=EXACT, rhs_provenance=EXACT,
+        tolerance=1e-9, lhs_provenance=EXACT, rhs_provenance=EXACT,
         witness=stacked_points(grids), detail=cert.context,
     )
 
@@ -600,8 +599,6 @@ def check_dominance_certificate(
 def check_factorization_certificate(
     cert: FactorizationCertificate,
     grids: Sequence[np.ndarray],
-    check_id: str = "cond:factorization",
-    tolerance: float = 1e-9,
 ) -> CheckReport:
     """Verify |f_i(x)| <= prod_j |g_i^j(x)| at every grid point."""
     lhs, rhs = [], []
@@ -612,7 +609,7 @@ def check_factorization_certificate(
             prod = prod * np.abs(part.factors[i].values(pts))
         rhs.append(prod)
     return bound_rows(
-        check_id, np.concatenate(lhs), np.concatenate(rhs),
-        tolerance=tolerance, lhs_provenance=EXACT, rhs_provenance=EXACT,
+        "cond:factorization", np.concatenate(lhs), np.concatenate(rhs),
+        tolerance=1e-9, lhs_provenance=EXACT, rhs_provenance=EXACT,
         witness=stacked_points(grids),
     )

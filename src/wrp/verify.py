@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -1120,23 +1121,18 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
         merge_min_margin("lem:Abschaetzung_hoheDiffs_Spezialfall-linArg", xi2_reports)
     )
 
-    slab_reports = []
     xi2e = xi2_build(op0.xi, "evaluate", slab)
     grid = lattice(xi2e.domain, per_axis=3 if sc.dim == 1 else 2)
-    for ell in (1, 2) if sc.dim == 1 else (1,):
-        lhs = op_norms(xi2e.tensors(grid.points, ell)).max()
-        rhs = ell * op0.bound(ell) + slab * op0.bound(ell + 1)
-        slab_reports.append(
-            bound_report(
-                "est:Differential-MaMu_hohes_Diff_1-l-Norm", lhs, rhs,
-                tolerance=1e-9,
-                lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-                witness=(ell,),
-            )
-        )
-    out.append(
-        merge_min_margin("est:Differential-MaMu_hohes_Diff_1-l-Norm", slab_reports)
-    )
+    ells = (1, 2) if sc.dim == 1 else (1,)
+    lhs, rhs = [], []
+    for ell in ells:
+        lhs.append(op_norms(xi2e.tensors(grid.points, ell)).max())
+        rhs.append(ell * op0.bound(ell) + slab * op0.bound(ell + 1))
+    out.append(bound_rows(
+        "est:Differential-MaMu_hohes_Diff_1-l-Norm", lhs, rhs, tolerance=1e-9,
+        lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
+        witness=lambda k: (ells[k],),
+    ))
     return out
 
 
@@ -1356,7 +1352,6 @@ def _run_family(sc: FamilyScenario) -> list[CheckReport]:
         )
     )
 
-    ml_reports = []
     vecs = [np.full(sc.dim, 0.7), np.full(sc.dim, -0.9)]
     sup_b = max(op_norm(MultilinearMap(b, 1)) for b in sc.beta2s)
     lhs = max(
@@ -1364,13 +1359,12 @@ def _run_family(sc: FamilyScenario) -> list[CheckReport]:
         for b in sc.beta2s
     )
     rhs = sup_b * float(np.max(np.abs(vecs[0]))) * float(np.max(np.abs(vecs[1])))
-    ml_reports.append(
+    out.append(
         bound_report(
             "lem:m-lin_Abb_glm_stetig->Prod_stetig", lhs, rhs, tolerance=1e-12,
             lhs_provenance=EXACT, rhs_provenance=EXACT,
         )
     )
-    out.append(merge_min_margin("lem:m-lin_Abb_glm_stetig->Prod_stetig", ml_reports))
 
     v_domains = [fs.v for fs in sc.factors]
     near = RestrictedElement(
@@ -1421,45 +1415,36 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
     )
     out.extend(sp_reports)
 
-    transfer = []
+    rows, lhs, rhs = [], [], []
     slab = 0.5
     for i in range(sc.n_factors):
         m = sc.multipliers[i].map
         dmap = PairedDerivativeMap(DifferentialMap(m), "evaluate", slab)
         grid = lattice(dmap.domain, per_axis=3 if sc.dim == 1 else 2)
         for ell in (1, 2) if sc.dim == 1 else (1,):
-            lhs = op_norms(dmap.tensors(grid.points, ell)).max()
+            rows.append((i, ell))
+            lhs.append(op_norms(dmap.tensors(grid.points, ell)).max())
             k_prev = crude_sup_bound(m, ell)      # bounds |Dm|_(1, l-1)
             k_curr = crude_sup_bound(m, ell + 1)  # bounds |Dm|_(1, l)
-            transfer.append(
-                bound_report(
-                    "lem:vergleich_Bedingungen_simultane-multiplier_simu-Supo",
-                    lhs, ell * k_prev + slab * k_curr, tolerance=1e-9,
-                    lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-                    witness=(i, ell),
-                )
-            )
-    out.append(
-        merge_min_margin(
-            "lem:vergleich_Bedingungen_simultane-multiplier_simu-Supo", transfer
-        )
-    )
+            rhs.append(ell * k_prev + slab * k_curr)
+    out.append(bound_rows(
+        "lem:vergleich_Bedingungen_simultane-multiplier_simu-Supo", lhs, rhs,
+        tolerance=1e-9, lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
+        witness=lambda k: rows[k],
+    ))
 
     k1 = sc.sigma_bound(1)
-    uni = []
+    lhs, rhs = [], []
     for i in range(sc.n_factors):
         composed = ComposeMap(sc.sigmas[i], sc.gammas[i].map)
         res = WeightedFunction(composed, sc.factors[i].grid_u, 2)
-        lhs = weighted_seminorm(res, fw_gauss.factors[i], 0).value
-        rhs = k1 * sc.gammas[i].require_bound("gauss", 0)
-        uni.append(
-            bound_report(
-                "cor:simultane_SP_BCinf0_einfach", lhs, rhs, tolerance=1e-9,
-                lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-                witness=(i,),
-            )
-        )
-    out.append(merge_min_margin("cor:simultane_SP_BCinf0_einfach", uni))
+        lhs.append(weighted_seminorm(res, fw_gauss.factors[i], 0).value)
+        rhs.append(k1 * sc.gammas[i].require_bound("gauss", 0))
+    out.append(bound_rows(
+        "cor:simultane_SP_BCinf0_einfach", lhs, rhs, tolerance=1e-9,
+        lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
+        witness=lambda k: (k,),
+    ))
 
     _, ps_rep = sim_power_series(sc.op_gammas, sc.dim, sc.op_q, sc.neumann)
     out.append(ps_rep)
@@ -1536,7 +1521,6 @@ def run_scenario_checks(
 def derivative_convergence(
     op_closure: Callable[[float], float],
     steps: Sequence[float],
-    check_id: str = "def:directional_derivative",
 ) -> CheckReport:
     """Shared difference-quotient sweep: op_closure maps a step size to the
     sup error of the quotient against the claimed derivative."""
@@ -1553,7 +1537,7 @@ def derivative_convergence(
             used.append(h)
         except RangeEscapeError:
             continue
-    return convergence_report(check_id, used, errors)
+    return convergence_report("def:directional_derivative", used, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -1578,13 +1562,13 @@ def tight_superposition_instance() -> tuple[SuperpositionOperand, WeightedFuncti
     return op, gamma, const_weight("one", 1.0)
 
 
-def sabotage_superposition(halve: float = 0.5) -> list[CheckReport]:
+def sabotage_superposition() -> list[CheckReport]:
     """Halving the kernel certificate on the tight instance must fail."""
     op, gamma, one = tight_superposition_instance()
     bad = SuperpositionOperand(
         op.xi, op.u, op.v,
-        tuple((ell, halve * b) for ell, b in op.sup_1),
-        halve * op.d2_sup,
+        tuple((ell, 0.5 * b) for ell, b in op.sup_1),
+        0.5 * op.d2_sup,
     )
     _, reports = superpose(bad, gamma, [one])
     return reports
@@ -1633,18 +1617,66 @@ def _at(node, key, path: str):
         raise DataError(f"{path}/{key}: missing") from None
 
 
-def _number(node, key: str, path: str):
+def is_finite_number(v, kind=(int, float)) -> bool:
+    """The one rule for a number read from a scenario or configuration
+    file: an instance of ``kind`` (``int`` for an integer), not a boolean,
+    NaN, an infinity or an int beyond the float range."""
+    return type(v) is not bool and isinstance(v, kind) and abs(v) <= sys.float_info.max
+
+
+def _number(node, key, path: str):
     v = _at(node, key, path)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if not is_finite_number(v):
         raise DataError(f"{path}/{key}: must be a finite number, got {v!r}")
     return v
 
 
-def _grid_size(node, key: str, path: str) -> int:
+def _integer(node, key, path: str, least: int) -> int:
     v = _at(node, key, path)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise DataError(f"{path}/{key}: must be a positive integer, got {v!r}")
+    if not is_finite_number(v, int) or v < least:
+        raise DataError(f"{path}/{key}: must be an integer >= {least}, got {v!r}")
     return v
+
+
+def _items(node, key, path: str, n: int | None = None) -> list:
+    """``node[key]``, checked to be a list, of ``n`` entries if ``n`` is given."""
+    v = _at(node, key, path)
+    if not isinstance(v, list) or (n is not None and len(v) != n):
+        size = "" if n is None else f" of {n} entries"
+        raise DataError(f"{path}/{key}: must be a list{size}")
+    return v
+
+
+def _floats(node, key, path: str, n: int | None = None) -> tuple[float, ...]:
+    """The list ``node[key]`` (of ``n`` entries if given) of finite numbers, as floats."""
+    items = _items(node, key, path, n)
+    return tuple(float(_number(items, j, f"{path}/{key}")) for j in range(len(items)))
+
+
+def _numbers(node, key, path: str):
+    """``node[key]``: a finite number or a nested list of them."""
+    v = _at(node, key, path)
+    if not isinstance(v, list):
+        return _number(node, key, path)
+    for j in range(len(v)):
+        _numbers(v, j, f"{path}/{key}")
+    return v
+
+
+def _bounds(node, key: str, path: str, width: int) -> tuple[tuple, ...]:
+    """The rows listed at ``node[key]``, each ``width`` entries ending in
+    (order, bound); the entries before them are returned as they are."""
+    rows, at = _items(node, key, path), f"{path}/{key}"
+    out = []
+    for j, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == width and is_finite_number(row[-2], int)
+                and row[-2] >= 0 and is_finite_number(row[-1])):
+            # the readers name the first entry that breaks the rule
+            _items(rows, j, at, width)
+            _integer(row, width - 2, f"{at}/{j}", 0)
+            _number(row, width - 1, f"{at}/{j}")
+        out.append((*row[:-2], row[-2], float(row[-1])))
+    return tuple(out)
 
 
 def _from_desc(build, desc, path: str, *args):
@@ -1675,8 +1707,8 @@ def _nonfinite_at(node) -> str | None:
 
 def _domain_from_dict(d: dict, path: str) -> DomainSet:
     if _at(d, "kind", path) == "box":
-        return box(_at(d, "lo", path), _at(d, "hi", path), d.get("norm", "sup"))
-    return ball(_at(d, "center", path), _at(d, "radius", path), d.get("norm", "sup"))
+        return box(_floats(d, "lo", path), _floats(d, "hi", path), d.get("norm", "sup"))
+    return ball(_floats(d, "center", path), _number(d, "radius", path), d.get("norm", "sup"))
 
 
 def _wf_to_dict(wf: WeightedFunction) -> dict:
@@ -1691,8 +1723,8 @@ def _wf_from_dict(d: dict, domain: DomainSet, grid: SampleGrid, path: str) -> We
     return WeightedFunction(
         _from_desc(map_from_desc, _at(d, "map", path), f"{path}/map", domain),
         grid,
-        _at(d, "max_order", path),
-        tuple((n, int(l), float(b)) for n, l, b in _at(d, "certified", path)),
+        _integer(d, "max_order", path, 0),
+        _bounds(d, "certified", path, 3),
     )
 
 
@@ -1704,16 +1736,8 @@ def _fw_to_dict(fw: FamilyWeight) -> dict:
     return {"name": fw.name, "factors": [weight_to_desc(w) for w in fw.factors]}
 
 
-def _per_factor(items, path: str, n: int) -> list:
-    """``items`` (at JSON pointer ``path``), checked to be a list with one
-    entry per factor."""
-    if not isinstance(items, list) or len(items) != n:
-        raise DataError(f"{path}: must list exactly one entry per factor ({n})")
-    return items
-
-
 def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
-    entries = _per_factor(_at(d, "factors", path), f"{path}/factors", len(domains))
+    entries = _items(d, "factors", path, len(domains))
     name = _at(d, "name", path)
     return FamilyWeight(
         name,
@@ -1726,18 +1750,22 @@ def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
 
 def _sigma_k(d: dict) -> tuple[tuple[int, float], ...]:
     """The (order, bound) pairs of ``/sigma_k``; the runners read order 1."""
-    try:
-        pairs = tuple((int(l), float(k)) for l, k in _at(d, "sigma_k", ""))
-    except (TypeError, ValueError):
-        raise DataError("/sigma_k: must list [order, bound] pairs") from None
+    pairs = _bounds(d, "sigma_k", "", 2)
     if 1 not in dict(pairs):
         raise DataError("/sigma_k: must give the bound for order 1")
     return pairs
 
 
 def _config_from_dict(cls, d: dict, key: str):
+    """``cls`` from the object ``/key``; its int fields must be integers
+    >= 1, the others finite numbers."""
+    block = _at(d, key, "")
+    if not isinstance(block, dict):
+        raise DataError(f"/{key}: must be an object")
+    ints = {f.name for f in fields(cls) if f.type == "int"}
     try:
-        return cls(**_at(d, key, ""))
+        return cls(**{k: _integer(block, k, f"/{key}", 1) if k in ints
+                      else _number(block, k, f"/{key}") for k in block})
     except TypeError as exc:
         raise DataError(f"/{key}: {exc}") from None
 
@@ -1827,17 +1855,17 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         vt = _domain_from_dict(_at(fd, "v_tilde", path), f"{path}/v_tilde")
         factors.append(
             FactorSpace(
-                u=u, grid_u=lattice(u, per_axis=_grid_size(fd, "grid_u", path)),
+                u=u, grid_u=lattice(u, per_axis=_integer(fd, "grid_u", path, 1)),
                 v=v,
-                w=w, grid_w=lattice(w, per_axis=_grid_size(fd, "grid_w", path)),
+                w=w, grid_w=lattice(w, per_axis=_integer(fd, "grid_w", path, 1)),
                 v_tilde=vt,
-                grid_vt=lattice(vt, per_axis=_grid_size(fd, "grid_vt", path)),
+                grid_vt=lattice(vt, per_axis=_integer(fd, "grid_vt", path, 1)),
             )
         )
     n = len(factors)
 
     def per_factor(key: str) -> list:
-        return _per_factor(_at(d, key, ""), f"/{key}", n)
+        return _items(d, key, "", n)
 
     u_domains = [fs.u for fs in factors]
     weights = _at(d, "weights", "")
@@ -1850,7 +1878,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
     elements = {}
     for key, grid in ELEMENT_GRIDS.items():
         path = f"/elements/{key}"
-        entries = _per_factor(_at(_at(d, "elements", ""), key, "/elements"), path, n)
+        entries = _items(_at(d, "elements", ""), key, "/elements", n)
         elements[key] = RestrictedElement(tuple(
             _wf_from_dict(e, getattr(fs, grid), getattr(fs, f"grid_{grid}"), f"{path}/{i}")
             for i, (e, fs) in enumerate(zip(entries, factors))
@@ -1861,22 +1889,23 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
                        product_box(fs.u, fs.v)),
             fs.u,
             fs.v,
-            tuple((int(l), float(b)) for l, b in _at(x, "sup_1", f"/xis/{i}")),
+            _bounds(x, "sup_1", f"/xis/{i}", 2),
             float(_number(x, "d2_sup", f"/xis/{i}")),
         )
         for i, (x, fs) in enumerate(zip(per_factor("xis"), factors))
     )
+    bils, betas = per_factor("bilinears"), per_factor("beta2s")
     return validate_scenario(FamilyScenario(
         name=_at(d, "name", ""),
-        dim=_at(d, "dim", ""),
+        dim=_integer(d, "dim", "", 1),
         factors=tuple(factors),
         weights=family,
         tau_nb=_number(d, "tau_nb", ""),
         clearance_nb=_number(d, "clearance_nb", ""),
         xis=xis,
-        comp_gamma_lips=tuple(per_factor("comp_gamma_lips")),
-        bilinears=tuple(np.array(b) for b in per_factor("bilinears")),
-        beta2s=tuple(np.array(b) for b in per_factor("beta2s")),
+        comp_gamma_lips=_floats(d, "comp_gamma_lips", "", n),
+        bilinears=tuple(np.array(_numbers(bils, i, "/bilinears")) for i in range(n)),
+        beta2s=tuple(np.array(_numbers(betas, i, "/beta2s")) for i in range(n)),
         sigmas=tuple(
             _from_desc(map_from_desc, s, f"/sigmas/{i}", fs.v.as_box())
             for i, (s, fs) in enumerate(zip(per_factor("sigmas"), factors))
@@ -1886,9 +1915,9 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         dominance=tuple(
             DominanceCertificate(
                 _fw_from_dict(_at(c, "f", f"/dominance/{i}"), u_domains, f"/dominance/{i}/f"),
-                int(_at(c, "ell", f"/dominance/{i}")),
+                _integer(c, "ell", f"/dominance/{i}", 0),
                 _fw_from_dict(_at(c, "g", f"/dominance/{i}"), u_domains, f"/dominance/{i}/g"),
-                tuple(float(k) for k in _at(c, "k", f"/dominance/{i}")),
+                _floats(c, "k", f"/dominance/{i}"),
                 context=_at(c, "context", f"/dominance/{i}"),
             )
             for i, c in enumerate(_at(d, "dominance", ""))

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from wrp.cli import RunConfig, run
 from wrp.jets import (
@@ -55,7 +54,6 @@ from wrp.verify import (
     run_scenario_checks,
     sabotage_superposition,
     sabotaged_inclusion_instance,
-    scenario_to_dict,
 )
 
 ONE = const_weight("one", 1.0)

@@ -33,6 +33,28 @@ class TestParseConfig:
             parse_config({"jobs": 0})
         with pytest.raises(ConfigError, match="/tolerances"):
             parse_config({"tolerances": {"est:f0-Norm_SPid": -1.0}})
+        # a boolean is not a number, and a tolerance must be finite
+        for bad in (float("nan"), float("inf"), True, "0.5"):
+            with pytest.raises(ConfigError, match="^/tolerances/est:f0-Norm_SPid: "):
+                parse_config({"tolerances": {"est:f0-Norm_SPid": bad}})
+        with pytest.raises(ConfigError, match="^/jobs: "):
+            parse_config({"jobs": True})
+        with pytest.raises(ConfigError, match="^/seeds: "):
+            parse_config({"seeds": [0, True]})
+
+    @pytest.mark.parametrize("doc, pointer", [
+        ({"tolerances": {"est:f0-Norm_SPid": float("nan")}}, "/tolerances/est:f0-Norm_SPid"),
+        ({"tolerances": {"est:f0-Norm_SPid": float("inf")}}, "/tolerances/est:f0-Norm_SPid"),
+        ({"tolerances": {"est:f0-Norm_SPid": True}}, "/tolerances/est:f0-Norm_SPid"),
+        ({"jobs": True}, "/jobs"),
+        ({"seeds": [True]}, "/seeds"),
+    ], ids=["nan_tolerance", "infinite_tolerance", "true_tolerance", "true_jobs", "true_seed"])
+    def test_bad_number_exits_one(self, tmp_path, capsys, doc, pointer):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"checks": ["est:f0-Norm_SPid"], "out": str(tmp_path), **doc}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+        assert not (tmp_path / "report.json").exists()
 
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="malformed"):
@@ -207,8 +229,40 @@ class TestIngestErrors:
          "/elements/comp_gamma0s/1/map/terms/0/coef/0"),
         (lambda d: d["weights"]["members"][0]["factors"][1].__setitem__("c", float("inf")),
          "/weights/members/0/factors/1/c"),
+        (lambda d: d["elements"]["gammas"][0]["certified"][0].__setitem__(2, float("nan")),
+         "/elements/gammas/0/certified/0/2"),
+        (lambda d: d["elements"]["gammas"][0]["certified"][0].__setitem__(2, float("inf")),
+         "/elements/gammas/0/certified/0/2"),
+        (lambda d: d["elements"]["gammas"][0]["certified"][0].__setitem__(2, "0.5"),
+         "/elements/gammas/0/certified/0/2"),
+        (lambda d: d["elements"]["gammas"][0]["certified"][0].__setitem__(1, 0.5),
+         "/elements/gammas/0/certified/0/1"),
+        (lambda d: d["elements"]["gammas"][0]["certified"][0].pop(),
+         "/elements/gammas/0/certified/0"),
+        (lambda d: d["elements"]["gammas"][0].__setitem__("max_order", "2"),
+         "/elements/gammas/0/max_order"),
+        (lambda d: d["comp_gamma_lips"].__setitem__(0, "1.5"), "/comp_gamma_lips/0"),
+        (lambda d: d["sigma_k"][0].__setitem__(1, float("nan")), "/sigma_k/0/1"),
+        (lambda d: d["xis"][0]["sup_1"][0].__setitem__(1, float("nan")), "/xis/0/sup_1/0/1"),
+        (lambda d: d["xis"][0].__setitem__("sup_1", 2.0), "/xis/0/sup_1"),
+        (lambda d: d["dominance"][0]["k"].__setitem__(0, float("nan")), "/dominance/0/k/0"),
+        (lambda d: d["dominance"][0].__setitem__("ell", True), "/dominance/0/ell"),
+        (lambda d: d["bilinears"][0][0][0].__setitem__(0, float("nan")),
+         "/bilinears/0/0/0/0"),
+        (lambda d: d["beta2s"][1][0][0].__setitem__(0, "1"), "/beta2s/1/0/0/0"),
+        (lambda d: d["neumann"].__setitem__("tail_tol", float("nan")), "/neumann/tail_tol"),
+        (lambda d: d["contraction"].__setitem__("max_iters", 2.5), "/contraction/max_iters"),
+        (lambda d: d.__setitem__("dim", True), "/dim"),
+        (lambda d: d["factors"][0]["u"]["lo"].__setitem__(0, "0.5"), "/factors/0/u/lo/0"),
+        (lambda d: d["factors"][0]["v"].__setitem__("radius", float("inf")),
+         "/factors/0/v/radius"),
     ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k",
-            "nan_map_coefficient", "infinite_weight_constant"])
+            "nan_map_coefficient", "infinite_weight_constant", "nan_certified_bound",
+            "infinite_certified_bound", "string_certified_bound", "fractional_certified_order",
+            "short_certified_triple", "string_max_order", "string_gamma_lip",
+            "nan_sigma_k", "nan_sup_1", "scalar_sup_1", "nan_dominance_k", "true_dominance_ell",
+            "nan_bilinear", "string_beta2", "nan_neumann_tail", "fractional_max_iters",
+            "true_dim", "string_domain_bound", "infinite_ball_radius"])
     def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
         assert main(["run", "--config", str(cfg)]) == 1

@@ -27,13 +27,11 @@ from wrp.jets import (
     ScaledMap,
     SumMap,
     TrigPolynomialMap,
-    compose_jet,
     contract_last,
     crude_partial2_sup,
     crude_sup_bound,
     curry_last,
     fd_jet,
-    identity_map,
     linear2_identities_check,
     map_from_desc,
     map_to_desc,
@@ -47,7 +45,7 @@ from wrp.jets import (
     xi2_build,
     xi2_pointwise_check,
 )
-from wrp.spaces import ball, box, product_box
+from wrp.spaces import box, product_box
 
 
 def brute_force_norm(entries, n_random=200, seed=0):

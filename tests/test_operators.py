@@ -20,8 +20,6 @@ from wrp.jets import (
     TrigPolynomialMap,
     crude_partial2_sup,
     crude_sup_bound,
-    op_norm,
-    opnorm_inf,
 )
 from wrp.operators import (
     ContractionConfig,
@@ -43,7 +41,7 @@ from wrp.operators import (
     weak_integral,
 )
 from wrp.seminorms import WeightedFunction, lattice, weighted_seminorm
-from wrp.spaces import Weight, ball, box, const_weight, gaussian_weight, product_box
+from wrp.spaces import ball, box, const_weight, gaussian_weight, product_box
 
 ONE = const_weight("one", 1.0)
 

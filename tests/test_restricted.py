@@ -3,18 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from wrp.errors import PreconditionError, ShapeError, SpectralConditionError
+from wrp.errors import PreconditionError, ShapeError
 from wrp.jets import (
     AffineMap,
     ConstMap,
-    MultilinearMap,
     PairMap,
     PolynomialMap,
-    ScaledMap,
     TrigPolynomialMap,
-    op_norm,
 )
-from wrp.operators import ContractionConfig, NeumannConfig
+from wrp.operators import ContractionConfig
 from wrp.restricted import (
     FactorSpace,
     RestrictedElement,

@@ -1,10 +1,12 @@
-"""Every name a module of ``src/wrp`` imports is used in that module.
+"""Every name a module of ``src/wrp``, ``tests/`` or ``scripts/`` imports
+is used in that module.
 
 No linter is part of the toolchain, so this is checked on the syntax
 tree: a name counts as used when it appears as an identifier anywhere in
 the module or inside a quoted annotation.  Package ``__init__.py``
 files re-export what they import and are exempt, as are ``from
-__future__`` imports.
+__future__`` imports.  ``perfbench/`` is left to the benchmark's own
+changes.
 """
 
 import ast
@@ -12,8 +14,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wrp"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wrp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p for d in ("tests", "scripts") for p in (ROOT / d).glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -59,9 +63,13 @@ def unused_imports(source: str) -> list[str]:
 
 def test_modules_found():
     assert len(MODULES) >= 9
+    assert {p.parent.name for p in SCRIPTS} == {"tests", "scripts"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=[p.name for p in MODULES] + [p.relative_to(ROOT).as_posix() for p in SCRIPTS],
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -1,13 +1,10 @@
 import json
-import math
 import os
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from wrp.errors import ConfigError, DataError, PreconditionError
-from wrp.report import CheckReport
 from wrp.restricted import neighborhood_inclusion_check
 from wrp.verify import (
     ALL_CHECK_IDS,
