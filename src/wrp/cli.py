@@ -22,26 +22,16 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, WrpError
 from .verify import ALL_CHECK_IDS, CHECK_REGISTRY, ScenarioUnit, is_finite_number, run_suite
 
-_CONFIG_FIELDS = {
-    "seeds",
-    "scenarios",
-    "checks",
-    "out",
-    "jobs",
-    "strict_preconditions",
-    "skips_ok",
-    "histogram",
-    "tolerances",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; its fields are the keys of a configuration document."""
+
     seeds: tuple[int, ...] = ()
     scenarios: tuple[str, ...] = ()
     checks: tuple[str, ...] | None = None  # None means "all"
@@ -70,7 +60,7 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError(f"malformed JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("/: configuration must be a JSON object")
-    unknown = set(doc) - _CONFIG_FIELDS
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"/{sorted(unknown)[0]}: unknown field")
     seeds = doc.get("seeds", [])
@@ -123,17 +113,14 @@ def parse_config(doc) -> RunConfig:
 
 def emit_config(config: RunConfig) -> dict:
     """The JSON form of a config; parse(emit(c)) == c."""
-    return {
-        "seeds": list(config.seeds),
-        "scenarios": list(config.scenarios),
-        "checks": "all" if config.checks is None else list(config.checks),
-        "out": config.out,
-        "jobs": config.jobs,
-        "strict_preconditions": config.strict_preconditions,
-        "skips_ok": config.skips_ok,
-        "histogram": config.histogram,
-        "tolerances": {k: v for k, v in config.tolerances},
-    }
+    doc = {}
+    for f in fields(config):
+        v = getattr(config, f.name)
+        doc[f.name] = list(v) if isinstance(v, tuple) else v
+    if config.checks is None:
+        doc["checks"] = "all"
+    doc["tolerances"] = dict(config.tolerances)
+    return doc
 
 
 def _atomic_write(path: str, data: str):
@@ -267,19 +254,14 @@ def main(argv=None) -> int:
             for cid in checks:
                 if cid not in ALL_CHECK_IDS:
                     raise ConfigError(f"unknown check id {cid!r}")
-        config = RunConfig(
+        return run(replace(
+            base,
             seeds=seeds,
-            scenarios=base.scenarios,
             checks=checks,
-            out=args.out if args.out else base.out,
-            jobs=args.jobs if args.jobs else base.jobs,
-            strict_preconditions=args.strict_preconditions
-            or base.strict_preconditions,
-            skips_ok=base.skips_ok,
-            histogram=base.histogram,
-            tolerances=base.tolerances,
-        )
-        return run(config)
+            out=args.out or base.out,
+            jobs=args.jobs or base.jobs,
+            strict_preconditions=args.strict_preconditions or base.strict_preconditions,
+        ))
     except WrpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

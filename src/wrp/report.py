@@ -10,7 +10,7 @@ side is a grid lower bound; the constructor rejects that pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -63,18 +63,9 @@ class CheckReport:
             )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "check_id": self.check_id,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "lhs_provenance": self.lhs_provenance,
-            "rhs_provenance": self.rhs_provenance,
-            "witness": list(self.witness),
-            "detail": self.detail,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["witness"] = list(self.witness)
+        return d
 
 
 def bound_report(

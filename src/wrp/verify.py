@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     CertificateRequiredError,
     ConfigError,
     DataError,
+    GeometryError,
     PreconditionError,
     RangeEscapeError,
 )
@@ -110,6 +111,8 @@ from .seminorms import (
     weighted_seminorm,
 )
 from .spaces import (
+    EUCLIDEAN,
+    SUP,
     DomainSet,
     DominanceCertificate,
     FactorizationCertificate,
@@ -511,13 +514,13 @@ class ScenarioSeed:
     seed: int
     max_dim: int = 2
     max_factors: int = 4
-    coeff_scale: float = 0.8
 
 
-def _sampled_on(grid: str):
+def _sampled_on(grid: str, validated: bool = False):
     """A per-factor element field whose factor i is sampled on factor i's
-    ``grid_u`` (``"u"``) or ``grid_w`` (``"w"``) lattice."""
-    return field(metadata={"grid": grid})
+    ``grid_u`` (``"u"``) or ``grid_w`` (``"w"``) lattice; ingest checks the
+    jets of a ``validated`` element against finite differences."""
+    return field(metadata={"grid": grid, "validated": validated})
 
 
 @dataclass(frozen=True)
@@ -533,12 +536,12 @@ class FamilyScenario:
     tau_nb: float
     clearance_nb: float
     xis: tuple[SuperpositionOperand, ...]
-    gammas: RestrictedElement = _sampled_on("u")
-    gamma_alts: RestrictedElement = _sampled_on("u")
+    gammas: RestrictedElement = _sampled_on("u", validated=True)
+    gamma_alts: RestrictedElement = _sampled_on("u", validated=True)
     gamma_diffs: RestrictedElement = _sampled_on("u")
-    gamma_dirs: RestrictedElement = _sampled_on("u")
-    comp_gammas: RestrictedElement = _sampled_on("w")
-    comp_etas: RestrictedElement = _sampled_on("u")
+    gamma_dirs: RestrictedElement = _sampled_on("u", validated=True)
+    comp_gammas: RestrictedElement = _sampled_on("w", validated=True)
+    comp_etas: RestrictedElement = _sampled_on("u", validated=True)
     comp_gamma_lips: tuple[float, ...]
     comp_gamma0s: RestrictedElement = _sampled_on("w")
     comp_eta0s: RestrictedElement = _sampled_on("u")
@@ -546,18 +549,18 @@ class FamilyScenario:
     comp_eta_diffs: RestrictedElement = _sampled_on("u")
     comp_gamma_dirs: RestrictedElement = _sampled_on("w")
     comp_eta_dirs: RestrictedElement = _sampled_on("u")
-    phis: RestrictedElement = _sampled_on("u")
-    psis: RestrictedElement = _sampled_on("u")
+    phis: RestrictedElement = _sampled_on("u", validated=True)
+    psis: RestrictedElement = _sampled_on("u", validated=True)
     phi_diffs: RestrictedElement = _sampled_on("u")
-    phi_dirs: RestrictedElement = _sampled_on("u")
-    multipliers: RestrictedElement = _sampled_on("u")
+    phi_dirs: RestrictedElement = _sampled_on("u", validated=True)
+    multipliers: RestrictedElement = _sampled_on("u", validated=True)
     bilinears: tuple[np.ndarray, ...]
     beta2s: tuple[np.ndarray, ...]
-    ml_args1: RestrictedElement = _sampled_on("u")
-    ml_args2: RestrictedElement = _sampled_on("u")
+    ml_args1: RestrictedElement = _sampled_on("u", validated=True)
+    ml_args2: RestrictedElement = _sampled_on("u", validated=True)
     sigmas: tuple[JetMap, ...]
     sigma_k: tuple[tuple[int, float], ...]
-    op_gammas: RestrictedElement = _sampled_on("u")
+    op_gammas: RestrictedElement = _sampled_on("u", validated=True)
     op_q: float
     dominance: tuple[DominanceCertificate, ...]
     factorizations: tuple[FactorizationCertificate, ...]
@@ -581,6 +584,9 @@ class FamilyScenario:
 ELEMENT_GRIDS: dict[str, str] = {
     f.name: f.metadata["grid"] for f in fields(FamilyScenario) if "grid" in f.metadata
 }
+VALIDATED_ELEMENTS: tuple[str, ...] = tuple(
+    f.name for f in fields(FamilyScenario) if f.metadata.get("validated")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +610,6 @@ def _draw_poly(
     n_terms: int = 3,
     in_blocks=None,
     y_block: tuple[int, int] | None = None,
-    scale: float = 1.0,
 ) -> PolynomialMap:
     """A random polynomial, rescaled so its crude value bound is the
     target.  With ``y_block = (start, width)`` every term has positive
@@ -619,7 +624,7 @@ def _draw_poly(
     ]
     pm = PolynomialMap(domain, terms, in_blocks=in_blocks)
     b0 = crude_sup_bound(pm, 0)
-    factor = scale * target_sup / b0 if b0 > 0 else 1.0
+    factor = target_sup / b0 if b0 > 0 else 1.0
     return PolynomialMap(
         domain, [(factor * c, p) for c, p in terms], in_blocks=in_blocks
     )
@@ -641,7 +646,6 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
     holds by construction with real slack."""
     spec = seed if isinstance(seed, ScenarioSeed) else ScenarioSeed(int(seed))
     rng = np.random.default_rng(spec.seed)
-    rel = spec.coeff_scale / 0.8  # neutral at the default coefficient scale
     if spec.seed == 0:
         # the documented canonical scenario: one dimension, two factors
         dim, n = 1, 2
@@ -698,27 +702,24 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         adjusting="omega",
     )
 
-    def factor_weights(i):
-        return {
-            "one": ones[i],
-            "gauss": gs[i],
-            "gauss_half": ghs[i],
-            "omega": oms[i],
-        }
+    # factor i of each element, under its field name
+    elems: dict[str, list[WeightedFunction]] = {k: [] for k in ELEMENT_GRIDS}
 
-    def wf(map_, grid, order, i, orders=(0, 1, 2)):
-        return WeightedFunction(
-            map_, grid, order, _certified(map_, factor_weights(i), orders)
+    def add(key, map_, order, i, orders=(0, 1, 2)):
+        grid = getattr(factors[i], f"grid_{ELEMENT_GRIDS[key]}")
+        weights = {m.name: m.factors[i] for m in family.members}
+        elems[key].append(
+            WeightedFunction(map_, grid, order, _certified(map_, weights, orders))
         )
 
     # superposition kernels and their arguments
-    xis, gammas, galts, gdiffs, gdirs = [], [], [], [], []
+    xis = []
     dom_sp: dict[tuple[str, int], list] = {}
     for i, fs in enumerate(factors):
         prod = product_box(fs.u, fs.v)
         xi = _draw_poly(
             rng, prod, dim, 3, float(rng.uniform(0.5, 1.2)),
-            n_terms=4, in_blocks=(dim, dim), y_block=(dim, dim), scale=rel,
+            n_terms=4, in_blocks=(dim, dim), y_block=(dim, dim),
         )
         sup_1 = tuple((ell, crude_sup_bound(xi, ell)) for ell in (1, 2, 3))
         xis.append(
@@ -728,10 +729,10 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         g_map = _draw_poly(rng, fs.u, dim, 2, t_gamma)
         ga_map = _draw_poly(rng, fs.u, dim, 2, t_gamma)
         gd_map = _draw_poly(rng, fs.u, dim, 2, 0.2 * v_radii[i])
-        gammas.append(wf(g_map, fs.grid_u, 2, i))
-        galts.append(wf(ga_map, fs.grid_u, 2, i))
-        gdiffs.append(wf(SumMap([g_map, ScaledMap(ga_map, -1.0)]), fs.grid_u, 2, i))
-        gdirs.append(wf(gd_map, fs.grid_u, 2, i))
+        add("gammas", g_map, 2, i)
+        add("gamma_alts", ga_map, 2, i)
+        add("gamma_diffs", SumMap([g_map, ScaledMap(ga_map, -1.0)]), 2, i)
+        add("gamma_dirs", gd_map, 2, i)
         for fname in ("one", "gauss"):
             for ell in (1, 2):
                 k_i = crude_sup_bound(xi, ell)
@@ -752,55 +753,50 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         )
 
     # composition data
-    cgs, ces, clips, cg0s, ce0s, cgds, ceds, cgdirs, cedirs = (
-        [], [], [], [], [], [], [], [], [],
-    )
+    clips = []
     for i, fs in enumerate(factors):
-        cg = _draw_poly(rng, fs.w, dim, 3, float(rng.uniform(0.5, 1.5)), scale=rel)
-        cg0 = _draw_poly(rng, fs.w, dim, 3, float(rng.uniform(0.5, 1.5)), scale=rel)
+        cg = _draw_poly(rng, fs.w, dim, 3, float(rng.uniform(0.5, 1.5)))
+        cg0 = _draw_poly(rng, fs.w, dim, 3, float(rng.uniform(0.5, 1.5)))
         t_eta = min(0.8 * tau_nb / (3.0 * omega_scales[i]), 0.45 * v_radii[i])
         ce = _draw_poly(rng, fs.u, dim, 2, t_eta)
         ce0 = _draw_poly(rng, fs.u, dim, 2, t_eta)
-        cgs.append(wf(cg, fs.grid_w, 3, i))
-        cg0s.append(wf(cg0, fs.grid_w, 3, i))
-        ces.append(wf(ce, fs.grid_u, 2, i))
-        ce0s.append(wf(ce0, fs.grid_u, 2, i))
-        cgds.append(wf(SumMap([cg, ScaledMap(cg0, -1.0)]), fs.grid_w, 3, i))
-        ceds.append(wf(SumMap([ce, ScaledMap(ce0, -1.0)]), fs.grid_u, 2, i))
-        cgdirs.append(wf(_draw_poly(rng, fs.w, dim, 3, 0.4), fs.grid_w, 3, i))
-        cedirs.append(wf(_draw_poly(rng, fs.u, dim, 2, 0.15 * v_radii[i]), fs.grid_u, 2, i))
+        add("comp_gammas", cg, 3, i)
+        add("comp_gamma0s", cg0, 3, i)
+        add("comp_etas", ce, 2, i)
+        add("comp_eta0s", ce0, 2, i)
+        add("comp_gamma_diffs", SumMap([cg, ScaledMap(cg0, -1.0)]), 3, i)
+        add("comp_eta_diffs", SumMap([ce, ScaledMap(ce0, -1.0)]), 2, i)
+        add("comp_gamma_dirs", _draw_poly(rng, fs.w, dim, 3, 0.4), 3, i)
+        add("comp_eta_dirs", _draw_poly(rng, fs.u, dim, 2, 0.15 * v_radii[i]), 2, i)
         clips.append(crude_sup_bound(cg, 1))
 
     # contraction data
-    phis, psis, pdiffs, pdirs = [], [], [], []
     cap11 = 0.5 * tau
     cap10 = 0.5 * (r_shared / 2.0) * (1.0 - tau)
     for i, fs in enumerate(factors):
-        for dest, small in ((phis, False), (psis, False), (pdirs, True)):
+        for key, small in (("phis", False), ("psis", False), ("phi_dirs", True)):
             pm = _draw_poly(rng, fs.u, dim, 3, 1.0)
             b0, b1 = crude_sup_bound(pm, 0), crude_sup_bound(pm, 1)
             f11 = (0.4 if small else 1.0) * cap11 * float(rng.uniform(0.6, 1.0))
             f10 = (0.4 if small else 1.0) * cap10 * float(rng.uniform(0.6, 1.0))
             scale = min(f11 / b1 if b1 > 0 else 1.0, f10 / b0 if b0 > 0 else 1.0)
-            scaled = ScaledMap(pm, scale)
-            dest.append(wf(scaled, fs.grid_u, 2, i))
-        pdiffs.append(
-            wf(SumMap([phis[i].map, ScaledMap(psis[i].map, -1.0)]), fs.grid_u, 2, i)
-        )
+            add(key, ScaledMap(pm, scale), 2, i)
+        phi, psi = elems["phis"][i].map, elems["psis"][i].map
+        add("phi_diffs", SumMap([phi, ScaledMap(psi, -1.0)]), 2, i)
 
     # multipliers, bilinears, multilinear data
-    mults, bils, beta2s, ml1, ml2 = [], [], [], [], []
+    bils, beta2s = [], []
     dom_mult: dict[tuple[str, int], list] = {}
     for i, fs in enumerate(factors):
-        m_map = _draw_poly(rng, fs.u, dim, 2, float(rng.uniform(0.5, 1.2)), scale=rel)
-        mults.append(wf(m_map, fs.grid_u, 2, i))
+        m_map = _draw_poly(rng, fs.u, dim, 2, float(rng.uniform(0.5, 1.2)))
+        add("multipliers", m_map, 2, i)
         raw = rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
         norm = op_norm(MultilinearMap(raw, 1))
         bils.append(raw / norm * float(rng.uniform(0.5, 1.5)))
         raw2 = rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
         beta2s.append(raw2 / op_norm(MultilinearMap(raw2, 1)) * float(rng.uniform(0.5, 2.0)))
-        ml1.append(wf(_draw_poly(rng, fs.u, dim, 2, 1.0, scale=rel), fs.grid_u, 2, i))
-        ml2.append(wf(_draw_poly(rng, fs.u, dim, 2, 1.0, scale=rel), fs.grid_u, 2, i))
+        add("ml_args1", _draw_poly(rng, fs.u, dim, 2, 1.0), 2, i)
+        add("ml_args2", _draw_poly(rng, fs.u, dim, 2, 1.0), 2, i)
         for fname in ("one", "gauss"):
             for ell in (0, 1, 2):
                 dom_mult.setdefault((fname, ell), []).append(
@@ -823,7 +819,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
     sigmas = []
     for i, fs in enumerate(factors):
         sigmas.append(
-            _draw_poly(rng, fs.v.as_box(), dim, 3, 0.8, y_block=(0, dim), scale=rel)
+            _draw_poly(rng, fs.v.as_box(), dim, 3, 0.8, y_block=(0, dim))
         )
     sigma_k = tuple(
         (ell, max(crude_sup_bound(s, ell) for s in sigmas)) for ell in (1, 2)
@@ -844,7 +840,6 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
     )
 
     # operator-valued element for the power-series path
-    op_gs = []
     q_targets = []
     for i, fs in enumerate(factors):
         q_i = float(rng.uniform(0.3, 0.65))
@@ -853,7 +848,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         eb = _entry_bounds(raw, 0).reshape(dim, dim)
         bound = float(np.max(eb.sum(axis=1)))
         scale = q_i / bound if bound > 0 else 1.0
-        op_gs.append(wf(ScaledMap(raw, scale), fs.grid_u, 0, i, orders=(0,)))
+        add("op_gammas", ScaledMap(raw, scale), 0, i, orders=(0,))
         q_targets.append(q_i)
     op_q = max(q_targets)
 
@@ -875,36 +870,17 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         tau_nb=tau_nb,
         clearance_nb=clearance_nb,
         xis=tuple(xis),
-        gammas=RestrictedElement(tuple(gammas)),
-        gamma_alts=RestrictedElement(tuple(galts)),
-        gamma_diffs=RestrictedElement(tuple(gdiffs)),
-        gamma_dirs=RestrictedElement(tuple(gdirs)),
-        comp_gammas=RestrictedElement(tuple(cgs)),
-        comp_etas=RestrictedElement(tuple(ces)),
         comp_gamma_lips=tuple(clips),
-        comp_gamma0s=RestrictedElement(tuple(cg0s)),
-        comp_eta0s=RestrictedElement(tuple(ce0s)),
-        comp_gamma_diffs=RestrictedElement(tuple(cgds)),
-        comp_eta_diffs=RestrictedElement(tuple(ceds)),
-        comp_gamma_dirs=RestrictedElement(tuple(cgdirs)),
-        comp_eta_dirs=RestrictedElement(tuple(cedirs)),
-        phis=RestrictedElement(tuple(phis)),
-        psis=RestrictedElement(tuple(psis)),
-        phi_diffs=RestrictedElement(tuple(pdiffs)),
-        phi_dirs=RestrictedElement(tuple(pdirs)),
-        multipliers=RestrictedElement(tuple(mults)),
         bilinears=tuple(bils),
         beta2s=tuple(beta2s),
-        ml_args1=RestrictedElement(tuple(ml1)),
-        ml_args2=RestrictedElement(tuple(ml2)),
         sigmas=tuple(sigmas),
         sigma_k=sigma_k,
-        op_gammas=RestrictedElement(tuple(op_gs)),
         op_q=op_q,
         dominance=tuple(dominance),
         factorizations=factorizations,
         contraction=ContractionConfig(tau=tau, r=r_shared),
         neumann=NeumannConfig(),
+        **{k: RestrictedElement(tuple(v)) for k, v in elems.items()},
     ))
 
 
@@ -921,13 +897,8 @@ def validate_scenario(sc: FamilyScenario):
     for member in sc.weights.members:
         for w, pts in zip(member.factors, grids):
             validate_weight_on_points(w, pts)
-    elements = (
-        sc.gammas, sc.gamma_alts, sc.gamma_dirs, sc.comp_gammas, sc.comp_etas,
-        sc.phis, sc.psis, sc.phi_dirs, sc.multipliers, sc.ml_args1, sc.ml_args2,
-        sc.op_gammas,
-    )
-    for elem in elements:
-        for wf in elem.factors:
+    for key in VALIDATED_ELEMENTS:
+        for wf in getattr(sc, key).factors:
             validate_jet_map(wf.map, rng)
     for op in sc.xis:
         validate_jet_map(op.xi, rng)
@@ -1663,9 +1634,10 @@ def _numbers(node, key, path: str):
     return v
 
 
-def _bounds(node, key: str, path: str, width: int) -> tuple[tuple, ...]:
+def _bounds(node, key: str, path: str, width: int, orders=()) -> tuple[tuple, ...]:
     """The rows listed at ``node[key]``, each ``width`` entries ending in
-    (order, bound); the entries before them are returned as they are."""
+    (order, bound), with a row for every order in ``orders``; the entries
+    before (order, bound) are returned as they are."""
     rows, at = _items(node, key, path), f"{path}/{key}"
     out = []
     for j, row in enumerate(rows):
@@ -1676,6 +1648,10 @@ def _bounds(node, key: str, path: str, width: int) -> tuple[tuple, ...]:
             _integer(row, width - 2, f"{at}/{j}", 0)
             _number(row, width - 1, f"{at}/{j}")
         out.append((*row[:-2], row[-2], float(row[-1])))
+    given = {row[-2] for row in out}
+    for k in orders:
+        if k not in given:
+            raise DataError(f"{at}: must give the bound for order {k}")
     return tuple(out)
 
 
@@ -1705,10 +1681,25 @@ def _nonfinite_at(node) -> str | None:
     return None
 
 
-def _domain_from_dict(d: dict, path: str) -> DomainSet:
-    if _at(d, "kind", path) == "box":
-        return box(_floats(d, "lo", path), _floats(d, "hi", path), d.get("norm", "sup"))
-    return ball(_floats(d, "center", path), _number(d, "radius", path), d.get("norm", "sup"))
+def _domain_from_dict(d: dict, path: str, dim: int) -> DomainSet:
+    """A box or ball in dimension ``dim`` whose bounding box has finite
+    widths, so that probes drawn inside it are finite."""
+    kind, norm = _at(d, "kind", path), d.get("norm", SUP)
+    if norm not in (SUP, EUCLIDEAN):
+        raise DataError(f"{path}/norm: must be {SUP!r} or {EUCLIDEAN!r}, got {norm!r}")
+    try:
+        if kind == "box":
+            dom = box(_floats(d, "lo", path, dim), _floats(d, "hi", path, dim), norm)
+        else:
+            dom = ball(_floats(d, "center", path, dim), _number(d, "radius", path), norm)
+    except GeometryError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    with np.errstate(over="ignore"):
+        lo, hi = dom.bounding_box()
+        finite = np.isfinite(hi - lo).all()
+    if not finite:
+        raise DataError(f"{path}: the bounding box must have finite widths")
+    return dom
 
 
 def _wf_to_dict(wf: WeightedFunction) -> dict:
@@ -1748,14 +1739,6 @@ def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
     )
 
 
-def _sigma_k(d: dict) -> tuple[tuple[int, float], ...]:
-    """The (order, bound) pairs of ``/sigma_k``; the runners read order 1."""
-    pairs = _bounds(d, "sigma_k", "", 2)
-    if 1 not in dict(pairs):
-        raise DataError("/sigma_k: must give the bound for order 1")
-    return pairs
-
-
 def _config_from_dict(cls, d: dict, key: str):
     """``cls`` from the object ``/key``; its int fields must be integers
     >= 1, the others finite numbers."""
@@ -1782,6 +1765,11 @@ def _contraction(d: dict) -> ContractionConfig:
     return cfg
 
 
+# The domains of a FactorSpace, and each of its grids with the domain it samples.
+_DOMAINS = ("u", "v", "w", "v_tilde")
+_GRID_DOMAINS = {"grid_u": "u", "grid_w": "w", "grid_vt": "v_tilde"}
+
+
 def scenario_to_dict(sc: FamilyScenario) -> dict:
     return {
         "name": sc.name,
@@ -1791,15 +1779,8 @@ def scenario_to_dict(sc: FamilyScenario) -> dict:
         "op_q": sc.op_q,
         "sigma_k": [[l, k] for l, k in sc.sigma_k],
         "factors": [
-            {
-                "u": _domain_to_dict(fs.u),
-                "v": _domain_to_dict(fs.v),
-                "w": _domain_to_dict(fs.w),
-                "v_tilde": _domain_to_dict(fs.v_tilde),
-                "grid_u": len(fs.grid_u.axes[0]),
-                "grid_w": len(fs.grid_w.axes[0]),
-                "grid_vt": len(fs.grid_vt.axes[0]),
-            }
+            {**{k: _domain_to_dict(getattr(fs, k)) for k in _DOMAINS},
+             **{g: len(getattr(fs, g).axes[0]) for g in _GRID_DOMAINS}}
             for fs in sc.factors
         ],
         "weights": {
@@ -1833,35 +1814,22 @@ def scenario_to_dict(sc: FamilyScenario) -> dict:
             {"f": _fw_to_dict(c.f), "parts": [_fw_to_dict(p) for p in c.parts]}
             for c in sc.factorizations
         ],
-        "contraction": {
-            "tau": sc.contraction.tau, "r": sc.contraction.r,
-            "fix_tol": sc.contraction.fix_tol, "max_iters": sc.contraction.max_iters,
-        },
-        "neumann": {
-            "tail_tol": sc.neumann.tail_tol, "max_terms": sc.neumann.max_terms,
-        },
+        "contraction": asdict(sc.contraction),
+        "neumann": asdict(sc.neumann),
     }
 
 
 def scenario_from_dict(d: dict) -> FamilyScenario:
     """Load a scenario document.  Anything missing or malformed is a
     DataError whose message starts with the JSON pointer of the entry."""
+    dim = _integer(d, "dim", "", 1)
     factors = []
     for i, fd in enumerate(_at(d, "factors", "")):
         path = f"/factors/{i}"
-        u = _domain_from_dict(_at(fd, "u", path), f"{path}/u")
-        v = _domain_from_dict(_at(fd, "v", path), f"{path}/v")
-        w = _domain_from_dict(_at(fd, "w", path), f"{path}/w")
-        vt = _domain_from_dict(_at(fd, "v_tilde", path), f"{path}/v_tilde")
-        factors.append(
-            FactorSpace(
-                u=u, grid_u=lattice(u, per_axis=_integer(fd, "grid_u", path, 1)),
-                v=v,
-                w=w, grid_w=lattice(w, per_axis=_integer(fd, "grid_w", path, 1)),
-                v_tilde=vt,
-                grid_vt=lattice(vt, per_axis=_integer(fd, "grid_vt", path, 1)),
-            )
-        )
+        geom = {k: _domain_from_dict(_at(fd, k, path), f"{path}/{k}", dim) for k in _DOMAINS}
+        for g, k in _GRID_DOMAINS.items():
+            geom[g] = lattice(geom[k], per_axis=_integer(fd, g, path, 1))
+        factors.append(FactorSpace(**geom))
     n = len(factors)
 
     def per_factor(key: str) -> list:
@@ -1889,7 +1857,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
                        product_box(fs.u, fs.v)),
             fs.u,
             fs.v,
-            _bounds(x, "sup_1", f"/xis/{i}", 2),
+            _bounds(x, "sup_1", f"/xis/{i}", 2, orders=(1, 2, 3)),  # the runners read 1..3
             float(_number(x, "d2_sup", f"/xis/{i}")),
         )
         for i, (x, fs) in enumerate(zip(per_factor("xis"), factors))
@@ -1897,7 +1865,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
     bils, betas = per_factor("bilinears"), per_factor("beta2s")
     return validate_scenario(FamilyScenario(
         name=_at(d, "name", ""),
-        dim=_integer(d, "dim", "", 1),
+        dim=dim,
         factors=tuple(factors),
         weights=family,
         tau_nb=_number(d, "tau_nb", ""),
@@ -1910,7 +1878,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
             _from_desc(map_from_desc, s, f"/sigmas/{i}", fs.v.as_box())
             for i, (s, fs) in enumerate(zip(per_factor("sigmas"), factors))
         ),
-        sigma_k=_sigma_k(d),
+        sigma_k=_bounds(d, "sigma_k", "", 2, orders=(1,)),
         op_q=_number(d, "op_q", ""),
         dominance=tuple(
             DominanceCertificate(

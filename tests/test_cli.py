@@ -1,4 +1,5 @@
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -256,18 +257,50 @@ class TestIngestErrors:
         (lambda d: d["factors"][0]["u"]["lo"].__setitem__(0, "0.5"), "/factors/0/u/lo/0"),
         (lambda d: d["factors"][0]["v"].__setitem__("radius", float("inf")),
          "/factors/0/v/radius"),
+        (lambda d: d["xis"][0].__setitem__("sup_1", d["xis"][0]["sup_1"][:1]), "/xis/0/sup_1"),
+        (lambda d: d["xis"][1]["sup_1"].pop(), "/xis/1/sup_1"),
+        (lambda d: d["factors"][0]["v"]["center"].append(0.0), "/factors/0/v/center"),
+        (lambda d: d["factors"][1]["w"]["hi"].append(1.0), "/factors/1/w/hi"),
+        (lambda d: d["factors"][0]["u"]["lo"].__setitem__(0, d["factors"][0]["u"]["hi"][0]),
+         "/factors/0/u"),
+        (lambda d: d["factors"][1]["v"].__setitem__("norm", "l1"), "/factors/1/v/norm"),
     ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k",
             "nan_map_coefficient", "infinite_weight_constant", "nan_certified_bound",
             "infinite_certified_bound", "string_certified_bound", "fractional_certified_order",
             "short_certified_triple", "string_max_order", "string_gamma_lip",
             "nan_sigma_k", "nan_sup_1", "scalar_sup_1", "nan_dominance_k", "true_dominance_ell",
             "nan_bilinear", "string_beta2", "nan_neumann_tail", "fractional_max_iters",
-            "true_dim", "string_domain_bound", "infinite_ball_radius"])
+            "true_dim", "string_domain_bound", "infinite_ball_radius", "order_one_sup_1",
+            "no_order_three_sup_1", "long_ball_center", "long_box_hi", "empty_box",
+            "unknown_norm"])
     def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pointer}: "), err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("mutate, pointer", [
+        (lambda d: d["factors"][0]["v"].__setitem__("radius", 1e308), "/factors/0/v"),
+        (lambda d: d["factors"][1]["u"].update(lo=[-1e308], hi=[1e308]), "/factors/1/u"),
+    ], ids=["huge_ball_radius", "huge_box"])
+    def test_infinite_extent_exits_one_promptly(self, tmp_path, scenario0, capsys,
+                                                 mutate, pointer):
+        # finite numbers whose bounding box overflows: probes drawn inside
+        # it are not finite, so jet validation would never find one
+        def give_up(signum, frame):
+            raise TimeoutError("ingest did not return within 20 s")
+
+        cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(20)
+        try:
+            code = main(["run", "--config", str(cfg)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("pointer", [

@@ -12,6 +12,14 @@ function or method named ``f``); calling a class calls its
 ``__init__``, and ``super().__init__(...)`` in a class body calls the
 ``__init__`` of each base.  Defaults of lambdas and nested functions
 bind closure values and are exempt.
+
+A dataclass field with a default is a parameter of the class's
+``__init__`` too: it counts as set when some call of the class names it
+by keyword, reaches it by position among the ``__init__`` fields or
+passes ``*args``/``**kwargs``.  A field is defaulted when its value is
+not a ``field(...)`` call, or is one (made directly or returned by a
+module-level helper) with ``default`` or ``default_factory``; an
+``init=False`` field and a ``ClassVar`` are exempt.
 """
 
 import ast
@@ -20,6 +28,34 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "wrp"
 CALLERS = [ROOT / d for d in ("src", "tests", "scripts", "perfbench")]
+
+
+def _call_name(node) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def dataclass_fields(cls: ast.ClassDef, field_helpers: dict[str, ast.Call]):
+    """(name, has default) per ``__init__`` field of ``cls``, in order, or
+    nothing if ``cls`` is not a dataclass."""
+    if not any(_call_name(d) == "dataclass" for d in cls.decorator_list):
+        return
+    for item in cls.body:
+        if not isinstance(item, ast.AnnAssign) or not isinstance(item.target, ast.Name):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        callee = _call_name(value) if isinstance(value, ast.Call) else None
+        spec = value if callee == "field" else field_helpers.get(callee)
+        if spec is None:
+            yield item.target.id, value is not None
+            continue
+        keywords = {k.arg: k.value for k in spec.keywords}
+        init = keywords.get("init")
+        if not (isinstance(init, ast.Constant) and init.value is False):
+            yield item.target.id, "default" in keywords or "default_factory" in keywords
 
 
 def defaulted_parameters(tree: ast.Module, module: str):
@@ -39,10 +75,19 @@ def defaulted_parameters(tree: ast.Module, module: str):
             if default is not None:
                 yield f"{label}({arg.arg})", name, None, arg.arg
 
+    # module-level functions that return a field(...) call
+    field_helpers = {
+        fn.name: ret.value for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for ret in ast.walk(fn)
+        if isinstance(ret, ast.Return) and _call_name(ret.value) == "field"
+    }
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield from of_function(node, None)
         elif isinstance(node, ast.ClassDef):
+            for i, (name, has_default) in enumerate(dataclass_fields(node, field_helpers)):
+                if has_default:
+                    yield f"{module}:{node.name}.{name}", node.name, i, name
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     yield from of_function(item, node.name)
@@ -141,3 +186,29 @@ def test_detector_flags_a_default_no_call_sets():
     assert never_set({"m": source}, [source, caller]) == [
         "m:Base.__init__(c)", "m:Base.m(q)", "m:Base.s(v)", "m:f(check_id)",
     ]
+
+
+def test_detector_flags_a_dataclass_field_no_call_sets():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "def tagged(tag):\n"
+        "    return field(metadata={'tag': tag})\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    name: str\n"
+        "    size: int = 1\n"
+        "    scale: float = 0.5\n"
+        "    marked: int = tagged('a')\n"
+        "    extra: dict = field(default_factory=dict)\n"
+        "    cache: dict = field(init=False, default_factory=dict)\n"
+        "    limit: ClassVar[int] = 3\n"
+        "    note: str = field(default='', compare=False)\n"
+        "@dataclass\n"
+        "class Plain:\n"
+        "    a: int = 0\n"
+        "class NotData:\n"
+        "    b: int = 0\n"
+    )
+    caller = "Spec('x', 2, marked=0)\nSpec('y', note='z')\nPlain(**{})\n"
+    assert never_set({"m": source}, [source, caller]) == ["m:Spec.extra", "m:Spec.scale"]
