@@ -19,7 +19,6 @@ from .jets import (
 )
 from .operators import (
     ContractionConfig,
-    NeumannConfig,
     SuperpositionOperand,
     compose_perturbed,
     invert_perturbed,

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedNormError,
 )
 from .report import CheckReport, bound_report, bound_rows, identity_report
-from .spaces import EUCLIDEAN, SUP, DomainSet, box, product_box
+from .spaces import EUCLIDEAN, SUP, DomainSet, box, desc_powers, product_box
 
 ENUM_BUDGET = 16
 FD_STEP_ORDER1 = 1e-4
@@ -734,20 +734,6 @@ class PartialD2Map(JetMap):
         return np.moveaxis(t[..., self.m1:], -1, 2)
 
 
-def _leibniz_pair(b, lj, rj, ell: int, m: int) -> np.ndarray:
-    """Order-``ell`` tensor of x -> b(left(x), right(x)) at one point from
-    the factors' tensors ``lj[r]``, ``rj[r]`` of orders 0..ell."""
-    ent = np.zeros((b.shape[0],) + (m,) * ell)
-    for r in range(ell + 1):
-        for subset in itertools.combinations(range(ell), r):
-            v = np.tensordot(b, lj[r], axes=(1, 0))
-            v = np.tensordot(v, rj[ell - r], axes=(1, 0))
-            slots = list(subset) + [s for s in range(ell) if s not in subset]
-            perm = [0] + [1 + slots.index(s) for s in range(ell)]
-            ent += np.transpose(v, perm)
-    return _symmetrized(ent, 1)
-
-
 def _leibniz_multi(b, jets, ell: int, m: int) -> np.ndarray:
     """Order-``ell`` tensor of x -> b(f_1(x), ..., f_k(x)) at one point
     from the factors' tensors ``jets[j][r]`` of orders 0..ell."""
@@ -762,32 +748,6 @@ def _leibniz_multi(b, jets, ell: int, m: int) -> np.ndarray:
         perm = [0] + [1 + slots.index(s) for s in range(ell)]
         ent += np.transpose(v, perm)
     return _symmetrized(ent, 1)
-
-
-class BilinearPairMap(JetMap):
-    """x -> b(left(x), right(x)) for a constant bilinear b, Leibniz jets."""
-
-    def __init__(self, b: np.ndarray, left: JetMap, right: JetMap):
-        b = np.asarray(b, dtype=float)
-        if b.ndim != 3 or b.shape[1] != left.out_dim or b.shape[2] != right.out_dim:
-            raise ShapeError("bilinear tensor shape must be (out, left, right)")
-        if left.dim != right.dim:
-            raise ShapeError("factors must share a domain")
-        orders = [m.max_order for m in (left, right) if m.max_order is not None]
-        super().__init__(
-            left.domain, (b.shape[0],), min(orders) if orders else None
-        )
-        self.b, self.left, self.right = b, left, right
-
-    def tensors(self, points, ell):
-        self._check_order(ell)
-        lj = [self.left.tensors(points, r) for r in range(ell + 1)]
-        rj = [self.right.tensors(points, r) for r in range(ell + 1)]
-        # contracted per point: tensordot's BLAS calls fix the bits
-        return np.stack([
-            _leibniz_pair(self.b, [t[i] for t in lj], [t[i] for t in rj], ell, self.dim)
-            for i in range(len(points))
-        ])
 
 
 class MultilinearPairMap(JetMap):
@@ -1360,7 +1320,7 @@ def map_from_desc(desc: dict, domain: DomainSet) -> JetMap:
     if kind == "affine":
         return AffineMap(domain, desc["a"], desc.get("b"))
     if kind == "poly":
-        terms = [(t["coef"], t["powers"]) for t in desc["terms"]]
+        terms = [(t["coef"], desc_powers(t["powers"])) for t in desc["terms"]]
         blocks = tuple(desc["in_blocks"]) if "in_blocks" in desc else None
         return PolynomialMap(domain, terms, in_blocks=blocks)
     if kind == "trig":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,6 +58,10 @@ from .spaces import DomainSet, Weight
 SLOPE_WINDOW = (1.7, 2.3)
 EXACTNESS_TOL = 1e-12
 DEFAULT_FD_STEPS = (0.1, 0.05, 0.025, 0.0125)
+# the Neumann truncation: the fewest terms whose geometric tail is at most
+# NEUMANN_TAIL, and never more than NEUMANN_MAX_TERMS
+NEUMANN_TAIL = 1e-12
+NEUMANN_MAX_TERMS = 160
 
 
 @dataclass(frozen=True)
@@ -75,12 +79,6 @@ class ContractionConfig:
             raise PreconditionError("tau must lie in (0, 1)")
         if self.r <= 0:
             raise PreconditionError("r must be positive")
-
-
-@dataclass(frozen=True)
-class NeumannConfig:
-    tail_tol: float = 1e-12
-    max_terms: int = 128
 
 
 def convergence_report(
@@ -113,6 +111,35 @@ def convergence_report(
         check_id, status, slope, hi, margin, 0.0, EXACT, EXACT, (),
         detail + f" slope {slope:.3f} in [{lo}, {hi}]",
     )
+
+
+def derivative_convergence(
+    check_id: str,
+    error_at: Callable[[float], float],
+    steps: Sequence[float],
+    exact_tol: float = EXACTNESS_TOL,
+    detail: str = "",
+) -> CheckReport:
+    """The difference-quotient sweep of every derivative check:
+    ``error_at(t)`` is the sup error of the quotient at step ``t`` against
+    the claimed derivative, or raises RangeEscapeError to reject the step.
+    The steps (at least three) must decrease geometrically."""
+    if len(steps) < 3:
+        raise PreconditionError("need at least three geometrically spaced steps")
+    ratios = [steps[i + 1] / steps[i] for i in range(len(steps) - 1)]
+    if max(ratios) / min(ratios) > 1.5 or not all(0 < r < 1 for r in ratios):
+        raise PreconditionError("step sizes must decrease geometrically")
+    used, errors = [], []
+    for t in steps:
+        try:
+            errors.append(float(error_at(t)))
+        except RangeEscapeError:
+            continue
+        used.append(t)
+    rejected = len(steps) - len(used)
+    if rejected:
+        detail = f"{detail} {rejected} step(s) rejected by range checks;".lstrip()
+    return convergence_report(check_id, used, errors, exact_tol, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +300,15 @@ def superpose_derivative_check(
     d2 = op.xi.tensors(np.concatenate([pts, g], axis=1), 1)[:, :, -m2:]
     # d2 @ d one point at a time: the BLAS call of the one-point formula
     exact = np.array([a @ b for a, b in zip(d2, d)])
-    used_steps, errors = [], []
-    for t in DEFAULT_FD_STEPS:
+
+    def error_at(t):
         if not (op.v.members(g + t * d).all() and op.v.members(g - t * d).all()):
-            continue
+            raise RangeEscapeError("gamma +- t direction escapes the value domain")
         plus = op.xi.tensors(np.concatenate([pts, g + t * d], axis=1), 0)
         minus = op.xi.tensors(np.concatenate([pts, g - t * d], axis=1), 0)
-        used_steps.append(t)
-        errors.append(float(np.max(np.abs((plus - minus) / (2 * t) - exact))))
-    detail = "" if len(used_steps) == len(DEFAULT_FD_STEPS) else \
-        f"{len(DEFAULT_FD_STEPS) - len(used_steps)} step(s) rejected by range checks;"
-    return convergence_report(check_id, used_steps, errors, detail=detail)
+        return np.max(np.abs((plus - minus) / (2 * t) - exact))
+
+    return derivative_convergence(check_id, error_at, DEFAULT_FD_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -382,47 +407,47 @@ def compose_derivative_check(
     dgamma = gamma.map.differential().tensors(z, 0)
     # dgamma @ dx one point at a time: the BLAS call of the one-point formula
     exact = np.array([a @ b for a, b in zip(dgamma, dx)]) + gamma_dir.tensors(z, 0)
-    used, errors = [], []
-    for t in DEFAULT_FD_STEPS:
+
+    def error_at(t):
         if not (v.members(ex + t * dx).all() and v.members(ex - t * dx).all()):
-            continue
+            raise RangeEscapeError("eta +- t direction escapes the perturbation range")
         zp, zm = z + t * dx, z - t * dx
         plus = gamma.map.tensors(zp, 0) + t * gamma_dir.tensors(zp, 0)
         minus = gamma.map.tensors(zm, 0) - t * gamma_dir.tensors(zm, 0)
-        used.append(t)
-        errors.append(float(np.max(np.abs((plus - minus) / (2 * t) - exact))))
-    return convergence_report(check_id, used, errors)
+        return np.max(np.abs((plus - minus) / (2 * t) - exact))
+
+    return derivative_convergence(check_id, error_at, DEFAULT_FD_STEPS)
 
 
 # ---------------------------------------------------------------------------
 # quasi-inverse by Neumann series
 
 
-def neumann_terms(q: float, cfg: NeumannConfig = NeumannConfig()) -> int:
+def neumann_terms(q: float) -> int:
     """Smallest truncation order N with geometric tail q^(N+1)/(1-q) at or
-    below the tail tolerance."""
+    below ``NEUMANN_TAIL``."""
     if not 0.0 <= q < 1.0:
         raise SpectralConditionError(f"operator norm {q} is not below 1")
     if q == 0.0:
         return 1
     n_terms = 1
-    while q ** (n_terms + 1) / (1.0 - q) > cfg.tail_tol:
+    while q ** (n_terms + 1) / (1.0 - q) > NEUMANN_TAIL:
         n_terms += 1
-        if n_terms > cfg.max_terms:
+        if n_terms > NEUMANN_MAX_TERMS:
             raise TruncationError(
-                f"needs more than {cfg.max_terms} terms for tail {cfg.tail_tol}"
+                f"needs more than {NEUMANN_MAX_TERMS} terms for tail {NEUMANN_TAIL}"
             )
     return n_terms
 
 
-def quasi_inverse(a, cfg: NeumannConfig = NeumannConfig()):
+def quasi_inverse(a):
     """QI(a) = -(a + a^2 + ...) truncated so the geometric tail is below
-    tail_tol; satisfies a + QI(a) - a QI(a) = 0 within twice the tail."""
+    ``NEUMANN_TAIL``; satisfies a + QI(a) - a QI(a) = 0 within twice the tail."""
     wrap = isinstance(a, MultilinearMap)
     mat = np.atleast_2d(np.asarray(a.entries if wrap else a, dtype=float))
     if mat.shape[0] != mat.shape[1]:
         raise SpectralConditionError("quasi-inverse needs a square operator")
-    n_terms = neumann_terms(opnorm_inf(mat), cfg)
+    n_terms = neumann_terms(opnorm_inf(mat))
     power = mat.copy()
     acc = mat.copy()
     for _ in range(1, n_terms):
@@ -434,13 +459,11 @@ def quasi_inverse(a, cfg: NeumannConfig = NeumannConfig()):
     return qi
 
 
-def quasi_inverse_report(
-    a: np.ndarray, cfg: NeumannConfig = NeumannConfig(),
-) -> tuple[np.ndarray, CheckReport]:
-    qi = quasi_inverse(a, cfg)
+def quasi_inverse_report(a: np.ndarray) -> tuple[np.ndarray, CheckReport]:
+    qi = quasi_inverse(a)
     residual = opnorm_inf(np.atleast_2d(a) + qi - np.atleast_2d(a) @ qi)
     return qi, bound_report(
-        "qi:neumann_relation", residual, 2.0 * cfg.tail_tol, tolerance=0.0,
+        "qi:neumann_relation", residual, 2.0 * NEUMANN_TAIL, tolerance=0.0,
         lhs_provenance=EXACT, rhs_provenance=EXACT,
         detail="algebra relation a + QI(a) - a QI(a) = 0 up to the tail",
     )
@@ -658,10 +681,11 @@ def inversion_direction_check(
     c10 = phi.require_bound("one", 0)
     d10 = direction.require_bound("one", 0)
     base = InverseMap(phi.map, u, v, cfg)
-    used, errors = [], []
-    for t in (0.05, 0.025, 0.0125, 0.00625):
+    steps = (0.05, 0.025, 0.0125, 0.00625)
+
+    def error_at(t):
         if c11 + t * d11 >= cfg.tau or c10 + t * d10 >= cfg.r / 2 * (1 - cfg.tau):
-            continue
+            raise RangeEscapeError("phi +- t direction leaves the operator domain")
         plus = InverseMap(SumMap([phi.map, ScaledMap(direction.map, t)]), u, v, cfg)
         minus = InverseMap(SumMap([phi.map, ScaledMap(direction.map, -t)]), u, v, cfg)
         try:
@@ -680,15 +704,14 @@ def inversion_direction_check(
             qi = quasi_inverse(-a)
             exact = -((np.eye(a.shape[0]) - qi) @ dv)
             worst = max(worst, float(np.max(np.abs(fd_y - exact))))
-        used.append(t)
-        errors.append(worst)
+        return worst
+
     # each quotient carries solver noise up to 2 fix_tol / (2t); below a few
     # times that floor the slope carries no information and the errors are
     # already at the achievable precision
-    noise_floor = 4.0 * cfg.fix_tol / min(used) if used else EXACTNESS_TOL
-    return convergence_report(
-        "id:Ableitung_Inversion", used, errors,
-        exact_tol=max(EXACTNESS_TOL, noise_floor),
+    return derivative_convergence(
+        "id:Ableitung_Inversion", error_at, steps,
+        exact_tol=max(EXACTNESS_TOL, 4.0 * cfg.fix_tol / min(steps)),
         detail="derivative in the operator argument;",
     )
 

@@ -133,13 +133,23 @@ def skipped_report(check_id: str, reason: str) -> CheckReport:
     )
 
 
+def _worst_index(margin: np.ndarray, fails: np.ndarray) -> int:
+    """The one worst-witness rule: failed entries take precedence, then the
+    first smallest margin wins; as with Python's ``min``, a NaN margin wins
+    only first in the pool."""
+    if not margin.size:
+        raise ValueError("no reports to aggregate")
+    pool = np.flatnonzero(fails) if fails.any() else np.arange(margin.size)
+    m = margin[pool]
+    if np.isnan(m[0]):
+        return int(pool[0])
+    return int(pool[np.argmin(np.where(np.isnan(m), np.inf, m))])
+
+
 def worst(reports: list[CheckReport]) -> CheckReport:
     """The report with the smallest margin; failures take precedence."""
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    fails = [r for r in reports if r.status == FAIL]
-    pool = fails if fails else reports
-    return min(pool, key=lambda r: r.margin)
+    margin = np.array([r.margin for r in reports], dtype=float)
+    return reports[_worst_index(margin, np.array([r.status == FAIL for r in reports]))]
 
 
 def merge_min_margin(check_id: str, reports: list[CheckReport]) -> CheckReport:
@@ -153,19 +163,12 @@ def merge_min_margin(check_id: str, reports: list[CheckReport]) -> CheckReport:
 
 def worst_row(lhs, rhs, tolerance: float, failed=None) -> int:
     """Row that :func:`worst` keeps among one :func:`bound_report` per row
-    of the claims ``lhs[k] <= rhs[k]``: failed rows (and those of the bool
-    array ``failed``) take precedence, then the first smallest margin wins;
-    as with Python's ``min``, a NaN margin wins only first in the pool."""
+    of the claims ``lhs[k] <= rhs[k]``; the rows of the bool array
+    ``failed`` count as failed too."""
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    if not lhs.size:
-        raise ValueError("no reports to aggregate")
     with np.errstate(invalid="ignore"):
         margin = np.where(lhs == rhs, 0.0, rhs - lhs)
-    fails = ~(margin >= -tolerance) | (False if failed is None else failed)
-    pool = np.flatnonzero(fails) if fails.any() else np.arange(margin.size)
-    if np.isnan(margin[pool[0]]):
-        return int(pool[0])
-    return int(pool[np.nanargmin(margin[pool])])
+    return _worst_index(margin, ~(margin >= -tolerance) | (False if failed is None else failed))
 
 
 def bound_rows(check_id: str, lhs, rhs, *, tolerance: float, failed=None,

@@ -25,7 +25,6 @@ from .errors import (
     SpectralConditionError,
 )
 from .jets import (
-    BilinearPairMap,
     JetMap,
     MultilinearMap,
     MultilinearPairMap,
@@ -36,8 +35,8 @@ from .jets import (
     opnorm_inf,
 )
 from .operators import (
+    NEUMANN_TAIL,
     ContractionConfig,
-    NeumannConfig,
     SuperpositionOperand,
     compose_perturbed,
     invert_perturbed,
@@ -334,8 +333,8 @@ def sim_multiply(
     cert: DominanceCertificate,
     grids: Sequence[np.ndarray],
 ) -> tuple[RestrictedElement, CheckReport]:
-    """Factor-wise b_i(M_i, gamma_i) with Leibniz jets and the family
-    estimate against the dominating weight of the certificate."""
+    """Factor-wise b_i(M_i, gamma_i), the two-slot multilinear pairing,
+    with the family estimate against the dominating weight of the certificate."""
     from .spaces import check_dominance_certificate
 
     gate = check_dominance_certificate(cert, grids, check_id="cond:est_sim-multiplier_weights")
@@ -346,7 +345,7 @@ def sim_multiply(
     for m_i, b_i, x_i in zip(multipliers, bilinears, x.factors):
         out.append(
             WeightedFunction(
-                BilinearPairMap(b_i, m_i.map, x_i.map),
+                MultilinearPairMap(b_i, [m_i.map, x_i.map]),
                 x_i.grid,
                 min(m_i.max_order, x_i.max_order),
             )
@@ -443,26 +442,22 @@ def sim_superpose(
 class PointwiseQIMap(JetMap):
     """Value-level quasi-inversion of an operator-valued function."""
 
-    def __init__(self, base: JetMap, op_dim: int, neumann: NeumannConfig):
+    def __init__(self, base: JetMap, op_dim: int):
         super().__init__(base.domain, (op_dim * op_dim,), max_order=0)
         self.base = base
         self.op_dim = op_dim
-        self.neumann = neumann
 
     def tensors(self, points, ell):
         self._check_order(ell)
         p = self.op_dim
         return np.stack([
-            quasi_inverse(a.reshape(p, p), self.neumann).reshape(-1)
+            quasi_inverse(a.reshape(p, p)).reshape(-1)
             for a in self.base.tensors(points, 0)
         ])
 
 
 def sim_power_series(
-    x: RestrictedElement,
-    op_dim: int,
-    q: float,
-    cfg: NeumannConfig = NeumannConfig(),
+    x: RestrictedElement, op_dim: int, q: float
 ) -> tuple[RestrictedElement, CheckReport]:
     """Pointwise quasi-inversion across the family; the spectral bound q
     must hold at every grid point of every factor."""
@@ -481,13 +476,13 @@ def sim_power_series(
                     EXACT, CERTIFIED_UPPER, (i,) + tuple(pt.tolist()),
                     "spectral certificate violated",
                 )
-            qi = quasi_inverse(a, cfg)
+            qi = quasi_inverse(a)
             residuals.append(opnorm_inf(a + qi - a @ qi))
         out.append(
-            WeightedFunction(PointwiseQIMap(wf.map, op_dim, cfg), wf.grid, 0)
+            WeightedFunction(PointwiseQIMap(wf.map, op_dim), wf.grid, 0)
         )
     return RestrictedElement(tuple(out)), bound_rows(
-        check_id, residuals, np.full(len(residuals), 2.0 * cfg.tail_tol),
+        check_id, residuals, np.full(len(residuals), 2.0 * NEUMANN_TAIL),
         tolerance=0.0, lhs_provenance=EXACT, rhs_provenance=EXACT,
         witness=stacked_points([wf.grid.points for wf in x.factors]),
     )

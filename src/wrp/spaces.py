@@ -410,6 +410,14 @@ def shifted_weight(
     )
 
 
+def desc_powers(powers) -> tuple[int, ...]:
+    """The exponents of a polynomial term read from a descriptor: a list
+    of integers >= 0 (a boolean or a fraction is not one)."""
+    if not isinstance(powers, list) or not all(type(p) is int and p >= 0 for p in powers):
+        raise DataError(f"powers must be a list of integers >= 0, got {powers!r}")
+    return tuple(powers)
+
+
 def weight_from_desc(desc: dict, name: str = "w", domain: DomainSet | None = None) -> Weight:
     kind = desc.get("kind")
     cs, ci = desc.get("certified_sup"), desc.get("certified_inf")
@@ -420,7 +428,7 @@ def weight_from_desc(desc: dict, name: str = "w", domain: DomainSet | None = Non
     elif kind == "two_plus_sin":
         w = two_plus_sin_weight(name, desc["u"], desc.get("scale", 1.0))
     elif kind == "poly":
-        w = poly_weight(name, [(c, p) for c, p in desc["terms"]], cs, ci)
+        w = poly_weight(name, [(c, desc_powers(p)) for c, p in desc["terms"]], cs, ci)
     elif kind == "scaled":
         w = scaled_weight(weight_from_desc(desc["base"], name, domain), desc["c"], name)
     elif kind == "shifted":

@@ -28,7 +28,7 @@ from .errors import (
     DataError,
     GeometryError,
     PreconditionError,
-    RangeEscapeError,
+    ShapeError,
 )
 from .jets import (
     ComposeMap,
@@ -55,11 +55,10 @@ from .jets import (
 )
 from .operators import (
     ContractionConfig,
-    NeumannConfig,
     SuperpositionOperand,
     compose_derivative_check,
     compose_perturbed,
-    convergence_report,
+    derivative_convergence,
     inversion_direction_check,
     inversion_jacobian_check,
     inversion_pair_difference_check,
@@ -565,7 +564,6 @@ class FamilyScenario:
     dominance: tuple[DominanceCertificate, ...]
     factorizations: tuple[FactorizationCertificate, ...]
     contraction: ContractionConfig
-    neumann: NeumannConfig
 
     @property
     def n_factors(self) -> int:
@@ -879,7 +877,6 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         dominance=tuple(dominance),
         factorizations=factorizations,
         contraction=ContractionConfig(tau=tau, r=r_shared),
-        neumann=NeumannConfig(),
         **{k: RestrictedElement(tuple(v)) for k, v in elems.items()},
     ))
 
@@ -1033,15 +1030,11 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
     probe_map = sc.comp_gammas[0].map
     x0 = sc.factors[0].grid_w.points[len(sc.factors[0].grid_w) // 3]
     exact = probe_map.tensor(x0, 1).entries
-    steps = (2e-2, 1e-2, 5e-3, 2.5e-3)
-    errs = [
-        float(np.max(np.abs(fd_jet(probe_map, x0, 1, h=h).tensors[1].entries - exact)))
-        for h in steps
-    ]
-    out.append(
-        convergence_report("def:directional_derivative", steps, errs,
-                           detail="central differences against coded jets;")
-    )
+    out.append(derivative_convergence(
+        "def:directional_derivative",
+        lambda h: np.max(np.abs(fd_jet(probe_map, x0, 1, h=h).tensors[1].entries - exact)),
+        (2e-2, 1e-2, 5e-3, 2.5e-3), detail="central differences against coded jets;",
+    ))
 
     xi_lin = _linear_in_second(sc, 0)
     gmid = sc.factors[0].grid_u.points[len(sc.factors[0].grid_u) // 2]
@@ -1251,7 +1244,7 @@ def _run_invert(sc: FamilyScenario) -> list[CheckReport]:
     out.append(
         inversion_jacobian_check(sc.phis[0], fs0.u, fs0.v_tilde, probes, cfg)
     )
-    qi_reports = [quasi_inverse_report(-a, sc.neumann)[1]
+    qi_reports = [quasi_inverse_report(-a)[1]
                   for a in sc.phis[0].map.tensors(probes[:2], 1)]
     out.append(merge_min_margin("qi:neumann_relation", qi_reports))
     return out
@@ -1417,7 +1410,7 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
         witness=lambda k: (k,),
     ))
 
-    _, ps_rep = sim_power_series(sc.op_gammas, sc.dim, sc.op_q, sc.neumann)
+    _, ps_rep = sim_power_series(sc.op_gammas, sc.dim, sc.op_q)
     out.append(ps_rep)
 
     _, comp_reports = sim_compose(
@@ -1487,28 +1480,6 @@ def run_scenario_checks(
     order = {cid: k for k, cid in enumerate(ALL_CHECK_IDS)}
     reports.sort(key=lambda r: order.get(r.check_id, len(order)))
     return reports
-
-
-def derivative_convergence(
-    op_closure: Callable[[float], float],
-    steps: Sequence[float],
-) -> CheckReport:
-    """Shared difference-quotient sweep: op_closure maps a step size to the
-    sup error of the quotient against the claimed derivative."""
-    if len(steps) < 3:
-        raise PreconditionError("need at least three geometrically spaced steps")
-    ratios = [steps[i + 1] / steps[i] for i in range(len(steps) - 1)]
-    if max(ratios) / min(ratios) > 1.5 or not all(0 < r < 1 for r in ratios):
-        raise PreconditionError("step sizes must decrease geometrically")
-    errors = []
-    used = []
-    for h in steps:
-        try:
-            errors.append(float(op_closure(h)))
-            used.append(h)
-        except RangeEscapeError:
-            continue
-    return convergence_report("def:directional_derivative", used, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -1656,9 +1627,9 @@ def _bounds(node, key: str, path: str, width: int, orders=()) -> tuple[tuple, ..
 
 
 def _from_desc(build, desc, path: str, *args):
-    """``build(desc, *args)`` for the descriptor at ``path``; a key the
-    descriptor lacks or a non-finite number in it is a DataError naming
-    it."""
+    """``build(desc, *args)`` for the descriptor at ``path``; a leaf that
+    breaks the number rule, a key the descriptor lacks or an entry its
+    reader rejects is a DataError naming it."""
     at = _nonfinite_at(desc)
     if at is not None:
         raise DataError(f"{path}{at}: must be a finite number")
@@ -1666,19 +1637,27 @@ def _from_desc(build, desc, path: str, *args):
         return build(desc, *args)
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (DataError, ShapeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-def _nonfinite_at(node) -> str | None:
-    """The JSON pointer, relative to ``node``, of the first non-finite
-    number in it, or None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else ""
-    for key, child in (node.items() if isinstance(node, dict)
-                       else enumerate(node) if isinstance(node, list) else ()):
-        at = _nonfinite_at(child)
-        if at is not None:
-            return f"/{key}{at}"
-    return None
+def _nonfinite_at(node, key=None) -> str | None:
+    """The JSON pointer, relative to ``node``, of its first leaf that is
+    not a finite number (:func:`is_finite_number`), unless it is the
+    string of a ``kind`` or the null of a weight without a certified sup
+    or inf; ``key`` is the key that holds ``node``."""
+    t = type(node)
+    if t is dict or t is list:
+        for k, child in node.items() if t is dict else enumerate(node):
+            at = _nonfinite_at(child, k)
+            if at is not None:
+                return f"/{k}{at}"
+        return None
+    if t is str:
+        return None if key == "kind" else ""
+    if node is None:
+        return None if key in ("certified_sup", "certified_inf") else ""
+    return None if is_finite_number(node) else ""
 
 
 def _domain_from_dict(d: dict, path: str, dim: int) -> DomainSet:
@@ -1739,24 +1718,19 @@ def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
     )
 
 
-def _config_from_dict(cls, d: dict, key: str):
-    """``cls`` from the object ``/key``; its int fields must be integers
-    >= 1, the others finite numbers."""
-    block = _at(d, key, "")
-    if not isinstance(block, dict):
-        raise DataError(f"/{key}: must be an object")
-    ints = {f.name for f in fields(cls) if f.type == "int"}
-    try:
-        return cls(**{k: _integer(block, k, f"/{key}", 1) if k in ints
-                      else _number(block, k, f"/{key}") for k in block})
-    except TypeError as exc:
-        raise DataError(f"/{key}: {exc}") from None
-
-
 def _contraction(d: dict) -> ContractionConfig:
-    """``/contraction``.  Older files also carry its ``tau`` and ``r`` at
-    the top level; such a copy must agree with it."""
-    cfg = _config_from_dict(ContractionConfig, d, "contraction")
+    """``/contraction``: its int fields are integers >= 1, the others
+    finite numbers.  Older files also carry its ``tau`` and ``r`` at the
+    top level; such a copy must agree with it."""
+    block = _at(d, "contraction", "")
+    if not isinstance(block, dict):
+        raise DataError("/contraction: must be an object")
+    ints = {f.name for f in fields(ContractionConfig) if f.type == "int"}
+    try:
+        cfg = ContractionConfig(**{k: _integer(block, k, "/contraction", 1) if k in ints
+                                   else _number(block, k, "/contraction") for k in block})
+    except TypeError as exc:
+        raise DataError(f"/contraction: {exc}") from None
     for key in ("tau", "r"):
         if key in d and _number(d, key, "") != getattr(cfg, key):
             raise DataError(
@@ -1815,7 +1789,6 @@ def scenario_to_dict(sc: FamilyScenario) -> dict:
             for c in sc.factorizations
         ],
         "contraction": asdict(sc.contraction),
-        "neumann": asdict(sc.neumann),
     }
 
 
@@ -1828,7 +1801,11 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         path = f"/factors/{i}"
         geom = {k: _domain_from_dict(_at(fd, k, path), f"{path}/{k}", dim) for k in _DOMAINS}
         for g, k in _GRID_DOMAINS.items():
-            geom[g] = lattice(geom[k], per_axis=_integer(fd, g, path, 1))
+            per_axis = _integer(fd, g, path, 1)
+            try:
+                geom[g] = lattice(geom[k], per_axis=per_axis)
+            except DataError as exc:
+                raise DataError(f"{path}/{g}: {exc}") from None
         factors.append(FactorSpace(**geom))
     n = len(factors)
 
@@ -1902,7 +1879,6 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
             for i, c in enumerate(_at(d, "factorizations", ""))
         ),
         contraction=_contraction(d),
-        neumann=_config_from_dict(NeumannConfig, d, "neumann"),
         **elements,
     ))
 

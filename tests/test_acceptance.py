@@ -23,9 +23,9 @@ from wrp.jets import (
     opnorm_inf,
 )
 from wrp.operators import (
+    NEUMANN_TAIL,
     ContractionConfig,
     InverseMap,
-    NeumannConfig,
     invert_perturbed,
     inversion_jacobian_check,
     neumann_terms,
@@ -304,17 +304,16 @@ def test_criterion_5_inversion(capsys):
 
 def test_criterion_6_quasi_inverse(capsys):
     rng = np.random.default_rng(99)
-    cfg = NeumannConfig(tail_tol=1e-12, max_terms=160)
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(1, 4))
         raw = rng.normal(size=(d, d))
         q_target = float(rng.uniform(0.1, 0.8))
         a = raw / opnorm_inf(raw) * q_target
-        qi = quasi_inverse(a, cfg)
+        qi = quasi_inverse(a)
         worst = max(worst, opnorm_inf(a + qi - a @ qi))
-    n_half = neumann_terms(0.5, cfg)
-    ok = worst <= 2 * cfg.tail_tol and n_half <= 42
+    n_half = neumann_terms(0.5)
+    ok = worst <= 2 * NEUMANN_TAIL and n_half <= 42
     announce(
         capsys, 6,
         f"quasi-inverse relation on 100 operators "

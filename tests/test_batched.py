@@ -48,7 +48,6 @@ from wrp.errors import (
 from wrp.jets import (
     ENUM_BUDGET,
     AffineMap,
-    BilinearPairMap,
     ComponentMap,
     ComposeMap,
     ConstMap,
@@ -160,15 +159,15 @@ def _scenario_maps(seed: int) -> list[tuple[str, JetMap, np.ndarray]]:
         ("sigma_of_gamma", ComposeMap(sc.sigmas[0], gamma), fs.grid_u.points),
         ("differential", DifferentialMap(gamma), fs.grid_u.points),
         ("partial_d2", PartialD2Map(op.xi), _probe_points(op.xi, seed)),
-        ("bilinear", BilinearPairMap(sc.bilinears[0], sc.multipliers[0].map, gamma),
+        ("bilinear", MultilinearPairMap(sc.bilinears[0], [sc.multipliers[0].map, gamma]),
          fs.grid_u.points),
         ("multilinear", MultilinearPairMap(
             sc.beta2s[0], [sc.ml_args1[0].map, sc.ml_args2[0].map]), fs.grid_u.points),
         ("inverse", InverseMap(sc.phis[0].map, fs.u, fs.v_tilde, sc.contraction),
          fs.grid_vt.points),
         ("pointwise_qi", PointwiseQIMap(
-            ScaledMap(ConstMap(fs.u, np.eye(sc.dim).reshape(-1)), 0.25), sc.dim,
-            sc.neumann), fs.grid_u.points),
+            ScaledMap(ConstMap(fs.u, np.eye(sc.dim).reshape(-1)), 0.25), sc.dim),
+         fs.grid_u.points),
     ]
     for pairing in ("evaluate", "compose"):
         xi2 = xi2_build(op.xi, pairing, 0.5)

@@ -1,4 +1,5 @@
 import json
+import math
 import signal
 from pathlib import Path
 
@@ -215,6 +216,13 @@ def _mutated_scenario_file(tmp_path, scenario0, mutate):
     return cfg
 
 
+GAMMA0 = "/elements/gammas/0/map/terms/0"
+
+
+def _gamma0_term(doc):
+    return doc["elements"]["gammas"][0]["map"]["terms"][0]
+
+
 class TestIngestErrors:
     """A malformed scenario file exits 1 with an error naming the JSON
     pointer of the offending entry, never with a traceback or a run."""
@@ -251,7 +259,6 @@ class TestIngestErrors:
         (lambda d: d["bilinears"][0][0][0].__setitem__(0, float("nan")),
          "/bilinears/0/0/0/0"),
         (lambda d: d["beta2s"][1][0][0].__setitem__(0, "1"), "/beta2s/1/0/0/0"),
-        (lambda d: d["neumann"].__setitem__("tail_tol", float("nan")), "/neumann/tail_tol"),
         (lambda d: d["contraction"].__setitem__("max_iters", 2.5), "/contraction/max_iters"),
         (lambda d: d.__setitem__("dim", True), "/dim"),
         (lambda d: d["factors"][0]["u"]["lo"].__setitem__(0, "0.5"), "/factors/0/u/lo/0"),
@@ -264,15 +271,30 @@ class TestIngestErrors:
         (lambda d: d["factors"][0]["u"]["lo"].__setitem__(0, d["factors"][0]["u"]["hi"][0]),
          "/factors/0/u"),
         (lambda d: d["factors"][1]["v"].__setitem__("norm", "l1"), "/factors/1/v/norm"),
+        (lambda d: _gamma0_term(d)["coef"].__setitem__(0, 10**400), f"{GAMMA0}/coef/0"),
+        (lambda d: d["sigmas"][0]["terms"][0]["coef"].__setitem__(0, 10**400),
+         "/sigmas/0/terms/0/coef/0"),
+        (lambda d: _gamma0_term(d)["coef"].__setitem__(0, True), f"{GAMMA0}/coef/0"),
+        (lambda d: _gamma0_term(d)["coef"].__setitem__(0, "1.0"), f"{GAMMA0}/coef/0"),
+        (lambda d: d["weights"]["members"][0]["factors"][1].__setitem__("c", None),
+         "/weights/members/0/factors/1/c"),
+        (lambda d: _gamma0_term(d)["powers"].__setitem__(0, True), f"{GAMMA0}/powers/0"),
+        (lambda d: _gamma0_term(d)["powers"].__setitem__(0, 1.5), "/elements/gammas/0/map"),
+        (lambda d: _gamma0_term(d)["powers"].__setitem__(0, -1), "/elements/gammas/0/map"),
+        (lambda d: d["sigmas"][0]["terms"][0]["powers"].__setitem__(0, 1.5), "/sigmas/0"),
+        (lambda d: d["factors"][0]["u"].update(lo=[1.0], hi=[math.nextafter(1.0, 2.0)]),
+         "/factors/0/grid_u"),
     ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k",
             "nan_map_coefficient", "infinite_weight_constant", "nan_certified_bound",
             "infinite_certified_bound", "string_certified_bound", "fractional_certified_order",
             "short_certified_triple", "string_max_order", "string_gamma_lip",
             "nan_sigma_k", "nan_sup_1", "scalar_sup_1", "nan_dominance_k", "true_dominance_ell",
-            "nan_bilinear", "string_beta2", "nan_neumann_tail", "fractional_max_iters",
+            "nan_bilinear", "string_beta2", "fractional_max_iters",
             "true_dim", "string_domain_bound", "infinite_ball_radius", "order_one_sup_1",
             "no_order_three_sup_1", "long_ball_center", "long_box_hi", "empty_box",
-            "unknown_norm"])
+            "unknown_norm", "huge_int_coefficient", "huge_int_sigma_coefficient",
+            "true_coefficient", "string_coefficient", "null_weight_constant", "true_power", "fractional_power",
+            "negative_power", "fractional_sigma_power", "one_ulp_box"])
     def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
         assert main(["run", "--config", str(cfg)]) == 1

@@ -16,7 +16,6 @@ from wrp.errors import (
 )
 from wrp.jets import (
     AffineMap,
-    BilinearPairMap,
     ComposeMap,
     ConstMap,
     MultilinearMap,
@@ -348,7 +347,7 @@ class TestPairings:
         f = PolynomialMap(dom, [([1.0], (2,))])
         g = TrigPolynomialMap(dom, [([1.0], [1.0], 0.0)])
         b = np.array([[[1.0]]])
-        prod = BilinearPairMap(b, f, g)  # x^2 sin x
+        prod = MultilinearPairMap(b, [f, g])  # x^2 sin x
         validate_jet_map(prod, rng)
         x = np.array([0.4])
         # D(x^2 sin x) = 2x sin x + x^2 cos x
@@ -366,19 +365,6 @@ class TestPairings:
         for ell in range(4):
             assert np.allclose(
                 ml.tensor(x, ell).entries, direct.tensor(x, ell).entries, atol=1e-12
-            )
-
-    def test_multilinear_pair_reduces_to_bilinear(self, rng):
-        dom = box([-0.9], [0.9])
-        f = PolynomialMap(dom, [([1.0], (1,))])
-        g = PolynomialMap(dom, [([0.5], (2,))])
-        b = np.array([[[2.0]]])
-        bi = BilinearPairMap(b, f, g)
-        ml = MultilinearPairMap(b, [f, g])
-        x = np.array([0.3])
-        for ell in range(3):
-            assert np.allclose(
-                bi.tensor(x, ell).entries, ml.tensor(x, ell).entries, atol=1e-14
             )
 
 

@@ -22,9 +22,9 @@ from wrp.jets import (
     crude_sup_bound,
 )
 from wrp.operators import (
+    NEUMANN_MAX_TERMS,
     ContractionConfig,
     InverseMap,
-    NeumannConfig,
     SuperpositionOperand,
     compose_derivative_check,
     compose_perturbed,
@@ -444,12 +444,16 @@ class TestQuasiInverse:
 
     def test_truncation_gate(self):
         with pytest.raises(TruncationError):
-            quasi_inverse(np.array([[0.999]]), NeumannConfig(tail_tol=1e-12, max_terms=32))
+            quasi_inverse(np.array([[0.999]]))
 
     def test_term_count_bound(self):
         # geometric tail 0.5^(N+1)/0.5 <= 1e-12 at N = 40
-        assert neumann_terms(0.5, NeumannConfig(tail_tol=1e-12)) == 40
-        assert neumann_terms(0.5, NeumannConfig(tail_tol=1e-12)) <= 42
+        assert neumann_terms(0.5) == 40
+        # q up to 0.8, as acceptance criterion 6 draws, fits under the cap;
+        # 0.85 needs 181 terms
+        assert neumann_terms(0.8) == 131 <= NEUMANN_MAX_TERMS
+        with pytest.raises(TruncationError):
+            neumann_terms(0.85)
 
     def test_multilinear_wrapper(self):
         t = MultilinearMap(np.array([[0.25]]), 1)

@@ -19,6 +19,7 @@ from wrp.report import (
     merge_min_margin,
     skipped_report,
     stacked_points,
+    worst,
     worst_row,
 )
 
@@ -118,6 +119,16 @@ class TestBoundRows:
         failed = np.array([r[2] for r in rows])
         k = worst_row(lhs, rhs, tolerance, failed=failed)
         assert (k,) == self.oracle(rows, tolerance, forced=True).witness
+
+    @given(ROWS, TOLERANCE)
+    @settings(max_examples=200, deadline=None)
+    def test_worst_is_python_min_over_the_failed_pool(self, rows, tolerance):
+        # worst and worst_row share one index rule; pin it to its plain
+        # definition: the failed reports if any, then min by margin
+        reports = [bound_report("x", lhs, rhs, tolerance=tolerance, witness=(k,))
+                   for k, (lhs, rhs, _) in enumerate(rows)]
+        pool = [r for r in reports if r.status == FAIL] or reports
+        assert worst(reports) is min(pool, key=lambda r: r.margin)
 
     def test_first_row_wins_ties_and_failures_first(self):
         lhs = np.array([0.0, 1.0, 3.0, 1.0, 3.0])

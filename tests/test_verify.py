@@ -1,10 +1,18 @@
 import json
 import os
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from wrp.errors import ConfigError, DataError, PreconditionError
+from wrp.jets import JetMap
+from wrp.operators import (
+    compose_derivative_check,
+    derivative_convergence,
+    inversion_direction_check,
+    superpose_derivative_check,
+)
 from wrp.restricted import neighborhood_inclusion_check
 from wrp.verify import (
     ALL_CHECK_IDS,
@@ -14,7 +22,6 @@ from wrp.verify import (
     FamilyScenario,
     ScenarioSeed,
     ScenarioUnit,
-    derivative_convergence,
     generate_scenario,
     load_scenario,
     run_scenario_checks,
@@ -231,7 +238,7 @@ class TestNegativeControls:
 
     def test_non_geometric_steps_rejected(self):
         with pytest.raises(PreconditionError):
-            derivative_convergence(lambda h: h * h, [0.1, 0.09, 0.0001])
+            derivative_convergence("x", lambda h: h * h, [0.1, 0.09, 0.0001])
 
     def test_wrong_derivative_slope_fails(self):
         # +10 percent perturbation of the claimed derivative: errors level
@@ -243,9 +250,63 @@ class TestNegativeControls:
             claimed = 1.1 * exact
             return abs(fd - claimed)
 
-        rep = derivative_convergence(op_closure, [0.1, 0.05, 0.025, 0.0125])
+        rep = derivative_convergence("x", op_closure, [0.1, 0.05, 0.025, 0.0125])
         assert rep.status == "fail"
         assert abs(rep.lhs) < 0.5
+
+
+class SkewedJet(JetMap):
+    """``base`` with its coded order-1 tensor 1.1 times the true one."""
+
+    def __init__(self, base: JetMap):
+        super().__init__(base.domain, base.out_shape, base.max_order,
+                         in_blocks=base.in_blocks, out_blocks=base.out_blocks)
+        self.base = base
+
+    def tensors(self, points, ell):
+        t = self.base.tensors(points, ell)
+        return 1.1 * t if ell == 1 else t
+
+
+class TestDerivativeControls:
+    """Each derivative id passes on seed 0 and fails, with a quotient slope
+    near 0, once the derivative it is checked against is 10 % off."""
+
+    @pytest.mark.parametrize("skew", [False, True], ids=["true", "skewed"])
+    def test_superposition(self, scenario0, skew):
+        op = scenario0.xis[0]
+        if skew:
+            op = replace(op, xi=SkewedJet(op.xi))
+        rep = superpose_derivative_check(op, scenario0.gammas[0], scenario0.gamma_dirs[0])
+        self.assert_outcome(rep, "id:Differential_SuperposCWZweiVars-id", skew)
+
+    @pytest.mark.parametrize("skew", [False, True], ids=["true", "skewed"])
+    def test_composition(self, scenario0, skew):
+        sc, fs0 = scenario0, scenario0.factors[0]
+        gamma = sc.comp_gammas[0]
+        if skew:
+            gamma = replace(gamma, map=SkewedJet(gamma.map))
+        rep = compose_derivative_check(gamma, sc.comp_etas[0], fs0.u, fs0.v,
+                                       sc.comp_gamma_dirs[0].map, sc.comp_eta_dirs[0].map)
+        self.assert_outcome(rep, "id:Ableitung_Kompo", skew)
+
+    @pytest.mark.parametrize("skew", [False, True], ids=["true", "skewed"])
+    def test_inversion(self, scenario0, skew):
+        sc, fs0 = scenario0, scenario0.factors[0]
+        phi = sc.phis[0]
+        if skew:
+            phi = replace(phi, map=SkewedJet(phi.map))
+        probes = fs0.grid_vt.points[:: max(1, len(fs0.grid_vt) // 3)]
+        rep = inversion_direction_check(phi, sc.phi_dirs[0], fs0.u, fs0.v_tilde, probes,
+                                        sc.contraction)
+        self.assert_outcome(rep, "id:Ableitung_Inversion", skew)
+
+    @staticmethod
+    def assert_outcome(rep, check_id, skew):
+        assert rep.check_id == check_id
+        assert rep.status == ("fail" if skew else "pass"), rep
+        if skew:
+            assert abs(rep.lhs) < 0.5  # the fitted slope
 
 
 class TestPrecautionSkips:
