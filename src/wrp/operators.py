@@ -52,7 +52,14 @@ from .report import (
     merge_min_margin,
     skipped_report,
 )
-from .seminorms import SampleGrid, WeightedFunction, weighted_seminorm
+from .seminorms import (
+    Certificates,
+    SampleGrid,
+    WeightedFunction,
+    require_row,
+    row_bound,
+    weighted_seminorm,
+)
 from .spaces import DomainSet, Weight
 
 SLOPE_WINDOW = (1.7, 2.3)
@@ -177,12 +184,6 @@ class SuperpositionOperand:
     sup_1: tuple[tuple[int, float], ...]
     d2_sup: float
 
-    def bound(self, ell: int) -> float | None:
-        for order, b in self.sup_1:
-            if order == ell:
-                return b
-        return None
-
 
 def _probe_zero_section(op: SuperpositionOperand, points: np.ndarray):
     probes = points[:: max(1, len(points) // 3)][:3]
@@ -195,12 +196,12 @@ def superpose(
     op: SuperpositionOperand,
     gamma: WeightedFunction,
     weights: Sequence[Weight] = (),
-    pair: tuple[WeightedFunction, WeightedFunction] | None = None,
+    pair: tuple[WeightedFunction, Certificates] | None = None,
 ) -> tuple[WeightedFunction, list[CheckReport]]:
     """x -> xi(x, gamma(x)) with chain-rule jets.
 
     ``pair`` optionally supplies a second argument together with the
-    symbolic difference (carrying its own certified bounds) to check the
+    certified bounds of the difference gamma - gamma_alt, to check the
     two-argument distance estimate.
     """
     if not op.v.star_shaped_at_zero:
@@ -217,15 +218,8 @@ def superpose(
     max_order = gamma.max_order
     if op.xi.max_order is not None:
         max_order = min(max_order, op.xi.max_order)
-    certified = []
-    for name, ell, bnd in gamma.certified:
-        if ell == 0:
-            certified.append((name, 0, op.d2_sup * bnd))
-            b12 = op.bound(2)
-            b1 = gamma.certified_bound(name, 1)
-            if b12 is not None and b1 is not None:
-                certified.append((name, 1, b12 * bnd + op.d2_sup * b1))
-    result = WeightedFunction(result_map, gamma.grid, max_order, tuple(certified))
+    # no certified rows: the estimates below state the bounds of the result
+    result = WeightedFunction(result_map, gamma.grid, max_order)
 
     reports: list[CheckReport] = []
     for w in weights:
@@ -244,7 +238,7 @@ def superpose(
                 )
             )
         cert1 = gamma.certified_bound(w.name, 1)
-        b2 = op.bound(2)
+        b2 = row_bound(op.sup_1, 2)
         if max_order >= 1 and cert0 is not None and cert1 is not None and b2 is not None:
             lhs1 = weighted_seminorm(result, w, 1).value
             reports.append(
@@ -256,8 +250,8 @@ def superpose(
                 )
             )
         if pair is not None:
-            gamma_alt, gamma_diff = pair
-            dcert = gamma_diff.certified_bound(w.name, 0)
+            gamma_alt, diff = pair
+            dcert = row_bound(diff, w.name, 0)
             if dcert is None:
                 reports.append(
                     skipped_report(
@@ -321,16 +315,15 @@ def compose_perturbed(
     u: DomainSet,
     v: DomainSet,
     w: DomainSet,
-    gamma_lip: float,
     weights: Sequence[Weight] = (),
-    pair: tuple[WeightedFunction, WeightedFunction, WeightedFunction, WeightedFunction] | None = None,
+    pair: tuple[WeightedFunction, WeightedFunction, Certificates, Certificates] | None = None,
 ) -> tuple[WeightedFunction, list[CheckReport]]:
     """x -> gamma(eta(x) + x) with chain-rule jets.
 
-    ``gamma_lip`` is a certified bound for the unweighted order-1 seminorm
-    of gamma on its whole domain.  ``pair`` supplies (gamma0, eta0,
-    gamma_diff, eta_diff) for the distance estimate, where the symbolic
-    differences carry the certified bounds the right-hand side needs.
+    gamma's certified ("one", 1) row bounds its unweighted order-1
+    seminorm on its whole domain.  ``pair`` supplies (gamma0, eta0,
+    gamma_diff, eta_diff) for the distance estimate, the last two the
+    certified rows of gamma - gamma0 and eta - eta0.
     """
     if not v.balanced:
         raise PreconditionError("the perturbation range must be balanced")
@@ -350,6 +343,7 @@ def compose_perturbed(
 
     sup = lambda vals: np.max(np.abs(vals), axis=1)
     sup_result = sup(result_map.tensors(pts, 0))
+    gamma_lip = gamma.require_bound("one", 1)
     sup_bound = gamma_lip * sup(eta_vals) + sup(gamma.map.tensors(pts, 0))
     reports: list[CheckReport] = []
     for wgt in weights:
@@ -364,10 +358,10 @@ def compose_perturbed(
         if pair is not None:
             gamma0, eta0, gamma_diff, eta_diff = pair
             needed = (
-                eta_diff.certified_bound(wgt.name, 0),
-                gamma_diff.certified_bound("one", 1),
+                row_bound(eta_diff, wgt.name, 0),
+                row_bound(gamma_diff, "one", 1),
                 eta0.certified_bound(wgt.name, 0),
-                gamma_diff.certified_bound(wgt.name, 0),
+                row_bound(gamma_diff, wgt.name, 0),
             )
             if any(b is None for b in needed):
                 reports.append(
@@ -620,7 +614,7 @@ def invert_perturbed(
 def inversion_pair_difference_check(
     phi: WeightedFunction,
     psi: WeightedFunction,
-    diff: WeightedFunction,
+    diff: Certificates,
     u: DomainSet,
     v: DomainSet,
     grid_v: SampleGrid,
@@ -628,15 +622,15 @@ def inversion_pair_difference_check(
     weights: Sequence[Weight],
 ) -> CheckReport:
     """Weighted distance of two inverses against the certified bound built
-    from the pair's certificates (diff = phi - psi symbolically), merged
-    over the weights; both inverses are solved once for all of them."""
+    from the pair's certificates (``diff`` bounds phi - psi), merged over
+    the weights; both inverses are solved once for all of them."""
     check_id = "est:f0-norm_Diff_KoorInv"
     c_psi_11 = psi.require_bound("one", 1)
     c_phi_11 = phi.require_bound("one", 1)
-    c_diff_11 = diff.require_bound("one", 1)
+    c_diff_11 = require_row(diff, "one", 1)
     rhs = [
         (c_diff_11 * phi.require_bound(w.name, 0) / (1.0 - c_phi_11)
-         + diff.require_bound(w.name, 0)) / (1.0 - c_psi_11)
+         + require_row(diff, w.name, 0)) / (1.0 - c_psi_11)
         for w in weights
     ]
     ys = grid_v.points

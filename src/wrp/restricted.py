@@ -92,17 +92,9 @@ class RestrictedElement:
         return self.factors[i]
 
     def scaled(self, c: float) -> "RestrictedElement":
-        return RestrictedElement(
-            tuple(
-                WeightedFunction(
-                    ScaledMap(f.map, c),
-                    f.grid,
-                    f.max_order,
-                    tuple((n, l, abs(c) * b) for n, l, b in f.certified),
-                )
-                for f in self.factors
-            )
-        )
+        return RestrictedElement(tuple(
+            WeightedFunction(ScaledMap(f.map, c), f.grid, f.max_order) for f in self.factors
+        ))
 
     def minus(self, other: "RestrictedElement") -> "RestrictedElement":
         return RestrictedElement(
@@ -493,7 +485,6 @@ def sim_compose(
     eta: RestrictedElement,
     factors: Sequence[FactorSpace],
     omega: FamilyWeight,
-    gamma_lips: Sequence[float],
     f: FamilyWeight,
     tau: float,
     directions: tuple[RestrictedElement, RestrictedElement] | None = None,
@@ -505,9 +496,7 @@ def sim_compose(
     if gate.status != "pass":
         raise PreconditionError("perturbation leaves the adjusted neighborhood")
     result = RestrictedElement(tuple(
-        compose_perturbed(
-            gamma.factors[i], eta.factors[i], fs.u, fs.v, fs.w, gamma_lips[i]
-        )[0]
+        compose_perturbed(gamma.factors[i], eta.factors[i], fs.u, fs.v, fs.w)[0]
         for i, fs in enumerate(factors)
     ))
     fam = family_seminorm(result, f, 0)

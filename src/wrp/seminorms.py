@@ -121,6 +121,24 @@ def refine(grid: SampleGrid) -> SampleGrid:
 # ---------------------------------------------------------------------------
 
 
+# Certified seminorm upper bounds, one (weight name, order, bound) row each.
+Certificates = tuple[tuple[str, int, float], ...]
+
+
+def row_bound(rows, *key) -> float | None:
+    """The bound of the first row of ``rows`` whose entries before the
+    bound are ``key``, such as (weight name, order), or None: the one
+    lookup of a certified row."""
+    return next((row[-1] for row in rows if row[:-1] == key), None)
+
+
+def require_row(rows, *key) -> float:
+    """:func:`row_bound`, with a missing row a PreconditionError."""
+    if (b := row_bound(rows, *key)) is None:
+        raise PreconditionError(f"missing certified bound for {key!r}")
+    return b
+
+
 @dataclass(frozen=True)
 class WeightedFunction:
     """An evaluable C^k map paired with a sample grid and optional
@@ -129,7 +147,7 @@ class WeightedFunction:
     map: JetMap
     grid: SampleGrid
     max_order: int
-    certified: tuple[tuple[str, int, float], ...] = ()
+    certified: Certificates = ()
 
     def __post_init__(self):
         if self.grid.domain.dim != self.map.dim:
@@ -138,18 +156,10 @@ class WeightedFunction:
             raise OrderError("declared max order exceeds what the map provides")
 
     def certified_bound(self, weight_name: str, ell: int) -> float | None:
-        for name, order, bound in self.certified:
-            if name == weight_name and order == ell:
-                return bound
-        return None
+        return row_bound(self.certified, weight_name, ell)
 
     def require_bound(self, weight_name: str, ell: int) -> float:
-        b = self.certified_bound(weight_name, ell)
-        if b is None:
-            raise PreconditionError(
-                f"missing certified bound for ({weight_name!r}, {ell})"
-            )
-        return b
+        return require_row(self.certified, weight_name, ell)
 
     def differential(self) -> "WeightedFunction":
         return WeightedFunction(self.map.differential(), self.grid, self.max_order - 1)

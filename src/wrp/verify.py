@@ -100,12 +100,14 @@ from .restricted import (
     sim_superpose,
 )
 from .seminorms import (
+    Certificates,
     SampleGrid,
     WeightedFunction,
     decomposition_check,
     lattice,
     norm_comparison_1U,
     pair_split_check,
+    row_bound,
     seminorm_axioms_check,
     weighted_seminorm,
 )
@@ -526,7 +528,10 @@ def _sampled_on(grid: str, validated: bool = False):
 class FamilyScenario:
     """Everything one suite run needs: geometry, weights, certificates and
     the per-factor operator data.  The ``_sampled_on`` fields, in
-    declaration order, are the ``elements`` of the scenario JSON schema."""
+    declaration order, are the ``elements`` of the scenario JSON schema.
+    A ``rows`` field holds, per factor, the certified rows that bound the
+    difference of two elements' factors, a map no check evaluates; it is a
+    top-level list of the schema."""
 
     name: str
     dim: int
@@ -537,20 +542,19 @@ class FamilyScenario:
     xis: tuple[SuperpositionOperand, ...]
     gammas: RestrictedElement = _sampled_on("u", validated=True)
     gamma_alts: RestrictedElement = _sampled_on("u", validated=True)
-    gamma_diffs: RestrictedElement = _sampled_on("u")
+    gamma_diffs: tuple[Certificates, ...] = field(metadata={"rows": True})
     gamma_dirs: RestrictedElement = _sampled_on("u", validated=True)
     comp_gammas: RestrictedElement = _sampled_on("w", validated=True)
     comp_etas: RestrictedElement = _sampled_on("u", validated=True)
-    comp_gamma_lips: tuple[float, ...]
     comp_gamma0s: RestrictedElement = _sampled_on("w")
     comp_eta0s: RestrictedElement = _sampled_on("u")
-    comp_gamma_diffs: RestrictedElement = _sampled_on("w")
-    comp_eta_diffs: RestrictedElement = _sampled_on("u")
+    comp_gamma_diffs: tuple[Certificates, ...] = field(metadata={"rows": True})
+    comp_eta_diffs: tuple[Certificates, ...] = field(metadata={"rows": True})
     comp_gamma_dirs: RestrictedElement = _sampled_on("w")
     comp_eta_dirs: RestrictedElement = _sampled_on("u")
     phis: RestrictedElement = _sampled_on("u", validated=True)
     psis: RestrictedElement = _sampled_on("u", validated=True)
-    phi_diffs: RestrictedElement = _sampled_on("u")
+    phi_diffs: tuple[Certificates, ...] = field(metadata={"rows": True})
     phi_dirs: RestrictedElement = _sampled_on("u", validated=True)
     multipliers: RestrictedElement = _sampled_on("u", validated=True)
     bilinears: tuple[np.ndarray, ...]
@@ -572,16 +576,15 @@ class FamilyScenario:
     def fw(self, name: str) -> FamilyWeight:
         return self.weights.member(name)
 
-    def sigma_bound(self, ell: int) -> float:
-        for order, k in self.sigma_k:
-            if order == ell:
-                return k
-        raise KeyError(ell)
-
 
 ELEMENT_GRIDS: dict[str, str] = {
     f.name: f.metadata["grid"] for f in fields(FamilyScenario) if "grid" in f.metadata
 }
+# rows ingest requires of every factor: composition reads its Lipschitz bound
+REQUIRED_ROWS: dict[str, tuple] = {"comp_gammas": (("one", 1),)}
+DIFFERENCE_ROWS: tuple[str, ...] = tuple(
+    f.name for f in fields(FamilyScenario) if f.metadata.get("rows")
+)
 VALIDATED_ELEMENTS: tuple[str, ...] = tuple(
     f.name for f in fields(FamilyScenario) if f.metadata.get("validated")
 )
@@ -700,15 +703,20 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         adjusting="omega",
     )
 
-    # factor i of each element, under its field name
+    # factor i of each element, and of each difference's rows, under its field name
     elems: dict[str, list[WeightedFunction]] = {k: [] for k in ELEMENT_GRIDS}
+    diffs: dict[str, list[Certificates]] = {k: [] for k in DIFFERENCE_ROWS}
+    weights_at = [{m.name: m.factors[i] for m in family.members} for i in range(n)]
 
     def add(key, map_, order, i, orders=(0, 1, 2)):
         grid = getattr(factors[i], f"grid_{ELEMENT_GRIDS[key]}")
-        weights = {m.name: m.factors[i] for m in family.members}
         elems[key].append(
-            WeightedFunction(map_, grid, order, _certified(map_, weights, orders))
+            WeightedFunction(map_, grid, order, _certified(map_, weights_at[i], orders))
         )
+
+    def add_diff(key, a, b, i):
+        # the difference map is built only for its bounds
+        diffs[key].append(_certified(SumMap([a, ScaledMap(b, -1.0)]), weights_at[i]))
 
     # superposition kernels and their arguments
     xis = []
@@ -729,7 +737,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         gd_map = _draw_poly(rng, fs.u, dim, 2, 0.2 * v_radii[i])
         add("gammas", g_map, 2, i)
         add("gamma_alts", ga_map, 2, i)
-        add("gamma_diffs", SumMap([g_map, ScaledMap(ga_map, -1.0)]), 2, i)
+        add_diff("gamma_diffs", g_map, ga_map, i)
         add("gamma_dirs", gd_map, 2, i)
         for fname in ("one", "gauss"):
             for ell in (1, 2):
@@ -751,7 +759,6 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         )
 
     # composition data
-    clips = []
     for i, fs in enumerate(factors):
         cg = _draw_poly(rng, fs.w, dim, 3, float(rng.uniform(0.5, 1.5)))
         cg0 = _draw_poly(rng, fs.w, dim, 3, float(rng.uniform(0.5, 1.5)))
@@ -762,11 +769,10 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         add("comp_gamma0s", cg0, 3, i)
         add("comp_etas", ce, 2, i)
         add("comp_eta0s", ce0, 2, i)
-        add("comp_gamma_diffs", SumMap([cg, ScaledMap(cg0, -1.0)]), 3, i)
-        add("comp_eta_diffs", SumMap([ce, ScaledMap(ce0, -1.0)]), 2, i)
+        add_diff("comp_gamma_diffs", cg, cg0, i)
+        add_diff("comp_eta_diffs", ce, ce0, i)
         add("comp_gamma_dirs", _draw_poly(rng, fs.w, dim, 3, 0.4), 3, i)
         add("comp_eta_dirs", _draw_poly(rng, fs.u, dim, 2, 0.15 * v_radii[i]), 2, i)
-        clips.append(crude_sup_bound(cg, 1))
 
     # contraction data
     cap11 = 0.5 * tau
@@ -779,8 +785,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
             f10 = (0.4 if small else 1.0) * cap10 * float(rng.uniform(0.6, 1.0))
             scale = min(f11 / b1 if b1 > 0 else 1.0, f10 / b0 if b0 > 0 else 1.0)
             add(key, ScaledMap(pm, scale), 2, i)
-        phi, psi = elems["phis"][i].map, elems["psis"][i].map
-        add("phi_diffs", SumMap([phi, ScaledMap(psi, -1.0)]), 2, i)
+        add_diff("phi_diffs", elems["phis"][i].map, elems["psis"][i].map, i)
 
     # multipliers, bilinears, multilinear data
     bils, beta2s = [], []
@@ -868,7 +873,6 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         tau_nb=tau_nb,
         clearance_nb=clearance_nb,
         xis=tuple(xis),
-        comp_gamma_lips=tuple(clips),
         bilinears=tuple(bils),
         beta2s=tuple(beta2s),
         sigmas=tuple(sigmas),
@@ -878,6 +882,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         factorizations=factorizations,
         contraction=ContractionConfig(tau=tau, r=r_shared),
         **{k: RestrictedElement(tuple(v)) for k, v in elems.items()},
+        **{k: tuple(v) for k, v in diffs.items()},
     ))
 
 
@@ -1091,7 +1096,7 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
     lhs, rhs = [], []
     for ell in ells:
         lhs.append(op_norms(xi2e.tensors(grid.points, ell)).max())
-        rhs.append(ell * op0.bound(ell) + slab * op0.bound(ell + 1))
+        rhs.append(ell * row_bound(op0.sup_1, ell) + slab * row_bound(op0.sup_1, ell + 1))
     out.append(bound_rows(
         "est:Differential-MaMu_hohes_Diff_1-l-Norm", lhs, rhs, tolerance=1e-9,
         lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
@@ -1159,9 +1164,7 @@ def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
 
     # well-definedness: zero argument maps to the zero function
     fs0 = sc.factors[0]
-    zero_gamma = WeightedFunction(
-        ConstMap(fs0.u, np.zeros(sc.dim)), fs0.grid_u, 2, (("one", 0, 0.0), ("one", 1, 0.0))
-    )
+    zero_gamma = WeightedFunction(ConstMap(fs0.u, np.zeros(sc.dim)), fs0.grid_u, 2)
     zres, _ = superpose(sc.xis[0], zero_gamma, [])
     dev = float(np.max(np.abs(zres.map.tensors(fs0.grid_u.points, 0))))
     probes = fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]
@@ -1186,8 +1189,7 @@ def _run_compose(sc: FamilyScenario) -> list[CheckReport]:
     fs0 = sc.factors[0]
     weights = _factor0_weights(sc)
     res, reps = compose_perturbed(
-        sc.comp_gammas[0], sc.comp_etas[0], fs0.u, fs0.v, fs0.w,
-        sc.comp_gamma_lips[0], weights,
+        sc.comp_gammas[0], sc.comp_etas[0], fs0.u, fs0.v, fs0.w, weights,
         pair=(sc.comp_gamma0s[0], sc.comp_eta0s[0],
               sc.comp_gamma_diffs[0], sc.comp_eta_diffs[0]),
     )
@@ -1196,9 +1198,7 @@ def _run_compose(sc: FamilyScenario) -> list[CheckReport]:
         "missing certificates",
     )
     zero_eta = WeightedFunction(ConstMap(fs0.u, np.zeros(sc.dim)), fs0.grid_u, 2)
-    zres, _ = compose_perturbed(
-        sc.comp_gammas[0], zero_eta, fs0.u, fs0.v, fs0.w, sc.comp_gamma_lips[0]
-    )
+    zres, _ = compose_perturbed(sc.comp_gammas[0], zero_eta, fs0.u, fs0.v, fs0.w)
     probes = fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]
     dev = float(np.max([
         np.max(np.abs(zres.map.tensors(probes, ell) - sc.comp_gammas[0].map.tensors(probes, ell)))
@@ -1397,7 +1397,7 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
         witness=lambda k: rows[k],
     ))
 
-    k1 = sc.sigma_bound(1)
+    k1 = row_bound(sc.sigma_k, 1)
     lhs, rhs = [], []
     for i in range(sc.n_factors):
         composed = ComposeMap(sc.sigmas[i], sc.gammas[i].map)
@@ -1414,8 +1414,7 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
     out.append(ps_rep)
 
     _, comp_reports = sim_compose(
-        sc.comp_gammas, sc.comp_etas, sc.factors, sc.fw("omega"),
-        sc.comp_gamma_lips, sc.fw("one"), sc.tau_nb,
+        sc.comp_gammas, sc.comp_etas, sc.factors, sc.fw("omega"), sc.fw("one"), sc.tau_nb,
         directions=(sc.comp_gamma_dirs, sc.comp_eta_dirs),
     )
     out.extend(comp_reports)
@@ -1605,10 +1604,11 @@ def _numbers(node, key, path: str):
     return v
 
 
-def _bounds(node, key: str, path: str, width: int, orders=()) -> tuple[tuple, ...]:
+def _bounds(node, key, path: str, width: int, required=()) -> tuple[tuple, ...]:
     """The rows listed at ``node[key]``, each ``width`` entries ending in
-    (order, bound), with a row for every order in ``orders``; the entries
-    before (order, bound) are returned as they are."""
+    (order, bound), with a row for every key in ``required`` (the entries
+    before the bound, see :func:`row_bound`); the entries before (order,
+    bound) are returned as they are."""
     rows, at = _items(node, key, path), f"{path}/{key}"
     out = []
     for j, row in enumerate(rows):
@@ -1619,17 +1619,17 @@ def _bounds(node, key: str, path: str, width: int, orders=()) -> tuple[tuple, ..
             _integer(row, width - 2, f"{at}/{j}", 0)
             _number(row, width - 1, f"{at}/{j}")
         out.append((*row[:-2], row[-2], float(row[-1])))
-    given = {row[-2] for row in out}
-    for k in orders:
-        if k not in given:
-            raise DataError(f"{at}: must give the bound for order {k}")
+    for k in required:
+        if row_bound(out, *k) is None:
+            raise DataError(f"{at}: must give a row ({', '.join(map(repr, k))}, bound)")
     return tuple(out)
 
 
 def _from_desc(build, desc, path: str, *args):
     """``build(desc, *args)`` for the descriptor at ``path``; a leaf that
-    breaks the number rule, a key the descriptor lacks or an entry its
-    reader rejects is a DataError naming it."""
+    breaks the number rule, a key the descriptor lacks, an entry its
+    reader rejects or a node of the wrong shape (a number, list or object
+    where another belongs) is a DataError naming it."""
     at = _nonfinite_at(desc)
     if at is not None:
         raise DataError(f"{path}{at}: must be a finite number")
@@ -1639,6 +1639,8 @@ def _from_desc(build, desc, path: str, *args):
         raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
     except (DataError, ShapeError) as exc:
         raise DataError(f"{path}: {exc}") from None
+    except (TypeError, IndexError, AttributeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed descriptor ({type(exc).__name__}: {exc})") from None
 
 
 def _nonfinite_at(node, key=None) -> str | None:
@@ -1685,16 +1687,17 @@ def _wf_to_dict(wf: WeightedFunction) -> dict:
     return {
         "map": map_to_desc(wf.map),
         "max_order": wf.max_order,
-        "certified": [[n, l, b] for n, l, b in wf.certified],
+        "certified": list(map(list, wf.certified)),
     }
 
 
-def _wf_from_dict(d: dict, domain: DomainSet, grid: SampleGrid, path: str) -> WeightedFunction:
+def _wf_from_dict(d: dict, domain: DomainSet, grid: SampleGrid, path: str,
+                  required) -> WeightedFunction:
     return WeightedFunction(
         _from_desc(map_from_desc, _at(d, "map", path), f"{path}/map", domain),
         grid,
         _integer(d, "max_order", path, 0),
-        _bounds(d, "certified", path, 3),
+        _bounds(d, "certified", path, 3, required),
     )
 
 
@@ -1770,7 +1773,7 @@ def scenario_to_dict(sc: FamilyScenario) -> dict:
             for op in sc.xis
         ],
         "elements": {k: _elem_to_dict(getattr(sc, k)) for k in ELEMENT_GRIDS},
-        "comp_gamma_lips": list(sc.comp_gamma_lips),
+        **{k: [list(map(list, rows)) for rows in getattr(sc, k)] for k in DIFFERENCE_ROWS},
         "bilinears": [b.tolist() for b in sc.bilinears],
         "beta2s": [b.tolist() for b in sc.beta2s],
         "sigmas": [map_to_desc(s) for s in sc.sigmas],
@@ -1825,16 +1828,19 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         path = f"/elements/{key}"
         entries = _items(_at(d, "elements", ""), key, "/elements", n)
         elements[key] = RestrictedElement(tuple(
-            _wf_from_dict(e, getattr(fs, grid), getattr(fs, f"grid_{grid}"), f"{path}/{i}")
+            _wf_from_dict(e, getattr(fs, grid), getattr(fs, f"grid_{grid}"), f"{path}/{i}",
+                          REQUIRED_ROWS.get(key, ()))
             for i, (e, fs) in enumerate(zip(entries, factors))
         ))
+    diffs = {k: per_factor(k) for k in DIFFERENCE_ROWS}
+    diffs = {k: tuple(_bounds(v, i, f"/{k}", 3) for i in range(n)) for k, v in diffs.items()}
     xis = tuple(
         SuperpositionOperand(
             _from_desc(map_from_desc, _at(x, "map", f"/xis/{i}"), f"/xis/{i}/map",
                        product_box(fs.u, fs.v)),
             fs.u,
             fs.v,
-            _bounds(x, "sup_1", f"/xis/{i}", 2, orders=(1, 2, 3)),  # the runners read 1..3
+            _bounds(x, "sup_1", f"/xis/{i}", 2, ((1,), (2,), (3,))),  # the runners read 1..3
             float(_number(x, "d2_sup", f"/xis/{i}")),
         )
         for i, (x, fs) in enumerate(zip(per_factor("xis"), factors))
@@ -1848,14 +1854,13 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         tau_nb=_number(d, "tau_nb", ""),
         clearance_nb=_number(d, "clearance_nb", ""),
         xis=xis,
-        comp_gamma_lips=_floats(d, "comp_gamma_lips", "", n),
         bilinears=tuple(np.array(_numbers(bils, i, "/bilinears")) for i in range(n)),
         beta2s=tuple(np.array(_numbers(betas, i, "/beta2s")) for i in range(n)),
         sigmas=tuple(
             _from_desc(map_from_desc, s, f"/sigmas/{i}", fs.v.as_box())
             for i, (s, fs) in enumerate(zip(per_factor("sigmas"), factors))
         ),
-        sigma_k=_bounds(d, "sigma_k", "", 2, orders=(1,)),
+        sigma_k=_bounds(d, "sigma_k", "", 2, ((1,),)),
         op_q=_number(d, "op_q", ""),
         dominance=tuple(
             DominanceCertificate(
@@ -1880,6 +1885,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         ),
         contraction=_contraction(d),
         **elements,
+        **diffs,
     ))
 
 

@@ -453,9 +453,9 @@ def test_criterion_9_simultaneous_closed_forms(capsys):
     grid_u, grid_w = lattice(u, spacing=0.1), lattice(w, spacing=0.25)
     dev = 0.0
     for c in (0.1, -0.05):
-        gamma = WeightedFunction(PolynomialMap(w, [([1.0], (2,))]), grid_w, 3)
+        gamma = WeightedFunction(PolynomialMap(w, [([1.0], (2,))]), grid_w, 3, (("one", 1, 4.0),))
         eta = WeightedFunction(ConstMap(u, [c]), grid_u, 3)
-        res, _ = compose_perturbed(gamma, eta, u, v, w, gamma_lip=4.0)
+        res, _ = compose_perturbed(gamma, eta, u, v, w)
         for x in grid_u.points:
             dev = max(dev, abs(res.map.value(x)[0] - (x[0] + c) ** 2))
     # simultaneous inversion: phi_i = c_i x

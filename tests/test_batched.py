@@ -157,6 +157,7 @@ def _scenario_maps(seed: int) -> list[tuple[str, JetMap, np.ndarray]]:
             sc.comp_gammas[0].map, SumMap([sc.comp_etas[0].map, identity_map(fs.u)])),
          fs.grid_u.points),
         ("sigma_of_gamma", ComposeMap(sc.sigmas[0], gamma), fs.grid_u.points),
+        ("near", SumMap([gamma, ScaledMap(sc.gamma_dirs[0].map, 0.02)]), fs.grid_u.points),
         ("differential", DifferentialMap(gamma), fs.grid_u.points),
         ("partial_d2", PartialD2Map(op.xi), _probe_points(op.xi, seed)),
         ("bilinear", MultilinearPairMap(sc.bilinears[0], [sc.multipliers[0].map, gamma]),

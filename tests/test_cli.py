@@ -7,7 +7,7 @@ import pytest
 
 from wrp.cli import RunConfig, emit_config, main, parse_config, run
 from wrp.errors import ConfigError
-from wrp.verify import ALL_CHECK_IDS
+from wrp.verify import ALL_CHECK_IDS, DIFFERENCE_ROWS
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "scenario_seed0.json"
 
@@ -223,6 +223,23 @@ def _gamma0_term(doc):
     return doc["elements"]["gammas"][0]["map"]["terms"][0]
 
 
+def _as_old_format(doc):
+    # the layout written before the difference rows: a difference map per
+    # factor under /elements (none was ever evaluated, so any map stands
+    # in) carrying the rows, and /comp_gamma_lips
+    for key in DIFFERENCE_ROWS:
+        doc["elements"][key] = [
+            {"map": g["map"], "max_order": 2, "certified": rows}
+            for g, rows in zip(doc["elements"]["gammas"], doc.pop(key))
+        ]
+    doc["comp_gamma_lips"] = [1.0] * len(doc["factors"])
+
+
+def _drop_compose_lipschitz_row(doc):
+    wf = doc["elements"]["comp_gammas"][1]
+    wf["certified"] = [r for r in wf["certified"] if r[:2] != ["one", 1]]
+
+
 class TestIngestErrors:
     """A malformed scenario file exits 1 with an error naming the JSON
     pointer of the offending entry, never with a traceback or a run."""
@@ -250,7 +267,7 @@ class TestIngestErrors:
          "/elements/gammas/0/certified/0"),
         (lambda d: d["elements"]["gammas"][0].__setitem__("max_order", "2"),
          "/elements/gammas/0/max_order"),
-        (lambda d: d["comp_gamma_lips"].__setitem__(0, "1.5"), "/comp_gamma_lips/0"),
+        (lambda d: d["comp_gamma_diffs"][0][0].__setitem__(2, "1.5"), "/comp_gamma_diffs/0/0/2"),
         (lambda d: d["sigma_k"][0].__setitem__(1, float("nan")), "/sigma_k/0/1"),
         (lambda d: d["xis"][0]["sup_1"][0].__setitem__(1, float("nan")), "/xis/0/sup_1/0/1"),
         (lambda d: d["xis"][0].__setitem__("sup_1", 2.0), "/xis/0/sup_1"),
@@ -284,17 +301,28 @@ class TestIngestErrors:
         (lambda d: d["sigmas"][0]["terms"][0]["powers"].__setitem__(0, 1.5), "/sigmas/0"),
         (lambda d: d["factors"][0]["u"].update(lo=[1.0], hi=[math.nextafter(1.0, 2.0)]),
          "/factors/0/grid_u"),
+        (lambda d: d["elements"]["gammas"][0]["map"].__setitem__("terms", 5),
+         "/elements/gammas/0/map"),
+        (lambda d: _gamma0_term(d).__setitem__("coef", 1.0), "/elements/gammas/0/map"),
+        (lambda d: d["elements"]["gammas"][0].__setitem__("map", [1.0]),
+         "/elements/gammas/0/map"),
+        (lambda d: d["weights"]["members"][1]["factors"][0].__setitem__("a", [0.5]),
+         "/weights/members/1/factors/0"),
+        (_as_old_format, "/gamma_diffs"),
+        (_drop_compose_lipschitz_row, "/elements/comp_gammas/1/certified"),
     ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k",
             "nan_map_coefficient", "infinite_weight_constant", "nan_certified_bound",
             "infinite_certified_bound", "string_certified_bound", "fractional_certified_order",
-            "short_certified_triple", "string_max_order", "string_gamma_lip",
+            "short_certified_triple", "string_max_order", "string_difference_bound",
             "nan_sigma_k", "nan_sup_1", "scalar_sup_1", "nan_dominance_k", "true_dominance_ell",
             "nan_bilinear", "string_beta2", "fractional_max_iters",
             "true_dim", "string_domain_bound", "infinite_ball_radius", "order_one_sup_1",
             "no_order_three_sup_1", "long_ball_center", "long_box_hi", "empty_box",
             "unknown_norm", "huge_int_coefficient", "huge_int_sigma_coefficient",
             "true_coefficient", "string_coefficient", "null_weight_constant", "true_power", "fractional_power",
-            "negative_power", "fractional_sigma_power", "one_ulp_box"])
+            "negative_power", "fractional_sigma_power", "one_ulp_box", "int_terms",
+            "scalar_coefficient", "list_for_map", "list_gauss_a", "old_difference_maps",
+            "no_compose_lipschitz_row"])
     def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
         assert main(["run", "--config", str(cfg)]) == 1
@@ -328,8 +356,8 @@ class TestIngestErrors:
     @pytest.mark.parametrize("pointer", [
         "/elements/comp_gamma0s/1/map/terms/0/coef/0",
         "/elements/comp_eta0s/1/map/terms/0/coef/0",
-        "/elements/comp_gamma_diffs/1/map/parts/0/terms/0/coef/0",
-        "/elements/comp_eta_diffs/1/map/parts/0/terms/0/coef/0",
+        "/comp_gamma_diffs/1/0/2",
+        "/comp_eta_diffs/1/0/2",
     ], ids=["comp_gamma0s", "comp_eta0s", "comp_gamma_diffs", "comp_eta_diffs"])
     def test_nan_in_a_later_compose_factor_exits_one(self, tmp_path, capsys, pointer):
         # the compose pair estimate reads factor 0 of these lists only;

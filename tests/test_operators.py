@@ -15,8 +15,6 @@ from wrp.jets import (
     ConstMap,
     MultilinearMap,
     PolynomialMap,
-    ScaledMap,
-    SumMap,
     TrigPolynomialMap,
     crude_partial2_sup,
     crude_sup_bound,
@@ -113,16 +111,25 @@ class TestSuperpose:
             PolynomialMap(U1, [([0.5], (1,))]), gamma.grid, 2,
             (("one", 0, 0.5), ("one", 1, 0.5)),
         )
-        diff = WeightedFunction(
-            SumMap([gamma.map, ScaledMap(half.map, -1.0)]), gamma.grid, 2,
-            (("one", 0, 0.5), ("one", 1, 0.5)),
-        )
+        # gamma - half = x / 2: sup 0.5 on U
+        diff = (("one", 0, 0.5), ("one", 1, 0.5))
         _, reports = superpose(xy_operand(), gamma, [ONE], pair=(half, diff))
         est = [r for r in reports if r.check_id == "est:f0-Norm_SPid-Differenz"][0]
         assert est.status == "pass"
         # lhs oracle: sup |x^2 - 0.5 x^2| on the grid
         assert est.lhs == pytest.approx(0.5 * 0.81)
         assert est.rhs == pytest.approx(0.5)
+
+    def test_difference_estimate_fails_with_cut_rows(self):
+        # the pair above with the difference row cut to 0.1: the grid
+        # distance 0.405 exceeds d2_sup * 0.1 = 0.1
+        gamma = gamma_identity()
+        half = WeightedFunction(PolynomialMap(U1, [([0.5], (1,))]), gamma.grid, 2)
+        _, reports = superpose(xy_operand(), gamma, [ONE], pair=(half, (("one", 0, 0.1),)))
+        est = [r for r in reports if r.check_id == "est:f0-Norm_SPid-Differenz"][0]
+        assert est.status == "fail"
+        assert est.lhs == pytest.approx(0.5 * 0.81)
+        assert est.rhs == pytest.approx(0.1)
 
     def test_derivative_check_linear_kernel_exactness(self):
         # xi linear in y: quotients are exact
@@ -157,17 +164,17 @@ class TestCompose:
     U = box([-1.0], [1.0])
 
     def _gamma(self):
+        # x^2 on W = [-2, 2]: its derivative 2x is at most 4
         return WeightedFunction(
-            PolynomialMap(self.W, [([1.0], (2,))]), lattice(self.W, spacing=0.25), 3
+            PolynomialMap(self.W, [([1.0], (2,))]), lattice(self.W, spacing=0.25), 3,
+            (("one", 1, 4.0),),
         )
 
     def test_shifted_square(self):
         eta = WeightedFunction(
             ConstMap(self.U, [0.1]), lattice(self.U, spacing=0.1), 3
         )
-        res, _ = compose_perturbed(
-            self._gamma(), eta, self.U, self.V, self.W, gamma_lip=4.0
-        )
+        res, _ = compose_perturbed(self._gamma(), eta, self.U, self.V, self.W)
         for x in res.grid.points[::4]:
             assert res.map.value(x)[0] == pytest.approx((x[0] + 0.1) ** 2, abs=1e-14)
 
@@ -175,9 +182,7 @@ class TestCompose:
         eta = WeightedFunction(
             ConstMap(self.U, [0.0]), lattice(self.U, spacing=0.1), 3
         )
-        res, _ = compose_perturbed(
-            self._gamma(), eta, self.U, self.V, self.W, gamma_lip=4.0
-        )
+        res, _ = compose_perturbed(self._gamma(), eta, self.U, self.V, self.W)
         g = self._gamma()
         for x in res.grid.points[::4]:
             for ell in range(3):
@@ -190,7 +195,7 @@ class TestCompose:
             ConstMap(self.U, [0.1]), lattice(self.U, spacing=0.1), 3
         )
         _, reports = compose_perturbed(
-            self._gamma(), eta, self.U, self.V, self.W, gamma_lip=4.0, weights=[ONE]
+            self._gamma(), eta, self.U, self.V, self.W, weights=[ONE]
         )
         est = [r for r in reports if r.check_id == "est:Funktionswerte_Gewicht_K-Kompo"][0]
         assert est.status == "pass"
@@ -199,13 +204,42 @@ class TestCompose:
         worst = min(4.0 * 0.1 + x * x - (x + 0.1) ** 2 for x in xs)
         assert est.margin == pytest.approx(worst, abs=1e-12)
 
+    def _pair_estimate(self, gamma_diff, eta_diff):
+        # gamma = x^2 and eta = 0.1 against gamma0 = x^2 / 2 and eta0 = 0.05;
+        # gamma - gamma0 = x^2 / 2 has sup 2 and derivative sup 2 on W
+        grid_u = lattice(self.U, spacing=0.1)
+        eta = WeightedFunction(ConstMap(self.U, [0.1]), grid_u, 3)
+        gamma0 = WeightedFunction(PolynomialMap(self.W, [([0.5], (2,))]), self._gamma().grid, 3)
+        eta0 = WeightedFunction(ConstMap(self.U, [0.05]), grid_u, 3, (("one", 0, 0.05),))
+        _, reports = compose_perturbed(
+            self._gamma(), eta, self.U, self.V, self.W, weights=[ONE],
+            pair=(gamma0, eta0, gamma_diff, eta_diff),
+        )
+        return [r for r in reports if r.check_id == "est:f,0-Norm_Differenz_Kompo"][0]
+
+    def test_pair_difference_estimate(self):
+        est = self._pair_estimate((("one", 0, 2.0), ("one", 1, 2.0)), (("one", 0, 0.05),))
+        assert est.status == "pass"
+        # lhs oracle: sup |(x + 0.1)^2 - (x + 0.05)^2 / 2| on the grid, at x = 0.9
+        xs = lattice(self.U, spacing=0.1).points.ravel()
+        assert est.lhs == pytest.approx(max(abs((x + 0.1) ** 2 - 0.5 * (x + 0.05) ** 2) for x in xs))
+        assert est.lhs == pytest.approx(0.54875)
+        # 4 |eta - eta0| + |gamma - gamma0|_1 |eta0| + |gamma - gamma0|_0
+        assert est.rhs == pytest.approx(4.0 * 0.05 + 2.0 * 0.05 + 2.0)
+
+    def test_pair_difference_fails_with_cut_rows(self):
+        est = self._pair_estimate((("one", 0, 0.01), ("one", 1, 0.01)), (("one", 0, 0.01),))
+        assert est.status == "fail"
+        assert est.lhs == pytest.approx(0.54875)
+        assert est.rhs == pytest.approx(4.0 * 0.01 + 0.01 * 0.05 + 0.01)
+
     def test_geometry_guard(self):
         big_v = ball([0.0], 1.5)
         eta = WeightedFunction(
             ConstMap(self.U, [0.1]), lattice(self.U, spacing=0.25), 3
         )
         with pytest.raises(GeometryError):
-            compose_perturbed(self._gamma(), eta, self.U, big_v, self.W, gamma_lip=4.0)
+            compose_perturbed(self._gamma(), eta, self.U, big_v, self.W)
 
     def test_unbalanced_v_rejected(self):
         lopsided = box([-0.1], [0.5])
@@ -213,9 +247,7 @@ class TestCompose:
             ConstMap(self.U, [0.1]), lattice(self.U, spacing=0.25), 3
         )
         with pytest.raises(PreconditionError):
-            compose_perturbed(
-                self._gamma(), eta, self.U, lopsided, self.W, gamma_lip=4.0
-            )
+            compose_perturbed(self._gamma(), eta, self.U, lopsided, self.W)
 
     def test_derivative_identity_sweep(self):
         eta = WeightedFunction(
@@ -355,10 +387,8 @@ class TestInversion:
             AffineMap(u, [[0.08]]), grid_u, 2,
             (("one", 0, 0.16), ("one", 1, 0.08)),
         )
-        diff = WeightedFunction(
-            AffineMap(u, [[0.04]]), grid_u, 2,
-            (("one", 0, 0.08), ("one", 1, 0.04)),
-        )
+        # phi - psi = 0.04 x on [-2, 2]
+        diff = (("one", 0, 0.08), ("one", 1, 0.04))
         rep = inversion_pair_difference_check(
             phi, psi, diff, u, v, lattice(v, spacing=0.1),
             ContractionConfig(tau=0.5, r=1.5), [ONE],
@@ -381,8 +411,7 @@ class TestInversion:
                                (("one", 0, 0.24), ("one", 1, 0.12)))
         psi = WeightedFunction(AffineMap(u, [[0.08]]), grid_u, 2,
                                (("one", 0, 0.16), ("one", 1, 0.08)))
-        diff = WeightedFunction(AffineMap(u, [[0.04]]), grid_u, 2,
-                                (("one", 0, 0.001), ("one", 1, 0.001)))
+        diff = (("one", 0, 0.001), ("one", 1, 0.001))
         grid_v = lattice(v, spacing=0.1)
         rep = inversion_pair_difference_check(
             phi, psi, diff, u, v, grid_v, ContractionConfig(tau=0.5, r=1.5), [ONE],

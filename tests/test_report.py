@@ -167,22 +167,25 @@ class TestBoundRows:
 
 class TestMoreNegativeControls:
     def test_compose_value_estimate_fails_with_halved_lipschitz(self):
-        import numpy as np
-
         from wrp.jets import ConstMap, PolynomialMap
         from wrp.operators import compose_perturbed
         from wrp.seminorms import WeightedFunction, lattice
         from wrp.spaces import ball, box, const_weight
 
         u, v, w = box([-1.0], [1.0]), ball([0.0], 0.5), box([-2.0], [2.0])
-        gamma = WeightedFunction(
-            PolynomialMap(w, [([1.0], (1,))]), lattice(w, spacing=0.25), 2
-        )
+
+        def gamma(lip):
+            # gamma = x, whose certified ("one", 1) row is its Lipschitz bound
+            return WeightedFunction(
+                PolynomialMap(w, [([1.0], (1,))]), lattice(w, spacing=0.25), 2,
+                (("one", 1, lip),),
+            )
+
         eta = WeightedFunction(ConstMap(u, [0.3]), lattice(u, spacing=0.1), 2)
         one = const_weight("one", 1.0)
-        _, good = compose_perturbed(gamma, eta, u, v, w, gamma_lip=1.0, weights=[one])
+        _, good = compose_perturbed(gamma(1.0), eta, u, v, w, weights=[one])
         assert all(r.status == "pass" for r in good)
-        _, bad = compose_perturbed(gamma, eta, u, v, w, gamma_lip=0.5, weights=[one])
+        _, bad = compose_perturbed(gamma(0.5), eta, u, v, w, weights=[one])
         est = [r for r in bad if r.check_id == "est:Funktionswerte_Gewicht_K-Kompo"][0]
         assert est.status == "fail"
 

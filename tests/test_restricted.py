@@ -533,7 +533,8 @@ class TestSimComposeInvert:
         n = len(factors)
         gammas = RestrictedElement(
             tuple(
-                WeightedFunction(PolynomialMap(fs.w, [([1.0], (2,))]), fs.grid_w, 3)
+                WeightedFunction(PolynomialMap(fs.w, [([1.0], (2,))]), fs.grid_w, 3,
+                                 (("one", 1, 3.8),))
                 for fs in factors
             )
         )
@@ -545,8 +546,7 @@ class TestSimComposeInvert:
             )
         )
         res, reports = sim_compose(
-            gammas, etas, factors, self._omega(n), [3.8, 3.8],
-            one_family(n), 0.4,
+            gammas, etas, factors, self._omega(n), one_family(n), 0.4,
         )
         for i, fs in enumerate(factors):
             for p in fs.grid_u.points[::3]:

@@ -17,6 +17,7 @@ from wrp.restricted import neighborhood_inclusion_check
 from wrp.verify import (
     ALL_CHECK_IDS,
     CHECK_REGISTRY,
+    DIFFERENCE_ROWS,
     ELEMENT_GRIDS,
     RUNNERS,
     FamilyScenario,
@@ -140,11 +141,11 @@ class TestSerialization:
         # every per-factor list must have exactly one entry per factor; a
         # wrong length is rejected with the list's pointer, never truncated
         base = json.dumps(scenario_to_dict(scenario0))
-        pointers = [f"elements/{k}" for k in ELEMENT_GRIDS] + [
-            "xis", "sigmas", "bilinears", "beta2s", "comp_gamma_lips",
+        pointers = [f"elements/{k}" for k in ELEMENT_GRIDS] + list(DIFFERENCE_ROWS) + [
+            "xis", "sigmas", "bilinears", "beta2s",
             "weights/members/1/factors", "dominance/0/g/factors",
         ]
-        assert len(pointers) == 27
+        assert len(pointers) == 26
         for pointer in pointers:
             doc = json.loads(base)
             *parents, key = pointer.split("/")
@@ -165,6 +166,15 @@ class TestSerialization:
         assert key not in doc
         doc[key] = doc["contraction"][key]
         assert scenario_from_dict(doc).contraction == scenario0.contraction
+
+    def test_retired_compose_lipschitz_list_is_ignored(self, scenario0):
+        # files written before the compose Lipschitz bound was read from
+        # comp_gammas' ("one", 1) row carry /comp_gamma_lips
+        doc = scenario_to_dict(scenario0)
+        assert "comp_gamma_lips" not in doc
+        doc["comp_gamma_lips"] = ["not read"] * scenario0.n_factors
+        back = scenario_from_dict(doc)
+        assert scenario_to_dict(back) == scenario_to_dict(scenario0)
 
     @pytest.mark.parametrize("key", ["tau", "r"])
     def test_top_level_contraction_copy_that_contradicts_is_rejected(self, scenario0, key):
