@@ -341,11 +341,6 @@ class JetMap:
     def value(self, x) -> np.ndarray:
         return self.tensors(np.asarray(x, dtype=float)[None], 0)[0]
 
-    def jet(self, x, order: int) -> Jet:
-        self._check_order(order)
-        x = np.asarray(x, dtype=float)
-        return Jet(x, tuple(self.tensor(x, ell) for ell in range(order + 1)))
-
     def differential(self) -> "DifferentialMap":
         return DifferentialMap(self)
 

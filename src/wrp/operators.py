@@ -57,7 +57,6 @@ from .seminorms import (
     SampleGrid,
     WeightedFunction,
     require_row,
-    row_bound,
     weighted_seminorm,
 )
 from .spaces import DomainSet, Weight
@@ -202,7 +201,8 @@ def superpose(
 
     ``pair`` optionally supplies a second argument together with the
     certified bounds of the difference gamma - gamma_alt, to check the
-    two-argument distance estimate.
+    two-argument distance estimate.  A certified row an estimate reads
+    that is missing is a PreconditionError.
     """
     if not op.v.star_shaped_at_zero:
         raise PreconditionError("the value domain must be star-shaped at 0")
@@ -224,42 +224,27 @@ def superpose(
     reports: list[CheckReport] = []
     for w in weights:
         lhs = weighted_seminorm(result, w, 0).value
-        cert0 = gamma.certified_bound(w.name, 0)
-        if cert0 is None:
-            reports.append(
-                skipped_report("est:f0-Norm_SPid", f"no certificate ({w.name}, 0)")
+        cert0 = gamma.require_bound(w.name, 0)
+        reports.append(
+            bound_report(
+                "est:f0-Norm_SPid", lhs, op.d2_sup * cert0, tolerance=1e-9,
+                lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
+                detail=f"weight {w.name}",
             )
-        else:
-            reports.append(
-                bound_report(
-                    "est:f0-Norm_SPid", lhs, op.d2_sup * cert0, tolerance=1e-9,
-                    lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-                    detail=f"weight {w.name}",
-                )
-            )
-        cert1 = gamma.certified_bound(w.name, 1)
-        b2 = row_bound(op.sup_1, 2)
-        if max_order >= 1 and cert0 is not None and cert1 is not None and b2 is not None:
+        )
+        if max_order >= 1:
             lhs1 = weighted_seminorm(result, w, 1).value
+            rhs1 = require_row(op.sup_1, 2) * cert0 + op.d2_sup * gamma.require_bound(w.name, 1)
             reports.append(
                 bound_report(
-                    "est:f1-Norm_SPid", lhs1, b2 * cert0 + op.d2_sup * cert1,
-                    tolerance=1e-9,
+                    "est:f1-Norm_SPid", lhs1, rhs1, tolerance=1e-9,
                     lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
                     detail=f"weight {w.name}",
                 )
             )
         if pair is not None:
             gamma_alt, diff = pair
-            dcert = row_bound(diff, w.name, 0)
-            if dcert is None:
-                reports.append(
-                    skipped_report(
-                        "est:f0-Norm_SPid-Differenz",
-                        f"no difference certificate ({w.name}, 0)",
-                    )
-                )
-                continue
+            dcert = require_row(diff, w.name, 0)
             alt_map = ComposeMap(op.xi, PairMap([identity_map(op.u), gamma_alt.map]))
             gap = WeightedFunction(difference_map(result_map, alt_map), gamma.grid, 0)
             lhs_d = weighted_seminorm(gap, w, 0).value
@@ -357,24 +342,12 @@ def compose_perturbed(
         )
         if pair is not None:
             gamma0, eta0, gamma_diff, eta_diff = pair
-            needed = (
-                row_bound(eta_diff, wgt.name, 0),
-                row_bound(gamma_diff, "one", 1),
-                eta0.certified_bound(wgt.name, 0),
-                row_bound(gamma_diff, wgt.name, 0),
-            )
-            if any(b is None for b in needed):
-                reports.append(
-                    skipped_report(
-                        "est:f,0-Norm_Differenz_Kompo",
-                        f"missing pair certificates for weight {wgt.name}",
-                    )
-                )
-                continue
             other = ComposeMap(gamma0.map, SumMap([eta0.map, identity_map(u)]))
             gapf = WeightedFunction(difference_map(result_map, other), eta.grid, 0)
             lhs_d = weighted_seminorm(gapf, wgt, 0).value
-            rhs_d = gamma_lip * needed[0] + needed[1] * needed[2] + needed[3]
+            rhs_d = (gamma_lip * require_row(eta_diff, wgt.name, 0)
+                     + require_row(gamma_diff, "one", 1) * eta0.require_bound(wgt.name, 0)
+                     + require_row(gamma_diff, wgt.name, 0))
             reports.append(
                 bound_report(
                     "est:f,0-Norm_Differenz_Kompo", lhs_d, rhs_d, tolerance=1e-9,

@@ -28,7 +28,6 @@ from .jets import (
     op_norms,
 )
 from .report import (
-    CERTIFIED_UPPER,
     EXACT,
     GRID_LOWER,
     CheckReport,
@@ -128,7 +127,8 @@ Certificates = tuple[tuple[str, int, float], ...]
 def row_bound(rows, *key) -> float | None:
     """The bound of the first row of ``rows`` whose entries before the
     bound are ``key``, such as (weight name, order), or None: the one
-    lookup of a certified row."""
+    lookup of a certified row.  Only :func:`require_row` calls it, so no
+    check can skip a missing row."""
     return next((row[-1] for row in rows if row[:-1] == key), None)
 
 
@@ -155,9 +155,6 @@ class WeightedFunction:
         if self.map.max_order is not None and self.max_order > self.map.max_order:
             raise OrderError("declared max order exceeds what the map provides")
 
-    def certified_bound(self, weight_name: str, ell: int) -> float | None:
-        return row_bound(self.certified, weight_name, ell)
-
     def require_bound(self, weight_name: str, ell: int) -> float:
         return require_row(self.certified, weight_name, ell)
 
@@ -173,11 +170,6 @@ class SeminormValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def certified_seminorm(wf: WeightedFunction, weight_name: str, ell: int) -> SeminormValue:
-    """The author-certified upper bound as a seminorm value."""
-    return SeminormValue(wf.require_bound(weight_name, ell), CERTIFIED_UPPER)
 
 
 def weighted_seminorm(wf: WeightedFunction, weight: Weight, ell: int) -> SeminormValue:

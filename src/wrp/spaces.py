@@ -410,11 +410,18 @@ def shifted_weight(
     )
 
 
+# The largest exponent a descriptor may give, far above the generator's
+# degree 3: a polynomial's jets cost one power per exponent and point.
+MAX_POWER = 64
+
+
 def desc_powers(powers) -> tuple[int, ...]:
     """The exponents of a polynomial term read from a descriptor: a list
-    of integers >= 0 (a boolean or a fraction is not one)."""
-    if not isinstance(powers, list) or not all(type(p) is int and p >= 0 for p in powers):
-        raise DataError(f"powers must be a list of integers >= 0, got {powers!r}")
+    of integers from 0 to MAX_POWER (a boolean or a fraction is not one)."""
+    if not isinstance(powers, list) or not all(
+            type(p) is int and 0 <= p <= MAX_POWER for p in powers):
+        raise DataError(f"powers must be a list of integers from 0 to {MAX_POWER}, "
+                        f"got {powers!r}")
     return tuple(powers)
 
 
@@ -475,8 +482,6 @@ class FamilyWeight:
 @dataclass(frozen=True)
 class WeightFamily:
     members: tuple[FamilyWeight, ...]
-    contains_one: bool = False
-    adjusting: str | None = None
 
     def __post_init__(self):
         counts = {len(m) for m in self.members}
@@ -485,13 +490,6 @@ class WeightFamily:
         names = [m.name for m in self.members]
         if len(set(names)) != len(names):
             raise DataError("duplicate weight names in family")
-        if self.adjusting is not None and self.adjusting not in names:
-            raise DataError(f"adjusting weight {self.adjusting!r} not a member")
-        if self.contains_one and not any(
-            all(w.certified_sup == 1.0 and w.certified_inf == 1.0 for w in m.factors)
-            for m in self.members
-        ):
-            raise DataError("contains_one set but no constant-one member")
 
     def member(self, name: str) -> FamilyWeight:
         for m in self.members:

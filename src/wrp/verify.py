@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    CertificateRequiredError,
     ConfigError,
     DataError,
     GeometryError,
@@ -107,7 +106,7 @@ from .seminorms import (
     lattice,
     norm_comparison_1U,
     pair_split_check,
-    row_bound,
+    require_row,
     seminorm_axioms_check,
     weighted_seminorm,
 )
@@ -517,11 +516,21 @@ class ScenarioSeed:
     max_factors: int = 4
 
 
-def _sampled_on(grid: str, validated: bool = False):
+def _sampled_on(grid: str, validated: bool = False, reads=()):
     """A per-factor element field whose factor i is sampled on factor i's
     ``grid_u`` (``"u"``) or ``grid_w`` (``"w"``) lattice; ingest checks the
-    jets of a ``validated`` element against finite differences."""
-    return field(metadata={"grid": grid, "validated": validated})
+    jets of a ``validated`` element against finite differences.  ``reads``
+    are the (weight, order) rows the checks read of every factor."""
+    return field(metadata={"grid": grid, "validated": validated, "reads": reads})
+
+
+def _reads(*keys, rows: bool = False):
+    """A field of which the checks read ``keys``; ``rows`` marks the
+    per-factor certified rows of a difference of two elements."""
+    return field(metadata={"reads": keys, "rows": rows})
+
+
+_ONE_GAUSS_0 = (("one", 0), ("gauss", 0))
 
 
 @dataclass(frozen=True)
@@ -531,42 +540,54 @@ class FamilyScenario:
     declaration order, are the ``elements`` of the scenario JSON schema.
     A ``rows`` field holds, per factor, the certified rows that bound the
     difference of two elements' factors, a map no check evaluates; it is a
-    top-level list of the schema."""
+    top-level list of the schema.
+
+    The ``reads`` of a field are the certificates the checks read of it,
+    stated once: the generator writes exactly these, ingest requires each
+    and the runners look a row up with ``require_row``.  They are the
+    (weight, order) rows of every factor of an element or difference, the
+    orders of the ``xis`` ``sup_1`` rows and of ``sigma_k``, the members of
+    the weight family, and the (context, weight, order) of the dominance
+    and (weight,) of the factorization certificates the runners select; a
+    key shorter than an entry's matches every entry it starts."""
 
     name: str
     dim: int
     factors: tuple[FactorSpace, ...]
-    weights: WeightFamily
+    weights: WeightFamily = _reads(("one",), ("gauss",), ("omega",))
     tau_nb: float
     clearance_nb: float
-    xis: tuple[SuperpositionOperand, ...]
-    gammas: RestrictedElement = _sampled_on("u", validated=True)
+    xis: tuple[SuperpositionOperand, ...] = _reads((1,), (2,), (3,))
+    gammas: RestrictedElement = _sampled_on(
+        "u", validated=True, reads=_ONE_GAUSS_0 + (("one", 1), ("gauss", 1)))
     gamma_alts: RestrictedElement = _sampled_on("u", validated=True)
-    gamma_diffs: tuple[Certificates, ...] = field(metadata={"rows": True})
+    gamma_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, rows=True)
     gamma_dirs: RestrictedElement = _sampled_on("u", validated=True)
-    comp_gammas: RestrictedElement = _sampled_on("w", validated=True)
+    comp_gammas: RestrictedElement = _sampled_on("w", validated=True, reads=(("one", 1),))
     comp_etas: RestrictedElement = _sampled_on("u", validated=True)
     comp_gamma0s: RestrictedElement = _sampled_on("w")
-    comp_eta0s: RestrictedElement = _sampled_on("u")
-    comp_gamma_diffs: tuple[Certificates, ...] = field(metadata={"rows": True})
-    comp_eta_diffs: tuple[Certificates, ...] = field(metadata={"rows": True})
+    comp_eta0s: RestrictedElement = _sampled_on("u", reads=_ONE_GAUSS_0)
+    comp_gamma_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, ("one", 1), rows=True)
+    comp_eta_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, rows=True)
     comp_gamma_dirs: RestrictedElement = _sampled_on("w")
     comp_eta_dirs: RestrictedElement = _sampled_on("u")
-    phis: RestrictedElement = _sampled_on("u", validated=True)
-    psis: RestrictedElement = _sampled_on("u", validated=True)
-    phi_diffs: tuple[Certificates, ...] = field(metadata={"rows": True})
-    phi_dirs: RestrictedElement = _sampled_on("u", validated=True)
+    phis: RestrictedElement = _sampled_on(
+        "u", validated=True, reads=(("one", 0), ("one", 1), ("gauss", 0)))
+    psis: RestrictedElement = _sampled_on("u", validated=True, reads=(("one", 1),))
+    phi_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, ("one", 1), rows=True)
+    phi_dirs: RestrictedElement = _sampled_on("u", validated=True, reads=(("one", 0), ("one", 1)))
     multipliers: RestrictedElement = _sampled_on("u", validated=True)
     bilinears: tuple[np.ndarray, ...]
     beta2s: tuple[np.ndarray, ...]
     ml_args1: RestrictedElement = _sampled_on("u", validated=True)
     ml_args2: RestrictedElement = _sampled_on("u", validated=True)
     sigmas: tuple[JetMap, ...]
-    sigma_k: tuple[tuple[int, float], ...]
+    sigma_k: tuple[tuple[int, float], ...] = _reads((1,))
     op_gammas: RestrictedElement = _sampled_on("u", validated=True)
     op_q: float
-    dominance: tuple[DominanceCertificate, ...]
-    factorizations: tuple[FactorizationCertificate, ...]
+    dominance: tuple[DominanceCertificate, ...] = _reads(
+        ("multiplier", "gauss", 0), ("sp", "gauss", 1), ("uniform-k",))
+    factorizations: tuple[FactorizationCertificate, ...] = _reads(("gauss",))
     contraction: ContractionConfig
 
     @property
@@ -580,8 +601,9 @@ class FamilyScenario:
 ELEMENT_GRIDS: dict[str, str] = {
     f.name: f.metadata["grid"] for f in fields(FamilyScenario) if "grid" in f.metadata
 }
-# rows ingest requires of every factor: composition reads its Lipschitz bound
-REQUIRED_ROWS: dict[str, tuple] = {"comp_gammas": (("one", 1),)}
+READS: dict[str, tuple[tuple, ...]] = {
+    f.name: f.metadata["reads"] for f in fields(FamilyScenario) if "reads" in f.metadata
+}
 DIFFERENCE_ROWS: tuple[str, ...] = tuple(
     f.name for f in fields(FamilyScenario) if f.metadata.get("rows")
 )
@@ -631,15 +653,11 @@ def _draw_poly(
     )
 
 
-def _certified(map_: JetMap, weights: dict[str, Weight], orders=(0, 1, 2)) -> tuple:
-    sups = [(name, w.certified_sup) for name, w in weights.items()
-            if w.certified_sup is not None]
-    if not sups:
-        return ()
-    bounds = [crude_sup_bound(map_, ell) for ell in orders]  # shared by all weights
-    return tuple(
-        (name, ell, sup * b) for name, sup in sups for ell, b in zip(orders, bounds)
-    )
+def _certified(map_: JetMap, weights: dict[str, Weight], reads) -> tuple:
+    """The rows ``reads`` of ``map_``: the weight's certified sup times one
+    crude bound per order, shared by all weights."""
+    bounds = {ell: crude_sup_bound(map_, ell) for ell in dict.fromkeys(ell for _, ell in reads)}
+    return tuple((name, ell, weights[name].certified_sup * bounds[ell]) for name, ell in reads)
 
 
 def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
@@ -699,8 +717,6 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
             FamilyWeight("gauss_half", tuple(ghs)),
             FamilyWeight("omega", tuple(oms)),
         ),
-        contains_one=True,
-        adjusting="omega",
     )
 
     # factor i of each element, and of each difference's rows, under its field name
@@ -708,15 +724,14 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
     diffs: dict[str, list[Certificates]] = {k: [] for k in DIFFERENCE_ROWS}
     weights_at = [{m.name: m.factors[i] for m in family.members} for i in range(n)]
 
-    def add(key, map_, order, i, orders=(0, 1, 2)):
+    def add(key, map_, order, i):
         grid = getattr(factors[i], f"grid_{ELEMENT_GRIDS[key]}")
-        elems[key].append(
-            WeightedFunction(map_, grid, order, _certified(map_, weights_at[i], orders))
-        )
+        rows = _certified(map_, weights_at[i], READS[key])
+        elems[key].append(WeightedFunction(map_, grid, order, rows))
 
     def add_diff(key, a, b, i):
         # the difference map is built only for its bounds
-        diffs[key].append(_certified(SumMap([a, ScaledMap(b, -1.0)]), weights_at[i]))
+        diffs[key].append(_certified(SumMap([a, ScaledMap(b, -1.0)]), weights_at[i], READS[key]))
 
     # superposition kernels and their arguments
     xis = []
@@ -727,7 +742,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
             rng, prod, dim, 3, float(rng.uniform(0.5, 1.2)),
             n_terms=4, in_blocks=(dim, dim), y_block=(dim, dim),
         )
-        sup_1 = tuple((ell, crude_sup_bound(xi, ell)) for ell in (1, 2, 3))
+        sup_1 = tuple((ell, crude_sup_bound(xi, ell)) for (ell,) in READS["xis"])
         xis.append(
             SuperpositionOperand(xi, fs.u, fs.v, sup_1, crude_partial2_sup(xi))
         )
@@ -825,7 +840,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
             _draw_poly(rng, fs.v.as_box(), dim, 3, 0.8, y_block=(0, dim))
         )
     sigma_k = tuple(
-        (ell, max(crude_sup_bound(s, ell) for s in sigmas)) for ell in (1, 2)
+        (ell, max(crude_sup_bound(s, ell) for s in sigmas)) for (ell,) in READS["sigma_k"]
     )
     base_one = family.member("one")
     k1 = sigma_k[0][1]
@@ -851,7 +866,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         eb = _entry_bounds(raw, 0).reshape(dim, dim)
         bound = float(np.max(eb.sum(axis=1)))
         scale = q_i / bound if bound > 0 else 1.0
-        add("op_gammas", ScaledMap(raw, scale), 0, i, orders=(0,))
+        add("op_gammas", ScaledMap(raw, scale), 0, i)
         q_targets.append(q_i)
     op_q = max(q_targets)
 
@@ -1055,15 +1070,12 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
                 g=sc.multipliers[0].map, b=sc.bilinears[0],
             )
         )
-    for cid in (
+    out += _merge_per_id(lin_reports, (
         "id:Ableitung_Abb_linear_2Arg",
         "est:norm_l-te_Ableitung-Abb_linear_2Arg",
         "est:Abb_linear_2Arg-Spezialfall-hohes_Diff--partiell",
         "est:Abb_linear_2Arg-Spezialfall-hohes_Diff",
-    ):
-        out.append(
-            merge_min_margin(cid, [r for r in lin_reports if r.check_id == cid])
-        )
+    ))
 
     op0 = sc.xis[0]
     slab = 0.5
@@ -1096,7 +1108,7 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
     lhs, rhs = [], []
     for ell in ells:
         lhs.append(op_norms(xi2e.tensors(grid.points, ell)).max())
-        rhs.append(ell * row_bound(op0.sup_1, ell) + slab * row_bound(op0.sup_1, ell + 1))
+        rhs.append(ell * require_row(op0.sup_1, ell) + slab * require_row(op0.sup_1, ell + 1))
     out.append(bound_rows(
         "est:Differential-MaMu_hohes_Diff_1-l-Norm", lhs, rhs, tolerance=1e-9,
         lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
@@ -1136,14 +1148,10 @@ def _run_integrals(sc: FamilyScenario) -> list[CheckReport]:
     return [merge_min_margin("lem:Stetigkeit_parameterab_Int", reports)]
 
 
-def _merge_live(reports, check_ids, reason: str) -> list[CheckReport]:
-    """Per id, the merge of its reports that were not skipped, or a skip
-    with ``reason`` when all were."""
-    out = []
-    for cid in check_ids:
-        live = [r for r in reports if r.check_id == cid and r.status != SKIPPED]
-        out.append(merge_min_margin(cid, live) if live else skipped_report(cid, reason))
-    return out
+def _merge_per_id(reports, check_ids) -> list[CheckReport]:
+    """Per id of ``check_ids``, the merge of its reports."""
+    return [merge_min_margin(cid, [r for r in reports if r.check_id == cid])
+            for cid in check_ids]
 
 
 def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
@@ -1157,9 +1165,8 @@ def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
         if i == 0:
             via = res
         reports += reps
-    out = _merge_live(
-        reports, ("est:f0-Norm_SPid", "est:f0-Norm_SPid-Differenz", "est:f1-Norm_SPid"),
-        "no certificates available",
+    out = _merge_per_id(
+        reports, ("est:f0-Norm_SPid", "est:f0-Norm_SPid-Differenz", "est:f1-Norm_SPid")
     )
 
     # well-definedness: zero argument maps to the zero function
@@ -1193,9 +1200,8 @@ def _run_compose(sc: FamilyScenario) -> list[CheckReport]:
         pair=(sc.comp_gamma0s[0], sc.comp_eta0s[0],
               sc.comp_gamma_diffs[0], sc.comp_eta_diffs[0]),
     )
-    out = _merge_live(
-        reps, ("est:Funktionswerte_Gewicht_K-Kompo", "est:f,0-Norm_Differenz_Kompo"),
-        "missing certificates",
+    out = _merge_per_id(
+        reps, ("est:Funktionswerte_Gewicht_K-Kompo", "est:f,0-Norm_Differenz_Kompo")
     )
     zero_eta = WeightedFunction(ConstMap(fs0.u, np.zeros(sc.dim)), fs0.grid_u, 2)
     zres, _ = compose_perturbed(sc.comp_gammas[0], zero_eta, fs0.u, fs0.v, fs0.w)
@@ -1225,10 +1231,9 @@ def _run_invert(sc: FamilyScenario) -> list[CheckReport]:
     for i, fs in enumerate(sc.factors):
         weights = [sc.fw("one").factors[i], sc.fw("gauss").factors[i]]
         reports += invert_perturbed(sc.phis[i], fs.u, fs.v_tilde, fs.grid_vt, cfg, weights)[1]
-    out = _merge_live(
-        reports, ("prop:Zsf_Inversion_gewAbb", "est:Abschaetzung_gewichteter_FWert_der_K-Inversion"),
-        "no reports",
-    )
+    out = _merge_per_id(reports, (
+        "prop:Zsf_Inversion_gewAbb", "est:Abschaetzung_gewichteter_FWert_der_K-Inversion",
+    ))
     fs0 = sc.factors[0]
     out.append(
         inversion_pair_difference_check(
@@ -1397,7 +1402,7 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
         witness=lambda k: rows[k],
     ))
 
-    k1 = row_bound(sc.sigma_k, 1)
+    k1 = require_row(sc.sigma_k, 1)
     lhs, rhs = [], []
     for i in range(sc.n_factors):
         composed = ComposeMap(sc.sigmas[i], sc.gammas[i].map)
@@ -1473,7 +1478,7 @@ def run_scenario_checks(
             continue
         try:
             got = fn(sc)
-        except (PreconditionError, CertificateRequiredError) as exc:
+        except PreconditionError as exc:
             got = [skipped_report(cid, str(exc)) for cid in ids]
         reports.extend(r for r in got if r.check_id in selection)
     order = {cid: k for k, cid in enumerate(ALL_CHECK_IDS)}
@@ -1604,11 +1609,11 @@ def _numbers(node, key, path: str):
     return v
 
 
-def _bounds(node, key, path: str, width: int, required=()) -> tuple[tuple, ...]:
+def _bounds(node, key, path: str, width: int, required, members=()) -> tuple[tuple, ...]:
     """The rows listed at ``node[key]``, each ``width`` entries ending in
     (order, bound), with a row for every key in ``required`` (the entries
-    before the bound, see :func:`row_bound`); the entries before (order,
-    bound) are returned as they are."""
+    before the bound); a row of width 3 starts with the name of one of
+    the weights ``members``."""
     rows, at = _items(node, key, path), f"{path}/{key}"
     out = []
     for j, row in enumerate(rows):
@@ -1618,11 +1623,19 @@ def _bounds(node, key, path: str, width: int, required=()) -> tuple[tuple, ...]:
             _items(rows, j, at, width)
             _integer(row, width - 2, f"{at}/{j}", 0)
             _number(row, width - 1, f"{at}/{j}")
+        if width == 3 and not (isinstance(row[0], str) and row[0] in members):
+            raise DataError(f"{at}/{j}/0: must name a family weight, got {row[0]!r}")
         out.append((*row[:-2], row[-2], float(row[-1])))
-    for k in required:
-        if row_bound(out, *k) is None:
-            raise DataError(f"{at}: must give a row ({', '.join(map(repr, k))}, bound)")
+    _require(required, out, at)
     return tuple(out)
+
+
+def _require(keys, entries, at: str):
+    """Each of ``keys`` starts one of the tuples ``entries``, or a
+    DataError at ``at``: the one rule for a certificate ingest requires."""
+    for k in keys:
+        if not any(e[:len(k)] == k for e in entries):
+            raise DataError(f"{at}: must have an entry starting {k!r}")
 
 
 def _from_desc(build, desc, path: str, *args):
@@ -1692,12 +1705,12 @@ def _wf_to_dict(wf: WeightedFunction) -> dict:
 
 
 def _wf_from_dict(d: dict, domain: DomainSet, grid: SampleGrid, path: str,
-                  required) -> WeightedFunction:
+                  required, members) -> WeightedFunction:
     return WeightedFunction(
         _from_desc(map_from_desc, _at(d, "map", path), f"{path}/map", domain),
         grid,
         _integer(d, "max_order", path, 0),
-        _bounds(d, "certified", path, 3, required),
+        _bounds(d, "certified", path, 3, required, members),
     )
 
 
@@ -1712,6 +1725,8 @@ def _fw_to_dict(fw: FamilyWeight) -> dict:
 def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
     entries = _items(d, "factors", path, len(domains))
     name = _at(d, "name", path)
+    if not isinstance(name, str):
+        raise DataError(f"{path}/name: must be a string, got {name!r}")
     return FamilyWeight(
         name,
         tuple(
@@ -1760,10 +1775,7 @@ def scenario_to_dict(sc: FamilyScenario) -> dict:
              **{g: len(getattr(fs, g).axes[0]) for g in _GRID_DOMAINS}}
             for fs in sc.factors
         ],
-        "weights": {
-            "members": [_fw_to_dict(m) for m in sc.weights.members],
-            "adjusting": sc.weights.adjusting,
-        },
+        "weights": {"members": [_fw_to_dict(m) for m in sc.weights.members]},
         "xis": [
             {
                 "map": map_to_desc(op.xi),
@@ -1816,35 +1828,62 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         return _items(d, key, "", n)
 
     u_domains = [fs.u for fs in factors]
-    weights = _at(d, "weights", "")
-    members = tuple(
+    family = WeightFamily(tuple(
         _fw_from_dict(m, u_domains, f"/weights/members/{i}")
-        for i, m in enumerate(_at(weights, "members", "/weights"))
-    )
-    family = WeightFamily(members, contains_one=True,
-                          adjusting=_at(weights, "adjusting", "/weights"))
+        for i, m in enumerate(_items(_at(d, "weights", ""), "members", "/weights"))
+    ))
+    names = family.names
+    _require(READS["weights"], [(name,) for name in names], "/weights/members")
+    j = names.index("one")
+    for i, w in enumerate(family.members[j].factors):
+        if w.desc != {"kind": "const", "c": 1.0}:
+            raise DataError(f"/weights/members/{j}/factors/{i}: 'one' must be the constant 1")
     elements = {}
     for key, grid in ELEMENT_GRIDS.items():
         path = f"/elements/{key}"
         entries = _items(_at(d, "elements", ""), key, "/elements", n)
         elements[key] = RestrictedElement(tuple(
             _wf_from_dict(e, getattr(fs, grid), getattr(fs, f"grid_{grid}"), f"{path}/{i}",
-                          REQUIRED_ROWS.get(key, ()))
+                          READS[key], names)
             for i, (e, fs) in enumerate(zip(entries, factors))
         ))
     diffs = {k: per_factor(k) for k in DIFFERENCE_ROWS}
-    diffs = {k: tuple(_bounds(v, i, f"/{k}", 3) for i in range(n)) for k, v in diffs.items()}
+    diffs = {k: tuple(_bounds(v, i, f"/{k}", 3, READS[k], names) for i in range(n))
+             for k, v in diffs.items()}
     xis = tuple(
         SuperpositionOperand(
             _from_desc(map_from_desc, _at(x, "map", f"/xis/{i}"), f"/xis/{i}/map",
                        product_box(fs.u, fs.v)),
             fs.u,
             fs.v,
-            _bounds(x, "sup_1", f"/xis/{i}", 2, ((1,), (2,), (3,))),  # the runners read 1..3
+            _bounds(x, "sup_1", f"/xis/{i}", 2, READS["xis"]),
             float(_number(x, "d2_sup", f"/xis/{i}")),
         )
         for i, (x, fs) in enumerate(zip(per_factor("xis"), factors))
     )
+    dominance = tuple(
+        DominanceCertificate(
+            _fw_from_dict(_at(c, "f", f"/dominance/{i}"), u_domains, f"/dominance/{i}/f"),
+            _integer(c, "ell", f"/dominance/{i}", 0),
+            _fw_from_dict(_at(c, "g", f"/dominance/{i}"), u_domains, f"/dominance/{i}/g"),
+            _floats(c, "k", f"/dominance/{i}"),
+            context=_at(c, "context", f"/dominance/{i}"),
+        )
+        for i, c in enumerate(_at(d, "dominance", ""))
+    )
+    _require(READS["dominance"], [(c.context, c.f.name, c.ell) for c in dominance], "/dominance")
+    factorizations = tuple(
+        FactorizationCertificate(
+            _fw_from_dict(_at(c, "f", f"/factorizations/{i}"), u_domains,
+                          f"/factorizations/{i}/f"),
+            tuple(
+                _fw_from_dict(p, u_domains, f"/factorizations/{i}/parts/{j}")
+                for j, p in enumerate(_at(c, "parts", f"/factorizations/{i}"))
+            ),
+        )
+        for i, c in enumerate(_at(d, "factorizations", ""))
+    )
+    _require(READS["factorizations"], [(c.f.name,) for c in factorizations], "/factorizations")
     bils, betas = per_factor("bilinears"), per_factor("beta2s")
     return validate_scenario(FamilyScenario(
         name=_at(d, "name", ""),
@@ -1860,29 +1899,10 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
             _from_desc(map_from_desc, s, f"/sigmas/{i}", fs.v.as_box())
             for i, (s, fs) in enumerate(zip(per_factor("sigmas"), factors))
         ),
-        sigma_k=_bounds(d, "sigma_k", "", 2, ((1,),)),
+        sigma_k=_bounds(d, "sigma_k", "", 2, READS["sigma_k"]),
         op_q=_number(d, "op_q", ""),
-        dominance=tuple(
-            DominanceCertificate(
-                _fw_from_dict(_at(c, "f", f"/dominance/{i}"), u_domains, f"/dominance/{i}/f"),
-                _integer(c, "ell", f"/dominance/{i}", 0),
-                _fw_from_dict(_at(c, "g", f"/dominance/{i}"), u_domains, f"/dominance/{i}/g"),
-                _floats(c, "k", f"/dominance/{i}"),
-                context=_at(c, "context", f"/dominance/{i}"),
-            )
-            for i, c in enumerate(_at(d, "dominance", ""))
-        ),
-        factorizations=tuple(
-            FactorizationCertificate(
-                _fw_from_dict(_at(c, "f", f"/factorizations/{i}"), u_domains,
-                              f"/factorizations/{i}/f"),
-                tuple(
-                    _fw_from_dict(p, u_domains, f"/factorizations/{i}/parts/{j}")
-                    for j, p in enumerate(_at(c, "parts", f"/factorizations/{i}"))
-                ),
-            )
-            for i, c in enumerate(_at(d, "factorizations", ""))
-        ),
+        dominance=dominance,
+        factorizations=factorizations,
         contraction=_contraction(d),
         **elements,
         **diffs,

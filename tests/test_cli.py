@@ -240,6 +240,25 @@ def _drop_compose_lipschitz_row(doc):
     wf["certified"] = [r for r in wf["certified"] if r[:2] != ["one", 1]]
 
 
+def _rename_gauss_rows(rows, name):
+    for row in rows:
+        if row[0] == "gauss":
+            row[0] = name
+
+
+def _drop_dominance(context):
+    def mutate(doc):
+        doc["dominance"] = [c for c in doc["dominance"] if c["context"] != context]
+    return mutate
+
+
+def _rename_member(j, name):
+    def mutate(doc):
+        assert doc["weights"]["members"][j]["name"] in ("gauss", "omega")
+        doc["weights"]["members"][j]["name"] = name
+    return mutate
+
+
 class TestIngestErrors:
     """A malformed scenario file exits 1 with an error naming the JSON
     pointer of the offending entry, never with a traceback or a run."""
@@ -310,6 +329,23 @@ class TestIngestErrors:
          "/weights/members/1/factors/0"),
         (_as_old_format, "/gamma_diffs"),
         (_drop_compose_lipschitz_row, "/elements/comp_gammas/1/certified"),
+        (lambda d: _rename_gauss_rows(d["gamma_diffs"][0], "gaus"), "/gamma_diffs/0/1/0"),
+        (lambda d: _rename_gauss_rows(d["gamma_diffs"][0], 5), "/gamma_diffs/0/1/0"),
+        (lambda d: _rename_gauss_rows(d["gamma_diffs"][0], None), "/gamma_diffs/0/1/0"),
+        (lambda d: _rename_gauss_rows(d["elements"]["gammas"][0]["certified"], "gaus"),
+         "/elements/gammas/0/certified/1/0"),
+        (_rename_member(1, "gaussian"), "/weights/members"),
+        (_rename_member(3, "omega2"), "/weights/members"),
+        (lambda d: d["weights"]["members"][0]["factors"].__setitem__(
+            1, {"kind": "const", "c": 2.0}),
+         "/weights/members/0/factors/1"),
+        (lambda d: d.__setitem__("factorizations", []), "/factorizations"),
+        (lambda d: d.__setitem__("factorizations", d["factorizations"][:1]), "/factorizations"),
+        (_drop_dominance("sp"), "/dominance"),
+        (_drop_dominance("multiplier"), "/dominance"),
+        (_drop_dominance("uniform-k"), "/dominance"),
+        (lambda d: d["weights"]["members"][2].__setitem__("name", ["gauss_half"]),
+         "/weights/members/2/name"),
     ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k",
             "nan_map_coefficient", "infinite_weight_constant", "nan_certified_bound",
             "infinite_certified_bound", "string_certified_bound", "fractional_certified_order",
@@ -322,7 +358,11 @@ class TestIngestErrors:
             "true_coefficient", "string_coefficient", "null_weight_constant", "true_power", "fractional_power",
             "negative_power", "fractional_sigma_power", "one_ulp_box", "int_terms",
             "scalar_coefficient", "list_for_map", "list_gauss_a", "old_difference_maps",
-            "no_compose_lipschitz_row"])
+            "no_compose_lipschitz_row", "misspelled_difference_weight",
+            "int_difference_weight", "null_difference_weight", "misspelled_element_weight",
+            "renamed_gauss_member", "renamed_omega_member", "non_constant_one",
+            "no_factorizations", "no_gauss_factorization", "no_sp_dominance",
+            "no_multiplier_dominance", "no_uniform_k_dominance", "list_member_name"])
     def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
         assert main(["run", "--config", str(cfg)]) == 1
@@ -351,6 +391,35 @@ class TestIngestErrors:
             signal.signal(signal.SIGALRM, previous)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("pointer", [
+        "/elements/gammas/0/map", "/elements/comp_gammas/1/map", "/sigmas/1",
+    ], ids=["gammas", "comp_gammas", "sigmas"])
+    def test_huge_power_exits_one_promptly(self, tmp_path, scenario0, capsys, pointer):
+        # a map's jets cost one power per exponent and point, so a power
+        # of 10**18 would run for hours; ingest caps it at MAX_POWER
+        def give_up(signum, frame):
+            raise TimeoutError("ingest did not return within 5 s")
+
+        def mutate(doc):
+            node = doc
+            for key in pointer.split("/")[1:]:
+                node = node[int(key) if key.isdigit() else key]
+            node["terms"][0]["powers"][0] = 10**18
+
+        cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(5)
+        try:
+            code = main(["run", "--config", str(cfg)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pointer}: powers must be a list of integers "
+                              "from 0 to 64"), err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("pointer", [

@@ -66,7 +66,7 @@ def gamma_identity():
 class TestSuperpose:
     def test_zero_argument_gives_zero_map(self):
         zero = WeightedFunction(
-            ConstMap(U1, [0.0]), lattice(U1, spacing=0.1), 2, (("one", 0, 0.0),)
+            ConstMap(U1, [0.0]), lattice(U1, spacing=0.1), 2, (("one", 0, 0.0), ("one", 1, 0.0))
         )
         res, _ = superpose(xy_operand(), zero, [ONE])
         for x in res.grid.points:

@@ -10,7 +10,6 @@ from wrp.errors import DataError, OrderError, PreconditionError, ShapeError
 from wrp.jets import PairMap, PolynomialMap, TrigPolynomialMap, ConstMap
 from wrp.seminorms import (
     WeightedFunction,
-    certified_seminorm,
     decomposition_check,
     lattice,
     norm_comparison_1U,
@@ -140,17 +139,6 @@ class TestWeightedSeminorm:
         wf = WeightedFunction(_PokedPoly(dom, grid.points[3], math.inf), grid, 0)
         assert weighted_seminorm(wf, ONE, 0).value == math.inf
         assert weighted_seminorm(wf, Weight("zero", lambda x: 0.0), 0).value == 0.0
-
-    def test_certified_kind(self):
-        wf = WeightedFunction(
-            PolynomialMap(box([-1.0], [1.0]), [([1.0], (1,))]),
-            lattice(box([-1.0], [1.0]), spacing=0.1), 2, (("one", 0, 1.0),),
-        )
-        upper = certified_seminorm(wf, "one", 0)
-        assert upper.kind == "certified_upper"
-        assert weighted_seminorm(wf, ONE, 0).value <= upper.value
-        with pytest.raises(PreconditionError):
-            certified_seminorm(wf, "one", 1)
 
     def test_monotone_under_refinement(self):
         wf = wf_poly([([1.0], (3,)), ([-0.4], (1,))], spacing=0.25)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from wrp.errors import CertificateRequiredError, DataError, DomainMembershipError, GeometryError
 from wrp.spaces import (
+    MAX_POWER,
     DominanceCertificate,
     FactorizationCertificate,
     FamilyWeight,
     Weight,
-    WeightFamily,
     ball,
     boundary_distance,
     box,
@@ -19,6 +19,7 @@ from wrp.spaces import (
     check_dominance_certificate,
     check_factorization_certificate,
     const_weight,
+    desc_powers,
     gaussian_weight,
     product_box,
     scaled_weight,
@@ -326,15 +327,11 @@ class TestFactorization:
         assert rep.witness == (0, -0.25)
 
 
-class TestWeightFamily:
-    def test_contains_one_validated(self):
-        one = FamilyWeight("one", (const_weight("one", 1.0),))
-        WeightFamily((one,), contains_one=True)
-        not_one = FamilyWeight("w", (const_weight("w", 2.0),))
-        with pytest.raises(DataError):
-            WeightFamily((not_one,), contains_one=True)
+class TestDescPowers:
+    def test_powers_up_to_the_cap_load(self):
+        assert desc_powers([0, 3, MAX_POWER]) == (0, 3, MAX_POWER)
 
-    def test_adjusting_member_must_exist(self):
-        one = FamilyWeight("one", (const_weight("one", 1.0),))
-        with pytest.raises(DataError):
-            WeightFamily((one,), adjusting="omega")
+    @pytest.mark.parametrize("powers", [[MAX_POWER + 1], [1, 10**18], [-1], [True], [1.0]])
+    def test_other_powers_are_rejected(self, powers):
+        with pytest.raises(DataError, match=f"^powers must be .* from 0 to {MAX_POWER}, "):
+            desc_powers(powers)

@@ -176,6 +176,19 @@ class TestSerialization:
         back = scenario_from_dict(doc)
         assert scenario_to_dict(back) == scenario_to_dict(scenario0)
 
+    @pytest.mark.parametrize("adjusting", ["omega", "gauss", "not a member"])
+    def test_retired_adjusting_key_is_ignored(self, scenario0, adjusting):
+        # files written before the family lost its adjusting name carry
+        # /weights/adjusting; the adjusting check reads the member omega
+        doc = scenario_to_dict(scenario0)
+        assert list(doc["weights"]) == ["members"]
+        doc["weights"]["adjusting"] = adjusting
+        back = scenario_from_dict(doc)
+        assert scenario_to_dict(back) == scenario_to_dict(scenario0)
+        sel = ["cond:adjusting_weight"]
+        assert ([r.to_dict() for r in run_scenario_checks(back, sel)]
+                == [r.to_dict() for r in run_scenario_checks(scenario0, sel)])
+
     @pytest.mark.parametrize("key", ["tau", "r"])
     def test_top_level_contraction_copy_that_contradicts_is_rejected(self, scenario0, key):
         doc = scenario_to_dict(scenario0)
