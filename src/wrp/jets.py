@@ -31,11 +31,13 @@ from .errors import (
     UnsupportedNormError,
 )
 from .report import CheckReport, bound_report, bound_rows, identity_report
-from .spaces import EUCLIDEAN, SUP, DomainSet, box, desc_powers, product_box
+from .spaces import BOX, EUCLIDEAN, SUP, DomainSet, box, desc_powers, product_box
 
 ENUM_BUDGET = 16
 FD_STEP_ORDER1 = 1e-4
 FD_STEP_ORDER2 = 1e-3
+FD_PROBES = 3  # probes per map in jet validation
+MAX_PROBE_ROUNDS = 10_000  # draw rounds before a domain is declared unprobeable
 
 
 class AsymmetryWarning(UserWarning):
@@ -960,38 +962,16 @@ def _fd_offsets(m: int, order: int, h1: float, h2: float):
     return table
 
 
-def _fd_prefix(map_: JetMap, points, order: int, h: float | None):
-    """Central differences of orders 0..``order`` at the leading rows of
-    ``points`` whose stencils lie inside the domain, and the error naming
-    the first stencil point outside (``None`` when every stencil is inside).
-
-    All stencils are ``(x[:, None, :] + o1) + o2`` from the cached offset
-    table of :func:`_fd_offsets`, so each entry has the bits of a
-    one-point stencil, signed zeros included.  They take one membership
-    test and one ``tensors`` call, and each difference is one expression
-    over slices of the stencil axis for all points at once, so row ``i``
-    carries the bits of a one-point difference at ``points[i]``."""
-    if order > 2:
-        raise OrderError("finite differences provided for orders <= 2")
-    x = np.asarray(points, dtype=float)
-    n, m = x.shape
-    h1 = FD_STEP_ORDER1 if h is None else h
-    h2 = FD_STEP_ORDER2 if h is None else h
-    o1, o2, second, sym = _fd_offsets(m, order, h1, h2)
-    # (point, stencil entry, axis): probe order is row-major
-    stencil = (x[:, None, :] + o1) + o2
-    inside = map_.domain.members(stencil.reshape(-1, m)).reshape(n, -1)
-    n_in = int(np.argmin(inside.all(axis=1))) if not inside.all() else n
-    outside = None
-    if n_in < n:
-        p = stencil[n_in][np.argmin(inside[n_in])]
-        outside = DomainMembershipError(
-            f"finite-difference stencil point {p.tolist()} leaves the domain"
-        )
-    vals = map_.tensors(stencil[:n_in].reshape(-1, m), 0) if n_in else \
-        np.empty((0,) + map_.out_shape)
+def _fd_differences(vals: np.ndarray, m: int, order: int, h1: float, h2: float) -> list:
+    """Central differences of orders 0..``order``: one ``(N,) + out_shape
+    + (m,)*l`` array per order, from the values ``vals`` ``(N, S) +
+    out_shape`` at the S entries of the :func:`_fd_offsets` stencil of
+    each of N points.  Each difference is one expression over slices of
+    the stencil axis for all rows at once, so row ``i`` carries the bits
+    of a one-point difference: the one difference rule."""
+    _, _, second, sym = _fd_offsets(m, order, h1, h2)
     # (point,) + out_shape + (stencil entry,)
-    v = np.moveaxis(vals.reshape((n_in, len(o1)) + map_.out_shape), 1, -1)
+    v = np.moveaxis(vals, 1, -1)
     f0 = v[..., 0]
     tensors = [f0]
     if order >= 1:
@@ -1004,7 +984,52 @@ def _fd_prefix(map_: JetMap, points, order: int, h: float | None):
             pairs = (s[0] - s[1] - s[2] + s[3]) / (4 * h2**2)
             d2 = np.concatenate([d2, pairs], axis=-1).take(sym, axis=-1)
         tensors.append(d2.reshape(d2.shape[:-1] + (m, m)))
-    return tensors, outside
+    return tensors
+
+
+def _fd_prefix(map_: JetMap, points, order: int, h: float | None):
+    """Central differences of orders 0..``order`` at the leading rows of
+    ``points`` whose stencils lie inside the domain, and the error naming
+    the first stencil point outside (``None`` when every stencil is inside).
+
+    All stencils are ``(x[:, None, :] + o1) + o2`` from the cached offset
+    table of :func:`_fd_offsets`, so each entry has the bits of a
+    one-point stencil, signed zeros included.  They take one membership
+    test and one ``tensors`` call, and :func:`_fd_differences` takes the
+    differences of all points at once."""
+    if order > 2:
+        raise OrderError("finite differences provided for orders <= 2")
+    x = np.asarray(points, dtype=float)
+    n, m = x.shape
+    h1 = FD_STEP_ORDER1 if h is None else h
+    h2 = FD_STEP_ORDER2 if h is None else h
+    o1, o2 = _fd_offsets(m, order, h1, h2)[:2]
+    # (point, stencil entry, axis): probe order is row-major
+    stencil = (x[:, None, :] + o1) + o2
+    inside = map_.domain.members(stencil.reshape(-1, m)).reshape(n, -1)
+    n_in = int(_inside_prefix(inside[None])[0])
+    outside = None if n_in == n else _outside_error(stencil[n_in], inside[n_in])
+    vals = map_.tensors(stencil[:n_in].reshape(-1, m), 0) if n_in else \
+        np.empty((0,) + map_.out_shape)
+    return _fd_differences(vals.reshape((n_in, len(o1)) + map_.out_shape),
+                           m, order, h1, h2), outside
+
+
+def _inside_prefix(inside: np.ndarray) -> np.ndarray:
+    """Per leading index of the ``(G, N, S)`` stencil membership
+    ``inside``, the number of leading points whose whole stencil is inside."""
+    whole = inside.all(axis=2)
+    # the first False of each row, with one more False after its last point
+    return np.argmin(np.concatenate([whole, np.zeros((len(whole), 1), bool)], axis=1), axis=1)
+
+
+def _outside_error(stencil: np.ndarray, inside: np.ndarray) -> DomainMembershipError:
+    """The error naming the first point of one point's ``stencil`` ``(S, m)``
+    that is not ``inside``."""
+    p = stencil[np.argmin(inside)]
+    return DomainMembershipError(
+        f"finite-difference stencil point {p.tolist()} leaves the domain"
+    )
 
 
 def fd_tensors(map_: JetMap, points, order: int, h: float | None = None) -> list:
@@ -1028,46 +1053,163 @@ def fd_jet(map_: JetMap, x, order: int, h: float | None = None) -> Jet:
     ))
 
 
-def validate_jet_map(map_: JetMap, rng: np.random.Generator):
-    """Ingest check: coded tensors agree with central differences.
+def _fd_top(map_: JetMap) -> int:
+    """The highest order jet validation compares: 2, or the map's declared
+    max order when lower (below 1 for a value-only map, which has nothing
+    differentiable to cross-check)."""
+    return 2 if map_.max_order is None else min(2, map_.max_order)
 
-    The probes are drawn in rounds of one ``(missing, dim)`` uniform draw
-    and one membership test, keeping the rows inside, until 3 are kept:
-    the stream and the probes of drawing one row at a time.  Each order
-    is compared at all probes at once: the largest entry error must be
-    at most ``1e-4 * max(1, largest coded entry)``, and a NaN or
-    infinite entry on either side is a disagreement.  The first failing
-    (probe, order), probe by probe and order by order, is raised, ahead
-    of a stencil that leaves the domain at a later probe."""
-    if map_.max_order is not None and map_.max_order < 1:
-        return  # value-only map, nothing differentiable to cross-check
-    lo, hi = map_.domain.bounding_box()
+
+def _draw_probes(map_: JetMap, rng: np.random.Generator) -> np.ndarray:
+    """The ``FD_PROBES`` probes of one map: drawn from the middle half of
+    its domain's bounding box in rounds of one ``(missing, dim)`` uniform
+    draw and one membership test, keeping the rows inside, which is the
+    stream and the probes of drawing one row at a time.  A domain that
+    keeps fewer in ``MAX_PROBE_ROUNDS`` rounds is a DataError naming it."""
+    dom = map_.domain
+    lo, hi = dom.bounding_box()
     mid, half = (lo + hi) / 2, (hi - lo) / 2
     probes = np.empty((0, map_.dim))
-    while len(probes) < 3:
-        x = mid + 0.5 * half * rng.uniform(-1, 1, size=(3 - len(probes), map_.dim))
-        probes = np.concatenate([probes, x[map_.domain.members(x)]])
-    top = 1 if (map_.max_order is not None and map_.max_order < 2) else 2
-    exact = [map_.tensors(probes, ell) for ell in range(1, top + 1)]
-    approx, outside = _fd_prefix(map_, probes, top, None)
-    n_in = len(approx[0])
-    errs, bad = [], []
-    for ex, ap in zip(exact, approx[1:]):
-        ex = ex[:n_in].reshape(n_in, math.prod(ap.shape[1:]))
-        err = np.abs(ex - ap.reshape(ex.shape)).max(axis=1)
-        scale = np.maximum(1.0, np.abs(ex).max(axis=1))
-        # a NaN or infinite entry on either side makes err NaN or infinite
-        bad.append(~((err <= 1e-4 * scale) & np.isfinite(err)))
-        errs.append(err)
-    bad = np.array(bad).T  # (probe, order)
-    if bad.any():
-        i, k = divmod(int(np.argmax(bad)), top)
-        raise PreconditionError(
-            f"jet of order {k + 1} disagrees with finite differences "
-            f"by {float(errs[k][i]):.3e} at {probes[i].tolist()}"
-        )
-    if outside is not None:
-        raise outside
+    for _ in range(MAX_PROBE_ROUNDS):
+        x = mid + 0.5 * half * rng.uniform(-1, 1, size=(FD_PROBES - len(probes), map_.dim))
+        probes = np.concatenate([probes, x[dom.members(x)]])
+        if len(probes) == FD_PROBES:
+            return probes
+    where = (f"box lo={list(dom.lo)} hi={list(dom.hi)}" if dom.kind == BOX else
+             f"{dom.space.norm_kind} ball center={list(dom.center)} radius={dom.radius}")
+    raise DataError(f"jet validation: fewer than {FD_PROBES} probes land inside the "
+                    f"{where} in {MAX_PROBE_ROUNDS} draw rounds")
+
+
+class _FdStack:
+    """The maps of one (dim, compared orders, out_shape), in validation
+    order, with their probes, stencils, coded tensors and stencil values
+    in stacked arrays ``(map, probe, ...)``.
+
+    The stencils are one array ``(X[:, None, :] + o1) + o2`` over every
+    probe, with one membership test per distinct domain.  Each map's
+    ``tensors`` calls write into the preallocated arrays, the stencil
+    values only at the leading probes whose stencil is inside, as
+    :func:`_fd_prefix` evaluates them."""
+
+    def __init__(self, jobs, m: int, top: int, out_shape: tuple[int, ...]):
+        self.jobs, self.m, self.top = jobs, m, top
+        o1, o2 = _fd_offsets(m, top, FD_STEP_ORDER1, FD_STEP_ORDER2)[:2]
+        self.probes = np.stack([probes for _, _, probes in jobs])
+        # (map, probe, stencil entry, axis)
+        self.stencil = (self.probes[:, :, None, :] + o1) + o2
+        self.inside = np.empty(self.stencil.shape[:3], dtype=bool)
+        by_domain: dict[DomainSet, list[int]] = {}
+        for g, (_, map_, _) in enumerate(jobs):
+            by_domain.setdefault(map_.domain, []).append(g)
+        for dom, rows in by_domain.items():
+            self.inside[rows] = dom.members(self.stencil[rows].reshape(-1, m)).reshape(
+                (len(rows),) + self.inside.shape[1:])
+        self.n_in = _inside_prefix(self.inside)
+        n = len(jobs)
+        self.exact = [np.zeros((n, FD_PROBES) + out_shape + (m,) * ell)
+                      for ell in range(1, top + 1)]
+        self.vals = np.zeros(self.inside.shape + out_shape)
+
+    def evaluate(self, g: int):
+        """Map ``g``'s coded tensors at its probes, then its values at the
+        stencils of its leading probes inside: one map's evaluations, in
+        the order of :func:`validate_jet_map` on it alone."""
+        map_, n_in = self.jobs[g][1], self.n_in[g]
+        for ell, exact in enumerate(self.exact, 1):
+            exact[g] = map_.tensors(self.probes[g], ell)
+        if n_in:
+            self.vals[g, :n_in] = map_.tensors(
+                self.stencil[g, :n_in].reshape(-1, self.m), 0
+            ).reshape(self.vals[g, :n_in].shape)
+
+    def first_failure(self, stop: int):
+        """``(index, error)`` of the first of the maps before validation
+        index ``stop`` whose comparison fails, or ``None``.
+
+        Each order is compared at every probe of every map at once: the
+        largest entry error must be at most ``1e-4 * max(1, largest coded
+        entry)``, and a NaN or infinite entry on either side is a
+        disagreement.  A map's first failing (probe, order), probe by
+        probe and order by order, is raised ahead of a stencil that leaves
+        the domain at a later probe."""
+        n = sum(k < stop for k, _, _ in self.jobs)
+        if not n:
+            return None
+        vals = self.vals[:n]
+        approx = _fd_differences(vals.reshape((-1,) + vals.shape[2:]),
+                                 self.m, self.top, FD_STEP_ORDER1, FD_STEP_ORDER2)
+        errs, bad = [], []
+        for exact, ap in zip(self.exact, approx[1:]):
+            ex = exact[:n].reshape(len(ap), math.prod(ap.shape[1:]))
+            err = np.abs(ex - ap.reshape(ex.shape)).max(axis=1)
+            scale = np.maximum(1.0, np.abs(ex).max(axis=1))
+            # a NaN or infinite entry on either side makes err NaN or infinite
+            bad.append(~((err <= 1e-4 * scale) & np.isfinite(err)))
+            errs.append(err.reshape(n, FD_PROBES))
+        n_in = self.n_in[:n]
+        # (map, probe, order); probes from the first stencil outside on are not compared
+        bad = np.stack(bad, axis=-1).reshape(n, FD_PROBES, self.top)
+        bad &= (np.arange(FD_PROBES) < n_in[:, None])[..., None]
+        failing = bad.any(axis=(1, 2)) | (n_in < FD_PROBES)
+        if not failing.any():
+            return None
+        g = int(np.argmax(failing))
+        k = self.jobs[g][0]
+        if bad[g].any():
+            i, o = divmod(int(np.argmax(bad[g])), self.top)
+            return k, PreconditionError(
+                f"jet of order {o + 1} disagrees with finite differences "
+                f"by {float(errs[o][g, i]):.3e} at {self.probes[g, i].tolist()}"
+            )
+        i = n_in[g]
+        return k, _outside_error(self.stencil[g, i], self.inside[g, i])
+
+
+def validate_jet_maps(maps: Sequence[JetMap], rng: np.random.Generator):
+    """Ingest check: every map's coded tensors agree with central
+    differences, in one pass over all ``maps``.
+
+    Each map draws its probes from ``rng`` in list order (see
+    :func:`_draw_probes`), so the stream and the probes are those of
+    validating one map after another.  The maps are stacked by (dim,
+    compared orders, out_shape), and every comparison is computed
+    elementwise, with the bits of a one-map validation.  The error raised
+    is the one of the earliest map in the list that fails; within a map,
+    an exception from its own evaluation comes first, then its first
+    failing (probe, order), then a stencil that leaves the domain.  No
+    map after one whose probes cannot be drawn is drawn, and none after
+    one whose evaluation raised is evaluated."""
+    jobs, stop, error = [], len(maps), None
+    for k, map_ in enumerate(maps):
+        if _fd_top(map_) < 1:
+            continue
+        try:
+            jobs.append((k, map_, _draw_probes(map_, rng)))
+        except DataError as exc:
+            stop, error = k, exc
+            break
+    groups: dict[tuple, list] = {}
+    for job in jobs:
+        map_ = job[1]
+        groups.setdefault((map_.dim, _fd_top(map_), map_.out_shape), []).append(job)
+    stacks = [_FdStack(g, *key) for key, g in groups.items()]
+    slots = sorted((job[0], stack, g) for stack in stacks for g, job in enumerate(stack.jobs))
+    try:
+        for k, stack, g in slots:
+            stack.evaluate(g)
+    except Exception as exc:  # raised below unless an earlier map fails its comparison
+        stop, error = k, exc
+    failures = [f for f in (s.first_failure(stop) for s in stacks) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    if error is not None:
+        raise error
+
+
+def validate_jet_map(map_: JetMap, rng: np.random.Generator):
+    """A batch of one of :func:`validate_jet_maps`."""
+    validate_jet_maps([map_], rng)
 
 
 # ---------------------------------------------------------------------------

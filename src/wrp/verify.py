@@ -906,7 +906,7 @@ def validate_scenario(sc: FamilyScenario):
     few points and no grid evaluation contradicts a weight certificate.
     Certificates for sup quantities are only falsified here, never proved;
     the check suite does the falsification of the dominance certificates."""
-    from .jets import validate_jet_map
+    from .jets import validate_jet_maps
     from .spaces import validate_weight_on_points
 
     rng = np.random.default_rng(0)
@@ -914,13 +914,11 @@ def validate_scenario(sc: FamilyScenario):
     for member in sc.weights.members:
         for w, pts in zip(member.factors, grids):
             validate_weight_on_points(w, pts)
-    for key in VALIDATED_ELEMENTS:
-        for wf in getattr(sc, key).factors:
-            validate_jet_map(wf.map, rng)
-    for op in sc.xis:
-        validate_jet_map(op.xi, rng)
-    for sigma in sc.sigmas:
-        validate_jet_map(sigma, rng)
+    validate_jet_maps(
+        [wf.map for key in VALIDATED_ELEMENTS for wf in getattr(sc, key).factors]
+        + [op.xi for op in sc.xis] + list(sc.sigmas),
+        rng,
+    )
     return sc
 
 
@@ -1706,10 +1704,12 @@ def _wf_to_dict(wf: WeightedFunction) -> dict:
 
 def _wf_from_dict(d: dict, domain: DomainSet, grid: SampleGrid, path: str,
                   required, members) -> WeightedFunction:
+    """An element factor; its ``max_order`` is at least the highest order
+    of the ``required`` (weight, order) rows the checks read of it."""
     return WeightedFunction(
         _from_desc(map_from_desc, _at(d, "map", path), f"{path}/map", domain),
         grid,
-        _integer(d, "max_order", path, 0),
+        _integer(d, "max_order", path, max((ell for _, ell in required), default=0)),
         _bounds(d, "certified", path, 3, required, members),
     )
 

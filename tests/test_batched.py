@@ -26,9 +26,11 @@ one-probe-at-a-time comparison raises.
 """
 
 import itertools
+import json
 import math
 import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -71,6 +73,7 @@ from wrp.jets import (
     opnorm_inf,
     uncurry_last,
     validate_jet_map,
+    validate_jet_maps,
     xi2_pointwise_check,
     xi2_build,
 )
@@ -81,10 +84,13 @@ from wrp.seminorms import WeightedFunction, lattice, weighted_seminorm
 from wrp.spaces import BOX, EUCLIDEAN, SUP, Weight, ball, box
 from wrp.verify import (
     ELEMENT_GRIDS,
+    VALIDATED_ELEMENTS,
     ScenarioUnit,
     generate_scenario,
     load_scenario,
     run_suite,
+    scenario_from_dict,
+    scenario_to_dict,
 )
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "scenario_seed0.json")
@@ -511,26 +517,35 @@ def test_fd_offsets_are_one_shared_read_only_table():
     assert np.signbit(o1[0]).all() and not o1[0].any()
 
 
-def _validate_oracle(map_, seed, rtol=1e-4):
+def _validate_oracle(map_, seed, rtol=1e-4, rng=None):
     """Oracle: ``validate_jet_map`` one probe at a time, the exception it
-    raises as (type, message), or ``None``.  A NaN or infinite entry on
+    raises as (type, message), or ``None``.  The map's evaluations come
+    first, so an exception from one propagates: the coded tensors at every
+    probe, then the differences at the probes before the first whose
+    stencil leaves the domain.  Then the comparisons, probe by probe and
+    order by order, and then that stencil.  A NaN or infinite entry on
     either side is a disagreement."""
-    probes = _probe_draws(map_, seed)
+    probes = _probe_draws(map_, seed, rng)
     top = 1 if (map_.max_order is not None and map_.max_order < 2) else 2
+    exact = [[map_.tensors(x[None], ell)[0] for ell in range(1, top + 1)] for x in probes]
+    approx, outside = [], None
     for x in probes:
-        approx, outside = _fd_one_point(map_, x, top)
+        diffs, outside = _fd_one_point(map_, x, top)
         if outside is not None:
-            return DomainMembershipError, (
-                f"finite-difference stencil point {outside.tolist()} leaves the domain")
-        for ell in range(1, top + 1):
-            ex = map_.tensors(x[None], ell)[0]
+            break
+        approx.append(diffs)
+    for x, ex_x, ap_x in zip(probes, exact, approx):
+        for ell, ex, ap in zip(range(1, top + 1), ex_x, ap_x[1:]):
             scale = max(1.0, float(np.max(np.abs(ex))))
-            err = float(np.max(np.abs(ex - approx[ell])))
-            finite = np.isfinite(ex).all() and np.isfinite(approx[ell]).all()
+            err = float(np.max(np.abs(ex - ap)))
+            finite = np.isfinite(ex).all() and np.isfinite(ap).all()
             if not (finite and err <= rtol * scale):
                 return PreconditionError, (
                     f"jet of order {ell} disagrees with finite differences "
                     f"by {err:.3e} at {x.tolist()}")
+    if outside is not None:
+        return DomainMembershipError, (
+            f"finite-difference stencil point {outside.tolist()} leaves the domain")
     return None
 
 
@@ -654,6 +669,195 @@ def test_validate_jet_map_max_order_one_compares_order_one_only():
     want = _validate_oracle(bad, 0)
     assert want[0] is PreconditionError and "order 1" in want[1]
     assert _validate_outcome(bad, 0) == want
+
+
+# -- one validation pass over many maps against the per-map oracle
+
+
+class _Raising(_Poked):
+    """A poked polynomial whose order-``fail`` evaluations raise."""
+
+    def __init__(self, domain, terms, ell, value, fail):
+        super().__init__(domain, terms, ell, value)
+        self.fail = fail
+
+    def tensors(self, points, ell):
+        if ell == self.fail:
+            raise OverflowError(f"order {ell} evaluation overflows")
+        return super().tensors(points, ell)
+
+
+def _validate_list_oracle(maps, rng):
+    """Oracle: :func:`_validate_oracle` on each map in list order, every
+    map drawing its probes from the one ``rng``: the outcome of the first
+    map that fails, an exception from its evaluation included, or
+    ``None``.  A value-only map draws and compares nothing."""
+    for map_ in maps:
+        if map_.max_order is not None and map_.max_order < 1:
+            continue
+        try:
+            got = _validate_oracle(map_, None, rng=rng)
+        except OverflowError as exc:
+            return type(exc), str(exc)
+        if got is not None:
+            return got
+    return None
+
+
+def _validate_list_outcome(maps, rng):
+    try:
+        jets.validate_jet_maps(maps, rng)
+    except (DomainMembershipError, PreconditionError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _random_maps(rng, n):
+    """``n`` maps that mix dims, out_shapes and domains (equal domains as
+    one object and as distinct ones), value-only and order-capped maps,
+    and, each with probability 0.15, a map that fails: a poked, NaN or
+    infinite entry, a wrong derivative, an evaluation that raises, or a
+    ball so small that some probes' stencils leave it."""
+    d1, d2 = box([-1.0], [1.0]), box([-1.0, -0.5], [1.0, 0.5])
+    sup_ball, tiny = ball([0.5], 0.75), ball([0.0, 0.0], 0.004, norm_kind="euclidean")
+
+    def terms(dom, n_out):
+        return [(rng.normal(size=n_out), tuple(int(p) for p in rng.integers(0, 4, dom.dim)))
+                for _ in range(3)]
+
+    def poke():
+        return int(rng.integers(0, 3)), [np.nan, np.inf, -np.inf, 7.0][rng.integers(4)]
+
+    good = [
+        lambda: PolynomialMap(d1, terms(d1, 1)),
+        lambda: PolynomialMap(box([-1.0, -0.5], [1.0, 0.5]), terms(d2, 2)),
+        lambda: ScaledMap(PolynomialMap(d2, terms(d2, 1)), -0.5),
+        lambda: DifferentialMap(PolynomialMap(d2, terms(d2, 2))),
+        lambda: PolynomialMap(sup_ball, terms(sup_ball, 3)),
+        lambda: _Capped(PolynomialMap(d1, terms(d1, 1)), int(rng.integers(0, 2))),
+        lambda: _Capped(_Poked(d1, terms(d1, 2), 0, np.nan), 0),
+        lambda: _Capped(_Poked(d2, terms(d2, 1), 2, 7.0), 1),
+    ]
+    bad = [
+        lambda: PolynomialMap(tiny, terms(tiny, 1)),
+        lambda: _OffByOne(tiny, [([1.0], (2, 1))]),
+        lambda: _Split(box([-1.0, -1.0], [1.0, 1.0]), [([1.0], (2, 1))]),
+        lambda: _Poked(d2, terms(d2, 2), *poke()),
+        lambda: _Poked(d1, terms(d1, 1), *poke()),
+        lambda: _Capped(_Poked(d1, terms(d1, 1), 1, 7.0), 1),
+        lambda: _Raising(d1, terms(d1, 1), *poke(), int(rng.integers(0, 3))),
+        lambda: _Raising(d2, terms(d2, 1), 1, 7.0, 2),
+    ]
+    return [(bad if rng.random() < 0.15 else good)[int(rng.integers(8))]() for _ in range(n)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_validate_jet_maps_raises_what_the_per_map_oracle_raises():
+    # an infinite value makes inf - inf in a difference: NaN, a disagreement
+    seen, later = set(), 0
+    for seed in range(150):
+        maps = _random_maps(np.random.default_rng(seed), 1 + seed % 12)
+        want = _validate_list_oracle(maps, np.random.default_rng(seed))
+        assert _validate_list_outcome(maps, np.random.default_rng(seed)) == want, seed
+        seen.add(None if want is None else want[0])
+        later += want is not None and _validate_list_outcome(maps[:1], np.random.default_rng(seed)) is None
+    assert seen == {None, PreconditionError, DomainMembershipError, OverflowError}
+    assert later  # some lists fail at a map after the first
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_jet_maps_gives_each_map_the_probes_of_one_shared_stream(seed):
+    rng = np.random.default_rng(seed)
+    domains = [box([-1.0, 0.25], [1.0, 0.75]), ball([0.5], 0.75),
+               ball([0.0] * 5, 1.0, norm_kind="euclidean"),
+               ball([0.25, -0.5, 0.0, 0.0, 0.5, 0.0, 1.0], 2.0, norm_kind="euclidean")]
+    maps = []
+    for _ in range(12):
+        dom = domains[rng.integers(len(domains))]
+        m, n_out = dom.dim, int(rng.integers(1, 3))
+        pm = _Recording(dom, [(rng.normal(size=n_out), (1,) * m),
+                              (rng.normal(size=n_out), (2,) + (0,) * (m - 1))])
+        maps.append([pm, _Capped(pm, 1), _Capped(pm, 0)][rng.integers(3)])
+    want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    jets.validate_jet_maps(maps, rng)
+    for map_ in maps:
+        if map_.max_order == 0:
+            continue
+        want = np.array(_probe_draws(map_, None, want_rng))
+        seen = (map_.base if isinstance(map_, _Capped) else map_).seen
+        assert _same_bits(seen, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _validated_maps(sc):
+    """The maps ``validate_scenario`` validates, in order: the validated
+    elements' factors, then the ``xis``, then the ``sigmas``."""
+    return ([wf.map for key in VALIDATED_ELEMENTS for wf in getattr(sc, key).factors]
+            + [op.xi for op in sc.xis] + list(sc.sigmas))
+
+
+# the scenario seeds of the benchmark's ``ingest`` workload at workload seed 0
+INGEST_SEEDS = (102, 105, 132, 136, 101, 104, 107, 143, 103, 106, 111, 109, 156, 167, 108,
+                110, 121, 161, 112, 114, 113, 128, 171, 173, 115, 117, 129, 169, 116, 118)
+
+
+@pytest.mark.parametrize("source", ["fixture", *range(10), *(f"ingest-{s}" for s in INGEST_SEEDS)])
+def test_validate_scenario_is_one_pass_with_the_per_map_outcome(source, monkeypatch):
+    passes = []
+
+    def recording(maps, rng):
+        passes.append(list(maps))
+        return validate_jet_maps(maps, rng)
+
+    monkeypatch.setattr(jets, "validate_jet_maps", recording)
+    if source == "fixture":
+        sc = load_scenario(ScenarioUnit(path=FIXTURE))
+    elif isinstance(source, int):
+        sc = generate_scenario(source)
+    else:
+        # loaded from its file, as the workload loads it
+        doc = json.loads(json.dumps(scenario_to_dict(generate_scenario(int(source[7:])))))
+        passes.clear()
+        sc = scenario_from_dict(doc)
+    maps = _validated_maps(sc)
+    assert len(passes) == 1 and len(passes[0]) == len(maps)
+    assert all(a is b for a, b in zip(passes[0], maps))
+    rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
+    validate_jet_maps(maps, rng)
+    assert _validate_list_oracle(maps, want_rng) is None
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_unprobeable_domain_is_a_data_error_behind_earlier_failures():
+    # a box one ulp wide: the probes' midpoint rounds onto its open face,
+    # so no draw ever lands inside; without a cap on the rounds the draw
+    # loop never returns
+    def give_up(signum, frame):
+        raise TimeoutError("jet validation did not return within 10 s")
+
+    dom = box([1e16], [math.nextafter(1e16, math.inf)])
+    stuck = PolynomialMap(dom, [([1.0], (1,))])
+    good = PolynomialMap(box([-1.0], [1.0]), [([1.0], (3,))])
+    bad = _OffByOne(box([-1.0], [1.0]), [([1.0], (3,))])
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        with pytest.raises(DataError, match=re.escape(
+                "jet validation: fewer than 3 probes land inside the box "
+                "lo=[1e+16] hi=[1.0000000000000002e+16]")):
+            validate_jet_map(stuck, np.random.default_rng(0))
+        with pytest.raises(DataError, match="1e\\+16"):
+            jets.validate_jet_maps([good, stuck, bad], np.random.default_rng(0))
+        # an earlier map's failure is raised instead
+        with pytest.raises(PreconditionError, match="order 1 disagrees"):
+            jets.validate_jet_maps([good, bad, stuck], np.random.default_rng(0))
+        with pytest.raises(OverflowError):
+            jets.validate_jet_maps(
+                [_Raising(good.domain, [([1.0], (1,))], 0, 0.0, 1), stuck],
+                np.random.default_rng(0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 # -- domain membership
 

@@ -346,6 +346,16 @@ class TestIngestErrors:
         (_drop_dominance("uniform-k"), "/dominance"),
         (lambda d: d["weights"]["members"][2].__setitem__("name", ["gauss_half"]),
          "/weights/members/2/name"),
+        (lambda d: d["elements"]["gammas"][0].__setitem__("max_order", 0),
+         "/elements/gammas/0/max_order"),
+        (lambda d: d["elements"]["comp_gammas"][1].__setitem__("max_order", 0),
+         "/elements/comp_gammas/1/max_order"),
+        (lambda d: d["elements"]["phis"][0].__setitem__("max_order", 0),
+         "/elements/phis/0/max_order"),
+        (lambda d: d["elements"]["psis"][1].__setitem__("max_order", 0),
+         "/elements/psis/1/max_order"),
+        (lambda d: d["elements"]["phi_dirs"][0].__setitem__("max_order", 0),
+         "/elements/phi_dirs/0/max_order"),
     ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k",
             "nan_map_coefficient", "infinite_weight_constant", "nan_certified_bound",
             "infinite_certified_bound", "string_certified_bound", "fractional_certified_order",
@@ -362,13 +372,23 @@ class TestIngestErrors:
             "int_difference_weight", "null_difference_weight", "misspelled_element_weight",
             "renamed_gauss_member", "renamed_omega_member", "non_constant_one",
             "no_factorizations", "no_gauss_factorization", "no_sp_dominance",
-            "no_multiplier_dominance", "no_uniform_k_dominance", "list_member_name"])
+            "no_multiplier_dominance", "no_uniform_k_dominance", "list_member_name",
+            "order_zero_gammas", "order_zero_comp_gammas", "order_zero_phis",
+            "order_zero_psis", "order_zero_phi_dirs"])
     def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pointer}: "), err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key", ["comp_eta0s", "multipliers"])
+    def test_max_order_zero_loads_where_no_order_one_row_is_read(self, tmp_path, scenario0,
+                                                                 key):
+        # the checks read order-0 rows of comp_eta0s and no rows of multipliers
+        cfg = _mutated_scenario_file(
+            tmp_path, scenario0, lambda d: d["elements"][key][0].__setitem__("max_order", 0))
+        assert main(["run", "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("mutate, pointer", [
         (lambda d: d["factors"][0]["v"].__setitem__("radius", 1e308), "/factors/0/v"),
