@@ -8,11 +8,9 @@ operators, and a seeded verification suite.
 
 from .errors import WrpError
 from .jets import (
-    Jet,
     JetMap,
     MultilinearMap,
     curry_last,
-    fd_jet,
     fd_tensors,
     op_norm,
     uncurry_last,

@@ -205,9 +205,6 @@ def symmetrize(entries: np.ndarray, out_rank: int) -> tuple[np.ndarray, float]:
     order = entries.ndim - out_rank
     if order < 2:
         return entries, 0.0
-    dims = entries.shape[out_rank:]
-    if len(set(dims)) != 1:
-        return entries, 0.0  # mixed axes cannot be permuted
     acc = np.zeros_like(entries)
     perms = list(itertools.permutations(range(order)))
     base = tuple(range(out_rank))
@@ -227,22 +224,6 @@ def _symmetrized(entries: np.ndarray, out_rank: int) -> np.ndarray:
     return sym
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Value and derivative tensors of one map at one point, orders 0..k."""
-
-    point: np.ndarray = field(compare=False)
-    tensors: tuple[MultilinearMap, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.tensors) - 1
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tensors[0].entries
-
-
 def set_partitions(n: int):
     """All partitions of range(n); blocks sorted, first elements increasing."""
     if n == 0:
@@ -260,15 +241,14 @@ def compose_tensor(
     inner: Sequence[MultilinearMap],
     ell: int,
 ) -> MultilinearMap:
-    """Derivative tensor of a composition from the factors' tensors.
+    """Derivative tensor of order ``ell >= 1`` of a composition from the
+    factors' tensors.
 
     ``outer[b]`` is the order-b tensor of the outer map at the inner value,
     ``inner[b]`` the order-b tensor of the inner map at the base point.
     Summing the block-contracted terms over all set partitions of the
     argument slots yields the (symmetric) chain-rule tensor.
     """
-    if ell == 0:
-        return outer[0]
     o = outer[0].out_rank
     m = inner[1].in_dims[0]
     out_shape = outer[0].out_shape
@@ -350,7 +330,7 @@ class JetMap:
 class ConstMap(JetMap):
     def __init__(self, domain: DomainSet, value):
         c = np.asarray(value, dtype=float)
-        super().__init__(domain, c.shape, desc={"kind": "const", "c": c.tolist()})
+        super().__init__(domain, c.shape)
         self.c = c
 
     def tensors(self, points, ell):
@@ -366,11 +346,7 @@ class AffineMap(JetMap):
         if a.ndim != 2 or a.shape[1] != domain.dim:
             raise ShapeError("matrix shape must be (out, dim)")
         b = np.zeros(a.shape[0]) if b is None else np.asarray(b, dtype=float)
-        super().__init__(
-            domain,
-            (a.shape[0],),
-            desc={"kind": "affine", "a": a.tolist(), "b": b.tolist()},
-        )
+        super().__init__(domain, (a.shape[0],))
         self.a, self.b = a, b
 
     def tensors(self, points, ell):
@@ -519,7 +495,7 @@ class PolynomialMap(JetMap):
 class TrigPolynomialMap(JetMap):
     """sum over terms of coef * sin(freq . x + phase)."""
 
-    def __init__(self, domain: DomainSet, terms, in_blocks=None):
+    def __init__(self, domain: DomainSet, terms):
         terms = tuple(
             (np.asarray(c, dtype=float), np.asarray(u, dtype=float), float(p))
             for c, u, p in terms
@@ -528,14 +504,7 @@ class TrigPolynomialMap(JetMap):
         for c, u, _ in terms:
             if c.shape != (n,) or u.shape != (domain.dim,):
                 raise ShapeError("inconsistent trig term shapes")
-        desc = {
-            "kind": "trig",
-            "terms": [
-                {"coef": c.tolist(), "freq": u.tolist(), "phase": p}
-                for c, u, p in terms
-            ],
-        }
-        super().__init__(domain, (n,), desc=desc, in_blocks=in_blocks)
+        super().__init__(domain, (n,))
         self.terms = terms
 
     def tensors(self, points, ell):
@@ -561,14 +530,10 @@ class SumMap(JetMap):
         if any(p.out_shape != first.out_shape or p.dim != first.dim for p in parts):
             raise ShapeError("summands must share domain and codomain")
         orders = [p.max_order for p in parts if p.max_order is not None]
-        desc = None
-        if all(p.desc is not None for p in parts):
-            desc = {"kind": "sum", "parts": [p.desc for p in parts]}
         super().__init__(
             first.domain,
             first.out_shape,
             min(orders) if orders else None,
-            desc=desc,
             in_blocks=first.in_blocks,
         )
         self.parts = parts
@@ -609,14 +574,10 @@ class PairMap(JetMap):
         if any(len(p.out_shape) != 1 for p in parts):
             raise ShapeError("can only pair vector-valued maps")
         orders = [p.max_order for p in parts if p.max_order is not None]
-        desc = None
-        if all(p.desc is not None for p in parts):
-            desc = {"kind": "pair", "parts": [p.desc for p in parts]}
         super().__init__(
             parts[0].domain,
             (sum(p.out_dim for p in parts),),
             min(orders) if orders else None,
-            desc=desc,
             out_blocks=tuple(p.out_dim for p in parts),
         )
         self.parts = parts
@@ -632,10 +593,7 @@ class ComponentMap(JetMap):
     def __init__(self, base: JetMap, lo: int, hi: int):
         if len(base.out_shape) != 1 or not (0 <= lo < hi <= base.out_dim):
             raise ShapeError("bad component slice")
-        desc = None
-        if base.desc is not None:
-            desc = {"kind": "component", "lo": lo, "hi": hi, "base": base.desc}
-        super().__init__(base.domain, (hi - lo,), base.max_order, desc=desc)
+        super().__init__(base.domain, (hi - lo,), base.max_order)
         self.base, self.lo_idx, self.hi_idx = base, lo, hi
 
     def tensors(self, points, ell):
@@ -1043,16 +1001,6 @@ def fd_tensors(map_: JetMap, points, order: int, h: float | None = None) -> list
     return tensors
 
 
-def fd_jet(map_: JetMap, x, order: int, h: float | None = None) -> Jet:
-    """Central-difference jet at one point: :func:`fd_tensors` on a batch
-    of one."""
-    x = np.asarray(x, dtype=float)
-    rank = len(map_.out_shape)
-    return Jet(x, tuple(
-        MultilinearMap(t[0], rank) for t in fd_tensors(map_, x[None], order, h)
-    ))
-
-
 def _fd_top(map_: JetMap) -> int:
     """The highest order jet validation compares: 2, or the map's declared
     max order when lower (below 1 for a value-only map, which has nothing
@@ -1354,13 +1302,13 @@ def xi2_pointwise_check(
     points = np.asarray(points, dtype=float)
     mu = xi.domain.dim
     u, e = points[:, :mu], np.abs(points[:, mu:])
-    if not e.size:
-        e_norm = np.zeros(len(points))
-    elif xi2.pairing == "compose":
+    # initial=0.0: an empty operator slot has norm 0
+    if xi2.pairing == "compose":
         # opnorm_inf of each row's operator: its largest absolute row sum
-        e_norm = e.reshape((len(points), -1, xi2.e_shape[-1])).sum(axis=2).max(axis=1)
+        e_norm = e.reshape((len(points), -1, xi2.e_shape[-1])).sum(axis=2).max(
+            axis=1, initial=0.0)
     else:
-        e_norm = e.max(axis=1)
+        e_norm = e.max(axis=1, initial=0.0)
     lhs = op_norms(xi2.tensors(points, ell), len(xi2.out_shape))
     out_rank = len(xi.out_shape)
     rhs = (ell * op_norms(xi.tensors(u, ell), out_rank)
@@ -1386,18 +1334,9 @@ def _axis_sups(domain: DomainSet) -> np.ndarray:
 
 
 def _entry_bounds(map_: JetMap, ell: int) -> np.ndarray:
-    """Entrywise bounds sup_x |tensor(x, ell)[o, j*]|, rows flattened."""
-    m = map_.dim
-    if isinstance(map_, ConstMap):
-        if ell == 0:
-            return np.abs(map_.c).reshape(-1, 1)
-        return np.zeros((map_.out_dim, m**ell))
-    if isinstance(map_, AffineMap):
-        if ell == 0:
-            return (np.abs(map_.a) @ _axis_sups(map_.domain) + np.abs(map_.b)).reshape(-1, 1)
-        if ell == 1:
-            return np.abs(map_.a)
-        return np.zeros((map_.out_dim, m**ell))
+    """Entrywise bounds sup_x |tensor(x, ell)[o, j*]|, rows flattened, of
+    the maps the file format holds (polynomials and their multiples) and
+    of their sums."""
     if isinstance(map_, PolynomialMap):
         # a function of the coefficients and the domain's box alone
         ent = map_._bounds_cache.get(ell)
@@ -1408,23 +1347,10 @@ def _entry_bounds(map_: JetMap, ell: int) -> np.ndarray:
             ent.flags.writeable = False
             map_._bounds_cache[ell] = ent
         return ent
-    if isinstance(map_, TrigPolynomialMap):
-        n = map_.out_dim
-        out = np.zeros((n,) + (m,) * ell)
-        for c, u, _ in map_.terms:
-            block = np.abs(c)
-            for _ in range(ell):
-                block = np.multiply.outer(block, np.abs(u))
-            out += block
-        return out.reshape(n, -1)
     if isinstance(map_, SumMap):
         return sum(_entry_bounds(p, ell) for p in map_.parts)
     if isinstance(map_, ScaledMap):
         return abs(map_.c) * _entry_bounds(map_.base, ell)
-    if isinstance(map_, PairMap):
-        return np.concatenate([_entry_bounds(p, ell) for p in map_.parts], axis=0)
-    if isinstance(map_, ComponentMap):
-        return _entry_bounds(map_.base, ell)[map_.lo_idx:map_.hi_idx]
     raise ShapeError(f"no certified bound rule for {type(map_).__name__}")
 
 
@@ -1451,27 +1377,15 @@ def crude_partial2_sup(xi: JetMap) -> float:
 
 
 def map_from_desc(desc: dict, domain: DomainSet) -> JetMap:
+    """The map of a descriptor of kind ``poly`` or ``scaled``: the kinds
+    whose certificates :func:`crude_sup_bound` computes."""
     kind = desc.get("kind")
-    if kind == "const":
-        return ConstMap(domain, desc["c"])
-    if kind == "affine":
-        return AffineMap(domain, desc["a"], desc.get("b"))
     if kind == "poly":
         terms = [(t["coef"], desc_powers(t["powers"])) for t in desc["terms"]]
         blocks = tuple(desc["in_blocks"]) if "in_blocks" in desc else None
         return PolynomialMap(domain, terms, in_blocks=blocks)
-    if kind == "trig":
-        terms = [(t["coef"], t["freq"], t["phase"]) for t in desc["terms"]]
-        blocks = tuple(desc["in_blocks"]) if "in_blocks" in desc else None
-        return TrigPolynomialMap(domain, terms, in_blocks=blocks)
-    if kind == "sum":
-        return SumMap([map_from_desc(d, domain) for d in desc["parts"]])
     if kind == "scaled":
         return ScaledMap(map_from_desc(desc["base"], domain), desc["c"])
-    if kind == "pair":
-        return PairMap([map_from_desc(d, domain) for d in desc["parts"]])
-    if kind == "component":
-        return ComponentMap(map_from_desc(desc["base"], domain), desc["lo"], desc["hi"])
     raise ShapeError(f"unknown map kind {kind!r}")
 
 

@@ -109,11 +109,8 @@ def refine(grid: SampleGrid) -> SampleGrid:
             out.append((a + b) / 2.0)
             out.append(b)
         new_axes.append(tuple(out))
+    # every old axis coordinate stays, so the old lattice points do too
     pts = _assemble(grid.domain, tuple(new_axes), grid.pinned)
-    old = {tuple(p) for p in pts}
-    extra = [tuple(p) for p in grid.points if tuple(p) not in old]
-    if extra:
-        pts = np.vstack([pts, np.array(extra)])
     return SampleGrid(grid.domain, tuple(new_axes), grid.pinned, pts, grid.spacing / 2.0)
 
 
@@ -167,9 +164,6 @@ class SeminormValue:
     value: float
     kind: str
     witness: tuple[float, ...] | None = None
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def weighted_seminorm(wf: WeightedFunction, weight: Weight, ell: int) -> SeminormValue:

@@ -99,10 +99,6 @@ class DomainSet:
         return self.space.dim
 
     @property
-    def convex(self) -> bool:
-        return True  # boxes and balls are convex
-
-    @property
     def star_shaped_at_zero(self) -> bool:
         return self.contains(np.zeros(self.dim))  # convex and 0 interior
 
@@ -359,27 +355,6 @@ def two_plus_sin_weight(name: str, u: Sequence[float], scale: float = 1.0) -> We
     )
 
 
-def poly_weight(
-    name: str,
-    terms: Sequence[tuple[float, Sequence[int]]],
-    certified_sup: float | None = None,
-    certified_inf: float | None = None,
-) -> Weight:
-    """sum of c * x^powers; bounds are caller-supplied."""
-    terms = tuple((float(c), tuple(int(p) for p in pw)) for c, pw in terms)
-
-    def fn(x, terms=terms):
-        return sum(c * float(np.prod(x ** np.array(pw))) for c, pw in terms)
-
-    return Weight(
-        name,
-        fn,
-        certified_sup=certified_sup,
-        certified_inf=certified_inf,
-        desc={"kind": "poly", "terms": [[c, list(p)] for c, p in terms]},
-    )
-
-
 def scaled_weight(base: Weight, c: float, name: str | None = None) -> Weight:
     c = float(c)
     scale = abs(c)
@@ -389,24 +364,6 @@ def scaled_weight(base: Weight, c: float, name: str | None = None) -> Weight:
         certified_sup=None if base.certified_sup is None else scale * base.certified_sup,
         certified_inf=None if base.certified_inf is None else scale * base.certified_inf,
         desc={"kind": "scaled", "c": c, "base": base.desc},
-    )
-
-
-def shifted_weight(
-    base: Weight,
-    shift: Sequence[float],
-    name: str | None = None,
-    certified_sup: float | None = None,
-    certified_inf: float | None = None,
-) -> Weight:
-    """x -> base(x + shift); bounds over the new domain are caller-supplied."""
-    s = np.asarray(shift, dtype=float)
-    return Weight(
-        name or f"{base.name}<<shift",
-        lambda x, b=base, s=s: float(b.fn(x + s)),
-        certified_sup=certified_sup,
-        certified_inf=certified_inf,
-        desc={"kind": "shifted", "shift": s.tolist(), "base": base.desc},
     )
 
 
@@ -425,34 +382,27 @@ def desc_powers(powers) -> tuple[int, ...]:
     return tuple(powers)
 
 
-def weight_from_desc(desc: dict, name: str = "w", domain: DomainSet | None = None) -> Weight:
+def weight_from_desc(desc: dict, name: str, domain: DomainSet) -> Weight:
+    """The weight of a descriptor of kind ``const``, ``gauss``,
+    ``two_plus_sin`` or ``scaled``: the kinds that compute their own
+    certified sup and inf, so a descriptor's ``certified_sup`` and
+    ``certified_inf`` are not read here.  A ``gauss`` weight needs
+    ``a >= 0``, which bounds it by 1, and a ``two_plus_sin`` frequency
+    ``u`` has one entry per axis of ``domain``."""
     kind = desc.get("kind")
-    cs, ci = desc.get("certified_sup"), desc.get("certified_inf")
     if kind == "const":
-        w = const_weight(name, desc["c"])
-    elif kind == "gauss":
-        w = gaussian_weight(name, desc["a"], domain)
-    elif kind == "two_plus_sin":
-        w = two_plus_sin_weight(name, desc["u"], desc.get("scale", 1.0))
-    elif kind == "poly":
-        w = poly_weight(name, [(c, desc_powers(p)) for c, p in desc["terms"]], cs, ci)
-    elif kind == "scaled":
-        w = scaled_weight(weight_from_desc(desc["base"], name, domain), desc["c"], name)
-    elif kind == "shifted":
-        w = shifted_weight(
-            weight_from_desc(desc["base"], name, domain), desc["shift"], name, cs, ci
-        )
-    else:
-        raise DataError(f"unknown weight kind {kind!r}")
-    if cs is not None or ci is not None:
-        w = Weight(
-            w.name,
-            w.fn,
-            cs if cs is not None else w.certified_sup,
-            ci if ci is not None else w.certified_inf,
-            desc=w.desc,
-        )
-    return w
+        return const_weight(name, desc["c"])
+    if kind == "gauss":
+        if not desc["a"] >= 0:
+            raise DataError(f"a gauss weight needs a >= 0, got {desc['a']!r}")
+        return gaussian_weight(name, desc["a"], domain)
+    if kind == "two_plus_sin":
+        if len(desc["u"]) != domain.dim:
+            raise DataError(f"u must have {domain.dim} entries, got {desc['u']!r}")
+        return two_plus_sin_weight(name, desc["u"], desc.get("scale", 1.0))
+    if kind == "scaled":
+        return scaled_weight(weight_from_desc(desc["base"], name, domain), desc["c"], name)
+    raise DataError(f"unknown weight kind {kind!r}")
 
 
 def weight_to_desc(weight: Weight) -> dict:

@@ -43,7 +43,7 @@ from .jets import (
     _entry_bounds,
     crude_partial2_sup,
     crude_sup_bound,
-    fd_jet,
+    fd_tensors,
     linear2_identities_check,
     map_from_desc,
     map_to_desc,
@@ -516,12 +516,15 @@ class ScenarioSeed:
     max_factors: int = 4
 
 
-def _sampled_on(grid: str, validated: bool = False, reads=()):
+def _sampled_on(grid: str, validated: bool = False, reads=(), headroom: int = 0):
     """A per-factor element field whose factor i is sampled on factor i's
     ``grid_u`` (``"u"``) or ``grid_w`` (``"w"``) lattice; ingest checks the
     jets of a ``validated`` element against finite differences.  ``reads``
-    are the (weight, order) rows the checks read of every factor."""
-    return field(metadata={"grid": grid, "validated": validated, "reads": reads})
+    are the (weight, order) rows the checks read of every factor, and the
+    checks differentiate each factor ``headroom`` orders past the highest
+    of them."""
+    return field(metadata={"grid": grid, "validated": validated, "reads": reads,
+                           "headroom": headroom})
 
 
 def _reads(*keys, rows: bool = False):
@@ -563,9 +566,12 @@ class FamilyScenario:
     gamma_alts: RestrictedElement = _sampled_on("u", validated=True)
     gamma_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, rows=True)
     gamma_dirs: RestrictedElement = _sampled_on("u", validated=True)
-    comp_gammas: RestrictedElement = _sampled_on("w", validated=True, reads=(("one", 1),))
+    # the reduction identity compares its order-2 seminorm with order 1 of its differential
+    comp_gammas: RestrictedElement = _sampled_on("w", validated=True, reads=(("one", 1),),
+                                                 headroom=1)
     comp_etas: RestrictedElement = _sampled_on("u", validated=True)
-    comp_gamma0s: RestrictedElement = _sampled_on("w")
+    # the seminorm axioms read its order-1 seminorm
+    comp_gamma0s: RestrictedElement = _sampled_on("w", headroom=1)
     comp_eta0s: RestrictedElement = _sampled_on("u", reads=_ONE_GAUSS_0)
     comp_gamma_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, ("one", 1), rows=True)
     comp_eta_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, rows=True)
@@ -600,6 +606,11 @@ class FamilyScenario:
 
 ELEMENT_GRIDS: dict[str, str] = {
     f.name: f.metadata["grid"] for f in fields(FamilyScenario) if "grid" in f.metadata
+}
+# the least max_order of an element: its highest row order plus its headroom
+MIN_ORDER: dict[str, int] = {
+    f.name: max((ell for _, ell in f.metadata["reads"]), default=0) + f.metadata["headroom"]
+    for f in fields(FamilyScenario) if "grid" in f.metadata
 }
 READS: dict[str, tuple[tuple, ...]] = {
     f.name: f.metadata["reads"] for f in fields(FamilyScenario) if "reads" in f.metadata
@@ -1050,7 +1061,7 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
     exact = probe_map.tensor(x0, 1).entries
     out.append(derivative_convergence(
         "def:directional_derivative",
-        lambda h: np.max(np.abs(fd_jet(probe_map, x0, 1, h=h).tensors[1].entries - exact)),
+        lambda h: np.max(np.abs(fd_tensors(probe_map, x0[None], 1, h=h)[1][0] - exact)),
         (2e-2, 1e-2, 5e-3, 2.5e-3), detail="central differences against coded jets;",
     ))
 
@@ -1657,8 +1668,7 @@ def _from_desc(build, desc, path: str, *args):
 def _nonfinite_at(node, key=None) -> str | None:
     """The JSON pointer, relative to ``node``, of its first leaf that is
     not a finite number (:func:`is_finite_number`), unless it is the
-    string of a ``kind`` or the null of a weight without a certified sup
-    or inf; ``key`` is the key that holds ``node``."""
+    string of a ``kind``; ``key`` is the key that holds ``node``."""
     t = type(node)
     if t is dict or t is list:
         for k, child in node.items() if t is dict else enumerate(node):
@@ -1668,8 +1678,6 @@ def _nonfinite_at(node, key=None) -> str | None:
         return None
     if t is str:
         return None if key == "kind" else ""
-    if node is None:
-        return None if key in ("certified_sup", "certified_inf") else ""
     return None if is_finite_number(node) else ""
 
 
@@ -1682,8 +1690,10 @@ def _domain_from_dict(d: dict, path: str, dim: int) -> DomainSet:
     try:
         if kind == "box":
             dom = box(_floats(d, "lo", path, dim), _floats(d, "hi", path, dim), norm)
-        else:
+        elif kind == "ball":
             dom = ball(_floats(d, "center", path, dim), _number(d, "radius", path), norm)
+        else:
+            raise DataError(f"{path}/kind: must be 'box' or 'ball', got {kind!r}")
     except GeometryError as exc:
         raise DataError(f"{path}: {exc}") from None
     with np.errstate(over="ignore"):
@@ -1703,13 +1713,13 @@ def _wf_to_dict(wf: WeightedFunction) -> dict:
 
 
 def _wf_from_dict(d: dict, domain: DomainSet, grid: SampleGrid, path: str,
-                  required, members) -> WeightedFunction:
-    """An element factor; its ``max_order`` is at least the highest order
-    of the ``required`` (weight, order) rows the checks read of it."""
+                  required, members, least: int) -> WeightedFunction:
+    """An element factor with the ``required`` (weight, order) rows and a
+    ``max_order`` of at least ``least``."""
     return WeightedFunction(
         _from_desc(map_from_desc, _at(d, "map", path), f"{path}/map", domain),
         grid,
-        _integer(d, "max_order", path, max((ell for _, ell in required), default=0)),
+        _integer(d, "max_order", path, least),
         _bounds(d, "certified", path, 3, required, members),
     )
 
@@ -1723,17 +1733,23 @@ def _fw_to_dict(fw: FamilyWeight) -> dict:
 
 
 def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
+    """A family weight.  Each factor's kind computes its certified sup and
+    inf; a ``certified_sup`` or ``certified_inf`` the file gives must be
+    that value."""
     entries = _items(d, "factors", path, len(domains))
     name = _at(d, "name", path)
     if not isinstance(name, str):
         raise DataError(f"{path}/name: must be a string, got {name!r}")
-    return FamilyWeight(
-        name,
-        tuple(
-            _from_desc(weight_from_desc, w, f"{path}/factors/{i}", name, dom)
-            for i, (w, dom) in enumerate(zip(entries, domains))
-        ),
-    )
+    factors = []
+    for i, (desc, dom) in enumerate(zip(entries, domains)):
+        at = f"{path}/factors/{i}"
+        w = _from_desc(weight_from_desc, desc, at, name, dom)
+        for key in ("certified_sup", "certified_inf"):
+            if key in desc and desc[key] != getattr(w, key):
+                raise DataError(f"{at}/{key}: {desc[key]!r} is not the {getattr(w, key)!r} "
+                                f"its {desc['kind']!r} weight has")
+        factors.append(w)
+    return FamilyWeight(name, tuple(factors))
 
 
 def _contraction(d: dict) -> ContractionConfig:
@@ -1747,7 +1763,7 @@ def _contraction(d: dict) -> ContractionConfig:
     try:
         cfg = ContractionConfig(**{k: _integer(block, k, "/contraction", 1) if k in ints
                                    else _number(block, k, "/contraction") for k in block})
-    except TypeError as exc:
+    except (TypeError, PreconditionError) as exc:
         raise DataError(f"/contraction: {exc}") from None
     for key in ("tau", "r"):
         if key in d and _number(d, key, "") != getattr(cfg, key):
@@ -1844,23 +1860,29 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         entries = _items(_at(d, "elements", ""), key, "/elements", n)
         elements[key] = RestrictedElement(tuple(
             _wf_from_dict(e, getattr(fs, grid), getattr(fs, f"grid_{grid}"), f"{path}/{i}",
-                          READS[key], names)
+                          READS[key], names, MIN_ORDER[key])
             for i, (e, fs) in enumerate(zip(entries, factors))
         ))
     diffs = {k: per_factor(k) for k in DIFFERENCE_ROWS}
     diffs = {k: tuple(_bounds(v, i, f"/{k}", 3, READS[k], names) for i in range(n))
              for k, v in diffs.items()}
-    xis = tuple(
-        SuperpositionOperand(
-            _from_desc(map_from_desc, _at(x, "map", f"/xis/{i}"), f"/xis/{i}/map",
-                       product_box(fs.u, fs.v)),
-            fs.u,
-            fs.v,
-            _bounds(x, "sup_1", f"/xis/{i}", 2, READS["xis"]),
-            float(_number(x, "d2_sup", f"/xis/{i}")),
-        )
-        for i, (x, fs) in enumerate(zip(per_factor("xis"), factors))
-    )
+    for i, wf in enumerate(elements["multipliers"].factors):
+        # the jets runner expands a multiplier's terms
+        if not isinstance(wf.map, PolynomialMap):
+            kind = d["elements"]["multipliers"][i]["map"]["kind"]
+            raise DataError(f"/elements/multipliers/{i}/map/kind: must be 'poly', got {kind!r}")
+    xis = []
+    for i, (x, fs) in enumerate(zip(per_factor("xis"), factors)):
+        path = f"/xis/{i}"
+        desc = _at(x, "map", path)
+        xi = _from_desc(map_from_desc, desc, f"{path}/map", product_box(fs.u, fs.v))
+        if xi.in_blocks != (dim, dim):
+            raise DataError(f"{path}/map/in_blocks: must be [{dim}, {dim}], the axes of U and "
+                            f"V, got {desc.get('in_blocks')!r}")
+        xis.append(SuperpositionOperand(
+            xi, fs.u, fs.v, _bounds(x, "sup_1", path, 2, READS["xis"]),
+            float(_number(x, "d2_sup", path)),
+        ))
     dominance = tuple(
         DominanceCertificate(
             _fw_from_dict(_at(c, "f", f"/dominance/{i}"), u_domains, f"/dominance/{i}/f"),
@@ -1892,7 +1914,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         weights=family,
         tau_nb=_number(d, "tau_nb", ""),
         clearance_nb=_number(d, "clearance_nb", ""),
-        xis=xis,
+        xis=tuple(xis),
         bilinears=tuple(np.array(_numbers(bils, i, "/bilinears")) for i in range(n)),
         beta2s=tuple(np.array(_numbers(betas, i, "/beta2s")) for i in range(n)),
         sigmas=tuple(

@@ -65,7 +65,6 @@ from wrp.jets import (
     SumMap,
     TrigPolynomialMap,
     crude_sup_bound,
-    fd_jet,
     fd_tensors,
     identity_map,
     op_norm,
@@ -284,13 +283,12 @@ def _fd_poly():
         (rng.normal(size=2), tuple(int(p) for p in rng.integers(0, 4, 3))) for _ in range(5)])
 
 
-def test_fd_jet_matches_stencil_formula():
+def test_fd_tensors_batch_of_one_matches_stencil_formula():
     rng, pm = _fd_poly()
     h = 1e-3
     for x in rng.uniform(-0.5, 0.5, size=(10, 3)):
-        jet = fd_jet(pm, x, 2, h=h)
-        for got, want in zip(jet.tensors, _stencil_formula(pm.value, x, h)):
-            assert _same_bits(got.entries, want)
+        for got, want in zip(fd_tensors(pm, x[None], 2, h=h), _stencil_formula(pm.value, x, h)):
+            assert _same_bits(got[0], want)
 
 
 def test_fd_tensors_rows_match_stencil_formula():
@@ -307,12 +305,12 @@ def test_fd_tensors_rows_match_stencil_formula():
                 assert _same_bits(batch[ell][i], want[ell]), (order, i, ell)
 
 
-def test_fd_jet_names_first_stencil_point_outside():
+def test_fd_tensors_names_first_stencil_point_outside():
     pm = PolynomialMap(box([-1.0, -1.0], [1.0, 1.0]), [([1.0], (2, 1))])
     x = np.array([0.5, 0.9995])
     # x + h e_0 is inside; x + h e_1 is the first point outside
     with pytest.raises(DomainMembershipError, match=r"\[0\.5, 1\.0005"):
-        fd_jet(pm, x, 1, h=1e-3)
+        fd_tensors(pm, x[None], 1, h=1e-3)
 
 
 def test_fd_tensors_names_first_outside_point_in_probe_order():
@@ -349,7 +347,7 @@ def _probe_draws(map_, seed, rng=None):
 
 def _stencil_leaves(map_, x) -> bool:
     try:
-        fd_jet(map_, x, 2)
+        fd_tensors(map_, x[None], 2)
     except DomainMembershipError:
         return True
     return False
@@ -470,8 +468,6 @@ def test_fd_stencils_match_list_built_one_point_oracle(m):
             assert outside is None
             for ell in range(order + 1):
                 assert _same_bits(batch[ell][i], want[ell]), (order, h, i, ell)
-        for ell, t in enumerate(fd_jet(pm, xs[0], order, h=h).tensors):
-            assert _same_bits(t.entries, _fd_one_point(pm, xs[0], order, h)[0][ell])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

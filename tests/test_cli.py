@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import signal
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from wrp.cli import RunConfig, emit_config, main, parse_config, run
 from wrp.errors import ConfigError
-from wrp.verify import ALL_CHECK_IDS, DIFFERENCE_ROWS
+from wrp.verify import ALL_CHECK_IDS, DIFFERENCE_ROWS, MIN_ORDER
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "scenario_seed0.json"
 
@@ -57,6 +58,20 @@ class TestParseConfig:
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("doc, pointer", [
+        ([], "/"),
+        ({"scenarios": "a.json"}, "/scenarios"),
+        ({"checks": 5}, "/checks"),
+        ({"tolerances": [1e-6]}, "/tolerances"),
+        ({"tolerances": {"est:bogus": 1e-6}}, "/tolerances/est:bogus"),
+        ({"skips_ok": 1}, "/skips_ok"),
+        ({"out": 5}, "/out"),
+    ], ids=["list", "string_scenarios", "number_checks", "list_tolerances",
+            "unknown_tolerance_id", "number_flag", "number_out"])
+    def test_malformed_field_named(self, doc, pointer):
+        with pytest.raises(ConfigError, match=f"^{re.escape(pointer)}: "):
+            parse_config(doc)
 
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="malformed"):
@@ -179,6 +194,15 @@ class TestRun:
         assert run(cfg) == 4
         assert target.read_text() == "not a directory"
 
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        # report.json is a directory that holds a file: the finished
+        # temporary file cannot replace it, and is removed
+        (tmp_path / "report.json").mkdir()
+        (tmp_path / "report.json" / "keep").write_text("x")
+        cfg = RunConfig(seeds=(0,), checks=("def:family_seminorm",), out=str(tmp_path))
+        assert run(cfg) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
     def test_no_units_rejected(self):
         with pytest.raises(ConfigError):
             run(RunConfig())
@@ -257,6 +281,25 @@ def _rename_member(j, name):
         assert doc["weights"]["members"][j]["name"] in ("gauss", "omega")
         doc["weights"]["members"][j]["name"] = name
     return mutate
+
+
+def _set_weight(j, desc):
+    def mutate(doc):
+        doc["weights"]["members"][j]["factors"][0] = desc(doc["weights"]["members"][j]["factors"][0])
+    return mutate
+
+
+def _set_gamma0_map(desc):
+    def mutate(doc):
+        wf = doc["elements"]["gammas"][0]
+        wf["map"] = desc(wf["map"])
+    return mutate
+
+
+def _every_element_at_its_least_order(doc):
+    for key, least in MIN_ORDER.items():
+        for wf in doc["elements"][key]:
+            wf["max_order"] = least
 
 
 class TestIngestErrors:
@@ -356,6 +399,34 @@ class TestIngestErrors:
          "/elements/psis/1/max_order"),
         (lambda d: d["elements"]["phi_dirs"][0].__setitem__("max_order", 0),
          "/elements/phi_dirs/0/max_order"),
+        (lambda d: d["weights"]["members"][1]["factors"][0].__setitem__("a", -1e308),
+         "/weights/members/1/factors/0"),
+        (lambda d: d["dominance"][2]["g"]["factors"][0]["base"].__setitem__("a", -1e308),
+         "/dominance/2/g/factors/0"),
+        (lambda d: d["weights"]["members"][3]["factors"][0]["u"].append(0.5),
+         "/weights/members/3/factors/0"),
+        (lambda d: d["xis"][0]["map"]["in_blocks"].__setitem__(1, 7), "/xis/0/map/in_blocks"),
+        (lambda d: d["xis"][1]["map"].pop("in_blocks"), "/xis/1/map/in_blocks"),
+        (lambda d: d["elements"]["multipliers"][0].__setitem__(
+            "map", {"kind": "scaled", "c": 1.0, "base": d["elements"]["multipliers"][0]["map"]}),
+         "/elements/multipliers/0/map/kind"),
+        (lambda d: d["weights"]["members"][3]["factors"][0].__setitem__("certified_inf", 0.0),
+         "/weights/members/3/factors/0/certified_inf"),
+        (lambda d: d["weights"]["members"][1]["factors"][1].__setitem__("certified_sup", 0.5),
+         "/weights/members/1/factors/1/certified_sup"),
+        (lambda d: d["dominance"][0]["g"]["factors"][1].__setitem__("certified_sup", None),
+         "/dominance/0/g/factors/1/certified_sup"),
+        (lambda d: d["elements"]["comp_gammas"][0].__setitem__("max_order", 1),
+         "/elements/comp_gammas/0/max_order"),
+        (lambda d: d["elements"]["comp_gamma0s"][1].__setitem__("max_order", 0),
+         "/elements/comp_gamma0s/1/max_order"),
+        (lambda d: d["factors"][0]["v"].__setitem__("kind", "bal"), "/factors/0/v/kind"),
+        (lambda d: d["factors"][1]["v"].__setitem__("radius", 0.0), "/factors/1/v"),
+        (lambda d: d["elements"]["gammas"][1]["map"].pop("terms"), "/elements/gammas/1/map"),
+        (lambda d: d.__setitem__("contraction", [0.5]), "/contraction"),
+        (lambda d: d["contraction"].__setitem__("rho", 0.5), "/contraction"),
+        (lambda d: d["contraction"].__setitem__("tau", 1.5), "/contraction"),
+        (lambda d: d["contraction"].__setitem__("r", -0.5), "/contraction"),
     ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k",
             "nan_map_coefficient", "infinite_weight_constant", "nan_certified_bound",
             "infinite_certified_bound", "string_certified_bound", "fractional_certified_order",
@@ -374,13 +445,51 @@ class TestIngestErrors:
             "no_factorizations", "no_gauss_factorization", "no_sp_dominance",
             "no_multiplier_dominance", "no_uniform_k_dominance", "list_member_name",
             "order_zero_gammas", "order_zero_comp_gammas", "order_zero_phis",
-            "order_zero_psis", "order_zero_phi_dirs"])
+            "order_zero_psis", "order_zero_phi_dirs", "negative_gauss_a",
+            "negative_dominance_gauss_a", "long_omega_u", "long_xi_in_blocks",
+            "no_xi_in_blocks", "scaled_multiplier", "zero_omega_inf", "understated_gauss_sup",
+            "null_dominance_sup", "order_one_comp_gammas", "order_zero_comp_gamma0s",
+            "unknown_domain_kind", "zero_ball_radius", "no_terms", "list_contraction",
+            "unknown_contraction_field", "tau_above_one", "negative_r"])
     def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pointer}: "), err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("kind, mutate, pointer", [
+        ("poly", _set_weight(1, lambda w: {"kind": "poly", "terms": [[1.0, [0]]]}),
+         "/weights/members/1/factors/0"),
+        ("shifted", _set_weight(1, lambda w: {"kind": "shifted", "shift": [0.1], "base": w}),
+         "/weights/members/1/factors/0"),
+        ("const", _set_gamma0_map(lambda m: {"kind": "const", "c": [0.0]}),
+         "/elements/gammas/0/map"),
+        ("affine", _set_gamma0_map(lambda m: {"kind": "affine", "a": [[0.1]], "b": [0.0]}),
+         "/elements/gammas/0/map"),
+        ("trig", _set_gamma0_map(lambda m: {"kind": "trig", "terms": [
+            {"coef": [0.1], "freq": [1.0], "phase": 0.0}]}), "/elements/gammas/0/map"),
+        ("sum", _set_gamma0_map(lambda m: {"kind": "sum", "parts": [m, m]}),
+         "/elements/gammas/0/map"),
+        ("pair", _set_gamma0_map(lambda m: {"kind": "pair", "parts": [m]}),
+         "/elements/gammas/0/map"),
+        ("component", _set_gamma0_map(lambda m: {"kind": "component", "lo": 0, "hi": 1,
+                                                 "base": m}), "/elements/gammas/0/map"),
+    ], ids=["poly_weight", "shifted_weight", "const_map", "affine_map", "trig_map", "sum_map",
+            "pair_map", "component_map"])
+    def test_removed_kind_exits_one(self, tmp_path, scenario0, capsys, kind, mutate, pointer):
+        # only the kinds whose certificates wrp computes are read
+        cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pointer}: unknown "), err
+        assert f"kind {kind!r}" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_every_element_at_its_least_order_runs(self, tmp_path, scenario0):
+        # the max_order ingest requires of each element is all the checks need
+        cfg = _mutated_scenario_file(tmp_path, scenario0, _every_element_at_its_least_order)
+        assert main(["run", "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("key", ["comp_eta0s", "multipliers"])
     def test_max_order_zero_loads_where_no_order_one_row_is_read(self, tmp_path, scenario0,
@@ -478,6 +587,10 @@ class TestMain:
         assert main(["explain", "est:f0-Norm_SPid"]) == 0
         out = capsys.readouterr().out
         assert "statement" in out and "hypotheses" in out
+
+    def test_explain_without_hypotheses(self, capsys):
+        assert main(["explain", "def:weighted_seminorm"]) == 0
+        assert capsys.readouterr().out.endswith("  hypotheses: none\n")
 
     def test_explain_unknown(self, capsys):
         assert main(["explain", "nope"]) == 1

@@ -12,10 +12,12 @@ from wrp.errors import (
     EnumerationBudgetError,
     OrderError,
     PreconditionError,
+    ShapeError,
     UnsupportedNormError,
 )
 from wrp.jets import (
     AffineMap,
+    AsymmetryWarning,
     ComposeMap,
     ConstMap,
     MultilinearMap,
@@ -26,11 +28,12 @@ from wrp.jets import (
     ScaledMap,
     SumMap,
     TrigPolynomialMap,
+    compose_tensor,
     contract_last,
     crude_partial2_sup,
     crude_sup_bound,
     curry_last,
-    fd_jet,
+    fd_tensors,
     linear2_identities_check,
     map_from_desc,
     map_to_desc,
@@ -202,49 +205,45 @@ class TestBuiltins:
         assert np.all(a.tensor(x, 2).entries == 0)
 
     def test_descriptor_roundtrip(self):
+        # the file format holds polynomials and their multiples only
         dom = box([-1.0], [1.0])
-        maps = [
-            ConstMap(dom, [1.5]),
-            AffineMap(dom, [[2.0]], [0.1]),
-            PolynomialMap(dom, [([1.0], (3,))]),
-            TrigPolynomialMap(dom, [([0.5], [2.0], 0.1)]),
-        ]
-        maps.append(SumMap([maps[1], maps[2]]))
-        maps.append(ScaledMap(maps[2], -0.5))
-        maps.append(PairMap([maps[1], maps[2]]))
+        poly = PolynomialMap(dom, [([1.0], (3,)), ([-0.5], (1,))])
         x = np.array([0.37])
-        for m in maps:
+        for m in (poly, ScaledMap(poly, -0.5), ScaledMap(ScaledMap(poly, 2.0), 0.25)):
             back = map_from_desc(map_to_desc(m), dom)
-            assert np.allclose(back.value(x), m.value(x), atol=1e-15)
-            assert np.allclose(
-                back.tensor(x, 2).entries, m.tensor(x, 2).entries, atol=1e-15
-            )
+            for ell in range(3):
+                assert np.array_equal(back.tensor(x, ell).entries, m.tensor(x, ell).entries)
+        for m in (ConstMap(dom, [1.5]), AffineMap(dom, [[2.0]], [0.1]),
+                  TrigPolynomialMap(dom, [([0.5], [2.0], 0.1)]), SumMap([poly, poly]),
+                  PairMap([poly, poly])):
+            with pytest.raises(ShapeError, match="carries no descriptor"):
+                map_to_desc(m)
 
 
 class TestFiniteDifferences:
     def test_linear_exact(self):
         dom = box([-1.0, -1.0], [1.0, 1.0])
         a = AffineMap(dom, [[1.0, -2.0], [3.0, 0.5]])
-        jet = fd_jet(a, np.array([0.1, 0.2]), 1)
-        assert np.allclose(jet.tensors[1].entries, a.a, atol=1e-9)
+        fd = fd_tensors(a, np.array([[0.1, 0.2]]), 1)
+        assert np.allclose(fd[1][0], a.a, atol=1e-9)
 
     def test_square_first_derivative(self):
         dom = box([-1.0], [1.0])
         pm = PolynomialMap(dom, [([1.0], (2,))])
-        jet = fd_jet(pm, np.array([0.3]), 1, h=1e-4)
-        assert jet.tensors[1].entries[0, 0] == pytest.approx(0.6, abs=1e-7)
+        fd = fd_tensors(pm, np.array([[0.3]]), 1, h=1e-4)
+        assert fd[1][0, 0, 0] == pytest.approx(0.6, abs=1e-7)
 
     def test_cube_second_derivative(self):
         dom = box([-2.0], [2.0])
         pm = PolynomialMap(dom, [([1.0], (3,))])
-        jet = fd_jet(pm, np.array([1.0]), 2, h=1e-3)
-        assert jet.tensors[2].entries[0, 0, 0] == pytest.approx(6.0, abs=1e-5)
+        fd = fd_tensors(pm, np.array([[1.0]]), 2, h=1e-3)
+        assert fd[2][0, 0, 0, 0] == pytest.approx(6.0, abs=1e-5)
 
     def test_stencil_domain_guard(self):
         dom = box([-1.0], [1.0])
         pm = PolynomialMap(dom, [([1.0], (2,))])
         with pytest.raises(DomainMembershipError):
-            fd_jet(pm, np.array([0.99999]), 1, h=1e-3)
+            fd_tensors(pm, np.array([[0.99999]]), 1, h=1e-3)
 
     def test_second_order_convergence(self):
         # halving h divides the error by about 4 on a smooth built-in
@@ -256,13 +255,26 @@ class TestFiniteDifferences:
         hs = [4e-3, 2e-3, 1e-3, 5e-4]
         for h in hs:
             errs.append(
-                float(np.max(np.abs(fd_jet(tm, x, 1, h=h).tensors[1].entries - exact)))
+                float(np.max(np.abs(fd_tensors(tm, x[None], 1, h=h)[1][0] - exact)))
             )
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.7 <= slope <= 2.3
 
 
 class TestCompose:
+    def test_asymmetric_chain_rule_tensor_warns(self):
+        # a coded order-2 inner tensor that is not symmetric: the averaged
+        # result is returned, with a warning naming the asymmetry
+        skew = np.zeros((2, 2, 2))
+        skew[0, 0, 1] = 1.0
+        outer = [MultilinearMap(np.zeros(1), 1), MultilinearMap(np.ones((1, 2)), 1),
+                 MultilinearMap(np.zeros((1, 2, 2)), 1)]
+        inner = [MultilinearMap(np.zeros(2), 1), MultilinearMap(np.eye(2), 1),
+                 MultilinearMap(skew, 1)]
+        with pytest.warns(AsymmetryWarning, match=r"asymmetric by 5\.000e-01"):
+            t = compose_tensor(outer, inner, 2)
+        assert t.entries[0, 0, 1] == t.entries[0, 1, 0] == 0.5
+
     def test_chain_rule_matches_finite_differences(self, rng):
         u = box([-0.8, -0.8], [0.8, 0.8])
         w = box([-3.0, -3.0], [3.0, 3.0])
@@ -399,7 +411,7 @@ class TestXi2:
             pt = np.array([0.4, -0.6, 0.7])
             for ell in (1, 2):
                 exact = xi2.tensor(pt, ell).entries
-                approx = fd_jet(xi2, pt, ell).tensors[ell].entries
+                approx = fd_tensors(xi2, pt[None], ell)[ell][0]
                 assert np.allclose(exact, approx, atol=1e-6)
 
     def test_norm_bound_sin_kernel(self):
@@ -415,7 +427,7 @@ class TestXi2:
         d2 = abs(math.sin(0.5)) * 0.2 + 2 * abs(math.cos(0.5))
         assert rep.lhs == pytest.approx(lhs, abs=1e-12)
         assert rep.rhs == pytest.approx(d1 + 0.3 * d2, abs=1e-12)
-        lhs_fd = fd_jet(xi2, pt, 1).tensors[1].entries
+        lhs_fd = fd_tensors(xi2, pt[None], 1)[1][0]
         assert np.max(np.abs(lhs_fd - xi2.tensor(pt, 1).entries)) < 1e-6
 
     def test_compose_pairing_2d_against_finite_differences(self):
@@ -435,7 +447,7 @@ class TestXi2:
         pt = np.concatenate([[0.3, -0.4, 0.5, 0.2], 0.3 * np.arange(1.0, 5.0) - 0.6])
         for ell in (1, 2):
             exact = xi2.tensor(pt, ell).entries
-            approx = fd_jet(xi2, pt, ell).tensors[ell].entries
+            approx = fd_tensors(xi2, pt[None], ell)[ell][0]
             assert np.allclose(exact, approx, atol=1e-5)
         zero_pt = np.concatenate([[0.3, -0.4, 0.5, 0.2], np.zeros(4)])
         assert np.max(np.abs(xi2.value(zero_pt))) == 0.0

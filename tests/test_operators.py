@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wrp.errors import (
+    ContractionViolationError,
     GeometryError,
     PreconditionError,
     RangeEscapeError,
@@ -27,6 +28,7 @@ from wrp.operators import (
     compose_derivative_check,
     compose_perturbed,
     convergence_report,
+    derivative_convergence,
     inversion_direction_check,
     inversion_jacobian_check,
     inversion_pair_difference_check,
@@ -90,6 +92,13 @@ class TestSuperpose:
         assert res.map.tensor(x, 1).entries[0, 0] == pytest.approx(1.0)
         assert res.map.tensor(x, 2).entries[0, 0, 0] == pytest.approx(2.0)
 
+    def test_kernel_order_caps_the_result(self):
+        op = xy_operand()
+        op.xi.max_order = 1
+        res, reps = superpose(op, gamma_identity(), [ONE])
+        assert res.max_order == 1
+        assert [r.check_id for r in reps] == ["est:f0-Norm_SPid", "est:f1-Norm_SPid"]
+
     def test_range_escape(self):
         small_v = box([-0.5], [0.5])
         xi = PolynomialMap(product_box(U1, small_v), [([1.0], (1, 1))], in_blocks=(1, 1))
@@ -142,6 +151,16 @@ class TestSuperpose:
         rep = superpose_derivative_check(xy_operand(), gamma, direction)
         assert rep.status == "pass"
         assert "exactness" in rep.detail
+
+    def test_derivative_check_rejects_steps_leaving_the_value_domain(self):
+        # gamma + 0.1 * 6 reaches 1.05 outside V = (-1, 1); smaller steps stay
+        direction = WeightedFunction(ConstMap(U1, [6.0]), lattice(U1, spacing=0.1), 2)
+        gamma = WeightedFunction(
+            PolynomialMap(U1, [([0.5], (1,))]), lattice(U1, spacing=0.1), 2
+        )
+        rep = superpose_derivative_check(xy_operand(), gamma, direction)
+        assert rep.status == "pass"
+        assert rep.detail.startswith("1 step(s) rejected by range checks;")
 
     def test_derivative_check_slope_branch(self):
         # xi = x y^3 has a genuinely cubic second slot: slope ~ 2
@@ -259,6 +278,17 @@ class TestCompose:
             self._gamma(), eta, self.U, self.V, gdir, edir
         )
         assert rep.status == "pass"
+
+    def test_derivative_sweep_rejects_steps_leaving_the_range(self):
+        # eta + 0.1 * 4x reaches 0.54 outside V = ball(0, 0.5); smaller steps stay
+        eta = WeightedFunction(
+            PolynomialMap(self.U, [([0.2], (1,))]), lattice(self.U, spacing=0.1), 3
+        )
+        gdir = PolynomialMap(self.W, [([0.5], (3,))])
+        edir = PolynomialMap(self.U, [([4.0], (1,))])
+        rep = compose_derivative_check(self._gamma(), eta, self.U, self.V, gdir, edir)
+        assert rep.status == "pass"
+        assert rep.detail.startswith("1 step(s) rejected by range checks;")
 
 
 class TestInversion:
@@ -433,6 +463,22 @@ class TestInversion:
         )
         assert rep.status == "pass"
 
+    def test_direction_check_raises_the_failed_solve(self):
+        # an understated direction certificate: phi + t dir, of slope up
+        # to 1.55, is no contraction, and its iterates leave U at every
+        # probe but 0, which the earlier probe's solves are replayed for
+        u, v = box([-2.0], [2.0]), box([-0.4], [0.4])
+        grid_u = lattice(u, spacing=0.25)
+        phi = WeightedFunction(PolynomialMap(u, [([0.05], (1,))]), grid_u, 2,
+                               (("one", 0, 0.1), ("one", 1, 0.05)))
+        direction = WeightedFunction(PolynomialMap(u, [([30.0], (1,))]), grid_u, 2,
+                                     (("one", 0, 1e-3), ("one", 1, 1e-3)))
+        probes = np.array([[0.0], [0.2], [0.3]])
+        with pytest.raises(ContractionViolationError, match="escaped the domain") as exc:
+            inversion_direction_check(phi, direction, u, v, probes,
+                                      ContractionConfig(tau=0.5, r=1.5))
+        assert exc.value.row == 1
+
     def test_direction_and_jacobian_checks(self):
         u, v = box([-2.0], [2.0]), box([-0.4], [0.4])
         grid_u = lattice(u, spacing=0.25)
@@ -448,6 +494,13 @@ class TestInversion:
         probes = lattice(v, spacing=0.2).points
         rep = inversion_direction_check(phi, direction, u, v, probes, cfg)
         assert rep.status == "pass"
+        # a loose order-1 certificate of the direction: 0.29 + 0.05 * 5 is
+        # not below tau, so the largest step is rejected
+        loose = WeightedFunction(direction.map, grid_u, 2, (("one", 0, 0.1), ("one", 1, 5.0)))
+        rep_loose = inversion_direction_check(phi, loose, u, v, probes, cfg)
+        assert rep_loose.status == "pass"
+        assert rep_loose.detail.startswith(
+            "derivative in the operator argument; 1 step(s) rejected by range checks;")
         rep2 = inversion_jacobian_check(phi, u, v, probes, cfg)
         assert rep2.status == "pass" and rep2.lhs <= 1e-6
 
@@ -538,6 +591,30 @@ class TestConvergenceReport:
         rep = convergence_report("x", hs, [3 * h**2 for h in hs])
         assert rep.status == "pass"
         assert rep.lhs == pytest.approx(2.0, abs=1e-9)
+
+    def test_no_finite_error_is_skipped(self):
+        rep = convergence_report("x", [0.1, 0.05, 0.025], [math.nan, math.inf, math.nan])
+        assert rep.status == "skipped-precondition"
+        assert rep.detail == "no finite difference steps survived"
+
+    def test_zero_error_beside_a_large_one_is_skipped(self):
+        rep = convergence_report("x", [0.1, 0.05, 0.025], [1.0, 0.5, 0.0])
+        assert rep.status == "skipped-precondition"
+        assert rep.detail == "degenerate error sequence for slope fit"
+
+    def test_rejected_steps_are_dropped_and_counted(self):
+        def error_at(t):
+            if t > 0.06:
+                raise RangeEscapeError("step leaves the range")
+            return 3 * t**2
+
+        hs = [0.1, 0.05, 0.025, 0.0125]
+        rep = derivative_convergence("x", error_at, hs, detail="sweep;")
+        assert rep.status == "pass" and rep.lhs == pytest.approx(2.0, abs=1e-9)
+        assert rep.detail.startswith("sweep; 1 step(s) rejected by range checks;")
+        rep = derivative_convergence(
+            "x", lambda t: (_ for _ in ()).throw(RangeEscapeError("out")), hs)
+        assert rep.status == "skipped-precondition"
 
     def test_wrong_derivative_fails(self):
         # a constant error (slope ~ 0) signals a wrong derivative

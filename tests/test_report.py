@@ -75,6 +75,12 @@ class TestCheckReport:
         merged = merge_min_margin("x", [good, bad])
         assert merged.status == "fail" and merged.margin == -2.0
 
+    def test_merge_names_the_merged_id(self):
+        per_factor = [bound_report("x[0]", 0.0, 1.0, tolerance=0.0),
+                      bound_report("x[1]", 0.5, 1.0, tolerance=0.0)]
+        merged = merge_min_margin("x", per_factor)
+        assert merged == replace(per_factor[1], check_id="x")
+
     def test_skip_round_trips_to_dict(self):
         rep = skipped_report("x", "missing certificate")
         d = rep.to_dict()

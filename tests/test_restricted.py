@@ -153,6 +153,14 @@ class TestProductIso:
         with pytest.raises(ShapeError):
             product_iso_roundtrip(elem, one_family(1), 0)
 
+    def test_roundtrip_fails_when_the_bits_move(self, drifting):
+        elem = self._paired()
+        moved = WeightedFunction(drifting(elem[1].map), elem[1].grid, elem[1].max_order)
+        rep = product_iso_roundtrip(RestrictedElement((elem[0], moved)), one_family(2), 1)
+        assert rep.check_id == "lem:pktwProduktLInf"
+        assert rep.status == "fail" and rep.lhs == math.inf
+        assert rep.detail == "recombination not bit-exact on factor 1"
+
 
 class TestCauchy:
     def test_constant_sequence(self):
@@ -252,6 +260,21 @@ class TestNeighborhoods:
             eta, good_omega, v_domains, 1.2 * (0.25 / d)
         )
         assert good.status == "pass"
+
+    def test_euclidean_non_member_fails(self):
+        # the margin rows measure values in the sup norm, while V is a
+        # euclidean ball: (0.4, 0.4) has sup norm 0.4 and margin row
+        # 0.4 + (0.5 - 0.48) / 1.2 < 0.5, but euclidean norm 0.566 > 0.5,
+        # so only the membership of the value in tau V fails it
+        u = box([-1.0, -1.0], [1.0, 1.0])
+        eta = RestrictedElement(
+            (WeightedFunction(ConstMap(u, [0.4, 0.4]), lattice(u, per_axis=3), 1),))
+        omega = FamilyWeight("omega", (const_weight("omega", 1.2),))
+        v = ball([0.0, 0.0], 1.0, norm_kind="euclidean")
+        rep = neighborhood_inclusion_check(eta, omega, [v], 0.5)
+        assert rep.check_id == "incl:1-Kugel_f0-norm_sub_CFof"
+        assert rep.margin > 0 and rep.status == "fail"
+        assert rep.detail == "scaled-domain membership violated"
 
     def test_openness(self):
         v_domains = [ball([0.0], 1.0)]
@@ -624,3 +647,22 @@ class TestSimComposeInvert:
 
         rep = restrict_scenario_outputs(apply_fn([0, 1]), apply_fn, [1])
         assert rep.status == "pass" and rep.lhs == 0.0
+
+    def test_factor_restriction_fails_on_a_one_ulp_change(self):
+        factors = two_factor_spaces()
+
+        def element(cs):
+            return RestrictedElement(tuple(
+                WeightedFunction(PolynomialMap(fs.u, [([c], (2,))]), fs.grid_u, 2)
+                for c, fs in zip(cs, factors)
+            ))
+
+        full = element((0.3, 0.4))
+        moved = element((0.3, math.nextafter(0.4, 1.0)))
+        rep = restrict_scenario_outputs(
+            full, lambda indices: RestrictedElement(tuple(moved[i] for i in indices)), [1])
+        assert rep.check_id == "sim:factor_restriction"
+        assert rep.status == "fail" and rep.lhs == math.inf
+        assert restrict_scenario_outputs(
+            full, lambda indices: RestrictedElement(tuple(moved[i] for i in indices)),
+            [0]).status == "pass"

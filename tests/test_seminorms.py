@@ -256,6 +256,14 @@ class TestPairSplit:
         rep = pair_split_check(self._paired(), ONE, 1)
         assert rep.status == "pass"
 
+    def test_roundtrip_check_fails_when_the_bits_move(self, drifting):
+        wf = self._paired()
+        wf = WeightedFunction(drifting(wf.map), wf.grid, wf.max_order)
+        rep = pair_split_check(wf, ONE, 1)
+        assert rep.check_id == "lem:gewichtete_Abb_Produktisomorphie-endl"
+        assert rep.status == "fail" and rep.lhs == math.inf
+        assert rep.detail == "recombination is not bit-exact"
+
     def test_undeclared_product_rejected(self):
         wf = wf_poly([([1.0], (1,))])
         with pytest.raises(ShapeError):

@@ -92,9 +92,9 @@ class TestBoundaryDistance:
 class TestDomainGeometry:
     def test_flags(self):
         b = ball([0.0, 0.0], 1.0)
-        assert b.star_shaped_at_zero and b.balanced and b.convex
+        assert b.star_shaped_at_zero and b.balanced
         asym = box([-1.0], [2.0])
-        assert asym.convex and not asym.balanced
+        assert asym.star_shaped_at_zero and not asym.balanced
         sym = box([-1.0, -2.0], [1.0, 2.0])
         assert sym.balanced and sym.star_shaped_at_zero
 
@@ -114,6 +114,32 @@ class TestDomainGeometry:
         assert v.scaled(0.5).radius == 0.4
         b = box([-1.0], [3.0])
         assert b.scaled(2.0).hi == (6.0,)
+
+    def test_euclidean_balls_add_as_balls(self):
+        a = ball([0.5, 0.0], 1.0, norm_kind="euclidean")
+        s = a.minkowski_sum(ball([0.0, -0.25], 0.5, norm_kind="euclidean"))
+        assert (s.kind, s.center, s.radius, s.space.norm_kind) == (
+            "ball", (0.5, -0.25), 1.5, "euclidean")
+        with pytest.raises(GeometryError, match="mixed shapes"):
+            a.minkowski_sum(box([-1.0, -1.0], [1.0, 1.0]))
+        with pytest.raises(GeometryError, match="mixed shapes"):
+            a.minkowski_sum(ball([0.0, 0.0], 1.0))
+
+    def test_containment_in_a_euclidean_ball(self):
+        outer = ball([0.0, 0.0], 2.0, norm_kind="euclidean")
+        # a ball of the same norm: centre shift plus radius
+        assert outer.contains_set(ball([0.6, 0.8], 1.0, norm_kind="euclidean"))
+        assert not outer.contains_set(ball([0.6, 0.8], 1.01, norm_kind="euclidean"))
+        # a box, or a sup ball rewritten as one: every corner
+        assert outer.contains_set(box([-1.4, -1.4], [1.4, 1.4]))
+        assert not outer.contains_set(box([-1.0, -1.0], [1.5, 1.5]))
+        assert outer.contains_set(ball([0.0, 0.0], 1.4))
+        assert not outer.contains_set(ball([0.0, 0.0], 1.5))
+
+    def test_sup_ball_contains_as_its_box(self):
+        outer = ball([0.0, 0.0], 1.0)
+        assert outer.contains_set(box([-1.0, -0.5], [1.0, 0.5]))
+        assert not outer.contains_set(ball([0.5, 0.0], 0.75))
 
     def test_product_box(self):
         p = product_box(box([-1.0], [1.0]), ball([0.0], 0.5))
