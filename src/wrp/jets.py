@@ -367,16 +367,17 @@ def identity_map(domain: DomainSet) -> AffineMap:
 
 @functools.cache
 def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
-    """Index tables of the order-``ell`` (>= 1) derivative of a polynomial
-    with term powers ``powers``, built once per (powers, ell) and shared by
+    """Index tables of the order-``ell`` derivative of a polynomial with
+    term powers ``powers``, built once per (powers, ell) and shared by
     every map with those powers, so callers only read them.
 
     One row per (term, multi-index j*) whose entry survives, i.e. no axis
-    is differentiated more often than its power, in term order.  Returns
-    the rows' flat entry indices and term indices, and per axis the
-    falling-factorial factor columns (padded with exact 1.0 multipliers)
-    and the rows' remaining exponents.  On axis 0 the factors multiply
-    1.0, so their (exact, integer) product is one column.
+    is differentiated more often than its power, in term order (at order
+    0, one row per term).  Returns the rows' flat entry indices and term
+    indices, and per axis the falling-factorial factor columns (padded
+    with exact 1.0 multipliers) and the rows' remaining exponents.  On axis
+    0 the factors multiply 1.0, so their (exact, integer) product is one
+    column.
     """
     m = len(powers[0])
     flat, term, falls, expos = [], [], [], []
@@ -446,6 +447,100 @@ def _poly_tensors(pm: "PolynomialMap", coefs: np.ndarray, points: np.ndarray,
     np.add.at(ent, (slice(None), slice(None), flat),
               coefs[term].T * scale[:, None, :])
     return ent.reshape((n_pts, n) + (m,) * ell)
+
+
+@functools.cache
+def _bound_table(powers: tuple[tuple[int, ...], ...], ell: int):
+    """:func:`_poly_table` with each row's factors in one fixed layout:
+    for axis 0 one falling-factorial column, for every later axis ``ell``,
+    each axis's columns followed by a slot for its power (1.0 here).  The
+    layout for m axes is a prefix of the one for more, and every padding
+    factor is an exact 1.0.  Returns the rows' flat entry and term
+    indices, the ``(rows, 1 + m * (ell + 1) - ell)`` factors and the
+    ``(rows, m)`` exponents."""
+    flat, term, axes = _poly_table(powers, ell)
+    seq = np.ones((len(flat), 1 + len(axes) * (ell + 1) - ell))
+    for a, (cols, _) in enumerate(axes):
+        at = 0 if a == 0 else 1 + a * (ell + 1) - ell
+        for k, col in enumerate(cols):
+            seq[:, at + k] = col
+    expo = np.array([e for _, e in axes], dtype=np.intp).reshape(len(axes), -1).T
+    return flat, term, seq, np.ascontiguousarray(expo)
+
+
+def _poly_bounds(polys, ell: int) -> list[np.ndarray]:
+    """Order-``ell`` entry bounds ``(n, m**ell)`` of polynomials, in one
+    stacked pass.  ``polys`` holds ``(domain, coefs, powers)`` triples: the
+    term coefficient vectors ``(T, n)`` and the term powers (the key of
+    :func:`_poly_table`).
+
+    A bound is the derivative of the polynomial with absolute coefficients
+    at its own corner, the largest ``|x_a|`` of its domain's bounding box
+    per axis.  Every entry is computed as :func:`_poly_tensors` computes it
+    at that one point: per term, the coefficient times (per axis: falling
+    factorials, then the power), summed over terms in term order, with
+    numpy's ``**`` at order 0 and libm's ``pow`` above, so an order >= 1
+    power that overflows raises OverflowError as there.  A polynomial with
+    fewer axes than the widest gets exact factors 1.0 on the others.  No
+    term is padded: a zero coefficient times an overflowing power is NaN.
+    """
+    # grouped by dimension (a stable sort): one block of rows per group
+    order = sorted(range(len(polys)), key=lambda p: len(polys[p][2][0]))
+    polys = [polys[p] for p in order]
+    tables = [_bound_table(powers, ell) for _, _, powers in polys]
+    n_rows = [len(flat) for flat, _, _, _ in tables]
+    corners = {id(dom): dom for dom, _, _ in polys}
+    corners = {k: _axis_sups(dom) for k, dom in corners.items()}
+    width = len(polys[-1][2][0])
+    seq = np.ones((sum(n_rows), 1 + width * (ell + 1) - ell))
+    xs = np.ones((len(seq), width))
+    expo = np.zeros((len(seq), width), dtype=np.intp)
+    at = 0
+    for m, group in itertools.groupby(range(len(polys)), key=lambda p: len(polys[p][2][0])):
+        group = list(group)
+        rows = slice(at, at + sum(n_rows[p] for p in group))
+        seq[rows, :1 + m * (ell + 1) - ell] = np.concatenate([tables[p][2] for p in group])
+        expo[rows, :m] = np.concatenate([tables[p][3] for p in group])
+        xs[rows, :m] = np.repeat([corners[id(polys[p][0])] for p in group],
+                                 [n_rows[p] for p in group], axis=0)
+        at = rows.stop
+    if ell == 0:
+        # every power in one call on flat arrays, as the one-point kernel
+        pw = (xs.reshape(-1) ** expo.reshape(-1)).reshape(xs.shape)
+    else:
+        # libm once per distinct (corner coordinate, exponent)
+        ux, xi = np.unique(xs, return_inverse=True)
+        top = int(expo.max(initial=0)) + 1
+        keys, inv = np.unique(xi.reshape(-1) * top + expo.reshape(-1), return_inverse=True)
+        vals = np.array([math.pow(float(ux[k // top]), k % top) for k in keys.tolist()])
+        pw = vals[inv.reshape(-1)].reshape(xs.shape)
+    for a in range(width):
+        seq[:, 1 + a * (ell + 1)] = pw[:, a]
+    # the factors of a row multiplied in their order
+    scale = seq[:, 0].copy()
+    for col in seq.T[1:]:
+        scale *= col
+    # one (row, output) pair per product, rows in term order
+    n_out = np.array([c.shape[1] for _, c, _ in polys], dtype=np.intp)
+    n_flat = np.array([len(powers[0]) ** ell for _, _, powers in polys], dtype=np.intp)
+    n_coef = np.array([c.size for _, c, _ in polys], dtype=np.intp)
+    poly = np.repeat(np.arange(len(polys)), n_rows)
+    row_n = n_out[poly]
+    pair_row = np.repeat(np.arange(len(seq)), row_n)
+    out = np.arange(len(pair_row)) - np.repeat(np.cumsum(row_n) - row_n, row_n)
+    coefs = np.abs(np.concatenate([c for _, c, _ in polys], axis=None))
+    term = np.concatenate([t for _, t, _, _ in tables])
+    flat = np.concatenate([f for f, _, _, _ in tables])
+    ent_start = np.cumsum(n_out * n_flat) - n_out * n_flat
+    c_idx = ((np.cumsum(n_coef) - n_coef)[poly] + term * row_n)[pair_row] + out
+    e_idx = (ent_start[poly] + flat)[pair_row] + out * n_flat[poly][pair_row]
+    ent = np.zeros(int((n_out * n_flat).sum()))
+    # unbuffered adds in pair order: per entry, in term order
+    np.add.at(ent, e_idx, coefs[c_idx] * scale[pair_row])
+    bounds = [None] * len(polys)
+    for p, a, n, f in zip(order, ent_start.tolist(), n_out.tolist(), n_flat.tolist()):
+        bounds[p] = ent[a:a + n * f].reshape(n, f)
+    return bounds
 
 
 class PolynomialMap(JetMap):
@@ -1333,34 +1428,67 @@ def _axis_sups(domain: DomainSet) -> np.ndarray:
     return np.maximum(np.abs(lo), np.abs(hi))
 
 
-def _entry_bounds(map_: JetMap, ell: int) -> np.ndarray:
+def _entry_bounds(jobs) -> list[np.ndarray]:
     """Entrywise bounds sup_x |tensor(x, ell)[o, j*]|, rows flattened, of
-    the maps the file format holds (polynomials and their multiples) and
-    of their sums."""
-    if isinstance(map_, PolynomialMap):
-        # a function of the coefficients and the domain's box alone
-        ent = map_._bounds_cache.get(ell)
-        if ent is None:
-            coefs = np.abs(map_._coefs)
-            corner = _axis_sups(map_.domain)[None]
-            ent = _poly_tensors(map_, coefs, corner, ell)[0].reshape(map_.out_dim, -1)
+    each ``(map, ell)`` of ``jobs``: maps the file format holds
+    (polynomials and their multiples) and their sums.  A polynomial's
+    bounds are a function of its coefficients and its domain's box alone,
+    cached per map and order; the missing ones are computed in one
+    :func:`_poly_bounds` pass per order."""
+    todo: dict[int, dict[int, PolynomialMap]] = {}
+
+    def leaves(map_, ell):
+        if isinstance(map_, PolynomialMap):
+            if ell not in map_._bounds_cache:
+                todo.setdefault(ell, {})[id(map_)] = map_
+        elif isinstance(map_, SumMap):
+            for p in map_.parts:
+                leaves(p, ell)
+        elif isinstance(map_, ScaledMap):
+            leaves(map_.base, ell)
+        else:
+            raise ShapeError(f"no certified bound rule for {type(map_).__name__}")
+
+    def combine(map_, ell):
+        if isinstance(map_, PolynomialMap):
+            return map_._bounds_cache[ell]
+        if isinstance(map_, SumMap):
+            return sum(combine(p, ell) for p in map_.parts)
+        return abs(map_.c) * combine(map_.base, ell)
+
+    for map_, ell in jobs:
+        leaves(map_, ell)
+    for ell, polys in todo.items():
+        ents = _poly_bounds([(pm.domain, pm._coefs, pm._power_key) for pm in polys.values()], ell)
+        for pm, ent in zip(polys.values(), ents):
             ent.flags.writeable = False
-            map_._bounds_cache[ell] = ent
-        return ent
-    if isinstance(map_, SumMap):
-        return sum(_entry_bounds(p, ell) for p in map_.parts)
-    if isinstance(map_, ScaledMap):
-        return abs(map_.c) * _entry_bounds(map_.base, ell)
-    raise ShapeError(f"no certified bound rule for {type(map_).__name__}")
+            pm._bounds_cache[ell] = ent
+    return [combine(map_, ell) for map_, ell in jobs]
+
+
+def _row_sum_max(e: np.ndarray) -> float:
+    """The largest absolute row sum of entry bounds: a bound of the sup
+    operator norm."""
+    return float(e.sum(axis=1).max()) if e.size else 0.0
+
+
+def crude_sup_bounds(maps: Sequence[JetMap], ell: int) -> list[float]:
+    """A sound upper bound for sup_x of the order-``ell`` operator norm of
+    each map, from coefficient arithmetic on the domain's bounding box:
+    one stacked bound pass per order (the order of a differential is its
+    base's plus one)."""
+    jobs = []
+    for map_ in maps:
+        k = ell
+        while isinstance(map_, DifferentialMap):
+            map_, k = map_.base, k + 1
+        jobs.append((map_, k))
+    return [_row_sum_max(e) for e in _entry_bounds(jobs)]
 
 
 def crude_sup_bound(map_: JetMap, ell: int) -> float:
-    """A sound upper bound for sup_x of the order-l operator norm,
-    obtained from coefficient arithmetic on the domain's bounding box."""
-    if isinstance(map_, DifferentialMap):
-        return crude_sup_bound(map_.base, ell + 1)
-    e = _entry_bounds(map_, ell)
-    return float(np.max(e.sum(axis=1))) if e.size else 0.0
+    """:func:`crude_sup_bounds` of a batch of one."""
+    return crude_sup_bounds([map_], ell)[0]
 
 
 def crude_partial2_sup(xi: JetMap) -> float:
@@ -1368,7 +1496,7 @@ def crude_partial2_sup(xi: JetMap) -> float:
     if xi.in_blocks is None or len(xi.in_blocks) != 2:
         raise ShapeError("map must declare two input blocks")
     m1, m2 = xi.in_blocks
-    e = _entry_bounds(xi, 1)  # (n, m1 + m2)
+    (e,) = _entry_bounds([(xi, 1)])  # (n, m1 + m2)
     return float(np.max(e[:, m1:].sum(axis=1))) if e.size else 0.0
 
 
@@ -1376,16 +1504,18 @@ def crude_partial2_sup(xi: JetMap) -> float:
 # descriptors
 
 
-def map_from_desc(desc: dict, domain: DomainSet) -> JetMap:
+def map_from_desc(desc: dict, domain: DomainSet, in_blocks=None) -> JetMap:
     """The map of a descriptor of kind ``poly`` or ``scaled``: the kinds
-    whose certificates :func:`crude_sup_bound` computes."""
+    whose certificates :func:`crude_sup_bound` computes.  ``in_blocks``
+    are those an enclosing ``scaled`` node declares, since
+    :func:`map_to_desc` writes them at the top level only."""
     kind = desc.get("kind")
+    blocks = tuple(desc["in_blocks"]) if "in_blocks" in desc else in_blocks
     if kind == "poly":
         terms = [(t["coef"], desc_powers(t["powers"])) for t in desc["terms"]]
-        blocks = tuple(desc["in_blocks"]) if "in_blocks" in desc else None
         return PolynomialMap(domain, terms, in_blocks=blocks)
     if kind == "scaled":
-        return ScaledMap(map_from_desc(desc["base"], domain), desc["c"])
+        return ScaledMap(map_from_desc(desc["base"], domain, blocks), desc["c"])
     raise ShapeError(f"unknown map kind {kind!r}")
 
 

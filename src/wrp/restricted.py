@@ -57,7 +57,7 @@ from .report import (
     merge_min_margin,
     stacked_points,
 )
-from .seminorms import SampleGrid, WeightedFunction, weighted_seminorm
+from .seminorms import SampleGrid, WeightedFunction, weighted_seminorms
 from .spaces import (
     DomainSet,
     DominanceCertificate,
@@ -116,16 +116,33 @@ class FamilySeminorm:
     witness: tuple[float, ...] | None
 
 
+def family_seminorms(
+    pairs: Sequence[tuple[RestrictedElement, FamilyWeight]], ell: int
+) -> list[FamilySeminorm]:
+    """The family seminorm of each (element, family weight) pair: the exact
+    maximum of its per-factor grid seminorms, one sup over the disjoint
+    union of the factor grids.  The first factor attaining it is the
+    argmax, and its first grid point attaining it the witness.  All the
+    pairs' factors take one :func:`weighted_seminorms` pass."""
+    for elem, fw in pairs:
+        if len(fw) != len(elem):
+            raise DataError("weight family and element factor counts disagree")
+    values = iter(weighted_seminorms(
+        [wf for elem, _ in pairs for wf in elem.factors],
+        [w for _, fw in pairs for w in fw.factors], ell))
+    out = []
+    for elem, fw in pairs:
+        best, arg, witness = -1.0, 0, None
+        for i, sv in zip(range(len(elem)), values):
+            if sv.value > best:
+                best, arg, witness = sv.value, i, sv.witness
+        out.append(FamilySeminorm(fw.name, ell, best, arg, witness))
+    return out
+
+
 def family_seminorm(elem: RestrictedElement, fw: FamilyWeight, ell: int) -> FamilySeminorm:
-    """Exact maximum of the per-factor grid seminorms, argmax recorded."""
-    if len(fw) != len(elem):
-        raise DataError("weight family and element factor counts disagree")
-    best, arg, witness = -1.0, 0, None
-    for i, (wf, w) in enumerate(zip(elem.factors, fw.factors)):
-        sv = weighted_seminorm(wf, w, ell)
-        if sv.value > best:
-            best, arg, witness = sv.value, i, sv.witness
-    return FamilySeminorm(fw.name, ell, best, arg, witness)
+    """:func:`family_seminorms` of a batch of one."""
+    return family_seminorms([(elem, fw)], ell)[0]
 
 
 def lipschitz_bound_check(
@@ -142,8 +159,8 @@ def lipschitz_bound_check(
         raise PreconditionError("need at least two parameter samples")
     sup_l = max(factor_lipschitz)
     pairs = list(itertools.combinations(samples, 2))
-    lhs = [family_seminorm(family_map(s).minus(family_map(t)), fw, ell).value
-           for s, t in pairs]
+    lhs = [fam.value for fam in family_seminorms(
+        [(family_map(s).minus(family_map(t)), fw) for s, t in pairs], ell)]
     return bound_rows(
         check_id, lhs, [sup_l * abs(s - t) for s, t in pairs], tolerance=1e-9,
         lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
@@ -171,9 +188,7 @@ def product_iso_roundtrip(
         second.append(b)
     e1, e2 = RestrictedElement(tuple(first)), RestrictedElement(tuple(second))
     reports = []
-    whole = family_seminorm(elem, fw, ell).value
-    p1 = family_seminorm(e1, fw, ell).value
-    p2 = family_seminorm(e2, fw, ell).value
+    whole, p1, p2 = (fam.value for fam in family_seminorms([(elem, fw), (e1, fw), (e2, fw)], ell))
     # split is bounded by the combined seminorm, which is bounded by the sum
     reports.append(
         bound_report(
@@ -214,9 +229,9 @@ def cauchy_limit_check(
     """Cauchy increments below the declared envelope and convergence of
     the sequence to the closed-form limit at the envelope rate."""
     m = len(elements) - 1  # rows 0..m-1 are increments, then distances
-    lhs = [family_seminorm(elements[n + 1].minus(elements[n]), fw, ell).value
-           for n in range(m)]
-    lhs += [family_seminorm(e.minus(limit), fw, ell).value for e in elements]
+    lhs = [fam.value for fam in family_seminorms(
+        [(elements[n + 1].minus(elements[n]), fw) for n in range(m)]
+        + [(e.minus(limit), fw) for e in elements], ell)]
     rhs = [increment_envelope(n) for n in range(m)]
     rhs += [tail_envelope(n) for n in range(len(elements))]
     return bound_rows(
@@ -239,6 +254,7 @@ def neighborhood_inclusion_check(
 ) -> CheckReport:
     """Elements with adjusted norm below tau map into tau-scaled value
     domains, with the worst-case perturbation radius of the proof route.
+    Values, like the boundary distance, are measured in V's own norm.
 
     Fails with a witness when the containment chain is violated, which can
     only happen if the claimed adjusting weight is not one.
@@ -256,7 +272,7 @@ def neighborhood_inclusion_check(
         d_i = v.boundary_distance(np.zeros(v.dim))
         vals = wf.map.tensors(wf.grid.points, 0)
         with np.errstate(divide="ignore"):
-            lhs.append(np.max(np.abs(vals), axis=1) + s / np.abs(w.values(wf.grid.points)))
+            lhs.append(v.space.norms(vals) + s / np.abs(w.values(wf.grid.points)))
         rhs.append(np.full(len(vals), tau * d_i))
         member.append(v.scaled(tau).members(vals))
     member = np.concatenate(member)
@@ -343,8 +359,8 @@ def sim_multiply(
             )
         )
     result = RestrictedElement(tuple(out))
-    lhs = family_seminorm(result, f, 0).value
-    rhs = sup_b * family_seminorm(x, cert.g, 0).value
+    lhs, x_norm = (fam.value for fam in family_seminorms([(result, f), (x, cert.g)], 0))
+    rhs = sup_b * x_norm
     report = bound_report(
         "lem:simultane_mult-multiplier", lhs, rhs, tolerance=1e-9,
         lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
@@ -376,10 +392,11 @@ def sim_multilinear(
         order = min(arg.factors[i].max_order for arg in args)
         out.append(WeightedFunction(MultilinearPairMap(b_i, maps), grid, order))
     result = RestrictedElement(tuple(out))
-    lhs = family_seminorm(result, f, 0).value
+    lhs, *arg_norms = (fam.value for fam in family_seminorms(
+        [(result, f)] + [(args[j], factorization.parts[j]) for j in range(n)], 0))
     rhs = sup_b
-    for j in range(n):
-        rhs *= family_seminorm(args[j], factorization.parts[j], 0).value
+    for a in arg_norms:
+        rhs *= a
     report = bound_report(
         "lem:multilineareSuperpos-Linf", lhs, rhs, tolerance=1e-9,
         lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
@@ -411,11 +428,11 @@ def sim_superpose(
     result = RestrictedElement(
         tuple(superpose(op, x_i)[0] for op, x_i in zip(ops, x.factors))
     )
-    fam = family_seminorm(result, f, 0)
+    fam, x_fam = family_seminorms([(result, f), (x, g)], 0)
     reports = [
         bound_report(
             "prop:simultane_SP_BCinf0_Produkt", fam.value,
-            family_seminorm(x, g, 0).value, tolerance=1e-9,
+            x_fam.value, tolerance=1e-9,
             lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
             detail="family bound through the dominating weight",
         )
@@ -504,10 +521,7 @@ def sim_compose(
         bound_report(
             "prop:Simultane_Koor-Kompo_diffbar",
             fam.value,
-            max(
-                weighted_seminorm(result.factors[i], f.factors[i], 0).value
-                for i in range(len(factors))
-            ),
+            max(sv.value for sv in weighted_seminorms(result.factors, f.factors, 0)),
             tolerance=0.0,
             lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
             detail="family seminorm is the exact factor max",

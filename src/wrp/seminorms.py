@@ -166,36 +166,65 @@ class SeminormValue:
     witness: tuple[float, ...] | None = None
 
 
-def weighted_seminorm(wf: WeightedFunction, weight: Weight, ell: int) -> SeminormValue:
-    """Grid lower bound of sup |f(x)| * |D^l map(x)|, with its witness.
+def weighted_seminorms(
+    wfs: Sequence[WeightedFunction], weights: Sequence[Weight], ell: int
+) -> list[SeminormValue]:
+    """Grid lower bound of sup |f(x)| * |D^l map(x)| of each function with
+    its weight, with its witness, in one stacked pass over the
+    concatenated grids: the seminorms of the factors of a family, whose
+    sup is one sup over the disjoint union of their domains.
 
     A grid point where the weight is infinite forces the value to +inf
     unless the tensor vanishes there, and an infinite tensor norm forces
     +inf unless the weight vanishes there.  A NaN tensor entry raises
-    DataError naming the grid point: it must not drop out of the sup.  The
-    weight is evaluated on the whole grid, so a NaN weight value raises
-    even where an earlier point already made the value infinite.
+    DataError naming the first grid point that has one: it must not drop
+    out of the sup.  Every weight is evaluated on its whole grid, so a NaN
+    weight value raises even where an earlier point already made the value
+    infinite.  The functions are stacked by tensor shape and norm kind
+    (usually one stack): one :func:`op_norms` call and one weight-value
+    array per stack.  Errors come in this order: orders, tensors, NaN
+    entries, then per stack operator norms and weights, each in function
+    order; one error raises as one function alone raises it.
     """
-    if ell > wf.max_order:
-        raise OrderError(f"order {ell} exceeds max order {wf.max_order}")
-    pts = wf.grid.points
-    t = wf.map.tensors(pts, ell)
-    nan = np.isnan(t).reshape(len(pts), -1).any(axis=1)
-    if nan.any():
+    pairs = list(zip(wfs, weights, strict=True))
+    for wf, _ in pairs:
+        if ell > wf.max_order:
+            raise OrderError(f"order {ell} exceeds max order {wf.max_order}")
+    grids = [wf.grid.points for wf, _ in pairs]
+    ts = [wf.map.tensors(pts, ell) for (wf, _), pts in zip(pairs, grids)]
+    # one stack per tensor shape and norm kind, in function order
+    groups: dict[tuple, list[int]] = {}
+    for i, ((wf, _), t) in enumerate(zip(pairs, ts)):
+        key = (t.shape[1:], len(wf.map.out_shape), wf.grid.domain.space.norm_kind)
+        groups.setdefault(key, []).append(i)
+    stacks = [(key, idx, np.concatenate([ts[i] for i in idx])) for key, idx in groups.items()]
+    if any(np.isnan(stack).any() for _, _, stack in stacks):
+        i = next(i for i, t in enumerate(ts) if np.isnan(t).any())
+        k = int(np.argmax(np.isnan(ts[i]).reshape(len(ts[i]), -1).any(axis=1)))
         raise DataError(
-            f"order-{ell} tensor has a NaN entry at grid point "
-            f"{pts[int(np.argmax(nan))].tolist()}"
+            f"order-{ell} tensor has a NaN entry at grid point {grids[i][k].tolist()}"
         )
-    norms = op_norms(t, len(wf.map.out_shape), wf.grid.domain.space.norm_kind)
-    w = np.abs(weight.values(pts))
-    with np.errstate(invalid="ignore", over="ignore"):
-        v = np.where(
-            np.isinf(w) | np.isinf(norms),
-            np.where((w == 0.0) | (norms == 0.0), 0.0, math.inf),
-            w * norms,
-        )
-    k = int(np.argmax(v))  # the first grid point attaining the max
-    return SeminormValue(float(v[k]), GRID_LOWER, tuple(pts[k].tolist()))
+    out: list = [None] * len(pairs)
+    for (_, out_rank, norm_kind), idx, stack in stacks:
+        norms = op_norms(stack, out_rank, norm_kind)
+        w = np.abs(np.concatenate([pairs[i][1].values(grids[i]) for i in idx]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            v = np.where(
+                np.isinf(w) | np.isinf(norms),
+                np.where((w == 0.0) | (norms == 0.0), 0.0, math.inf),
+                w * norms,
+            )
+        at = 0
+        for i in idx:
+            k = at + int(np.argmax(v[at:at + len(ts[i])]))  # the first point attaining the max
+            out[i] = SeminormValue(float(v[k]), GRID_LOWER, tuple(grids[i][k - at].tolist()))
+            at += len(ts[i])
+    return out
+
+
+def weighted_seminorm(wf: WeightedFunction, weight: Weight, ell: int) -> SeminormValue:
+    """:func:`weighted_seminorms` of a batch of one."""
+    return weighted_seminorms([wf], [weight], ell)[0]
 
 
 def seminorm_axioms_check(
@@ -224,24 +253,38 @@ def seminorm_axioms_check(
     return merge_min_margin(check_id, [homog, tri])
 
 
+def decomposition_checks(
+    wfs: Sequence[WeightedFunction],
+    weights: Sequence[Weight],
+    ell: int,
+    tolerance: float = 1e-12,
+) -> list[CheckReport]:
+    """Order-(l+1) seminorm of each map equals the order-l seminorm of its
+    differential (the curry isometry realized on the same grid), one
+    report per map from two stacked seminorm passes."""
+    if any(ell + 1 > wf.max_order for wf in wfs):
+        raise OrderError("need one order of headroom for the differential")
+    lhs = weighted_seminorms(wfs, weights, ell + 1)
+    rhs = weighted_seminorms([wf.differential() for wf in wfs], weights, ell)
+    return [
+        identity_report(
+            "lem:topologische_Zerlegung_von_CFk",
+            abs(a.value - b.value),
+            tolerance=tolerance,
+            detail=f"reduction to lower order at l = {ell}",
+        )
+        for a, b in zip(lhs, rhs)
+    ]
+
+
 def decomposition_check(
     wf: WeightedFunction,
     weight: Weight,
     ell: int,
     tolerance: float = 1e-12,
 ) -> CheckReport:
-    """Order-(l+1) seminorm of the map equals the order-l seminorm of its
-    differential (the curry isometry realized on the same grid)."""
-    if ell + 1 > wf.max_order:
-        raise OrderError("need one order of headroom for the differential")
-    lhs = weighted_seminorm(wf, weight, ell + 1).value
-    rhs = weighted_seminorm(wf.differential(), weight, ell).value
-    return identity_report(
-        "lem:topologische_Zerlegung_von_CFk",
-        abs(lhs - rhs),
-        tolerance=tolerance,
-        detail=f"reduction to lower order at l = {ell}",
-    )
+    """:func:`decomposition_checks` of a batch of one."""
+    return decomposition_checks([wf], [weight], ell, tolerance)[0]
 
 
 def pair_split(wf: WeightedFunction) -> tuple[WeightedFunction, WeightedFunction]:

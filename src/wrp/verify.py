@@ -41,8 +41,11 @@ from .jets import (
     ScaledMap,
     SumMap,
     _entry_bounds,
+    _poly_bounds,
+    _row_sum_max,
     crude_partial2_sup,
     crude_sup_bound,
+    crude_sup_bounds,
     fd_tensors,
     linear2_identities_check,
     map_from_desc,
@@ -85,7 +88,7 @@ from .restricted import (
     FactorSpace,
     RestrictedElement,
     cauchy_limit_check,
-    family_seminorm,
+    family_seminorms,
     lipschitz_bound_check,
     neighborhood_inclusion_check,
     neighborhood_openness_check,
@@ -102,16 +105,16 @@ from .seminorms import (
     Certificates,
     SampleGrid,
     WeightedFunction,
-    decomposition_check,
+    decomposition_checks,
     lattice,
     norm_comparison_1U,
     pair_split_check,
     require_row,
     seminorm_axioms_check,
     weighted_seminorm,
+    weighted_seminorms,
 )
 from .spaces import (
-    EUCLIDEAN,
     SUP,
     DomainSet,
     DominanceCertificate,
@@ -527,9 +530,10 @@ def _sampled_on(grid: str, validated: bool = False, reads=(), headroom: int = 0)
                            "headroom": headroom})
 
 
-def _reads(*keys, rows: bool = False):
-    """A field of which the checks read ``keys``; ``rows`` marks the
-    per-factor certified rows of a difference of two elements."""
+def _reads(*keys, rows: tuple[str, str] = ()):
+    """A field of which the checks read ``keys``; ``rows`` names the two
+    elements whose difference the field's per-factor certified rows
+    bound."""
     return field(metadata={"reads": keys, "rows": rows})
 
 
@@ -564,7 +568,7 @@ class FamilyScenario:
     gammas: RestrictedElement = _sampled_on(
         "u", validated=True, reads=_ONE_GAUSS_0 + (("one", 1), ("gauss", 1)))
     gamma_alts: RestrictedElement = _sampled_on("u", validated=True)
-    gamma_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, rows=True)
+    gamma_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, rows=("gammas", "gamma_alts"))
     gamma_dirs: RestrictedElement = _sampled_on("u", validated=True)
     # the reduction identity compares its order-2 seminorm with order 1 of its differential
     comp_gammas: RestrictedElement = _sampled_on("w", validated=True, reads=(("one", 1),),
@@ -573,14 +577,16 @@ class FamilyScenario:
     # the seminorm axioms read its order-1 seminorm
     comp_gamma0s: RestrictedElement = _sampled_on("w", headroom=1)
     comp_eta0s: RestrictedElement = _sampled_on("u", reads=_ONE_GAUSS_0)
-    comp_gamma_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, ("one", 1), rows=True)
-    comp_eta_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, rows=True)
+    comp_gamma_diffs: tuple[Certificates, ...] = _reads(
+        *_ONE_GAUSS_0, ("one", 1), rows=("comp_gammas", "comp_gamma0s"))
+    comp_eta_diffs: tuple[Certificates, ...] = _reads(
+        *_ONE_GAUSS_0, rows=("comp_etas", "comp_eta0s"))
     comp_gamma_dirs: RestrictedElement = _sampled_on("w")
     comp_eta_dirs: RestrictedElement = _sampled_on("u")
     phis: RestrictedElement = _sampled_on(
         "u", validated=True, reads=(("one", 0), ("one", 1), ("gauss", 0)))
     psis: RestrictedElement = _sampled_on("u", validated=True, reads=(("one", 1),))
-    phi_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, ("one", 1), rows=True)
+    phi_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, ("one", 1), rows=("phis", "psis"))
     phi_dirs: RestrictedElement = _sampled_on("u", validated=True, reads=(("one", 0), ("one", 1)))
     multipliers: RestrictedElement = _sampled_on("u", validated=True)
     bilinears: tuple[np.ndarray, ...]
@@ -615,9 +621,10 @@ MIN_ORDER: dict[str, int] = {
 READS: dict[str, tuple[tuple, ...]] = {
     f.name: f.metadata["reads"] for f in fields(FamilyScenario) if "reads" in f.metadata
 }
-DIFFERENCE_ROWS: tuple[str, ...] = tuple(
-    f.name for f in fields(FamilyScenario) if f.metadata.get("rows")
-)
+# the difference fields, each with the two elements it is the difference of
+DIFFERENCE_ROWS: dict[str, tuple[str, str]] = {
+    f.name: f.metadata["rows"] for f in fields(FamilyScenario) if f.metadata.get("rows")
+}
 VALIDATED_ELEMENTS: tuple[str, ...] = tuple(
     f.name for f in fields(FamilyScenario) if f.metadata.get("validated")
 )
@@ -635,6 +642,16 @@ def _monomials(dim: int, degree: int):
     ]
 
 
+@dataclass(frozen=True)
+class _Draw:
+    """A random polynomial before its rescale to ``target``."""
+
+    domain: DomainSet
+    terms: tuple
+    target: float
+    in_blocks: tuple[int, int] | None
+
+
 def _draw_poly(
     rng: np.random.Generator,
     domain: DomainSet,
@@ -644,36 +661,57 @@ def _draw_poly(
     n_terms: int = 3,
     in_blocks=None,
     y_block: tuple[int, int] | None = None,
-) -> PolynomialMap:
-    """A random polynomial, rescaled so its crude value bound is the
-    target.  With ``y_block = (start, width)`` every term has positive
-    degree in that block (so the map vanishes on the zero section)."""
+) -> _Draw:
+    """The random terms of a polynomial that :func:`_rescaled` scales so
+    its crude value bound is the target.  With ``y_block = (start,
+    width)`` every term has positive degree in that block (so the map
+    vanishes on the zero section)."""
     pool = _monomials(domain.dim, degree)
     if y_block is not None:
         s, w = y_block
         pool = [p for p in pool if sum(p[s:s + w]) >= 1]
     idx = rng.choice(len(pool), size=min(n_terms, len(pool)), replace=False)
-    terms = [
+    terms = tuple(
         (rng.uniform(-1.0, 1.0, size=out_dim), pool[i]) for i in np.sort(idx)
-    ]
-    pm = PolynomialMap(domain, terms, in_blocks=in_blocks)
-    b0 = crude_sup_bound(pm, 0)
-    factor = target_sup / b0 if b0 > 0 else 1.0
-    return PolynomialMap(
-        domain, [(factor * c, p) for c, p in terms], in_blocks=in_blocks
     )
+    return _Draw(domain, terms, target_sup, in_blocks)
 
 
-def _certified(map_: JetMap, weights: dict[str, Weight], reads) -> tuple:
-    """The rows ``reads`` of ``map_``: the weight's certified sup times one
-    crude bound per order, shared by all weights."""
-    bounds = {ell: crude_sup_bound(map_, ell) for ell in dict.fromkeys(ell for _, ell in reads)}
-    return tuple((name, ell, weights[name].certified_sup * bounds[ell]) for name, ell in reads)
+def _rescaled(draws: Sequence[_Draw]) -> list[PolynomialMap]:
+    """Each drawn polynomial, built once with its coefficients scaled so
+    that its crude value bound is its target: one order-0 bound pass over
+    the drawn terms."""
+    ents = _poly_bounds(
+        [(d.domain, np.array([c for c, _ in d.terms]), tuple(p for _, p in d.terms))
+         for d in draws], 0)
+    maps = []
+    for d, e in zip(draws, ents):
+        b0 = _row_sum_max(e)
+        factor = d.target / b0 if b0 > 0 else 1.0
+        maps.append(PolynomialMap(
+            d.domain, [(factor * c, p) for c, p in d.terms], in_blocks=d.in_blocks))
+    return maps
+
+
+def _crude_bounds(requests) -> dict[tuple[int, int], float]:
+    """:func:`crude_sup_bound` of every (map, order) of ``requests``, keyed
+    by (id of the map, order): one stacked pass per order."""
+    maps_at: dict[int, dict[int, JetMap]] = {}
+    for map_, ell in requests:
+        maps_at.setdefault(ell, {})[id(map_)] = map_
+    out = {}
+    for ell, maps in maps_at.items():
+        out.update(zip([(k, ell) for k in maps], crude_sup_bounds(list(maps.values()), ell)))
+    return out
 
 
 def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
     """Deterministic scenario from a seed; every certificate it carries
-    holds by construction with real slack."""
+    holds by construction with real slack.
+
+    Every random value is drawn first, in the order of one stream; the
+    polynomials are then built once each and certified in stacked bound
+    passes, one per order."""
     spec = seed if isinstance(seed, ScenarioSeed) else ScenarioSeed(int(seed))
     rng = np.random.default_rng(spec.seed)
     if spec.seed == 0:
@@ -730,128 +768,132 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         ),
     )
 
-    # factor i of each element, and of each difference's rows, under its field name
-    elems: dict[str, list[WeightedFunction]] = {k: [] for k in ELEMENT_GRIDS}
-    diffs: dict[str, list[Certificates]] = {k: [] for k in DIFFERENCE_ROWS}
-    weights_at = [{m.name: m.factors[i] for m in family.members} for i in range(n)]
+    draws: list[_Draw] = []
 
-    def add(key, map_, order, i):
-        grid = getattr(factors[i], f"grid_{ELEMENT_GRIDS[key]}")
-        rows = _certified(map_, weights_at[i], READS[key])
-        elems[key].append(WeightedFunction(map_, grid, order, rows))
+    def draw(*args, **kwargs) -> int:
+        draws.append(_draw_poly(rng, *args, **kwargs))
+        return len(draws) - 1
 
-    def add_diff(key, a, b, i):
-        # the difference map is built only for its bounds
-        diffs[key].append(_certified(SumMap([a, ScaledMap(b, -1.0)]), weights_at[i], READS[key]))
-
+    # per element field, the (draw, max order) of each factor
+    drawn: dict[str, list[tuple[int, int]]] = {k: [] for k in ELEMENT_GRIDS}
     # superposition kernels and their arguments
-    xis = []
-    dom_sp: dict[tuple[str, int], list] = {}
+    xi_draws = []
     for i, fs in enumerate(factors):
-        prod = product_box(fs.u, fs.v)
-        xi = _draw_poly(
-            rng, prod, dim, 3, float(rng.uniform(0.5, 1.2)),
+        xi_draws.append(draw(
+            product_box(fs.u, fs.v), dim, 3, float(rng.uniform(0.5, 1.2)),
             n_terms=4, in_blocks=(dim, dim), y_block=(dim, dim),
-        )
-        sup_1 = tuple((ell, crude_sup_bound(xi, ell)) for (ell,) in READS["xis"])
-        xis.append(
-            SuperpositionOperand(xi, fs.u, fs.v, sup_1, crude_partial2_sup(xi))
-        )
+        ))
         t_gamma = min(0.8 * tau_nb / (3.0 * omega_scales[i]), 0.45 * v_radii[i])
-        g_map = _draw_poly(rng, fs.u, dim, 2, t_gamma)
-        ga_map = _draw_poly(rng, fs.u, dim, 2, t_gamma)
-        gd_map = _draw_poly(rng, fs.u, dim, 2, 0.2 * v_radii[i])
-        add("gammas", g_map, 2, i)
-        add("gamma_alts", ga_map, 2, i)
-        add_diff("gamma_diffs", g_map, ga_map, i)
-        add("gamma_dirs", gd_map, 2, i)
-        for fname in ("one", "gauss"):
-            for ell in (1, 2):
-                k_i = crude_sup_bound(xi, ell)
-                dom_sp.setdefault((fname, ell), []).append(k_i)
-
-    dominance = []
-    for (fname, ell), ks in dom_sp.items():
-        base = family.member(fname)
-        gw = FamilyWeight(
-            f"dom_sp_{fname}_{ell}",
-            tuple(
-                scaled_weight(base.factors[i], ks[i], name=f"dom_sp_{fname}_{ell}")
-                for i in range(n)
-            ),
-        )
-        dominance.append(
-            DominanceCertificate(base, ell, gw, tuple(ks), context="sp")
-        )
-
+        drawn["gammas"].append((draw(fs.u, dim, 2, t_gamma), 2))
+        drawn["gamma_alts"].append((draw(fs.u, dim, 2, t_gamma), 2))
+        drawn["gamma_dirs"].append((draw(fs.u, dim, 2, 0.2 * v_radii[i]), 2))
     # composition data
     for i, fs in enumerate(factors):
-        cg = _draw_poly(rng, fs.w, dim, 3, float(rng.uniform(0.5, 1.5)))
-        cg0 = _draw_poly(rng, fs.w, dim, 3, float(rng.uniform(0.5, 1.5)))
+        drawn["comp_gammas"].append((draw(fs.w, dim, 3, float(rng.uniform(0.5, 1.5))), 3))
+        drawn["comp_gamma0s"].append((draw(fs.w, dim, 3, float(rng.uniform(0.5, 1.5))), 3))
         t_eta = min(0.8 * tau_nb / (3.0 * omega_scales[i]), 0.45 * v_radii[i])
-        ce = _draw_poly(rng, fs.u, dim, 2, t_eta)
-        ce0 = _draw_poly(rng, fs.u, dim, 2, t_eta)
-        add("comp_gammas", cg, 3, i)
-        add("comp_gamma0s", cg0, 3, i)
-        add("comp_etas", ce, 2, i)
-        add("comp_eta0s", ce0, 2, i)
-        add_diff("comp_gamma_diffs", cg, cg0, i)
-        add_diff("comp_eta_diffs", ce, ce0, i)
-        add("comp_gamma_dirs", _draw_poly(rng, fs.w, dim, 3, 0.4), 3, i)
-        add("comp_eta_dirs", _draw_poly(rng, fs.u, dim, 2, 0.15 * v_radii[i]), 2, i)
-
-    # contraction data
+        drawn["comp_etas"].append((draw(fs.u, dim, 2, t_eta), 2))
+        drawn["comp_eta0s"].append((draw(fs.u, dim, 2, t_eta), 2))
+        drawn["comp_gamma_dirs"].append((draw(fs.w, dim, 3, 0.4), 3))
+        drawn["comp_eta_dirs"].append((draw(fs.u, dim, 2, 0.15 * v_radii[i]), 2))
+    # contraction data: (field, draw, slope cap, value cap) per factor and field
     cap11 = 0.5 * tau
     cap10 = 0.5 * (r_shared / 2.0) * (1.0 - tau)
-    for i, fs in enumerate(factors):
+    contractions = []
+    for fs in factors:
         for key, small in (("phis", False), ("psis", False), ("phi_dirs", True)):
-            pm = _draw_poly(rng, fs.u, dim, 3, 1.0)
-            b0, b1 = crude_sup_bound(pm, 0), crude_sup_bound(pm, 1)
+            k = draw(fs.u, dim, 3, 1.0)
             f11 = (0.4 if small else 1.0) * cap11 * float(rng.uniform(0.6, 1.0))
             f10 = (0.4 if small else 1.0) * cap10 * float(rng.uniform(0.6, 1.0))
-            scale = min(f11 / b1 if b1 > 0 else 1.0, f10 / b0 if b0 > 0 else 1.0)
-            add(key, ScaledMap(pm, scale), 2, i)
-        add_diff("phi_diffs", elems["phis"][i].map, elems["psis"][i].map, i)
-
+            contractions.append((key, k, f11, f10))
     # multipliers, bilinears, multilinear data
     bils, beta2s = [], []
-    dom_mult: dict[tuple[str, int], list] = {}
-    for i, fs in enumerate(factors):
-        m_map = _draw_poly(rng, fs.u, dim, 2, float(rng.uniform(0.5, 1.2)))
-        add("multipliers", m_map, 2, i)
+    for fs in factors:
+        drawn["multipliers"].append((draw(fs.u, dim, 2, float(rng.uniform(0.5, 1.2))), 2))
         raw = rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
         norm = op_norm(MultilinearMap(raw, 1))
         bils.append(raw / norm * float(rng.uniform(0.5, 1.5)))
         raw2 = rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
         beta2s.append(raw2 / op_norm(MultilinearMap(raw2, 1)) * float(rng.uniform(0.5, 2.0)))
-        add("ml_args1", _draw_poly(rng, fs.u, dim, 2, 1.0), 2, i)
-        add("ml_args2", _draw_poly(rng, fs.u, dim, 2, 1.0), 2, i)
-        for fname in ("one", "gauss"):
-            for ell in (0, 1, 2):
-                dom_mult.setdefault((fname, ell), []).append(
-                    crude_sup_bound(m_map, ell)
-                )
-    for (fname, ell), ks in dom_mult.items():
-        base = family.member(fname)
-        gw = FamilyWeight(
-            f"dom_mult_{fname}_{ell}",
-            tuple(
-                scaled_weight(base.factors[i], ks[i], name=f"dom_mult_{fname}_{ell}")
-                for i in range(n)
-            ),
-        )
-        dominance.append(
-            DominanceCertificate(base, ell, gw, tuple(ks), context="multiplier")
-        )
-
+        drawn["ml_args1"].append((draw(fs.u, dim, 2, 1.0), 2))
+        drawn["ml_args2"].append((draw(fs.u, dim, 2, 1.0), 2))
     # one-variable superposition family with uniform bounds
-    sigmas = []
-    for i, fs in enumerate(factors):
-        sigmas.append(
-            _draw_poly(rng, fs.v.as_box(), dim, 3, 0.8, y_block=(0, dim))
-        )
+    sigma_draws = [draw(fs.v.as_box(), dim, 3, 0.8, y_block=(0, dim)) for fs in factors]
+    # operator-valued element for the power-series path
+    q_targets, op_draws = [], []
+    for fs in factors:
+        q_targets.append(float(rng.uniform(0.3, 0.65)))
+        op_draws.append(draw(fs.u, dim * dim, 2, 1.0))
+
+    maps = _rescaled(draws)
+    el: dict[str, list[tuple[JetMap, int]]] = {
+        key: [(maps[k], order) for k, order in v] for key, v in drawn.items()
+    }
+    # the contraction elements are scaled below both caps, and the
+    # operator-valued one to q_i through per-row entry bounds of its matrix
+    # sup-operator norm
+    pms, ops = [maps[k] for _, k, _, _ in contractions], [maps[k] for k in op_draws]
+    ents = _entry_bounds([(m, 0) for m in pms + ops] + [(m, 1) for m in pms])
+    e0s, op_ents, e1s = ents[:len(pms)], ents[len(pms):-len(pms)], ents[-len(pms):]
+    for (key, _, f11, f10), pm, e0, e1 in zip(contractions, pms, e0s, e1s):
+        b0, b1 = _row_sum_max(e0), _row_sum_max(e1)
+        scale = min(f11 / b1 if b1 > 0 else 1.0, f10 / b0 if b0 > 0 else 1.0)
+        el[key].append((ScaledMap(pm, scale), 2))
+    for raw, eb, q_i in zip(ops, op_ents, q_targets):
+        bound = float(np.max(eb.reshape(dim, dim).sum(axis=1)))
+        el["op_gammas"].append((ScaledMap(raw, q_i / bound if bound > 0 else 1.0), 0))
+    # the difference maps are built only for their bounds
+    diff_maps = {
+        key: [SumMap([el[a][i][0], ScaledMap(el[b][i][0], -1.0)]) for i in range(n)]
+        for key, (a, b) in DIFFERENCE_ROWS.items()
+    }
+
+    xis_m = [maps[k] for k in xi_draws]
+    mults = [m for m, _ in el["multipliers"]]
+    sigmas = [maps[k] for k in sigma_draws]
+    bound = _crude_bounds(
+        [(m, ell) for key, ms in el.items() for m, _ in ms for _, ell in READS[key]]
+        + [(m, ell) for key, ms in diff_maps.items() for m in ms for _, ell in READS[key]]
+        + [(xi, ell) for xi in xis_m for ell in (1, 2, *(e for (e,) in READS["xis"]))]
+        + [(m, ell) for m in mults for ell in (0, 1, 2)]
+        + [(s, ell) for s in sigmas for (ell,) in READS["sigma_k"]]
+    )
+    weights_at = [{m.name: m.factors[i] for m in family.members} for i in range(n)]
+
+    def rows(key: str, i: int, map_: JetMap) -> Certificates:
+        """The rows ``READS[key]`` of factor i: the weight's certified sup
+        times the crude bound of the order."""
+        return tuple((name, ell, weights_at[i][name].certified_sup * bound[id(map_), ell])
+                     for name, ell in READS[key])
+
+    elems = {
+        key: [WeightedFunction(m, getattr(factors[i], f"grid_{ELEMENT_GRIDS[key]}"), order,
+                               rows(key, i, m))
+              for i, (m, order) in enumerate(ms)]
+        for key, ms in el.items()
+    }
+    diffs = {key: [rows(key, i, m) for i, m in enumerate(ms)] for key, ms in diff_maps.items()}
+    xis = [
+        SuperpositionOperand(xi, fs.u, fs.v,
+                             tuple((ell, bound[id(xi), ell]) for (ell,) in READS["xis"]),
+                             crude_partial2_sup(xi))
+        for xi, fs in zip(xis_m, factors)
+    ]
+
+    dominance = []
+    for context, prefix, ms, orders in (("sp", "dom_sp", xis_m, (1, 2)),
+                                        ("multiplier", "dom_mult", mults, (0, 1, 2))):
+        for fname in ("one", "gauss"):
+            base = family.member(fname)
+            for ell in orders:
+                ks = [bound[id(m), ell] for m in ms]
+                name = f"{prefix}_{fname}_{ell}"
+                gw = FamilyWeight(name, tuple(
+                    scaled_weight(base.factors[i], ks[i], name=name) for i in range(n)))
+                dominance.append(DominanceCertificate(base, ell, gw, tuple(ks), context=context))
+
     sigma_k = tuple(
-        (ell, max(crude_sup_bound(s, ell) for s in sigmas)) for (ell,) in READS["sigma_k"]
+        (ell, max(bound[id(s), ell] for s in sigmas)) for (ell,) in READS["sigma_k"]
     )
     base_one = family.member("one")
     k1 = sigma_k[0][1]
@@ -867,18 +909,6 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
             context="uniform-k",
         )
     )
-
-    # operator-valued element for the power-series path
-    q_targets = []
-    for i, fs in enumerate(factors):
-        q_i = float(rng.uniform(0.3, 0.65))
-        raw = _draw_poly(rng, fs.u, dim * dim, 2, 1.0)
-        # bound the matrix sup-operator norm by per-row entry bounds
-        eb = _entry_bounds(raw, 0).reshape(dim, dim)
-        bound = float(np.max(eb.sum(axis=1)))
-        scale = q_i / bound if bound > 0 else 1.0
-        add("op_gammas", ScaledMap(raw, scale), 0, i)
-        q_targets.append(q_i)
     op_q = max(q_targets)
 
     factorizations = (
@@ -978,23 +1008,22 @@ def _run_seminorms(sc: FamilyScenario) -> list[CheckReport]:
     out.append(
         seminorm_axioms_check(sc.comp_gammas[0], sc.comp_gamma0s[0], gauss0, 1)
     )
-    decomp = []
-    for i in range(sc.n_factors):
-        for w in (sc.fw("one").factors[i], sc.fw("gauss").factors[i]):
-            for ell in (0, 1):
-                decomp.append(decomposition_check(sc.comp_gammas[i], w, ell))
-    out.append(merge_min_margin("lem:topologische_Zerlegung_von_CFk", decomp))
+    fws = (sc.fw("one"), sc.fw("gauss"))
+    pairs = [(wf, fw.factors[i]) for i, wf in enumerate(sc.comp_gammas.factors) for fw in fws]
+    decomp = {ell: decomposition_checks([wf for wf, _ in pairs], [w for _, w in pairs], ell)
+              for ell in (0, 1)}
+    out.append(merge_min_margin("lem:topologische_Zerlegung_von_CFk",
+                                [decomp[ell][k] for k in range(len(pairs)) for ell in (0, 1)]))
 
+    # the family reduction identity: order ell + 1 of the element against
+    # order ell of its differentials
+    diffs = RestrictedElement(tuple(f.differential() for f in sc.comp_gammas.factors))
+    lhs = {ell: family_seminorms([(sc.comp_gammas, fw) for fw in fws], ell + 1) for ell in (0, 1)}
+    rhs = {ell: family_seminorms([(diffs, fw) for fw in fws], ell) for ell in (0, 1)}
     fam_dev = 0.0
-    for name in ("one", "gauss"):
-        fw = sc.fw(name)
+    for k in range(len(fws)):
         for ell in (0, 1):
-            lhs = family_seminorm(sc.comp_gammas, fw, ell + 1).value
-            diffs = RestrictedElement(
-                tuple(f.differential() for f in sc.comp_gammas.factors)
-            )
-            rhs = family_seminorm(diffs, fw, ell).value
-            fam_dev = max(fam_dev, abs(lhs - rhs))
+            fam_dev = max(fam_dev, abs(lhs[ell][k].value - rhs[ell][k].value))
     out.append(
         identity_report(
             "prop:Zerlegungssatz_Familie", fam_dev, tolerance=1e-12,
@@ -1027,12 +1056,13 @@ def _run_seminorms(sc: FamilyScenario) -> list[CheckReport]:
 
     rows = [(i, ell) for i in range(sc.n_factors) for ell in (0, 1)]
     om = sc.fw("omega").factors
+    one = {ell: weighted_seminorms(sc.gammas.factors, sc.fw("one").factors, ell)
+           for ell in (0, 1)}
+    adj = {ell: weighted_seminorms(sc.gammas.factors, om, ell) for ell in (0, 1)}
     out.append(bound_rows(
         "bem:konstantes-1-Gew_adjust-weight",
-        [weighted_seminorm(sc.gammas[i], sc.fw("one").factors[i], ell).value
-         for i, ell in rows],
-        [weighted_seminorm(sc.gammas[i], om[i], ell).value / om[i].certified_inf
-         for i, ell in rows],
+        [one[ell][i].value for i, ell in rows],
+        [adj[ell][i].value / om[i].certified_inf for i, ell in rows],
         tolerance=1e-12, lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
         witness=lambda k: rows[k],
     ))
@@ -1269,23 +1299,21 @@ def _run_family(sc: FamilyScenario) -> list[CheckReport]:
     fw_one, fw_gauss = sc.fw("one"), sc.fw("gauss")
     elem = sc.gammas
 
-    fam = family_seminorm(elem, fw_gauss, 0)
-    explicit = max(
-        weighted_seminorm(elem[i], fw_gauss.factors[i], 0).value
-        for i in range(len(elem))
-    )
-    dev = abs(fam.value - explicit)
     order = list(reversed(range(len(elem))))
     perm_elem = RestrictedElement(tuple(elem.factors[i] for i in order))
     perm_fw = FamilyWeight("gauss_perm", tuple(fw_gauss.factors[i] for i in order))
-    dev = max(dev, abs(family_seminorm(perm_elem, perm_fw, 0).value - fam.value))
     aug_elem = RestrictedElement(
         elem.factors
         + (WeightedFunction(ConstMap(sc.factors[0].u, np.zeros(sc.dim)),
                             sc.factors[0].grid_u, 2),)
     )
     aug_fw = FamilyWeight("gauss_aug", fw_gauss.factors + (fw_gauss.factors[0],))
-    dev = max(dev, abs(family_seminorm(aug_elem, aug_fw, 0).value - fam.value))
+    fam, perm, aug = family_seminorms(
+        [(elem, fw_gauss), (perm_elem, perm_fw), (aug_elem, aug_fw)], 0)
+    explicit = max(sv.value for sv in weighted_seminorms(elem.factors, fw_gauss.factors, 0))
+    dev = abs(fam.value - explicit)
+    dev = max(dev, abs(perm.value - fam.value))
+    dev = max(dev, abs(aug.value - fam.value))
     out.append(
         identity_report(
             "def:family_seminorm", dev, tolerance=0.0,
@@ -1395,16 +1423,17 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
 
     rows, lhs, rhs = [], [], []
     slab = 0.5
-    for i in range(sc.n_factors):
-        m = sc.multipliers[i].map
+    orders = (1, 2) if sc.dim == 1 else (1,)
+    ms = [wf.map for wf in sc.multipliers.factors]
+    # k[ell][i] bounds |Dm_i|_(1, ell - 1)
+    k = {ell: crude_sup_bounds(ms, ell) for ell in range(1, orders[-1] + 2)}
+    for i, m in enumerate(ms):
         dmap = PairedDerivativeMap(DifferentialMap(m), "evaluate", slab)
         grid = lattice(dmap.domain, per_axis=3 if sc.dim == 1 else 2)
-        for ell in (1, 2) if sc.dim == 1 else (1,):
+        for ell in orders:
             rows.append((i, ell))
             lhs.append(op_norms(dmap.tensors(grid.points, ell)).max())
-            k_prev = crude_sup_bound(m, ell)      # bounds |Dm|_(1, l-1)
-            k_curr = crude_sup_bound(m, ell + 1)  # bounds |Dm|_(1, l)
-            rhs.append(ell * k_prev + slab * k_curr)
+            rhs.append(ell * k[ell][i] + slab * k[ell + 1][i])
     out.append(bound_rows(
         "lem:vergleich_Bedingungen_simultane-multiplier_simu-Supo", lhs, rhs,
         tolerance=1e-9, lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
@@ -1412,12 +1441,12 @@ def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
     ))
 
     k1 = require_row(sc.sigma_k, 1)
-    lhs, rhs = [], []
-    for i in range(sc.n_factors):
-        composed = ComposeMap(sc.sigmas[i], sc.gammas[i].map)
-        res = WeightedFunction(composed, sc.factors[i].grid_u, 2)
-        lhs.append(weighted_seminorm(res, fw_gauss.factors[i], 0).value)
-        rhs.append(k1 * sc.gammas[i].require_bound("gauss", 0))
+    composed = [
+        WeightedFunction(ComposeMap(sc.sigmas[i], sc.gammas[i].map), sc.factors[i].grid_u, 2)
+        for i in range(sc.n_factors)
+    ]
+    lhs = [sv.value for sv in weighted_seminorms(composed, fw_gauss.factors, 0)]
+    rhs = [k1 * wf.require_bound("gauss", 0) for wf in sc.gammas.factors]
     out.append(bound_rows(
         "cor:simultane_SP_BCinf0_einfach", lhs, rhs, tolerance=1e-9,
         lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
@@ -1682,11 +1711,14 @@ def _nonfinite_at(node, key=None) -> str | None:
 
 
 def _domain_from_dict(d: dict, path: str, dim: int) -> DomainSet:
-    """A box or ball in dimension ``dim`` whose bounding box has finite
-    widths, so that probes drawn inside it are finite."""
+    """A sup-norm box or ball in dimension ``dim`` whose bounding box has
+    finite widths, so that probes drawn inside it are finite.  The runners
+    need the sup norm on every factor domain: they rewrite U and V as boxes
+    (``product_box``, the sigmas' domain), add V + U and V~ + a ball of U
+    as Minkowski sums, and take order-2 seminorms on W's grid."""
     kind, norm = _at(d, "kind", path), d.get("norm", SUP)
-    if norm not in (SUP, EUCLIDEAN):
-        raise DataError(f"{path}/norm: must be {SUP!r} or {EUCLIDEAN!r}, got {norm!r}")
+    if norm != SUP:
+        raise DataError(f"{path}/norm: must be {SUP!r}, got {norm!r}")
     try:
         if kind == "box":
             dom = box(_floats(d, "lo", path, dim), _floats(d, "hi", path, dim), norm)

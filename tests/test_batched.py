@@ -31,6 +31,7 @@ import math
 import os
 import re
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -1155,23 +1156,35 @@ def _rows_match_oracle(stack, out_rank, norm_kind=SUP) -> bool:
     return _same_bits(op_norms(stack, out_rank, norm_kind), want)
 
 
+def _op_norms_callers() -> dict:
+    """Every loaded module of ``wrp`` that binds ``op_norms``: the one that
+    defines it, whose ``op_norm`` is a batch of one, and each importer
+    (``run_suite``'s module loads every module a run uses)."""
+    return {name: mod for name, mod in sorted(sys.modules.items())
+            if name.startswith("wrp.") and getattr(mod, "op_norms", None) is op_norms}
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_op_norms_rows_match_oracle_on_scenario_stacks(seed, monkeypatch):
-    """Every stack ``weighted_seminorm`` and the jets and sim runners pass
-    to ``op_norms`` in a full run of the seed."""
-    import wrp.seminorms
-    import wrp.verify
-
-    stacks = {"seminorms": [], "verify": []}
-    for name, mod in (("seminorms", wrp.seminorms), ("verify", wrp.verify)):
+    """Every stack that any module passes to ``op_norms`` in a full run of
+    the seed: the stacked weighted seminorms, the jets and sim runners and
+    every ``op_norm`` batch of one."""
+    callers = _op_norms_callers()
+    assert {"wrp.jets", "wrp.seminorms", "wrp.verify"} <= set(callers)
+    stacks = {name: [] for name in callers}
+    for name, mod in callers.items():
         def record(entries, out_rank=1, norm_kind=SUP, _seen=stacks[name]):
             _seen.append((np.array(entries), out_rank, norm_kind))
             return op_norms(entries, out_rank, norm_kind)
         monkeypatch.setattr(mod, "op_norms", record)
     run_suite([ScenarioUnit(seed=seed)])
-    assert len(stacks["seminorms"]) > 100 and len(stacks["verify"]) >= 2
-    for stack, out_rank, norm_kind in stacks["seminorms"] + stacks["verify"]:
-        assert _rows_match_oracle(stack, out_rank, norm_kind), (stack.shape, out_rank)
+    # the seminorms of a check's families and factors are one stack per
+    # order: seeds 0..9 pass 54 to 66 stacks to op_norms in wrp.seminorms
+    assert len(stacks["wrp.seminorms"]) >= 50 and len(stacks["wrp.verify"]) >= 2
+    assert len(stacks["wrp.jets"]) >= 20
+    for name, seen in stacks.items():
+        for stack, out_rank, norm_kind in seen:
+            assert _rows_match_oracle(stack, out_rank, norm_kind), (name, stack.shape, out_rank)
 
 
 def _random_stack(rng, shape):

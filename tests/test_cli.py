@@ -350,6 +350,8 @@ class TestIngestErrors:
         (lambda d: d["factors"][0]["u"]["lo"].__setitem__(0, d["factors"][0]["u"]["hi"][0]),
          "/factors/0/u"),
         (lambda d: d["factors"][1]["v"].__setitem__("norm", "l1"), "/factors/1/v/norm"),
+        (lambda d: d["factors"][0]["v"].__setitem__("norm", "euclidean"), "/factors/0/v/norm"),
+        (lambda d: d["factors"][0]["u"].__setitem__("norm", "euclidean"), "/factors/0/u/norm"),
         (lambda d: _gamma0_term(d)["coef"].__setitem__(0, 10**400), f"{GAMMA0}/coef/0"),
         (lambda d: d["sigmas"][0]["terms"][0]["coef"].__setitem__(0, 10**400),
          "/sigmas/0/terms/0/coef/0"),
@@ -435,7 +437,8 @@ class TestIngestErrors:
             "nan_bilinear", "string_beta2", "fractional_max_iters",
             "true_dim", "string_domain_bound", "infinite_ball_radius", "order_one_sup_1",
             "no_order_three_sup_1", "long_ball_center", "long_box_hi", "empty_box",
-            "unknown_norm", "huge_int_coefficient", "huge_int_sigma_coefficient",
+            "unknown_norm", "euclidean_v", "euclidean_u", "huge_int_coefficient",
+            "huge_int_sigma_coefficient",
             "true_coefficient", "string_coefficient", "null_weight_constant", "true_power", "fractional_power",
             "negative_power", "fractional_sigma_power", "one_ulp_box", "int_terms",
             "scalar_coefficient", "list_for_map", "list_gauss_a", "old_difference_maps",

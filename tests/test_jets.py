@@ -219,6 +219,20 @@ class TestBuiltins:
             with pytest.raises(ShapeError, match="carries no descriptor"):
                 map_to_desc(m)
 
+    def test_scaled_two_block_descriptor_keeps_in_blocks(self):
+        # map_to_desc writes the in_blocks of a scaled map at the top level
+        dom = box([-1.0, -2.0], [1.0, 2.0])
+        poly = PolynomialMap(dom, [([1.0, 0.5], (1, 2)), ([-0.5, 2.0], (0, 1))],
+                             in_blocks=(1, 1))
+        pts = np.array([[0.37, -1.2], [-0.9, 0.4]])
+        for m in (ScaledMap(poly, -0.5), ScaledMap(ScaledMap(poly, 2.0), 0.25)):
+            desc = map_to_desc(m)
+            back = map_from_desc(desc, dom)
+            assert back.in_blocks == (1, 1) and map_to_desc(back) == desc
+            for ell in range(3):
+                assert back.tensors(pts, ell).tobytes() == m.tensors(pts, ell).tobytes()
+            assert crude_partial2_sup(back) == crude_partial2_sup(m)
+
 
 class TestFiniteDifferences:
     def test_linear_exact(self):

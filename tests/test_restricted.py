@@ -262,10 +262,9 @@ class TestNeighborhoods:
         assert good.status == "pass"
 
     def test_euclidean_non_member_fails(self):
-        # the margin rows measure values in the sup norm, while V is a
-        # euclidean ball: (0.4, 0.4) has sup norm 0.4 and margin row
-        # 0.4 + (0.5 - 0.48) / 1.2 < 0.5, but euclidean norm 0.566 > 0.5,
-        # so only the membership of the value in tau V fails it
+        # the margin rows measure values in V's own norm: (0.4, 0.4) has
+        # euclidean norm 0.566, so its row 0.566 + (0.5 - 0.48) / 1.2 is
+        # above tau * d = 0.5 and fails with a negative margin
         u = box([-1.0, -1.0], [1.0, 1.0])
         eta = RestrictedElement(
             (WeightedFunction(ConstMap(u, [0.4, 0.4]), lattice(u, per_axis=3), 1),))
@@ -273,7 +272,18 @@ class TestNeighborhoods:
         v = ball([0.0, 0.0], 1.0, norm_kind="euclidean")
         rep = neighborhood_inclusion_check(eta, omega, [v], 0.5)
         assert rep.check_id == "incl:1-Kugel_f0-norm_sub_CFof"
-        assert rep.margin > 0 and rep.status == "fail"
+        assert rep.margin <= 0 and rep.status == "fail"
+        assert rep.margin == pytest.approx(0.5 - (0.32 ** 0.5 + 0.02 / 1.2), abs=1e-12)
+        assert rep.detail.startswith("factor 0: ")
+
+    def test_boundary_value_within_tolerance_is_not_a_member(self):
+        # the value 0.5 lies on the boundary of tau V = (-0.5, 0.5); its row
+        # 0.5 + s / w = 0.5 + 5e-14 passes within the tolerance 1e-12, so
+        # only the membership of the value in the open tau V fails it
+        omega = FamilyWeight("omega", (const_weight("omega", 1.0 - 1e-13),))
+        eta = RestrictedElement((WeightedFunction(ConstMap(U, [0.5]), GRID, 1),))
+        rep = neighborhood_inclusion_check(eta, omega, [ball([0.0], 1.0)], 0.5)
+        assert rep.status == "fail" and -1e-12 <= rep.margin <= 0
         assert rep.detail == "scaled-domain membership violated"
 
     def test_openness(self):

@@ -1,0 +1,405 @@
+"""The stacked passes carry the bits of their per-object loops.
+
+``crude_sup_bounds`` computes the entry bounds of every polynomial under a
+batch of maps in one kernel pass per order, and ``crude_sup_bound`` is a
+batch of one; ``weighted_seminorms`` takes the grid seminorms of a family's
+factors in one pass over the concatenated grids, and ``weighted_seminorm``,
+``family_seminorms`` (several families at one order) and
+``decomposition_checks`` build on it, each with a batch of one.  They are
+pinned here against the per-object loop they replace: values, argmax and
+witness bit for bit, and the same error on a NaN tensor, a NaN weight or
+an overflowing power.
+
+The generator and the runners must not fall back to the loops: a call of
+``crude_sup_bound`` in ``verify.py``, or of ``weighted_seminorm`` in
+``restricted.py`` or ``verify.py``, whose map or function varies with an
+enclosing loop is flagged on the syntax tree.
+"""
+
+import ast
+import math
+import pathlib
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wrp import jets
+from wrp.errors import DataError
+from wrp.jets import (
+    DifferentialMap,
+    PolynomialMap,
+    ScaledMap,
+    SumMap,
+    crude_sup_bound,
+    crude_sup_bounds,
+)
+from wrp.restricted import RestrictedElement, family_seminorm, family_seminorms
+from wrp.seminorms import (
+    WeightedFunction,
+    decomposition_check,
+    decomposition_checks,
+    lattice,
+    weighted_seminorm,
+    weighted_seminorms,
+)
+from wrp.spaces import MAX_POWER, FamilyWeight, Weight, box, const_weight, gaussian_weight
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wrp"
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# ---------------------------------------------------------------------------
+# crude bounds
+
+
+def _poly_spec(rng, huge: bool):
+    m, n, n_terms = (int(rng.integers(1, 4)) for _ in range(3))
+    scale = 10.0 ** (int(rng.integers(100, 300)) if huge else int(rng.integers(-3, 4)))
+    lo = -scale * rng.uniform(0.5, 2.0, size=m)
+    hi = scale * rng.uniform(0.5, 2.0, size=m)
+    top = MAX_POWER if rng.random() < 0.3 else 4
+    terms = []
+    for _ in range(n_terms + 1):
+        coef = rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 4))
+        coef[rng.random(n) < 0.2] = 0.0  # 0 * an overflowing power is NaN
+        terms.append((coef, tuple(int(p) for p in rng.integers(0, top + 1, size=m))))
+    return lo, hi, terms
+
+
+def _build(spec):
+    """Fresh maps from a batch spec: nothing cached is shared with another
+    build of the same spec."""
+    polys = [PolynomialMap(box(lo, hi), terms) for lo, hi, terms in spec["polys"]]
+    maps = []
+    for kind, i, j, c in spec["maps"]:
+        p = polys[i]
+        if kind == "poly":
+            maps.append(p)
+        elif kind == "scaled":
+            maps.append(ScaledMap(p, c))
+        elif kind == "sum" and polys[j].dim == p.dim and polys[j].out_shape == p.out_shape:
+            maps.append(SumMap([p, ScaledMap(polys[j], -1.0)]))
+        else:
+            maps.append(DifferentialMap(p))
+    return maps
+
+
+@st.composite
+def _batches(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    huge = draw(st.booleans())
+    n_polys = int(rng.integers(1, 5))
+    polys = [_poly_spec(rng, huge and rng.random() < 0.5) for _ in range(n_polys)]
+    maps = [
+        (str(rng.choice(["poly", "scaled", "sum", "diff"])), int(rng.integers(n_polys)),
+         int(rng.integers(n_polys)), float(rng.normal()))
+        for _ in range(int(rng.integers(1, 7)))
+    ]
+    return {"polys": polys, "maps": maps}, draw(st.integers(0, 3))
+
+
+def _singles(spec, ell):
+    """One ``crude_sup_bound`` per map, each on its own fresh build: the
+    per-map loop, with an OverflowError in place of a bound."""
+    out = []
+    for k in range(len(spec["maps"])):
+        try:
+            out.append(crude_sup_bound(_build(spec)[k], ell))
+        except OverflowError as exc:
+            out.append(exc)
+    return out
+
+
+@given(_batches())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_crude_sup_bounds_match_the_per_map_loop(batch):
+    spec, ell = batch
+    with np.errstate(all="ignore"):
+        want = _singles(spec, ell)
+        if any(isinstance(w, OverflowError) for w in want):
+            # libm pow overflows at an order >= 1 as the one-point kernel does
+            with pytest.raises(OverflowError):
+                crude_sup_bounds(_build(spec), ell)
+            return
+        got = crude_sup_bounds(_build(spec), ell)
+    assert [_bits(g) for g in got] == [_bits(w) for w in want]
+
+
+@given(_batches())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_polynomial_bounds_match_the_one_point_kernel(batch):
+    """Each polynomial of a stack against ``_poly_tensors`` at its corner,
+    the kernel of the map's own evaluation: overflows to inf (and NaN from
+    a zero coefficient) included."""
+    spec, ell = batch
+    polys = [PolynomialMap(box(lo, hi), terms) for lo, hi, terms in spec["polys"]]
+    with np.errstate(all="ignore"):
+        try:
+            want = [
+                jets._poly_tensors(pm, np.abs(pm._coefs), jets._axis_sups(pm.domain)[None], ell)
+                [0].reshape(pm.out_dim, -1)
+                for pm in polys
+            ]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                jets._poly_bounds([(pm.domain, pm._coefs, pm._power_key) for pm in polys], ell)
+            return
+        got = jets._poly_bounds([(pm.domain, pm._coefs, pm._power_key) for pm in polys], ell)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_huge_boxes_overflow_to_inf_at_order_zero():
+    dom = box([-1e300], [1e300])
+    pm = PolynomialMap(dom, [(np.array([1.0, 0.0]), (MAX_POWER,))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        (ent,) = jets._poly_bounds([(dom, pm._coefs, pm._power_key)], 0)
+        bounds = crude_sup_bounds([pm, ScaledMap(pm, 2.0)], 0)
+    # a zero coefficient times the infinite power is NaN, and the max of
+    # the row sums carries it
+    assert ent[0, 0] == math.inf and math.isnan(ent[1, 0])
+    assert all(math.isnan(b) for b in bounds)
+    with pytest.raises(OverflowError):
+        crude_sup_bounds([pm], 1)
+
+
+def test_one_pass_per_order(monkeypatch):
+    """A batch runs the polynomial kernel once per order, and a cached
+    order not at all."""
+    calls = []
+    kernel = jets._poly_bounds
+    monkeypatch.setattr(jets, "_poly_bounds",
+                        lambda polys, ell: calls.append((len(polys), ell)) or kernel(polys, ell))
+    dom = box([-1.0, -2.0], [1.0, 2.0])
+    p = PolynomialMap(dom, [(np.array([1.0]), (1, 2)), (np.array([-2.0]), (0, 1))])
+    q = PolynomialMap(dom, [(np.array([0.5]), (3, 0))])
+    maps = [p, ScaledMap(q, 3.0), SumMap([p, ScaledMap(q, -1.0)]), DifferentialMap(q)]
+    crude_sup_bounds(maps, 1)
+    assert calls == [(2, 1), (1, 2)]
+    crude_sup_bounds(maps, 1)
+    assert calls == [(2, 1), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# family seminorms
+
+
+@st.composite
+def _families(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 6))
+    ell = int(rng.integers(0, 3))
+    wfs, weights = [], []
+    for _ in range(n):
+        if wfs and rng.random() < 0.3:
+            # an exact copy of an earlier factor: a tie
+            k = int(rng.integers(len(wfs)))
+            wfs.append(wfs[k])
+            weights.append(weights[k])
+            continue
+        m, out = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        norm = "euclidean" if ell <= 1 and rng.random() < 0.3 else "sup"
+        dom = box([-1.0] * m, [float(rng.uniform(0.5, 2.0))] * m, norm)
+        terms = [(rng.normal(size=out), tuple(int(p) for p in rng.integers(0, 4, size=m)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        wfs.append(WeightedFunction(PolynomialMap(dom, terms), lattice(dom, per_axis=3), 2))
+        kind = rng.integers(3)
+        weights.append(
+            const_weight("w", float(rng.uniform(0.0, 2.0))) if kind == 0
+            else gaussian_weight("w", float(rng.uniform(0.0, 1.0)), dom) if kind == 1
+            else Weight("w", lambda x: math.inf if x[0] > 0.6 else 1.0))
+    return wfs, weights, ell
+
+
+def _family_loop(wfs, weights, ell):
+    """The per-factor loop: one seminorm per factor, the first factor with
+    the largest value kept."""
+    values = [weighted_seminorm(wf, w, ell) for wf, w in zip(wfs, weights)]
+    best, arg, witness = -1.0, 0, None
+    for i, sv in enumerate(values):
+        if sv.value > best:
+            best, arg, witness = sv.value, i, sv.witness
+    return values, (best, arg, witness)
+
+
+@given(_families())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_family_seminorm_matches_the_per_factor_loop(family):
+    wfs, weights, ell = family
+    values, (best, arg, witness) = _family_loop(wfs, weights, ell)
+    got = weighted_seminorms(wfs, weights, ell)
+    assert [(_bits(s.value), s.witness, s.kind) for s in got] == [
+        (_bits(s.value), s.witness, s.kind) for s in values]
+    elem, fw = RestrictedElement(tuple(wfs)), FamilyWeight("w", tuple(weights))
+    fam = family_seminorm(elem, fw, ell)
+    assert (_bits(fam.value), fam.argmax, fam.witness) == (_bits(best), arg, witness)
+    # several families in one pass: each as it is alone
+    rev = (RestrictedElement(tuple(reversed(wfs))), FamilyWeight("v", tuple(reversed(weights))))
+    pairs = [(elem, fw), rev, (RestrictedElement(tuple(wfs[:1])), FamilyWeight("u", fw.factors[:1]))]
+    stacked = family_seminorms(pairs, ell)
+    assert [(f.weight_name, _bits(f.value), f.argmax, f.witness) for f in stacked] == [
+        (f.weight_name, _bits(f.value), f.argmax, f.witness)
+        for f in (family_seminorm(e, w, ell) for e, w in pairs)]
+    if ell == 0:  # the euclidean norm stops at order 1
+        def key(r):  # an infinite weight makes inf - inf: NaN lhs and margin
+            return r.status, _bits(r.lhs), _bits(r.rhs), _bits(r.margin), r.detail
+        assert [key(r) for r in decomposition_checks(wfs, weights, ell)] == [
+            key(decomposition_check(wf, w, ell)) for wf, w in zip(wfs, weights)]
+
+
+def test_ties_keep_the_first_factor_and_point():
+    dom = box([-1.0], [1.0])
+    wf = WeightedFunction(PolynomialMap(dom, [(np.array([1.0]), (2,))]), lattice(dom, per_axis=5), 1)
+    fam = family_seminorm(RestrictedElement((wf, wf, wf)),
+                          FamilyWeight("one", (const_weight("one", 1.0),) * 3), 0)
+    assert (fam.argmax, fam.witness) == (0, tuple(wf.grid.points[0]))
+    assert weighted_seminorms([], [], 0) == []
+
+
+def _nan_family(where: str):
+    dom = box([-1.0], [1.0])
+    grid = lattice(dom, per_axis=4)
+    ok = WeightedFunction(PolynomialMap(dom, [(np.array([1.0]), (1,))]), grid, 1)
+    nan_map = WeightedFunction(PolynomialMap(dom, [(np.array([math.nan]), (1,))]), grid, 1)
+    one = const_weight("one", 1.0)
+    nan_w = Weight("spiky", lambda x: math.nan if x[0] > 0.5 else 1.0)
+    if where == "tensor":
+        return [ok, nan_map, ok], [one, one, one]
+    return [ok, ok, ok], [one, nan_w, one]
+
+
+@pytest.mark.parametrize("where, message", [
+    ("tensor", "order-0 tensor has a NaN entry at grid point [-0.6]"),
+    ("weight", "weight 'spiky' evaluated to NaN at [0.6000000000000001]"),
+])
+def test_nan_raises_what_the_loop_raised(where, message):
+    wfs, weights = _nan_family(where)
+    with pytest.raises(DataError) as loop:
+        _family_loop(wfs, weights, 0)
+    with pytest.raises(DataError) as stacked:
+        weighted_seminorms(wfs, weights, 0)
+    assert str(stacked.value) == str(loop.value) == message
+
+
+# ---------------------------------------------------------------------------
+# no per-object loops
+
+
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _bound_names(nodes) -> set[str]:
+    """Names that assignments, loops and comprehensions in ``nodes`` bind."""
+    out = set()
+    for part in nodes:
+        for n in ast.walk(part):
+            if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                out.update(x for t in targets for x in _names(t))
+            elif isinstance(n, (ast.For, ast.comprehension)):
+                out.update(_names(n.target))
+            elif isinstance(n, ast.NamedExpr):
+                out.update(_names(n.target))
+    return out
+
+
+def _call_positions(tree, target: str) -> dict[str, set[int]]:
+    """``target`` and every function of the module that passes one of its
+    parameters on, directly or through another such function, as the
+    argument at a position of ``target`` that is checked."""
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    positions = {target: {0}}
+    changed = True
+    while changed:
+        changed = False
+        for fn in functions:
+            params = [a.arg for a in fn.args.args]
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id in positions and call.func.id != fn.name):
+                    continue
+                for pos in positions[call.func.id]:
+                    if pos >= len(call.args):
+                        continue
+                    for k, p in enumerate(params):
+                        if p in _names(call.args[pos]) and k not in positions.setdefault(
+                                fn.name, set()):
+                            positions[fn.name].add(k)
+                            changed = True
+    return positions
+
+
+def per_object_calls(source: str, target: str) -> list[int]:
+    """Lines of calls to ``target`` (or to a module function that passes
+    its parameter on to it) whose checked argument varies with an
+    enclosing loop or comprehension: it names the loop's target or a name
+    the loop binds."""
+    tree = ast.parse(source)
+    positions = _call_positions(tree, target)
+    lines = set()
+
+    def visit(node, varying: set[str]):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            varying = set()
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            varying = varying | _bound_names([node])
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            varying = varying | _bound_names(node.generators)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in positions):
+            if any(pos < len(node.args) and _names(node.args[pos]) & varying
+                   for pos in positions[node.func.id]):
+                lines.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, varying)
+
+    visit(tree, set())
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module, target", [
+    ("verify.py", "crude_sup_bound"),
+    ("verify.py", "weighted_seminorm"),
+    ("restricted.py", "weighted_seminorm"),
+])
+def test_no_per_object_loop(module, target):
+    assert per_object_calls((SRC / module).read_text(encoding="utf-8"), target) == []
+
+
+def test_detector_flags_the_per_object_patterns():
+    source = (
+        "def certified(map_, reads):\n"
+        "    return {ell: crude_sup_bound(map_, ell) for _, ell in reads}\n"
+        "def generate(factors, sigmas):\n"
+        "    for fs in factors:\n"
+        "        xi = draw(fs)\n"
+        "        sup_1 = [crude_sup_bound(xi, ell) for ell in (1, 2, 3)]\n"
+        "        rows = certified(xi, READS)\n"
+        "    k = max(crude_sup_bound(s, 1) for s in sigmas)\n"
+        "    def add(key, m):\n"
+        "        return certified(m, READS[key])\n"
+        "    for key in KEYS:\n"
+        "        add(key, maps[key])\n"
+        "    return k\n"
+        "def fine(xi, sigmas, elem, fw):\n"
+        "    sup_1 = tuple((ell, crude_sup_bound(xi, ell)) for ell in (1, 2, 3))\n"
+        "    ks = {ell: crude_sup_bounds(sigmas, ell) for ell in (1, 2)}\n"
+        "    return [sv.value for sv in weighted_seminorms(elem.factors, fw.factors, 0)]\n"
+        "def runner(elem, fw):\n"
+        "    return max(weighted_seminorm(elem[i], fw.factors[i], 0).value\n"
+        "               for i in range(len(elem)))\n"
+    )
+    assert per_object_calls(source, "crude_sup_bound") == [6, 7, 8, 12]
+    assert per_object_calls(source, "weighted_seminorm") == [19]
+
+
+def test_detector_ignores_unrelated_calls():
+    source = "for m in maps:\n    print(m)\n    crude_sup_bounds([m], 0)\n"
+    assert per_object_calls(source, "crude_sup_bound") == []
