@@ -194,10 +194,16 @@ def op_norm(t: MultilinearMap, norm_kind: str = SUP) -> float:
     return float(op_norms(t.entries[None], t.out_rank, norm_kind)[0])
 
 
+def opnorms_inf(mats) -> np.ndarray:
+    """:func:`opnorm_inf` of each matrix of an ``(N, n, m)`` stack: its
+    largest absolute row sum, 0.0 for an empty matrix; a NaN propagates."""
+    return np.abs(np.asarray(mats, dtype=float)).sum(axis=2).max(axis=1, initial=0.0)
+
+
 def opnorm_inf(a: np.ndarray) -> float:
-    """Matrix norm induced by the sup norm: maximum absolute row sum."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    return float(np.max(np.abs(a).sum(axis=1))) if a.size else 0.0
+    """Matrix norm induced by the sup norm: maximum absolute row sum.  A
+    batch of one of :func:`opnorms_inf`."""
+    return float(opnorms_inf(np.atleast_2d(np.asarray(a, dtype=float))[None])[0])
 
 
 def symmetrize(entries: np.ndarray, out_rank: int) -> tuple[np.ndarray, float]:

@@ -25,21 +25,23 @@ from .errors import (
     IterationError,
     PreconditionError,
     RangeEscapeError,
+    ShapeError,
     SpectralConditionError,
     TruncationError,
+    WrpError,
 )
 from .jets import (
     ComposeMap,
     JetMap,
     MultilinearMap,
     PairMap,
-    ScaledMap,
     SumMap,
     _fd_prefix,
     difference_map,
     identity_map,
     op_norm,
     opnorm_inf,
+    opnorms_inf,
 )
 from .report import (
     CERTIFIED_UPPER,
@@ -49,6 +51,7 @@ from .report import (
     bound_report,
     bound_rows,
     identity_report,
+    max_deviation,
     merge_min_margin,
     skipped_report,
 )
@@ -57,7 +60,7 @@ from .seminorms import (
     SampleGrid,
     WeightedFunction,
     require_row,
-    weighted_seminorm,
+    weighted_seminorms,
 )
 from .spaces import DomainSet, Weight
 
@@ -221,33 +224,40 @@ def superpose(
     # no certified rows: the estimates below state the bounds of the result
     result = WeightedFunction(result_map, gamma.grid, max_order)
 
+    # one seminorm pass per order for all weights, and one for the pair gap:
+    # the result's tensors are evaluated once per order
     reports: list[CheckReport] = []
-    for w in weights:
-        lhs = weighted_seminorm(result, w, 0).value
+    if not weights:
+        return result, reports
+    n = len(weights)
+    lhs0 = weighted_seminorms([result] * n, weights, 0)
+    lhs1 = weighted_seminorms([result] * n, weights, 1) if max_order >= 1 else None
+    if pair is not None:
+        gamma_alt, diff = pair
+        alt_map = ComposeMap(op.xi, PairMap([identity_map(op.u), gamma_alt.map]))
+        gap = WeightedFunction(difference_map(result_map, alt_map), gamma.grid, 0)
+        gaps = weighted_seminorms([gap] * n, weights, 0)
+    for k, w in enumerate(weights):
         cert0 = gamma.require_bound(w.name, 0)
         reports.append(
             bound_report(
-                "est:f0-Norm_SPid", lhs, op.d2_sup * cert0, tolerance=1e-9,
+                "est:f0-Norm_SPid", lhs0[k].value, op.d2_sup * cert0, tolerance=1e-9,
                 lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
                 detail=f"weight {w.name}",
             )
         )
-        if max_order >= 1:
-            lhs1 = weighted_seminorm(result, w, 1).value
+        if lhs1 is not None:
             rhs1 = require_row(op.sup_1, 2) * cert0 + op.d2_sup * gamma.require_bound(w.name, 1)
             reports.append(
                 bound_report(
-                    "est:f1-Norm_SPid", lhs1, rhs1, tolerance=1e-9,
+                    "est:f1-Norm_SPid", lhs1[k].value, rhs1, tolerance=1e-9,
                     lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
                     detail=f"weight {w.name}",
                 )
             )
         if pair is not None:
-            gamma_alt, diff = pair
             dcert = require_row(diff, w.name, 0)
-            alt_map = ComposeMap(op.xi, PairMap([identity_map(op.u), gamma_alt.map]))
-            gap = WeightedFunction(difference_map(result_map, alt_map), gamma.grid, 0)
-            lhs_d = weighted_seminorm(gap, w, 0).value
+            lhs_d = gaps[k].value
             reports.append(
                 bound_report(
                     "est:f0-Norm_SPid-Differenz", lhs_d, op.d2_sup * dcert,
@@ -326,7 +336,12 @@ def compose_perturbed(
     gamma_lip = gamma.require_bound("one", 1)
     sup_bound = gamma_lip * sup(eta_vals) + sup(gamma.map.tensors(pts, 0))
     reports: list[CheckReport] = []
-    for wgt in weights:
+    if pair is not None and weights:
+        gamma0, eta0, gamma_diff, eta_diff = pair
+        other = ComposeMap(gamma0.map, SumMap([eta0.map, identity_map(u)]))
+        gapf = WeightedFunction(difference_map(result_map, other), eta.grid, 0)
+        gaps = weighted_seminorms([gapf] * len(weights), weights, 0)
+    for k, wgt in enumerate(weights):
         fx = np.abs(wgt.values(pts))
         reports.append(
             bound_rows(
@@ -336,10 +351,7 @@ def compose_perturbed(
             )
         )
         if pair is not None:
-            gamma0, eta0, gamma_diff, eta_diff = pair
-            other = ComposeMap(gamma0.map, SumMap([eta0.map, identity_map(u)]))
-            gapf = WeightedFunction(difference_map(result_map, other), eta.grid, 0)
-            lhs_d = weighted_seminorm(gapf, wgt, 0).value
+            lhs_d = gaps[k].value
             rhs_d = (gamma_lip * require_row(eta_diff, wgt.name, 0)
                      + require_row(gamma_diff, "one", 1) * eta0.require_bound(wgt.name, 0)
                      + require_row(gamma_diff, wgt.name, 0))
@@ -402,20 +414,42 @@ def neumann_terms(q: float) -> int:
     return n_terms
 
 
+def quasi_inverses(mats) -> np.ndarray:
+    """QI(a) = -(a + a^2 + ...) of each matrix ``a`` of an ``(N, k, k)``
+    stack, truncated so the geometric tail is below ``NEUMANN_TAIL``;
+    satisfies a + QI(a) - a QI(a) = 0 within twice the tail.
+
+    Each row takes its own truncation order from its own ``opnorm_inf``.
+    The rows that need a further power take it in one stacked ``@``, which
+    multiplies row by row as the one-matrix product does, so each row
+    carries the bits of a one-matrix power chain.  The first row whose norm
+    is not below 1, or that needs more than ``NEUMANN_MAX_TERMS`` terms,
+    raises what it raises alone."""
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim != 3:
+        raise ShapeError(f"quasi-inverses need an (N, k, k) stack, got shape {mats.shape}")
+    if mats.shape[1] != mats.shape[2]:
+        raise SpectralConditionError("quasi-inverse needs a square operator")
+    n_terms = np.array([neumann_terms(q) for q in opnorms_inf(mats).tolist()], dtype=int)
+    # rows by decreasing term count: the rows that take another power are a prefix
+    order = np.argsort(-n_terms, kind="stable")
+    base, counts = mats[order], n_terms[order]
+    power, acc = base.copy(), base.copy()
+    for step in range(1, counts.max(initial=1)):
+        live = int(np.count_nonzero(counts > step))
+        power[:live] = power[:live] @ base[:live]
+        acc[:live] += power[:live]
+    qi = np.empty_like(acc)
+    qi[order] = -acc
+    return qi
+
+
 def quasi_inverse(a):
-    """QI(a) = -(a + a^2 + ...) truncated so the geometric tail is below
-    ``NEUMANN_TAIL``; satisfies a + QI(a) - a QI(a) = 0 within twice the tail."""
+    """:func:`quasi_inverses` of a batch of one; a ``MultilinearMap``
+    comes back wrapped."""
     wrap = isinstance(a, MultilinearMap)
     mat = np.atleast_2d(np.asarray(a.entries if wrap else a, dtype=float))
-    if mat.shape[0] != mat.shape[1]:
-        raise SpectralConditionError("quasi-inverse needs a square operator")
-    n_terms = neumann_terms(opnorm_inf(mat))
-    power = mat.copy()
-    acc = mat.copy()
-    for _ in range(1, n_terms):
-        power = power @ mat
-        acc += power
-    qi = -acc
+    qi = quasi_inverses(mat[None])[0]
     if wrap:
         return MultilinearMap(qi, 1)
     return qi
@@ -454,59 +488,26 @@ class InverseMap(JetMap):
         return self.solves(np.asarray(y, dtype=float)[None])[0]
 
     def solves(self, points) -> list[tuple[np.ndarray, int, float]]:
-        """:meth:`solve` for every row of ``points``.  The unsolved rows
-        iterate together, each with its own escape check on every iterate,
-        stop test, iteration count and worst ratio, so row ``i`` carries
-        the bits of a one-point iteration.  A failure is raised for the
-        lowest-index failing row, with that row's index as ``row``; rows
-        after it are not solved or cached, as a per-point loop would stop
-        there."""
+        """:meth:`solve` for every row of ``points``: one
+        :func:`_fixed_points` pass over the uncached rows, so row ``i``
+        carries the bits of a one-point iteration.  A failure is raised for
+        the lowest-index failing row, with that row's index as ``row``;
+        rows after it are not solved or cached, as a per-point loop would
+        stop there."""
         points = np.asarray(points, dtype=float)
         keys = [y.tobytes() for y in points]
         rows = np.array([i for i, key in enumerate(keys) if key not in self._cache],
                         dtype=np.intp)
-        cfg = self.cfg
-        stop = cfg.fix_tol * (1.0 - cfg.tau) / cfg.tau
-        ys = points[rows]
-        x = ys.copy()
-        prev_inc = np.full(len(rows), np.nan)  # NaN: no previous increment
-        worst = np.zeros(len(rows))
-        iters = np.zeros(len(rows), dtype=int)
-        live = np.arange(len(rows))  # positions in ``rows`` still iterating
-        failed = None  # (position, error) of the lowest-index failing row
-        for it in range(1, cfg.max_iters + 1):
-            inside = self.u.members(x[live])
-            if not inside.all():
-                j = int(np.argmin(inside))
-                failed = (live[j], ContractionViolationError(
-                    f"iterate {x[live[j]].tolist()} escaped the domain; "
-                    "a certificate is wrong"
-                ))
-                live = live[:j]  # later rows cannot fail first
-            if not len(live):
-                break
-            xl = x[live]
-            x_next = ys[live] - self.phi.tensors(xl, 0)
-            inc = np.max(np.abs(x_next - xl), axis=1)
-            prev = prev_inc[live]
-            ratio = np.divide(inc, prev, out=np.zeros_like(inc), where=prev > 1e-14)
-            # max(worst, ratio) as Python takes it: a NaN ratio is skipped
-            worst[live] = np.where((prev > 1e-14) & (ratio > worst[live]), ratio, worst[live])
-            x[live] = x_next
-            iters[live] = it
-            prev_inc[live] = inc
-            live = live[~(inc <= stop)]
-        if len(live):
-            failed = (live[0], IterationError(
-                f"no convergence within {cfg.max_iters} iterations "
-                f"at {ys[live[0]].tolist()}"
-            ))
-        solved = len(rows) if failed is None else failed[0]
+        x, iters, worst, errors = _fixed_points(
+            points[rows], lambda xl, live: self.phi.tensors(xl, 0), self.u, self.cfg,
+            np.arange(len(rows)),
+        )
+        solved = min(errors, default=len(rows))
         for k in range(solved):
             self._cache[keys[rows[k]]] = (x[k].copy(), int(iters[k]), float(worst[k]))
-        if failed is not None:
-            failed[1].row = int(rows[failed[0]])
-            raise failed[1]
+        if errors:
+            errors[solved].row = int(rows[solved])
+            raise errors[solved]
         return [self._cache[key] for key in keys]
 
     def tensors(self, points, ell):
@@ -514,9 +515,57 @@ class InverseMap(JetMap):
         xs = np.array([x for x, _, _ in self.solves(points)])
         if ell == 0:
             return xs - points
-        return np.stack([
-            a @ quasi_inverse(-a) - a for a in self.phi.tensors(xs, 1)
-        ])
+        a = self.phi.tensors(xs, 1)
+        return a @ quasi_inverses(-a) - a
+
+
+def _fixed_points(ys, evaluate, u: DomainSet, cfg: ContractionConfig, groups):
+    """The fixed-point iteration x -> y - evaluate(x) of every row of
+    ``ys``, all unfinished rows together.  ``evaluate(xl, live)`` gives the
+    map's values at the iterates ``xl`` of the rows ``live``.  Each row has
+    its own escape check on every iterate, stop test, iteration count and
+    worst contraction ratio, so it carries the bits of a one-point
+    iteration.
+
+    Returns ``(x, iterations, worst ratio, errors)``; ``errors`` maps each
+    failed row to its ContractionViolationError or IterationError.  Once a
+    row fails, the rows of a later group (``groups`` is non-decreasing)
+    stop: no error of theirs can come first."""
+    stop = cfg.fix_tol * (1.0 - cfg.tau) / cfg.tau
+    x = ys.copy()
+    prev_inc = np.full(len(ys), np.nan)  # NaN: no previous increment
+    worst = np.zeros(len(ys))
+    iters = np.zeros(len(ys), dtype=int)
+    live = np.arange(len(ys))  # rows still iterating
+    errors: dict[int, WrpError] = {}
+    for it in range(1, cfg.max_iters + 1):
+        inside = u.members(x[live])
+        if not inside.all():
+            out = live[~inside]
+            first = groups[out[0]]
+            for k in out[groups[out] == first].tolist():
+                errors[k] = ContractionViolationError(
+                    f"iterate {x[k].tolist()} escaped the domain; a certificate is wrong"
+                )
+            live = live[inside & (groups[live] <= first)]
+        if not len(live):
+            break
+        xl = x[live]
+        x_next = ys[live] - evaluate(xl, live)
+        inc = np.max(np.abs(x_next - xl), axis=1)
+        prev = prev_inc[live]
+        ratio = np.divide(inc, prev, out=np.zeros_like(inc), where=prev > 1e-14)
+        # max(worst, ratio) as Python takes it: a NaN ratio is skipped
+        worst[live] = np.where((prev > 1e-14) & (ratio > worst[live]), ratio, worst[live])
+        x[live] = x_next
+        iters[live] = it
+        prev_inc[live] = inc
+        live = live[~(inc <= stop)]
+    for k in live.tolist():
+        errors[k] = IterationError(
+            f"no convergence within {cfg.max_iters} iterations at {ys[k].tolist()}"
+        )
+    return x, iters, worst, errors
 
 
 def invert_perturbed(
@@ -635,36 +684,68 @@ def inversion_direction_check(
     """Directional derivative of the inversion operator in its function
     argument against the closed form -(1 - QI(-D phi)) phi_1 composed with
     the inverse; the quasi-inverse sign is the one pinned by the algebra
-    relation (see the operator-domain notes)."""
+    relation (see the operator-domain notes).
+
+    The closed form is computed once, at the probes' fixed points of phi.
+    The inverses of phi +- t direction, for every step t the range check
+    admits, are solved in one fixed-point pass: rows by step, probe and
+    sign, each with its own shift c = +-t, and phi(x) + c direction(x)
+    summed as ``SumMap([phi, ScaledMap(direction, c)])`` sums it.  A failed
+    solve raises what a sweep of one step at a time raised: at the first
+    admitted step with a failing solve, the error of the least (probe,
+    map) in the order base, plus, minus.  Its ``row`` is the probe when
+    that sweep took it from a whole-probe solve, and 0 when from the
+    one-point replay of the probes before a failed one."""
     c11 = phi.require_bound("one", 1)
     d11 = direction.require_bound("one", 1)
     c10 = phi.require_bound("one", 0)
     d10 = direction.require_bound("one", 0)
-    base = InverseMap(phi.map, u, v, cfg)
+    probes = np.asarray(probes, dtype=float)
     steps = (0.05, 0.025, 0.0125, 0.00625)
-
-    def error_at(t):
-        if c11 + t * d11 >= cfg.tau or c10 + t * d10 >= cfg.r / 2 * (1 - cfg.tau):
-            raise RangeEscapeError("phi +- t direction leaves the operator domain")
-        plus = InverseMap(SumMap([phi.map, ScaledMap(direction.map, t)]), u, v, cfg)
-        minus = InverseMap(SumMap([phi.map, ScaledMap(direction.map, -t)]), u, v, cfg)
+    admitted = [t for t in steps
+                if not (c11 + t * d11 >= cfg.tau or c10 + t * d10 >= cfg.r / 2 * (1 - cfg.tau))]
+    errors: dict[float, float] = {}
+    if admitted:
+        if direction.map.out_shape != phi.map.out_shape or direction.map.dim != phi.map.dim:
+            raise ShapeError("summands must share domain and codomain")
+        base = InverseMap(phi.map, u, v, cfg)
         try:
             x_star = np.array([x for x, _, _ in base.solves(probes)])
-            fd = (plus.tensors(probes, 0) - minus.tensors(probes, 0)) / (2 * t)
+            base_error, n_probes = None, len(probes)
         except (ContractionViolationError, IterationError) as exc:
-            # as one probe at a time would, an earlier probe's failure in
-            # any of the three solves is raised first
-            for y in probes[:exc.row]:
-                for inv in (base, plus, minus):
-                    inv.solve(y)
-            raise
-        worst = 0.0
-        for a, dv, fd_y in zip(phi.map.tensors(x_star, 1),
-                               direction.map.tensors(x_star, 0), fd):
-            qi = quasi_inverse(-a)
-            exact = -((np.eye(a.shape[0]) - qi) @ dv)
-            worst = max(worst, float(np.max(np.abs(fd_y - exact))))
-        return worst
+            # only a solve of the first step at an earlier probe comes first
+            base_error, n_probes, admitted = exc, exc.row, admitted[:1]
+        n_steps = len(admitted)
+        ys = np.tile(np.repeat(probes[:n_probes], 2, axis=0), (n_steps, 1))
+        shifts = np.repeat([[t, -t] for t in admitted], n_probes, axis=0).reshape(-1)
+        groups = np.repeat(np.arange(n_steps), 2 * n_probes)
+        xs, _, _, failed = _fixed_points(
+            ys,
+            lambda xl, live: (phi.map.tensors(xl, 0)
+                              + shifts[live, None] * direction.map.tensors(xl, 0)),
+            u, cfg, groups,
+        )
+        if failed or base_error is not None:
+            step = min((int(groups[k]) for k in failed), default=0)
+            rows = sorted(k for k in failed if groups[k] == step)
+            if not rows:
+                raise base_error
+            k = rows[0]  # even rows are plus, odd rows minus
+            whole = base_error is None and (k % 2 == 0 or all(j % 2 for j in rows))
+            failed[k].row = (k - 2 * n_probes * step) // 2 if whole else 0
+            raise failed[k]
+        xs = xs.reshape(n_steps, n_probes, 2, -1)
+        two_t = 2 * np.array(admitted)[:, None, None]
+        fd = ((xs[:, :, 0] - probes) - (xs[:, :, 1] - probes)) / two_t
+        a = phi.map.tensors(x_star, 1)
+        dv = direction.map.tensors(x_star, 0)
+        exact = -((np.eye(a.shape[1]) - quasi_inverses(-a)) @ dv[:, :, None])[:, :, 0]
+        errors = {t: max_deviation(np.abs(fd[s] - exact)) for s, t in enumerate(admitted)}
+
+    def error_at(t):
+        if t not in errors:
+            raise RangeEscapeError("phi +- t direction leaves the operator domain")
+        return errors[t]
 
     # each quotient carries solver noise up to 2 fix_tol / (2t); below a few
     # times that floor the slope carries no information and the errors are

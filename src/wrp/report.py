@@ -127,6 +127,19 @@ def identity_report(
     )
 
 
+def deviation(a: float, b: float) -> float:
+    """How far the identity ``a == b`` between two grid values misses:
+    0.0 when they are equal (equal infinities included), else |a - b|,
+    which is NaN when either is NaN."""
+    return 0.0 if a == b else float(abs(a - b))
+
+
+def max_deviation(deviations) -> float:
+    """The largest of ``deviations``, 0.0 for none; a NaN propagates,
+    where Python's ``max`` keeps or drops it by its place."""
+    return float(np.max(np.asarray(deviations, dtype=float), initial=0.0))
+
+
 def skipped_report(check_id: str, reason: str) -> CheckReport:
     return CheckReport(
         check_id, SKIPPED, 0.0, 0.0, 0.0, 0.0, EXACT, EXACT, (), reason

@@ -32,7 +32,7 @@ from .jets import (
     ScaledMap,
     difference_map,
     op_norm,
-    opnorm_inf,
+    opnorms_inf,
 )
 from .operators import (
     NEUMANN_TAIL,
@@ -40,7 +40,7 @@ from .operators import (
     SuperpositionOperand,
     compose_perturbed,
     invert_perturbed,
-    quasi_inverse,
+    quasi_inverses,
     superpose,
     superpose_derivative_check,
 )
@@ -54,6 +54,7 @@ from .report import (
     bound_report,
     bound_rows,
     identity_report,
+    max_deviation,
     merge_min_margin,
     stacked_points,
 )
@@ -459,10 +460,8 @@ class PointwiseQIMap(JetMap):
     def tensors(self, points, ell):
         self._check_order(ell)
         p = self.op_dim
-        return np.stack([
-            quasi_inverse(a.reshape(p, p)).reshape(-1)
-            for a in self.base.tensors(points, 0)
-        ])
+        vals = self.base.tensors(points, 0)
+        return quasi_inverses(vals.reshape(len(vals), p, p)).reshape(len(vals), -1)
 
 
 def sim_power_series(
@@ -476,20 +475,26 @@ def sim_power_series(
     residuals = []
     out = []
     for i, wf in enumerate(x.factors):
-        for pt, val in zip(wf.grid.points, wf.map.tensors(wf.grid.points, 0)):
-            a = val.reshape(op_dim, op_dim)
-            norm_a = opnorm_inf(a)
-            if norm_a > q + 1e-12:
-                return RestrictedElement(tuple(out)), CheckReport(
-                    check_id, FAIL, norm_a, q, q - norm_a, 0.0,
-                    EXACT, CERTIFIED_UPPER, (i,) + tuple(pt.tolist()),
-                    "spectral certificate violated",
-                )
-            qi = quasi_inverse(a)
-            residuals.append(opnorm_inf(a + qi - a @ qi))
+        pts = wf.grid.points
+        a = wf.map.tensors(pts, 0).reshape(len(pts), op_dim, op_dim)
+        norms = opnorms_inf(a)
+        over = np.flatnonzero(norms > q + 1e-12)
+        # the points before a violating one are quasi-inverted first, so
+        # their errors come first
+        qi = quasi_inverses(a[:over[0]] if over.size else a)
+        if over.size:
+            k = int(over[0])
+            norm_a = float(norms[k])
+            return RestrictedElement(tuple(out)), CheckReport(
+                check_id, FAIL, norm_a, q, q - norm_a, 0.0,
+                EXACT, CERTIFIED_UPPER, (i,) + tuple(pts[k].tolist()),
+                "spectral certificate violated",
+            )
+        residuals.append(opnorms_inf(a + qi - a @ qi))
         out.append(
             WeightedFunction(PointwiseQIMap(wf.map, op_dim), wf.grid, 0)
         )
+    residuals = np.concatenate(residuals)
     return RestrictedElement(tuple(out)), bound_rows(
         check_id, residuals, np.full(len(residuals), 2.0 * NEUMANN_TAIL),
         tolerance=0.0, lhs_provenance=EXACT, rhs_provenance=EXACT,
@@ -578,12 +583,12 @@ def sim_invert(
     # assembled first-order jets on the argmax factor
     arg = family_seminorm(result, f, 0).argmax
     inv_map = result.factors[arg].map
-    chain_dev = 0.0
     ys = factors[arg].grid_vt.points[:: max(1, len(factors[arg].grid_vt) // 3)]
     x_star = np.array([x for x, _, _ in inv_map.solves(ys)])
-    for a, jet1 in zip(phi.factors[arg].map.tensors(x_star, 1), inv_map.tensors(ys, 1)):
-        chain = a @ quasi_inverse(-a) - a
-        chain_dev = max(chain_dev, float(np.max(np.abs(chain - jet1))))
+    a = phi.factors[arg].map.tensors(x_star, 1)
+    jet1 = inv_map.tensors(ys, 1)
+    chain = a @ quasi_inverses(-a) - a
+    chain_dev = max_deviation(np.abs(chain - jet1))
     reports.append(
         identity_report(
             "prop:Simultane_Inv-Kompo_glatt", chain_dev, tolerance=1e-12,

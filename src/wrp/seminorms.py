@@ -33,6 +33,7 @@ from .report import (
     CheckReport,
     bound_report,
     bound_rows,
+    deviation,
     identity_report,
     merge_min_margin,
 )
@@ -180,7 +181,8 @@ def weighted_seminorms(
     DataError naming the first grid point that has one: it must not drop
     out of the sup.  Every weight is evaluated on its whole grid, so a NaN
     weight value raises even where an earlier point already made the value
-    infinite.  The functions are stacked by tensor shape and norm kind
+    infinite.  A function given more than once (with several weights) is
+    evaluated once.  The functions are stacked by tensor shape and norm kind
     (usually one stack): one :func:`op_norms` call and one weight-value
     array per stack.  Errors come in this order: orders, tensors, NaN
     entries, then per stack operator norms and weights, each in function
@@ -191,7 +193,11 @@ def weighted_seminorms(
         if ell > wf.max_order:
             raise OrderError(f"order {ell} exceeds max order {wf.max_order}")
     grids = [wf.grid.points for wf, _ in pairs]
-    ts = [wf.map.tensors(pts, ell) for (wf, _), pts in zip(pairs, grids)]
+    evaluated: dict[int, np.ndarray] = {}  # a function given with several weights
+    for wf, _ in pairs:
+        if id(wf) not in evaluated:
+            evaluated[id(wf)] = wf.map.tensors(wf.grid.points, ell)
+    ts = [evaluated[id(wf)] for wf, _ in pairs]
     # one stack per tensor shape and norm kind, in function order
     groups: dict[tuple, list[int]] = {}
     for i, ((wf, _), t) in enumerate(zip(pairs, ts)):
@@ -239,7 +245,7 @@ def seminorm_axioms_check(
     alpha = -1.7
     na = weighted_seminorm(wf_a, weight, ell).value
     scaled = WeightedFunction(ScaledMap(wf_a.map, alpha), wf_a.grid, wf_a.max_order)
-    dev = abs(weighted_seminorm(scaled, weight, ell).value - abs(alpha) * na)
+    dev = deviation(weighted_seminorm(scaled, weight, ell).value, abs(alpha) * na)
     homog = identity_report(check_id, dev, tolerance=1e-12, detail="homogeneity")
     total = WeightedFunction(SumMap([wf_a.map, wf_b.map]), wf_a.grid,
                              min(wf_a.max_order, wf_b.max_order))
@@ -269,7 +275,7 @@ def decomposition_checks(
     return [
         identity_report(
             "lem:topologische_Zerlegung_von_CFk",
-            abs(a.value - b.value),
+            deviation(a.value, b.value),
             tolerance=tolerance,
             detail=f"reduction to lower order at l = {ell}",
         )
@@ -310,13 +316,12 @@ def pair_split_check(
     the component seminorms and recombination is bit-exact."""
     check_id = "lem:gewichtete_Abb_Produktisomorphie-endl"
     a, b = pair_split(wf)
-    whole = weighted_seminorm(wf, weight, ell).value
-    parts = max(
-        weighted_seminorm(a, weight, ell).value,
-        weighted_seminorm(b, weight, ell).value,
+    whole, part_a, part_b = (
+        sv.value for sv in weighted_seminorms([wf, a, b], [weight] * 3, ell)
     )
     norm_id = identity_report(
-        check_id, abs(whole - parts), tolerance=0.0, detail="max of block seminorms"
+        check_id, deviation(whole, max(part_a, part_b)), tolerance=0.0,
+        detail="max of block seminorms",
     )
     recombined = PairMap([a.map, b.map])
     probes = wf.grid.points[:: max(1, len(wf.grid.points) // 5)]

@@ -80,7 +80,9 @@ from .report import (
     CheckReport,
     bound_report,
     bound_rows,
+    deviation,
     identity_report,
+    max_deviation,
     merge_min_margin,
     skipped_report,
 )
@@ -1020,10 +1022,8 @@ def _run_seminorms(sc: FamilyScenario) -> list[CheckReport]:
     diffs = RestrictedElement(tuple(f.differential() for f in sc.comp_gammas.factors))
     lhs = {ell: family_seminorms([(sc.comp_gammas, fw) for fw in fws], ell + 1) for ell in (0, 1)}
     rhs = {ell: family_seminorms([(diffs, fw) for fw in fws], ell) for ell in (0, 1)}
-    fam_dev = 0.0
-    for k in range(len(fws)):
-        for ell in (0, 1):
-            fam_dev = max(fam_dev, abs(lhs[ell][k].value - rhs[ell][k].value))
+    fam_dev = max_deviation([deviation(lhs[ell][k].value, rhs[ell][k].value)
+                             for k in range(len(fws)) for ell in (0, 1)])
     out.append(
         identity_report(
             "prop:Zerlegungssatz_Familie", fam_dev, tolerance=1e-12,
@@ -1042,7 +1042,7 @@ def _run_seminorms(sc: FamilyScenario) -> list[CheckReport]:
     ).value
     out.append(
         identity_report(
-            "lem:CinfLinf_initial_CkLinf", abs(sn_full - sn_low), tolerance=0.0,
+            "lem:CinfLinf_initial_CkLinf", deviation(sn_full, sn_low), tolerance=0.0,
             detail="seminorm independent of the declared order cap",
         )
     )
@@ -1311,9 +1311,8 @@ def _run_family(sc: FamilyScenario) -> list[CheckReport]:
     fam, perm, aug = family_seminorms(
         [(elem, fw_gauss), (perm_elem, perm_fw), (aug_elem, aug_fw)], 0)
     explicit = max(sv.value for sv in weighted_seminorms(elem.factors, fw_gauss.factors, 0))
-    dev = abs(fam.value - explicit)
-    dev = max(dev, abs(perm.value - fam.value))
-    dev = max(dev, abs(aug.value - fam.value))
+    dev = max_deviation([deviation(fam.value, explicit), deviation(perm.value, fam.value),
+                         deviation(aug.value, fam.value)])
     out.append(
         identity_report(
             "def:family_seminorm", dev, tolerance=0.0,

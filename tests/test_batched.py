@@ -18,7 +18,10 @@ sums one tensor, within rounding elsewhere; the paired-derivative check
 over a point array against the merge of its one-point reports.  The
 per-instance caches of ``PolynomialMap.tensors``, the polynomial entry
 bounds and ``Weight.values`` hand back read-only arrays with the bits of
-an uncached evaluation, keyed by the exact input bits.  The stencils
+an uncached evaluation, keyed by the exact input bits.  Quasi-inverses
+(``quasi_inverses`` over a stack, of which ``quasi_inverse`` is a batch
+of one) carry the bits of the per-matrix Neumann power chain kept here,
+on random stacks and on every stack a scenario run of seeds 0..9 builds.  The stencils
 built from the cached offset table carry the bits of a list-built
 one-point stencil, signed zeros included, and ``validate_jet_map`` draws
 the probe stream of a one-row-at-a-time loop and raises what a
@@ -35,6 +38,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrp import jets
 from wrp.errors import (
@@ -46,6 +51,8 @@ from wrp.errors import (
     IterationError,
     OrderError,
     PreconditionError,
+    SpectralConditionError,
+    TruncationError,
     UnsupportedNormError,
 )
 from wrp.jets import (
@@ -71,13 +78,14 @@ from wrp.jets import (
     op_norm,
     op_norms,
     opnorm_inf,
+    opnorms_inf,
     uncurry_last,
     validate_jet_map,
     validate_jet_maps,
     xi2_pointwise_check,
     xi2_build,
 )
-from wrp.operators import ContractionConfig, InverseMap
+from wrp.operators import ContractionConfig, InverseMap, neumann_terms, quasi_inverses
 from wrp.restricted import PointwiseQIMap
 from wrp.report import bound_report, merge_min_margin
 from wrp.seminorms import WeightedFunction, lattice, weighted_seminorm
@@ -1178,9 +1186,10 @@ def test_op_norms_rows_match_oracle_on_scenario_stacks(seed, monkeypatch):
             return op_norms(entries, out_rank, norm_kind)
         monkeypatch.setattr(mod, "op_norms", record)
     run_suite([ScenarioUnit(seed=seed)])
-    # the seminorms of a check's families and factors are one stack per
-    # order: seeds 0..9 pass 54 to 66 stacks to op_norms in wrp.seminorms
-    assert len(stacks["wrp.seminorms"]) >= 50 and len(stacks["wrp.verify"]) >= 2
+    # the seminorms of a check's families and factors, and of superpose's
+    # weights, are one stack per order: seeds 0..9 pass 46 to 52 stacks to
+    # op_norms in wrp.seminorms
+    assert len(stacks["wrp.seminorms"]) >= 40 and len(stacks["wrp.verify"]) >= 2
     assert len(stacks["wrp.jets"]) >= 20
     for name, seen in stacks.items():
         for stack, out_rank, norm_kind in seen:
@@ -1284,6 +1293,127 @@ def test_op_norms_empty_axes_are_the_zero_map():
         assert op_norm(MultilinearMap(np.zeros(shape), 1)) == 0.0, shape
         assert op_norms(np.zeros((3,) + shape)).tolist() == [0.0] * 3
     assert op_norms(np.zeros((0, 2, 3, 3))).shape == (0,)
+
+
+# -- quasi-inverses
+
+
+def _opnorm_inf_oracle(mat) -> float:
+    return float(np.max(np.abs(mat).sum(axis=1))) if mat.size else 0.0
+
+
+def _quasi_inverse_oracle(a) -> np.ndarray:
+    """The per-matrix Neumann rule: the truncation order from the matrix's
+    own largest absolute row sum, then the power chain ``power @ a``."""
+    mat = np.atleast_2d(np.asarray(a, dtype=float))
+    if mat.shape[0] != mat.shape[1]:
+        raise SpectralConditionError("quasi-inverse needs a square operator")
+    n_terms = neumann_terms(_opnorm_inf_oracle(mat))
+    power = mat.copy()
+    acc = mat.copy()
+    for _ in range(1, n_terms):
+        power = power @ mat
+        acc += power
+    return -acc
+
+
+def _qi_outcome(fn, stack):
+    """The quasi-inverses of ``stack`` by ``fn``, or the error's type and text."""
+    try:
+        return fn(stack)
+    except (SpectralConditionError, TruncationError) as exc:
+        return type(exc), str(exc)
+
+
+def _qi_loop(stack):
+    return np.array([_quasi_inverse_oracle(a) for a in stack]).reshape(stack.shape)
+
+
+def _same_qi_outcome(stack) -> bool:
+    got, want = _qi_outcome(quasi_inverses, stack), _qi_outcome(_qi_loop, stack)
+    if isinstance(want, tuple):
+        return got == want
+    return _same_bits(got, want)
+
+
+def _scaled_rows(rng, k, norms):
+    """One random (k, k) matrix per entry of ``norms``, scaled to about that
+    largest absolute row sum, with signed zeros."""
+    stack = rng.normal(size=(len(norms), k, k))
+    stack[rng.random(stack.shape) < 0.2] = -0.0
+    for a, q in zip(stack, norms):
+        a *= q / max(_opnorm_inf_oracle(a), 1e-300)
+    return stack
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.lists(st.one_of(st.floats(0.0, 0.8), st.sampled_from([0.0, 0.84, 0.85, 1.0, 2.0])),
+                min_size=1, max_size=9))
+def test_quasi_inverses_rows_match_oracle_on_random_stacks(k, seed, norms):
+    """Rows of different truncation orders (norm 0 takes one term, 0.8 up
+    to the cap), a zero row, signed zeros, and rows that raise."""
+    assert _same_qi_outcome(_scaled_rows(np.random.default_rng(seed), k, norms))
+
+
+def test_quasi_inverses_raise_for_the_first_failing_row():
+    rng = np.random.default_rng(0)
+    ok, zero = _scaled_rows(rng, 2, [0.5]), np.zeros((1, 2, 2))
+    trunc, spectral = np.full((1, 2, 2), 0.45), np.full((1, 2, 2), 0.5)
+    nan = np.full((1, 2, 2), np.nan)
+    for rows, error, text in [
+        ((ok, zero, trunc, spectral), TruncationError, "needs more than 160 terms"),
+        ((ok, spectral, trunc), SpectralConditionError, "operator norm 1.0 is not below 1"),
+        ((zero, nan, spectral), SpectralConditionError, "operator norm nan is not below 1"),
+    ]:
+        stack = np.concatenate(rows)
+        with pytest.raises(error, match=text):
+            quasi_inverses(stack)
+        assert _same_qi_outcome(stack)
+    # a zero matrix takes one term; different truncation orders in one stack
+    stack = np.concatenate([zero, _scaled_rows(rng, 2, [0.8, 0.01, 0.5])])
+    assert [neumann_terms(q) for q in opnorms_inf(stack).tolist()][:1] == [1]
+    assert len({neumann_terms(q) for q in opnorms_inf(stack).tolist()}) == 4
+    assert _same_qi_outcome(stack) and _same_bits(quasi_inverses(stack[:0]), stack[:0])
+
+
+def test_opnorms_inf_rows_match_the_matrix_rule():
+    rng = np.random.default_rng(1)
+    for shape in ((5, 1, 1), (5, 3, 3), (4, 2, 5), (3, 0, 2), (3, 2, 0), (0, 2, 2)):
+        stack = rng.normal(size=shape)
+        assert _same_bits(opnorms_inf(stack), [_opnorm_inf_oracle(a) for a in stack])
+        assert all(opnorm_inf(a) == _opnorm_inf_oracle(a) for a in stack)
+
+
+def _quasi_inverses_callers() -> dict:
+    """Every loaded module of ``wrp`` that binds ``quasi_inverses``: the
+    one that defines it, whose ``quasi_inverse`` is a batch of one, and
+    each importer."""
+    return {name: mod for name, mod in sorted(sys.modules.items())
+            if name.startswith("wrp.") and getattr(mod, "quasi_inverses", None) is quasi_inverses}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_quasi_inverses_rows_match_oracle_on_scenario_stacks(seed, monkeypatch):
+    """Every stack that any module passes to ``quasi_inverses`` in a full
+    run of the seed: the inverse's first-order jet, the direction check's
+    closed form, the pointwise quasi-inversion of the sim runner and every
+    ``quasi_inverse`` batch of one."""
+    callers = _quasi_inverses_callers()
+    assert {"wrp.operators", "wrp.restricted"} <= set(callers)
+    stacks = {name: [] for name in callers}
+    for name, mod in callers.items():
+        def record(mats, _seen=stacks[name]):
+            _seen.append(np.array(mats))
+            return quasi_inverses(mats)
+        monkeypatch.setattr(mod, "quasi_inverses", record)
+    run_suite([ScenarioUnit(seed=seed)])
+    # seeds 0..9 pass 7 to 9 stacks in wrp.operators and 3 to 5 in
+    # wrp.restricted
+    assert len(stacks["wrp.operators"]) >= 6 and len(stacks["wrp.restricted"]) >= 2
+    for name, seen in stacks.items():
+        for stack in seen:
+            assert _same_qi_outcome(stack), (name, stack.shape)
 
 
 def _xi2_point_report(xi, xi2, point, ell, tol):

@@ -50,8 +50,10 @@ from wrp.operators import (
     SuperpositionOperand,
     compose_perturbed,
     derivative_convergence,
+    inversion_direction_check,
     inversion_jacobian_check,
     quasi_inverse,
+    quasi_inverses,
     superpose,
 )
 from wrp.report import CheckReport
@@ -216,6 +218,14 @@ GUARDS = [
         WeightedFunction(ConstMap(U, [0.9]), GRID, 2), U, ball([0.0], 0.5), box([-3.0], [3.0])),
      RangeEscapeError, "eta([-0.6666666666666667]) escapes"),
     ("qi_square", lambda: quasi_inverse(np.zeros((2, 3))), SpectralConditionError, "quasi"),
+    ("qi_stack", lambda: quasi_inverses(np.zeros((2, 2))),
+     ShapeError, "quasi-inverses need an (N, k, k) stack, got shape (2, 2)"),
+    ("direction_shape", lambda: inversion_direction_check(
+        WeightedFunction(POLY, GRID, 2, (("one", 0, 0.1), ("one", 1, 0.1))),
+        WeightedFunction(PolynomialMap(U, [([1.0, 2.0], (1,))]), GRID, 2,
+                         (("one", 0, 0.1), ("one", 1, 0.1))),
+        U, box([-0.5], [0.5]), np.array([[0.0]]), ContractionConfig(tau=0.5, r=0.5)),
+     ShapeError, "summands must share domain and codomain"),
     ("jacobian_stencil", lambda: inversion_jacobian_check(
         WeightedFunction(POLY, GRID, 2), U, box([-0.5], [0.5]), np.array([[0.0], [0.49999]]),
         ContractionConfig(tau=0.5, r=0.5)),

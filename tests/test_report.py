@@ -15,7 +15,9 @@ from wrp.report import (
     CheckReport,
     bound_report,
     bound_rows,
+    deviation,
     identity_report,
+    max_deviation,
     merge_min_margin,
     skipped_report,
     stacked_points,
@@ -214,3 +216,23 @@ class TestMoreNegativeControls:
         rhs = abs(c * y[0]) / (1 - c)
         assert bound_report("x", lhs, rhs, tolerance=1e-9).status == "pass"
         assert bound_report("x", lhs, 0.5 * rhs, tolerance=1e-9).status == "fail"
+
+
+class TestDeviation:
+    def test_equal_values_deviate_by_zero(self):
+        for v in (0.0, -0.0, 1.5, math.inf, -math.inf):
+            assert deviation(v, v) == 0.0
+        assert deviation(0.0, -0.0) == 0.0
+        assert deviation(1.0, 3.5) == deviation(3.5, 1.0) == 2.5
+        assert deviation(math.inf, 1.0) == deviation(-math.inf, math.inf) == math.inf
+
+    def test_nan_deviation_fails(self):
+        assert math.isnan(deviation(math.nan, 1.0)) and math.isnan(deviation(math.nan, math.nan))
+        # Python's max drops a NaN that comes second; the fold keeps it
+        assert max(0.0, math.nan) == 0.0
+        for devs in ([0.0, math.nan], [math.nan, 0.0], [1.0, math.nan, 2.0]):
+            folded = max_deviation(devs)
+            assert math.isnan(folded)
+            assert identity_report("x", folded, tolerance=1e-12).status == FAIL
+        assert max_deviation([]) == 0.0 and max_deviation(np.zeros((2, 3))) == 0.0
+        assert max_deviation([0.5, math.inf]) == math.inf

@@ -221,6 +221,17 @@ class TestDecomposition:
         with pytest.raises(OrderError):
             decomposition_check(wf, ONE, 1)
 
+    def test_infinite_sides_hold_the_identity(self):
+        # both sides are inf where the weight is: inf - inf is no deviation
+        dom = box([-1.0], [1.0])
+        wf = WeightedFunction(PolynomialMap(dom, [([1.0], (2,))]), lattice(dom, per_axis=5), 2)
+        w = Weight("w", lambda x: math.inf if x[0] > 0.6 else 1.0)
+        rep = decomposition_check(wf, w, 0)
+        assert (rep.status, rep.lhs) == ("pass", 0.0)
+        assert weighted_seminorm(wf, w, 1).value == math.inf
+        axioms = seminorm_axioms_check(wf, wf, w, 1)
+        assert axioms.status == "pass" and axioms.lhs == 0.0  # homogeneity: inf vs 1.7 inf
+
 
 class TestPairSplit:
     def _paired(self):

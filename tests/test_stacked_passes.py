@@ -10,10 +10,11 @@ pinned here against the per-object loop they replace: values, argmax and
 witness bit for bit, and the same error on a NaN tensor, a NaN weight or
 an overflowing power.
 
-The generator and the runners must not fall back to the loops: a call of
-``crude_sup_bound`` in ``verify.py``, or of ``weighted_seminorm`` in
-``restricted.py`` or ``verify.py``, whose map or function varies with an
-enclosing loop is flagged on the syntax tree.
+The generator, the operators and the runners must not fall back to the
+loops: a call of ``crude_sup_bound`` in ``verify.py``, or of
+``weighted_seminorm`` in ``operators.py``, ``restricted.py`` or
+``verify.py``, whose map or function (or, for ``weighted_seminorm``,
+weight) varies with an enclosing loop is flagged on the syntax tree.
 """
 
 import ast
@@ -310,12 +311,16 @@ def _bound_names(nodes) -> set[str]:
     return out
 
 
+# the checked arguments: the map or function, and a seminorm's weight
+CHECKED_ARGS = {"crude_sup_bound": {0}, "weighted_seminorm": {0, 1}}
+
+
 def _call_positions(tree, target: str) -> dict[str, set[int]]:
     """``target`` and every function of the module that passes one of its
     parameters on, directly or through another such function, as the
     argument at a position of ``target`` that is checked."""
     functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-    positions = {target: {0}}
+    positions = {target: set(CHECKED_ARGS[target])}
     changed = True
     while changed:
         changed = False
@@ -368,6 +373,7 @@ def per_object_calls(source: str, target: str) -> list[int]:
     ("verify.py", "crude_sup_bound"),
     ("verify.py", "weighted_seminorm"),
     ("restricted.py", "weighted_seminorm"),
+    ("operators.py", "weighted_seminorm"),
 ])
 def test_no_per_object_loop(module, target):
     assert per_object_calls((SRC / module).read_text(encoding="utf-8"), target) == []
@@ -395,9 +401,13 @@ def test_detector_flags_the_per_object_patterns():
         "def runner(elem, fw):\n"
         "    return max(weighted_seminorm(elem[i], fw.factors[i], 0).value\n"
         "               for i in range(len(elem)))\n"
+        "def per_weight(result, weights):\n"
+        "    for w in weights:\n"
+        "        lhs = weighted_seminorm(result, w, 0).value\n"
+        "    return lhs\n"
     )
     assert per_object_calls(source, "crude_sup_bound") == [6, 7, 8, 12]
-    assert per_object_calls(source, "weighted_seminorm") == [19]
+    assert per_object_calls(source, "weighted_seminorm") == [19, 23]
 
 
 def test_detector_ignores_unrelated_calls():
