@@ -2,10 +2,12 @@
 """Survey inequality margins over many seeded scenarios.
 
 Useful for spotting checks whose certificates are nearly tight: run a few
-hundred seeds and report, per check id, the distribution of margins."""
+hundred seeds and report, per check id, the distribution of margins, how
+many reports failed or were skipped, and how many are ties (lhs == rhs,
+such as 0 <= 0, whose margin says nothing about slack)."""
 
 import argparse
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -20,16 +22,20 @@ def main():
     selection = args.checks.split(",") if args.checks else None
 
     margins = defaultdict(list)
+    counts = defaultdict(Counter)
     for seed in range(args.seeds):
         for rep in run_scenario_checks(generate_scenario(seed), selection):
+            c = counts[rep.check_id]
+            c[rep.status] += 1
             if rep.status != "skipped-precondition":
                 margins[rep.check_id].append(rep.margin)
-    for cid in sorted(margins):
-        arr = np.array(margins[cid])
-        print(
-            f"{cid:60s} min {arr.min():+.3e}  median {np.median(arr):+.3e}  "
-            f"max {arr.max():+.3e}"
-        )
+                c["tie"] += rep.lhs == rep.rhs
+    for cid in sorted(counts):
+        c, arr = counts[cid], np.array(margins[cid])
+        spread = (f"min {arr.min():+.3e}  median {np.median(arr):+.3e}  max {arr.max():+.3e}"
+                  if arr.size else "min -  median -  max -")
+        print(f"{cid:60s} {spread}  fail {c['fail']}  "
+              f"skip {c['skipped-precondition']}  ties {c['tie']}")
 
 
 if __name__ == "__main__":

@@ -98,10 +98,15 @@ def convergence_report(
     detail: str = "",
 ) -> CheckReport:
     """Least-squares slope of log error against log step; passes inside
-    ``SLOPE_WINDOW`` or on the exactness branch (all errors below exact_tol)."""
-    pairs = [(h, e) for h, e in zip(steps, errors) if math.isfinite(e)]
+    ``SLOPE_WINDOW`` or on the exactness branch (all errors below exact_tol).
+    A non-finite error fails: the first one is the lhs, its step named."""
+    pairs = list(zip(steps, errors))
+    for h, e in pairs:
+        if not math.isfinite(e):
+            return CheckReport(check_id, "fail", e, math.inf, -math.inf, 0.0, EXACT, EXACT, (),
+                               detail + f" non-finite quotient error at step {h!r}")
     if not pairs:
-        return skipped_report(check_id, "no finite difference steps survived")
+        return skipped_report(check_id, "no difference steps survived the range checks")
     errs = [e for _, e in pairs]
     if max(errs) <= exact_tol:
         return CheckReport(

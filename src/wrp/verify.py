@@ -521,22 +521,27 @@ class ScenarioSeed:
     max_factors: int = 4
 
 
-def _sampled_on(grid: str, validated: bool = False, reads=(), headroom: int = 0):
-    """A per-factor element field whose factor i is sampled on factor i's
-    ``grid_u`` (``"u"``) or ``grid_w`` (``"w"``) lattice; ingest checks the
-    jets of a ``validated`` element against finite differences.  ``reads``
-    are the (weight, order) rows the checks read of every factor, and the
-    checks differentiate each factor ``headroom`` orders past the highest
-    of them."""
-    return field(metadata={"grid": grid, "validated": validated, "reads": reads,
-                           "headroom": headroom})
+# The version of the scenario schema, carried by every scenario file and
+# report.json; a file of any other version is rejected at /schema_version.
+SCHEMA_VERSION = 2
 
 
-def _reads(*keys, rows: tuple[str, str] = ()):
+def _sampled_on(grid: str, reads=(), headroom: int = 0, first: bool = False):
+    """An element field whose factor i is sampled on factor i's ``grid_u``
+    (``"u"``) or ``grid_w`` (``"w"``) lattice; ingest checks the jets of
+    every element against finite differences.  ``reads`` are the (weight,
+    order) rows the checks read of each stored factor, and the checks
+    differentiate each factor ``headroom`` orders past the highest of
+    them.  A ``first`` field is stored for factor 0 only, the one factor
+    the checks read."""
+    return field(metadata={"grid": grid, "reads": reads, "headroom": headroom, "first": first})
+
+
+def _reads(*keys, rows: tuple[str, str] = (), first: bool = False):
     """A field of which the checks read ``keys``; ``rows`` names the two
     elements whose difference the field's per-factor certified rows
-    bound."""
-    return field(metadata={"reads": keys, "rows": rows})
+    bound, stored for factor 0 only if ``first``."""
+    return field(metadata={"reads": keys, "rows": rows, "first": first})
 
 
 _ONE_GAUSS_0 = (("one", 0), ("gauss", 0))
@@ -549,16 +554,19 @@ class FamilyScenario:
     declaration order, are the ``elements`` of the scenario JSON schema.
     A ``rows`` field holds, per factor, the certified rows that bound the
     difference of two elements' factors, a map no check evaluates; it is a
-    top-level list of the schema.
+    top-level list of the schema.  A ``first`` field holds factor 0 only
+    (:data:`FIRST_FACTOR_ONLY`).  Dominance and factorization certificates
+    name the members of ``weights`` they are about.
 
     The ``reads`` of a field are the certificates the checks read of it,
     stated once: the generator writes exactly these, ingest requires each
     and the runners look a row up with ``require_row``.  They are the
-    (weight, order) rows of every factor of an element or difference, the
-    orders of the ``xis`` ``sup_1`` rows and of ``sigma_k``, the members of
-    the weight family, and the (context, weight, order) of the dominance
-    and (weight,) of the factorization certificates the runners select; a
-    key shorter than an entry's matches every entry it starts."""
+    (weight, order) rows of every stored factor of an element or
+    difference, the orders of the ``xis`` ``sup_1`` rows and of
+    ``sigma_k``, the members of the weight family, and the (context,
+    weight, order) of the dominance and (weight,) of the factorization
+    certificates the runners select; a key shorter than an entry's matches
+    every entry it starts."""
 
     name: str
     dim: int
@@ -567,37 +575,35 @@ class FamilyScenario:
     tau_nb: float
     clearance_nb: float
     xis: tuple[SuperpositionOperand, ...] = _reads((1,), (2,), (3,))
-    gammas: RestrictedElement = _sampled_on(
-        "u", validated=True, reads=_ONE_GAUSS_0 + (("one", 1), ("gauss", 1)))
-    gamma_alts: RestrictedElement = _sampled_on("u", validated=True)
+    gammas: RestrictedElement = _sampled_on("u", _ONE_GAUSS_0 + (("one", 1), ("gauss", 1)))
+    gamma_alts: RestrictedElement = _sampled_on("u")
     gamma_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, rows=("gammas", "gamma_alts"))
-    gamma_dirs: RestrictedElement = _sampled_on("u", validated=True)
+    gamma_dirs: RestrictedElement = _sampled_on("u")
     # the reduction identity compares its order-2 seminorm with order 1 of its differential
-    comp_gammas: RestrictedElement = _sampled_on("w", validated=True, reads=(("one", 1),),
-                                                 headroom=1)
-    comp_etas: RestrictedElement = _sampled_on("u", validated=True)
+    comp_gammas: RestrictedElement = _sampled_on("w", (("one", 1),), headroom=1)
+    comp_etas: RestrictedElement = _sampled_on("u")
     # the seminorm axioms read its order-1 seminorm
-    comp_gamma0s: RestrictedElement = _sampled_on("w", headroom=1)
-    comp_eta0s: RestrictedElement = _sampled_on("u", reads=_ONE_GAUSS_0)
+    comp_gamma0s: RestrictedElement = _sampled_on("w", headroom=1, first=True)
+    comp_eta0s: RestrictedElement = _sampled_on("u", _ONE_GAUSS_0, first=True)
     comp_gamma_diffs: tuple[Certificates, ...] = _reads(
-        *_ONE_GAUSS_0, ("one", 1), rows=("comp_gammas", "comp_gamma0s"))
+        *_ONE_GAUSS_0, ("one", 1), rows=("comp_gammas", "comp_gamma0s"), first=True)
     comp_eta_diffs: tuple[Certificates, ...] = _reads(
-        *_ONE_GAUSS_0, rows=("comp_etas", "comp_eta0s"))
+        *_ONE_GAUSS_0, rows=("comp_etas", "comp_eta0s"), first=True)
     comp_gamma_dirs: RestrictedElement = _sampled_on("w")
     comp_eta_dirs: RestrictedElement = _sampled_on("u")
-    phis: RestrictedElement = _sampled_on(
-        "u", validated=True, reads=(("one", 0), ("one", 1), ("gauss", 0)))
-    psis: RestrictedElement = _sampled_on("u", validated=True, reads=(("one", 1),))
-    phi_diffs: tuple[Certificates, ...] = _reads(*_ONE_GAUSS_0, ("one", 1), rows=("phis", "psis"))
-    phi_dirs: RestrictedElement = _sampled_on("u", validated=True, reads=(("one", 0), ("one", 1)))
-    multipliers: RestrictedElement = _sampled_on("u", validated=True)
+    phis: RestrictedElement = _sampled_on("u", (("one", 0), ("one", 1), ("gauss", 0)))
+    psis: RestrictedElement = _sampled_on("u", (("one", 1),), first=True)
+    phi_diffs: tuple[Certificates, ...] = _reads(
+        *_ONE_GAUSS_0, ("one", 1), rows=("phis", "psis"), first=True)
+    phi_dirs: RestrictedElement = _sampled_on("u", (("one", 0), ("one", 1)), first=True)
+    multipliers: RestrictedElement = _sampled_on("u")
     bilinears: tuple[np.ndarray, ...]
     beta2s: tuple[np.ndarray, ...]
-    ml_args1: RestrictedElement = _sampled_on("u", validated=True)
-    ml_args2: RestrictedElement = _sampled_on("u", validated=True)
+    ml_args1: RestrictedElement = _sampled_on("u")
+    ml_args2: RestrictedElement = _sampled_on("u")
     sigmas: tuple[JetMap, ...]
     sigma_k: tuple[tuple[int, float], ...] = _reads((1,))
-    op_gammas: RestrictedElement = _sampled_on("u", validated=True)
+    op_gammas: RestrictedElement = _sampled_on("u")
     op_q: float
     dominance: tuple[DominanceCertificate, ...] = _reads(
         ("multiplier", "gauss", 0), ("sp", "gauss", 1), ("uniform-k",))
@@ -627,9 +633,16 @@ READS: dict[str, tuple[tuple, ...]] = {
 DIFFERENCE_ROWS: dict[str, tuple[str, str]] = {
     f.name: f.metadata["rows"] for f in fields(FamilyScenario) if f.metadata.get("rows")
 }
-VALIDATED_ELEMENTS: tuple[str, ...] = tuple(
-    f.name for f in fields(FamilyScenario) if f.metadata.get("validated")
+# the fields stored for factor 0 only
+FIRST_FACTOR_ONLY: frozenset[str] = frozenset(
+    f.name for f in fields(FamilyScenario) if f.metadata.get("first")
 )
+
+
+def n_stored(key: str, n_factors: int) -> int:
+    """How many factors of the field ``key`` a scenario of ``n_factors``
+    stores: factor 0 only for a ``first`` field, else all of them."""
+    return 1 if key in FIRST_FACTOR_ONLY else n_factors
 
 
 # ---------------------------------------------------------------------------
@@ -792,18 +805,22 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
     # composition data
     for i, fs in enumerate(factors):
         drawn["comp_gammas"].append((draw(fs.w, dim, 3, float(rng.uniform(0.5, 1.5))), 3))
-        drawn["comp_gamma0s"].append((draw(fs.w, dim, 3, float(rng.uniform(0.5, 1.5))), 3))
+        if i < n_stored("comp_gamma0s", n):
+            drawn["comp_gamma0s"].append((draw(fs.w, dim, 3, float(rng.uniform(0.5, 1.5))), 3))
         t_eta = min(0.8 * tau_nb / (3.0 * omega_scales[i]), 0.45 * v_radii[i])
         drawn["comp_etas"].append((draw(fs.u, dim, 2, t_eta), 2))
-        drawn["comp_eta0s"].append((draw(fs.u, dim, 2, t_eta), 2))
+        if i < n_stored("comp_eta0s", n):
+            drawn["comp_eta0s"].append((draw(fs.u, dim, 2, t_eta), 2))
         drawn["comp_gamma_dirs"].append((draw(fs.w, dim, 3, 0.4), 3))
         drawn["comp_eta_dirs"].append((draw(fs.u, dim, 2, 0.15 * v_radii[i]), 2))
-    # contraction data: (field, draw, slope cap, value cap) per factor and field
+    # contraction data: (field, draw, slope cap, value cap) per stored factor and field
     cap11 = 0.5 * tau
     cap10 = 0.5 * (r_shared / 2.0) * (1.0 - tau)
     contractions = []
-    for fs in factors:
+    for i, fs in enumerate(factors):
         for key, small in (("phis", False), ("psis", False), ("phi_dirs", True)):
+            if i >= n_stored(key, n):
+                continue
             k = draw(fs.u, dim, 3, 1.0)
             f11 = (0.4 if small else 1.0) * cap11 * float(rng.uniform(0.6, 1.0))
             f10 = (0.4 if small else 1.0) * cap10 * float(rng.uniform(0.6, 1.0))
@@ -844,9 +861,10 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
     for raw, eb, q_i in zip(ops, op_ents, q_targets):
         bound = float(np.max(eb.reshape(dim, dim).sum(axis=1)))
         el["op_gammas"].append((ScaledMap(raw, q_i / bound if bound > 0 else 1.0), 0))
-    # the difference maps are built only for their bounds
+    # the difference maps are built only for their bounds, at the factors
+    # both elements store
     diff_maps = {
-        key: [SumMap([el[a][i][0], ScaledMap(el[b][i][0], -1.0)]) for i in range(n)]
+        key: [SumMap([ma, ScaledMap(mb, -1.0)]) for (ma, _), (mb, _) in zip(el[a], el[b])]
         for key, (a, b) in DIFFERENCE_ROWS.items()
     }
 
@@ -894,34 +912,12 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
                     scaled_weight(base.factors[i], ks[i], name=name) for i in range(n)))
                 dominance.append(DominanceCertificate(base, ell, gw, tuple(ks), context=context))
 
-    sigma_k = tuple(
-        (ell, max(bound[id(s), ell] for s in sigmas)) for (ell,) in READS["sigma_k"]
-    )
-    base_one = family.member("one")
-    k1 = sigma_k[0][1]
-    dominance.append(
-        DominanceCertificate(
-            base_one,
-            1,
-            FamilyWeight(
-                "uniform_k1",
-                tuple(scaled_weight(ones[i], k1, name="uniform_k1") for i in range(n)),
-            ),
-            tuple(k1 for _ in range(n)),
-            context="uniform-k",
-        )
-    )
-    op_q = max(q_targets)
-
-    factorizations = (
-        FactorizationCertificate(
-            family.member("one"), (family.member("one"), family.member("one"))
-        ),
-        FactorizationCertificate(
-            family.member("gauss"),
-            (family.member("gauss_half"), family.member("gauss_half")),
-        ),
-    )
+    sigma_k = tuple((ell, max(bound[id(s), ell] for s in sigmas)) for (ell,) in READS["sigma_k"])
+    one, half, k1 = family.member("one"), family.member("gauss_half"), sigma_k[0][1]
+    gw = FamilyWeight("uniform_k1", tuple(scaled_weight(w, k1, name="uniform_k1") for w in ones))
+    dominance.append(DominanceCertificate(one, 1, gw, (k1,) * n, context="uniform-k"))
+    factorizations = (FactorizationCertificate(one, (one, one)),
+                      FactorizationCertificate(family.member("gauss"), (half, half)))
 
     return validate_scenario(FamilyScenario(
         name=f"seed-{spec.seed}",
@@ -935,7 +931,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         beta2s=tuple(beta2s),
         sigmas=tuple(sigmas),
         sigma_k=sigma_k,
-        op_q=op_q,
+        op_q=max(q_targets),
         dominance=tuple(dominance),
         factorizations=factorizations,
         contraction=ContractionConfig(tau=tau, r=r_shared),
@@ -958,7 +954,7 @@ def validate_scenario(sc: FamilyScenario):
         for w, pts in zip(member.factors, grids):
             validate_weight_on_points(w, pts)
     validate_jet_maps(
-        [wf.map for key in VALIDATED_ELEMENTS for wf in getattr(sc, key).factors]
+        [wf.map for key in ELEMENT_GRIDS for wf in getattr(sc, key).factors]
         + [op.xi for op in sc.xis] + list(sc.sigmas),
         rng,
     )
@@ -1660,11 +1656,19 @@ def _bounds(node, key, path: str, width: int, required, members=()) -> tuple[tup
             _items(rows, j, at, width)
             _integer(row, width - 2, f"{at}/{j}", 0)
             _number(row, width - 1, f"{at}/{j}")
-        if width == 3 and not (isinstance(row[0], str) and row[0] in members):
-            raise DataError(f"{at}/{j}/0: must name a family weight, got {row[0]!r}")
+        if width == 3:
+            _member(row, 0, f"{at}/{j}", members)
         out.append((*row[:-2], row[-2], float(row[-1])))
     _require(required, out, at)
     return tuple(out)
+
+
+def _member(node, key, path: str, names) -> str:
+    """``node[key]``, which must be one of the family weights' ``names``."""
+    name = _at(node, key, path)
+    if not (isinstance(name, str) and name in names):
+        raise DataError(f"{path}/{key}: must name a family weight, got {name!r}")
+    return name
 
 
 def _require(keys, entries, at: str):
@@ -1785,8 +1789,7 @@ def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
 
 def _contraction(d: dict) -> ContractionConfig:
     """``/contraction``: its int fields are integers >= 1, the others
-    finite numbers.  Older files also carry its ``tau`` and ``r`` at the
-    top level; such a copy must agree with it."""
+    finite numbers."""
     block = _at(d, "contraction", "")
     if not isinstance(block, dict):
         raise DataError("/contraction: must be an object")
@@ -1796,11 +1799,6 @@ def _contraction(d: dict) -> ContractionConfig:
                                    else _number(block, k, "/contraction") for k in block})
     except (TypeError, PreconditionError) as exc:
         raise DataError(f"/contraction: {exc}") from None
-    for key in ("tau", "r"):
-        if key in d and _number(d, key, "") != getattr(cfg, key):
-            raise DataError(
-                f"/{key}: {d[key]!r} contradicts /contraction/{key} = {getattr(cfg, key)!r}"
-            )
     return cfg
 
 
@@ -1811,6 +1809,7 @@ _GRID_DOMAINS = {"grid_u": "u", "grid_w": "w", "grid_vt": "v_tilde"}
 
 def scenario_to_dict(sc: FamilyScenario) -> dict:
     return {
+        "schema_version": SCHEMA_VERSION,
         "name": sc.name,
         "dim": sc.dim,
         "tau_nb": sc.tau_nb,
@@ -1836,18 +1835,10 @@ def scenario_to_dict(sc: FamilyScenario) -> dict:
         "bilinears": [b.tolist() for b in sc.bilinears],
         "beta2s": [b.tolist() for b in sc.beta2s],
         "sigmas": [map_to_desc(s) for s in sc.sigmas],
-        "dominance": [
-            {
-                "f": _fw_to_dict(c.f),
-                "ell": c.ell,
-                "g": _fw_to_dict(c.g),
-                "k": list(c.per_factor_k),
-                "context": c.context,
-            }
-            for c in sc.dominance
-        ],
+        "dominance": [{"f": c.f.name, "ell": c.ell, "g": _fw_to_dict(c.g),
+                       "k": list(c.per_factor_k), "context": c.context} for c in sc.dominance],
         "factorizations": [
-            {"f": _fw_to_dict(c.f), "parts": [_fw_to_dict(p) for p in c.parts]}
+            {"f": c.f.name, "parts": [p.name for p in c.parts]}
             for c in sc.factorizations
         ],
         "contraction": asdict(sc.contraction),
@@ -1855,8 +1846,12 @@ def scenario_to_dict(sc: FamilyScenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> FamilyScenario:
-    """Load a scenario document.  Anything missing or malformed is a
-    DataError whose message starts with the JSON pointer of the entry."""
+    """Load a scenario document of version :data:`SCHEMA_VERSION`.
+    Anything missing or malformed is a DataError whose message starts with
+    the JSON pointer of the entry."""
+    version = _at(d, "schema_version", "")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise DataError(f"/schema_version: must be {SCHEMA_VERSION}, got {version!r}")
     dim = _integer(d, "dim", "", 1)
     factors = []
     for i, fd in enumerate(_at(d, "factors", "")):
@@ -1871,8 +1866,9 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         factors.append(FactorSpace(**geom))
     n = len(factors)
 
-    def per_factor(key: str) -> list:
-        return _items(d, key, "", n)
+    def per_factor(key: str, node=d, path: str = "") -> list:
+        """The list ``node[key]`` of the factors the field ``key`` stores."""
+        return _items(node, key, path, n_stored(key, n))
 
     u_domains = [fs.u for fs in factors]
     family = WeightFamily(tuple(
@@ -1881,6 +1877,11 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
     ))
     names = family.names
     _require(READS["weights"], [(name,) for name in names], "/weights/members")
+
+    def named(node, key, path: str) -> FamilyWeight:
+        """The family member that ``node[key]`` names."""
+        return family.member(_member(node, key, path, names))
+
     j = names.index("one")
     for i, w in enumerate(family.members[j].factors):
         if w.desc != {"kind": "const", "c": 1.0}:
@@ -1888,14 +1889,14 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
     elements = {}
     for key, grid in ELEMENT_GRIDS.items():
         path = f"/elements/{key}"
-        entries = _items(_at(d, "elements", ""), key, "/elements", n)
+        entries = per_factor(key, _at(d, "elements", ""), "/elements")
         elements[key] = RestrictedElement(tuple(
             _wf_from_dict(e, getattr(fs, grid), getattr(fs, f"grid_{grid}"), f"{path}/{i}",
                           READS[key], names, MIN_ORDER[key])
             for i, (e, fs) in enumerate(zip(entries, factors))
         ))
     diffs = {k: per_factor(k) for k in DIFFERENCE_ROWS}
-    diffs = {k: tuple(_bounds(v, i, f"/{k}", 3, READS[k], names) for i in range(n))
+    diffs = {k: tuple(_bounds(v, i, f"/{k}", 3, READS[k], names) for i in range(len(v)))
              for k, v in diffs.items()}
     for i, wf in enumerate(elements["multipliers"].factors):
         # the jets runner expands a multiplier's terms
@@ -1916,7 +1917,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         ))
     dominance = tuple(
         DominanceCertificate(
-            _fw_from_dict(_at(c, "f", f"/dominance/{i}"), u_domains, f"/dominance/{i}/f"),
+            named(c, "f", f"/dominance/{i}"),
             _integer(c, "ell", f"/dominance/{i}", 0),
             _fw_from_dict(_at(c, "g", f"/dominance/{i}"), u_domains, f"/dominance/{i}/g"),
             _floats(c, "k", f"/dominance/{i}"),
@@ -1925,17 +1926,12 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         for i, c in enumerate(_at(d, "dominance", ""))
     )
     _require(READS["dominance"], [(c.context, c.f.name, c.ell) for c in dominance], "/dominance")
-    factorizations = tuple(
-        FactorizationCertificate(
-            _fw_from_dict(_at(c, "f", f"/factorizations/{i}"), u_domains,
-                          f"/factorizations/{i}/f"),
-            tuple(
-                _fw_from_dict(p, u_domains, f"/factorizations/{i}/parts/{j}")
-                for j, p in enumerate(_at(c, "parts", f"/factorizations/{i}"))
-            ),
-        )
-        for i, c in enumerate(_at(d, "factorizations", ""))
-    )
+    factorizations = []
+    for i, c in enumerate(_at(d, "factorizations", "")):
+        path, parts = f"/factorizations/{i}", _items(c, "parts", f"/factorizations/{i}")
+        factorizations.append(FactorizationCertificate(
+            named(c, "f", path), tuple(named(parts, j, f"{path}/parts") for j in range(len(parts)))
+        ))
     _require(READS["factorizations"], [(c.f.name,) for c in factorizations], "/factorizations")
     bils, betas = per_factor("bilinears"), per_factor("beta2s")
     return validate_scenario(FamilyScenario(
@@ -1955,7 +1951,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         sigma_k=_bounds(d, "sigma_k", "", 2, READS["sigma_k"]),
         op_q=_number(d, "op_q", ""),
         dominance=dominance,
-        factorizations=factorizations,
+        factorizations=tuple(factorizations),
         contraction=_contraction(d),
         **elements,
         **diffs,
@@ -2013,34 +2009,28 @@ def run_suite(
     overrides = dict(tolerances)
     scenarios = []
     min_margin: dict[str, float] = {}
-    n_pass = n_fail = n_skip = 0
+    counts = dict.fromkeys((PASS, FAIL, SKIPPED), 0)
     for (unit, _), (name, reports) in zip(work, results):
-        scenarios.append(
-            {"name": name, "unit": unit.label(), "checks": reports}
-        )
+        scenarios.append({"name": name, "unit": unit.label(), "checks": reports})
         for r in reports:
             tol = overrides.get(r["check_id"])
             if tol is not None and r["status"] != SKIPPED:
                 r["tolerance"] = tol
                 r["status"] = PASS if r["margin"] >= -tol else FAIL
-            if r["status"] == PASS:
-                n_pass += 1
-            elif r["status"] == FAIL:
-                n_fail += 1
-            else:
-                n_skip += 1
+            counts[r["status"]] += 1
             if r["status"] != SKIPPED:
                 cur = min_margin.get(r["check_id"])
                 if cur is None or r["margin"] < cur:
                     min_margin[r["check_id"]] = r["margin"]
     payload = {
+        "schema_version": SCHEMA_VERSION,
         "checks_selected": sorted(check_ids) if check_ids is not None else "all",
         "units": [u.label() for u in units],
         "scenarios": scenarios,
         "summary": {
-            "n_pass": n_pass,
-            "n_fail": n_fail,
-            "n_skipped": n_skip,
+            "n_pass": counts[PASS],
+            "n_fail": counts[FAIL],
+            "n_skipped": counts[SKIPPED],
             "min_margin": {k: min_margin[k] for k in sorted(min_margin)},
         },
     }

@@ -92,7 +92,6 @@ from wrp.seminorms import WeightedFunction, lattice, weighted_seminorm
 from wrp.spaces import BOX, EUCLIDEAN, SUP, Weight, ball, box
 from wrp.verify import (
     ELEMENT_GRIDS,
-    VALIDATED_ELEMENTS,
     ScenarioUnit,
     generate_scenario,
     load_scenario,
@@ -795,9 +794,9 @@ def test_validate_jet_maps_gives_each_map_the_probes_of_one_shared_stream(seed):
 
 
 def _validated_maps(sc):
-    """The maps ``validate_scenario`` validates, in order: the validated
-    elements' factors, then the ``xis``, then the ``sigmas``."""
-    return ([wf.map for key in VALIDATED_ELEMENTS for wf in getattr(sc, key).factors]
+    """The maps ``validate_scenario`` validates, in order: every element's
+    factors, then the ``xis``, then the ``sigmas``."""
+    return ([wf.map for key in ELEMENT_GRIDS for wf in getattr(sc, key).factors]
             + [op.xi for op in sc.xis] + list(sc.sigmas))
 
 

@@ -250,7 +250,9 @@ def _gamma0_term(doc):
 def _as_old_format(doc):
     # the layout written before the difference rows: a difference map per
     # factor under /elements (none was ever evaluated, so any map stands
-    # in) carrying the rows, and /comp_gamma_lips
+    # in) carrying the rows, and /comp_gamma_lips; such files carry no
+    # /schema_version, which ingest reads first
+    del doc["schema_version"]
     for key in DIFFERENCE_ROWS:
         doc["elements"][key] = [
             {"map": g["map"], "max_order": 2, "certified": rows}
@@ -310,11 +312,11 @@ class TestIngestErrors:
         (lambda d: d["elements"].pop("phis"), "/elements/phis"),
         (lambda d: d["factors"][0].__setitem__("grid_u", -3), "/factors/0/grid_u"),
         (lambda d: d["factors"][1].__setitem__("grid_w", 0), "/factors/1/grid_w"),
-        (lambda d: d.__setitem__("tau", "x"), "/tau"),
+        (lambda d: d["contraction"].__setitem__("tau", "x"), "/contraction/tau"),
         (lambda d: d.__setitem__("sigma_k", []), "/sigma_k"),
-        (lambda d: d["elements"]["comp_gamma0s"][1]["map"]["terms"][0]["coef"]
+        (lambda d: d["elements"]["comp_gamma0s"][0]["map"]["terms"][0]["coef"]
          .__setitem__(0, float("nan")),
-         "/elements/comp_gamma0s/1/map/terms/0/coef/0"),
+         "/elements/comp_gamma0s/0/map/terms/0/coef/0"),
         (lambda d: d["weights"]["members"][0]["factors"][1].__setitem__("c", float("inf")),
          "/weights/members/0/factors/1/c"),
         (lambda d: d["elements"]["gammas"][0]["certified"][0].__setitem__(2, float("nan")),
@@ -372,7 +374,7 @@ class TestIngestErrors:
          "/elements/gammas/0/map"),
         (lambda d: d["weights"]["members"][1]["factors"][0].__setitem__("a", [0.5]),
          "/weights/members/1/factors/0"),
-        (_as_old_format, "/gamma_diffs"),
+        (_as_old_format, "/schema_version"),
         (_drop_compose_lipschitz_row, "/elements/comp_gammas/1/certified"),
         (lambda d: _rename_gauss_rows(d["gamma_diffs"][0], "gaus"), "/gamma_diffs/0/1/0"),
         (lambda d: _rename_gauss_rows(d["gamma_diffs"][0], 5), "/gamma_diffs/0/1/0"),
@@ -397,8 +399,8 @@ class TestIngestErrors:
          "/elements/comp_gammas/1/max_order"),
         (lambda d: d["elements"]["phis"][0].__setitem__("max_order", 0),
          "/elements/phis/0/max_order"),
-        (lambda d: d["elements"]["psis"][1].__setitem__("max_order", 0),
-         "/elements/psis/1/max_order"),
+        (lambda d: d["elements"]["psis"][0].__setitem__("max_order", 0),
+         "/elements/psis/0/max_order"),
         (lambda d: d["elements"]["phi_dirs"][0].__setitem__("max_order", 0),
          "/elements/phi_dirs/0/max_order"),
         (lambda d: d["weights"]["members"][1]["factors"][0].__setitem__("a", -1e308),
@@ -420,8 +422,8 @@ class TestIngestErrors:
          "/dominance/0/g/factors/1/certified_sup"),
         (lambda d: d["elements"]["comp_gammas"][0].__setitem__("max_order", 1),
          "/elements/comp_gammas/0/max_order"),
-        (lambda d: d["elements"]["comp_gamma0s"][1].__setitem__("max_order", 0),
-         "/elements/comp_gamma0s/1/max_order"),
+        (lambda d: d["elements"]["comp_gamma0s"][0].__setitem__("max_order", 0),
+         "/elements/comp_gamma0s/0/max_order"),
         (lambda d: d["factors"][0]["v"].__setitem__("kind", "bal"), "/factors/0/v/kind"),
         (lambda d: d["factors"][1]["v"].__setitem__("radius", 0.0), "/factors/1/v"),
         (lambda d: d["elements"]["gammas"][1]["map"].pop("terms"), "/elements/gammas/1/map"),
@@ -429,6 +431,17 @@ class TestIngestErrors:
         (lambda d: d["contraction"].__setitem__("rho", 0.5), "/contraction"),
         (lambda d: d["contraction"].__setitem__("tau", 1.5), "/contraction"),
         (lambda d: d["contraction"].__setitem__("r", -0.5), "/contraction"),
+        (lambda d: d.pop("schema_version"), "/schema_version"),
+        (lambda d: d.__setitem__("schema_version", 1), "/schema_version"),
+        (lambda d: d.__setitem__("schema_version", 2.0), "/schema_version"),
+        (lambda d: d["dominance"][0].__setitem__("f", "gaus"), "/dominance/0/f"),
+        (lambda d: d["dominance"][4].__setitem__("f", {"name": "gauss"}), "/dominance/4/f"),
+        (lambda d: d["factorizations"][1].__setitem__("f", "omega2"), "/factorizations/1/f"),
+        (lambda d: d["factorizations"][1]["parts"].__setitem__(1, "gauss_third"),
+         "/factorizations/1/parts/1"),
+        (lambda d: d["factorizations"][0].__setitem__("parts", "one"), "/factorizations/0/parts"),
+        (lambda d: d["elements"]["psis"].append(d["elements"]["psis"][0]), "/elements/psis"),
+        (lambda d: d["phi_diffs"].append(d["phi_diffs"][0]), "/phi_diffs"),
     ], ids=["missing_element", "negative_grid", "zero_grid", "string_tau", "empty_sigma_k",
             "nan_map_coefficient", "infinite_weight_constant", "nan_certified_bound",
             "infinite_certified_bound", "string_certified_bound", "fractional_certified_order",
@@ -453,7 +466,11 @@ class TestIngestErrors:
             "no_xi_in_blocks", "scaled_multiplier", "zero_omega_inf", "understated_gauss_sup",
             "null_dominance_sup", "order_one_comp_gammas", "order_zero_comp_gamma0s",
             "unknown_domain_kind", "zero_ball_radius", "no_terms", "list_contraction",
-            "unknown_contraction_field", "tau_above_one", "negative_r"])
+            "unknown_contraction_field", "tau_above_one", "negative_r",
+            "no_schema_version", "schema_version_one", "float_schema_version",
+            "non_member_dominance_f", "member_copy_dominance_f", "non_member_factorization_f",
+            "non_member_factorization_part", "string_factorization_parts",
+            "two_psis", "two_phi_diffs"])
     def test_exit_one_names_pointer(self, tmp_path, scenario0, capsys, mutate, pointer):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
         assert main(["run", "--config", str(cfg)]) == 1
@@ -561,12 +578,16 @@ class TestIngestErrors:
         "/comp_eta_diffs/1/0/2",
     ], ids=["comp_gamma0s", "comp_eta0s", "comp_gamma_diffs", "comp_eta_diffs"])
     def test_nan_in_a_later_compose_factor_exits_one(self, tmp_path, capsys, pointer):
-        # the compose pair estimate reads factor 0 of these lists only;
-        # a NaN in factor 1 is still rejected when the file is loaded
+        # the compose pair estimate reads factor 0 of these lists only, so
+        # a file stores that factor alone: a factor 1 added to one (here a
+        # copy of factor 0 with a NaN) is rejected at the list's pointer
         doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        list_at = pointer.split("/1/")[0]
         *path, last = [int(k) if k.isdigit() else k for k in pointer.split("/")[1:]]
         node = doc
         for key in path:
+            if key == 1:
+                node.append(json.loads(json.dumps(node[0])))
             node = node[key]
         assert isinstance(node[last], float)
         node[last] = float("nan")
@@ -576,7 +597,7 @@ class TestIngestErrors:
         cfg.write_text(json.dumps({"scenarios": [str(scenario)], "out": str(tmp_path)}))
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {pointer}: must be a finite number"), err
+        assert err.startswith(f"error: {list_at}: must be a list of 1 entries"), err
         assert not (tmp_path / "report.json").exists()
 
 

@@ -592,10 +592,23 @@ class TestConvergenceReport:
         assert rep.status == "pass"
         assert rep.lhs == pytest.approx(2.0, abs=1e-9)
 
-    def test_no_finite_error_is_skipped(self):
+    def test_no_finite_error_fails(self):
+        # a NaN or infinite quotient error must not vanish from the sweep
         rep = convergence_report("x", [0.1, 0.05, 0.025], [math.nan, math.inf, math.nan])
-        assert rep.status == "skipped-precondition"
-        assert rep.detail == "no finite difference steps survived"
+        assert rep.status == "fail" and math.isnan(rep.lhs)
+        assert rep.detail == " non-finite quotient error at step 0.1"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_error_beside_finite_ones_fails(self, bad):
+        # the other three steps alone would give slope 2.000
+        hs = [0.1, 0.05, 0.025, 0.0125]
+        errs = [2.5e-3, bad, 6.25e-4, 1.5625e-4]
+        rep = convergence_report("x", hs, errs, detail="sweep;")
+        assert rep.status == "fail" and rep.margin == -math.inf
+        assert rep.lhs == bad or math.isnan(bad) and math.isnan(rep.lhs)
+        assert rep.detail == "sweep; non-finite quotient error at step 0.05"
+        errs[0] = math.nan
+        assert convergence_report("x", hs, errs).detail.endswith("at step 0.1")
 
     def test_zero_error_beside_a_large_one_is_skipped(self):
         rep = convergence_report("x", [0.1, 0.05, 0.025], [1.0, 0.5, 0.0])

@@ -5,16 +5,29 @@ Each ``FamilyScenario`` field states once, in its ``reads`` metadata
 generator writes exactly these, ingest requires every one of them and
 names its JSON pointer when one is missing, and a row outside the table
 is never read: adding one with a bound of 1e300 leaves the report
-byte-identical.
+byte-identical.  Conversely, every factor a scenario stores of an element
+or a difference list is read by some check.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from wrp.cli import main
-from wrp.verify import DIFFERENCE_ROWS, ELEMENT_GRIDS, READS, generate_scenario, scenario_to_dict
+from wrp.restricted import RestrictedElement
+from wrp.seminorms import WeightedFunction
+from wrp.verify import (
+    DIFFERENCE_ROWS,
+    ELEMENT_GRIDS,
+    FIRST_FACTOR_ONLY,
+    READS,
+    generate_scenario,
+    n_stored,
+    run_scenario_checks,
+    scenario_to_dict,
+)
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "scenario_seed0.json"
 
@@ -26,8 +39,8 @@ def _row_keys(rows) -> list[tuple]:
 # The key of an entry of a list of certificates that are not rows.
 ENTRY_KEYS = {
     "/weights/members": lambda m: (m["name"],),
-    "/dominance": lambda c: (c["context"], c["f"]["name"], c["ell"]),
-    "/factorizations": lambda c: (c["f"]["name"],),
+    "/dominance": lambda c: (c["context"], c["f"], c["ell"]),
+    "/factorizations": lambda c: (c["f"],),
 }
 # (pointer of a list, at factor 0 where it is per factor, the field whose
 # reads it must hold): every list the table governs.
@@ -103,12 +116,13 @@ def _add_unread_rows(doc) -> int:
 def test_rows_outside_the_table_are_not_read(tmp_path):
     doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
     scenario = tmp_path / "scenario.json"
-    # per factor of two: 4 members x 3 orders less the table's rows in each
-    # element and difference list, and sup_1 orders 0 and 4; sigma_k 0, 2, 3, 4
-    per_factor = sum(12 - len(READS[k]) for k in (*ELEMENT_GRIDS, *DIFFERENCE_ROWS)) + 2
+    # per stored factor (two, or one of a first-factor-only list): 4 members
+    # x 3 orders less the table's rows in each element and difference
+    # list; sup_1 orders 0 and 4 of both xis; sigma_k 0, 2, 3, 4
+    rows = sum(n_stored(k, 2) * (12 - len(READS[k])) for k in (*ELEMENT_GRIDS, *DIFFERENCE_ROWS))
     outputs = []
     for mutate in (lambda d: None, _add_unread_rows):
-        assert mutate(doc) in (None, 2 * per_factor + 4)
+        assert mutate(doc) in (None, rows + 2 * 2 + 4)
         scenario.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / f"out{len(outputs)}"
         cfg = tmp_path / "config.json"
@@ -118,3 +132,77 @@ def test_rows_outside_the_table_are_not_read(tmp_path):
         report["config"].pop("out")
         outputs.append((report, (out / "margins.csv").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+class _SpiedFactor(WeightedFunction):
+    """An element factor that adds its (field, factor) key to ``_read``
+    whenever any of its attributes is read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("__"):
+            object.__getattribute__(self, "_read").add(object.__getattribute__(self, "_key"))
+        return object.__getattribute__(self, name)
+
+
+class _SpiedRows(tuple):
+    """The certified rows of one factor of a difference list, recording
+    their key whenever they are looked at."""
+
+    def _mark(self):
+        self.read.add(self.key)
+
+    def __iter__(self):
+        self._mark()
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        self._mark()
+        return super().__getitem__(i)
+
+    def __len__(self):
+        self._mark()
+        return super().__len__()
+
+
+def _spied(sc, read: set):
+    """``sc`` with every stored element factor and difference row list
+    replaced by a recording copy."""
+    changes = {}
+    for key in ELEMENT_GRIDS:
+        factors = []
+        for i, wf in enumerate(getattr(sc, key).factors):
+            spy = object.__new__(_SpiedFactor)
+            spy.__dict__.update(vars(wf), _key=(key, i), _read=read)
+            factors.append(spy)
+        changes[key] = RestrictedElement(tuple(factors))
+    for key in DIFFERENCE_ROWS:
+        rows = []
+        for i, r in enumerate(getattr(sc, key)):
+            rows.append(_SpiedRows(r))
+            rows[-1].key, rows[-1].read = (key, i), read
+        changes[key] = tuple(rows)
+    return dataclasses.replace(sc, **changes)
+
+
+# The directions of the simultaneous composition's derivative check are
+# read at factor 0 (the single-factor check) and at the factor where the
+# family seminorm of the composition peaks, which is known only when the
+# checks run; every other stored entry is read on every scenario.
+ARGMAX_READ = ("comp_gamma_dirs", "comp_eta_dirs")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_stored_entry_is_read(seed):
+    read: set = set()
+    sc = _spied(generate_scenario(seed), read)
+    reports = run_scenario_checks(sc)
+    assert all(r.status == "pass" for r in reports)
+    stored = {(key, i) for key in (*ELEMENT_GRIDS, *DIFFERENCE_ROWS)
+              for i in range(len(getattr(sc, key)))}
+    assert {key for key, i in stored if i}.isdisjoint(FIRST_FACTOR_ONLY)
+    unread = stored - read
+    assert {key for key, _ in unread} <= set(ARGMAX_READ), sorted(unread)
+    for key in ARGMAX_READ:
+        at = {i for k, i in read if k == key}
+        assert 0 in at and len(at) <= 2, (key, at)
+    assert len({frozenset(i for k, i in read if k == key) for key in ARGMAX_READ}) == 1

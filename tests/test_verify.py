@@ -138,8 +138,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change", ["drop", "append"])
     def test_ingest_rejects_per_factor_length_mismatch(self, scenario0, change):
-        # every per-factor list must have exactly one entry per factor; a
-        # wrong length is rejected with the list's pointer, never truncated
+        # every per-factor list must have exactly one entry per stored
+        # factor (one for a factor-0-only list); a wrong length is rejected
+        # with the list's pointer, never truncated
         base = json.dumps(scenario_to_dict(scenario0))
         pointers = [f"elements/{k}" for k in ELEMENT_GRIDS] + list(DIFFERENCE_ROWS) + [
             "xis", "sigmas", "bilinears", "beta2s",
@@ -161,15 +162,16 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key", ["tau", "r"])
     def test_top_level_contraction_copy_that_agrees_loads(self, scenario0, key):
-        # files written before the copy was dropped carry /tau and /r
+        # the contraction parameters are read from /contraction only; a
+        # top-level copy is ignored, like any key the reader does not read
         doc = scenario_to_dict(scenario0)
         assert key not in doc
         doc[key] = doc["contraction"][key]
         assert scenario_from_dict(doc).contraction == scenario0.contraction
 
     def test_retired_compose_lipschitz_list_is_ignored(self, scenario0):
-        # files written before the compose Lipschitz bound was read from
-        # comp_gammas' ("one", 1) row carry /comp_gamma_lips
+        # a key the reader does not read, such as the compose Lipschitz
+        # list of earlier layouts, is ignored
         doc = scenario_to_dict(scenario0)
         assert "comp_gamma_lips" not in doc
         doc["comp_gamma_lips"] = ["not read"] * scenario0.n_factors
@@ -178,8 +180,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("adjusting", ["omega", "gauss", "not a member"])
     def test_retired_adjusting_key_is_ignored(self, scenario0, adjusting):
-        # files written before the family lost its adjusting name carry
-        # /weights/adjusting; the adjusting check reads the member omega
+        # a key the reader does not read, such as the adjusting name of
+        # earlier layouts, is ignored; the adjusting check reads the member omega
         doc = scenario_to_dict(scenario0)
         assert list(doc["weights"]) == ["members"]
         doc["weights"]["adjusting"] = adjusting
@@ -188,13 +190,6 @@ class TestSerialization:
         sel = ["cond:adjusting_weight"]
         assert ([r.to_dict() for r in run_scenario_checks(back, sel)]
                 == [r.to_dict() for r in run_scenario_checks(scenario0, sel)])
-
-    @pytest.mark.parametrize("key", ["tau", "r"])
-    def test_top_level_contraction_copy_that_contradicts_is_rejected(self, scenario0, key):
-        doc = scenario_to_dict(scenario0)
-        doc[key] = 0.5 * doc["contraction"][key]
-        with pytest.raises(DataError, match=f"^/{key}: .*/contraction/{key}"):
-            scenario_from_dict(doc)
 
     def test_load_scenario_unit(self, tmp_path, scenario0):
         path = tmp_path / "sc.json"
