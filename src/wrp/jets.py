@@ -7,7 +7,9 @@ Operator norms are taken with the sup norm on every argument and computed
 exactly by sign-vector enumeration: a multilinear map restricted to one
 argument is linear, hence attains its sup over the unit ball at a vertex.
 ``op_norms`` enumerates once for a whole stack of tensors.
-Finite differences appear only as oracles, never in the main path.
+Finite differences appear only as oracles, never in the main path.  Every
+power, product and sum follows the one rule of :mod:`wrp.arith`, and every
+evaluation takes a whole stack of points at once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .arith import contract, power_chain, row_sums
 from .errors import (
     DataError,
     DomainMembershipError,
@@ -34,6 +37,7 @@ from .report import CheckReport, bound_report, bound_rows, identity_report
 from .spaces import BOX, EUCLIDEAN, SUP, DomainSet, box, desc_powers, product_box
 
 ENUM_BUDGET = 16
+OP_NORM_CHUNK = 1 << 18  # entries of the vertex sums op_norms holds at once
 FD_STEP_ORDER1 = 1e-4
 FD_STEP_ORDER2 = 1e-3
 FD_PROBES = 3  # probes per map in jet validation
@@ -79,7 +83,7 @@ class MultilinearMap:
             raise ShapeError(f"expected {self.order} arguments, got {len(args)}")
         v = self.entries
         for a in args:
-            v = np.tensordot(v, np.asarray(a, dtype=float), axes=(self.out_rank, 0))
+            v = contract(np.moveaxis(v, self.out_rank, -1), a)
         return v
 
 
@@ -101,21 +105,14 @@ def contract_last(t: MultilinearMap, h) -> MultilinearMap:
     """Fix the last argument to ``h`` (the contraction written T¬h)."""
     if t.order < 1:
         raise OrderError("cannot contract a map of order 0")
-    return MultilinearMap(
-        np.tensordot(t.entries, np.asarray(h, dtype=float), axes=(t.entries.ndim - 1, 0)),
-        t.out_rank,
-    )
+    return MultilinearMap(contract(t.entries, h), t.out_rank)
 
 
-def _sign_vectors(d: int) -> list[np.ndarray]:
+def _sign_vectors(d: int) -> np.ndarray:
+    """The ``(2**(d-1), d)`` sign vectors of one argument of dimension ``d``."""
     # first component pinned to +1: flipping one whole argument flips only
     # the sign of the output, which the absolute value discards
-    if d == 1:
-        return [np.ones(1)]
-    return [
-        np.array((1.0,) + rest)
-        for rest in itertools.product((1.0, -1.0), repeat=d - 1)
-    ]
+    return np.array([(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=d - 1)])
 
 
 def op_norms(entries, out_rank: int = 1, norm_kind: str = SUP) -> np.ndarray:
@@ -127,13 +124,11 @@ def op_norms(entries, out_rank: int = 1, norm_kind: str = SUP) -> np.ndarray:
     Operator-valued outputs are uncurried first, as :func:`uncurry_last`
     does, so a norm is invariant under curry round trips bit for bit.  The
     sup norm enumerates the sign vertices of all arguments but the last,
-    one ``tensordot`` per vertex and argument for the whole stack, and
-    optimizes the last analytically by an absolute row sum.  The sign
-    vectors are built once per call, and no cache outlives it.  Each
-    vertex sum is a BLAS call whose kernel follows the stack's layout, so
-    a row keeps the bits of :func:`op_norm` on its tensor where the
-    kernels sum alike: on every stack the runs of seeds 0..9 build, but
-    not for every shape (``tests/test_batched.py`` pins which).
+    one :func:`~wrp.arith.contract` per argument for all of its sign
+    vectors and the whole stack, and optimizes the last analytically by an
+    absolute row sum.  The sign vectors are built once per call, and no
+    cache outlives it.  Every sum is added left to right, so each row
+    carries the bits of :func:`op_norm` on its tensor, whatever the stack.
 
     A tensor with an infinite entry has norm +inf, since the norm bounds
     every entry; so has one whose finite sums overflow into inf - inf at a
@@ -176,16 +171,27 @@ def op_norms(entries, out_rank: int = 1, norm_kind: str = SUP) -> np.ndarray:
     inf = np.isinf(e).reshape(len(e), -1).any(axis=1)
     if inf.any():
         e = np.where(inf.reshape((-1,) + (1,) * (e.ndim - 1)), 0.0, e)
-    best = np.zeros(len(e))
-    for signs in itertools.product(*[_sign_vectors(d) for d in in_dims[:-1]]):
-        v = e
-        for s in signs:
-            v = np.tensordot(v, s, axes=(2, 0))
-        top = np.abs(v).sum(axis=2).max(axis=1)
-        # NaN here is finite sums overflowing into inf - inf
-        best = np.maximum(best, np.where(np.isnan(top), math.inf, top))
+    signs = [_sign_vectors(d) for d in in_dims[:-1]]
+    # rows are independent, so a stack is taken in slices of bounded size
+    size = e[0].size * math.prod(len(s) for s in signs)
+    step = max(1, OP_NORM_CHUNK // size)
+    best = np.concatenate([_vertex_max(e[i:i + step], signs) for i in range(0, len(e), step)])
     best[inf] = math.inf
     return best
+
+
+def _vertex_max(e: np.ndarray, signs: list[np.ndarray]) -> np.ndarray:
+    """The largest absolute row sum over all sign vertices of the stack
+    ``e`` ``(N, out, d_1, ..., d_k)``, with ``signs[i]`` the ``(V_i, d_i)``
+    sign vectors of argument ``i``; a NaN sum counts as +inf."""
+    v = e
+    for s in signs:
+        # the next argument's axis summed against each of its sign vectors:
+        # (N, out, d_i+1, ..., d_k, V_1, ..., V_i)
+        v = _dot_axis(v, 2, s.T[None])
+    top = row_sums(np.abs(np.moveaxis(v, 2, -1)))
+    # NaN here is finite sums overflowing into inf - inf
+    return np.where(np.isnan(top), math.inf, top).reshape(len(e), -1).max(axis=1)
 
 
 def op_norm(t: MultilinearMap, norm_kind: str = SUP) -> float:
@@ -197,7 +203,7 @@ def op_norm(t: MultilinearMap, norm_kind: str = SUP) -> float:
 def opnorms_inf(mats) -> np.ndarray:
     """:func:`opnorm_inf` of each matrix of an ``(N, n, m)`` stack: its
     largest absolute row sum, 0.0 for an empty matrix; a NaN propagates."""
-    return np.abs(np.asarray(mats, dtype=float)).sum(axis=2).max(axis=1, initial=0.0)
+    return row_sums(np.abs(np.asarray(mats, dtype=float))).max(axis=1, initial=0.0)
 
 
 def opnorm_inf(a: np.ndarray) -> float:
@@ -242,32 +248,51 @@ def set_partitions(n: int):
         yield part + ((last,),)
 
 
+def _dot_axis(v: np.ndarray, axis: int, w: np.ndarray) -> np.ndarray:
+    """Per row ``i`` of two stacks, ``v[i]``'s axis ``axis - 1`` contracted
+    with ``w[i]``'s first axis, as ``tensordot`` orders the rest: ``v``'s
+    other axes, then ``w``'s.  A stack of one broadcasts against the other."""
+    x = np.moveaxis(v, axis, -1)
+    x = x.reshape(x.shape[:-1] + (1,) * (w.ndim - 2) + x.shape[-1:])
+    y = np.moveaxis(w, 1, -1)
+    return contract(x, y.reshape(y.shape[:1] + (1,) * (v.ndim - 2) + y.shape[1:]))
+
+
+def compose_tensors(outer: Sequence[np.ndarray], inner: Sequence[np.ndarray],
+                    ell: int) -> np.ndarray:
+    """Derivative tensors of order ``ell >= 1`` of a composition from the
+    factors' tensors, at every row of the stacks.
+
+    ``outer[b]`` ``(N,) + out + (d,)*b`` holds the order-b tensors of the
+    outer map at the inner values, ``inner[b]`` ``(N, d) + (m,)*b`` those
+    of the inner map at the base points.  Summing the block-contracted
+    terms over all set partitions of the argument slots yields the
+    (symmetric) chain-rule tensors.
+    """
+    o = outer[0].ndim - 1
+    total = np.zeros(outer[0].shape + (inner[1].shape[-1],) * ell)
+    for part in set_partitions(ell):
+        v = outer[len(part)]
+        for block in part:
+            v = _dot_axis(v, 1 + o, inner[len(block)])
+        # axes are now: rows, outputs, then the blocks' argument axes in order
+        slot_order = [s for block in part for s in block]
+        perm = list(range(1 + o)) + [1 + o + slot_order.index(s) for s in range(ell)]
+        total += np.transpose(v, perm)
+    return _symmetrized(total, 1 + o)
+
+
 def compose_tensor(
     outer: Sequence[MultilinearMap],
     inner: Sequence[MultilinearMap],
     ell: int,
 ) -> MultilinearMap:
-    """Derivative tensor of order ``ell >= 1`` of a composition from the
-    factors' tensors.
-
-    ``outer[b]`` is the order-b tensor of the outer map at the inner value,
-    ``inner[b]`` the order-b tensor of the inner map at the base point.
-    Summing the block-contracted terms over all set partitions of the
-    argument slots yields the (symmetric) chain-rule tensor.
-    """
-    o = outer[0].out_rank
-    m = inner[1].in_dims[0]
-    out_shape = outer[0].out_shape
-    total = np.zeros(out_shape + (m,) * ell)
-    for part in set_partitions(ell):
-        v = outer[len(part)].entries
-        for block in part:
-            v = np.tensordot(v, inner[len(block)].entries, axes=(o, 0))
-        # axes are now: outputs, then the blocks' argument axes in order
-        slot_order = [s for block in part for s in block]
-        perm = list(range(o)) + [o + slot_order.index(s) for s in range(ell)]
-        total += np.transpose(v, perm)
-    return MultilinearMap(_symmetrized(total, o), o)
+    """:func:`compose_tensors` of a stack of one: ``outer[b]`` is the
+    order-b tensor of the outer map at the inner value, ``inner[b]`` the
+    order-b tensor of the inner map at the base point."""
+    total = compose_tensors([t.entries[None] for t in outer],
+                            [t.entries[None] for t in inner], ell)
+    return MultilinearMap(total[0], outer[0].out_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +384,7 @@ class AffineMap(JetMap):
         self._check_order(ell)
         n = len(points)
         if ell == 0:
-            # a stack of matrix-vector products: one BLAS gemv per point, as
-            # ``a @ x`` does (a single gemm over all points rounds differently)
-            return (self.a @ points[:, :, None])[:, :, 0] + self.b
+            return contract(self.a, points[:, None, :]) + self.b
         if ell == 1:
             return np.broadcast_to(self.a, (n,) + self.a.shape).copy()
         return np.zeros((n,) + self.out_shape + (self.dim,) * ell)
@@ -380,13 +403,11 @@ def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
     One row per (term, multi-index j*) whose entry survives, i.e. no axis
     is differentiated more often than its power, in term order (at order
     0, one row per term).  Returns the rows' flat entry indices and term
-    indices, and per axis the falling-factorial factor columns (padded
-    with exact 1.0 multipliers) and the rows' remaining exponents.  On axis
-    0 the factors multiply 1.0, so their (exact, integer) product is one
-    column.
+    indices, their falling-factorial factors (exact integer products) and
+    their ``(rows, m)`` remaining exponents.
     """
     m = len(powers[0])
-    flat, term, falls, expos = [], [], [], []
+    flat, term, fall, expo = [], [], [], []
     for t, pw in enumerate(powers):
         if sum(pw) < ell:
             continue
@@ -394,21 +415,12 @@ def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
             beta = [jidx.count(a) for a in range(m)]
             if any(b > p for b, p in zip(beta, pw)):
                 continue
-            fall = [[pw[a] - k for k in range(beta[a])] for a in range(m)]
-            fall[0] = [math.prod(fall[0])] if fall[0] else []
             flat.append(f)
             term.append(t)
-            falls.append(fall)
-            expos.append([p - b for p, b in zip(pw, beta)])
-    axes = []
-    for a in range(m):
-        width = max((len(fall[a]) for fall in falls), default=0)
-        cols = [
-            np.array([fall[a][k] if k < len(fall[a]) else 1.0 for fall in falls])
-            for k in range(width)
-        ]
-        axes.append((cols, np.array([e[a] for e in expos], dtype=np.intp)))
-    return np.array(flat, dtype=np.intp), np.array(term, dtype=np.intp), axes
+            fall.append(math.prod(p - k for p, b in zip(pw, beta) for k in range(b)))
+            expo.append([p - b for p, b in zip(pw, beta)])
+    return (np.array(flat, dtype=np.intp), np.array(term, dtype=np.intp),
+            np.array(fall, dtype=float), np.array(expo, dtype=np.intp).reshape(-1, m))
 
 
 def _poly_tensors(pm: "PolynomialMap", coefs: np.ndarray, points: np.ndarray,
@@ -417,61 +429,25 @@ def _poly_tensors(pm: "PolynomialMap", coefs: np.ndarray, points: np.ndarray,
     ``points``, with the term coefficient vectors ``coefs`` ``(T, n)``.
 
     Every entry is computed in the order of the one-point formula: per
-    term, the coefficient times (per axis: falling factorials, then the
-    power), summed over terms in term order.  At order 0 the powers are
-    numpy's ``point ** powers``; at higher orders they are libm's ``pow``
-    (``math.pow``), which numpy's vectorized ``power`` does not match in
-    the last bit on every CPU.
+    term, the coefficient times ((falling factorials times the power of
+    axis 0) times the power of axis 1 ...), the powers by
+    :func:`~wrp.arith.power_chain`, summed over terms in term order from
+    0.0.  A power that overflows is inf, and a term that meets inf - inf
+    or 0 * inf makes its entry NaN, which the callers' finiteness checks
+    see.
     """
     n_pts, m = points.shape
-    n_terms, n = coefs.shape
-    if ell == 0:
-        # every power in one call on flat arrays: numpy's loop for a
-        # broadcast exponent (or a 2-D batch of one) squares where the
-        # one-point ``point ** powers`` calls pow
-        base = np.empty((n_pts, n_terms, m))
-        base[:] = points[:, None, :]
-        expo = np.empty(base.shape, dtype=pm._powers.dtype)
-        expo[:] = pm._powers
-        pows = (base.reshape(-1) ** expo.reshape(-1)).reshape(base.shape)
-        prods = np.multiply.reduce(pows, axis=2)
-        ent = np.zeros((n_pts, n))
-        for t, cc in enumerate(coefs):
-            ent += cc * prods[:, t:t + 1]
-        return ent
-    flat, term, axes = _poly_table(pm._power_key, ell)
-    scale = np.ones((n_pts, len(flat)))
-    for a, (cols, expo) in enumerate(axes):
-        for col in cols:
-            scale *= col
-        top = int(expo.max(initial=0))
-        if top:
-            pows = [[math.pow(x, k) for k in range(top + 1)] for x in points[:, a].tolist()]
-            scale *= np.array(pows)[:, expo]
-    ent = np.zeros((n_pts, n, m**ell))
-    # unbuffered adds in row (= term) order, as the one-point sum runs
-    np.add.at(ent, (slice(None), slice(None), flat),
-              coefs[term].T * scale[:, None, :])
-    return ent.reshape((n_pts, n) + (m,) * ell)
-
-
-@functools.cache
-def _bound_table(powers: tuple[tuple[int, ...], ...], ell: int):
-    """:func:`_poly_table` with each row's factors in one fixed layout:
-    for axis 0 one falling-factorial column, for every later axis ``ell``,
-    each axis's columns followed by a slot for its power (1.0 here).  The
-    layout for m axes is a prefix of the one for more, and every padding
-    factor is an exact 1.0.  Returns the rows' flat entry and term
-    indices, the ``(rows, 1 + m * (ell + 1) - ell)`` factors and the
-    ``(rows, m)`` exponents."""
-    flat, term, axes = _poly_table(powers, ell)
-    seq = np.ones((len(flat), 1 + len(axes) * (ell + 1) - ell))
-    for a, (cols, _) in enumerate(axes):
-        at = 0 if a == 0 else 1 + a * (ell + 1) - ell
-        for k, col in enumerate(cols):
-            seq[:, at + k] = col
-    expo = np.array([e for _, e in axes], dtype=np.intp).reshape(len(axes), -1).T
-    return flat, term, seq, np.ascontiguousarray(expo)
+    flat, term, fall, expo = _poly_table(pm._power_key, ell)
+    pw = power_chain(points, int(expo.max(initial=0)))
+    scale = np.empty((n_pts, len(flat)))
+    scale[:] = fall
+    ent = np.zeros((n_pts, coefs.shape[1], m**ell))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(m):
+            scale *= pw[:, a, expo[:, a]]
+        # unbuffered adds in row (= term) order, as the one-point sum runs
+        np.add.at(ent, (slice(None), slice(None), flat), coefs[term].T * scale[:, None, :])
+    return ent.reshape((n_pts, coefs.shape[1]) + (m,) * ell)
 
 
 def _poly_bounds(polys, ell: int) -> list[np.ndarray]:
@@ -483,56 +459,33 @@ def _poly_bounds(polys, ell: int) -> list[np.ndarray]:
     A bound is the derivative of the polynomial with absolute coefficients
     at its own corner, the largest ``|x_a|`` of its domain's bounding box
     per axis.  Every entry is computed as :func:`_poly_tensors` computes it
-    at that one point: per term, the coefficient times (per axis: falling
-    factorials, then the power), summed over terms in term order, with
-    numpy's ``**`` at order 0 and libm's ``pow`` above, so an order >= 1
-    power that overflows raises OverflowError as there.  A polynomial with
-    fewer axes than the widest gets exact factors 1.0 on the others.  No
-    term is padded: a zero coefficient times an overflowing power is NaN.
+    at that one point, so a power that overflows is inf there too.  A
+    polynomial with fewer axes than the widest gets exact factors 1.0 on
+    the others.  No term is padded: a zero coefficient times an
+    overflowing power is NaN.
     """
-    # grouped by dimension (a stable sort): one block of rows per group
-    order = sorted(range(len(polys)), key=lambda p: len(polys[p][2][0]))
-    polys = [polys[p] for p in order]
-    tables = [_bound_table(powers, ell) for _, _, powers in polys]
+    tables = [_poly_table(powers, ell) for _, _, powers in polys]
     n_rows = [len(flat) for flat, _, _, _ in tables]
-    corners = {id(dom): dom for dom, _, _ in polys}
-    corners = {k: _axis_sups(dom) for k, dom in corners.items()}
-    width = len(polys[-1][2][0])
-    seq = np.ones((sum(n_rows), 1 + width * (ell + 1) - ell))
-    xs = np.ones((len(seq), width))
-    expo = np.zeros((len(seq), width), dtype=np.intp)
+    width = max(len(powers[0]) for _, _, powers in polys)
+    xs = np.ones((sum(n_rows), width))
+    expo = np.zeros((len(xs), width), dtype=np.intp)
     at = 0
-    for m, group in itertools.groupby(range(len(polys)), key=lambda p: len(polys[p][2][0])):
-        group = list(group)
-        rows = slice(at, at + sum(n_rows[p] for p in group))
-        seq[rows, :1 + m * (ell + 1) - ell] = np.concatenate([tables[p][2] for p in group])
-        expo[rows, :m] = np.concatenate([tables[p][3] for p in group])
-        xs[rows, :m] = np.repeat([corners[id(polys[p][0])] for p in group],
-                                 [n_rows[p] for p in group], axis=0)
-        at = rows.stop
-    if ell == 0:
-        # every power in one call on flat arrays, as the one-point kernel
-        pw = (xs.reshape(-1) ** expo.reshape(-1)).reshape(xs.shape)
-    else:
-        # libm once per distinct (corner coordinate, exponent)
-        ux, xi = np.unique(xs, return_inverse=True)
-        top = int(expo.max(initial=0)) + 1
-        keys, inv = np.unique(xi.reshape(-1) * top + expo.reshape(-1), return_inverse=True)
-        vals = np.array([math.pow(float(ux[k // top]), k % top) for k in keys.tolist()])
-        pw = vals[inv.reshape(-1)].reshape(xs.shape)
-    for a in range(width):
-        seq[:, 1 + a * (ell + 1)] = pw[:, a]
-    # the factors of a row multiplied in their order
-    scale = seq[:, 0].copy()
-    for col in seq.T[1:]:
-        scale *= col
+    for (dom, _, _), (_, _, _, e) in zip(polys, tables):
+        xs[at:at + len(e), :e.shape[1]] = _axis_sups(dom)
+        expo[at:at + len(e), :e.shape[1]] = e
+        at += len(e)
+    pw = power_chain(xs, int(expo.max(initial=0)))
+    scale = np.concatenate([fall for _, _, fall, _ in tables])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(width):
+            scale *= np.take_along_axis(pw[:, a], expo[:, a:a + 1], axis=1)[:, 0]
     # one (row, output) pair per product, rows in term order
     n_out = np.array([c.shape[1] for _, c, _ in polys], dtype=np.intp)
     n_flat = np.array([len(powers[0]) ** ell for _, _, powers in polys], dtype=np.intp)
     n_coef = np.array([c.size for _, c, _ in polys], dtype=np.intp)
     poly = np.repeat(np.arange(len(polys)), n_rows)
     row_n = n_out[poly]
-    pair_row = np.repeat(np.arange(len(seq)), row_n)
+    pair_row = np.repeat(np.arange(len(xs)), row_n)
     out = np.arange(len(pair_row)) - np.repeat(np.cumsum(row_n) - row_n, row_n)
     coefs = np.abs(np.concatenate([c for _, c, _ in polys], axis=None))
     term = np.concatenate([t for _, t, _, _ in tables])
@@ -542,11 +495,10 @@ def _poly_bounds(polys, ell: int) -> list[np.ndarray]:
     e_idx = (ent_start[poly] + flat)[pair_row] + out * n_flat[poly][pair_row]
     ent = np.zeros(int((n_out * n_flat).sum()))
     # unbuffered adds in pair order: per entry, in term order
-    np.add.at(ent, e_idx, coefs[c_idx] * scale[pair_row])
-    bounds = [None] * len(polys)
-    for p, a, n, f in zip(order, ent_start.tolist(), n_out.tolist(), n_flat.tolist()):
-        bounds[p] = ent[a:a + n * f].reshape(n, f)
-    return bounds
+    with np.errstate(invalid="ignore"):
+        np.add.at(ent, e_idx, coefs[c_idx] * scale[pair_row])
+    return [ent[a:a + n * f].reshape(n, f)
+            for a, n, f in zip(ent_start.tolist(), n_out.tolist(), n_flat.tolist())]
 
 
 class PolynomialMap(JetMap):
@@ -578,7 +530,6 @@ class PolynomialMap(JetMap):
         self.terms = terms
         self._coefs = np.array([c for c, _ in terms])
         self._power_key = tuple(pw for _, pw in terms)  # key of _poly_table
-        self._powers = np.array(self._power_key)
         self._tensors_cache: dict[tuple, np.ndarray] = {}
         self._bounds_cache: dict[int, np.ndarray] = {}
 
@@ -612,11 +563,9 @@ class TrigPolynomialMap(JetMap):
         self._check_order(ell)
         ent = np.zeros((len(points),) + self.out_shape + (self.dim,) * ell)
         for c, u, phase in self.terms:
-            # math.sin per point: numpy's vectorized sin rounds differently
-            s = np.array([
-                math.sin(float(np.dot(u, x)) + phase + ell * math.pi / 2.0)
-                for x in points
-            ])
+            # libm's sin per value: numpy's vectorized sin rounds differently
+            s = np.array([math.sin(p + phase + ell * math.pi / 2.0)
+                          for p in contract(points, u).tolist()])
             block = c
             for _ in range(ell):
                 block = np.multiply.outer(block, u)
@@ -722,23 +671,7 @@ class ComposeMap(JetMap):
         outer = [self.outer.tensors(inner[0], b) for b in range(ell + 1)]
         if ell == 0:
             return outer[0]
-        if ell == 1:
-            # the single partition of one slot: outer' . inner', contracted
-            # by one BLAS call per point as compose_tensor's tensordot does
-            v = outer[1].reshape(len(points), -1, self.outer.dim) @ inner[1]
-            total = np.zeros(outer[0].shape + (self.dim,))
-            total += v.reshape(total.shape)
-            return total
-        # higher orders sum tensordot terms per point, in compose_tensor's order
-        o = len(self.out_shape)
-        return np.stack([
-            compose_tensor(
-                [MultilinearMap(t[i], o) for t in outer],
-                [MultilinearMap(t[i], 1) for t in inner],
-                ell,
-            ).entries
-            for i in range(len(points))
-        ])
+        return compose_tensors(outer, inner, ell)
 
 
 class DifferentialMap(JetMap):
@@ -790,22 +723,6 @@ class PartialD2Map(JetMap):
         return np.moveaxis(t[..., self.m1:], -1, 2)
 
 
-def _leibniz_multi(b, jets, ell: int, m: int) -> np.ndarray:
-    """Order-``ell`` tensor of x -> b(f_1(x), ..., f_k(x)) at one point
-    from the factors' tensors ``jets[j][r]`` of orders 0..ell."""
-    k = len(jets)
-    ent = np.zeros((b.shape[0],) + (m,) * ell)
-    for assign in itertools.product(range(k), repeat=ell):
-        blocks = [[s for s in range(ell) if assign[s] == j] for j in range(k)]
-        v = b
-        for j in range(k):
-            v = np.tensordot(v, jets[j][len(blocks[j])], axes=(1, 0))
-        slots = [s for block in blocks for s in block]
-        perm = [0] + [1 + slots.index(s) for s in range(ell)]
-        ent += np.transpose(v, perm)
-    return _symmetrized(ent, 1)
-
-
 class MultilinearPairMap(JetMap):
     """x -> b(f_1(x), ..., f_k(x)) for a constant k-linear b."""
 
@@ -825,12 +742,19 @@ class MultilinearPairMap(JetMap):
 
     def tensors(self, points, ell):
         self._check_order(ell)
+        # Leibniz's rule: one term per assignment of the slots to the factors
         jets = [[mp.tensors(points, r) for r in range(ell + 1)] for mp in self.maps]
-        # contracted per point: tensordot's BLAS calls fix the bits
-        return np.stack([
-            _leibniz_multi(self.b, [[t[i] for t in jet] for jet in jets], ell, self.dim)
-            for i in range(len(points))
-        ])
+        k = len(jets)
+        ent = np.zeros((len(points), self.b.shape[0]) + (self.dim,) * ell)
+        for assign in itertools.product(range(k), repeat=ell):
+            blocks = [[s for s in range(ell) if assign[s] == j] for j in range(k)]
+            v = self.b[None]
+            for j in range(k):
+                v = _dot_axis(v, 2, jets[j][len(blocks[j])])
+            slots = [s for block in blocks for s in block]
+            perm = [0, 1] + [2 + slots.index(s) for s in range(ell)]
+            ent += np.transpose(v, perm)
+        return _symmetrized(ent, 2)
 
 
 class PairedDerivativeMap(JetMap):
@@ -869,31 +793,20 @@ class PairedDerivativeMap(JetMap):
         )
         self.g, self.pairing, self.e_shape = g, pairing, e_shape
 
-    def _pair(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
-        if self.pairing == "evaluate":
-            return a @ e
-        return a @ e.reshape(self.e_shape)
-
     def tensors(self, points, ell):
-        # the pairing contracts one point at a time: numpy's dot picks its
-        # BLAS (or scalar) path from the one-point shapes, which fixes the
-        # bits (signed zeros included)
         self._check_order(ell)
         mu = self.g.domain.dim
         u = np.ascontiguousarray(points[:, :mu])
-        e = np.ascontiguousarray(points[:, mu:])
         n = len(points)
+        e = points[:, mu:].reshape((n,) + self.e_shape)
         if ell == 0:
-            return np.stack([self._pair(a, ei) for a, ei in zip(self.g.tensors(u, 0), e)])
+            return _dot_axis(self.g.tensors(u, 0), 2, e)
         me = int(np.prod(self.e_shape))
         m = mu + me
         ent = np.zeros((n,) + self.out_shape + (m,) * ell)
         pts_sl = (slice(None),) * (1 + len(self.out_shape))
         # all argument slots in the u block
-        tl = self.g.tensors(u, ell)  # (n, p, q) + (mu,)*ell
-        if self.pairing == "compose":
-            e = e.reshape((n,) + self.e_shape)
-        t1 = np.stack([np.tensordot(a, ei, axes=(1, 0)) for a, ei in zip(tl, e)])
+        t1 = _dot_axis(self.g.tensors(u, ell), 2, e)  # (n, p) + (mu,)*ell [+ (s,)]
         if self.pairing == "compose":
             t1 = np.moveaxis(t1, -1, 2)  # (n, p, s) + (mu,)*ell
         ent[pts_sl + (slice(0, mu),) * ell] = t1
@@ -1033,16 +946,19 @@ def _fd_differences(vals: np.ndarray, m: int, order: int, h1: float, h2: float) 
     v = np.moveaxis(vals, 1, -1)
     f0 = v[..., 0]
     tensors = [f0]
-    if order >= 1:
-        tensors.append((v[..., 1:2 * m + 1:2] - v[..., 2:2 * m + 2:2]) / (2 * h1))
-    if order >= 2:
-        w = v.take(second, axis=-1)
-        d2 = (w[..., :m] - 2 * f0[..., None] + w[..., m:2 * m]) / h2**2
-        if m > 1:
-            s = np.split(w[..., 2 * m:], 4, axis=-1)
-            pairs = (s[0] - s[1] - s[2] + s[3]) / (4 * h2**2)
-            d2 = np.concatenate([d2, pairs], axis=-1).take(sym, axis=-1)
-        tensors.append(d2.reshape(d2.shape[:-1] + (m, m)))
+    # an infinite value gives an infinite or NaN difference, which the
+    # comparisons count as a disagreement
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order >= 1:
+            tensors.append((v[..., 1:2 * m + 1:2] - v[..., 2:2 * m + 2:2]) / (2 * h1))
+        if order >= 2:
+            w = v.take(second, axis=-1)
+            d2 = (w[..., :m] - 2 * f0[..., None] + w[..., m:2 * m]) / (h2 * h2)
+            if m > 1:
+                s = np.split(w[..., 2 * m:], 4, axis=-1)
+                pairs = (s[0] - s[1] - s[2] + s[3]) / (4 * (h2 * h2))
+                d2 = np.concatenate([d2, pairs], axis=-1).take(sym, axis=-1)
+            tensors.append(d2.reshape(d2.shape[:-1] + (m, m)))
     return tensors
 
 
@@ -1191,7 +1107,8 @@ class _FdStack:
         errs, bad = [], []
         for exact, ap in zip(self.exact, approx[1:]):
             ex = exact[:n].reshape(len(ap), math.prod(ap.shape[1:]))
-            err = np.abs(ex - ap.reshape(ex.shape)).max(axis=1)
+            with np.errstate(invalid="ignore"):
+                err = np.abs(ex - ap.reshape(ex.shape)).max(axis=1)
             scale = np.maximum(1.0, np.abs(ex).max(axis=1))
             # a NaN or infinite entry on either side makes err NaN or infinite
             bad.append(~((err <= 1e-4 * scale) & np.isfinite(err)))
@@ -1224,11 +1141,12 @@ def validate_jet_maps(maps: Sequence[JetMap], rng: np.random.Generator):
     validating one map after another.  The maps are stacked by (dim,
     compared orders, out_shape), and every comparison is computed
     elementwise, with the bits of a one-map validation.  The error raised
-    is the one of the earliest map in the list that fails; within a map,
-    an exception from its own evaluation comes first, then its first
-    failing (probe, order), then a stencil that leaves the domain.  No
-    map after one whose probes cannot be drawn is drawn, and none after
-    one whose evaluation raised is evaluated."""
+    is the one of the earliest map in the list that fails, with that map's
+    list index as ``index``; within a map, an exception from its own
+    evaluation comes first, then its first failing (probe, order), then a
+    stencil that leaves the domain.  No map after one whose probes cannot
+    be drawn is drawn, and none after one whose evaluation raised is
+    evaluated."""
     jobs, stop, error = [], len(maps), None
     for k, map_ in enumerate(maps):
         if _fd_top(map_) < 1:
@@ -1251,8 +1169,9 @@ def validate_jet_maps(maps: Sequence[JetMap], rng: np.random.Generator):
         stop, error = k, exc
     failures = [f for f in (s.first_failure(stop) for s in stacks) if f is not None]
     if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        stop, error = min(failures, key=lambda f: f[0])
     if error is not None:
+        error.index = stop
         raise error
 
 
@@ -1405,9 +1324,7 @@ def xi2_pointwise_check(
     u, e = points[:, :mu], np.abs(points[:, mu:])
     # initial=0.0: an empty operator slot has norm 0
     if xi2.pairing == "compose":
-        # opnorm_inf of each row's operator: its largest absolute row sum
-        e_norm = e.reshape((len(points), -1, xi2.e_shape[-1])).sum(axis=2).max(
-            axis=1, initial=0.0)
+        e_norm = opnorms_inf(e.reshape((len(points),) + xi2.e_shape))
     else:
         e_norm = e.max(axis=1, initial=0.0)
     lhs = op_norms(xi2.tensors(points, ell), len(xi2.out_shape))
@@ -1475,7 +1392,7 @@ def _entry_bounds(jobs) -> list[np.ndarray]:
 def _row_sum_max(e: np.ndarray) -> float:
     """The largest absolute row sum of entry bounds: a bound of the sup
     operator norm."""
-    return float(e.sum(axis=1).max()) if e.size else 0.0
+    return float(row_sums(e).max()) if e.size else 0.0
 
 
 def crude_sup_bounds(maps: Sequence[JetMap], ell: int) -> list[float]:
@@ -1503,7 +1420,7 @@ def crude_partial2_sup(xi: JetMap) -> float:
         raise ShapeError("map must declare two input blocks")
     m1, m2 = xi.in_blocks
     (e,) = _entry_bounds([(xi, 1)])  # (n, m1 + m2)
-    return float(np.max(e[:, m1:].sum(axis=1))) if e.size else 0.0
+    return float(np.max(row_sums(e[:, m1:]))) if e.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .arith import contract, matmul, row_sums
 from .errors import (
     ContractionViolationError,
     GeometryError,
@@ -97,9 +98,11 @@ def convergence_report(
     exact_tol: float = EXACTNESS_TOL,
     detail: str = "",
 ) -> CheckReport:
-    """Least-squares slope of log error against log step; passes inside
-    ``SLOPE_WINDOW`` or on the exactness branch (all errors below exact_tol).
-    A non-finite error fails: the first one is the lhs, its step named."""
+    """Least-squares slope of log error against log step, in closed form
+    (the centred cross sum over the centred square sum, libm's ``log``);
+    passes inside ``SLOPE_WINDOW`` or on the exactness branch (all errors
+    below exact_tol).  A non-finite error fails: the first one is the
+    lhs, its step named."""
     pairs = list(zip(steps, errors))
     for h, e in pairs:
         if not math.isfinite(e):
@@ -115,9 +118,10 @@ def convergence_report(
         )
     if any(e <= 0 for e in errs) or len(pairs) < 3:
         return skipped_report(check_id, "degenerate error sequence for slope fit")
-    logs_h = np.log([h for h, _ in pairs])
-    logs_e = np.log(errs)
-    slope = float(np.polyfit(logs_h, logs_e, 1)[0])
+    x = np.array([math.log(h) for h, _ in pairs])
+    y = np.array([math.log(e) for e in errs])
+    x, y = x - row_sums(x) / len(x), y - row_sums(y) / len(y)
+    slope = float(contract(x, y) / contract(x, x))
     lo, hi = SLOPE_WINDOW
     margin = min(slope - lo, hi - slope)
     status = "pass" if margin >= 0 else "fail"
@@ -172,7 +176,7 @@ def weak_integral(g, a: float, b: float, quad_n: int = 64) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     h = (b - a) / quad_n
-    return h / 3.0 * np.tensordot(w, vals, axes=(0, 0))
+    return h / 3.0 * contract(np.moveaxis(vals, 0, -1), w)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +291,7 @@ def superpose_derivative_check(
     m2 = op.v.dim
     g, d = gamma.map.tensors(pts, 0), direction.map.tensors(pts, 0)
     d2 = op.xi.tensors(np.concatenate([pts, g], axis=1), 1)[:, :, -m2:]
-    # d2 @ d one point at a time: the BLAS call of the one-point formula
-    exact = np.array([a @ b for a, b in zip(d2, d)])
+    exact = contract(d2, d[:, None, :])
 
     def error_at(t):
         if not (op.v.members(g + t * d).all() and op.v.members(g - t * d).all()):
@@ -384,8 +387,7 @@ def compose_derivative_check(
     ex, dx = eta.map.tensors(pts, 0), eta_dir.tensors(pts, 0)
     z = ex + pts
     dgamma = gamma.map.differential().tensors(z, 0)
-    # dgamma @ dx one point at a time: the BLAS call of the one-point formula
-    exact = np.array([a @ b for a, b in zip(dgamma, dx)]) + gamma_dir.tensors(z, 0)
+    exact = contract(dgamma, dx[:, None, :]) + gamma_dir.tensors(z, 0)
 
     def error_at(t):
         if not (v.members(ex + t * dx).all() and v.members(ex - t * dx).all()):
@@ -404,14 +406,14 @@ def compose_derivative_check(
 
 def neumann_terms(q: float) -> int:
     """Smallest truncation order N with geometric tail q^(N+1)/(1-q) at or
-    below ``NEUMANN_TAIL``."""
+    below ``NEUMANN_TAIL``, the power by a multiplication chain."""
     if not 0.0 <= q < 1.0:
         raise SpectralConditionError(f"operator norm {q} is not below 1")
     if q == 0.0:
         return 1
-    n_terms = 1
-    while q ** (n_terms + 1) / (1.0 - q) > NEUMANN_TAIL:
-        n_terms += 1
+    n_terms, power = 1, q * q
+    while power / (1.0 - q) > NEUMANN_TAIL:
+        n_terms, power = n_terms + 1, power * q
         if n_terms > NEUMANN_MAX_TERMS:
             raise TruncationError(
                 f"needs more than {NEUMANN_MAX_TERMS} terms for tail {NEUMANN_TAIL}"
@@ -425,9 +427,9 @@ def quasi_inverses(mats) -> np.ndarray:
     satisfies a + QI(a) - a QI(a) = 0 within twice the tail.
 
     Each row takes its own truncation order from its own ``opnorm_inf``.
-    The rows that need a further power take it in one stacked ``@``, which
-    multiplies row by row as the one-matrix product does, so each row
-    carries the bits of a one-matrix power chain.  The first row whose norm
+    The rows that need a further power take it in one stacked
+    :func:`~wrp.arith.matmul`, so each row carries the bits of a one-matrix
+    power chain.  The first row whose norm
     is not below 1, or that needs more than ``NEUMANN_MAX_TERMS`` terms,
     raises what it raises alone."""
     mats = np.asarray(mats, dtype=float)
@@ -442,7 +444,7 @@ def quasi_inverses(mats) -> np.ndarray:
     power, acc = base.copy(), base.copy()
     for step in range(1, counts.max(initial=1)):
         live = int(np.count_nonzero(counts > step))
-        power[:live] = power[:live] @ base[:live]
+        power[:live] = matmul(power[:live], base[:live])
         acc[:live] += power[:live]
     qi = np.empty_like(acc)
     qi[order] = -acc
@@ -462,7 +464,7 @@ def quasi_inverse(a):
 
 def quasi_inverse_report(a: np.ndarray) -> tuple[np.ndarray, CheckReport]:
     qi = quasi_inverse(a)
-    residual = opnorm_inf(np.atleast_2d(a) + qi - np.atleast_2d(a) @ qi)
+    residual = opnorm_inf(np.atleast_2d(a) + qi - matmul(np.atleast_2d(a), qi))
     return qi, bound_report(
         "qi:neumann_relation", residual, 2.0 * NEUMANN_TAIL, tolerance=0.0,
         lhs_provenance=EXACT, rhs_provenance=EXACT,
@@ -521,7 +523,7 @@ class InverseMap(JetMap):
         if ell == 0:
             return xs - points
         a = self.phi.tensors(xs, 1)
-        return a @ quasi_inverses(-a) - a
+        return matmul(a, quasi_inverses(-a)) - a
 
 
 def _fixed_points(ys, evaluate, u: DomainSet, cfg: ContractionConfig, groups):
@@ -744,7 +746,7 @@ def inversion_direction_check(
         fd = ((xs[:, :, 0] - probes) - (xs[:, :, 1] - probes)) / two_t
         a = phi.map.tensors(x_star, 1)
         dv = direction.map.tensors(x_star, 0)
-        exact = -((np.eye(a.shape[1]) - quasi_inverses(-a)) @ dv[:, :, None])[:, :, 0]
+        exact = -contract(np.eye(a.shape[1]) - quasi_inverses(-a), dv[:, None, :])
         errors = {t: max_deviation(np.abs(fd[s] - exact)) for s, t in enumerate(admitted)}
 
     def error_at(t):

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .arith import matmul
 from .errors import (
     DataError,
     PreconditionError,
@@ -490,7 +491,7 @@ def sim_power_series(
                 EXACT, CERTIFIED_UPPER, (i,) + tuple(pts[k].tolist()),
                 "spectral certificate violated",
             )
-        residuals.append(opnorms_inf(a + qi - a @ qi))
+        residuals.append(opnorms_inf(a + qi - matmul(a, qi)))
         out.append(
             WeightedFunction(PointwiseQIMap(wf.map, op_dim), wf.grid, 0)
         )
@@ -587,7 +588,7 @@ def sim_invert(
     x_star = np.array([x for x, _, _ in inv_map.solves(ys)])
     a = phi.factors[arg].map.tensors(x_star, 1)
     jet1 = inv_map.tensors(ys, 1)
-    chain = a @ quasi_inverses(-a) - a
+    chain = matmul(a, quasi_inverses(-a)) - a
     chain_dev = max_deviation(np.abs(chain - jet1))
     reports.append(
         identity_report(

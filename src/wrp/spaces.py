@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .arith import contract
 from .errors import (
     CertificateRequiredError,
     DataError,
@@ -272,9 +273,11 @@ class Weight:
         default_factory=dict, compare=False, repr=False, init=False)
 
     def values(self, points) -> np.ndarray:
-        """``fn`` at every row of the ``(N, dim)`` array ``points``: the one
-        evaluation rule.  ``fn`` runs once per row, keeping the libm bits
-        of a one-point call; a NaN is a DataError naming its first row.
+        """The weight at every row of the ``(N, dim)`` array ``points``: the
+        one evaluation rule.  A built-in kind (one with a ``desc``) is
+        evaluated for all rows at once by :func:`_kind_values`; any other
+        ``fn`` runs once per row.  A NaN is a DataError naming its first
+        row.
 
         Results are cached per instance by the float points' shape and
         bytes, as ``InverseMap.solves`` caches its fixed points; a NaN is
@@ -285,7 +288,8 @@ class Weight:
         v = self._cache.get(key)
         if v is not None:
             return v
-        v = np.array([float(self.fn(x)) for x in pts], dtype=float)
+        v = (_kind_values(self.desc, pts) if self.desc is not None
+             else np.array([float(self.fn(x)) for x in pts], dtype=float))
         nan = np.isnan(v)
         if nan.any():
             raise DataError(
@@ -314,15 +318,31 @@ def validate_weight_on_points(weight: Weight, points: np.ndarray):
         raise DataError(f"weight {weight.name!r}: |f({pts[k].tolist()})| = {float(v[k])} {claim}")
 
 
+def _kind_values(desc: dict, pts: np.ndarray) -> np.ndarray:
+    """The built-in weight of descriptor ``desc`` at every row of ``pts``:
+    its dot products in one :func:`~wrp.arith.contract`, then libm's
+    ``exp`` or ``sin`` per value."""
+    kind = desc["kind"]
+    if kind == "const":
+        return np.full(len(pts), desc["c"])
+    if kind == "gauss":
+        return np.array([math.exp(-desc["a"] * q) for q in contract(pts, pts).tolist()])
+    if kind == "two_plus_sin":
+        s, u = desc["scale"], np.array(desc["u"])
+        return np.array([s * (2.0 + math.sin(p)) for p in contract(pts, u).tolist()])
+    return desc["c"] * _kind_values(desc["base"], pts)
+
+
+def _builtin_weight(name: str, desc: dict, sup: float | None, inf: float | None) -> Weight:
+    """A weight of a built-in kind; its ``fn`` is :func:`_kind_values` at
+    one point."""
+    return Weight(name, lambda x: float(_kind_values(desc, np.asarray(x, dtype=float)[None])[0]),
+                  certified_sup=sup, certified_inf=inf, desc=desc)
+
+
 def const_weight(name: str, c: float) -> Weight:
     c = float(c)
-    return Weight(
-        name,
-        lambda x, c=c: c,
-        certified_sup=abs(c),
-        certified_inf=abs(c),
-        desc={"kind": "const", "c": c},
-    )
+    return _builtin_weight(name, {"kind": "const", "c": c}, abs(c), abs(c))
 
 
 def gaussian_weight(name: str, a: float, domain: DomainSet | None = None) -> Weight:
@@ -332,38 +352,28 @@ def gaussian_weight(name: str, a: float, domain: DomainSet | None = None) -> Wei
     inf_cert = None
     if domain is not None and a >= 0:
         lo, hi = domain.bounding_box()
-        worst = float(np.sum(np.maximum(np.abs(lo), np.abs(hi)) ** 2))
-        inf_cert = math.exp(-a * worst)
-    return Weight(
-        name,
-        lambda x, a=a: math.exp(-a * float(np.dot(x, x))),
-        certified_sup=1.0 if a >= 0 else None,
-        certified_inf=inf_cert,
-        desc={"kind": "gauss", "a": a},
-    )
+        inf_cert = float(_kind_values({"kind": "gauss", "a": a},
+                                      np.maximum(np.abs(lo), np.abs(hi))[None])[0])
+    return _builtin_weight(name, {"kind": "gauss", "a": a}, 1.0 if a >= 0 else None, inf_cert)
 
 
 def two_plus_sin_weight(name: str, u: Sequence[float], scale: float = 1.0) -> Weight:
-    u_arr = np.asarray(u, dtype=float)
     scale = float(scale)
-    return Weight(
-        name,
-        lambda x, u=u_arr, s=scale: s * (2.0 + math.sin(float(np.dot(u, x)))),
-        certified_sup=3.0 * abs(scale),
-        certified_inf=1.0 * abs(scale),
-        desc={"kind": "two_plus_sin", "u": u_arr.tolist(), "scale": scale},
-    )
+    desc = {"kind": "two_plus_sin", "u": np.asarray(u, dtype=float).tolist(), "scale": scale}
+    return _builtin_weight(name, desc, 3.0 * abs(scale), 1.0 * abs(scale))
 
 
 def scaled_weight(base: Weight, c: float, name: str | None = None) -> Weight:
+    """``c`` times the built-in weight ``base``."""
+    if base.desc is None:
+        raise DataError(f"weight {base.name!r} carries no descriptor")
     c = float(c)
     scale = abs(c)
-    return Weight(
+    return _builtin_weight(
         name or f"{c}*{base.name}",
-        lambda x, b=base, c=c: c * float(b.fn(x)),
-        certified_sup=None if base.certified_sup is None else scale * base.certified_sup,
-        certified_inf=None if base.certified_inf is None else scale * base.certified_inf,
-        desc={"kind": "scaled", "c": c, "base": base.desc},
+        {"kind": "scaled", "c": c, "base": base.desc},
+        None if base.certified_sup is None else scale * base.certified_sup,
+        None if base.certified_inf is None else scale * base.certified_inf,
     )
 
 
@@ -406,12 +416,11 @@ def weight_from_desc(desc: dict, name: str, domain: DomainSet) -> Weight:
 
 
 def weight_to_desc(weight: Weight) -> dict:
+    """The descriptor of a built-in weight, without its certified sup and
+    inf: :func:`weight_from_desc` computes both from the kind."""
     if weight.desc is None:
         raise DataError(f"weight {weight.name!r} carries no descriptor")
-    d = dict(weight.desc)
-    d["certified_sup"] = weight.certified_sup
-    d["certified_inf"] = weight.certified_inf
-    return d
+    return dict(weight.desc)
 
 
 # ---------------------------------------------------------------------------

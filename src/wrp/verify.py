@@ -22,12 +22,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .arith import contract
 from .errors import (
     ConfigError,
     DataError,
     GeometryError,
     PreconditionError,
     ShapeError,
+    WrpError,
 )
 from .jets import (
     ComposeMap,
@@ -859,7 +861,7 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
         scale = min(f11 / b1 if b1 > 0 else 1.0, f10 / b0 if b0 > 0 else 1.0)
         el[key].append((ScaledMap(pm, scale), 2))
     for raw, eb, q_i in zip(ops, op_ents, q_targets):
-        bound = float(np.max(eb.reshape(dim, dim).sum(axis=1)))
+        bound = _row_sum_max(eb.reshape(dim, dim))
         el["op_gammas"].append((ScaledMap(raw, q_i / bound if bound > 0 else 1.0), 0))
     # the difference maps are built only for their bounds, at the factors
     # both elements store
@@ -944,7 +946,8 @@ def validate_scenario(sc: FamilyScenario):
     """Ingest validation: coded jets agree with finite differences at a
     few points and no grid evaluation contradicts a weight certificate.
     Certificates for sup quantities are only falsified here, never proved;
-    the check suite does the falsification of the dominance certificates."""
+    the check suite does the falsification of the dominance certificates.
+    A map that fails is a DataError at its JSON pointer."""
     from .jets import validate_jet_maps
     from .spaces import validate_weight_on_points
 
@@ -953,11 +956,14 @@ def validate_scenario(sc: FamilyScenario):
     for member in sc.weights.members:
         for w, pts in zip(member.factors, grids):
             validate_weight_on_points(w, pts)
-    validate_jet_maps(
-        [wf.map for key in ELEMENT_GRIDS for wf in getattr(sc, key).factors]
-        + [op.xi for op in sc.xis] + list(sc.sigmas),
-        rng,
-    )
+    maps = ([(f"/elements/{key}/{i}/map", wf.map) for key in ELEMENT_GRIDS
+             for i, wf in enumerate(getattr(sc, key).factors)]
+            + [(f"/xis/{i}/map", op.xi) for i, op in enumerate(sc.xis)]
+            + [(f"/sigmas/{i}", s) for i, s in enumerate(sc.sigmas)])
+    try:
+        validate_jet_maps([m for _, m in maps], rng)
+    except WrpError as exc:
+        raise DataError(f"{maps[exc.index][0]}: {exc}") from None
     return sc
 
 
@@ -1074,7 +1080,7 @@ def _linear_in_second(sc: FamilyScenario, i: int) -> PolynomialMap:
     terms = []
     for coef, powers in m.terms:
         for q in range(dim):
-            new_coef = np.tensordot(b[:, :, q], coef, axes=(1, 0))
+            new_coef = contract(b[:, :, q], coef)
             new_pow = tuple(powers) + tuple(1 if a == q else 0 for a in range(dim))
             terms.append((new_coef, new_pow))
     return PolynomialMap(dom, terms, in_blocks=(dim, dim))
@@ -1157,30 +1163,25 @@ def _run_integrals(sc: FamilyScenario) -> list[CheckReport]:
     from .jets import PartialD2Map
 
     d2 = PartialD2Map(op0.xi)
-    reports = []
     pts = sc.factors[0].grid_u.points[:: max(1, len(sc.factors[0].grid_u) // 3)]
     gs, es = sc.gammas[0].map.tensors(pts, 0), sc.gamma_alts[0].map.tensors(pts, 0)
     lhss = (op0.xi.tensors(np.concatenate([pts, gs], axis=1), 0)
             - op0.xi.tensors(np.concatenate([pts, es], axis=1), 0))
-    for x, g, e, lhs in zip(pts, gs, es, lhss):
 
-        def integrand(ts):
-            t = ts[:, None]
-            nodes = np.concatenate([np.broadcast_to(x, t.shape[:1] + x.shape),
-                                    t * g + (1 - t) * e], axis=1)
-            # one matrix-vector product per node, as at a single node
-            return np.array([a @ (g - e) for a in d2.tensors(nodes, 0)])
+    def integrand(ts):
+        # (node, point, axis): the segment from e to g at every point
+        t = ts[:, None, None]
+        nodes = np.concatenate([np.broadcast_to(pts, t.shape[:1] + pts.shape),
+                                t * gs + (1 - t) * es], axis=2)
+        vals = d2.tensors(nodes.reshape(-1, nodes.shape[2]), 0)
+        return contract(vals.reshape(nodes.shape[:2] + vals.shape[1:]), (gs - es)[:, None])
 
-        rhs = weak_integral(integrand, 0.0, 1.0, 64)
-        reports.append(
-            identity_report(
-                "lem:Stetigkeit_parameterab_Int",
-                float(np.max(np.abs(lhs - rhs))),
-                tolerance=1e-10,
-                witness=tuple(float(c) for c in x),
-            )
-        )
-    return [merge_min_margin("lem:Stetigkeit_parameterab_Int", reports)]
+    rhss = weak_integral(integrand, 0.0, 1.0, 64)
+    return [merge_min_margin("lem:Stetigkeit_parameterab_Int", [
+        identity_report("lem:Stetigkeit_parameterab_Int", float(np.max(np.abs(lhs - rhs))),
+                        tolerance=1e-10, witness=tuple(float(c) for c in x))
+        for x, lhs, rhs in zip(pts, lhss, rhss)
+    ])]
 
 
 def _merge_per_id(reports, check_ids) -> list[CheckReport]:
@@ -1343,13 +1344,13 @@ def _run_family(sc: FamilyScenario) -> list[CheckReport]:
     out.append(product_iso_roundtrip(paired, fw_one, 1))
 
     base_norm = max(lips)
-    elements = [elem.scaled(2.0 - 2.0 ** (-k)) for k in range(7)]
+    elements = [elem.scaled(2.0 - math.ldexp(1.0, -k)) for k in range(7)]
     limit = elem.scaled(2.0)
     out.append(
         cauchy_limit_check(
             elements, limit, fw_gauss, 0,
-            increment_envelope=lambda k: 2.0 ** (-(k + 1)) * base_norm,
-            tail_envelope=lambda k: 2.0 ** (-k) * base_norm,
+            increment_envelope=lambda k: math.ldexp(base_norm, -(k + 1)),
+            tail_envelope=lambda k: math.ldexp(base_norm, -k),
         )
     )
 

@@ -3,7 +3,8 @@
 ``JetMap.tensors`` evaluates a whole point array at once; ``tensor`` and
 ``value`` are batches of one.  Every row of a batch must carry exactly the
 bits of the one-point evaluation, and the polynomial kernel must carry the
-bits of the plain one-point formula below.  The same holds for domain
+bits of the plain one-point formula below, whose powers are multiplication
+chains and whose sums run left to right.  The same holds for domain
 membership (``DomainSet.members``), boundary distance
 (``DomainSet.boundary_distances``), norms (``NormedSpaceDesc.norms``),
 finite-difference stencils (``fd_tensors``), the fixed-point inversion
@@ -11,16 +12,17 @@ finite-difference stencils (``fd_tensors``), the fixed-point inversion
 ``Weight.__call__`` is a batch of one) and the weighted grid sup
 (``weighted_seminorm``), each against its one-point rule kept here as
 the oracle.  Operator norms (``op_norms`` over a stack, of which
-``op_norm`` is a batch of one) are pinned against the per-tensor
-enumeration kept here: bit for bit on every stack a scenario run of
-seeds 0..9 builds and on the shapes where BLAS sums a stack row as it
-sums one tensor, within rounding elsewhere; the paired-derivative check
+``op_norm`` is a batch of one) are pinned bit for bit against the
+per-tensor enumeration kept here, with its vertex and row sums written
+out left to right, on every stack a scenario run of seeds 0..9 builds and
+on random stacks of every shape; the paired-derivative check
 over a point array against the merge of its one-point reports.  The
 per-instance caches of ``PolynomialMap.tensors``, the polynomial entry
 bounds and ``Weight.values`` hand back read-only arrays with the bits of
 an uncached evaluation, keyed by the exact input bits.  Quasi-inverses
 (``quasi_inverses`` over a stack, of which ``quasi_inverse`` is a batch
 of one) carry the bits of the per-matrix Neumann power chain kept here,
+its products written out entry by entry,
 on random stacks and on every stack a scenario run of seeds 0..9 builds.  The stencils
 built from the cached offset table carry the bits of a list-built
 one-point stencil, signed zeros included, and ``validate_jet_map`` draws
@@ -28,9 +30,11 @@ the probe stream of a one-row-at-a-time loop and raises what a
 one-probe-at-a-time comparison raises.
 """
 
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import signal
@@ -104,31 +108,42 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "..", "fixtures", "scenario_se
 MAX_ORDER_CAP = 3  # orders checked for maps without a declared max order
 
 
+def _chain_power(x: float, k: int) -> float:
+    """``x**k`` as the chain ``x**0 = 1``, ``x**j = x**(j-1) * x``."""
+    p = 1.0
+    for _ in range(k):
+        p *= x
+    return p
+
+
+def _ltr_sum(values) -> float:
+    """The values added left to right."""
+    return functools.reduce(operator.add, values)
+
+
 def _poly_derivative(terms, point, ell, coef):
     """Oracle: the order-``ell`` derivative entries ``(n,) + (m,)*ell`` at
-    one point, by the one-point formula the batched kernel must reproduce
-    (numpy ``point ** powers`` at order 0, one ``float ** int`` per axis
-    above)."""
+    one point, by the one-point formula the batched kernel must reproduce:
+    per term and surviving multi-index, the coefficient times ((the
+    falling factorials' integer product times the chained power of axis
+    0) times the chained power of axis 1 ...), added in term order."""
     n, m = terms[0][0].shape[0], len(terms[0][1])
     ent = np.zeros((n,) + (m,) * ell)
     for c, pw in terms:
         cc = coef(c)
-        if ell == 0:
-            ent += cc * float(np.prod(point ** np.array(pw)))
-            continue
-        if sum(pw) < ell:
-            continue
         for jidx in itertools.product(range(m), repeat=ell):
             beta = [0] * m
             for j in jidx:
                 beta[j] += 1
             if any(beta[a] > pw[a] for a in range(m)):
                 continue
-            scale = 1.0
+            fall = 1
             for a in range(m):
                 for k in range(beta[a]):
-                    scale *= pw[a] - k
-                scale *= point[a] ** (pw[a] - beta[a])
+                    fall *= pw[a] - k
+            scale = float(fall)
+            for a in range(m):
+                scale *= _chain_power(float(point[a]), pw[a] - beta[a])
             ent[(slice(None),) + jidx] += cc * scale
     return ent
 
@@ -248,8 +263,8 @@ def test_every_jetmap_class_is_pinned():
 
 
 def test_polynomial_matches_one_point_formula():
-    # enough points that numpy's vectorized power, or its squaring loop for
-    # a broadcast exponent, would differ from the one-point formula somewhere
+    # enough points that libm's pow or numpy's vectorized power would
+    # differ from the power chain somewhere
     rng = np.random.default_rng(11)
     for dim, n_points in ((1, 400), (2, 100), (3, 20)):
         dom = box([-1.5] * dim, [1.5] * dim)
@@ -265,7 +280,7 @@ def test_polynomial_matches_one_point_formula():
             # bounding-box corner with absolute coefficients
             corner = np.full(dim, 1.5)
             oracle = _poly_derivative(pm.terms, corner, ell, np.abs).reshape(3, -1)
-            assert crude_sup_bound(pm, ell) == float(np.max(oracle.sum(axis=1)))
+            assert crude_sup_bound(pm, ell) == max(_ltr_sum(row) for row in oracle)
 
 
 def _stencil_formula(f, x, h):
@@ -1126,9 +1141,9 @@ def test_weight_values_name_the_first_nan_row():
 
 def _op_norm_oracle(t: MultilinearMap, norm_kind: str = SUP) -> float:
     """The per-tensor rule: uncurry, then enumerate the sign vertices of
-    all arguments but the last, one ``tensordot`` per vertex and argument,
-    the last optimized by an absolute row sum; the vertex max by Python's
-    ``max``."""
+    all arguments but the last, one vertex sum per vertex and argument,
+    the last optimized by an absolute row sum; each sum written out left
+    to right, the vertex max by Python's ``max``."""
     while t.out_rank > 1:
         t = uncurry_last(t)
     e = t.entries
@@ -1153,8 +1168,8 @@ def _op_norm_oracle(t: MultilinearMap, norm_kind: str = SUP) -> float:
     for signs in itertools.product(*signs_per_arg):
         v = e
         for s in signs:
-            v = np.tensordot(v, s, axes=(1, 0))
-        best = max(best, float(np.max(np.abs(v).sum(axis=1))))
+            v = _ltr_sum(v[:, j] * s[j] for j in range(len(s)))
+        best = max(best, max(float(_ltr_sum(np.abs(row))) for row in v))
     return best
 
 
@@ -1206,8 +1221,7 @@ def _random_stack(rng, shape):
 
 def test_op_norms_rows_match_oracle_on_random_stacks():
     """Output ranks 1 to 3 with arguments of dimension 1 to 3, and vector
-    outputs with arguments up to 7: the shapes where a stack row carries
-    the per-tensor bits (see the next test for the others)."""
+    outputs with arguments up to 7."""
     rng = np.random.default_rng(11)
     for _ in range(150):
         out_rank = int(rng.integers(1, 4))
@@ -1217,24 +1231,29 @@ def test_op_norms_rows_match_oracle_on_random_stacks():
         assert _rows_match_oracle(_random_stack(rng, shape), 1), shape
 
 
-def test_op_norms_rows_within_rounding_where_blas_kernels_differ():
-    """Each vertex sum goes through BLAS, whose kernel follows the
-    layout.  A scalar-valued tensor summed over 4 or more entries takes
-    a transposed gemv (or dot) alone but gemv in a stack, and gemv blocks
-    sums of 8 or more entries by row position, so there a stack row
-    agrees with the per-tensor rule to a bound set from the float64
-    epsilon; a batch of one keeps the per-tensor bits."""
+def test_op_norms_rows_match_oracle_where_blas_kernels_differed():
+    """The shapes where the vertex sums, when they were BLAS calls, took
+    another kernel in a stack than alone: a scalar-valued tensor summed
+    over 4 or more entries, and sums of 8 or more entries.  Every row of
+    a stack, and every batch of one, carries the per-tensor bits."""
     rng = np.random.default_rng(12)
     for shape, out_rank in (((1, 4, 2), 1), ((1, 5, 3, 2), 1), ((1, 3, 4), 2),
                             ((1, 2, 6, 1), 3), ((2, 8, 2), 1), ((1, 9, 3), 1)):
         for _ in range(3):
             stack = _random_stack(rng, shape)
-            got = op_norms(stack, out_rank)
-            for row, t in zip(got, stack):
+            assert _rows_match_oracle(stack, out_rank), shape
+            for t in stack:
                 want = _op_norm_oracle(MultilinearMap(t, out_rank))
                 assert _same_bits(op_norm(MultilinearMap(t, out_rank)), want), shape
-                bound = 2 * sum(shape[1:]) * np.finfo(float).eps * np.abs(t).sum()
-                assert abs(row - want) <= bound, shape
+
+
+def test_op_norms_slices_keep_the_bits(monkeypatch):
+    """A stack too large for one slice of vertex sums is taken in slices;
+    each row has the bits it has in a stack of one slice."""
+    stack = _random_stack(np.random.default_rng(14), (2, 3, 3, 2))
+    whole = op_norms(stack)
+    monkeypatch.setattr(jets, "OP_NORM_CHUNK", 1)
+    assert _same_bits(op_norms(stack), whole)
 
 
 def test_op_norms_euclidean_and_budget_match_oracle():
@@ -1298,7 +1317,13 @@ def test_op_norms_empty_axes_are_the_zero_map():
 
 
 def _opnorm_inf_oracle(mat) -> float:
-    return float(np.max(np.abs(mat).sum(axis=1))) if mat.size else 0.0
+    return max(float(_ltr_sum(np.abs(row))) for row in mat) if mat.size else 0.0
+
+
+def _matmul_oracle(a, b) -> np.ndarray:
+    """``a @ b``, each entry its products added left to right."""
+    return np.array([[_ltr_sum(a[i, k] * b[k, j] for k in range(a.shape[1]))
+                      for j in range(b.shape[1])] for i in range(a.shape[0])])
 
 
 def _quasi_inverse_oracle(a) -> np.ndarray:
@@ -1311,7 +1336,7 @@ def _quasi_inverse_oracle(a) -> np.ndarray:
     power = mat.copy()
     acc = mat.copy()
     for _ in range(1, n_terms):
-        power = power @ mat
+        power = _matmul_oracle(power, mat)
         acc += power
     return -acc
 
@@ -1604,5 +1629,5 @@ def test_crude_sup_bound_matches_uncached_arithmetic(seed):
         corner = jets._axis_sups(pm.domain)[None]
         for ell in range(4):
             ent = jets._poly_tensors(pm, np.abs(pm._coefs), corner, ell)[0]
-            want = float(np.max(ent.reshape(pm.out_dim, -1).sum(axis=1)))
+            want = max(_ltr_sum(row) for row in ent.reshape(pm.out_dim, -1))
             assert crude_sup_bound(pm, ell) == crude_sup_bound(pm, ell) == want, (label, ell)

@@ -26,8 +26,8 @@ from wrp.verify import generate_scenario, scenario_to_dict
 ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = {
-    "seeds-0-9": "3d2f6f2bd18f",
-    "fixture": "d39c8c4db733",
+    "seeds-0-9": "7089c548b939",
+    "fixture": "a7c9d9ef486e",
     "ingest-102": "3cf59fed20f9",
     "ingest-105": "b33edc2db4cc",
     "ingest-132": "23348418c740",

@@ -83,6 +83,7 @@ from wrp.spaces import (
     check_adjusting_weight,
     check_dominance_certificate,
     const_weight,
+    scaled_weight,
     weight_to_desc,
 )
 from wrp.verify import sabotaged_inclusion_instance, tight_superposition_instance
@@ -168,6 +169,8 @@ GUARDS = [
      OrderError, "nothing to uncurry"),
     ("contract_order_zero", lambda: contract_last(MultilinearMap(np.zeros(1), 1), []),
      OrderError, "cannot contract a map of order 0"),
+    ("apply_argument_length", lambda: MultilinearMap(np.zeros((1, 2)), 1).apply([1.0]),
+     ShapeError, "contracted axes of lengths 2 and 1"),
     ("op_norms_out_rank", lambda: op_norms(np.zeros((1, 2)), out_rank=2),
      ShapeError, "out_rank out of range"),
     ("abstract_tensors", lambda: JetMap(U, (1,)).tensors(np.zeros((1, 1)), 0),
@@ -278,6 +281,8 @@ GUARDS = [
     ("sum_dims", lambda: U.minkowski_sum(U2), GeometryError, "dimension mismatch in Minkowski"),
     ("contain_dims", lambda: U.contains_set(U2), GeometryError, "dimension mismatch in contain"),
     ("no_descriptor", lambda: weight_to_desc(Weight("w", lambda x: 1.0)),
+     DataError, "weight 'w' carries no descriptor"),
+    ("scaled_no_descriptor", lambda: scaled_weight(Weight("w", lambda x: 1.0), 2.0),
      DataError, "weight 'w' carries no descriptor"),
     ("member_counts", lambda: WeightFamily((family("a", 1.0), family("b", 1.0, 1.0))),
      DataError, "all family weights"),

@@ -172,6 +172,15 @@ class TestCurry:
         c = contract_last(t, h)
         assert np.array_equal(c.entries, t.entries[..., 0])
 
+    def test_shape_properties(self):
+        t = MultilinearMap(np.zeros((2, 3, 4, 5)), 2)
+        assert (t.out_shape, t.in_dims, t.order) == ((2, 3), (4, 5), 2)
+
+    def test_contraction_over_an_empty_argument_is_zero(self):
+        # the empty sum: no product is added
+        t = MultilinearMap(np.ones((2, 3, 0)), 1)
+        assert np.array_equal(contract_last(t, np.zeros(0)).entries, np.zeros((2, 3)))
+
     def test_symmetric_roundtrip(self, rng):
         raw = rng.normal(size=(1, 2, 2, 2))
         sym, _ = symmetrize(raw, 1)

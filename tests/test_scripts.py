@@ -34,6 +34,16 @@ def test_margin_survey_script():
     assert all("min" in l and "median" in l for l in lines)
 
 
+def test_same_bytes_fixture_under_six_dispatch_environments():
+    # OpenBLAS kernels, glibc's libm variants and numpy's SIMD dispatch,
+    # each forced through the child's environment, give one run_id
+    proc = run_script("same_bytes.py", "--fixture-only")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert len(rows) == 6 and {r[0] for r in rows} == {"fixture"}
+    assert len({r[2] for r in rows}) == 1
+
+
 def test_bench_pairs_rejects_a_single_pair(tmp_path):
     # the checkouts do not exist: the count is rejected before they are read
     out = tmp_path / "BENCH_x.json"
