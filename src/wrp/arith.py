@@ -19,14 +19,14 @@ from .errors import ShapeError
 
 
 def power_chain(x, top: int) -> np.ndarray:
-    """``x**0 ... x**top`` of every entry of ``x``, on a new last axis:
+    """``x**0 ... x**top`` of every entry of ``x``, on a new first axis:
     ``x**0 = 1`` and ``x**k = x**(k-1) * x``."""
     x = np.asarray(x, dtype=float)
-    p = np.empty(x.shape + (top + 1,))
-    p[..., 0] = 1.0
+    p = np.empty((top + 1,) + x.shape)
+    p[0] = 1.0
     with np.errstate(over="ignore"):
         for k in range(1, top + 1):
-            np.multiply(p[..., k - 1], x, out=p[..., k])
+            np.multiply(p[k - 1], x, out=p[k])
     return p
 
 

@@ -187,8 +187,10 @@ def _vertex_max(e: np.ndarray, signs: list[np.ndarray]) -> np.ndarray:
     v = e
     for s in signs:
         # the next argument's axis summed against each of its sign vectors:
-        # (N, out, d_i+1, ..., d_k, V_1, ..., V_i)
-        v = _dot_axis(v, 2, s.T[None])
+        # (N, out, d_i+1, ..., d_k, V_1, ..., V_i); an argument of dimension
+        # 1 has the one sign vector [1.0], and x * 1.0 = x, so its axis moves
+        # to the vertex axes as it is
+        v = np.moveaxis(v, 2, -1) if s.shape[1] == 1 else _dot_axis(v, 2, s.T[None])
     top = row_sums(np.abs(np.moveaxis(v, 2, -1)))
     # NaN here is finite sums overflowing into inf - inf
     return np.where(np.isnan(top), math.inf, top).reshape(len(e), -1).max(axis=1)
@@ -403,8 +405,8 @@ def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
     One row per (term, multi-index j*) whose entry survives, i.e. no axis
     is differentiated more often than its power, in term order (at order
     0, one row per term).  Returns the rows' flat entry indices and term
-    indices, their falling-factorial factors (exact integer products) and
-    their ``(rows, m)`` remaining exponents.
+    indices, their falling-factorial factors (exact integer products),
+    their ``(rows, m)`` remaining exponents and the largest of these.
     """
     m = len(powers[0])
     flat, term, fall, expo = [], [], [], []
@@ -419,86 +421,70 @@ def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
             term.append(t)
             fall.append(math.prod(p - k for p, b in zip(pw, beta) for k in range(b)))
             expo.append([p - b for p, b in zip(pw, beta)])
-    return (np.array(flat, dtype=np.intp), np.array(term, dtype=np.intp),
-            np.array(fall, dtype=float), np.array(expo, dtype=np.intp).reshape(-1, m))
+    table = (np.array(flat, dtype=np.intp), np.array(term, dtype=np.intp),
+             np.array(fall, dtype=float), np.array(expo, dtype=np.intp).reshape(-1, m))
+    for a in table:
+        a.flags.writeable = False
+    return table + (int(table[3].max(initial=0)),)
 
 
-def _poly_tensors(pm: "PolynomialMap", coefs: np.ndarray, points: np.ndarray,
-                  ell: int) -> np.ndarray:
-    """Order-``ell`` derivative entries ``(N, n) + (m,)*ell`` of ``pm`` at
-    ``points``, with the term coefficient vectors ``coefs`` ``(T, n)``.
+def _joined(arrays) -> np.ndarray:
+    """``np.concatenate(arrays)``, or the one array itself (which may be
+    read-only)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _padded(a: np.ndarray, shape: tuple[int, ...], fill: int | float) -> np.ndarray:
+    """``a`` in the leading corner of an array of ``shape`` filled with
+    ``fill``; ``a`` itself when it has that shape."""
+    if a.shape == shape:
+        return a
+    out = np.full(shape, fill)
+    out[tuple(map(slice, a.shape))] = a
+    return out
+
+
+def _poly_tensors(polys, ell: int) -> list[np.ndarray]:
+    """Order-``ell`` derivative entries of a stack of polynomials, each at
+    its own points, in one pass: one ``(N, n) + (m,)*ell`` array per
+    ``(coefs, powers, points)`` triple of ``polys``, with the term
+    coefficient vectors ``coefs`` ``(T, n)``, the term powers (the key of
+    :func:`_poly_table`) and the points ``(N, m)``.
 
     Every entry is computed in the order of the one-point formula: per
     term, the coefficient times ((falling factorials times the power of
-    axis 0) times the power of axis 1 ...), the powers by
-    :func:`~wrp.arith.power_chain`, summed over terms in term order from
-    0.0.  A power that overflows is inf, and a term that meets inf - inf
-    or 0 * inf makes its entry NaN, which the callers' finiteness checks
-    see.
+    axis 0) times the power of axis 1 ...), the powers by one
+    :func:`~wrp.arith.power_chain` call for the whole stack, summed over
+    terms in term order from 0.0 by one unbuffered ``np.add.at``.  A
+    polynomial narrower than the stack has the exact factor 1.0 (the
+    power 0) on the other axes.  A power that overflows is inf, and a
+    term that meets inf - inf or 0 * inf makes its entry NaN, which the
+    callers' finiteness checks see.
     """
-    n_pts, m = points.shape
-    flat, term, fall, expo = _poly_table(pm._power_key, ell)
-    pw = power_chain(points, int(expo.max(initial=0)))
-    scale = np.empty((n_pts, len(flat)))
-    scale[:] = fall
-    ent = np.zeros((n_pts, coefs.shape[1], m**ell))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(m):
-            scale *= pw[:, a, expo[:, a]]
-        # unbuffered adds in row (= term) order, as the one-point sum runs
-        np.add.at(ent, (slice(None), slice(None), flat), coefs[term].T * scale[:, None, :])
-    return ent.reshape((n_pts, coefs.shape[1]) + (m,) * ell)
-
-
-def _poly_bounds(polys, ell: int) -> list[np.ndarray]:
-    """Order-``ell`` entry bounds ``(n, m**ell)`` of polynomials, in one
-    stacked pass.  ``polys`` holds ``(domain, coefs, powers)`` triples: the
-    term coefficient vectors ``(T, n)`` and the term powers (the key of
-    :func:`_poly_table`).
-
-    A bound is the derivative of the polynomial with absolute coefficients
-    at its own corner, the largest ``|x_a|`` of its domain's bounding box
-    per axis.  Every entry is computed as :func:`_poly_tensors` computes it
-    at that one point, so a power that overflows is inf there too.  A
-    polynomial with fewer axes than the widest gets exact factors 1.0 on
-    the others.  No term is padded: a zero coefficient times an
-    overflowing power is NaN.
-    """
-    tables = [_poly_table(powers, ell) for _, _, powers in polys]
-    n_rows = [len(flat) for flat, _, _, _ in tables]
-    width = max(len(powers[0]) for _, _, powers in polys)
-    xs = np.ones((sum(n_rows), width))
-    expo = np.zeros((len(xs), width), dtype=np.intp)
-    at = 0
-    for (dom, _, _), (_, _, _, e) in zip(polys, tables):
-        xs[at:at + len(e), :e.shape[1]] = _axis_sups(dom)
-        expo[at:at + len(e), :e.shape[1]] = e
-        at += len(e)
-    pw = power_chain(xs, int(expo.max(initial=0)))
-    scale = np.concatenate([fall for _, _, fall, _ in tables])
+    shapes = [(len(x), x.shape[1], c.shape[1]) for c, _, x in polys]
+    n_pts, width, n_out = map(max, zip(*shapes))
+    flats, terms, falls, expos, tops = zip(*[_poly_table(powers, ell) for _, powers, _ in polys])
+    flat, fall = _joined(flats), _joined(falls)
+    # the polynomial of each row: polynomial g's points are x[g] (axis,
+    # point) and its rows those with poly == g (a stack of one indexes by
+    # the scalar 0); a missing point or axis is 1.0 with exponent 0 and a
+    # missing output has coefficient 0.0, and neither is returned
+    expo = _joined([_padded(e, (len(e), width), 0) for e in expos])
+    poly = np.arange(len(polys)).repeat(list(map(len, flats))) if len(polys) > 1 else 0
+    x = _joined([_padded(p, (n_pts, width), 1.0).T[None] for _, _, p in polys])
+    coef = _joined([_padded(c, (len(c), n_out), 0.0).take(t, axis=0)
+                    for (c, _, _), t in zip(polys, terms)])
+    pw = power_chain(x, max(tops))  # (power, polynomial, axis, point)
+    scale = np.empty((len(fall), n_pts))
+    scale[:] = fall[:, None]
+    ent = np.zeros((len(polys), width**ell, n_out, n_pts))
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(width):
-            scale *= np.take_along_axis(pw[:, a], expo[:, a:a + 1], axis=1)[:, 0]
-    # one (row, output) pair per product, rows in term order
-    n_out = np.array([c.shape[1] for _, c, _ in polys], dtype=np.intp)
-    n_flat = np.array([len(powers[0]) ** ell for _, _, powers in polys], dtype=np.intp)
-    n_coef = np.array([c.size for _, c, _ in polys], dtype=np.intp)
-    poly = np.repeat(np.arange(len(polys)), n_rows)
-    row_n = n_out[poly]
-    pair_row = np.repeat(np.arange(len(xs)), row_n)
-    out = np.arange(len(pair_row)) - np.repeat(np.cumsum(row_n) - row_n, row_n)
-    coefs = np.abs(np.concatenate([c for _, c, _ in polys], axis=None))
-    term = np.concatenate([t for _, t, _, _ in tables])
-    flat = np.concatenate([f for f, _, _, _ in tables])
-    ent_start = np.cumsum(n_out * n_flat) - n_out * n_flat
-    c_idx = ((np.cumsum(n_coef) - n_coef)[poly] + term * row_n)[pair_row] + out
-    e_idx = (ent_start[poly] + flat)[pair_row] + out * n_flat[poly][pair_row]
-    ent = np.zeros(int((n_out * n_flat).sum()))
-    # unbuffered adds in pair order: per entry, in term order
-    with np.errstate(invalid="ignore"):
-        np.add.at(ent, e_idx, coefs[c_idx] * scale[pair_row])
-    return [ent[a:a + n * f].reshape(n, f)
-            for a, n, f in zip(ent_start.tolist(), n_out.tolist(), n_flat.tolist())]
+            scale *= pw[expo[:, a], poly, a]
+        # unbuffered adds in row (= term) order, as the one-point sum runs
+        np.add.at(ent, (poly, flat), coef[:, :, None] * scale[:, None, :])
+    return [ent[g, :m**ell, :k, :n].T.reshape((n, k) + (m,) * ell)
+            for g, (n, m, k) in enumerate(shapes)]
 
 
 class PolynomialMap(JetMap):
@@ -538,7 +524,7 @@ class PolynomialMap(JetMap):
         key = (points.dtype.str, points.shape, points.tobytes(), ell)
         ent = self._tensors_cache.get(key)
         if ent is None:
-            ent = _poly_tensors(self, self._coefs, points, ell)
+            (ent,) = _poly_tensors([(self._coefs, self._power_key, points)], ell)
             ent.flags.writeable = False
             self._tensors_cache[key] = ent
         return ent
@@ -1046,16 +1032,46 @@ def _draw_probes(map_: JetMap, rng: np.random.Generator) -> np.ndarray:
                     f"{where} in {MAX_PROBE_ROUNDS} draw rounds")
 
 
+def _polynomial_chain(map_: JetMap, top: int):
+    """``(polynomial, factors)`` when ``map_`` is a :class:`PolynomialMap`
+    under zero or more :class:`ScaledMap` s and its orders 0..``top`` pass
+    the polynomial's order check, else ``None``.  Its tensors are then the
+    polynomial's times each factor in turn, innermost first, as the
+    maps' own ``tensors`` compute them."""
+    factors = []
+    while type(map_) is ScaledMap:
+        factors.append(map_.c)
+        map_ = map_.base
+    if type(map_) is not PolynomialMap or (map_.max_order is not None and map_.max_order < top):
+        return None
+    return map_, factors[::-1]
+
+
+def _scaled_tensors(polys, points, ell: int) -> list[np.ndarray]:
+    """Order-``ell`` entries of each ``(g, polynomial, factors)`` of
+    ``polys`` at its ``points``: one :func:`_poly_tensors` pass, then each
+    polynomial's entries times its factors in turn, as ``ScaledMap``
+    multiplies them."""
+    if not polys:
+        return []
+    ents = _poly_tensors([(pm._coefs, pm._power_key, x) for (_, pm, _), x in zip(polys, points)],
+                         ell)
+    return [functools.reduce(lambda e, c: c * e, factors, ent)
+            for (_, _, factors), ent in zip(polys, ents)]
+
+
 class _FdStack:
     """The maps of one (dim, compared orders, out_shape), in validation
     order, with their probes, stencils, coded tensors and stencil values
     in stacked arrays ``(map, probe, ...)``.
 
     The stencils are one array ``(X[:, None, :] + o1) + o2`` over every
-    probe, with one membership test per distinct domain.  Each map's
-    ``tensors`` calls write into the preallocated arrays, the stencil
-    values only at the leading probes whose stencil is inside, as
-    :func:`_fd_prefix` evaluates them."""
+    probe, with one membership test per distinct domain.  The coded
+    tensors and the stencil values, the latter only at the leading probes
+    whose stencil is inside, as :func:`_fd_prefix` evaluates them, are
+    written into the preallocated arrays: for the maps that are scaled
+    polynomials (:func:`_polynomial_chain`) by one :func:`_poly_tensors`
+    pass per order, and for any other map by its own ``tensors``."""
 
     def __init__(self, jobs, m: int, top: int, out_shape: tuple[int, ...]):
         self.jobs, self.m, self.top = jobs, m, top
@@ -1075,11 +1091,15 @@ class _FdStack:
         self.exact = [np.zeros((n, FD_PROBES) + out_shape + (m,) * ell)
                       for ell in range(1, top + 1)]
         self.vals = np.zeros(self.inside.shape + out_shape)
+        chains = [_polynomial_chain(map_, top) for _, map_, _ in jobs]
+        self.polys = [(g, *c) for g, c in enumerate(chains) if c is not None]
+        self.others = [g for g, c in enumerate(chains) if c is None]
 
     def evaluate(self, g: int):
         """Map ``g``'s coded tensors at its probes, then its values at the
-        stencils of its leading probes inside: one map's evaluations, in
-        the order of :func:`validate_jet_map` on it alone."""
+        stencils of its leading probes inside, by its own ``tensors``: one
+        map's evaluations, in the order of :func:`validate_jet_map` on it
+        alone."""
         map_, n_in = self.jobs[g][1], self.n_in[g]
         for ell, exact in enumerate(self.exact, 1):
             exact[g] = map_.tensors(self.probes[g], ell)
@@ -1087,6 +1107,20 @@ class _FdStack:
             self.vals[g, :n_in] = map_.tensors(
                 self.stencil[g, :n_in].reshape(-1, self.m), 0
             ).reshape(self.vals[g, :n_in].shape)
+
+    def evaluate_polynomials(self):
+        """The coded tensors and stencil values of every scaled
+        polynomial of the stack, in one :func:`_poly_tensors` pass per
+        order.  No ``tensors`` is called, so no map caches them."""
+        for ell, exact in enumerate(self.exact, 1):
+            ents = _scaled_tensors(self.polys, [self.probes[g] for g, _, _ in self.polys], ell)
+            for (g, _, _), ent in zip(self.polys, ents):
+                exact[g] = ent
+        inner = [p for p in self.polys if self.n_in[p[0]]]
+        ents = _scaled_tensors(
+            inner, [self.stencil[g, :self.n_in[g]].reshape(-1, self.m) for g, _, _ in inner], 0)
+        for (g, _, _), ent in zip(inner, ents):
+            self.vals[g, :self.n_in[g]] = ent.reshape(self.vals[g, :self.n_in[g]].shape)
 
     def first_failure(self, stop: int):
         """``(index, error)`` of the first of the maps before validation
@@ -1161,12 +1195,14 @@ def validate_jet_maps(maps: Sequence[JetMap], rng: np.random.Generator):
         map_ = job[1]
         groups.setdefault((map_.dim, _fd_top(map_), map_.out_shape), []).append(job)
     stacks = [_FdStack(g, *key) for key, g in groups.items()]
-    slots = sorted((job[0], stack, g) for stack in stacks for g, job in enumerate(stack.jobs))
+    slots = sorted((stack.jobs[g][0], stack, g) for stack in stacks for g in stack.others)
     try:
         for k, stack, g in slots:
             stack.evaluate(g)
     except Exception as exc:  # raised below unless an earlier map fails its comparison
         stop, error = k, exc
+    for stack in stacks:
+        stack.evaluate_polynomials()
     failures = [f for f in (s.first_failure(stop) for s in stacks) if f is not None]
     if failures:
         stop, error = min(failures, key=lambda f: f[0])
@@ -1357,7 +1393,10 @@ def _entry_bounds(jobs) -> list[np.ndarray]:
     (polynomials and their multiples) and their sums.  A polynomial's
     bounds are a function of its coefficients and its domain's box alone,
     cached per map and order; the missing ones are computed in one
-    :func:`_poly_bounds` pass per order."""
+    :func:`_poly_tensors` pass per order: the derivative of the polynomial
+    with absolute coefficients at its corner, the largest ``|x_a|`` of its
+    domain's bounding box per axis.  A zero coefficient times an
+    overflowing power is NaN."""
     todo: dict[int, dict[int, PolynomialMap]] = {}
 
     def leaves(map_, ell):
@@ -1382,8 +1421,10 @@ def _entry_bounds(jobs) -> list[np.ndarray]:
     for map_, ell in jobs:
         leaves(map_, ell)
     for ell, polys in todo.items():
-        ents = _poly_bounds([(pm.domain, pm._coefs, pm._power_key) for pm in polys.values()], ell)
+        ents = _poly_tensors([(np.abs(pm._coefs), pm._power_key, _axis_sups(pm.domain)[None])
+                              for pm in polys.values()], ell)
         for pm, ent in zip(polys.values(), ents):
+            ent = ent[0].reshape(pm.out_dim, -1)
             ent.flags.writeable = False
             pm._bounds_cache[ell] = ent
     return [combine(map_, ell) for map_, ell in jobs]

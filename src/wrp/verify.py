@@ -42,8 +42,9 @@ from .jets import (
     PolynomialMap,
     ScaledMap,
     SumMap,
+    _axis_sups,
     _entry_bounds,
-    _poly_bounds,
+    _poly_tensors,
     _row_sum_max,
     crude_partial2_sup,
     crude_sup_bound,
@@ -696,14 +697,14 @@ def _draw_poly(
 
 def _rescaled(draws: Sequence[_Draw]) -> list[PolynomialMap]:
     """Each drawn polynomial, built once with its coefficients scaled so
-    that its crude value bound is its target: one order-0 bound pass over
-    the drawn terms."""
-    ents = _poly_bounds(
-        [(d.domain, np.array([c for c, _ in d.terms]), tuple(p for _, p in d.terms))
+    that its crude value bound is its target: one order-0 kernel pass over
+    the drawn terms, with absolute coefficients at each box's corner."""
+    ents = _poly_tensors(
+        [(np.abs([c for c, _ in d.terms]), tuple(p for _, p in d.terms), _axis_sups(d.domain)[None])
          for d in draws], 0)
     maps = []
     for d, e in zip(draws, ents):
-        b0 = _row_sum_max(e)
+        b0 = _row_sum_max(e[0][:, None])
         factor = d.target / b0 if b0 > 0 else 1.0
         maps.append(PolynomialMap(
             d.domain, [(factor * c, p) for c, p in d.terms], in_blocks=d.in_blocks))
@@ -1643,6 +1644,30 @@ def _numbers(node, key, path: str):
     return v
 
 
+def _constants(node, path: str, n: int) -> tuple[float, ...]:
+    """The ``k`` row of a dominance certificate at ``path``: one finite
+    number >= 0 per factor."""
+    k = _floats(node, "k", path, n)
+    for j, v in enumerate(k):
+        if v < 0:
+            raise DataError(f"{path}/k/{j}: must be >= 0, got {v!r}")
+    return k
+
+
+def _has_shape(v, shape: tuple[int, ...]) -> bool:
+    if not shape:
+        return not isinstance(v, list)
+    return isinstance(v, list) and len(v) == shape[0] and all(_has_shape(e, shape[1:]) for e in v)
+
+
+def _tensor(node, key, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``node[key]``: nested lists of finite numbers of ``shape``, as an array."""
+    v = _numbers(node, key, path)
+    if not _has_shape(v, shape):
+        raise DataError(f"{path}/{key}: must be nested lists of shape {list(shape)}")
+    return np.array(v)
+
+
 def _bounds(node, key, path: str, width: int, required, members=()) -> tuple[tuple, ...]:
     """The rows listed at ``node[key]``, each ``width`` entries ending in
     (order, bound), with a row for every key in ``required`` (the entries
@@ -1921,7 +1946,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
             named(c, "f", f"/dominance/{i}"),
             _integer(c, "ell", f"/dominance/{i}", 0),
             _fw_from_dict(_at(c, "g", f"/dominance/{i}"), u_domains, f"/dominance/{i}/g"),
-            _floats(c, "k", f"/dominance/{i}"),
+            _constants(c, f"/dominance/{i}", n),
             context=_at(c, "context", f"/dominance/{i}"),
         )
         for i, c in enumerate(_at(d, "dominance", ""))
@@ -1943,8 +1968,8 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         tau_nb=_number(d, "tau_nb", ""),
         clearance_nb=_number(d, "clearance_nb", ""),
         xis=tuple(xis),
-        bilinears=tuple(np.array(_numbers(bils, i, "/bilinears")) for i in range(n)),
-        beta2s=tuple(np.array(_numbers(betas, i, "/beta2s")) for i in range(n)),
+        bilinears=tuple(_tensor(bils, i, "/bilinears", (dim,) * 3) for i in range(n)),
+        beta2s=tuple(_tensor(betas, i, "/beta2s", (dim,) * 3) for i in range(n)),
         sigmas=tuple(
             _from_desc(map_from_desc, s, f"/sigmas/{i}", fs.v.as_box())
             for i, (s, fs) in enumerate(zip(per_factor("sigmas"), factors))

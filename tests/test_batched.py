@@ -15,7 +15,9 @@ the oracle.  Operator norms (``op_norms`` over a stack, of which
 ``op_norm`` is a batch of one) are pinned bit for bit against the
 per-tensor enumeration kept here, with its vertex and row sums written
 out left to right, on every stack a scenario run of seeds 0..9 builds and
-on random stacks of every shape; the paired-derivative check
+on random stacks of every shape, and against a brute-force enumeration
+of every vertex where an argument of dimension 1 moves to the vertex
+axes without a contraction; the paired-derivative check
 over a point array against the merge of its one-point reports.  The
 per-instance caches of ``PolynomialMap.tensors``, the polynomial entry
 bounds and ``Weight.values`` hand back read-only arrays with the bits of
@@ -1256,6 +1258,39 @@ def test_op_norms_slices_keep_the_bits(monkeypatch):
     assert _same_bits(op_norms(stack), whole)
 
 
+def _vertex_oracle(t: np.ndarray) -> float:
+    """Brute force: every sign vertex of every argument, none pinned and
+    the last argument enumerated too; per vertex the arguments contracted
+    first to last, each sum written out left to right, and the largest
+    absolute output; the largest over all vertices."""
+    best = 0.0
+    for vertex in itertools.product(*[list(itertools.product((1.0, -1.0), repeat=d))
+                                      for d in t.shape[1:]]):
+        v = t
+        for s in vertex:
+            v = _ltr_sum(v[:, j] * s[j] for j in range(len(s)))
+        best = max(best, float(np.abs(v).max()))
+    return best
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 3, 1), (2, 1, 1, 1, 1), (3, 1, 1, 2), (1, 3, 1, 2, 1),
+                                   (2, 2, 1, 3)])
+def test_op_norms_dimension_one_arguments_match_the_vertex_oracle(shape, monkeypatch):
+    """An argument of dimension 1 moves to the vertex axes without a
+    contraction (its one sign vector is [1.0]); every norm has the bits
+    of the brute-force vertex enumeration, with signed zeros and stacks
+    of 1 to 11 tensors."""
+    rng = np.random.default_rng(21)
+    dots = []
+    kernel = jets._dot_axis
+    monkeypatch.setattr(jets, "_dot_axis", lambda *a: dots.append(a[-1].shape) or kernel(*a))
+    for _ in range(5):
+        stack = _random_stack(rng, shape)
+        assert _same_bits(op_norms(stack), [_vertex_oracle(t) for t in stack]), shape
+    # one contraction per leading argument of dimension 2 or more, per stack
+    assert len(dots) == 5 * sum(d > 1 for d in shape[1:-1]), shape
+
+
 def test_op_norms_euclidean_and_budget_match_oracle():
     rng = np.random.default_rng(12)
     for shape in ((3,), (4, 1), (2, 3), (5, 5), (1, 4)):
@@ -1547,7 +1582,8 @@ def test_cached_tensors_and_values_carry_the_direct_bits(seed):
             first = pm.tensors(pts, ell)
             again = pm.tensors(pts, ell)
             assert again is first, (label, ell)
-            assert _same_bits(again, jets._poly_tensors(pm, pm._coefs, pts, ell)), (label, ell)
+            direct = jets._poly_tensors([(pm._coefs, pm._power_key, pts)], ell)[0]
+            assert _same_bits(again, direct), (label, ell)
             assert not again.flags.writeable, (label, ell)
     for name, w, pts in _scenario_weights(generate_scenario(seed)):
         first, again = w.values(pts), w.values(pts)
@@ -1560,7 +1596,7 @@ def test_tensors_cache_key_separates_dtype_and_signed_zero(monkeypatch):
     pm = PolynomialMap(box([-2.0], [2.0]), [([1.0, -1.0], (1,)), ([0.5, 2.0], (3,))])
     kernel, calls = jets._poly_tensors, []  # the (points, ell) of every miss
     monkeypatch.setattr(jets, "_poly_tensors",
-                        lambda m, coefs, x, ell: calls.append((x, ell)) or kernel(m, coefs, x, ell))
+                        lambda polys, ell: calls.append((polys[0][2], ell)) or kernel(polys, ell))
     pts = np.array([[1.0], [0.5]])
     as_int = pts.view(np.int64)  # the same bytes, read as integers
     zero, neg_zero = np.array([[0.0]]), np.array([[-0.0]])
@@ -1568,7 +1604,7 @@ def test_tensors_cache_key_separates_dtype_and_signed_zero(monkeypatch):
         for x in (pts, as_int, zero, neg_zero):
             got = pm.tensors(x, ell)
             assert calls[-1][0] is x and calls[-1][1] == ell  # a miss
-            assert _same_bits(got, kernel(pm, pm._coefs, x, ell))
+            assert _same_bits(got, kernel([(pm._coefs, pm._power_key, x)], ell)[0])
     assert len(calls) == 12
     assert not np.array_equal(pm.tensors(pts, 0), pm.tensors(as_int, 0))
     # hits, for an equal copy and for a non-contiguous view with equal bits
@@ -1626,8 +1662,8 @@ def test_nan_weight_raises_on_every_call():
 @pytest.mark.parametrize("seed", range(10))
 def test_crude_sup_bound_matches_uncached_arithmetic(seed):
     for label, pm, _ in _scenario_polys(seed):
-        corner = jets._axis_sups(pm.domain)[None]
+        corner = jets._axis_sups(pm.domain)
         for ell in range(4):
-            ent = jets._poly_tensors(pm, np.abs(pm._coefs), corner, ell)[0]
+            ent = _poly_derivative(pm.terms, corner, ell, np.abs)
             want = max(_ltr_sum(row) for row in ent.reshape(pm.out_dim, -1))
             assert crude_sup_bound(pm, ell) == crude_sup_bound(pm, ell) == want, (label, ell)

@@ -479,6 +479,28 @@ class TestIngestErrors:
         assert err.startswith(f"error: {pointer}: "), err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("mutate, pointer", [
+        (lambda d: d["dominance"][0]["k"].pop(), "/dominance/0/k"),
+        (lambda d: d["dominance"][2]["k"].append(1.0), "/dominance/2/k"),
+        (lambda d: d["dominance"][1]["k"].__setitem__(1, -0.5), "/dominance/1/k/1"),
+        (lambda d: d["bilinears"].__setitem__(0, [[0.5]]), "/bilinears/0"),
+        (lambda d: d["bilinears"][1][0][0].append(0.5), "/bilinears/1"),
+        (lambda d: d["beta2s"].__setitem__(1, [[[0.5]], [[0.5]]]), "/beta2s/1"),
+        (lambda d: d["beta2s"][0][0].__setitem__(0, 0.5), "/beta2s/0"),
+    ], ids=["short_dominance_k", "long_dominance_k", "negative_dominance_k",
+            "matrix_bilinear", "long_bilinear_row", "long_beta2", "scalar_beta2_row"])
+    def test_certificate_and_tensor_shapes_exit_one(self, tmp_path, scenario0, capsys, mutate,
+                                                    pointer):
+        """A dominance ``k`` must hold one number >= 0 per factor, and a
+        ``bilinears`` or ``beta2s`` entry must be a (dim, dim, dim) tensor;
+        each used to exit 1 without a pointer, from the certificate's own
+        check or from the first contraction."""
+        cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pointer}: "), err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("kind, mutate, pointer", [
         ("poly", _set_weight(1, lambda w: {"kind": "poly", "terms": [[1.0, [0]]]}),
          "/weights/members/1/factors/0"),

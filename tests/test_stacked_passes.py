@@ -8,7 +8,9 @@ factors in one pass over the concatenated grids, and ``weighted_seminorm``,
 ``decomposition_checks`` build on it, each with a batch of one.  They are
 pinned here against the per-object loop they replace: values, argmax and
 witness bit for bit, and the same error on a NaN tensor, a NaN weight or
-an overflowing power.
+an overflowing power.  Each polynomial's entry bounds are pinned against a
+per-term oracle in Python floats at its box's corner, since the bounds and
+the maps' own evaluation share one kernel.
 
 The generator, the operators and the runners must not fall back to the
 loops: a call of ``crude_sup_bound`` in ``verify.py``, or of
@@ -18,6 +20,7 @@ weight) varies with an enclosing loop is flagged on the syntax tree.
 """
 
 import ast
+import itertools
 import math
 import pathlib
 import struct
@@ -132,35 +135,52 @@ def test_crude_sup_bounds_match_the_per_map_loop(batch):
     assert [_bits(g) for g in got] == [_bits(w) for w in want]
 
 
+def _corner_oracle(pm: PolynomialMap, ell: int) -> list[list[float]]:
+    """Per-term oracle in Python floats: the order-``ell`` entries ``(n,
+    m**ell)`` of ``pm`` with absolute coefficients at its corner, each
+    entry 0.0 plus, term by term, ``|c| * ((fall * x0**e0) * x1**e1 ...)``
+    with every power a multiplication chain.  Python floats overflow to
+    inf, and 0 * inf is NaN, as IEEE arithmetic gives them."""
+    lo, hi = pm.domain.bounding_box()
+    corner = [max(abs(float(a)), abs(float(b))) for a, b in zip(lo, hi)]
+    m = pm.dim
+    ent = [[0.0] * m**ell for _ in range(pm.out_dim)]
+    for c, pw in pm.terms:
+        for f, jidx in enumerate(itertools.product(range(m), repeat=ell)):
+            beta = [jidx.count(a) for a in range(m)]
+            if any(b > p for b, p in zip(beta, pw)):
+                continue
+            scale = float(math.prod(p - k for p, b in zip(pw, beta) for k in range(b)))
+            for x, p, b in zip(corner, pw, beta):
+                power = 1.0
+                for _ in range(p - b):
+                    power *= x
+                scale *= power
+            for o in range(pm.out_dim):
+                ent[o][f] += abs(float(c[o])) * scale
+    return ent
+
+
 @given(_batches())
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_polynomial_bounds_match_the_one_point_kernel(batch):
-    """Each polynomial of a stack against ``_poly_tensors`` at its corner,
-    the kernel of the map's own evaluation: overflows to inf (and NaN from
-    a zero coefficient) included."""
+def test_polynomial_bounds_match_the_per_term_oracle(batch):
+    """Each polynomial's cached entry bounds, from one kernel pass over
+    the stack, against the per-term oracle at its corner: overflows to
+    inf (and NaN from a zero coefficient) included."""
     spec, ell = batch
     polys = [PolynomialMap(box(lo, hi), terms) for lo, hi, terms in spec["polys"]]
     with np.errstate(all="ignore"):
-        try:
-            want = [
-                jets._poly_tensors(pm, np.abs(pm._coefs), jets._axis_sups(pm.domain)[None], ell)
-                [0].reshape(pm.out_dim, -1)
-                for pm in polys
-            ]
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                jets._poly_bounds([(pm.domain, pm._coefs, pm._power_key) for pm in polys], ell)
-            return
-        got = jets._poly_bounds([(pm.domain, pm._coefs, pm._power_key) for pm in polys], ell)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        got = jets._entry_bounds([(pm, ell) for pm in polys])
+    for g, pm in zip(got, polys):
+        want = np.array(_corner_oracle(pm, ell))
+        assert g.shape == want.shape and g.tobytes() == want.tobytes()
 
 
 def test_huge_boxes_overflow_to_inf_at_order_zero():
     dom = box([-1e300], [1e300])
     pm = PolynomialMap(dom, [(np.array([1.0, 0.0]), (MAX_POWER,))])
     with np.errstate(over="ignore", invalid="ignore"):
-        (ent,) = jets._poly_bounds([(dom, pm._coefs, pm._power_key)], 0)
+        (ent,) = jets._entry_bounds([(pm, 0)])
         bounds = crude_sup_bounds([pm, ScaledMap(pm, 2.0)], 0)
     # a zero coefficient times the infinite power is NaN, and the max of
     # the row sums carries it; the power chain overflows to inf at order 1
@@ -174,8 +194,8 @@ def test_one_pass_per_order(monkeypatch):
     """A batch runs the polynomial kernel once per order, and a cached
     order not at all."""
     calls = []
-    kernel = jets._poly_bounds
-    monkeypatch.setattr(jets, "_poly_bounds",
+    kernel = jets._poly_tensors
+    monkeypatch.setattr(jets, "_poly_tensors",
                         lambda polys, ell: calls.append((len(polys), ell)) or kernel(polys, ell))
     dom = box([-1.0, -2.0], [1.0, 2.0])
     p = PolynomialMap(dom, [(np.array([1.0]), (1, 2)), (np.array([-2.0]), (0, 1))])
