@@ -20,13 +20,14 @@ from .errors import ShapeError
 
 def power_chain(x, top: int) -> np.ndarray:
     """``x**0 ... x**top`` of every entry of ``x``, on a new first axis:
-    ``x**0 = 1`` and ``x**k = x**(k-1) * x``."""
+    ``x**0 = 1`` and ``x**k = x**(k-1) * x``.  The caller silences the
+    overflow warning: its one caller, the polynomial kernel, enters
+    ``np.errstate`` once for the whole pass."""
     x = np.asarray(x, dtype=float)
     p = np.empty((top + 1,) + x.shape)
     p[0] = 1.0
-    with np.errstate(over="ignore"):
-        for k in range(1, top + 1):
-            np.multiply(p[k - 1], x, out=p[k])
+    for k in range(1, top + 1):
+        np.multiply(p[k - 1], x, out=p[k])
     return p
 
 

@@ -405,8 +405,9 @@ def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
     One row per (term, multi-index j*) whose entry survives, i.e. no axis
     is differentiated more often than its power, in term order (at order
     0, one row per term).  Returns the rows' flat entry indices and term
-    indices, their falling-factorial factors (exact integer products),
-    their ``(rows, m)`` remaining exponents and the largest of these.
+    indices, their falling-factorial factors (exact integer products) as a
+    column ``(rows, 1)``, their remaining exponents ``(m, rows)``, one
+    index array per axis, and the largest of these.
     """
     m = len(powers[0])
     flat, term, fall, expo = [], [], [], []
@@ -419,19 +420,25 @@ def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
                 continue
             flat.append(f)
             term.append(t)
-            fall.append(math.prod(p - k for p, b in zip(pw, beta) for k in range(b)))
+            fall.append([math.prod(p - k for p, b in zip(pw, beta) for k in range(b))])
             expo.append([p - b for p, b in zip(pw, beta)])
     table = (np.array(flat, dtype=np.intp), np.array(term, dtype=np.intp),
-             np.array(fall, dtype=float), np.array(expo, dtype=np.intp).reshape(-1, m))
+             np.array(fall, dtype=float).reshape(-1, 1),
+             np.array(expo, dtype=np.intp).reshape(-1, m).T.copy())
     for a in table:
         a.flags.writeable = False
     return table + (int(table[3].max(initial=0)),)
 
 
-def _joined(arrays) -> np.ndarray:
-    """``np.concatenate(arrays)``, or the one array itself (which may be
-    read-only)."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _poly_plan(coefs: np.ndarray, powers: tuple[tuple[int, ...], ...], ell: int) -> tuple:
+    """The evaluation plan of the polynomial with term coefficient vectors
+    ``coefs`` ``(T, n)`` and term powers ``powers`` at order ``ell``: what
+    :func:`_poly_tensors` reads of it, the :func:`_poly_table` of its
+    powers (shared, read-only) and the coefficient vector of each table
+    row's term ``(rows, n)``.  :meth:`PolynomialMap._plan` builds it once
+    per (polynomial, order)."""
+    table = _poly_table(powers, ell)
+    return table, coefs.take(table[1], axis=0)
 
 
 def _padded(a: np.ndarray, shape: tuple[int, ...], fill: int | float) -> np.ndarray:
@@ -447,9 +454,8 @@ def _padded(a: np.ndarray, shape: tuple[int, ...], fill: int | float) -> np.ndar
 def _poly_tensors(polys, ell: int) -> list[np.ndarray]:
     """Order-``ell`` derivative entries of a stack of polynomials, each at
     its own points, in one pass: one ``(N, n) + (m,)*ell`` array per
-    ``(coefs, powers, points)`` triple of ``polys``, with the term
-    coefficient vectors ``coefs`` ``(T, n)``, the term powers (the key of
-    :func:`_poly_table`) and the points ``(N, m)``.
+    ``(plan, points)`` pair of ``polys``, with the polynomial's order-``ell``
+    plan (:func:`_poly_plan`) and the points ``(N, m)``.
 
     Every entry is computed in the order of the one-point formula: per
     term, the coefficient times ((falling factorials times the power of
@@ -459,28 +465,34 @@ def _poly_tensors(polys, ell: int) -> list[np.ndarray]:
     polynomial narrower than the stack has the exact factor 1.0 (the
     power 0) on the other axes.  A power that overflows is inf, and a
     term that meets inf - inf or 0 * inf makes its entry NaN, which the
-    callers' finiteness checks see.
+    callers' finiteness checks see.  A stack of one joins and pads
+    nothing: it reads its plan's arrays as they are.
     """
-    shapes = [(len(x), x.shape[1], c.shape[1]) for c, _, x in polys]
-    n_pts, width, n_out = map(max, zip(*shapes))
-    flats, terms, falls, expos, tops = zip(*[_poly_table(powers, ell) for _, powers, _ in polys])
-    flat, fall = _joined(flats), _joined(falls)
-    # the polynomial of each row: polynomial g's points are x[g] (axis,
-    # point) and its rows those with poly == g (a stack of one indexes by
-    # the scalar 0); a missing point or axis is 1.0 with exponent 0 and a
-    # missing output has coefficient 0.0, and neither is returned
-    expo = _joined([_padded(e, (len(e), width), 0) for e in expos])
-    poly = np.arange(len(polys)).repeat(list(map(len, flats))) if len(polys) > 1 else 0
-    x = _joined([_padded(p, (n_pts, width), 1.0).T[None] for _, _, p in polys])
-    coef = _joined([_padded(c, (len(c), n_out), 0.0).take(t, axis=0)
-                    for (c, _, _), t in zip(polys, terms)])
-    pw = power_chain(x, max(tops))  # (power, polynomial, axis, point)
-    scale = np.empty((len(fall), n_pts))
-    scale[:] = fall[:, None]
+    shapes = [(len(x), x.shape[1], coef.shape[1]) for (_, coef), x in polys]
+    if len(polys) == 1:
+        (((table, coef), x),) = polys
+        ((n_pts, width, n_out),) = shapes
+        flat, _, fall, expo, top = table
+        poly, x = 0, x.T[None]
+    else:
+        # the polynomial of each row: polynomial g's points are x[g] (axis,
+        # point) and its rows those with poly == g; a missing point or axis
+        # is 1.0 with exponent 0 and a missing output has coefficient 0.0,
+        # and neither is returned
+        n_pts, width, n_out = map(max, zip(*shapes))
+        flats, _, falls, expos, tops = zip(*[table for (table, _), _ in polys])
+        flat, fall = np.concatenate(flats), np.concatenate(falls)
+        expo = np.concatenate([_padded(e, (width, e.shape[1]), 0) for e in expos], axis=1)
+        coef = np.concatenate([_padded(c, (len(c), n_out), 0.0) for (_, c), _ in polys])
+        top = max(tops)
+        poly = np.arange(len(polys)).repeat(list(map(len, flats)))
+        x = np.concatenate([_padded(p, (n_pts, width), 1.0).T[None] for _, p in polys])
     ent = np.zeros((len(polys), width**ell, n_out, n_pts))
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(width):
-            scale *= pw[expo[:, a], poly, a]
+        pw = power_chain(x, top)  # (power, polynomial, axis, point)
+        scale = fall * pw[expo[0], poly, 0]
+        for a in range(1, width):
+            scale *= pw[expo[a], poly, a]
         # unbuffered adds in row (= term) order, as the one-point sum runs
         np.add.at(ent, (poly, flat), coef[:, :, None] * scale[:, None, :])
     return [ent[g, :m**ell, :k, :n].T.reshape((n, k) + (m,) * ell)
@@ -494,7 +506,9 @@ class PolynomialMap(JetMap):
     ``InverseMap.solves`` caches its fixed points: :meth:`tensors` by the
     points' dtype, shape and bytes and the order, the certified entry
     bounds by the order.  A cached array is shared and read-only; callers
-    copy before writing.
+    copy before writing.  The kernel's plan of each order
+    (:func:`_poly_plan`) is kept too, so a miss of :meth:`tensors` costs
+    only its arithmetic.
     """
 
     def __init__(self, domain: DomainSet, terms, in_blocks=None):
@@ -516,15 +530,22 @@ class PolynomialMap(JetMap):
         self.terms = terms
         self._coefs = np.array([c for c, _ in terms])
         self._power_key = tuple(pw for _, pw in terms)  # key of _poly_table
+        self._plans: dict[int, tuple] = {}
         self._tensors_cache: dict[tuple, np.ndarray] = {}
         self._bounds_cache: dict[int, np.ndarray] = {}
+
+    def _plan(self, ell: int) -> tuple:
+        plan = self._plans.get(ell)
+        if plan is None:
+            plan = self._plans[ell] = _poly_plan(self._coefs, self._power_key, ell)
+        return plan
 
     def tensors(self, points, ell):
         self._check_order(ell)
         key = (points.dtype.str, points.shape, points.tobytes(), ell)
         ent = self._tensors_cache.get(key)
         if ent is None:
-            (ent,) = _poly_tensors([(self._coefs, self._power_key, points)], ell)
+            (ent,) = _poly_tensors([(self._plan(ell), points)], ell)
             ent.flags.writeable = False
             self._tensors_cache[key] = ent
         return ent
@@ -595,7 +616,9 @@ class ScaledMap(JetMap):
         self.base, self.c = base, float(c)
 
     def tensors(self, points, ell):
-        return self.c * self.base.tensors(points, ell)
+        base = self.base.tensors(points, ell)
+        with np.errstate(over="ignore"):
+            return self.c * base
 
 
 def difference_map(a: JetMap, b: JetMap) -> SumMap:
@@ -1054,10 +1077,10 @@ def _scaled_tensors(polys, points, ell: int) -> list[np.ndarray]:
     multiplies them."""
     if not polys:
         return []
-    ents = _poly_tensors([(pm._coefs, pm._power_key, x) for (_, pm, _), x in zip(polys, points)],
-                         ell)
-    return [functools.reduce(lambda e, c: c * e, factors, ent)
-            for (_, _, factors), ent in zip(polys, ents)]
+    ents = _poly_tensors([(pm._plan(ell), x) for (_, pm, _), x in zip(polys, points)], ell)
+    with np.errstate(over="ignore"):
+        return [functools.reduce(lambda e, c: c * e, factors, ent)
+                for (_, _, factors), ent in zip(polys, ents)]
 
 
 class _FdStack:
@@ -1421,8 +1444,10 @@ def _entry_bounds(jobs) -> list[np.ndarray]:
     for map_, ell in jobs:
         leaves(map_, ell)
     for ell, polys in todo.items():
-        ents = _poly_tensors([(np.abs(pm._coefs), pm._power_key, _axis_sups(pm.domain)[None])
-                              for pm in polys.values()], ell)
+        # the rows of |coefs|: taking rows and abs commute
+        plans = [pm._plan(ell) for pm in polys.values()]
+        ents = _poly_tensors([((table, np.abs(coef)), _axis_sups(pm.domain)[None])
+                              for (table, coef), pm in zip(plans, polys.values())], ell)
         for pm, ent in zip(polys.values(), ents):
             ent = ent[0].reshape(pm.out_dim, -1)
             ent.flags.writeable = False

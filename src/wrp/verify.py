@@ -44,6 +44,7 @@ from .jets import (
     SumMap,
     _axis_sups,
     _entry_bounds,
+    _poly_plan,
     _poly_tensors,
     _row_sum_max,
     crude_partial2_sup,
@@ -700,8 +701,8 @@ def _rescaled(draws: Sequence[_Draw]) -> list[PolynomialMap]:
     that its crude value bound is its target: one order-0 kernel pass over
     the drawn terms, with absolute coefficients at each box's corner."""
     ents = _poly_tensors(
-        [(np.abs([c for c, _ in d.terms]), tuple(p for _, p in d.terms), _axis_sups(d.domain)[None])
-         for d in draws], 0)
+        [(_poly_plan(np.abs([c for c, _ in d.terms]), tuple(p for _, p in d.terms), 0),
+          _axis_sups(d.domain)[None]) for d in draws], 0)
     maps = []
     for d, e in zip(draws, ents):
         b0 = _row_sum_max(e[0][:, None])

@@ -41,6 +41,7 @@ import os
 import re
 import signal
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,7 @@ from wrp.verify import (
     ScenarioUnit,
     generate_scenario,
     load_scenario,
+    run_scenario_checks,
     run_suite,
     scenario_from_dict,
     scenario_to_dict,
@@ -1582,7 +1584,7 @@ def test_cached_tensors_and_values_carry_the_direct_bits(seed):
             first = pm.tensors(pts, ell)
             again = pm.tensors(pts, ell)
             assert again is first, (label, ell)
-            direct = jets._poly_tensors([(pm._coefs, pm._power_key, pts)], ell)[0]
+            direct = jets._poly_tensors([(pm._plan(ell), pts)], ell)[0]
             assert _same_bits(again, direct), (label, ell)
             assert not again.flags.writeable, (label, ell)
     for name, w, pts in _scenario_weights(generate_scenario(seed)):
@@ -1596,7 +1598,7 @@ def test_tensors_cache_key_separates_dtype_and_signed_zero(monkeypatch):
     pm = PolynomialMap(box([-2.0], [2.0]), [([1.0, -1.0], (1,)), ([0.5, 2.0], (3,))])
     kernel, calls = jets._poly_tensors, []  # the (points, ell) of every miss
     monkeypatch.setattr(jets, "_poly_tensors",
-                        lambda polys, ell: calls.append((polys[0][2], ell)) or kernel(polys, ell))
+                        lambda polys, ell: calls.append((polys[0][1], ell)) or kernel(polys, ell))
     pts = np.array([[1.0], [0.5]])
     as_int = pts.view(np.int64)  # the same bytes, read as integers
     zero, neg_zero = np.array([[0.0]]), np.array([[-0.0]])
@@ -1604,7 +1606,7 @@ def test_tensors_cache_key_separates_dtype_and_signed_zero(monkeypatch):
         for x in (pts, as_int, zero, neg_zero):
             got = pm.tensors(x, ell)
             assert calls[-1][0] is x and calls[-1][1] == ell  # a miss
-            assert _same_bits(got, kernel([(pm._coefs, pm._power_key, x)], ell)[0])
+            assert _same_bits(got, kernel([(pm._plan(ell), x)], ell)[0])
     assert len(calls) == 12
     assert not np.array_equal(pm.tensors(pts, 0), pm.tensors(as_int, 0))
     # hits, for an equal copy and for a non-contiguous view with equal bits
@@ -1667,3 +1669,82 @@ def test_crude_sup_bound_matches_uncached_arithmetic(seed):
             ent = _poly_derivative(pm.terms, corner, ell, np.abs)
             want = max(_ltr_sum(row) for row in ent.reshape(pm.out_dim, -1))
             assert crude_sup_bound(pm, ell) == crude_sup_bound(pm, ell) == want, (label, ell)
+
+
+# ---------------------------------------------------------------------------
+# evaluation plans: one per (polynomial, order), one kernel for every stack
+
+
+def _plan_stack_polys() -> list[PolynomialMap]:
+    """Polynomials of widths 1 to 3 and output dimensions 1 to 3, among
+    them coefficients of signed zero and terms whose powers overflow."""
+    one, two, three = box([-2.0], [2.0]), box([-1.0, -1.0], [1.0, 1.0]), box([-1.0] * 3, [1.0] * 3)
+    return [
+        PolynomialMap(one, [([1.0, -0.0], (0,)), ([-0.5, 2.0], (1,)), ([0.25, -0.0], (3,))]),
+        PolynomialMap(two, [([-0.0], (0, 0)), ([1.5], (2, 1)), ([-2.0], (0, 3))]),
+        PolynomialMap(three, [([1.0, 0.5, -1.0], (1, 1, 1)), ([0.0, -0.0, 3.0], (2, 0, 1))]),
+        # x**200 overflows to inf at |x| = 1e2; a zero coefficient makes NaN
+        PolynomialMap(one, [([1e300, 0.0], (200,)), ([-1e300, 1.0], (1,))]),
+    ]
+
+
+def _plan_stack_points(pm: PolynomialMap, n: int) -> np.ndarray:
+    rng = np.random.default_rng(pm.dim * 10 + n)
+    pts = rng.uniform(-1.0, 1.0, size=(n, pm.dim))
+    pts[0] = -0.0  # signed zeros through every power
+    if n > 1:
+        pts[1] = 0.0
+    if n > 2:
+        pts[2, 0] = 1e2  # the overflowing powers of the last polynomial
+    return pts
+
+
+@pytest.mark.parametrize("ell", range(4))
+def test_plan_kernel_matches_the_per_term_oracle(ell):
+    """Every entry of a stack of one and of a mixed-width stack, each
+    polynomial at its own points, has the bits of the per-term oracle:
+    inf and NaN where the powers overflow, and the oracle's zeros."""
+    polys = _plan_stack_polys()
+    points = [_plan_stack_points(pm, n) for pm, n in zip(polys, (5, 3, 7, 4))]
+    stacks = [[g] for g in range(len(polys))] + [[0, 1, 2, 3], [3, 1], [2, 0, 2]]
+    non_finite = nan = 0
+    for stack in stacks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ents = jets._poly_tensors([(polys[g]._plan(ell), points[g]) for g in stack], ell)
+        for g, ent in zip(stack, ents):
+            pm = polys[g]
+            assert ent.shape == (len(points[g]), pm.out_dim) + (pm.dim,) * ell
+            with np.errstate(all="ignore"):
+                want = np.array([_poly_derivative(pm.terms, x, ell, lambda c: c)
+                                 for x in points[g]])
+            assert _same_bits(ent, want), (stack, g)
+            non_finite += int((~np.isfinite(ent)).sum())
+            nan += int(np.isnan(ent).sum())
+    assert non_finite and nan
+
+
+def test_one_plan_per_polynomial_and_order_on_seed_zero(monkeypatch):
+    """Generating seed 0 and running every check builds each evaluated
+    (polynomial, order) plan once; its repeated misses reuse it."""
+    build, builds = jets._poly_plan, []
+
+    def counted(coefs, powers, ell):
+        plan = build(coefs, powers, ell)
+        builds.append((coefs, ell, plan))  # the coefficients kept alive: ids stay unique
+        return plan
+
+    kernel, misses = jets._poly_tensors, []
+    monkeypatch.setattr(jets, "_poly_plan", counted)
+    monkeypatch.setattr(jets, "_poly_tensors",
+                        lambda polys, ell: misses.extend(p for p, _ in polys) or kernel(polys, ell))
+    sc = generate_scenario(0)
+    run_scenario_checks(sc)
+    keys = [(id(coefs), ell) for coefs, ell, _ in builds]
+    assert len(keys) == len(set(keys)) > 100
+    per_plan = {id(plan): 0 for _, _, plan in builds}
+    for plan in misses:
+        if id(plan) in per_plan:
+            per_plan[id(plan)] += 1
+    assert sum(per_plan.values()) > 2 * len(builds)  # plans reused
+    assert max(per_plan.values()) > 10

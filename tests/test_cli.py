@@ -600,6 +600,24 @@ class TestIngestErrors:
                               "with finite differences by nan at "), err
         assert not (tmp_path / "report.json").exists()
 
+    def test_overflowing_scaled_map_exits_one_without_a_warning(self, tmp_path, scenario0,
+                                                                 capsys):
+        # gamma times 1e300 twice overflows to inf, so the coded jets of
+        # the map are not finite, and the multiplies warn nothing
+        def mutate(doc):
+            elements = doc["elements"]["gammas"][0]
+            for _ in range(2):
+                elements["map"] = {"kind": "scaled", "c": 1e300, "base": elements["map"]}
+
+        cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: /elements/gammas/0/map: jet of order 1 disagrees "
+                              "with finite differences by nan at "), err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("pointer", [
         "/elements/gammas/0/map", "/elements/comp_gammas/1/map", "/sigmas/1",
     ], ids=["gammas", "comp_gammas", "sigmas"])
