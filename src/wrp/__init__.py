@@ -20,7 +20,7 @@ from .operators import (
     SuperpositionOperand,
     compose_perturbed,
     invert_perturbed,
-    quasi_inverse,
+    quasi_inverses,
     superpose,
     weak_integral,
 )
@@ -53,7 +53,6 @@ from .spaces import (
     Weight,
     WeightFamily,
     ball,
-    boundary_distance,
     box,
     check_adjusting_weight,
     check_dominance_certificate,

@@ -198,20 +198,28 @@ def _vertex_max(e: np.ndarray, signs: list[np.ndarray]) -> np.ndarray:
 
 def op_norm(t: MultilinearMap, norm_kind: str = SUP) -> float:
     """Exact operator norm of one multilinear map: :func:`op_norms` over a
-    stack of one."""
+    stack of one, kept for the benchmark's tracer and kernel samples."""
     return float(op_norms(t.entries[None], t.out_rank, norm_kind)[0])
 
 
+def op_norms_of(maps: Sequence[MultilinearMap]) -> np.ndarray:
+    """The sup-norm operator norm of each multilinear map of a list,
+    whatever their shapes: one :func:`op_norms` call per (shape,
+    out_rank), the norms in list order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, t in enumerate(maps):
+        groups.setdefault((t.entries.shape, t.out_rank), []).append(i)
+    norms = np.empty(len(maps))
+    for (_, out_rank), idx in groups.items():
+        norms[idx] = op_norms(np.stack([maps[i].entries for i in idx]), out_rank)
+    return norms
+
+
 def opnorms_inf(mats) -> np.ndarray:
-    """:func:`opnorm_inf` of each matrix of an ``(N, n, m)`` stack: its
-    largest absolute row sum, 0.0 for an empty matrix; a NaN propagates."""
+    """The matrix norm induced by the sup norm of each matrix of an ``(N,
+    n, m)`` stack: its largest absolute row sum, 0.0 for an empty matrix;
+    a NaN propagates."""
     return row_sums(np.abs(np.asarray(mats, dtype=float))).max(axis=1, initial=0.0)
-
-
-def opnorm_inf(a: np.ndarray) -> float:
-    """Matrix norm induced by the sup norm: maximum absolute row sum.  A
-    batch of one of :func:`opnorms_inf`."""
-    return float(opnorms_inf(np.atleast_2d(np.asarray(a, dtype=float))[None])[0])
 
 
 def symmetrize(entries: np.ndarray, out_rank: int) -> tuple[np.ndarray, float]:
@@ -305,8 +313,9 @@ class JetMap:
     """A C^k map on a box/ball domain with exact derivative tensors.
 
     Subclasses implement :meth:`tensors`, which evaluates one derivative
-    order at a whole array of points; every other evaluation (one tensor,
-    one value, one jet) is a batch of one.
+    order at a whole array of points: the one evaluation rule.
+    :meth:`tensor` is a batch of one, kept for the benchmark's tracer and
+    kernel samples.
     """
 
     def __init__(
@@ -352,9 +361,6 @@ class JetMap:
     def tensor(self, x, ell: int) -> MultilinearMap:
         x = np.asarray(x, dtype=float)
         return MultilinearMap(self.tensors(x[None], ell)[0], len(self.out_shape))
-
-    def value(self, x) -> np.ndarray:
-        return self.tensors(np.asarray(x, dtype=float)[None], 0)[0]
 
     def differential(self) -> "DifferentialMap":
         return DifferentialMap(self)
@@ -853,40 +859,6 @@ def xi2_build(xi: JetMap, pairing: str, e_box_radius: float = 1.0) -> PairedDeri
 
 
 # ---------------------------------------------------------------------------
-# partial-derivative views of two-block maps
-
-
-def partial1_tensor(xi: JetMap, point, ell: int) -> MultilinearMap:
-    """The order-l derivative in the first block only (all axes sliced)."""
-    if xi.in_blocks is None or len(xi.in_blocks) != 2:
-        raise ShapeError("map must declare two input blocks")
-    m1 = xi.in_blocks[0]
-    t = xi.tensor(point, ell)
-    ent = t.entries
-    for axis in range(t.out_rank, ent.ndim):
-        ent = np.take(ent, range(m1), axis=axis)
-    return MultilinearMap(ent, t.out_rank)
-
-
-def mixed_partial1_tensor(xi: JetMap, point, ell: int) -> MultilinearMap:
-    """The (l+1)-linear map (h_1..h_l, y) -> d1^l xi(x, .)(h)(y).
-
-    For maps linear in the second argument this is independent of the
-    second coordinate of ``point``; it is the order-(l+1) tensor with l
-    axes restricted to the first block and the last to the second.
-    """
-    if xi.in_blocks is None or len(xi.in_blocks) != 2:
-        raise ShapeError("map must declare two input blocks")
-    m1, _ = xi.in_blocks
-    t = xi.tensor(point, ell + 1)
-    ent = t.entries
-    for axis in range(t.out_rank, ent.ndim - 1):
-        ent = np.take(ent, range(m1), axis=axis)
-    ent = np.take(ent, range(m1, m1 + xi.in_blocks[1]), axis=ent.ndim - 1)
-    return MultilinearMap(ent, t.out_rank)
-
-
-# ---------------------------------------------------------------------------
 # finite differences (oracle only)
 
 
@@ -1254,7 +1226,14 @@ def linear2_identities_check(
 ) -> list[CheckReport]:
     """Check the derivative identity and norm estimates of a two-block map
     linear in its second argument; with ``xi = b(g(x), y)`` also the
-    factored-form estimates."""
+    factored-form estimates.
+
+    Each map is evaluated once per order at the stacked points the checks
+    read, and the operator norms are taken by one :func:`op_norms_of`
+    call.  The partial derivatives are slices of the full tensors: d1^l
+    has every argument axis in the first block, and the mixed partial
+    (h_1..h_l, y) -> d1^l xi(x, .)(h)(y) is the order-(l+1) tensor with
+    its last axis in the second block."""
     if xi.in_blocks is None or len(xi.in_blocks) != 2:
         raise ShapeError("map must declare two input blocks")
     m1, m2 = xi.in_blocks
@@ -1262,23 +1241,44 @@ def linear2_identities_check(
     x, y = point[:m1], point[m1:]
     h1 = np.asarray(direction1, dtype=float)
     h2 = np.asarray(direction2, dtype=float)
+    outs = (slice(None),) * (1 + len(xi.out_shape))  # the stack axis and the outputs
 
-    # linearity probe in the second argument
-    for alpha in (0.5, -1.25):
-        probe = np.concatenate([x, alpha * y])
-        dev = float(
-            np.max(np.abs(xi.value(probe) - alpha * xi.value(point)))
-        )
-        if dev > 1e-9 * max(1.0, float(np.max(np.abs(xi.value(point))))):
+    def first(t, k):
+        """The slice of the order-``k`` stack ``t`` with every argument axis
+        in the first block: d1^k."""
+        return t[outs + (slice(0, m1),) * k]
+
+    def mixed(t, k):
+        """The slice of the order-``k`` stack ``t`` with its last argument
+        axis in the second block and the others in the first: the mixed
+        partial (h_1..h_{k-1}, y) -> d1^(k-1) xi(x, .)(h)(y)."""
+        return t[outs + (slice(0, m1),) * (k - 1) + (slice(m1, m1 + m2),)]
+
+    # linearity probe in the second argument, at the probes and the point
+    alphas = (0.5, -1.25)
+    vals = xi.tensors(np.array([np.concatenate([x, a * y]) for a in alphas] + [point]), 0)
+    for alpha, val in zip(alphas, vals):
+        dev = float(np.max(np.abs(val - alpha * vals[-1])))
+        if dev > 1e-9 * max(1.0, float(np.max(np.abs(vals[-1])))):
             raise PreconditionError(
                 f"map is not linear in its second argument (deviation {dev:.2e})"
             )
 
+    # order l at the zero section, the curve t -> (x + t h1, y + t h2) at
+    # t = h and t = -h, the shift point (x, h2) and the point; order l + 1
+    # at the point
+    h = 1e-5
+    t_ell = xi.tensors(np.array(
+        [np.concatenate([x, np.zeros(m2)])]
+        + [np.concatenate([x + t * h1, y + t * h2]) for t in (h, -h)]
+        + [np.concatenate([x, h2]), point]), ell)
+    t_next = xi.tensors(point[None], ell + 1)
+    p1, p1_next = first(t_ell, ell), first(t_next, ell + 1)
+
     reports = []
 
     # zero section: d1^l xi(x, 0) = 0
-    zero_pt = np.concatenate([x, np.zeros(m2)])
-    dev0 = float(np.max(np.abs(partial1_tensor(xi, zero_pt, ell).entries)))
+    dev0 = float(np.max(np.abs(p1[0])))
     reports.append(
         identity_report(
             "id:Ableitung_Abb_linear_2Arg", dev0, tolerance=1e-12,
@@ -1288,17 +1288,9 @@ def linear2_identities_check(
 
     # derivative of t -> d1^l xi(x + t h1, y + t h2) against the stated
     # splitting; the left side is a finite-difference oracle
-    def p1(t):
-        pt = np.concatenate([x + t * h1, y + t * h2])
-        return partial1_tensor(xi, pt, ell).entries
-
-    h = 1e-5
-    fd = (p1(h) - p1(-h)) / (2 * h)
-    lin_term = partial1_tensor(
-        xi, np.concatenate([x, h2]), ell
-    ).entries
-    contr = contract_last(partial1_tensor(xi, point, ell + 1), h1).entries
-    dev = float(np.max(np.abs(fd - (lin_term + contr))))
+    fd = (p1[1] - p1[2]) / (2 * h)
+    contr = contract(p1_next[0], h1)
+    dev = float(np.max(np.abs(fd - (p1[3] + contr))))
     reports.append(
         identity_report(
             "id:Ableitung_Abb_linear_2Arg", dev, tolerance=1e-8,
@@ -1306,52 +1298,58 @@ def linear2_identities_check(
         )
     )
 
+    # the operator norms the estimates compare, by name
+    out_rank = len(xi.out_shape)
+    factored = g is not None and b is not None
+    tensors = {"mixed": MultilinearMap(mixed(t_next, ell + 1)[0], out_rank)}
     if ell >= 1:
-        lhs = op_norm(xi.tensor(point, ell))
-        rhs = ell * op_norm(mixed_partial1_tensor(xi, point, ell - 1)) + op_norm(
-            mixed_partial1_tensor(xi, point, ell)
-        ) * float(np.max(np.abs(y)) if y.size else 0.0)
+        tensors["full"] = MultilinearMap(t_ell[4], out_rank)
+        tensors["mixed_below"] = MultilinearMap(mixed(t_ell, ell)[4], out_rank)
+    if factored:
+        gx = x[None]
+        tensors["b"] = MultilinearMap(np.asarray(b, dtype=float), 1)
+        tensors["g"] = MultilinearMap(g.tensors(gx, ell)[0], len(g.out_shape))
+        if ell >= 1:
+            tensors["g_below"] = MultilinearMap(g.tensors(gx, ell - 1)[0], len(g.out_shape))
+    n = dict(zip(tensors, op_norms_of(list(tensors.values())).tolist()))
+    y_sup = float(np.max(np.abs(y)) if y.size else 0.0)
+    witness = tuple(point.tolist())
+
+    if ell >= 1:
         reports.append(
             bound_report(
                 "est:norm_l-te_Ableitung-Abb_linear_2Arg",
-                lhs,
-                rhs,
+                n["full"],
+                ell * n["mixed_below"] + n["mixed"] * y_sup,
                 tolerance=1e-9,
                 lhs_provenance="exact",
                 rhs_provenance="exact",
-                witness=tuple(point.tolist()),
+                witness=witness,
             )
         )
 
-    if g is not None and b is not None:
-        bnorm = op_norm(MultilinearMap(np.asarray(b, dtype=float), 1))
-        lhs3 = op_norm(mixed_partial1_tensor(xi, point, ell))
-        rhs3 = bnorm * op_norm(g.tensor(x, ell))
+    if factored:
         reports.append(
             bound_report(
                 "est:Abb_linear_2Arg-Spezialfall-hohes_Diff--partiell",
-                lhs3,
-                rhs3,
+                n["mixed"],
+                n["b"] * n["g"],
                 tolerance=1e-9,
                 lhs_provenance="exact",
                 rhs_provenance="exact",
-                witness=tuple(point.tolist()),
+                witness=witness,
             )
         )
         if ell >= 1:
-            lhs4 = op_norm(xi.tensor(point, ell))
-            rhs4 = bnorm * ell * op_norm(g.tensor(x, ell - 1)) + bnorm * float(
-                np.max(np.abs(y)) if y.size else 0.0
-            ) * op_norm(g.tensor(x, ell))
             reports.append(
                 bound_report(
                     "est:Abb_linear_2Arg-Spezialfall-hohes_Diff",
-                    lhs4,
-                    rhs4,
+                    n["full"],
+                    n["b"] * ell * n["g_below"] + n["b"] * y_sup * n["g"],
                     tolerance=1e-9,
                     lhs_provenance="exact",
                     rhs_provenance="exact",
-                    witness=tuple(point.tolist()),
+                    witness=witness,
                 )
             )
     return reports

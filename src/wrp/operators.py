@@ -34,14 +34,12 @@ from .errors import (
 from .jets import (
     ComposeMap,
     JetMap,
-    MultilinearMap,
     PairMap,
     SumMap,
     _fd_prefix,
     difference_map,
     identity_map,
-    op_norm,
-    opnorm_inf,
+    op_norms,
     opnorms_inf,
 )
 from .report import (
@@ -451,7 +449,8 @@ def quasi_inverses(mats) -> np.ndarray:
     stack, truncated so the geometric tail is below ``NEUMANN_TAIL``;
     satisfies a + QI(a) - a QI(a) = 0 within twice the tail.
 
-    Each row takes its own truncation order from its own ``opnorm_inf``.
+    Each row takes its own truncation order from its own norm
+    (:func:`~wrp.jets.opnorms_inf`).
     The rows that need a further power take it in one stacked
     :func:`~wrp.arith.matmul`, so each row carries the bits of a one-matrix
     power chain.  The first row whose norm
@@ -476,23 +475,16 @@ def quasi_inverses(mats) -> np.ndarray:
     return qi
 
 
-def quasi_inverse(a):
-    """:func:`quasi_inverses` of a batch of one; a ``MultilinearMap``
-    comes back wrapped."""
-    wrap = isinstance(a, MultilinearMap)
-    mat = np.atleast_2d(np.asarray(a.entries if wrap else a, dtype=float))
-    qi = quasi_inverses(mat[None])[0]
-    if wrap:
-        return MultilinearMap(qi, 1)
-    return qi
-
-
-def quasi_inverse_report(a: np.ndarray) -> tuple[np.ndarray, CheckReport]:
-    qi = quasi_inverse(a)
-    residual = opnorm_inf(np.atleast_2d(a) + qi - matmul(np.atleast_2d(a), qi))
-    return qi, bound_report(
-        "qi:neumann_relation", residual, 2.0 * NEUMANN_TAIL, tolerance=0.0,
-        lhs_provenance=EXACT, rhs_provenance=EXACT,
+def quasi_inverse_report(mats: np.ndarray) -> tuple[np.ndarray, CheckReport]:
+    """The quasi-inverses of an ``(N, k, k)`` stack and the worst row's
+    report of the algebra relation a + QI(a) - a QI(a) = 0 up to the
+    tail: one :func:`quasi_inverses` and one residual norm pass."""
+    mats = np.asarray(mats, dtype=float)
+    qi = quasi_inverses(mats)
+    residuals = opnorms_inf(mats + qi - matmul(mats, qi))
+    return qi, bound_rows(
+        "qi:neumann_relation", residuals, np.full(len(mats), 2.0 * NEUMANN_TAIL),
+        tolerance=0.0, lhs_provenance=EXACT, rhs_provenance=EXACT,
         detail="algebra relation a + QI(a) - a QI(a) = 0 up to the tail",
     )
 
@@ -805,15 +797,10 @@ def inversion_jacobian_check(
     approx, outside = _fd_prefix(inv, probes, 1, None)
     n_in = len(approx[1])
     exact = inv.tensors(probes[:n_in + 1], 1)
-    reports = []
-    for y, ex, ap in zip(probes, exact, approx[1]):
-        dev = op_norm(MultilinearMap(ex - ap, 1))
-        reports.append(
-            identity_report(
-                check_id, dev, tolerance=1e-6,
-                witness=tuple(float(c) for c in y),
-            )
-        )
+    reports = [
+        identity_report(check_id, dev, tolerance=1e-6, witness=tuple(float(c) for c in y))
+        for y, dev in zip(probes, op_norms(exact[:n_in] - approx[1]).tolist())
+    ]
     if outside is not None:
         raise outside
     return merge_min_margin(check_id, reports)

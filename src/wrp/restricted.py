@@ -32,7 +32,7 @@ from .jets import (
     PairMap,
     ScaledMap,
     difference_map,
-    op_norm,
+    op_norms_of,
     opnorms_inf,
 )
 from .operators import (
@@ -350,7 +350,7 @@ def sim_multiply(
     gate = check_dominance_certificate(cert, grids, check_id="cond:est_sim-multiplier_weights")
     if gate.status != "pass":
         raise PreconditionError("dominance certificate fails on the grid")
-    sup_b = max(op_norm(MultilinearMap(np.asarray(b, float), 1)) for b in bilinears)
+    sup_b = float(op_norms_of([MultilinearMap(np.asarray(b, float), 1) for b in bilinears]).max())
     out = []
     for m_i, b_i, x_i in zip(multipliers, bilinears, x.factors):
         out.append(
@@ -386,7 +386,7 @@ def sim_multilinear(
     if gate.status != "pass":
         raise PreconditionError("weight factorization fails on the grid")
     n = len(args)
-    sup_b = max(op_norm(MultilinearMap(np.asarray(b, float), 1)) for b in betas)
+    sup_b = float(op_norms_of([MultilinearMap(np.asarray(b, float), 1) for b in betas]).max())
     out = []
     for i, b_i in enumerate(betas):
         maps = [arg.factors[i].map for arg in args]

@@ -49,10 +49,6 @@ class NormedSpaceDesc:
         if self.norm_kind not in (SUP, EUCLIDEAN):
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
 
-    def norm(self, v: np.ndarray) -> float:
-        """A batch of one of :meth:`norms`, of ``v`` flattened."""
-        return float(self.norms(np.reshape(v, (1, -1)))[0])
-
     def norms(self, rows) -> np.ndarray:
         """The norm of every row of the 2-D array ``rows``."""
         v = np.asarray(rows, dtype=float)
@@ -101,7 +97,7 @@ class DomainSet:
 
     @property
     def star_shaped_at_zero(self) -> bool:
-        return self.contains(np.zeros(self.dim))  # convex and 0 interior
+        return bool(self.members(np.zeros((1, self.dim)))[0])  # convex and 0 interior
 
     @property
     def balanced(self) -> bool:
@@ -124,10 +120,6 @@ class DomainSet:
         if self.kind == BOX:
             return np.all((x > lo) & (x < hi), axis=1)
         return self.space.norms(x - center) < self.radius
-
-    def contains(self, point) -> bool:
-        """A batch of one of :meth:`members`."""
-        return bool(self.members(np.asarray(point, dtype=float)[None])[0])
 
     def boundary_distances(self, points) -> np.ndarray:
         """Distance from every row of ``points`` to the complement; exact
@@ -215,14 +207,11 @@ class DomainSet:
             return bool(np.all(ilo >= outer.lo) and np.all(ihi <= outer.hi))
         c = np.asarray(outer.center, float)
         if inner.kind == BALL and inner.space.norm_kind == outer.space.norm_kind:
-            shift = outer.space.norm(np.asarray(inner.center) - c)
-            return shift + inner.radius <= outer.radius
+            (shift,) = outer.space.norms((np.asarray(inner.center) - c)[None])
+            return bool(shift + inner.radius <= outer.radius)
         # box inside a euclidean ball: check the corners
-        lo, hi = inner.bounding_box()
-        for corner in itertools.product(*zip(lo, hi)):
-            if outer.space.norm(np.asarray(corner) - c) > outer.radius:
-                return False
-        return True
+        corners = np.array(list(itertools.product(*zip(*inner.bounding_box()))))
+        return not (outer.space.norms(corners - c) > outer.radius).any()
 
 
 def box(lo: Sequence[float], hi: Sequence[float], norm_kind: str = SUP) -> DomainSet:
@@ -245,10 +234,6 @@ def product_box(a: DomainSet, b: DomainSet) -> DomainSet:
     """The product of two sup-norm boxy domains, as a box."""
     ab, bb = a.as_box(), b.as_box()
     return box(ab.lo + bb.lo, ab.hi + bb.hi)
-
-
-def boundary_distance(domain: DomainSet, point) -> float:
-    return domain.boundary_distance(point)
 
 
 # ---------------------------------------------------------------------------

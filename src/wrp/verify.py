@@ -54,7 +54,6 @@ from .jets import (
     linear2_identities_check,
     map_from_desc,
     map_to_desc,
-    op_norm,
     op_norms,
     xi2_build,
     xi2_pointwise_check,
@@ -117,7 +116,6 @@ from .seminorms import (
     pair_split_check,
     require_row,
     seminorm_axioms_check,
-    weighted_seminorm,
     weighted_seminorms,
 )
 from .spaces import (
@@ -830,16 +828,17 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
             f10 = (0.4 if small else 1.0) * cap10 * float(rng.uniform(0.6, 1.0))
             contractions.append((key, k, f11, f10))
     # multipliers, bilinears, multilinear data
-    bils, beta2s = [], []
+    raws, scales = [], []  # (bilinear, beta2) per factor, normalized below
     for fs in factors:
         drawn["multipliers"].append((draw(fs.u, dim, 2, float(rng.uniform(0.5, 1.2))), 2))
-        raw = rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
-        norm = op_norm(MultilinearMap(raw, 1))
-        bils.append(raw / norm * float(rng.uniform(0.5, 1.5)))
-        raw2 = rng.uniform(-1.0, 1.0, size=(dim, dim, dim))
-        beta2s.append(raw2 / op_norm(MultilinearMap(raw2, 1)) * float(rng.uniform(0.5, 2.0)))
+        raws.append(rng.uniform(-1.0, 1.0, size=(dim, dim, dim)))
+        scales.append(float(rng.uniform(0.5, 1.5)))
+        raws.append(rng.uniform(-1.0, 1.0, size=(dim, dim, dim)))
+        scales.append(float(rng.uniform(0.5, 2.0)))
         drawn["ml_args1"].append((draw(fs.u, dim, 2, 1.0), 2))
         drawn["ml_args2"].append((draw(fs.u, dim, 2, 1.0), 2))
+    normed = [raw / norm * c for raw, norm, c in zip(raws, op_norms(np.array(raws)), scales)]
+    bils, beta2s = normed[::2], normed[1::2]
     # one-variable superposition family with uniform bounds
     sigma_draws = [draw(fs.v.as_box(), dim, 3, 0.8, y_block=(0, dim)) for fs in factors]
     # operator-valued element for the power-series path
@@ -945,14 +944,27 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
 
 
 def validate_scenario(sc: FamilyScenario):
-    """Ingest validation: coded jets agree with finite differences at a
-    few points and no grid evaluation contradicts a weight certificate.
-    Certificates for sup quantities are only falsified here, never proved;
-    the check suite does the falsification of the dominance certificates.
-    A map that fails is a DataError at its JSON pointer."""
+    """Ingest validation: each factor's domains nest as the runners
+    combine them, coded jets agree with finite differences at a few points
+    and no grid evaluation contradicts a weight certificate.  Certificates
+    for sup quantities are only falsified here, never proved; the check
+    suite does the falsification of the dominance certificates.  A factor
+    whose domains do not nest, or a map that fails, is a DataError at its
+    JSON pointer."""
     from .jets import validate_jet_maps
     from .spaces import validate_weight_on_points
 
+    # 0 in V (the weights and family runners measure from it), V + U in W
+    # (composition) and V~ + ball(0, r) in U (inversion), exact set tests
+    r_ball = ball(np.zeros(sc.dim), sc.contraction.r)
+    for i, fs in enumerate(sc.factors):
+        if not fs.v.star_shaped_at_zero:
+            raise DataError(f"/factors/{i}: V must contain 0")
+        if not fs.w.contains_set(fs.v.minkowski_sum(fs.u)):
+            raise DataError(f"/factors/{i}: W must contain V + U")
+        if not fs.u.contains_set(fs.v_tilde.minkowski_sum(r_ball)):
+            raise DataError(f"/factors/{i}: U must contain V~ + ball(0, r), "
+                            "r from /contraction/r")
     rng = np.random.default_rng(0)
     grids = [fs.grid_u.points for fs in sc.factors]
     for member in sc.weights.members:
@@ -1040,10 +1052,9 @@ def _run_seminorms(sc: FamilyScenario) -> list[CheckReport]:
     )
     out.append(pair_split_check(paired, one0, 1))
 
-    sn_full = weighted_seminorm(sc.gammas[0], gauss0, 1).value
-    sn_low = weighted_seminorm(
-        WeightedFunction(sc.gammas[0].map, sc.gammas[0].grid, 1), gauss0, 1
-    ).value
+    sn_full, sn_low = (sv.value for sv in weighted_seminorms(
+        [sc.gammas[0], WeightedFunction(sc.gammas[0].map, sc.gammas[0].grid, 1)],
+        [gauss0] * 2, 1))
     out.append(
         identity_report(
             "lem:CinfLinf_initial_CkLinf", deviation(sn_full, sn_low), tolerance=0.0,
@@ -1130,7 +1141,7 @@ def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
         zero_pt = np.concatenate([
             sc.factors[0].grid_u.points[0], np.full(sc.dim, 0.1), np.zeros(me)
         ])
-        dev = float(np.max(np.abs(xi2.value(zero_pt))))
+        dev = float(np.max(np.abs(xi2.tensors(zero_pt[None], 0))))
         xi2_reports.append(
             identity_report(
                 "lem:Abschaetzung_hoheDiffs_Spezialfall-linArg", dev,
@@ -1287,9 +1298,7 @@ def _run_invert(sc: FamilyScenario) -> list[CheckReport]:
     out.append(
         inversion_jacobian_check(sc.phis[0], fs0.u, fs0.v_tilde, probes, cfg)
     )
-    qi_reports = [quasi_inverse_report(-a)[1]
-                  for a in sc.phis[0].map.tensors(probes[:2], 1)]
-    out.append(merge_min_margin("qi:neumann_relation", qi_reports))
+    out.append(quasi_inverse_report(-sc.phis[0].map.tensors(probes[:2], 1))[1])
     return out
 
 
@@ -1357,7 +1366,7 @@ def _run_family(sc: FamilyScenario) -> list[CheckReport]:
     )
 
     vecs = [np.full(sc.dim, 0.7), np.full(sc.dim, -0.9)]
-    sup_b = max(op_norm(MultilinearMap(b, 1)) for b in sc.beta2s)
+    sup_b = float(op_norms(np.array(sc.beta2s)).max())
     lhs = max(
         float(np.max(np.abs(MultilinearMap(b, 1).apply(vecs[0], vecs[1]))))
         for b in sc.beta2s

@@ -501,6 +501,21 @@ class TestIngestErrors:
         assert err.startswith(f"error: {pointer}: "), err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["factors"][1]["w"].update(lo=[-1.0], hi=[1.0]),
+        lambda d: d["factors"][1]["v_tilde"].update(lo=[-0.9], hi=[0.9]),
+        lambda d: d["factors"][1]["v"].__setitem__("center", [0.8]),
+    ], ids=["w_below_v_plus_u", "v_tilde_plus_ball_outside_u", "v_without_zero"])
+    def test_domains_that_do_not_nest_exit_one(self, tmp_path, scenario0, capsys, mutate):
+        """W must contain V + U, U must contain V~ + ball(0, r), and V must
+        contain 0, on every factor; each used to exit 1 without a pointer,
+        from the runner that combines the domains."""
+        cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: /factors/1: "), err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("kind, mutate, pointer", [
         ("poly", _set_weight(1, lambda w: {"kind": "poly", "terms": [[1.0, [0]]]}),
          "/weights/members/1/factors/0"),

@@ -38,9 +38,7 @@ from wrp.jets import (
     crude_sup_bound,
     fd_tensors,
     linear2_identities_check,
-    mixed_partial1_tensor,
     op_norms,
-    partial1_tensor,
     uncurry_last,
     xi2_build,
     xi2_pointwise_check,
@@ -52,7 +50,6 @@ from wrp.operators import (
     derivative_convergence,
     inversion_direction_check,
     inversion_jacobian_check,
-    quasi_inverse,
     quasi_inverses,
     superpose,
 )
@@ -200,12 +197,16 @@ GUARDS = [
     ("paired_kind", lambda: PairedDerivativeMap(DifferentialMap(POLY), "bogus", 1.0),
      ShapeError, "unknown pairing 'bogus'"),
     ("xi2_blocks", lambda: xi2_build(POLY, "evaluate"), ShapeError, "xi must declare"),
-    ("partial1_blocks", lambda: partial1_tensor(POLY, [0.1], 1), ShapeError, "map must declare"),
-    ("mixed_partial1_blocks", lambda: mixed_partial1_tensor(POLY, [0.1], 1),
-     ShapeError, "map must declare"),
     ("fd_order", lambda: fd_tensors(POLY, [[0.1]], 3), OrderError, "finite differences"),
     ("linear2_blocks", lambda: linear2_identities_check(POLY, [0.1], [1.0], [1.0], 1),
      ShapeError, "map must declare"),
+    ("linear2_three_blocks", lambda: linear2_identities_check(
+        PolynomialMap(box([-1.0] * 3, [1.0] * 3), [([1.0], (1, 1, 1))], in_blocks=(1, 1, 1)),
+        [0.1] * 3, [1.0], [1.0], 1),
+     ShapeError, "map must declare two input blocks"),
+    ("linear2_one_block", lambda: linear2_identities_check(
+        PolynomialMap(U2, [([1.0], (1, 1))], in_blocks=(2,)), [0.1] * 2, [1.0], [1.0], 1),
+     ShapeError, "map must declare two input blocks"),
     ("xi2_compose_slot", lambda: xi2_pointwise_check(
         XI, xi2_build(XI, "compose"), np.zeros((1, 8)), 1),
      UnsupportedNormError, "composition-pairing estimate"),
@@ -220,7 +221,7 @@ GUARDS = [
         WeightedFunction(POLY, GRID, 2, (("one", 1, 1.0),)),
         WeightedFunction(ConstMap(U, [0.9]), GRID, 2), U, ball([0.0], 0.5), box([-3.0], [3.0])),
      RangeEscapeError, "eta([-0.6666666666666667]) escapes"),
-    ("qi_square", lambda: quasi_inverse(np.zeros((2, 3))), SpectralConditionError, "quasi"),
+    ("qi_square", lambda: quasi_inverses(np.zeros((1, 2, 3))), SpectralConditionError, "quasi"),
     ("qi_stack", lambda: quasi_inverses(np.zeros((2, 2))),
      ShapeError, "quasi-inverses need an (N, k, k) stack, got shape (2, 2)"),
     ("direction_shape", lambda: inversion_direction_check(

@@ -38,8 +38,7 @@ from wrp.jets import (
     map_from_desc,
     map_to_desc,
     op_norm,
-    opnorm_inf,
-    partial1_tensor,
+    opnorms_inf,
     set_partitions,
     symmetrize,
     uncurry_last,
@@ -209,7 +208,7 @@ class TestBuiltins:
         dom = box([-1.0, -1.0], [1.0, 1.0])
         a = AffineMap(dom, [[1.0, 2.0], [0.0, 1.0]], [0.5, 0.0])
         x = np.array([0.2, -0.1])
-        assert np.allclose(a.value(x), [0.5, -0.1])
+        assert np.allclose(a.tensors(x[None], 0)[0], [0.5, -0.1])
         assert np.array_equal(a.tensor(x, 1).entries, a.a)
         assert np.all(a.tensor(x, 2).entries == 0)
 
@@ -412,13 +411,13 @@ class TestXi2:
 
     def test_zero_e_gives_zero(self):
         xi2 = xi2_build(self._xy_kernel(), "evaluate", 1.0)
-        assert xi2.value(np.array([0.5, 0.2, 0.0])) == pytest.approx(0.0)
+        assert xi2.tensors(np.array([[0.5, 0.2, 0.0]]), 0) == pytest.approx(0.0)
 
     def test_product_kernel_symbolic(self):
         # xi = x y: d2 xi = x, so the evaluation pairing gives x e
         xi2 = xi2_build(self._xy_kernel(), "evaluate", 1.0)
         pt = np.array([0.4, 0.2, 0.3])
-        assert xi2.value(pt)[0] == pytest.approx(0.12)
+        assert xi2.tensors(pt[None], 0)[0, 0] == pytest.approx(0.12)
         grad = xi2.tensor(pt, 1).entries[0]
         assert grad == pytest.approx([0.3, 0.0, 0.4], abs=1e-14)
 
@@ -473,7 +472,7 @@ class TestXi2:
             approx = fd_tensors(xi2, pt[None], ell)[ell][0]
             assert np.allclose(exact, approx, atol=1e-5)
         zero_pt = np.concatenate([[0.3, -0.4, 0.5, 0.2], np.zeros(4)])
-        assert np.max(np.abs(xi2.value(zero_pt))) == 0.0
+        assert np.max(np.abs(xi2.tensors(zero_pt[None], 0))) == 0.0
 
     def test_order_guard(self):
         u, v = box([-1.0], [1.0]), box([-1.0], [1.0])
@@ -545,8 +544,9 @@ class TestLinearInSecondArgument:
 
     def test_zero_section(self):
         xi, g, b = self._kernel()
-        t = partial1_tensor(xi, np.array([0.6, 0.0]), 1)
-        assert np.max(np.abs(t.entries)) == 0.0
+        # d1 xi(x, 0): the order-1 tensor's first-block column
+        t = xi.tensors(np.array([[0.6, 0.0]]), 1)[0, :, :1]
+        assert np.max(np.abs(t)) == 0.0
 
     def test_nonlinear_probe_rejected(self):
         u = box([-1.0], [1.0])
@@ -589,4 +589,4 @@ class TestCrudeBounds:
 
 
 def test_opnorm_inf_matrix():
-    assert opnorm_inf(np.array([[1.0, -2.0], [0.5, 0.5]])) == 3.0
+    assert opnorms_inf(np.array([[[1.0, -2.0], [0.5, 0.5]]])).tolist() == [3.0]

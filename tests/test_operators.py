@@ -14,7 +14,6 @@ from wrp.errors import (
 from wrp.jets import (
     AffineMap,
     ConstMap,
-    MultilinearMap,
     PolynomialMap,
     TrigPolynomialMap,
     crude_partial2_sup,
@@ -34,8 +33,8 @@ from wrp.operators import (
     inversion_pair_difference_check,
     invert_perturbed,
     neumann_terms,
-    quasi_inverse,
     quasi_inverse_report,
+    quasi_inverses,
     superpose,
     superpose_derivative_check,
     weak_integral,
@@ -71,8 +70,7 @@ class TestSuperpose:
             ConstMap(U1, [0.0]), lattice(U1, spacing=0.1), 2, (("one", 0, 0.0), ("one", 1, 0.0))
         )
         res, _ = superpose(xy_operand(), zero, [ONE])
-        for x in res.grid.points:
-            assert res.map.value(x) == pytest.approx(0.0)
+        assert res.map.tensors(res.grid.points, 0) == pytest.approx(0.0)
 
     def test_canonical_instance(self):
         # xi = x y with gamma = x gives x^2; grid seminorm 0.81 on the
@@ -88,7 +86,7 @@ class TestSuperpose:
     def test_chain_rule_result_jets(self):
         res, _ = superpose(xy_operand(), gamma_identity(), [ONE])
         x = np.array([0.5])
-        assert res.map.value(x)[0] == pytest.approx(0.25)
+        assert res.map.tensors(x[None], 0)[0, 0] == pytest.approx(0.25)
         assert res.map.tensor(x, 1).entries[0, 0] == pytest.approx(1.0)
         assert res.map.tensor(x, 2).entries[0, 0, 0] == pytest.approx(2.0)
 
@@ -194,8 +192,8 @@ class TestCompose:
             ConstMap(self.U, [0.1]), lattice(self.U, spacing=0.1), 3
         )
         res, _ = compose_perturbed(self._gamma(), eta, self.U, self.V, self.W)
-        for x in res.grid.points[::4]:
-            assert res.map.value(x)[0] == pytest.approx((x[0] + 0.1) ** 2, abs=1e-14)
+        xs = res.grid.points[::4]
+        assert res.map.tensors(xs, 0)[:, 0] == pytest.approx((xs[:, 0] + 0.1) ** 2, abs=1e-14)
 
     def test_zero_perturbation_identity(self):
         eta = WeightedFunction(
@@ -301,8 +299,7 @@ class TestInversion:
         res, reports = invert_perturbed(
             phi, u, v, lattice(v, spacing=0.1), ContractionConfig(tau=0.5, r=0.5)
         )
-        for y in res.grid.points:
-            assert res.map.value(y) == pytest.approx(0.0)
+        assert res.map.tensors(res.grid.points, 0) == pytest.approx(0.0)
         assert all(r.status == "pass" for r in reports)
 
     def test_linear_closed_form_through_gate(self):
@@ -314,10 +311,8 @@ class TestInversion:
         )
         cfg = ContractionConfig(tau=0.5, r=1.5, fix_tol=1e-13)
         res, reports = invert_perturbed(phi, u, v, lattice(v, spacing=0.1), cfg, [ONE])
-        for y in res.grid.points:
-            assert res.map.value(y)[0] == pytest.approx(
-                -0.1 / 1.1 * y[0], abs=1e-12
-            )
+        ys = res.grid.points
+        assert res.map.tensors(ys, 0)[:, 0] == pytest.approx(-0.1 / 1.1 * ys[:, 0], abs=1e-12)
         assert all(r.status == "pass" for r in reports)
 
     def test_linear_closed_form_direct(self):
@@ -328,7 +323,7 @@ class TestInversion:
             AffineMap(u, [[0.4]]), u, v, ContractionConfig(tau=0.5, r=0.5, fix_tol=1e-13)
         )
         y = np.array([0.35])
-        assert inv.value(y)[0] == pytest.approx(-2.0 / 7.0 * 0.35, abs=1e-12)
+        assert inv.tensors(y[None], 0)[0, 0] == pytest.approx(-2.0 / 7.0 * 0.35, abs=1e-12)
         assert inv.tensor(y, 1).entries[0, 0] == pytest.approx(-0.4 / 1.4, abs=1e-12)
 
     def test_sine_against_bisection_oracle(self):
@@ -351,7 +346,7 @@ class TestInversion:
                     a = m
             return (a + b) / 2 - y
 
-        got = res.map.value(np.array([0.5]))[0]
+        got = res.map.tensors(np.array([[0.5]]), 0)[0, 0]
         assert got == pytest.approx(oracle(0.5), abs=1e-10)
         assert got == pytest.approx(-0.1132, abs=1e-4)
 
@@ -507,10 +502,10 @@ class TestInversion:
 
 class TestQuasiInverse:
     def test_zero(self):
-        assert np.array_equal(quasi_inverse(np.zeros((2, 2))), np.zeros((2, 2)))
+        assert np.array_equal(quasi_inverses(np.zeros((1, 2, 2))), np.zeros((1, 2, 2)))
 
     def test_scalar_geometric(self):
-        qi, rep = quasi_inverse_report(np.array([[0.5]]))
+        (qi,), rep = quasi_inverse_report(np.array([[[0.5]]]))
         assert qi[0, 0] == pytest.approx(-1.0, abs=2e-12)
         # (1 - a)(1 - QI(a)) = 1
         assert (1 - 0.5) * (1 - qi[0, 0]) == pytest.approx(1.0, abs=2e-12)
@@ -518,15 +513,15 @@ class TestQuasiInverse:
 
     def test_nilpotent(self):
         a = np.array([[0.0, 0.3], [0.0, 0.0]])
-        assert np.array_equal(quasi_inverse(a), -a)
+        assert np.array_equal(quasi_inverses(a[None])[0], -a)
 
     def test_spectral_gate(self):
         with pytest.raises(SpectralConditionError):
-            quasi_inverse(np.array([[1.0]]))
+            quasi_inverses(np.array([[[1.0]]]))
 
     def test_truncation_gate(self):
         with pytest.raises(TruncationError):
-            quasi_inverse(np.array([[0.999]]))
+            quasi_inverses(np.array([[[0.999]]]))
 
     def test_term_count_bound(self):
         # geometric tail 0.5^(N+1)/0.5 <= 1e-12 at N = 40
@@ -536,12 +531,6 @@ class TestQuasiInverse:
         assert neumann_terms(0.8) == 131 <= NEUMANN_MAX_TERMS
         with pytest.raises(TruncationError):
             neumann_terms(0.85)
-
-    def test_multilinear_wrapper(self):
-        t = MultilinearMap(np.array([[0.25]]), 1)
-        qi = quasi_inverse(t)
-        assert isinstance(qi, MultilinearMap)
-        assert qi.entries[0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
 class TestWeakIntegral:
@@ -570,7 +559,8 @@ class TestWeakIntegral:
         # second-slot derivative along the segment
         xi = PolynomialMap(product_box(U1, V1), [([1.0], (1, 2))], in_blocks=(1, 1))
         x, g, e = 0.7, 0.6, -0.2
-        lhs = xi.value(np.array([x, g])) - xi.value(np.array([x, e]))
+        vals = xi.tensors(np.array([[x, g], [x, e]]), 0)
+        lhs = vals[0] - vals[1]
         rhs = weak_integral(
             lambda ts: (2 * x * (ts * g + (1 - ts) * e) * (g - e))[:, None], 0, 1, 64
         )

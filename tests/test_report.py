@@ -212,7 +212,7 @@ class TestMoreNegativeControls:
         u, vt = box([-2.0], [2.0]), box([-0.4], [0.4])
         inv = InverseMap(AffineMap(u, [[c]]), u, vt, ContractionConfig(tau=0.5, r=1.5))
         y = np.array([0.4])
-        lhs = abs(inv.value(y)[0])
+        lhs = abs(inv.tensors(y[None], 0)[0, 0])
         rhs = abs(c * y[0]) / (1 - c)
         assert bound_report("x", lhs, rhs, tolerance=1e-9).status == "pass"
         assert bound_report("x", lhs, 0.5 * rhs, tolerance=1e-9).status == "fail"

@@ -387,8 +387,8 @@ class TestSimMultiply:
         )
         assert rep.status == "pass"
         for i, fs in enumerate(factors):
-            for p in fs.grid_u.points[::3]:
-                assert res[i].map.value(p) == pytest.approx(x[i].map.value(p))
+            pts = fs.grid_u.points[::3]
+            assert res[i].map.tensors(pts, 0) == pytest.approx(x[i].map.tensors(pts, 0))
 
     def test_scaled_multipliers_with_per_factor_weights(self):
         # M_i = i x on box(-1, 1), f = 1, g_i = i (|I| = 3)
@@ -479,7 +479,7 @@ class TestSimPowerSeries:
         res, rep = sim_power_series(zeros, 1, 0.5)
         assert rep.status == "pass"
         for i, fs in enumerate(factors):
-            assert res[i].map.value(fs.grid_u.points[0]) == pytest.approx(0.0)
+            assert res[i].map.tensors(fs.grid_u.points[:1], 0) == pytest.approx(0.0)
 
     def test_constant_half(self):
         factors = two_factor_spaces()
@@ -489,7 +489,7 @@ class TestSimPowerSeries:
         res, rep = sim_power_series(halves, 1, 0.6)
         assert rep.status == "pass"
         for i, fs in enumerate(factors):
-            got = res[i].map.value(fs.grid_u.points[2])[0]
+            got = res[i].map.tensors(fs.grid_u.points[2:3], 0)
             assert got == pytest.approx(-1.0, abs=2e-12)
 
     def test_scalar_sine_closed_form(self):
@@ -505,11 +505,11 @@ class TestSimPowerSeries:
         res, rep = sim_power_series(elem, 1, 0.35)
         assert rep.status == "pass"
         for i, fs in enumerate(factors):
-            for p in fs.grid_u.points[::4]:
-                q = 0.3 * math.sin(p[0])
-                assert res[i].map.value(p)[0] == pytest.approx(
-                    -q / (1 - q), abs=5e-12
-                )
+            pts = fs.grid_u.points[::4]
+            q = [0.3 * math.sin(p[0]) for p in pts]
+            assert res[i].map.tensors(pts, 0)[:, 0] == pytest.approx(
+                [-qk / (1 - qk) for qk in q], abs=5e-12
+            )
 
     def test_spectral_witness(self):
         factors = two_factor_spaces()
@@ -582,10 +582,10 @@ class TestSimComposeInvert:
             gammas, etas, factors, self._omega(n), one_family(n), 0.4,
         )
         for i, fs in enumerate(factors):
-            for p in fs.grid_u.points[::3]:
-                assert res[i].map.value(p)[0] == pytest.approx(
-                    (p[0] + consts[i]) ** 2, abs=1e-13
-                )
+            pts = fs.grid_u.points[::3]
+            assert res[i].map.tensors(pts, 0)[:, 0] == pytest.approx(
+                [(p[0] + consts[i]) ** 2 for p in pts], abs=1e-13
+            )
         assert all(r.status == "pass" for r in reports)
         # the single-factor estimates are the compose runner's, not these
         assert {r.check_id for r in reports} == {"prop:Simultane_Koor-Kompo_diffbar"}
@@ -609,9 +609,9 @@ class TestSimComposeInvert:
         cfg = ContractionConfig(tau=0.5, r=0.5, fix_tol=1e-13)
         res, reports = sim_invert(phis, factors, cfg, one_family(n))
         for i, fs in enumerate(factors):
-            for y in fs.grid_vt.points:
-                expect = -cs[i] / (1 + cs[i]) * y[0]
-                assert res[i].map.value(y)[0] == pytest.approx(expect, abs=1e-12)
+            ys = fs.grid_vt.points
+            expect = [-cs[i] / (1 + cs[i]) * y[0] for y in ys]
+            assert res[i].map.tensors(ys, 0)[:, 0] == pytest.approx(expect, abs=1e-12)
         assert all(r.status == "pass" for r in reports)
         assert {r.check_id for r in reports} == {"prop:Simultane_Inv-Kompo_glatt"}
 

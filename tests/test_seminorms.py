@@ -10,7 +10,7 @@ from wrp.errors import DataError, OrderError, PreconditionError, ShapeError
 from wrp.jets import PairMap, PolynomialMap, TrigPolynomialMap, ConstMap
 from wrp.seminorms import (
     WeightedFunction,
-    decomposition_check,
+    decomposition_checks,
     lattice,
     norm_comparison_1U,
     pair_split,
@@ -177,13 +177,13 @@ class TestWeightedSeminorm:
 class TestDecomposition:
     def test_linear_map(self):
         wf = wf_poly([([2.0], (1,))])
-        rep = decomposition_check(wf, ONE, 0)
+        rep = decomposition_checks([wf], [ONE], 0)[0]
         assert rep.status == "pass" and rep.lhs == 0.0
 
     def test_cubic_matches_symbolic(self):
         # |x^3|_{1,1} = grid max of |3x^2| = |D(x^3)|_{1,0}
         wf = wf_poly([([1.0], (3,))])
-        rep = decomposition_check(wf, ONE, 0)
+        rep = decomposition_checks([wf], [ONE], 0)[0]
         assert rep.status == "pass"
         lhs = weighted_seminorm(wf, ONE, 1).value
         assert lhs == pytest.approx(3 * 0.9**2)
@@ -196,7 +196,7 @@ class TestDecomposition:
         wf = WeightedFunction(pm, lattice(dom, per_axis=7), 3)
         w = gaussian_weight("f", 1.0, dom)
         for ell in (0, 1):
-            rep = decomposition_check(wf, w, ell)
+            rep = decomposition_checks([wf], [w], ell)[0]
             assert rep.status == "pass"
             assert rep.lhs <= 1e-12
 
@@ -219,14 +219,14 @@ class TestDecomposition:
     def test_order_headroom_guard(self):
         wf = wf_poly([([1.0], (2,))], order=1)
         with pytest.raises(OrderError):
-            decomposition_check(wf, ONE, 1)
+            decomposition_checks([wf], [ONE], 1)[0]
 
     def test_infinite_sides_hold_the_identity(self):
         # both sides are inf where the weight is: inf - inf is no deviation
         dom = box([-1.0], [1.0])
         wf = WeightedFunction(PolynomialMap(dom, [([1.0], (2,))]), lattice(dom, per_axis=5), 2)
         w = Weight("w", lambda x: math.inf if x[0] > 0.6 else 1.0)
-        rep = decomposition_check(wf, w, 0)
+        rep = decomposition_checks([wf], [w], 0)[0]
         assert (rep.status, rep.lhs) == ("pass", 0.0)
         assert weighted_seminorm(wf, w, 1).value == math.inf
         axioms = seminorm_axioms_check(wf, wf, w, 1)

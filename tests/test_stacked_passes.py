@@ -5,18 +5,19 @@ batch of maps in one kernel pass per order, and ``crude_sup_bound`` is a
 batch of one; ``weighted_seminorms`` takes the grid seminorms of a family's
 factors in one pass over the concatenated grids, and ``weighted_seminorm``,
 ``family_seminorms`` (several families at one order) and
-``decomposition_checks`` build on it, each with a batch of one.  They are
+``decomposition_checks`` build on it.  They are
 pinned here against the per-object loop they replace: values, argmax and
 witness bit for bit, and the same error on a NaN tensor, a NaN weight or
 an overflowing power.  Each polynomial's entry bounds are pinned against a
 per-term oracle in Python floats at its box's corner, since the bounds and
 the maps' own evaluation share one kernel.
 
-The generator, the operators and the runners must not fall back to the
-loops: a call of ``crude_sup_bound`` in ``verify.py``, or of
-``weighted_seminorm`` in ``operators.py``, ``restricted.py`` or
-``verify.py``, whose map or function (or, for ``weighted_seminorm``,
-weight) varies with an enclosing loop is flagged on the syntax tree.
+The generator, the operators, the checks and the runners must not fall
+back to the loops: in ``jets.py``, ``seminorms.py``, ``restricted.py``,
+``operators.py`` and ``verify.py``, a call of ``crude_sup_bound``,
+``weighted_seminorm`` or ``op_norm``, or of a ``.tensor`` method, whose
+map or function (a seminorm's weight too), tensor or point varies with an
+enclosing loop is flagged on the syntax tree.
 """
 
 import ast
@@ -40,10 +41,10 @@ from wrp.jets import (
     crude_sup_bound,
     crude_sup_bounds,
 )
+from wrp.report import deviation, identity_report
 from wrp.restricted import RestrictedElement, family_seminorm, family_seminorms
 from wrp.seminorms import (
     WeightedFunction,
-    decomposition_check,
     decomposition_checks,
     lattice,
     weighted_seminorm,
@@ -238,6 +239,20 @@ def _families(draw):
     return wfs, weights, ell
 
 
+def _decomposition_loop(wfs, weights, ell):
+    """The per-map loop: each map's order-(l+1) seminorm against its
+    differential's order-l seminorm, one identity report per map."""
+    return [
+        identity_report(
+            "lem:topologische_Zerlegung_von_CFk",
+            deviation(weighted_seminorm(wf, w, ell + 1).value,
+                      weighted_seminorm(wf.differential(), w, ell).value),
+            tolerance=1e-12, detail=f"reduction to lower order at l = {ell}",
+        )
+        for wf, w in zip(wfs, weights)
+    ]
+
+
 def _family_loop(wfs, weights, ell):
     """The per-factor loop: one seminorm per factor, the first factor with
     the largest value kept."""
@@ -271,7 +286,7 @@ def test_family_seminorm_matches_the_per_factor_loop(family):
         def key(r):  # an infinite weight makes inf - inf: NaN lhs and margin
             return r.status, _bits(r.lhs), _bits(r.rhs), _bits(r.margin), r.detail
         assert [key(r) for r in decomposition_checks(wfs, weights, ell)] == [
-            key(decomposition_check(wf, w, ell)) for wf, w in zip(wfs, weights)]
+            key(r) for r in _decomposition_loop(wfs, weights, ell)]
 
 
 def test_ties_keep_the_first_factor_and_point():
@@ -331,8 +346,20 @@ def _bound_names(nodes) -> set[str]:
     return out
 
 
-# the checked arguments: the map or function, and a seminorm's weight
-CHECKED_ARGS = {"crude_sup_bound": {0}, "weighted_seminorm": {0, 1}}
+# the checked arguments: the map or function, a seminorm's weight, the
+# tensor of an operator norm and the point of a ``.tensor`` method call (a
+# leading dot names a method, called on any object)
+CHECKED_ARGS = {"crude_sup_bound": {0}, "weighted_seminorm": {0, 1}, "op_norm": {0},
+                ".tensor": {0}}
+
+
+def _callee(call: ast.Call, positions: dict) -> str | None:
+    """The key of ``positions`` a call is checked under: a function called
+    by name, or by attribute (``jets.op_norm``), or a method."""
+    f = call.func
+    keys = ([f.id] if isinstance(f, ast.Name)
+            else ["." + f.attr, f.attr] if isinstance(f, ast.Attribute) else [])
+    return next((k for k in keys if k in positions), None)
 
 
 def _call_positions(tree, target: str) -> dict[str, set[int]]:
@@ -347,10 +374,10 @@ def _call_positions(tree, target: str) -> dict[str, set[int]]:
         for fn in functions:
             params = [a.arg for a in fn.args.args]
             for call in ast.walk(fn):
-                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                        and call.func.id in positions and call.func.id != fn.name):
+                callee = _callee(call, positions) if isinstance(call, ast.Call) else None
+                if callee is None or callee == fn.name:
                     continue
-                for pos in positions[call.func.id]:
+                for pos in positions[callee]:
                     if pos >= len(call.args):
                         continue
                     for k, p in enumerate(params):
@@ -377,10 +404,9 @@ def per_object_calls(source: str, target: str) -> list[int]:
             varying = varying | _bound_names([node])
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
             varying = varying | _bound_names(node.generators)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id in positions):
+        elif isinstance(node, ast.Call) and (callee := _callee(node, positions)):
             if any(pos < len(node.args) and _names(node.args[pos]) & varying
-                   for pos in positions[node.func.id]):
+                   for pos in positions[callee]):
                 lines.add(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, varying)
@@ -389,12 +415,8 @@ def per_object_calls(source: str, target: str) -> list[int]:
     return sorted(lines)
 
 
-@pytest.mark.parametrize("module, target", [
-    ("verify.py", "crude_sup_bound"),
-    ("verify.py", "weighted_seminorm"),
-    ("restricted.py", "weighted_seminorm"),
-    ("operators.py", "weighted_seminorm"),
-])
+@pytest.mark.parametrize("module, target", itertools.product(
+    ["verify.py", "restricted.py", "operators.py", "seminorms.py", "jets.py"], CHECKED_ARGS))
 def test_no_per_object_loop(module, target):
     assert per_object_calls((SRC / module).read_text(encoding="utf-8"), target) == []
 
@@ -428,6 +450,32 @@ def test_detector_flags_the_per_object_patterns():
     )
     assert per_object_calls(source, "crude_sup_bound") == [6, 7, 8, 12]
     assert per_object_calls(source, "weighted_seminorm") == [19, 23]
+
+
+def test_detector_flags_per_tensor_norms_and_per_point_tensors():
+    source = (
+        "def sup_b(bilinears):\n"
+        "    return max(op_norm(MultilinearMap(b, 1)) for b in bilinears)\n"
+        "def normalize(factors, rng):\n"
+        "    for fs in factors:\n"
+        "        raw = rng.uniform(size=(2, 2, 2))\n"
+        "        yield raw / jets.op_norm(MultilinearMap(raw, 1))\n"
+        "def partial(xi, point, ell):\n"
+        "    return xi.tensor(point, ell)\n"
+        "def curve(xi, x, h1):\n"
+        "    fd = [partial(xi, x + t * h1, 1) for t in (1e-5, -1e-5)]\n"
+        "    for p in (x, -x):\n"
+        "        lhs = op_norm(xi.tensor(p, 1))\n"
+        "    return fd, lhs\n"
+        "def fine(xi, x, pts, bilinears, maps):\n"
+        "    one = op_norm(xi.tensor(x, 1))\n"
+        "    stack = op_norms(xi.tensors(pts, 1))\n"
+        "    sup_b = op_norms_of([MultilinearMap(b, 1) for b in bilinears])\n"
+        "    values = [m.tensor(x, 0) for m in maps]\n"
+        "    return one, stack, sup_b, values\n"
+    )
+    assert per_object_calls(source, "op_norm") == [2, 6, 12]
+    assert per_object_calls(source, ".tensor") == [10, 12]
 
 
 def test_detector_ignores_unrelated_calls():
