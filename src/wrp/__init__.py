@@ -19,6 +19,7 @@ from .operators import (
     ContractionConfig,
     SuperpositionOperand,
     compose_perturbed,
+    gated_inverse,
     invert_perturbed,
     quasi_inverses,
     superpose,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -131,31 +131,25 @@ def convergence_report(
 
 def derivative_convergence(
     check_id: str,
-    error_at: Callable[[float], float],
+    errors: Mapping[float, float],
     steps: Sequence[float],
     exact_tol: float = EXACTNESS_TOL,
     detail: str = "",
 ) -> CheckReport:
-    """The difference-quotient sweep of every derivative check:
-    ``error_at(t)`` is the sup error of the quotient at step ``t`` against
-    the claimed derivative, or raises RangeEscapeError to reject the step.
-    The steps (at least three) must decrease geometrically."""
+    """The difference-quotient sweep of every derivative check: ``errors``
+    maps each step the range checks admit to the sup error of its quotient
+    against the claimed derivative, and a step it lacks is rejected.  The
+    steps (at least three) must decrease geometrically."""
     if len(steps) < 3:
         raise PreconditionError("need at least three geometrically spaced steps")
     ratios = [steps[i + 1] / steps[i] for i in range(len(steps) - 1)]
     if max(ratios) / min(ratios) > 1.5 or not all(0 < r < 1 for r in ratios):
         raise PreconditionError("step sizes must decrease geometrically")
-    used, errors = [], []
-    for t in steps:
-        try:
-            errors.append(float(error_at(t)))
-        except RangeEscapeError:
-            continue
-        used.append(t)
+    used = [t for t in steps if t in errors]
     rejected = len(steps) - len(used)
     if rejected:
         detail = f"{detail} {rejected} step(s) rejected by range checks;".lstrip()
-    return convergence_report(check_id, used, errors, exact_tol, detail)
+    return convergence_report(check_id, used, [float(errors[t]) for t in used], exact_tol, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +298,7 @@ def superpose_derivative_check(
         vals = op.xi.tensors(xs, 0).reshape((len(admitted), 2) + exact.shape)
         errors = {t: np.max(np.abs((plus - minus) / (2 * t) - exact))
                   for t, (plus, minus) in zip(admitted, vals)}
-
-    def error_at(t):
-        if t not in errors:
-            raise RangeEscapeError("gamma +- t direction escapes the value domain")
-        return errors[t]
-
-    return derivative_convergence(check_id, error_at, DEFAULT_FD_STEPS)
+    return derivative_convergence(check_id, errors, DEFAULT_FD_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +402,7 @@ def compose_derivative_check(
         for t, (gp, gm), (dp, dm) in zip(admitted, vals, dirs):
             plus, minus = gp + t * dp, gm - t * dm
             errors[t] = np.max(np.abs((plus - minus) / (2 * t) - exact))
-
-    def error_at(t):
-        if t not in errors:
-            raise RangeEscapeError("eta +- t direction escapes the perturbation range")
-        return errors[t]
-
-    return derivative_convergence(check_id, error_at, DEFAULT_FD_STEPS)
+    return derivative_convergence(check_id, errors, DEFAULT_FD_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -592,16 +574,13 @@ def _fixed_points(ys, evaluate, u: DomainSet, cfg: ContractionConfig, groups):
     return x, iters, worst, errors
 
 
-def invert_perturbed(
-    phi: WeightedFunction,
-    u: DomainSet,
-    v: DomainSet,
-    grid_v: SampleGrid,
-    cfg: ContractionConfig,
-    weights: Sequence[Weight] = (),
-) -> tuple[WeightedFunction, list[CheckReport]]:
-    """Invert phi + id on V; phi must carry certified unweighted bounds
-    ("one", 1) < tau and ("one", 0) < (r/2)(1 - tau)."""
+def gated_inverse(
+    phi: WeightedFunction, u: DomainSet, v: DomainSet, cfg: ContractionConfig
+) -> InverseMap:
+    """The inverse of phi + id on V, once V + ball(0, r) lies in U and phi
+    carries certified unweighted bounds ("one", 1) < tau and ("one", 0) <
+    (r/2)(1 - tau): the operator domain.  Every inversion check reads one
+    such inverse, so each point is solved once for all of them."""
     ball_r = v.minkowski_sum(
         DomainSet(u.space, "ball", center=(0.0,) * u.dim, radius=cfg.r)
     )
@@ -614,7 +593,19 @@ def invert_perturbed(
             f"not in the operator domain: |phi|_(1,1) = {c11} vs tau = {cfg.tau}, "
             f"|phi|_(1,0) = {c10} vs (r/2)(1-tau) = {cfg.r / 2 * (1 - cfg.tau)}"
         )
-    inv = InverseMap(phi.map, u, v, cfg)
+    return InverseMap(phi.map, u, v, cfg)
+
+
+def invert_perturbed(
+    phi: WeightedFunction,
+    inv: InverseMap,
+    grid_v: SampleGrid,
+    weights: Sequence[Weight] = (),
+) -> tuple[WeightedFunction, list[CheckReport]]:
+    """Invert phi + id on V through its gated inverse ``inv``
+    (:func:`gated_inverse`), with the residual, contraction and weighted
+    value estimates on ``grid_v``."""
+    cfg, c11 = inv.cfg, phi.require_bound("one", 1)
     result = WeightedFunction(inv, grid_v, 1)
 
     ys = grid_v.points
@@ -652,17 +643,16 @@ def invert_perturbed(
 
 def inversion_pair_difference_check(
     phi: WeightedFunction,
+    inv_phi: InverseMap,
     psi: WeightedFunction,
     diff: Certificates,
-    u: DomainSet,
-    v: DomainSet,
     grid_v: SampleGrid,
-    cfg: ContractionConfig,
     weights: Sequence[Weight],
 ) -> CheckReport:
     """Weighted distance of two inverses against the certified bound built
     from the pair's certificates (``diff`` bounds phi - psi), merged over
-    the weights; both inverses are solved once for all of them."""
+    the weights: phi's gated inverse ``inv_phi`` against psi's on the same
+    domains, each solved once for all of them."""
     check_id = "est:f0-norm_Diff_KoorInv"
     c_psi_11 = psi.require_bound("one", 1)
     c_phi_11 = phi.require_bound("one", 1)
@@ -673,8 +663,7 @@ def inversion_pair_difference_check(
         for w in weights
     ]
     ys = grid_v.points
-    inv_phi = InverseMap(phi.map, u, v, cfg)
-    inv_psi = InverseMap(psi.map, u, v, cfg)
+    inv_psi = InverseMap(psi.map, inv_phi.u, inv_phi.v, inv_phi.cfg)
     gaps = inv_psi.tensors(ys, 0) - inv_phi.tensors(ys, 0)
     dist = np.max(np.abs(gaps), axis=1)
     reports = []
@@ -699,18 +688,17 @@ def inversion_pair_difference_check(
 
 def inversion_direction_check(
     phi: WeightedFunction,
+    base: InverseMap,
     direction: WeightedFunction,
-    u: DomainSet,
-    v: DomainSet,
     probes: np.ndarray,
-    cfg: ContractionConfig,
 ) -> CheckReport:
     """Directional derivative of the inversion operator in its function
     argument against the closed form -(1 - QI(-D phi)) phi_1 composed with
     the inverse; the quasi-inverse sign is the one pinned by the algebra
     relation (see the operator-domain notes).
 
-    The closed form is computed once, at the probes' fixed points of phi.
+    The closed form is computed once, at the probes' fixed points of phi,
+    which its gated inverse ``base`` solves.
     The inverses of phi +- t direction, for every step t the range check
     admits, are solved in one fixed-point pass: rows by step, probe and
     sign, each with its own shift c = +-t, and phi(x) + c direction(x)
@@ -720,6 +708,7 @@ def inversion_direction_check(
     map) in the order base, plus, minus.  Its ``row`` is the probe when
     that sweep took it from a whole-probe solve, and 0 when from the
     one-point replay of the probes before a failed one."""
+    u, cfg = base.u, base.cfg
     c11 = phi.require_bound("one", 1)
     d11 = direction.require_bound("one", 1)
     c10 = phi.require_bound("one", 0)
@@ -732,7 +721,6 @@ def inversion_direction_check(
     if admitted:
         if direction.map.out_shape != phi.map.out_shape or direction.map.dim != phi.map.dim:
             raise ShapeError("summands must share domain and codomain")
-        base = InverseMap(phi.map, u, v, cfg)
         try:
             x_star = np.array([x for x, _, _ in base.solves(probes)])
             base_error, n_probes = None, len(probes)
@@ -765,33 +753,20 @@ def inversion_direction_check(
         dv = direction.map.tensors(x_star, 0)
         exact = -contract(np.eye(a.shape[1]) - quasi_inverses(-a), dv[:, None, :])
         errors = {t: max_deviation(np.abs(fd[s] - exact)) for s, t in enumerate(admitted)}
-
-    def error_at(t):
-        if t not in errors:
-            raise RangeEscapeError("phi +- t direction leaves the operator domain")
-        return errors[t]
-
     # each quotient carries solver noise up to 2 fix_tol / (2t); below a few
     # times that floor the slope carries no information and the errors are
     # already at the achievable precision
     return derivative_convergence(
-        "id:Ableitung_Inversion", error_at, steps,
+        "id:Ableitung_Inversion", errors, steps,
         exact_tol=max(EXACTNESS_TOL, 4.0 * cfg.fix_tol / min(steps)),
         detail="derivative in the operator argument;",
     )
 
 
-def inversion_jacobian_check(
-    phi: WeightedFunction,
-    u: DomainSet,
-    v: DomainSet,
-    probes: np.ndarray,
-    cfg: ContractionConfig,
-) -> CheckReport:
-    """The assembled first-order jet of the inverse against a central
-    finite-difference Jacobian at probe points."""
+def inversion_jacobian_check(inv: InverseMap, probes: np.ndarray) -> CheckReport:
+    """The assembled first-order jet of the inverse ``inv`` against a
+    central finite-difference Jacobian at probe points."""
     check_id = "id:Differential_der_inversen_Abb"
-    inv = InverseMap(phi.map, u, v, cfg)
     # the stencils start with the probes, so the probes and then their
     # neighbours are solved in probe order, as one probe at a time would
     approx, outside = _fd_prefix(inv, probes, 1, None)

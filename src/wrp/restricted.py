@@ -38,6 +38,7 @@ from .jets import (
 from .operators import (
     NEUMANN_TAIL,
     ContractionConfig,
+    InverseMap,
     SuperpositionOperand,
     compose_perturbed,
     invert_perturbed,
@@ -341,13 +342,12 @@ def sim_multiply(
     x: RestrictedElement,
     f: FamilyWeight,
     cert: DominanceCertificate,
-    grids: Sequence[np.ndarray],
+    gate: CheckReport,
 ) -> tuple[RestrictedElement, CheckReport]:
     """Factor-wise b_i(M_i, gamma_i), the two-slot multilinear pairing,
-    with the family estimate against the dominating weight of the certificate."""
-    from .spaces import check_dominance_certificate
-
-    gate = check_dominance_certificate(cert, grids, check_id="cond:est_sim-multiplier_weights")
+    with the family estimate against the dominating weight of the
+    certificate; ``gate`` is the certificate's check on the grids
+    (:func:`~wrp.spaces.check_dominance_certificate`), which must pass."""
     if gate.status != "pass":
         raise PreconditionError("dominance certificate fails on the grid")
     sup_b = float(op_norms_of([MultilinearMap(np.asarray(b, float), 1) for b in bilinears]).max())
@@ -554,9 +554,12 @@ def sim_invert(
     factors: Sequence[FactorSpace],
     cfg: ContractionConfig,
     f: FamilyWeight,
+    inverse: Callable[[int], InverseMap],
 ) -> tuple[RestrictedElement, list[CheckReport]]:
     """Factor-wise inversion with one shared contraction configuration;
-    the family membership bounds use the same tau and r on every factor."""
+    the family membership bounds use the same tau and r on every factor.
+    Once they hold, ``inverse(i)`` gives factor i's gated inverse
+    (:func:`~wrp.operators.gated_inverse`)."""
     c11 = max(wf.require_bound("one", 1) for wf in phi.factors)
     c10 = max(wf.require_bound("one", 0) for wf in phi.factors)
     if not (c11 < cfg.tau and c10 < cfg.r / 2 * (1 - cfg.tau)):
@@ -566,9 +569,7 @@ def sim_invert(
     results = []
     residuals = []
     for i, fs in enumerate(factors):
-        res_i, (residual, _ratio) = invert_perturbed(
-            phi.factors[i], fs.u, fs.v_tilde, fs.grid_vt, cfg
-        )
+        res_i, (residual, _ratio) = invert_perturbed(phi.factors[i], inverse(i), fs.grid_vt)
         results.append(res_i)
         residuals.append(residual.lhs)
     result = RestrictedElement(tuple(results))

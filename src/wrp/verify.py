@@ -39,6 +39,7 @@ from .jets import (
     MultilinearMap,
     PairMap,
     PairedDerivativeMap,
+    PartialD2Map,
     PolynomialMap,
     ScaledMap,
     SumMap,
@@ -64,6 +65,7 @@ from .operators import (
     compose_derivative_check,
     compose_perturbed,
     derivative_convergence,
+    gated_inverse,
     inversion_direction_check,
     inversion_jacobian_check,
     inversion_pair_difference_check,
@@ -982,106 +984,134 @@ def validate_scenario(sc: FamilyScenario):
 
 
 # ---------------------------------------------------------------------------
-# runners
+# checks over shared per-scenario products
 
 
-def _factor0_weights(sc: FamilyScenario) -> list[Weight]:
-    return [sc.fw("one").factors[0], sc.fw("gauss").factors[0]]
+class Products:
+    """The per-scenario products the checks read, for one
+    :func:`run_scenario_checks` call.  A product is a function ``build(sc,
+    p, *key)``; :meth:`read` computes it on its first read and keeps it, or
+    the error it raised, for every later read, so a product that several
+    ids or runners read is computed once and reads alike for all of them."""
+
+    def __init__(self, sc: FamilyScenario):
+        self.sc, self._kept = sc, {}
+
+    def read(self, build, *key):
+        if (build, key) not in self._kept:
+            try:
+                self._kept[build, key] = build(self.sc, self, *key)
+            except WrpError as exc:
+                self._kept[build, key] = exc
+        if isinstance(value := self._kept[build, key], WrpError):
+            raise value
+        return value
 
 
-def _run_weights(sc: FamilyScenario) -> list[CheckReport]:
-    grids_u = [fs.grid_u.points for fs in sc.factors]
-    radii = [fs.v.boundary_distance(np.zeros(sc.dim)) for fs in sc.factors]
-    out = [
-        check_adjusting_weight(sc.fw("omega"), radii, grids_u, "cond:adjusting_weight")
-    ]
-    for context, check_id in (
-        ("multiplier", "cond:est_sim-multiplier_weights"),
-        ("sp", "cond:est_SP-Abb_weights"),
-        ("uniform-k", "lem:glm_beschraenkte_Abb-Multiplier"),
-    ):
-        certs = [c for c in sc.dominance if c.context == context]
-        reps = [check_dominance_certificate(c, grids_u, check_id) for c in certs]
-        out.append(merge_min_margin(check_id, reps))
-    sp_certs = [c for c in sc.dominance if c.context == "sp"]
+def _picked(product):
+    """The builder of the ids whose reports are among ``product``'s."""
+    return lambda sc, p, cid: [r for r in p.read(product) if r.check_id == cid]
+
+
+def _merged(product):
+    """The builder of the ids whose reports among ``product``'s merge into one."""
+    return lambda sc, p, cid: [merge_min_margin(
+        cid, [r for r in p.read(product) if r.check_id == cid])]
+
+
+def _weights_at(sc: FamilyScenario, i: int) -> list[Weight]:
+    """Factor i's "one" and "gauss" weights, those of the single-factor estimates."""
+    return [sc.fw("one").factors[i], sc.fw("gauss").factors[i]]
+
+
+def _grids_u(sc: FamilyScenario) -> list[np.ndarray]:
+    return [fs.grid_u.points for fs in sc.factors]
+
+
+def _orders(sc: FamilyScenario) -> tuple[int, ...]:
+    """The derivative orders of the jets and sim estimates."""
+    return (1, 2) if sc.dim == 1 else (1,)
+
+
+_SLAB = 0.5  # the radius of the operator slot of the paired-derivative maps
+
+# the id each context's dominance certificates are checked under
+_DOMINANCE_IDS = {
+    "multiplier": "cond:est_sim-multiplier_weights",
+    "sp": "cond:est_SP-Abb_weights",
+    "uniform-k": "lem:glm_beschraenkte_Abb-Multiplier",
+}
+
+
+def _dominance(sc, p, k: int) -> CheckReport:
+    """Product: the check of dominance certificate k on every factor's U grid."""
+    cert = sc.dominance[k]
+    return check_dominance_certificate(cert, _grids_u(sc), _DOMINANCE_IDS[cert.context])
+
+
+def _dominance_of(sc, p, cid):
+    return [merge_min_margin(cid, [p.read(_dominance, k) for k, c in enumerate(sc.dominance)
+                                   if _DOMINANCE_IDS.get(c.context) == cid])]
+
+
+def _single_factor_dominance(sc, p, cid):
+    """The "sp" certificates sliced to factor 0."""
     singles = []
-    for c in sp_certs:
-        sliced = DominanceCertificate(
-            FamilyWeight(c.f.name + "[0]", (c.f.factors[0],)),
-            c.ell,
-            FamilyWeight(c.g.name + "[0]", (c.g.factors[0],)),
-            (c.per_factor_k[0],),
-            context="sp-single",
-        )
-        singles.append(
-            check_dominance_certificate(sliced, [grids_u[0]], "cond:est_weights_SP")
-        )
-    out.append(merge_min_margin("cond:est_weights_SP", singles))
-    return out
+    for c in sc.dominance:
+        if c.context == "sp":
+            sliced = DominanceCertificate(
+                FamilyWeight(c.f.name + "[0]", (c.f.factors[0],)), c.ell,
+                FamilyWeight(c.g.name + "[0]", (c.g.factors[0],)), (c.per_factor_k[0],),
+                context="sp-single",
+            )
+            singles.append(check_dominance_certificate(sliced, _grids_u(sc)[:1], cid))
+    return [merge_min_margin(cid, singles)]
 
 
-def _run_seminorms(sc: FamilyScenario) -> list[CheckReport]:
-    out = []
-    one0, gauss0 = _factor0_weights(sc)
-    out.append(
-        seminorm_axioms_check(sc.comp_gammas[0], sc.comp_gamma0s[0], gauss0, 1)
-    )
+def _reduction(sc, p, cid):
     fws = (sc.fw("one"), sc.fw("gauss"))
     pairs = [(wf, fw.factors[i]) for i, wf in enumerate(sc.comp_gammas.factors) for fw in fws]
     decomp = {ell: decomposition_checks([wf for wf, _ in pairs], [w for _, w in pairs], ell)
               for ell in (0, 1)}
-    out.append(merge_min_margin("lem:topologische_Zerlegung_von_CFk",
-                                [decomp[ell][k] for k in range(len(pairs)) for ell in (0, 1)]))
+    return [merge_min_margin(cid, [decomp[ell][k] for k in range(len(pairs)) for ell in (0, 1)])]
 
-    # the family reduction identity: order ell + 1 of the element against
-    # order ell of its differentials
+
+def _family_reduction(sc, p, cid):
+    """Order ell + 1 of the element against order ell of its differentials."""
+    fws = (sc.fw("one"), sc.fw("gauss"))
     diffs = RestrictedElement(tuple(f.differential() for f in sc.comp_gammas.factors))
     lhs = {ell: family_seminorms([(sc.comp_gammas, fw) for fw in fws], ell + 1) for ell in (0, 1)}
     rhs = {ell: family_seminorms([(diffs, fw) for fw in fws], ell) for ell in (0, 1)}
-    fam_dev = max_deviation([deviation(lhs[ell][k].value, rhs[ell][k].value)
-                             for k in range(len(fws)) for ell in (0, 1)])
-    out.append(
-        identity_report(
-            "prop:Zerlegungssatz_Familie", fam_dev, tolerance=1e-12,
-            detail="family reduction identity",
-        )
-    )
+    dev = max_deviation([deviation(lhs[ell][k].value, rhs[ell][k].value)
+                         for k in range(len(fws)) for ell in (0, 1)])
+    return [identity_report(cid, dev, tolerance=1e-12, detail="family reduction identity")]
 
-    paired = WeightedFunction(
-        PairMap([sc.phis[0].map, sc.psis[0].map]), sc.factors[0].grid_u, 2
-    )
-    out.append(pair_split_check(paired, one0, 1))
 
+def _order_cap(sc, p, cid):
+    gamma = sc.gammas[0]
     sn_full, sn_low = (sv.value for sv in weighted_seminorms(
-        [sc.gammas[0], WeightedFunction(sc.gammas[0].map, sc.gammas[0].grid, 1)],
-        [gauss0] * 2, 1))
-    out.append(
-        identity_report(
-            "lem:CinfLinf_initial_CkLinf", deviation(sn_full, sn_low), tolerance=0.0,
-            detail="seminorm independent of the declared order cap",
-        )
-    )
+        [gamma, WeightedFunction(gamma.map, gamma.grid, 1)], [sc.fw("gauss").factors[0]] * 2, 1))
+    return [identity_report(cid, deviation(sn_full, sn_low), tolerance=0.0,
+                            detail="seminorm independent of the declared order cap")]
 
+
+def _norm_comparison(sc, p):
+    """Product: the pointwise and aggregate reports of ``norm_comparison_1U``."""
     d0 = sc.factors[0].v.boundary_distance(np.zeros(sc.dim))
-    out.extend(
-        norm_comparison_1U(
-            sc.gammas[0], sc.gamma_alts[0], sc.fw("omega").factors[0], d0
-        )
-    )
+    return norm_comparison_1U(sc.gammas[0], sc.gamma_alts[0], sc.fw("omega").factors[0], d0)
 
+
+def _constant_one_weight(sc, p, cid):
     rows = [(i, ell) for i in range(sc.n_factors) for ell in (0, 1)]
     om = sc.fw("omega").factors
     one = {ell: weighted_seminorms(sc.gammas.factors, sc.fw("one").factors, ell)
            for ell in (0, 1)}
     adj = {ell: weighted_seminorms(sc.gammas.factors, om, ell) for ell in (0, 1)}
-    out.append(bound_rows(
-        "bem:konstantes-1-Gew_adjust-weight",
-        [one[ell][i].value for i, ell in rows],
+    return [bound_rows(
+        cid, [one[ell][i].value for i, ell in rows],
         [adj[ell][i].value / om[i].certified_inf for i, ell in rows],
         tolerance=1e-12, lhs_provenance=GRID_LOWER, rhs_provenance=GRID_LOWER,
-        witness=lambda k: rows[k],
-    ))
-    return out
+        witness=lambda k: rows[k])]
 
 
 def _linear_in_second(sc: FamilyScenario, i: int) -> PolynomialMap:
@@ -1099,82 +1129,58 @@ def _linear_in_second(sc: FamilyScenario, i: int) -> PolynomialMap:
     return PolynomialMap(dom, terms, in_blocks=(dim, dim))
 
 
-def _run_jets(sc: FamilyScenario) -> list[CheckReport]:
-    out = []
+def _directional_derivative(sc, p, cid):
     probe_map = sc.comp_gammas[0].map
     x0 = sc.factors[0].grid_w.points[len(sc.factors[0].grid_w) // 3]
     exact = probe_map.tensor(x0, 1).entries
-    out.append(derivative_convergence(
-        "def:directional_derivative",
-        lambda h: np.max(np.abs(fd_tensors(probe_map, x0[None], 1, h=h)[1][0] - exact)),
-        (2e-2, 1e-2, 5e-3, 2.5e-3), detail="central differences against coded jets;",
-    ))
+    steps = (2e-2, 1e-2, 5e-3, 2.5e-3)
+    errors = {h: np.max(np.abs(fd_tensors(probe_map, x0[None], 1, h=h)[1][0] - exact))
+              for h in steps}
+    return [derivative_convergence(cid, errors, steps,
+                                   detail="central differences against coded jets;")]
 
+
+def _linear2(sc, p):
+    """Product: the identities and estimates of factor 0's map linear in
+    its second argument."""
     xi_lin = _linear_in_second(sc, 0)
     gmid = sc.factors[0].grid_u.points[len(sc.factors[0].grid_u) // 2]
-    y0 = np.full(sc.dim, 0.3)
-    pt = np.concatenate([gmid, y0])
-    h1 = np.arange(1.0, sc.dim + 1.0)
-    h2 = np.full(sc.dim, -0.7)
-    lin_reports = []
-    for ell in (1, 2) if sc.dim == 1 else (1,):
-        lin_reports.extend(
-            linear2_identities_check(
-                xi_lin, pt, h1, h2, ell,
-                g=sc.multipliers[0].map, b=sc.bilinears[0],
-            )
-        )
-    out += _merge_per_id(lin_reports, (
-        "id:Ableitung_Abb_linear_2Arg",
-        "est:norm_l-te_Ableitung-Abb_linear_2Arg",
-        "est:Abb_linear_2Arg-Spezialfall-hohes_Diff--partiell",
-        "est:Abb_linear_2Arg-Spezialfall-hohes_Diff",
-    ))
+    pt = np.concatenate([gmid, np.full(sc.dim, 0.3)])
+    h1, h2 = np.arange(1.0, sc.dim + 1.0), np.full(sc.dim, -0.7)
+    return [r for ell in _orders(sc) for r in linear2_identities_check(
+        xi_lin, pt, h1, h2, ell, g=sc.multipliers[0].map, b=sc.bilinears[0])]
 
-    op0 = sc.xis[0]
-    slab = 0.5
-    xi2_reports = []
-    pairings = ("evaluate", "compose") if sc.dim == 1 else ("evaluate",)
-    for pairing in pairings:
-        xi2 = xi2_build(op0.xi, pairing, slab)
-        me = int(np.prod(xi2.e_shape))
-        zero_pt = np.concatenate([
-            sc.factors[0].grid_u.points[0], np.full(sc.dim, 0.1), np.zeros(me)
-        ])
+
+def _paired_derivative(sc, p, cid):
+    op0, reports = sc.xis[0], []
+    for pairing in ("evaluate", "compose") if sc.dim == 1 else ("evaluate",):
+        xi2 = xi2_build(op0.xi, pairing, _SLAB)
+        zero_pt = np.concatenate([sc.factors[0].grid_u.points[0], np.full(sc.dim, 0.1),
+                                  np.zeros(int(np.prod(xi2.e_shape)))])
         dev = float(np.max(np.abs(xi2.tensors(zero_pt[None], 0))))
-        xi2_reports.append(
-            identity_report(
-                "lem:Abschaetzung_hoheDiffs_Spezialfall-linArg", dev,
-                tolerance=1e-12, detail=f"vanishes at e = 0 ({pairing})",
-            )
-        )
+        reports.append(identity_report(cid, dev, tolerance=1e-12,
+                                       detail=f"vanishes at e = 0 ({pairing})"))
         probe_grid = lattice(xi2.domain, per_axis=2)
         probes = probe_grid.points[:: max(1, len(probe_grid) // 4)]
-        for ell in (1, 2) if sc.dim == 1 else (1,):
-            xi2_reports.append(xi2_pointwise_check(op0.xi, xi2, probes, ell))
-    out.append(
-        merge_min_margin("lem:Abschaetzung_hoheDiffs_Spezialfall-linArg", xi2_reports)
-    )
+        reports += [xi2_pointwise_check(op0.xi, xi2, probes, ell) for ell in _orders(sc)]
+    return [merge_min_margin(cid, reports)]
 
-    xi2e = xi2_build(op0.xi, "evaluate", slab)
+
+def _slab_seminorm(sc, p, cid):
+    op0 = sc.xis[0]
+    xi2e = xi2_build(op0.xi, "evaluate", _SLAB)
     grid = lattice(xi2e.domain, per_axis=3 if sc.dim == 1 else 2)
-    ells = (1, 2) if sc.dim == 1 else (1,)
+    ells = _orders(sc)
     lhs, rhs = [], []
     for ell in ells:
         lhs.append(op_norms(xi2e.tensors(grid.points, ell)).max())
-        rhs.append(ell * require_row(op0.sup_1, ell) + slab * require_row(op0.sup_1, ell + 1))
-    out.append(bound_rows(
-        "est:Differential-MaMu_hohes_Diff_1-l-Norm", lhs, rhs, tolerance=1e-9,
-        lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-        witness=lambda k: (ells[k],),
-    ))
-    return out
+        rhs.append(ell * require_row(op0.sup_1, ell) + _SLAB * require_row(op0.sup_1, ell + 1))
+    return [bound_rows(cid, lhs, rhs, tolerance=1e-9, lhs_provenance=GRID_LOWER,
+                       rhs_provenance=CERTIFIED_UPPER, witness=lambda k: (ells[k],))]
 
 
-def _run_integrals(sc: FamilyScenario) -> list[CheckReport]:
+def _parameter_integral(sc, p, cid):
     op0 = sc.xis[0]
-    from .jets import PartialD2Map
-
     d2 = PartialD2Map(op0.xi)
     pts = sc.factors[0].grid_u.points[:: max(1, len(sc.factors[0].grid_u) // 3)]
     gs, es = sc.gammas[0].map.tensors(pts, 0), sc.gamma_alts[0].map.tensors(pts, 0)
@@ -1190,68 +1196,51 @@ def _run_integrals(sc: FamilyScenario) -> list[CheckReport]:
         return contract(vals.reshape(nodes.shape[:2] + vals.shape[1:]), (gs - es)[:, None])
 
     rhss = weak_integral(integrand, 0.0, 1.0, 64)
-    return [merge_min_margin("lem:Stetigkeit_parameterab_Int", [
-        identity_report("lem:Stetigkeit_parameterab_Int", float(np.max(np.abs(lhs - rhs))),
+    return [merge_min_margin(cid, [
+        identity_report(cid, float(np.max(np.abs(lhs - rhs))),
                         tolerance=1e-10, witness=tuple(float(c) for c in x))
         for x, lhs, rhs in zip(pts, lhss, rhss)
     ])]
 
 
-def _merge_per_id(reports, check_ids) -> list[CheckReport]:
-    """Per id of ``check_ids``, the merge of its reports."""
-    return [merge_min_margin(cid, [r for r in reports if r.check_id == cid])
-            for cid in check_ids]
+def _superposed(sc, p, i: int):
+    """Product: factor i's superposition with its estimates."""
+    return superpose(sc.xis[i], sc.gammas[i], _weights_at(sc, i),
+                     pair=(sc.gamma_alts[i], sc.gamma_diffs[i]))
 
 
-def _run_superpose(sc: FamilyScenario) -> list[CheckReport]:
-    reports = []
-    for i in range(sc.n_factors):
-        weights = [sc.fw("one").factors[i], sc.fw("gauss").factors[i]]
-        res, reps = superpose(
-            sc.xis[i], sc.gammas[i], weights,
-            pair=(sc.gamma_alts[i], sc.gamma_diffs[i]),
-        )
-        if i == 0:
-            via = res
-        reports += reps
-    out = _merge_per_id(
-        reports, ("est:f0-Norm_SPid", "est:f0-Norm_SPid-Differenz", "est:f1-Norm_SPid")
-    )
+def _superpositions(sc, p):
+    """Product: every factor's superposition estimates."""
+    return [r for i in range(sc.n_factors) for r in p.read(_superposed, i)[1]]
 
-    # well-definedness: zero argument maps to the zero function
+
+def _superposition_defined(sc, p, cid):
+    """The zero argument maps to the zero function, and factor 0's
+    superposition takes the kernel's values."""
+    via = p.read(_superposed, 0)[0]
     fs0 = sc.factors[0]
     zero_gamma = WeightedFunction(ConstMap(fs0.u, np.zeros(sc.dim)), fs0.grid_u, 2)
     zres, _ = superpose(sc.xis[0], zero_gamma, [])
     dev = float(np.max(np.abs(zres.map.tensors(fs0.grid_u.points, 0))))
     probes = fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]
     direct = sc.xis[0].xi.tensors(
-        np.concatenate([probes, sc.gammas[0].map.tensors(probes, 0)], axis=1), 0
-    )
+        np.concatenate([probes, sc.gammas[0].map.tensors(probes, 0)], axis=1), 0)
     value_dev = float(np.max(np.abs(via.map.tensors(probes, 0) - direct)))
-    out.append(
-        identity_report(
-            "prop:SuperpostionCWZweiVars-id", float(np.max([dev, value_dev])),
-            tolerance=1e-12,
-            detail="zero argument and pointwise value agreement",
-        )
-    )
-    out.append(
-        superpose_derivative_check(sc.xis[0], sc.gammas[0], sc.gamma_dirs[0])
-    )
-    return out
+    return [identity_report(cid, float(np.max([dev, value_dev])), tolerance=1e-12,
+                            detail="zero argument and pointwise value agreement")]
 
 
-def _run_compose(sc: FamilyScenario) -> list[CheckReport]:
+def _composed(sc, p):
+    """Product: factor 0's composition estimates."""
     fs0 = sc.factors[0]
-    weights = _factor0_weights(sc)
-    res, reps = compose_perturbed(
-        sc.comp_gammas[0], sc.comp_etas[0], fs0.u, fs0.v, fs0.w, weights,
-        pair=(sc.comp_gamma0s[0], sc.comp_eta0s[0],
-              sc.comp_gamma_diffs[0], sc.comp_eta_diffs[0]),
-    )
-    out = _merge_per_id(
-        reps, ("est:Funktionswerte_Gewicht_K-Kompo", "est:f,0-Norm_Differenz_Kompo")
-    )
+    return compose_perturbed(
+        sc.comp_gammas[0], sc.comp_etas[0], fs0.u, fs0.v, fs0.w, _weights_at(sc, 0),
+        pair=(sc.comp_gamma0s[0], sc.comp_eta0s[0], sc.comp_gamma_diffs[0],
+              sc.comp_eta_diffs[0]))[1]
+
+
+def _composition_defined(sc, p, cid):
+    fs0 = sc.factors[0]
     zero_eta = WeightedFunction(ConstMap(fs0.u, np.zeros(sc.dim)), fs0.grid_u, 2)
     zres, _ = compose_perturbed(sc.comp_gammas[0], zero_eta, fs0.u, fs0.v, fs0.w)
     probes = fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]
@@ -1259,54 +1248,30 @@ def _run_compose(sc: FamilyScenario) -> list[CheckReport]:
         np.max(np.abs(zres.map.tensors(probes, ell) - sc.comp_gammas[0].map.tensors(probes, ell)))
         for ell in (0, 1)
     ]))
-    out.append(
-        identity_report(
-            "prop:Kompo_Koord_glatt", dev, tolerance=1e-12,
-            detail="zero perturbation reproduces the map",
-        )
-    )
-    out.append(
-        compose_derivative_check(
-            sc.comp_gammas[0], sc.comp_etas[0], fs0.u, fs0.v,
-            sc.comp_gamma_dirs[0].map, sc.comp_eta_dirs[0].map,
-        )
-    )
-    return out
+    return [identity_report(cid, dev, tolerance=1e-12,
+                            detail="zero perturbation reproduces the map")]
 
 
-def _run_invert(sc: FamilyScenario) -> list[CheckReport]:
-    reports = []
-    cfg = sc.contraction
-    for i, fs in enumerate(sc.factors):
-        weights = [sc.fw("one").factors[i], sc.fw("gauss").factors[i]]
-        reports += invert_perturbed(sc.phis[i], fs.u, fs.v_tilde, fs.grid_vt, cfg, weights)[1]
-    out = _merge_per_id(reports, (
-        "prop:Zsf_Inversion_gewAbb", "est:Abschaetzung_gewichteter_FWert_der_K-Inversion",
-    ))
-    fs0 = sc.factors[0]
-    out.append(
-        inversion_pair_difference_check(
-            sc.phis[0], sc.psis[0], sc.phi_diffs[0], fs0.u, fs0.v_tilde,
-            fs0.grid_vt, cfg, _factor0_weights(sc),
-        )
-    )
-    probes = fs0.grid_vt.points[:: max(1, len(fs0.grid_vt) // 3)]
-    out.append(
-        inversion_direction_check(sc.phis[0], sc.phi_dirs[0], fs0.u, fs0.v_tilde,
-                                  probes, cfg)
-    )
-    out.append(
-        inversion_jacobian_check(sc.phis[0], fs0.u, fs0.v_tilde, probes, cfg)
-    )
-    out.append(quasi_inverse_report(-sc.phis[0].map.tensors(probes[:2], 1))[1])
-    return out
+def _inverse(sc, p, i: int):
+    """Product: factor i's gated inverse, which every inversion check reads."""
+    fs = sc.factors[i]
+    return gated_inverse(sc.phis[i], fs.u, fs.v_tilde, sc.contraction)
 
 
-def _run_family(sc: FamilyScenario) -> list[CheckReport]:
-    out = []
-    fw_one, fw_gauss = sc.fw("one"), sc.fw("gauss")
-    elem = sc.gammas
+def _inversions(sc, p):
+    """Product: every factor's inversion estimates."""
+    return [r for i, fs in enumerate(sc.factors) for r in invert_perturbed(
+        sc.phis[i], p.read(_inverse, i), fs.grid_vt, _weights_at(sc, i))[1]]
 
+
+def _inversion_probes(sc: FamilyScenario) -> np.ndarray:
+    grid = sc.factors[0].grid_vt
+    return grid.points[:: max(1, len(grid) // 3)]
+
+
+def _family_seminorm(sc, p, cid):
+    """Exact max, permutation and zero-factor invariance."""
+    fw_gauss, elem = sc.fw("gauss"), sc.gammas
     order = list(reversed(range(len(elem))))
     perm_elem = RestrictedElement(tuple(elem.factors[i] for i in order))
     perm_fw = FamilyWeight("gauss_perm", tuple(fw_gauss.factors[i] for i in order))
@@ -1321,185 +1286,233 @@ def _run_family(sc: FamilyScenario) -> list[CheckReport]:
     explicit = max(sv.value for sv in weighted_seminorms(elem.factors, fw_gauss.factors, 0))
     dev = max_deviation([deviation(fam.value, explicit), deviation(perm.value, fam.value),
                          deviation(aug.value, fam.value)])
-    out.append(
-        identity_report(
-            "def:family_seminorm", dev, tolerance=0.0,
-            detail="exact max, permutation and zero-factor invariance",
-        )
-    )
+    return [identity_report(cid, dev, tolerance=0.0,
+                            detail="exact max, permutation and zero-factor invariance")]
 
-    lips = [elem[i].require_bound("gauss", 0) for i in range(len(elem))]
-    out.append(
-        lipschitz_bound_check(
-            lambda t: elem.scaled(t), (0.0, 0.35, 0.8, 1.0), fw_gauss, 0, lips,
-            check_id="lem:L-Stetigkeit_Abb_in_LinfProd",
-        )
-    )
-    out.append(
-        lipschitz_bound_check(
-            lambda t: elem.scaled(math.sin(t)), (0.0, 0.4, 1.1), fw_gauss, 0, lips,
-            check_id="lem:L-Stetigkeit_Abb_in_LinfProd-gewAbb",
-        )
-    )
 
-    paired = RestrictedElement(
-        tuple(
-            WeightedFunction(
-                PairMap([sc.gammas[i].map, sc.gamma_alts[i].map]),
-                sc.factors[i].grid_u,
-                2,
-            )
-            for i in range(sc.n_factors)
-        )
-    )
-    out.append(product_iso_roundtrip(paired, fw_one, 1))
+def _gauss_bounds(sc: FamilyScenario) -> list[float]:
+    """Each factor's certified ("gauss", 0) bound of the gammas."""
+    return [wf.require_bound("gauss", 0) for wf in sc.gammas.factors]
 
-    base_norm = max(lips)
-    elements = [elem.scaled(2.0 - math.ldexp(1.0, -k)) for k in range(7)]
-    limit = elem.scaled(2.0)
-    out.append(
-        cauchy_limit_check(
-            elements, limit, fw_gauss, 0,
-            increment_envelope=lambda k: math.ldexp(base_norm, -(k + 1)),
-            tail_envelope=lambda k: math.ldexp(base_norm, -k),
-        )
-    )
 
+# the family map t -> s(t) gammas of each Lipschitz id: (s, the points t)
+_LIPSCHITZ_CURVES = {
+    "lem:L-Stetigkeit_Abb_in_LinfProd": (lambda t: t, (0.0, 0.35, 0.8, 1.0)),
+    "lem:L-Stetigkeit_Abb_in_LinfProd-gewAbb": (math.sin, (0.0, 0.4, 1.1)),
+}
+
+
+def _lipschitz(sc, p, cid):
+    s, ts = _LIPSCHITZ_CURVES[cid]
+    return [lipschitz_bound_check(lambda t: sc.gammas.scaled(s(t)), ts, sc.fw("gauss"), 0,
+                                  _gauss_bounds(sc), check_id=cid)]
+
+
+def _product_iso(sc, p, cid):
+    paired = RestrictedElement(tuple(
+        WeightedFunction(PairMap([sc.gammas[i].map, sc.gamma_alts[i].map]),
+                         sc.factors[i].grid_u, 2) for i in range(sc.n_factors)))
+    return [product_iso_roundtrip(paired, sc.fw("one"), 1)]
+
+
+def _cauchy(sc, p, cid):
+    base_norm = max(_gauss_bounds(sc))
+    elements = [sc.gammas.scaled(2.0 - math.ldexp(1.0, -k)) for k in range(7)]
+    return [cauchy_limit_check(
+        elements, sc.gammas.scaled(2.0), sc.fw("gauss"), 0,
+        increment_envelope=lambda k: math.ldexp(base_norm, -(k + 1)),
+        tail_envelope=lambda k: math.ldexp(base_norm, -k))]
+
+
+def _multilinear_family(sc, p, cid):
     vecs = [np.full(sc.dim, 0.7), np.full(sc.dim, -0.9)]
     sup_b = float(op_norms(np.array(sc.beta2s)).max())
-    lhs = max(
-        float(np.max(np.abs(MultilinearMap(b, 1).apply(vecs[0], vecs[1]))))
-        for b in sc.beta2s
-    )
+    lhs = max(float(np.max(np.abs(MultilinearMap(b, 1).apply(vecs[0], vecs[1]))))
+              for b in sc.beta2s)
     rhs = sup_b * float(np.max(np.abs(vecs[0]))) * float(np.max(np.abs(vecs[1])))
-    out.append(
-        bound_report(
-            "lem:m-lin_Abb_glm_stetig->Prod_stetig", lhs, rhs, tolerance=1e-12,
-            lhs_provenance=EXACT, rhs_provenance=EXACT,
-        )
-    )
-
-    v_domains = [fs.v for fs in sc.factors]
-    near = RestrictedElement(
-        tuple(
-            WeightedFunction(
-                SumMap([sc.gammas[i].map, ScaledMap(sc.gamma_dirs[i].map, 0.02)]),
-                sc.factors[i].grid_u, 2,
-            )
-            for i in range(sc.n_factors)
-        )
-    )
-    out.append(
-        neighborhood_openness_check(
-            sc.gammas, near, sc.fw("omega"), v_domains, sc.clearance_nb
-        )
-    )
-    out.append(
-        neighborhood_inclusion_check(sc.gammas, sc.fw("omega"), v_domains, sc.tau_nb)
-    )
-    return out
+    return [bound_report(cid, lhs, rhs, tolerance=1e-12,
+                         lhs_provenance=EXACT, rhs_provenance=EXACT)]
 
 
-def _run_sim(sc: FamilyScenario) -> list[CheckReport]:
-    out = []
-    grids_u = [fs.grid_u.points for fs in sc.factors]
-    fw_gauss = sc.fw("gauss")
-    mult_cert = next(
-        c for c in sc.dominance if c.context == "multiplier" and c.f.name == "gauss" and c.ell == 0
-    )
-    _, rep = sim_multiply(
-        sc.multipliers.factors, sc.bilinears, sc.gammas, fw_gauss, mult_cert, grids_u
-    )
-    out.append(rep)
+def _openness(sc, p, cid):
+    near = RestrictedElement(tuple(
+        WeightedFunction(SumMap([sc.gammas[i].map, ScaledMap(sc.gamma_dirs[i].map, 0.02)]),
+                         sc.factors[i].grid_u, 2) for i in range(sc.n_factors)))
+    return [neighborhood_openness_check(sc.gammas, near, sc.fw("omega"),
+                                        [fs.v for fs in sc.factors], sc.clearance_nb)]
 
-    fact = next(f for f in sc.factorizations if f.f.name == "gauss")
-    _, rep2 = sim_multilinear(
-        sc.beta2s, [sc.ml_args1, sc.ml_args2], fw_gauss, fact, grids_u
-    )
-    out.append(rep2)
 
+def _sim_multiply(sc, p, cid):
+    """Gated by the weights runner's check of its dominance certificate."""
+    k = next(k for k, c in enumerate(sc.dominance)
+             if c.context == "multiplier" and c.f.name == "gauss" and c.ell == 0)
+    return [sim_multiply(sc.multipliers.factors, sc.bilinears, sc.gammas, sc.fw("gauss"),
+                         sc.dominance[k], p.read(_dominance, k))[1]]
+
+
+def _sim_superposed(sc, p):
+    """Product: the family superposition's bound and derivative reports."""
     g_fam = next(
-        c.g for c in sc.dominance if c.context == "sp" and c.f.name == "gauss" and c.ell == 1
-    )
-    v_domains = [fs.v for fs in sc.factors]
-    _, sp_reports = sim_superpose(
-        sc.xis, sc.gammas, fw_gauss, g_fam, sc.fw("omega"), v_domains, sc.tau_nb,
-        directions=sc.gamma_dirs,
-    )
-    out.extend(sp_reports)
+        c.g for c in sc.dominance if c.context == "sp" and c.f.name == "gauss" and c.ell == 1)
+    return sim_superpose(
+        sc.xis, sc.gammas, sc.fw("gauss"), g_fam, sc.fw("omega"), [fs.v for fs in sc.factors],
+        sc.tau_nb, directions=sc.gamma_dirs)[1]
 
+
+def _derivative_transfer(sc, p, cid):
     rows, lhs, rhs = [], [], []
-    slab = 0.5
-    orders = (1, 2) if sc.dim == 1 else (1,)
+    orders = _orders(sc)
     ms = [wf.map for wf in sc.multipliers.factors]
     # k[ell][i] bounds |Dm_i|_(1, ell - 1)
     k = {ell: crude_sup_bounds(ms, ell) for ell in range(1, orders[-1] + 2)}
     for i, m in enumerate(ms):
-        dmap = PairedDerivativeMap(DifferentialMap(m), "evaluate", slab)
+        dmap = PairedDerivativeMap(DifferentialMap(m), "evaluate", _SLAB)
         grid = lattice(dmap.domain, per_axis=3 if sc.dim == 1 else 2)
         for ell in orders:
             rows.append((i, ell))
             lhs.append(op_norms(dmap.tensors(grid.points, ell)).max())
-            rhs.append(ell * k[ell][i] + slab * k[ell + 1][i])
-    out.append(bound_rows(
-        "lem:vergleich_Bedingungen_simultane-multiplier_simu-Supo", lhs, rhs,
-        tolerance=1e-9, lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-        witness=lambda k: rows[k],
-    ))
+            rhs.append(ell * k[ell][i] + _SLAB * k[ell + 1][i])
+    return [bound_rows(cid, lhs, rhs, tolerance=1e-9, lhs_provenance=GRID_LOWER,
+                       rhs_provenance=CERTIFIED_UPPER, witness=lambda k: rows[k])]
 
+
+def _one_variable(sc, p, cid):
     k1 = require_row(sc.sigma_k, 1)
     composed = [
         WeightedFunction(ComposeMap(sc.sigmas[i], sc.gammas[i].map), sc.factors[i].grid_u, 2)
         for i in range(sc.n_factors)
     ]
-    lhs = [sv.value for sv in weighted_seminorms(composed, fw_gauss.factors, 0)]
+    lhs = [sv.value for sv in weighted_seminorms(composed, sc.fw("gauss").factors, 0)]
     rhs = [k1 * wf.require_bound("gauss", 0) for wf in sc.gammas.factors]
-    out.append(bound_rows(
-        "cor:simultane_SP_BCinf0_einfach", lhs, rhs, tolerance=1e-9,
-        lhs_provenance=GRID_LOWER, rhs_provenance=CERTIFIED_UPPER,
-        witness=lambda k: (k,),
-    ))
+    return [bound_rows(cid, lhs, rhs, tolerance=1e-9, lhs_provenance=GRID_LOWER,
+                       rhs_provenance=CERTIFIED_UPPER, witness=lambda k: (k,))]
 
-    _, ps_rep = sim_power_series(sc.op_gammas, sc.dim, sc.op_q)
-    out.append(ps_rep)
 
-    _, comp_reports = sim_compose(
+def _sim_composed(sc, p):
+    """Product: the family composition's two reports."""
+    return sim_compose(
         sc.comp_gammas, sc.comp_etas, sc.factors, sc.fw("omega"), sc.fw("one"), sc.tau_nb,
-        directions=(sc.comp_gamma_dirs, sc.comp_eta_dirs),
-    )
-    out.extend(comp_reports)
+        directions=(sc.comp_gamma_dirs, sc.comp_eta_dirs))[1]
 
-    inverted, inv_reports = sim_invert(sc.phis, sc.factors, sc.contraction, sc.fw("one"))
-    out.extend(inv_reports)
 
+def _sim_inverted(sc, p):
+    """Product: the family inversion over the factors' gated inverses."""
+    return sim_invert(sc.phis, sc.factors, sc.contraction, sc.fw("one"),
+                      lambda i: p.read(_inverse, i))
+
+
+def _factor_restriction(sc, p, cid):
+    """The sub-family solves fresh inverses, so that the restriction does
+    not compare a shared product with itself."""
     def apply_sub(indices):
-        results = []
-        for i in indices:
-            res_i, _ = invert_perturbed(
-                sc.phis[i], sc.factors[i].u, sc.factors[i].v_tilde,
-                sc.factors[i].grid_vt, sc.contraction,
-            )
-            results.append(res_i)
-        return RestrictedElement(tuple(results))
+        return RestrictedElement(tuple(
+            invert_perturbed(sc.phis[i], _inverse(sc, p, i), sc.factors[i].grid_vt)[0]
+            for i in indices
+        ))
 
-    out.append(
-        restrict_scenario_outputs(
-            inverted, apply_sub, list(range(0, sc.n_factors, 2))
-        )
-    )
-    return out
+    return [restrict_scenario_outputs(p.read(_sim_inverted)[0], apply_sub,
+                                      list(range(0, sc.n_factors, 2)))]
 
 
-RUNNERS: dict[str, Callable[[FamilyScenario], list]] = {
-    "weights": _run_weights,
-    "seminorms": _run_seminorms,
-    "jets": _run_jets,
-    "integrals": _run_integrals,
-    "superpose": _run_superpose,
-    "compose": _run_compose,
-    "invert": _run_invert,
-    "family": _run_family,
-    "sim": _run_sim,
+# Each check id with the function that builds its reports, ``build(sc, p,
+# check_id)``, from the products ``p``.  A runner builds its selected ids
+# in the order listed here, not the registry's: the order in which it meets
+# their preconditions, so that a full run skips with the same detail.
+CHECKS: dict[str, Callable[[FamilyScenario, Products, str], list[CheckReport]]] = {
+    # weights
+    "cond:adjusting_weight": lambda sc, p, cid: [check_adjusting_weight(
+        sc.fw("omega"), [fs.v.boundary_distance(np.zeros(sc.dim)) for fs in sc.factors],
+        _grids_u(sc), cid)],
+    "cond:est_sim-multiplier_weights": _dominance_of,
+    "cond:est_SP-Abb_weights": _dominance_of,
+    "lem:glm_beschraenkte_Abb-Multiplier": _dominance_of,
+    "cond:est_weights_SP": _single_factor_dominance,
+    # seminorms
+    "def:weighted_seminorm": lambda sc, p, cid: [seminorm_axioms_check(
+        sc.comp_gammas[0], sc.comp_gamma0s[0], sc.fw("gauss").factors[0], 1)],
+    "lem:topologische_Zerlegung_von_CFk": _reduction,
+    "prop:Zerlegungssatz_Familie": _family_reduction,
+    "lem:gewichtete_Abb_Produktisomorphie-endl": lambda sc, p, cid: [pair_split_check(
+        WeightedFunction(PairMap([sc.phis[0].map, sc.psis[0].map]), sc.factors[0].grid_u, 2),
+        sc.fw("one").factors[0], 1)],
+    "lem:CinfLinf_initial_CkLinf": _order_cap,
+    "lem:est_1-0-norm_f-0-norm": _picked(_norm_comparison),
+    "est:1-0-norm_f-0-norm_spezielles-f": _picked(_norm_comparison),
+    "bem:konstantes-1-Gew_adjust-weight": _constant_one_weight,
+    # jets and integrals
+    "def:directional_derivative": _directional_derivative,
+    "id:Ableitung_Abb_linear_2Arg": _merged(_linear2),
+    "est:norm_l-te_Ableitung-Abb_linear_2Arg": _merged(_linear2),
+    "est:Abb_linear_2Arg-Spezialfall-hohes_Diff--partiell": _merged(_linear2),
+    "est:Abb_linear_2Arg-Spezialfall-hohes_Diff": _merged(_linear2),
+    "lem:Abschaetzung_hoheDiffs_Spezialfall-linArg": _paired_derivative,
+    "est:Differential-MaMu_hohes_Diff_1-l-Norm": _slab_seminorm,
+    "lem:Stetigkeit_parameterab_Int": _parameter_integral,
+    # superposition and composition
+    "est:f0-Norm_SPid": _merged(_superpositions),
+    "est:f0-Norm_SPid-Differenz": _merged(_superpositions),
+    "est:f1-Norm_SPid": _merged(_superpositions),
+    "prop:SuperpostionCWZweiVars-id": _superposition_defined,
+    "id:Differential_SuperposCWZweiVars-id": lambda sc, p, cid: [
+        superpose_derivative_check(sc.xis[0], sc.gammas[0], sc.gamma_dirs[0])],
+    "est:Funktionswerte_Gewicht_K-Kompo": _merged(_composed),
+    "est:f,0-Norm_Differenz_Kompo": _merged(_composed),
+    "prop:Kompo_Koord_glatt": _composition_defined,
+    "id:Ableitung_Kompo": lambda sc, p, cid: [compose_derivative_check(
+        sc.comp_gammas[0], sc.comp_etas[0], sc.factors[0].u, sc.factors[0].v,
+        sc.comp_gamma_dirs[0].map, sc.comp_eta_dirs[0].map)],
+    # inversion
+    "prop:Zsf_Inversion_gewAbb": _merged(_inversions),
+    "est:Abschaetzung_gewichteter_FWert_der_K-Inversion": _merged(_inversions),
+    "est:f0-norm_Diff_KoorInv": lambda sc, p, cid: [inversion_pair_difference_check(
+        sc.phis[0], p.read(_inverse, 0), sc.psis[0], sc.phi_diffs[0], sc.factors[0].grid_vt,
+        _weights_at(sc, 0))],
+    "id:Ableitung_Inversion": lambda sc, p, cid: [inversion_direction_check(
+        sc.phis[0], p.read(_inverse, 0), sc.phi_dirs[0], _inversion_probes(sc))],
+    "id:Differential_der_inversen_Abb": lambda sc, p, cid: [
+        inversion_jacobian_check(p.read(_inverse, 0), _inversion_probes(sc))],
+    "qi:neumann_relation": lambda sc, p, cid: [
+        quasi_inverse_report(-sc.phis[0].map.tensors(_inversion_probes(sc)[:2], 1))[1]],
+    # restricted products
+    "def:family_seminorm": _family_seminorm,
+    "lem:L-Stetigkeit_Abb_in_LinfProd": _lipschitz,
+    "lem:L-Stetigkeit_Abb_in_LinfProd-gewAbb": _lipschitz,
+    "lem:pktwProduktLInf": _product_iso,
+    "lem:Linf_compl_wenn_Faktoren_c": _cauchy,
+    "lem:m-lin_Abb_glm_stetig->Prod_stetig": _multilinear_family,
+    "lem:CFof_offen": _openness,
+    "incl:1-Kugel_f0-norm_sub_CFof": lambda sc, p, cid: [neighborhood_inclusion_check(
+        sc.gammas, sc.fw("omega"), [fs.v for fs in sc.factors], sc.tau_nb)],
+    # simultaneous operators
+    "lem:simultane_mult-multiplier": _sim_multiply,
+    "lem:multilineareSuperpos-Linf": lambda sc, p, cid: [sim_multilinear(
+        sc.beta2s, [sc.ml_args1, sc.ml_args2], sc.fw("gauss"),
+        next(f for f in sc.factorizations if f.f.name == "gauss"), _grids_u(sc))[1]],
+    "prop:simultane_SP_BCinf0_Produkt": _picked(_sim_superposed),
+    "lem:Abb_nach_Linf_Ck_wenn_Komp_Ck_mit_stetigem_Diff": _picked(_sim_superposed),
+    "lem:vergleich_Bedingungen_simultane-multiplier_simu-Supo": _derivative_transfer,
+    "cor:simultane_SP_BCinf0_einfach": _one_variable,
+    "lem:sim-SuperPos_QuasiInversion": lambda sc, p, cid: [
+        sim_power_series(sc.op_gammas, sc.dim, sc.op_q)[1]],
+    "prop:Simultane_Koor-Kompo_diffbar": _picked(_sim_composed),
+    "prop:Simultane_Inv-Kompo_glatt": lambda sc, p, cid: p.read(_sim_inverted)[1],
+    "sim:factor_restriction": _factor_restriction,
+}
+
+
+def _runner():
+    """A runner's entry point: the reports of its selected ``ids`` over the
+    products ``p``.  Each runner is its own function object, so that each
+    can be wrapped and timed alone."""
+    def run(p: Products, ids: Sequence[str]) -> list[CheckReport]:
+        return [r for cid in ids for r in CHECKS[cid](p.sc, p, cid)]
+
+    return run
+
+
+RUNNERS: dict[str, Callable[[Products, Sequence[str]], list[CheckReport]]] = {
+    name: _runner() for name in ("weights", "seminorms", "jets", "integrals", "superpose",
+                                 "compose", "invert", "family", "sim")
 }
 
 
@@ -1510,22 +1523,25 @@ def runner_ids(runner: str) -> list[str]:
 def run_scenario_checks(
     sc: FamilyScenario, check_ids: Sequence[str] | None = None
 ) -> list[CheckReport]:
-    """Run the selected checks (all by default); precondition failures in a
-    runner surface as skipped reports for that runner's ids."""
+    """Run the selected checks (all by default) over one set of shared
+    products: each runner builds only its selected ids and the products
+    they read.  A PreconditionError while a runner does so, a product's
+    included, skips every selected id of that runner."""
     selection = set(check_ids) if check_ids is not None else set(ALL_CHECK_IDS)
     unknown = selection - set(ALL_CHECK_IDS)
     if unknown:
         raise ConfigError(f"unknown check ids: {sorted(unknown)}")
+    products = Products(sc)
     reports: list[CheckReport] = []
-    for runner_name, fn in RUNNERS.items():
-        ids = runner_ids(runner_name)
-        if not selection.intersection(ids):
+    for runner_name in RUNNERS:
+        ids = [cid for cid in CHECKS
+               if cid in selection and CHECK_REGISTRY[cid].runner == runner_name]
+        if not ids:
             continue
         try:
-            got = fn(sc)
+            reports += RUNNERS[runner_name](products, ids)
         except PreconditionError as exc:
-            got = [skipped_report(cid, str(exc)) for cid in ids]
-        reports.extend(r for r in got if r.check_id in selection)
+            reports += [skipped_report(cid, str(exc)) for cid in ids]
     order = {cid: k for k, cid in enumerate(ALL_CHECK_IDS)}
     reports.sort(key=lambda r: order.get(r.check_id, len(order)))
     return reports

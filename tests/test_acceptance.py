@@ -25,6 +25,7 @@ from wrp.operators import (
     NEUMANN_TAIL,
     ContractionConfig,
     InverseMap,
+    gated_inverse,
     invert_perturbed,
     inversion_jacobian_check,
     neumann_terms,
@@ -250,9 +251,9 @@ def test_criterion_5_inversion(capsys):
         cfg = sc.contraction
         assert cfg.tau == 0.5 and cfg.fix_tol == 1e-12
         fs0 = sc.factors[0]
+        inv = gated_inverse(sc.phis[0], fs0.u, fs0.v_tilde, cfg)
         res, reports = invert_perturbed(
-            sc.phis[0], fs0.u, fs0.v_tilde, fs0.grid_vt, cfg,
-            [sc.fw("one").factors[0], sc.fw("gauss").factors[0]],
+            sc.phis[0], inv, fs0.grid_vt, [sc.fw("one").factors[0], sc.fw("gauss").factors[0]],
         )
         for rep in reports:
             assert rep.status == "pass", (seed, rep.check_id)
@@ -261,7 +262,7 @@ def test_criterion_5_inversion(capsys):
             if rep.check_id.startswith("est:"):
                 worst_margin = min(worst_margin, rep.margin)
         probes = fs0.grid_vt.points[:: max(1, len(fs0.grid_vt) // 3)]
-        jac = inversion_jacobian_check(sc.phis[0], fs0.u, fs0.v_tilde, probes, cfg)
+        jac = inversion_jacobian_check(inv, probes)
         assert jac.status == "pass"
         worst_jac = max(worst_jac, jac.lhs)
     # closed-form linear cases through the operator-domain gate
@@ -273,7 +274,7 @@ def test_criterion_5_inversion(capsys):
             (("one", 0, 2 * c), ("one", 1, c)),
         )
         cfg = ContractionConfig(tau=0.5, r=1.5, fix_tol=1e-13)
-        res, _ = invert_perturbed(phi, u, v, lattice(v, spacing=0.1), cfg)
+        res, _ = invert_perturbed(phi, gated_inverse(phi, u, v, cfg), lattice(v, spacing=0.1))
         ys = res.grid.points
         got = res.map.tensors(ys, 0)[:, 0]
         closed_dev = max(closed_dev, float(np.max(np.abs(got - (-c / (1 + c) * ys[:, 0])))))
@@ -468,7 +469,7 @@ def test_criterion_9_simultaneous_closed_forms(capsys):
             AffineMap(u2, [[c]]), lattice(u2, spacing=0.25), 2,
             (("one", 0, 2 * c), ("one", 1, c)),
         )
-        res, _ = invert_perturbed(phi, u2, vt, lattice(vt, spacing=0.1), cfg)
+        res, _ = invert_perturbed(phi, gated_inverse(phi, u2, vt, cfg), lattice(vt, spacing=0.1))
         ys = res.grid.points
         got = res.map.tensors(ys, 0)[:, 0]
         dev = max(dev, float(np.max(np.abs(got - (-c / (1 + c)) * ys[:, 0]))))
@@ -478,20 +479,13 @@ def test_criterion_9_simultaneous_closed_forms(capsys):
     for seed in range(10):
         sc = generate_scenario(seed)
         sub = list(range(0, sc.n_factors, 2))
-        full = [
-            invert_perturbed(
-                sc.phis[i], sc.factors[i].u, sc.factors[i].v_tilde,
-                sc.factors[i].grid_vt, sc.contraction,
-            )[0]
-            for i in range(sc.n_factors)
-        ]
-        part = [
-            invert_perturbed(
-                sc.phis[i], sc.factors[i].u, sc.factors[i].v_tilde,
-                sc.factors[i].grid_vt, sc.contraction,
-            )[0]
-            for i in sub
-        ]
+        def inverted(i):
+            fs = sc.factors[i]
+            inv = gated_inverse(sc.phis[i], fs.u, fs.v_tilde, sc.contraction)
+            return invert_perturbed(sc.phis[i], inv, fs.grid_vt)[0]
+
+        full = [inverted(i) for i in range(sc.n_factors)]
+        part = [inverted(i) for i in sub]
         for j, i in enumerate(sub):
             ys = sc.factors[i].grid_vt.points
             if not np.array_equal(full[i].map.tensors(ys, 0), part[j].map.tensors(ys, 0)):

@@ -45,6 +45,7 @@ from wrp.jets import (
 )
 from wrp.operators import (
     ContractionConfig,
+    InverseMap,
     SuperpositionOperand,
     compose_perturbed,
     derivative_convergence,
@@ -92,6 +93,11 @@ POLY = PolynomialMap(U, [([0.5], (2,))])
 XI = PolynomialMap(box([-1.0] * 4, [1.0] * 4), [([1.0, 0.0], (1, 0, 1, 0))], in_blocks=(2, 2))
 
 
+def inverse():
+    """A fresh inverse of POLY + id on [-0.5, 0.5]."""
+    return InverseMap(POLY, U, box([-0.5], [0.5]), ContractionConfig(tau=0.5, r=0.5))
+
+
 def family(name, *values):
     return FamilyWeight(name, tuple(const_weight(name, v) for v in values))
 
@@ -120,7 +126,7 @@ def sim_multiply_with_failing_certificate():
     cert = DominanceCertificate(family("one", 1.0), 0, family("one", 1.0), (2.0,))
     wf = WeightedFunction(POLY, GRID, 2)
     sim_multiply([wf], [np.ones((1, 1, 1))], element(0.1), family("one", 1.0), cert,
-                 [GRID.points])
+                 check_dominance_certificate(cert, [GRID.points]))
 
 
 def sim_multilinear_with_failing_factorization():
@@ -214,7 +220,7 @@ GUARDS = [
      ShapeError, "no certified bound rule for ConstMap"),
     ("partial2_blocks", lambda: crude_partial2_sup(POLY), ShapeError, "map must declare"),
     # operators
-    ("two_steps", lambda: derivative_convergence("x", lambda t: 0.0, (0.1, 0.05)),
+    ("two_steps", lambda: derivative_convergence("x", {0.1: 0.0, 0.05: 0.0}, (0.1, 0.05)),
      PreconditionError, "need at least three"),
     ("value_domain_off_zero", superpose_off_zero, PreconditionError, "the value domain"),
     ("eta_escapes", lambda: compose_perturbed(
@@ -225,14 +231,12 @@ GUARDS = [
     ("qi_stack", lambda: quasi_inverses(np.zeros((2, 2))),
      ShapeError, "quasi-inverses need an (N, k, k) stack, got shape (2, 2)"),
     ("direction_shape", lambda: inversion_direction_check(
-        WeightedFunction(POLY, GRID, 2, (("one", 0, 0.1), ("one", 1, 0.1))),
+        WeightedFunction(POLY, GRID, 2, (("one", 0, 0.1), ("one", 1, 0.1))), inverse(),
         WeightedFunction(PolynomialMap(U, [([1.0, 2.0], (1,))]), GRID, 2,
                          (("one", 0, 0.1), ("one", 1, 0.1))),
-        U, box([-0.5], [0.5]), np.array([[0.0]]), ContractionConfig(tau=0.5, r=0.5)),
+        np.array([[0.0]])),
      ShapeError, "summands must share domain and codomain"),
-    ("jacobian_stencil", lambda: inversion_jacobian_check(
-        WeightedFunction(POLY, GRID, 2), U, box([-0.5], [0.5]), np.array([[0.0], [0.49999]]),
-        ContractionConfig(tau=0.5, r=0.5)),
+    ("jacobian_stencil", lambda: inversion_jacobian_check(inverse(), np.array([[0.0], [0.49999]])),
      DomainMembershipError, "finite-difference stencil point"),
     # report
     ("lhs_provenance", lambda: CheckReport("x", "pass", 0.0, 0.0, 0.0, 0.0, "guess"),

@@ -28,6 +28,7 @@ from wrp.operators import (
     compose_perturbed,
     convergence_report,
     derivative_convergence,
+    gated_inverse,
     inversion_direction_check,
     inversion_jacobian_check,
     inversion_pair_difference_check,
@@ -296,9 +297,8 @@ class TestInversion:
             ConstMap(u, [0.0]), lattice(u, spacing=0.2), 2,
             (("one", 0, 0.0), ("one", 1, 0.0)),
         )
-        res, reports = invert_perturbed(
-            phi, u, v, lattice(v, spacing=0.1), ContractionConfig(tau=0.5, r=0.5)
-        )
+        cfg = ContractionConfig(tau=0.5, r=0.5)
+        res, reports = invert_perturbed(phi, gated_inverse(phi, u, v, cfg), lattice(v, spacing=0.1))
         assert res.map.tensors(res.grid.points, 0) == pytest.approx(0.0)
         assert all(r.status == "pass" for r in reports)
 
@@ -310,7 +310,8 @@ class TestInversion:
             (("one", 0, 0.2), ("one", 1, 0.1)),
         )
         cfg = ContractionConfig(tau=0.5, r=1.5, fix_tol=1e-13)
-        res, reports = invert_perturbed(phi, u, v, lattice(v, spacing=0.1), cfg, [ONE])
+        res, reports = invert_perturbed(phi, gated_inverse(phi, u, v, cfg),
+                                        lattice(v, spacing=0.1), [ONE])
         ys = res.grid.points
         assert res.map.tensors(ys, 0)[:, 0] == pytest.approx(-0.1 / 1.1 * ys[:, 0], abs=1e-12)
         assert all(r.status == "pass" for r in reports)
@@ -333,7 +334,7 @@ class TestInversion:
             (("one", 0, 0.3), ("one", 1, 0.3)),
         )
         cfg = ContractionConfig(tau=0.5, r=1.6)
-        res, _ = invert_perturbed(phi, u, v, lattice(v, spacing=0.25), cfg)
+        res, _ = invert_perturbed(phi, gated_inverse(phi, u, v, cfg), lattice(v, spacing=0.25))
 
         def oracle(y):
             f = lambda x: x + 0.3 * math.sin(x) - y
@@ -358,7 +359,8 @@ class TestInversion:
             (("one", 0, 0.28), ("one", 1, 0.24)),
         )
         cfg = ContractionConfig(tau=0.5, r=1.5)
-        _, reports = invert_perturbed(phi, u, v, lattice(v, spacing=0.1), cfg, [ONE])
+        _, reports = invert_perturbed(phi, gated_inverse(phi, u, v, cfg),
+                                      lattice(v, spacing=0.1), [ONE])
         residual = [r for r in reports if "residual" in r.detail][0]
         assert residual.status == "pass" and residual.lhs <= 2 * cfg.fix_tol
         rate = [r for r in reports if "contraction ratio" in r.detail][0]
@@ -371,9 +373,7 @@ class TestInversion:
             (("one", 0, 0.8), ("one", 1, 0.4)),
         )
         with pytest.raises(PreconditionError):
-            invert_perturbed(
-                phi, u, v, lattice(v, spacing=0.25), ContractionConfig(tau=0.5, r=0.5)
-            )
+            gated_inverse(phi, u, v, ContractionConfig(tau=0.5, r=0.5))
 
     def test_geometry_gate(self):
         u, v = box([-1.0], [1.0]), box([-0.9], [0.9])
@@ -382,9 +382,7 @@ class TestInversion:
             (("one", 0, 0.01), ("one", 1, 0.01)),
         )
         with pytest.raises(GeometryError):
-            invert_perturbed(
-                phi, u, v, lattice(v, spacing=0.25), ContractionConfig(tau=0.5, r=0.5)
-            )
+            gated_inverse(phi, u, v, ContractionConfig(tau=0.5, r=0.5))
 
     def test_weighted_value_estimate(self):
         u, v = box([-2.0], [2.0]), box([-0.4], [0.4])
@@ -394,7 +392,8 @@ class TestInversion:
         )
         cfg = ContractionConfig(tau=0.5, r=1.5)
         w = gaussian_weight("gauss", 0.5, u)
-        _, reports = invert_perturbed(phi, u, v, lattice(v, spacing=0.1), cfg, [w])
+        _, reports = invert_perturbed(phi, gated_inverse(phi, u, v, cfg),
+                                      lattice(v, spacing=0.1), [w])
         est = [
             r for r in reports
             if r.check_id == "est:Abschaetzung_gewichteter_FWert_der_K-Inversion"
@@ -414,10 +413,8 @@ class TestInversion:
         )
         # phi - psi = 0.04 x on [-2, 2]
         diff = (("one", 0, 0.08), ("one", 1, 0.04))
-        rep = inversion_pair_difference_check(
-            phi, psi, diff, u, v, lattice(v, spacing=0.1),
-            ContractionConfig(tau=0.5, r=1.5), [ONE],
-        )
+        inv = gated_inverse(phi, u, v, ContractionConfig(tau=0.5, r=1.5))
+        rep = inversion_pair_difference_check(phi, inv, psi, diff, lattice(v, spacing=0.1), [ONE])
         assert rep.status == "pass"
         # closed-form oracle: Inv cphi - Inv cpsi at the worst grid point
         worst = max(
@@ -438,9 +435,8 @@ class TestInversion:
                                (("one", 0, 0.16), ("one", 1, 0.08)))
         diff = (("one", 0, 0.001), ("one", 1, 0.001))
         grid_v = lattice(v, spacing=0.1)
-        rep = inversion_pair_difference_check(
-            phi, psi, diff, u, v, grid_v, ContractionConfig(tau=0.5, r=1.5), [ONE],
-        )
+        inv = gated_inverse(phi, u, v, ContractionConfig(tau=0.5, r=1.5))
+        rep = inversion_pair_difference_check(phi, inv, psi, diff, grid_v, [ONE])
         assert rep.status == "fail"
         assert rep.witness == (float(grid_v.points[:, 0].min()),)
         assert rep.lhs == pytest.approx(0.3 * (0.12 / 1.12 - 0.08 / 1.08), abs=1e-11)
@@ -453,9 +449,8 @@ class TestInversion:
         sc = generate_scenario(28)
         fs0 = sc.factors[0]
         probes = fs0.grid_vt.points[:: max(1, len(fs0.grid_vt) // 3)]
-        rep = inversion_direction_check(
-            sc.phis[0], sc.phi_dirs[0], fs0.u, fs0.v_tilde, probes, sc.contraction
-        )
+        inv = gated_inverse(sc.phis[0], fs0.u, fs0.v_tilde, sc.contraction)
+        rep = inversion_direction_check(sc.phis[0], inv, sc.phi_dirs[0], probes)
         assert rep.status == "pass"
 
     def test_direction_check_raises_the_failed_solve(self):
@@ -470,8 +465,9 @@ class TestInversion:
                                      (("one", 0, 1e-3), ("one", 1, 1e-3)))
         probes = np.array([[0.0], [0.2], [0.3]])
         with pytest.raises(ContractionViolationError, match="escaped the domain") as exc:
-            inversion_direction_check(phi, direction, u, v, probes,
-                                      ContractionConfig(tau=0.5, r=1.5))
+            inversion_direction_check(
+                phi, gated_inverse(phi, u, v, ContractionConfig(tau=0.5, r=1.5)), direction,
+                probes)
         assert exc.value.row == 1
 
     def test_direction_and_jacobian_checks(self):
@@ -487,16 +483,17 @@ class TestInversion:
         )
         cfg = ContractionConfig(tau=0.5, r=1.5)
         probes = lattice(v, spacing=0.2).points
-        rep = inversion_direction_check(phi, direction, u, v, probes, cfg)
+        inv = gated_inverse(phi, u, v, cfg)
+        rep = inversion_direction_check(phi, inv, direction, probes)
         assert rep.status == "pass"
         # a loose order-1 certificate of the direction: 0.29 + 0.05 * 5 is
         # not below tau, so the largest step is rejected
         loose = WeightedFunction(direction.map, grid_u, 2, (("one", 0, 0.1), ("one", 1, 5.0)))
-        rep_loose = inversion_direction_check(phi, loose, u, v, probes, cfg)
+        rep_loose = inversion_direction_check(phi, inv, loose, probes)
         assert rep_loose.status == "pass"
         assert rep_loose.detail.startswith(
             "derivative in the operator argument; 1 step(s) rejected by range checks;")
-        rep2 = inversion_jacobian_check(phi, u, v, probes, cfg)
+        rep2 = inversion_jacobian_check(inv, probes)
         assert rep2.status == "pass" and rep2.lhs <= 1e-6
 
 
@@ -606,17 +603,13 @@ class TestConvergenceReport:
         assert rep.detail == "degenerate error sequence for slope fit"
 
     def test_rejected_steps_are_dropped_and_counted(self):
-        def error_at(t):
-            if t > 0.06:
-                raise RangeEscapeError("step leaves the range")
-            return 3 * t**2
-
+        # a step missing from the mapping is one the range checks rejected
         hs = [0.1, 0.05, 0.025, 0.0125]
-        rep = derivative_convergence("x", error_at, hs, detail="sweep;")
+        errors = {t: 3 * t**2 for t in hs if t <= 0.06}
+        rep = derivative_convergence("x", errors, hs, detail="sweep;")
         assert rep.status == "pass" and rep.lhs == pytest.approx(2.0, abs=1e-9)
         assert rep.detail.startswith("sweep; 1 step(s) rejected by range checks;")
-        rep = derivative_convergence(
-            "x", lambda t: (_ for _ in ()).throw(RangeEscapeError("out")), hs)
+        rep = derivative_convergence("x", {}, hs)
         assert rep.status == "skipped-precondition"
 
     def test_wrong_derivative_fails(self):

@@ -11,7 +11,7 @@ from wrp.jets import (
     PolynomialMap,
     TrigPolynomialMap,
 )
-from wrp.operators import ContractionConfig
+from wrp.operators import ContractionConfig, gated_inverse, invert_perturbed
 from wrp.restricted import (
     FactorSpace,
     RestrictedElement,
@@ -36,6 +36,7 @@ from wrp.spaces import (
     FamilyWeight,
     ball,
     box,
+    check_dominance_certificate,
     const_weight,
     scaled_weight,
 )
@@ -46,6 +47,16 @@ GRID = lattice(U, spacing=0.1)
 
 def one_family(n):
     return FamilyWeight("one", tuple(const_weight("one", 1.0) for _ in range(n)))
+
+
+def _gate(cert, factors):
+    """The certificate's check on the factors' U grids, which gates sim_multiply."""
+    return check_dominance_certificate(cert, [fs.grid_u.points for fs in factors])
+
+
+def _inverses(phis, factors, cfg):
+    """Factor i's gated inverse, the shared product sim_invert reads."""
+    return lambda i: gated_inverse(phis[i], factors[i].u, factors[i].v_tilde, cfg)
 
 
 def scaled_identity_element(scales, order=2):
@@ -359,9 +370,7 @@ class TestSimMultiply:
             "g", tuple(scaled_weight(const_weight("one", 1.0), 1.2, name="g") for _ in range(2))
         )
         cert = DominanceCertificate(fam, 0, g, (1.2, 1.2))
-        res, rep = sim_multiply(
-            mults, bil, zeros, fam, cert, [fs.grid_u.points for fs in factors]
-        )
+        res, rep = sim_multiply(mults, bil, zeros, fam, cert, _gate(cert, factors))
         assert rep.status == "pass"
         assert family_seminorm(res, fam, 0).value == 0.0
 
@@ -382,9 +391,7 @@ class TestSimMultiply:
             "g", tuple(scaled_weight(const_weight("one", 1.0), 1.0, name="g") for _ in range(2))
         )
         cert = DominanceCertificate(fam, 0, g, (1.0, 1.0))
-        res, rep = sim_multiply(
-            mults, bil, x, fam, cert, [fs.grid_u.points for fs in factors]
-        )
+        res, rep = sim_multiply(mults, bil, x, fam, cert, _gate(cert, factors))
         assert rep.status == "pass"
         for i, fs in enumerate(factors):
             pts = fs.grid_u.points[::3]
@@ -417,9 +424,7 @@ class TestSimMultiply:
             ),
         )
         cert = DominanceCertificate(fam, 0, g, (1.0, 2.0, 3.0))
-        res, rep = sim_multiply(
-            mults, bil, x, fam, cert, [fs.grid_u.points for fs in factors]
-        )
+        res, rep = sim_multiply(mults, bil, x, fam, cert, _gate(cert, factors))
         assert rep.status == "pass"
         # oracle: result_i = i x^2 with grid sup i * 0.81; family g-norm 3*0.9
         assert rep.lhs == pytest.approx(3 * 0.81)
@@ -607,7 +612,7 @@ class TestSimComposeInvert:
             )
         )
         cfg = ContractionConfig(tau=0.5, r=0.5, fix_tol=1e-13)
-        res, reports = sim_invert(phis, factors, cfg, one_family(n))
+        res, reports = sim_invert(phis, factors, cfg, one_family(n), _inverses(phis, factors, cfg))
         for i, fs in enumerate(factors):
             ys = fs.grid_vt.points
             expect = [-cs[i] / (1 + cs[i]) * y[0] for y in ys]
@@ -627,7 +632,8 @@ class TestSimComposeInvert:
             )
         )
         with pytest.raises(PreconditionError):
-            sim_invert(phis, factors, ContractionConfig(tau=0.5, r=0.5), one_family(2))
+            cfg = ContractionConfig(tau=0.5, r=0.5)
+            sim_invert(phis, factors, cfg, one_family(2), _inverses(phis, factors, cfg))
 
     def test_factor_restriction_bit_identity(self):
         factors = two_factor_spaces()
@@ -644,16 +650,9 @@ class TestSimComposeInvert:
         cfg = ContractionConfig(tau=0.5, r=0.5)
 
         def apply_fn(indices):
-            from wrp.operators import invert_perturbed
-
-            out = []
-            for i in indices:
-                res_i, _ = invert_perturbed(
-                    phis[i], factors[i].u, factors[i].v_tilde,
-                    factors[i].grid_vt, cfg,
-                )
-                out.append(res_i)
-            return RestrictedElement(tuple(out))
+            inverse = _inverses(phis, factors, cfg)
+            return RestrictedElement(tuple(
+                invert_perturbed(phis[i], inverse(i), factors[i].grid_vt)[0] for i in indices))
 
         rep = restrict_scenario_outputs(apply_fn([0, 1]), apply_fn, [1])
         assert rep.status == "pass" and rep.lhs == 0.0

@@ -3,11 +3,12 @@
 A field that no check reads is data the generator draws, ingest parses
 and the writer serializes for nothing.  Checked on the syntax tree of
 ``src/wrp/verify.py``: a field counts as read when ``sc.<field>`` appears
-in a ``_run_*`` function (the nine runners, and ``_run_unit``, which
-labels a unit's reports with ``sc.name``) or in a helper one of them
-reaches.  A helper is a module-level function called by name that takes
-the scenario as ``sc``, or a ``FamilyScenario`` method or property read
-as ``sc.<name>``, whose own reads are ``self.<field>``.
+in the ``CHECKS`` table, in a function it names, in a ``_run_*`` function
+(``_run_unit`` labels a unit's reports with ``sc.name``) or in a helper
+one of them reaches.  A helper is a module-level function that takes the
+scenario as ``sc`` and is named (called, or passed on as a product), or
+a ``FamilyScenario`` method or property read as ``sc.<name>``, whose own
+reads are ``self.<field>``.
 """
 
 import ast
@@ -27,9 +28,12 @@ def unread_fields(source: str) -> list[str]:
     methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
     helpers = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)
                and any(a.arg == "sc" for a in n.args.args)}
+    table = [n for n in tree.body if isinstance(n, ast.AnnAssign)
+             and isinstance(n.target, ast.Name) and n.target.id == "CHECKS"]
     todo = [(n, "sc") for n in tree.body
-            if isinstance(n, ast.FunctionDef) and n.name.startswith("_run_")]
-    seen, read = {n.name for n, _ in todo}, set()
+            if isinstance(n, ast.FunctionDef) and n.name.startswith("_run_")] + [
+        (n.value, "sc") for n in table]
+    seen, read = {getattr(n, "name", "CHECKS") for n, _ in todo}, set()
     while todo:
         fn, owner = todo.pop()
         for node in ast.walk(fn):
@@ -38,8 +42,8 @@ def unread_fields(source: str) -> list[str]:
                     and node.value.id == owner):
                 read.add(node.attr)
                 reached = methods.get(node.attr), "self"
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                reached = helpers.get(node.func.id), "sc"
+            elif isinstance(node, ast.Name):
+                reached = helpers.get(node.id), "sc"
             if reached and reached[0] is not None and reached[0].name not in seen:
                 seen.add(reached[0].name)
                 todo.append(reached)
@@ -59,6 +63,9 @@ def test_detector_follows_helpers_and_methods():
         "    c: int\n"
         "    d: int\n"
         "    e: int\n"
+        "    f: int\n"
+        "    g: int\n"
+        "    h: int\n"
         "    def total(self):\n"
         "        return self.b\n"
         "def _helper(sc, k):\n"
@@ -73,5 +80,12 @@ def test_detector_follows_helpers_and_methods():
         "def _run_unit(unit):\n"
         "    sc = load(unit)\n"
         "    return sc.name\n"
+        "def _product(sc, p, i):\n"
+        "    return sc.f[i]\n"
+        "def _build(sc, p, cid):\n"
+        "    return [p.read(_product, 0)]\n"
+        "def _unlisted(sc, p, cid):\n"
+        "    return [sc.h]\n"
+        "CHECKS: dict = {'x': _build, 'y': lambda sc, p, cid: [sc.g]}\n"
     )
-    assert unread_fields(source) == ["d", "e"]
+    assert unread_fields(source) == ["d", "e", "h"]

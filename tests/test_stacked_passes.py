@@ -14,10 +14,11 @@ the maps' own evaluation share one kernel.
 
 The generator, the operators, the checks and the runners must not fall
 back to the loops: in ``jets.py``, ``seminorms.py``, ``restricted.py``,
-``operators.py`` and ``verify.py``, a call of ``crude_sup_bound``,
-``weighted_seminorm`` or ``op_norm``, or of a ``.tensor`` method, whose
-map or function (a seminorm's weight too), tensor or point varies with an
-enclosing loop is flagged on the syntax tree.
+``operators.py`` and ``verify.py``, a call of ``crude_sup_bound`` or
+``weighted_seminorm``, or of a ``.tensor`` method, whose map or function
+(a seminorm's weight too) or point varies with an enclosing loop is
+flagged on the syntax tree, and so is, in every module of ``src/wrp``, a
+call of ``op_norm`` whose tensor does: ``op_norms`` takes a whole stack.
 """
 
 import ast
@@ -415,8 +416,13 @@ def per_object_calls(source: str, target: str) -> list[int]:
     return sorted(lines)
 
 
-@pytest.mark.parametrize("module, target", itertools.product(
-    ["verify.py", "restricted.py", "operators.py", "seminorms.py", "jets.py"], CHECKED_ARGS))
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
+LOOPED_MODULES = ["verify.py", "restricted.py", "operators.py", "seminorms.py", "jets.py"]
+
+
+@pytest.mark.parametrize("module, target", [
+    (module, target) for module, target in itertools.product(MODULES, CHECKED_ARGS)
+    if target == "op_norm" or module in LOOPED_MODULES])
 def test_no_per_object_loop(module, target):
     assert per_object_calls((SRC / module).read_text(encoding="utf-8"), target) == []
 
@@ -473,9 +479,21 @@ def test_detector_flags_per_tensor_norms_and_per_point_tensors():
         "    sup_b = op_norms_of([MultilinearMap(b, 1) for b in bilinears])\n"
         "    values = [m.tensor(x, 0) for m in maps]\n"
         "    return one, stack, sup_b, values\n"
+        "def grid_norms(t, out_rank):\n"
+        "    return [op_norm(MultilinearMap(ti, out_rank)) for ti in t]\n"
+        "def stacks(m, grid):\n"
+        "    lhs = max(op_norm(MultilinearMap(t, 1)) for t in m.tensors(grid.points, 1))\n"
+        "    for t in m.tensors(grid.points, 2):\n"
+        "        lhs = max(lhs, jets.op_norm(MultilinearMap(t, 1)))\n"
+        "    t2 = m.tensors(grid.points, 2)\n"
+        "    return lhs + sum(op_norm(MultilinearMap(t, 1)) for t in t2)\n"
     )
-    assert per_object_calls(source, "op_norm") == [2, 6, 12]
+    assert per_object_calls(source, "op_norm") == [2, 6, 12, 21, 23, 25, 27]
     assert per_object_calls(source, ".tensor") == [10, 12]
+
+
+def test_every_module_is_checked_for_per_tensor_norms():
+    assert len(MODULES) == 11 and set(LOOPED_MODULES) < set(MODULES)
 
 
 def test_detector_ignores_unrelated_calls():

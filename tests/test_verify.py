@@ -8,6 +8,7 @@ import pytest
 from wrp.errors import ConfigError, DataError, PreconditionError
 from wrp.jets import JetMap
 from wrp.operators import (
+    InverseMap,
     compose_derivative_check,
     derivative_convergence,
     inversion_direction_check,
@@ -21,6 +22,7 @@ from wrp.verify import (
     ELEMENT_GRIDS,
     RUNNERS,
     FamilyScenario,
+    Products,
     ScenarioSeed,
     ScenarioUnit,
     generate_scenario,
@@ -55,7 +57,7 @@ class TestRegistry:
 
     def test_each_runner_returns_exactly_its_ids(self, scenario0):
         for name, fn in RUNNERS.items():
-            counts = Counter(r.check_id for r in fn(scenario0))
+            counts = Counter(r.check_id for r in fn(Products(scenario0), runner_ids(name)))
             assert set(counts) == set(runner_ids(name)), name
             doubled = {cid: n for cid, n in counts.items() if n != 1}
             expected = {
@@ -256,7 +258,7 @@ class TestNegativeControls:
 
     def test_non_geometric_steps_rejected(self):
         with pytest.raises(PreconditionError):
-            derivative_convergence("x", lambda h: h * h, [0.1, 0.09, 0.0001])
+            derivative_convergence("x", {}, [0.1, 0.09, 0.0001])
 
     def test_wrong_derivative_slope_fails(self):
         # +10 percent perturbation of the claimed derivative: errors level
@@ -268,7 +270,8 @@ class TestNegativeControls:
             claimed = 1.1 * exact
             return abs(fd - claimed)
 
-        rep = derivative_convergence("x", op_closure, [0.1, 0.05, 0.025, 0.0125])
+        hs = [0.1, 0.05, 0.025, 0.0125]
+        rep = derivative_convergence("x", {h: op_closure(h) for h in hs}, hs)
         assert rep.status == "fail"
         assert abs(rep.lhs) < 0.5
 
@@ -315,8 +318,8 @@ class TestDerivativeControls:
         if skew:
             phi = replace(phi, map=SkewedJet(phi.map))
         probes = fs0.grid_vt.points[:: max(1, len(fs0.grid_vt) // 3)]
-        rep = inversion_direction_check(phi, sc.phi_dirs[0], fs0.u, fs0.v_tilde, probes,
-                                        sc.contraction)
+        inv = InverseMap(phi.map, fs0.u, fs0.v_tilde, sc.contraction)
+        rep = inversion_direction_check(phi, inv, sc.phi_dirs[0], probes)
         self.assert_outcome(rep, "id:Ableitung_Inversion", skew)
 
     @staticmethod
