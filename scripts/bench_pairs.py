@@ -21,6 +21,14 @@ wall times and the machine it ran on.  Next to each side's git commit
 (``null`` outside a git checkout, e.g. for an exported copy) it holds a
 sha256 of the side's ``src/**/*.py``, so the record names the code it
 measured either way.
+
+Both sides must import wrp compiled the same way: a side whose
+``src/wrp/__pycache__`` exists before the first run starts from cached
+bytecode, the other compiles wrp in every fresh interpreter (and keeps
+doing so under ``PYTHONDONTWRITEBYTECODE``).  The record holds, per side,
+whether that directory existed before the first run and the
+``PYTHONDONTWRITEBYTECODE`` of the environment the runs get; when the two
+sides differ the script exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -55,6 +63,14 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
         "report_sha256": sha[0] if sha else None,
         "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
     }
+
+
+def compiled(root: Path, env=os.environ) -> dict:
+    """How the runs in checkout ``root`` get wrp's bytecode: whether
+    ``src/wrp/__pycache__`` exists now, and ``PYTHONDONTWRITEBYTECODE`` of
+    the environment ``env`` passed on to them."""
+    return {"pycache": (root / "src" / "wrp" / "__pycache__").is_dir(),
+            "PYTHONDONTWRITEBYTECODE": env.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def tier1(root: Path) -> dict:
@@ -108,10 +124,15 @@ def main() -> int:
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2: the quartiles need two runs per side")
+    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
+    compilation = {side: compiled(path) for side, path in sides.items()}
+    if compilation["before"] != compilation["after"]:
+        print(f"the two sides are not compiled the same way: {compilation}; remove "
+              "src/wrp/__pycache__ from both or build it in both", file=sys.stderr)
+        return 2
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     gated = [m["name"] for m in spec["end_to_end"]]
-    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
     runs = []
     for i in range(args.pairs):
@@ -155,6 +176,7 @@ def main() -> int:
         },
         "commits": {side: commit(path) for side, path in sides.items()},
         "sources_sha256": {side: source_sha256(path) for side, path in sides.items()},
+        "compiled": compilation,
         "stats": stats,
         "tier1": {side: tier1(path) for side, path in sides.items()},
         "runs": runs,

@@ -505,6 +505,20 @@ def _poly_tensors(polys, ell: int) -> list[np.ndarray]:
             for g, (n, m, k) in enumerate(shapes)]
 
 
+def _raise_term_fault(terms):
+    """The error of reading the polynomial ``terms`` one term at a time,
+    for terms that do not give one coefficient row of a common length n and
+    one power per domain axis each: a term that does not convert, no term,
+    a first coefficient that is not a vector, or else a term of another
+    shape."""
+    read = [(np.asarray(c, dtype=float), tuple(int(p) for p in pw)) for c, pw in terms]
+    if not read:
+        raise ShapeError("polynomial needs at least one term")
+    if read[0][0].ndim == 0:
+        raise IndexError("tuple index out of range")  # what its shape[0] raises
+    raise ShapeError("inconsistent polynomial term shapes")
+
+
 class PolynomialMap(JetMap):
     """sum over terms of coef * x^powers, with exact tensors of any order.
 
@@ -518,27 +532,32 @@ class PolynomialMap(JetMap):
     """
 
     def __init__(self, domain: DomainSet, terms, in_blocks=None):
-        terms = tuple(
-            (np.asarray(c, dtype=float), tuple(int(p) for p in pw))
-            for c, pw in terms
-        )
-        if not terms:
-            raise ShapeError("polynomial needs at least one term")
-        n = terms[0][0].shape[0]
-        for c, pw in terms:
-            if c.shape != (n,) or len(pw) != domain.dim:
-                raise ShapeError("inconsistent polynomial term shapes")
+        # the coefficient rows as one array; where that fails, or gives
+        # other than one row of n per term, the term-by-term reading raises
+        terms = tuple(terms)
+        try:
+            coefs = np.array([c for c, _ in terms], dtype=float)
+            powers = tuple(tuple(map(int, pw)) for _, pw in terms)
+        except (TypeError, ValueError, OverflowError):
+            coefs = None
+        dim = domain.dim
+        if coefs is None or coefs.ndim != 2 or any(len(pw) != dim for pw in powers):
+            _raise_term_fault(terms)
         desc = {
             "kind": "poly",
-            "terms": [{"coef": c.tolist(), "powers": list(p)} for c, p in terms],
+            "terms": [{"coef": c, "powers": list(p)} for c, p in zip(coefs.tolist(), powers)],
         }
-        super().__init__(domain, (n,), desc=desc, in_blocks=in_blocks)
-        self.terms = terms
-        self._coefs = np.array([c for c, _ in terms])
-        self._power_key = tuple(pw for _, pw in terms)  # key of _poly_table
+        super().__init__(domain, coefs.shape[1:], desc=desc, in_blocks=in_blocks)
+        self._coefs = coefs
+        self._power_key = powers  # key of _poly_table
         self._plans: dict[int, tuple] = {}
         self._tensors_cache: dict[tuple, np.ndarray] = {}
         self._bounds_cache: dict[int, np.ndarray] = {}
+
+    @property
+    def terms(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+        """The ``(coefficient row, powers)`` of each term."""
+        return tuple(zip(self._coefs, self._power_key))
 
     def _plan(self, ell: int) -> tuple:
         plan = self._plans.get(ell)
@@ -1027,6 +1046,51 @@ def _draw_probes(map_: JetMap, rng: np.random.Generator) -> np.ndarray:
                     f"{where} in {MAX_PROBE_ROUNDS} draw rounds")
 
 
+def _draw_probe_stack(maps: Sequence[JetMap], rng: np.random.Generator):
+    """The probes of every map of ``maps``, with the bits and the stream
+    of :func:`_draw_probes` on one map after another, and the DataError of
+    the first map whose probes cannot be drawn (``None`` if every map's
+    can): ``(probes of the maps drawn, error)``.
+
+    Every map's first round comes from one uniform block, each map's
+    values at its place in the stream, with one membership test per
+    distinct domain.  If a first-round row of some map falls outside its
+    domain, the stream is put back where that map's first round began
+    (the generator's state before the block, then the values drawn before
+    that map discarded), and from that map on each map draws by
+    :func:`_draw_probes`."""
+    if not maps:
+        return [], None
+    sizes = FD_PROBES * np.array([map_.dim for map_ in maps])
+    starts = np.cumsum(sizes) - sizes
+    state = rng.bit_generator.state
+    block = rng.uniform(-1, 1, size=int(sizes.sum()))
+    by_domain: dict[DomainSet, list[int]] = {}
+    for g, map_ in enumerate(maps):
+        by_domain.setdefault(map_.domain, []).append(g)
+    probes, first_out = [None] * len(maps), len(maps)
+    for dom, rows in by_domain.items():
+        m = dom.dim
+        lo, hi = dom.bounding_box()
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        u = block[starts[rows][:, None] + np.arange(FD_PROBES * m)].reshape(-1, FD_PROBES, m)
+        x = mid + 0.5 * half * u
+        landed = dom.members(x.reshape(-1, m)).reshape(-1, FD_PROBES).all(axis=1)
+        if not landed.all():
+            first_out = min(first_out, rows[int(np.argmin(landed))])
+        for g, xg in zip(rows, x):
+            probes[g] = xg
+    if first_out < len(maps):
+        rng.bit_generator.state = state
+        rng.uniform(-1, 1, size=int(starts[first_out]))
+        for g in range(first_out, len(maps)):
+            try:
+                probes[g] = _draw_probes(maps[g], rng)
+            except DataError as exc:
+                return probes[:g], exc
+    return probes, None
+
+
 def _polynomial_chain(map_: JetMap, top: int):
     """``(polynomial, factors)`` when ``map_`` is a :class:`PolynomialMap`
     under zero or more :class:`ScaledMap` s and its orders 0..``top`` pass
@@ -1167,24 +1231,20 @@ def validate_jet_maps(maps: Sequence[JetMap], rng: np.random.Generator):
 
     Each map draws its probes from ``rng`` in list order (see
     :func:`_draw_probes`), so the stream and the probes are those of
-    validating one map after another.  The maps are stacked by (dim,
-    compared orders, out_shape), and every comparison is computed
-    elementwise, with the bits of a one-map validation.  The error raised
+    validating one map after another; the first round of every map comes
+    from one uniform block (:func:`_draw_probe_stack`).  The maps are
+    stacked by (dim, compared orders, out_shape), and every comparison is
+    computed elementwise, with the bits of a one-map validation.  The error raised
     is the one of the earliest map in the list that fails, with that map's
     list index as ``index``; within a map, an exception from its own
     evaluation comes first, then its first failing (probe, order), then a
     stencil that leaves the domain.  No map after one whose probes cannot
     be drawn is drawn, and none after one whose evaluation raised is
     evaluated."""
-    jobs, stop, error = [], len(maps), None
-    for k, map_ in enumerate(maps):
-        if _fd_top(map_) < 1:
-            continue
-        try:
-            jobs.append((k, map_, _draw_probes(map_, rng)))
-        except DataError as exc:
-            stop, error = k, exc
-            break
+    todo = [(k, map_) for k, map_ in enumerate(maps) if _fd_top(map_) >= 1]
+    probes, error = _draw_probe_stack([map_ for _, map_ in todo], rng)
+    jobs = [(k, map_, x) for (k, map_), x in zip(todo, probes)]
+    stop = len(maps) if error is None else todo[len(probes)][0]
     groups: dict[tuple, list] = {}
     for job in jobs:
         map_ = job[1]

@@ -412,19 +412,18 @@ def sim_superpose(
     x: RestrictedElement,
     f: FamilyWeight,
     g: FamilyWeight,
-    omega: FamilyWeight,
-    v_domains: Sequence[DomainSet],
-    tau: float,
+    gate: CheckReport,
     directions: RestrictedElement | None = None,
 ) -> tuple[RestrictedElement, list[CheckReport]]:
-    """Factor-wise superposition on an adjusted neighborhood.
+    """Factor-wise superposition on an adjusted neighborhood; ``gate`` is
+    the neighborhood's inclusion check of ``x``
+    (:func:`neighborhood_inclusion_check`), which must pass.
 
     Emits the family-level bound against the dominating weight family and
     (when directions are supplied) the directional-derivative convergence
     check on the argmax factor; the per-factor estimates are the
     single-factor superposition's own checks.
     """
-    gate = neighborhood_inclusion_check(x, omega, v_domains, tau)
     if gate.status != "pass":
         raise PreconditionError("element leaves the adjusted neighborhood")
     result = RestrictedElement(

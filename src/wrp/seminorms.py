@@ -57,20 +57,26 @@ class SampleGrid:
 
 
 def _assemble(domain, axes, pinned) -> np.ndarray:
-    grids = np.meshgrid(*[np.asarray(a) for a in axes], indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    rows = [tuple(p) for p in pts[domain.members(pts)]]
+    """The lattice points of ``axes`` inside ``domain`` in lattice order,
+    then each pinned point that equals neither a lattice point nor an
+    earlier pinned point."""
+    pts = np.empty(tuple(map(len, axes)) + (len(axes),))
+    for a, coords in enumerate(axes):  # the lattice in row-major (axis 0 slowest) order
+        pts[..., a] = np.reshape(coords, (-1,) + (1,) * (len(axes) - 1 - a))
+    pts = pts.reshape(-1, len(axes))
+    rows = pts[domain.members(pts)]
     if pinned:
-        inside = domain.members(np.array(pinned, dtype=float))
+        pins = np.array(pinned, dtype=float)
+        inside = domain.members(pins)
         if not inside.all():
             raise DomainMembershipError(
                 f"pinned point {pinned[int(np.argmin(inside))]} not interior")
-    for p in pinned:
-        if tuple(p) not in rows:
-            rows.append(tuple(p))
-    if not rows:
+        same = (pins[:, None] == np.concatenate([rows, pins])[None]).all(axis=2)
+        repeat = same[:, :len(rows)].any(axis=1) | np.tril(same[:, len(rows):], -1).any(axis=1)
+        rows = np.concatenate([rows, pins[~repeat]])
+    if not len(rows):
         raise DataError("grid has no interior points")
-    return np.array(rows, dtype=float)
+    return rows
 
 
 def lattice(
@@ -97,8 +103,7 @@ def lattice(
     else:
         n = per_axis or DEFAULT_PER_AXIS.get(domain.dim, 5)
         for a in range(domain.dim):
-            coords = np.linspace(lo[a], hi[a], n + 2)[1:-1]
-            axes.append(tuple(float(c) for c in coords))
+            axes.append(tuple(np.linspace(lo[a], hi[a], n + 2)[1:-1].tolist()))
         step = float(axes[0][1] - axes[0][0]) if len(axes[0]) > 1 else float(hi[0] - lo[0])
     pin = tuple(tuple(float(v) for v in p) for p in pinned)
     return SampleGrid(domain, tuple(axes), pin, _assemble(domain, axes, pin), step)

@@ -1350,13 +1350,19 @@ def _sim_multiply(sc, p, cid):
                          sc.dominance[k], p.read(_dominance, k))[1]]
 
 
+def _inclusion(sc, p):
+    """Product: the adjusted-neighborhood inclusion check of ``gammas``,
+    reported by its id and read by the family superposition as its gate."""
+    return neighborhood_inclusion_check(
+        sc.gammas, sc.fw("omega"), [fs.v for fs in sc.factors], sc.tau_nb)
+
+
 def _sim_superposed(sc, p):
     """Product: the family superposition's bound and derivative reports."""
     g_fam = next(
         c.g for c in sc.dominance if c.context == "sp" and c.f.name == "gauss" and c.ell == 1)
-    return sim_superpose(
-        sc.xis, sc.gammas, sc.fw("gauss"), g_fam, sc.fw("omega"), [fs.v for fs in sc.factors],
-        sc.tau_nb, directions=sc.gamma_dirs)[1]
+    return sim_superpose(sc.xis, sc.gammas, sc.fw("gauss"), g_fam, p.read(_inclusion),
+                         directions=sc.gamma_dirs)[1]
 
 
 def _derivative_transfer(sc, p, cid):
@@ -1481,8 +1487,7 @@ CHECKS: dict[str, Callable[[FamilyScenario, Products, str], list[CheckReport]]] 
     "lem:Linf_compl_wenn_Faktoren_c": _cauchy,
     "lem:m-lin_Abb_glm_stetig->Prod_stetig": _multilinear_family,
     "lem:CFof_offen": _openness,
-    "incl:1-Kugel_f0-norm_sub_CFof": lambda sc, p, cid: [neighborhood_inclusion_check(
-        sc.gammas, sc.fw("omega"), [fs.v for fs in sc.factors], sc.tau_nb)],
+    "incl:1-Kugel_f0-norm_sub_CFof": lambda sc, p, cid: [p.read(_inclusion)],
     # simultaneous operators
     "lem:simultane_mult-multiplier": _sim_multiply,
     "lem:multilineareSuperpos-Linf": lambda sc, p, cid: [sim_multilinear(
@@ -1749,11 +1754,20 @@ def _from_desc(build, desc, path: str, *args):
         raise DataError(f"{path}: malformed descriptor ({type(exc).__name__}: {exc})") from None
 
 
+_FLOAT = frozenset((float,))
+
+
 def _nonfinite_at(node, key=None) -> str | None:
     """The JSON pointer, relative to ``node``, of its first leaf that is
     not a finite number (:func:`is_finite_number`), unless it is the
-    string of a ``kind``; ``key`` is the key that holds ``node``."""
+    string of a ``kind``; ``key`` is the key that holds ``node``.  A
+    number, or a list of floats whose sum is finite (each entry then is),
+    returns at once; anything else is walked leaf by leaf."""
     t = type(node)
+    if t is float or t is int:
+        return None if abs(node) <= sys.float_info.max else ""
+    if t is list and _FLOAT.issuperset(map(type, node)) and math.isfinite(sum(node)):
+        return None
     if t is dict or t is list:
         for k, child in node.items() if t is dict else enumerate(node):
             at = _nonfinite_at(child, k)

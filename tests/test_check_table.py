@@ -10,6 +10,8 @@ here:
 * ``cond:adjusting_weight`` alone checks no dominance certificate, and a
   full run checks each once (``sim_multiply`` reads the weights runner's
   report of its certificate);
+* a full run checks the neighborhood inclusion of ``gammas`` once
+  (``sim_superpose`` reads the family runner's report as its gate);
 * a full run of seeds 0..9 solves no (phi, point) row twice, apart from
   the restriction check, which solves its sub-family afresh;
 * a broken hypothesis behind each runner-level gate skips the runners it
@@ -25,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wrp import operators, spaces, verify
+from wrp import operators, restricted, spaces, verify
 from wrp.jets import PolynomialMap
 from wrp.restricted import RestrictedElement
 from wrp.spaces import FactorizationCertificate, FamilyWeight, WeightFamily, scaled_weight
@@ -94,6 +96,25 @@ def test_a_full_run_checks_each_dominance_certificate_once(monkeypatch):
     assert len(seen) == len(sc.dominance) + n_sp == 15
     ids = {id(c) for c in sc.dominance}
     assert Counter(id(c) for c in seen if id(c) in ids) == Counter(ids)
+
+
+def test_a_full_run_checks_the_inclusion_of_gammas_once(monkeypatch):
+    # the incl id reports it, and sim_superpose reads the same report as its gate
+    sc = generate_scenario(0)
+    check, seen = restricted.neighborhood_inclusion_check, []
+
+    def counted(elem, *args, **kwargs):
+        seen.append(elem)
+        return check(elem, *args, **kwargs)
+
+    monkeypatch.setattr(restricted, "neighborhood_inclusion_check", counted)
+    monkeypatch.setattr(verify, "neighborhood_inclusion_check", counted)
+    reports = run_scenario_checks(sc)
+    assert sum(elem is sc.gammas for elem in seen) == 1
+    assert sum(elem is sc.comp_etas for elem in seen) == 1  # sim_compose's own gate
+    status = {r.check_id: r.status for r in reports}
+    assert status["incl:1-Kugel_f0-norm_sub_CFof"] == "pass"
+    assert status["prop:simultane_SP_BCinf0_Produkt"] == "pass"
 
 
 def _solved_rows(monkeypatch, sc) -> tuple[Counter, Counter]:

@@ -146,7 +146,8 @@ def outside_neighborhood():
 def sim_superpose_outside():
     eta, omega, v_domains, tau = outside_neighborhood()
     op, _, _ = tight_superposition_instance()
-    sim_superpose([op], eta, family("one", 1.0), family("one", 1.0), omega, v_domains, tau)
+    gate = neighborhood_inclusion_check(eta, omega, v_domains, tau)
+    sim_superpose([op], eta, family("one", 1.0), family("one", 1.0), gate)
 
 
 def sim_compose_outside():

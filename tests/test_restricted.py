@@ -528,9 +528,10 @@ class TestSimPowerSeries:
 
 class TestSimSuperpose:
     def _run(self, sc, g, directions=None):
+        gate = neighborhood_inclusion_check(
+            sc.gammas, sc.fw("omega"), [fs.v for fs in sc.factors], sc.tau_nb)
         return sim_superpose(
-            sc.xis, sc.gammas, sc.fw("gauss"), g, sc.fw("omega"),
-            [fs.v for fs in sc.factors], sc.tau_nb, directions=directions,
+            sc.xis, sc.gammas, sc.fw("gauss"), g, gate, directions=directions,
         )
 
     def _dominating(self, sc):

@@ -56,12 +56,17 @@ def test_bench_pairs_rejects_a_single_pair(tmp_path):
     assert not out.exists()
 
 
-def test_bench_pairs_source_hash_names_the_code(tmp_path):
+def _bench_pairs():
     import importlib.util
 
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_source_hash_names_the_code(tmp_path):
+    bench_pairs = _bench_pairs()
     files = {"src/pkg/__init__.py": b"", "src/pkg/core.py": b"X = 1\n",
              "src/pkg/sub/more.py": b"def f():\n    return 2\n"}
     for tree in ("a", "b"):
@@ -74,3 +79,25 @@ def test_bench_pairs_source_hash_names_the_code(tmp_path):
     assert bench_pairs.source_sha256(tmp_path / "b") == digest
     (tmp_path / "b" / "src/pkg/core.py").write_bytes(b"X = 2\n")
     assert bench_pairs.source_sha256(tmp_path / "b") != digest
+
+
+def test_bench_pairs_refuses_sides_compiled_differently(tmp_path):
+    # only the preflight runs: neither directory holds a checkout, so a
+    # run, or reading BENCHMARK.json, would fail otherwise than with exit 2
+    for tree in ("a", "b"):
+        (tmp_path / tree / "src" / "wrp").mkdir(parents=True)
+    (tmp_path / "a" / "src" / "wrp" / "__pycache__").mkdir()
+    bench_pairs = _bench_pairs()
+    env = {"PYTHONDONTWRITEBYTECODE": "1"}
+    assert bench_pairs.compiled(tmp_path / "a", env) == {
+        "pycache": True, "PYTHONDONTWRITEBYTECODE": "1"}
+    assert bench_pairs.compiled(tmp_path / "b", {}) == {
+        "pycache": False, "PYTHONDONTWRITEBYTECODE": None}
+    out = tmp_path / "BENCH_x.json"
+    proc = run_script(
+        "bench_pairs.py", "--before", str(tmp_path / "a"), "--after",
+        str(tmp_path / "b"), "--pairs", "2", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert "not compiled the same way" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
