@@ -27,8 +27,9 @@ Both sides must import wrp compiled the same way: a side whose
 bytecode, the other compiles wrp in every fresh interpreter (and keeps
 doing so under ``PYTHONDONTWRITEBYTECODE``).  The record holds, per side,
 whether that directory existed before the first run and the
-``PYTHONDONTWRITEBYTECODE`` of the environment the runs get; when the two
-sides differ the script exits 2 before any run.
+``PYTHONDONTWRITEBYTECODE`` of the environment the runs get (the same for
+both sides); when one side has the directory and the other has not, the
+script exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -65,12 +66,12 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def compiled(root: Path, env=os.environ) -> dict:
+def compiled(root: Path) -> dict:
     """How the runs in checkout ``root`` get wrp's bytecode: whether
     ``src/wrp/__pycache__`` exists now, and ``PYTHONDONTWRITEBYTECODE`` of
-    the environment ``env`` passed on to them."""
+    the environment passed on to them."""
     return {"pycache": (root / "src" / "wrp" / "__pycache__").is_dir(),
-            "PYTHONDONTWRITEBYTECODE": env.get("PYTHONDONTWRITEBYTECODE")}
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def tier1(root: Path) -> dict:
@@ -126,7 +127,7 @@ def main() -> int:
         ap.error("--pairs must be at least 2: the quartiles need two runs per side")
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     compilation = {side: compiled(path) for side, path in sides.items()}
-    if compilation["before"] != compilation["after"]:
+    if compilation["before"]["pycache"] != compilation["after"]["pycache"]:
         print(f"the two sides are not compiled the same way: {compilation}; remove "
               "src/wrp/__pycache__ from both or build it in both", file=sys.stderr)
         return 2

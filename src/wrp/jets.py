@@ -514,8 +514,7 @@ def _raise_term_fault(terms):
     read = [(np.asarray(c, dtype=float), tuple(int(p) for p in pw)) for c, pw in terms]
     if not read:
         raise ShapeError("polynomial needs at least one term")
-    if read[0][0].ndim == 0:
-        raise IndexError("tuple index out of range")  # what its shape[0] raises
+    read[0][0].shape[0]  # a first coefficient that is not a vector: IndexError
     raise ShapeError("inconsistent polynomial term shapes")
 
 

@@ -416,14 +416,17 @@ def sim_superpose(
     directions: RestrictedElement | None = None,
 ) -> tuple[RestrictedElement, list[CheckReport]]:
     """Factor-wise superposition on an adjusted neighborhood; ``gate`` is
-    the neighborhood's inclusion check of ``x``
-    (:func:`neighborhood_inclusion_check`), which must pass.
+    the neighborhood's inclusion check (:func:`neighborhood_inclusion_check`),
+    which must pass.  The caller computes it on this ``x``: only its check
+    id and status are read here.
 
     Emits the family-level bound against the dominating weight family and
     (when directions are supplied) the directional-derivative convergence
     check on the argmax factor; the per-factor estimates are the
     single-factor superposition's own checks.
     """
+    if gate.check_id != "incl:1-Kugel_f0-norm_sub_CFof":
+        raise PreconditionError(f"gate is {gate.check_id}, not the neighborhood inclusion check")
     if gate.status != "pass":
         raise PreconditionError("element leaves the adjusted neighborhood")
     result = RestrictedElement(

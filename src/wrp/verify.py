@@ -1754,20 +1754,11 @@ def _from_desc(build, desc, path: str, *args):
         raise DataError(f"{path}: malformed descriptor ({type(exc).__name__}: {exc})") from None
 
 
-_FLOAT = frozenset((float,))
-
-
 def _nonfinite_at(node, key=None) -> str | None:
     """The JSON pointer, relative to ``node``, of its first leaf that is
     not a finite number (:func:`is_finite_number`), unless it is the
-    string of a ``kind``; ``key`` is the key that holds ``node``.  A
-    number, or a list of floats whose sum is finite (each entry then is),
-    returns at once; anything else is walked leaf by leaf."""
+    string of a ``kind``; ``key`` is the key that holds ``node``."""
     t = type(node)
-    if t is float or t is int:
-        return None if abs(node) <= sys.float_info.max else ""
-    if t is list and _FLOAT.issuperset(map(type, node)) and math.isfinite(sum(node)):
-        return None
     if t is dict or t is list:
         for k, child in node.items() if t is dict else enumerate(node):
             at = _nonfinite_at(child, k)

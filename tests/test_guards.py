@@ -54,7 +54,7 @@ from wrp.operators import (
     quasi_inverses,
     superpose,
 )
-from wrp.report import CheckReport
+from wrp.report import CheckReport, identity_report
 from wrp.restricted import (
     RestrictedElement,
     family_seminorm,
@@ -147,6 +147,14 @@ def sim_superpose_outside():
     eta, omega, v_domains, tau = outside_neighborhood()
     op, _, _ = tight_superposition_instance()
     gate = neighborhood_inclusion_check(eta, omega, v_domains, tau)
+    sim_superpose([op], eta, family("one", 1.0), family("one", 1.0), gate)
+
+
+def sim_superpose_other_gate():
+    # a passing report of another check is not the inclusion hypothesis
+    eta, _, _, _ = outside_neighborhood()
+    op, _, _ = tight_superposition_instance()
+    gate = identity_report("lem:CFof_offen", 0.0, tolerance=0.0)
     sim_superpose([op], eta, family("one", 1.0), family("one", 1.0), gate)
 
 
@@ -261,6 +269,8 @@ GUARDS = [
     ("multilinear_gate", sim_multilinear_with_failing_factorization,
      PreconditionError, "weight factorization fails"),
     ("superpose_gate", sim_superpose_outside, PreconditionError, "element leaves"),
+    ("superpose_gate_id", sim_superpose_other_gate, PreconditionError,
+     "gate is lem:CFof_offen, not the neighborhood inclusion check"),
     ("power_series_q", lambda: sim_power_series(element(0.1), 1, 1.0),
      SpectralConditionError, "certified bound q = 1.0"),
     ("compose_gate", sim_compose_outside, PreconditionError, "perturbation leaves"),

@@ -6,14 +6,12 @@
   outside its domain and the stream is re-synchronized.
 * ``lattice`` masks the lattice rows and de-duplicates pinned points on
   arrays; its points are those of building them one tuple at a time.
-* The number rule's fast path for floats and float rows gives the pointer
-  of the leaf-by-leaf walk.
+* The number rule names the bad entry of a coefficient row.
 """
 
 import json
 import math
 import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -27,7 +25,6 @@ from wrp.verify import (
     _DOMAINS,
     _nonfinite_at,
     generate_scenario,
-    is_finite_number,
     scenario_from_dict,
 )
 
@@ -217,20 +214,6 @@ def test_pinned_points_alone_when_no_lattice_point_is_inside():
 # -- the number rule
 
 
-def _walk_oracle(node, key=None):
-    """The leaf-by-leaf walk."""
-    t = type(node)
-    if t is dict or t is list:
-        for k, child in node.items() if t is dict else enumerate(node):
-            at = _walk_oracle(child, k)
-            if at is not None:
-                return f"/{k}{at}"
-        return None
-    if t is str:
-        return None if key == "kind" else ""
-    return None if is_finite_number(node) else ""
-
-
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, 10**400, "1.0",
                                  np.float64(math.inf), None])
 @pytest.mark.parametrize("at", range(3))
@@ -239,18 +222,4 @@ def test_a_bad_entry_of_a_coefficient_row_is_named(bad, at):
     row[at] = bad
     desc = {"kind": "poly", "terms": [{"coef": [1.0, 2.0, 0.5], "powers": [1, 0]},
                                       {"coef": row, "powers": [0, 2]}]}
-    assert _nonfinite_at(desc) == _walk_oracle(desc) == f"/terms/1/coef/{at}"
-
-
-@pytest.mark.parametrize("node", [
-    [], [0.5, -2.0], [sys.float_info.max, sys.float_info.max],  # a sum that overflows
-    [1, 2.5], [np.float64(0.5)], 0.5, 7, -(2**1023), {"kind": "const", "c": 1.0},
-    [[0.5], [1.0]], "x",
-])
-def test_the_fast_path_agrees_with_the_walk(node):
-    assert _nonfinite_at(node) == _walk_oracle(node)
-
-
-def test_finite_floats_and_float_rows_pass():
-    assert _nonfinite_at(0.5) is _nonfinite_at([0.5, -2.0, 1e300]) is None
-    assert _nonfinite_at(math.inf) == _nonfinite_at(math.nan) == ""
+    assert _nonfinite_at(desc) == f"/terms/1/coef/{at}"

@@ -81,18 +81,18 @@ def test_bench_pairs_source_hash_names_the_code(tmp_path):
     assert bench_pairs.source_sha256(tmp_path / "b") != digest
 
 
-def test_bench_pairs_refuses_sides_compiled_differently(tmp_path):
+def test_bench_pairs_refuses_sides_compiled_differently(tmp_path, monkeypatch):
     # only the preflight runs: neither directory holds a checkout, so a
     # run, or reading BENCHMARK.json, would fail otherwise than with exit 2
     for tree in ("a", "b"):
         (tmp_path / tree / "src" / "wrp").mkdir(parents=True)
     (tmp_path / "a" / "src" / "wrp" / "__pycache__").mkdir()
     bench_pairs = _bench_pairs()
-    env = {"PYTHONDONTWRITEBYTECODE": "1"}
-    assert bench_pairs.compiled(tmp_path / "a", env) == {
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.compiled(tmp_path / "a") == {
         "pycache": True, "PYTHONDONTWRITEBYTECODE": "1"}
-    assert bench_pairs.compiled(tmp_path / "b", {}) == {
-        "pycache": False, "PYTHONDONTWRITEBYTECODE": None}
+    assert bench_pairs.compiled(tmp_path / "b") == {
+        "pycache": False, "PYTHONDONTWRITEBYTECODE": "1"}
     out = tmp_path / "BENCH_x.json"
     proc = run_script(
         "bench_pairs.py", "--before", str(tmp_path / "a"), "--after",
