@@ -40,7 +40,7 @@ ENUM_BUDGET = 16
 OP_NORM_CHUNK = 1 << 18  # entries of the vertex sums op_norms holds at once
 FD_STEP_ORDER1 = 1e-4
 FD_STEP_ORDER2 = 1e-3
-FD_PROBES = 3  # probes per map in jet validation
+FD_PROBES = 3  # probes per map in the jet reference check
 MAX_PROBE_ROUNDS = 10_000  # draw rounds before a domain is declared unprobeable
 
 
@@ -447,62 +447,48 @@ def _poly_plan(coefs: np.ndarray, powers: tuple[tuple[int, ...], ...], ell: int)
     return table, coefs.take(table[1], axis=0)
 
 
-def _padded(a: np.ndarray, shape: tuple[int, ...], fill: int | float) -> np.ndarray:
-    """``a`` in the leading corner of an array of ``shape`` filled with
-    ``fill``; ``a`` itself when it has that shape."""
-    if a.shape == shape:
-        return a
-    out = np.full(shape, fill)
-    out[tuple(map(slice, a.shape))] = a
-    return out
-
-
 def _poly_tensors(polys, ell: int) -> list[np.ndarray]:
     """Order-``ell`` derivative entries of a stack of polynomials, each at
-    its own points, in one pass: one ``(N, n) + (m,)*ell`` array per
-    ``(plan, points)`` pair of ``polys``, with the polynomial's order-``ell``
-    plan (:func:`_poly_plan`) and the points ``(N, m)``.
+    its own points: one ``(N, n) + (m,)*ell`` array per ``(plan, points)``
+    pair of ``polys``, with the polynomial's order-``ell`` plan
+    (:func:`_poly_plan`) and the points ``(N, m)``.
 
-    Every entry is computed in the order of the one-point formula: per
-    term, the coefficient times ((falling factorials times the power of
-    axis 0) times the power of axis 1 ...), the powers by one
-    :func:`~wrp.arith.power_chain` call for the whole stack, summed over
-    terms in term order from 0.0 by one unbuffered ``np.add.at``.  A
-    polynomial narrower than the stack has the exact factor 1.0 (the
-    power 0) on the other axes.  A power that overflows is inf, and a
-    term that meets inf - inf or 0 * inf makes its entry NaN, which the
-    callers' finiteness checks see.  A stack of one joins and pads
-    nothing: it reads its plan's arrays as they are.
+    The polynomials that share a power table (the same powers), an output
+    width n and a number of points N form one group, evaluated together
+    by one :func:`~wrp.arith.power_chain` call and one unbuffered
+    ``np.add.at``.  Every entry is computed in the order of the one-point
+    formula: per term, the coefficient times ((falling factorials times
+    the power of axis 0) times the power of axis 1 ...), summed over terms
+    in term order from 0.0.  A power that overflows is inf, and a term
+    that meets inf - inf or 0 * inf makes its entry NaN, which the
+    callers' finiteness checks see.
     """
-    shapes = [(len(x), x.shape[1], coef.shape[1]) for (_, coef), x in polys]
-    if len(polys) == 1:
-        (((table, coef), x),) = polys
-        ((n_pts, width, n_out),) = shapes
-        flat, _, fall, expo, top = table
-        poly, x = 0, x.T[None]
-    else:
-        # the polynomial of each row: polynomial g's points are x[g] (axis,
-        # point) and its rows those with poly == g; a missing point or axis
-        # is 1.0 with exponent 0 and a missing output has coefficient 0.0,
-        # and neither is returned
-        n_pts, width, n_out = map(max, zip(*shapes))
-        flats, _, falls, expos, tops = zip(*[table for (table, _), _ in polys])
-        flat, fall = np.concatenate(flats), np.concatenate(falls)
-        expo = np.concatenate([_padded(e, (width, e.shape[1]), 0) for e in expos], axis=1)
-        coef = np.concatenate([_padded(c, (len(c), n_out), 0.0) for (_, c), _ in polys])
-        top = max(tops)
-        poly = np.arange(len(polys)).repeat(list(map(len, flats)))
-        x = np.concatenate([_padded(p, (n_pts, width), 1.0).T[None] for _, p in polys])
-    ent = np.zeros((len(polys), width**ell, n_out, n_pts))
+    groups: dict[tuple, list[int]] = {}
+    for g, ((table, coef), x) in enumerate(polys):
+        groups.setdefault((id(table), coef.shape[1], len(x)), []).append(g)
+    out = [None] * len(polys)
     with np.errstate(over="ignore", invalid="ignore"):
-        pw = power_chain(x, top)  # (power, polynomial, axis, point)
-        scale = fall * pw[expo[0], poly, 0]
-        for a in range(1, width):
-            scale *= pw[expo[a], poly, a]
-        # unbuffered adds in row (= term) order, as the one-point sum runs
-        np.add.at(ent, (poly, flat), coef[:, :, None] * scale[:, None, :])
-    return [ent[g, :m**ell, :k, :n].T.reshape((n, k) + (m,) * ell)
-            for g, (n, m, k) in enumerate(shapes)]
+        for members in groups.values():
+            (table, coef), x = polys[members[0]]
+            flat, _, fall, expo, top = table
+            (n_pts, m), n_out = x.shape, coef.shape[1]
+            # (row, polynomial, output) coefficients and (axis, polynomial, point) points
+            if len(members) == 1:
+                coef, x = coef[:, None], x.T[:, None]
+            else:
+                coef = np.stack([polys[g][0][1] for g in members], axis=1)
+                x = np.stack([polys[g][1].T for g in members], axis=1)
+            pw = power_chain(x, top)  # (power, axis, polynomial, point)
+            scale = fall[:, :, None] * pw[expo[0], 0]
+            for a in range(1, m):
+                scale *= pw[expo[a], a]
+            ent = np.zeros((m**ell, len(members), n_out, n_pts))
+            # unbuffered adds in row (= term) order, as the one-point sum runs
+            np.add.at(ent, flat, coef[..., None] * scale[:, :, None, :])
+            ent = ent.transpose(1, 3, 2, 0).reshape((len(members), n_pts, n_out) + (m,) * ell)
+            for k, g in enumerate(members):
+                out[g] = ent[k]
+    return out
 
 
 def _raise_term_fault(terms):
@@ -981,29 +967,15 @@ def _fd_prefix(map_: JetMap, points, order: int, h: float | None):
     # (point, stencil entry, axis): probe order is row-major
     stencil = (x[:, None, :] + o1) + o2
     inside = map_.domain.members(stencil.reshape(-1, m)).reshape(n, -1)
-    n_in = int(_inside_prefix(inside[None])[0])
-    outside = None if n_in == n else _outside_error(stencil[n_in], inside[n_in])
+    # the first point whose stencil is not inside, or n
+    n_in = int(np.argmin(np.append(inside.all(axis=1), False)))
+    outside = None if n_in == n else DomainMembershipError(
+        f"finite-difference stencil point {stencil[n_in, np.argmin(inside[n_in])].tolist()} "
+        "leaves the domain")
     vals = map_.tensors(stencil[:n_in].reshape(-1, m), 0) if n_in else \
         np.empty((0,) + map_.out_shape)
     return _fd_differences(vals.reshape((n_in, len(o1)) + map_.out_shape),
                            m, order, h1, h2), outside
-
-
-def _inside_prefix(inside: np.ndarray) -> np.ndarray:
-    """Per leading index of the ``(G, N, S)`` stencil membership
-    ``inside``, the number of leading points whose whole stencil is inside."""
-    whole = inside.all(axis=2)
-    # the first False of each row, with one more False after its last point
-    return np.argmin(np.concatenate([whole, np.zeros((len(whole), 1), bool)], axis=1), axis=1)
-
-
-def _outside_error(stencil: np.ndarray, inside: np.ndarray) -> DomainMembershipError:
-    """The error naming the first point of one point's ``stencil`` ``(S, m)``
-    that is not ``inside``."""
-    p = stencil[np.argmin(inside)]
-    return DomainMembershipError(
-        f"finite-difference stencil point {p.tolist()} leaves the domain"
-    )
 
 
 def fd_tensors(map_: JetMap, points, order: int, h: float | None = None) -> list:
@@ -1018,7 +990,7 @@ def fd_tensors(map_: JetMap, points, order: int, h: float | None = None) -> list
 
 
 def _fd_top(map_: JetMap) -> int:
-    """The highest order jet validation compares: 2, or the map's declared
+    """The highest order the jet reference check compares: 2, or the map's declared
     max order when lower (below 1 for a value-only map, which has nothing
     differentiable to cross-check)."""
     return 2 if map_.max_order is None else min(2, map_.max_order)
@@ -1045,229 +1017,33 @@ def _draw_probes(map_: JetMap, rng: np.random.Generator) -> np.ndarray:
                     f"{where} in {MAX_PROBE_ROUNDS} draw rounds")
 
 
-def _draw_probe_stack(maps: Sequence[JetMap], rng: np.random.Generator):
-    """The probes of every map of ``maps``, with the bits and the stream
-    of :func:`_draw_probes` on one map after another, and the DataError of
-    the first map whose probes cannot be drawn (``None`` if every map's
-    can): ``(probes of the maps drawn, error)``.
-
-    Every map's first round comes from one uniform block, each map's
-    values at its place in the stream, with one membership test per
-    distinct domain.  If a first-round row of some map falls outside its
-    domain, the stream is put back where that map's first round began
-    (the generator's state before the block, then the values drawn before
-    that map discarded), and from that map on each map draws by
-    :func:`_draw_probes`."""
-    if not maps:
-        return [], None
-    sizes = FD_PROBES * np.array([map_.dim for map_ in maps])
-    starts = np.cumsum(sizes) - sizes
-    state = rng.bit_generator.state
-    block = rng.uniform(-1, 1, size=int(sizes.sum()))
-    by_domain: dict[DomainSet, list[int]] = {}
-    for g, map_ in enumerate(maps):
-        by_domain.setdefault(map_.domain, []).append(g)
-    probes, first_out = [None] * len(maps), len(maps)
-    for dom, rows in by_domain.items():
-        m = dom.dim
-        lo, hi = dom.bounding_box()
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        u = block[starts[rows][:, None] + np.arange(FD_PROBES * m)].reshape(-1, FD_PROBES, m)
-        x = mid + 0.5 * half * u
-        landed = dom.members(x.reshape(-1, m)).reshape(-1, FD_PROBES).all(axis=1)
-        if not landed.all():
-            first_out = min(first_out, rows[int(np.argmin(landed))])
-        for g, xg in zip(rows, x):
-            probes[g] = xg
-    if first_out < len(maps):
-        rng.bit_generator.state = state
-        rng.uniform(-1, 1, size=int(starts[first_out]))
-        for g in range(first_out, len(maps)):
-            try:
-                probes[g] = _draw_probes(maps[g], rng)
-            except DataError as exc:
-                return probes[:g], exc
-    return probes, None
-
-
-def _polynomial_chain(map_: JetMap, top: int):
-    """``(polynomial, factors)`` when ``map_`` is a :class:`PolynomialMap`
-    under zero or more :class:`ScaledMap` s and its orders 0..``top`` pass
-    the polynomial's order check, else ``None``.  Its tensors are then the
-    polynomial's times each factor in turn, innermost first, as the
-    maps' own ``tensors`` compute them."""
-    factors = []
-    while type(map_) is ScaledMap:
-        factors.append(map_.c)
-        map_ = map_.base
-    if type(map_) is not PolynomialMap or (map_.max_order is not None and map_.max_order < top):
-        return None
-    return map_, factors[::-1]
-
-
-def _scaled_tensors(polys, points, ell: int) -> list[np.ndarray]:
-    """Order-``ell`` entries of each ``(g, polynomial, factors)`` of
-    ``polys`` at its ``points``: one :func:`_poly_tensors` pass, then each
-    polynomial's entries times its factors in turn, as ``ScaledMap``
-    multiplies them."""
-    if not polys:
-        return []
-    ents = _poly_tensors([(pm._plan(ell), x) for (_, pm, _), x in zip(polys, points)], ell)
-    with np.errstate(over="ignore"):
-        return [functools.reduce(lambda e, c: c * e, factors, ent)
-                for (_, _, factors), ent in zip(polys, ents)]
-
-
-class _FdStack:
-    """The maps of one (dim, compared orders, out_shape), in validation
-    order, with their probes, stencils, coded tensors and stencil values
-    in stacked arrays ``(map, probe, ...)``.
-
-    The stencils are one array ``(X[:, None, :] + o1) + o2`` over every
-    probe, with one membership test per distinct domain.  The coded
-    tensors and the stencil values, the latter only at the leading probes
-    whose stencil is inside, as :func:`_fd_prefix` evaluates them, are
-    written into the preallocated arrays: for the maps that are scaled
-    polynomials (:func:`_polynomial_chain`) by one :func:`_poly_tensors`
-    pass per order, and for any other map by its own ``tensors``."""
-
-    def __init__(self, jobs, m: int, top: int, out_shape: tuple[int, ...]):
-        self.jobs, self.m, self.top = jobs, m, top
-        o1, o2 = _fd_offsets(m, top, FD_STEP_ORDER1, FD_STEP_ORDER2)[:2]
-        self.probes = np.stack([probes for _, _, probes in jobs])
-        # (map, probe, stencil entry, axis)
-        self.stencil = (self.probes[:, :, None, :] + o1) + o2
-        self.inside = np.empty(self.stencil.shape[:3], dtype=bool)
-        by_domain: dict[DomainSet, list[int]] = {}
-        for g, (_, map_, _) in enumerate(jobs):
-            by_domain.setdefault(map_.domain, []).append(g)
-        for dom, rows in by_domain.items():
-            self.inside[rows] = dom.members(self.stencil[rows].reshape(-1, m)).reshape(
-                (len(rows),) + self.inside.shape[1:])
-        self.n_in = _inside_prefix(self.inside)
-        n = len(jobs)
-        self.exact = [np.zeros((n, FD_PROBES) + out_shape + (m,) * ell)
-                      for ell in range(1, top + 1)]
-        self.vals = np.zeros(self.inside.shape + out_shape)
-        chains = [_polynomial_chain(map_, top) for _, map_, _ in jobs]
-        self.polys = [(g, *c) for g, c in enumerate(chains) if c is not None]
-        self.others = [g for g, c in enumerate(chains) if c is None]
-
-    def evaluate(self, g: int):
-        """Map ``g``'s coded tensors at its probes, then its values at the
-        stencils of its leading probes inside, by its own ``tensors``: one
-        map's evaluations, in the order of :func:`validate_jet_map` on it
-        alone."""
-        map_, n_in = self.jobs[g][1], self.n_in[g]
-        for ell, exact in enumerate(self.exact, 1):
-            exact[g] = map_.tensors(self.probes[g], ell)
-        if n_in:
-            self.vals[g, :n_in] = map_.tensors(
-                self.stencil[g, :n_in].reshape(-1, self.m), 0
-            ).reshape(self.vals[g, :n_in].shape)
-
-    def evaluate_polynomials(self):
-        """The coded tensors and stencil values of every scaled
-        polynomial of the stack, in one :func:`_poly_tensors` pass per
-        order.  No ``tensors`` is called, so no map caches them."""
-        for ell, exact in enumerate(self.exact, 1):
-            ents = _scaled_tensors(self.polys, [self.probes[g] for g, _, _ in self.polys], ell)
-            for (g, _, _), ent in zip(self.polys, ents):
-                exact[g] = ent
-        inner = [p for p in self.polys if self.n_in[p[0]]]
-        ents = _scaled_tensors(
-            inner, [self.stencil[g, :self.n_in[g]].reshape(-1, self.m) for g, _, _ in inner], 0)
-        for (g, _, _), ent in zip(inner, ents):
-            self.vals[g, :self.n_in[g]] = ent.reshape(self.vals[g, :self.n_in[g]].shape)
-
-    def first_failure(self, stop: int):
-        """``(index, error)`` of the first of the maps before validation
-        index ``stop`` whose comparison fails, or ``None``.
-
-        Each order is compared at every probe of every map at once: the
-        largest entry error must be at most ``1e-4 * max(1, largest coded
-        entry)``, and a NaN or infinite entry on either side is a
-        disagreement.  A map's first failing (probe, order), probe by
-        probe and order by order, is raised ahead of a stencil that leaves
-        the domain at a later probe."""
-        n = sum(k < stop for k, _, _ in self.jobs)
-        if not n:
-            return None
-        vals = self.vals[:n]
-        approx = _fd_differences(vals.reshape((-1,) + vals.shape[2:]),
-                                 self.m, self.top, FD_STEP_ORDER1, FD_STEP_ORDER2)
-        errs, bad = [], []
-        for exact, ap in zip(self.exact, approx[1:]):
-            ex = exact[:n].reshape(len(ap), math.prod(ap.shape[1:]))
-            with np.errstate(invalid="ignore"):
-                err = np.abs(ex - ap.reshape(ex.shape)).max(axis=1)
-            scale = np.maximum(1.0, np.abs(ex).max(axis=1))
-            # a NaN or infinite entry on either side makes err NaN or infinite
-            bad.append(~((err <= 1e-4 * scale) & np.isfinite(err)))
-            errs.append(err.reshape(n, FD_PROBES))
-        n_in = self.n_in[:n]
-        # (map, probe, order); probes from the first stencil outside on are not compared
-        bad = np.stack(bad, axis=-1).reshape(n, FD_PROBES, self.top)
-        bad &= (np.arange(FD_PROBES) < n_in[:, None])[..., None]
-        failing = bad.any(axis=(1, 2)) | (n_in < FD_PROBES)
-        if not failing.any():
-            return None
-        g = int(np.argmax(failing))
-        k = self.jobs[g][0]
-        if bad[g].any():
-            i, o = divmod(int(np.argmax(bad[g])), self.top)
-            return k, PreconditionError(
-                f"jet of order {o + 1} disagrees with finite differences "
-                f"by {float(errs[o][g, i]):.3e} at {self.probes[g, i].tolist()}"
-            )
-        i = n_in[g]
-        return k, _outside_error(self.stencil[g, i], self.inside[g, i])
-
-
-def validate_jet_maps(maps: Sequence[JetMap], rng: np.random.Generator):
-    """Ingest check: every map's coded tensors agree with central
-    differences, in one pass over all ``maps``.
-
-    Each map draws its probes from ``rng`` in list order (see
-    :func:`_draw_probes`), so the stream and the probes are those of
-    validating one map after another; the first round of every map comes
-    from one uniform block (:func:`_draw_probe_stack`).  The maps are
-    stacked by (dim, compared orders, out_shape), and every comparison is
-    computed elementwise, with the bits of a one-map validation.  The error raised
-    is the one of the earliest map in the list that fails, with that map's
-    list index as ``index``; within a map, an exception from its own
-    evaluation comes first, then its first failing (probe, order), then a
-    stencil that leaves the domain.  No map after one whose probes cannot
-    be drawn is drawn, and none after one whose evaluation raised is
-    evaluated."""
-    todo = [(k, map_) for k, map_ in enumerate(maps) if _fd_top(map_) >= 1]
-    probes, error = _draw_probe_stack([map_ for _, map_ in todo], rng)
-    jobs = [(k, map_, x) for (k, map_), x in zip(todo, probes)]
-    stop = len(maps) if error is None else todo[len(probes)][0]
-    groups: dict[tuple, list] = {}
-    for job in jobs:
-        map_ = job[1]
-        groups.setdefault((map_.dim, _fd_top(map_), map_.out_shape), []).append(job)
-    stacks = [_FdStack(g, *key) for key, g in groups.items()]
-    slots = sorted((stack.jobs[g][0], stack, g) for stack in stacks for g in stack.others)
-    try:
-        for k, stack, g in slots:
-            stack.evaluate(g)
-    except Exception as exc:  # raised below unless an earlier map fails its comparison
-        stop, error = k, exc
-    for stack in stacks:
-        stack.evaluate_polynomials()
-    failures = [f for f in (s.first_failure(stop) for s in stacks) if f is not None]
-    if failures:
-        stop, error = min(failures, key=lambda f: f[0])
-    if error is not None:
-        error.index = stop
-        raise error
-
-
 def validate_jet_map(map_: JetMap, rng: np.random.Generator):
-    """A batch of one of :func:`validate_jet_maps`."""
-    validate_jet_maps([map_], rng)
+    """Reference check of one map's coded jets: at the ``FD_PROBES``
+    probes :func:`_draw_probes` draws from ``rng``, the tensors of orders
+    1 to :func:`_fd_top` agree with central differences.  The largest
+    entry error of a (probe, order) must be at most ``1e-4 * max(1,
+    largest coded entry)``, and a NaN or infinite entry on either side is
+    a disagreement.  The first failing (probe, order), probe by probe and
+    order by order, is a PreconditionError; it comes ahead of a stencil
+    that leaves the domain at a later probe, which is then raised."""
+    top = _fd_top(map_)
+    if top < 1:
+        return
+    probes = _draw_probes(map_, rng)
+    exact = [map_.tensors(probes, ell) for ell in range(1, top + 1)]
+    approx, outside = _fd_prefix(map_, probes, top, None)
+    for i in range(len(approx[0])):
+        for ell, ex, ap in zip(range(1, top + 1), exact, approx[1:]):
+            with np.errstate(invalid="ignore"):
+                err = float(np.max(np.abs(ex[i] - ap[i])))
+            # a NaN or infinite entry on either side makes err NaN or infinite
+            if not (math.isfinite(err) and err <= 1e-4 * max(1.0, float(np.max(np.abs(ex[i]))))):
+                raise PreconditionError(
+                    f"jet of order {ell} disagrees with finite differences "
+                    f"by {err:.3e} at {probes[i].tolist()}"
+                )
+    if outside is not None:
+        raise outside
 
 
 # ---------------------------------------------------------------------------
@@ -1476,7 +1252,8 @@ def _entry_bounds(jobs) -> list[np.ndarray]:
     :func:`_poly_tensors` pass per order: the derivative of the polynomial
     with absolute coefficients at its corner, the largest ``|x_a|`` of its
     domain's bounding box per axis.  A zero coefficient times an
-    overflowing power is NaN."""
+    overflowing power is NaN, and a multiple or a sum that overflows is
+    inf, without a warning."""
     todo: dict[int, dict[int, PolynomialMap]] = {}
 
     def leaves(map_, ell):
@@ -1500,16 +1277,22 @@ def _entry_bounds(jobs) -> list[np.ndarray]:
 
     for map_, ell in jobs:
         leaves(map_, ell)
+    corners: dict[int, np.ndarray] = {}  # by the id of the domain
     for ell, polys in todo.items():
+        polys = list(polys.values())
+        for pm in polys:
+            if id(pm.domain) not in corners:
+                corners[id(pm.domain)] = _axis_sups(pm.domain)[None]
         # the rows of |coefs|: taking rows and abs commute
-        plans = [pm._plan(ell) for pm in polys.values()]
-        ents = _poly_tensors([((table, np.abs(coef)), _axis_sups(pm.domain)[None])
-                              for (table, coef), pm in zip(plans, polys.values())], ell)
-        for pm, ent in zip(polys.values(), ents):
-            ent = ent[0].reshape(pm.out_dim, -1)
+        plans = [pm._plan(ell) for pm in polys]
+        ents = _poly_tensors([((table, np.abs(coef)), corners[id(pm.domain)])
+                              for (table, coef), pm in zip(plans, polys)], ell)
+        for pm, ent in zip(polys, ents):
+            ent = ent[0].reshape(ent.shape[1], -1)
             ent.flags.writeable = False
             pm._bounds_cache[ell] = ent
-    return [combine(map_, ell) for map_, ell in jobs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [combine(map_, ell) for map_, ell in jobs]
 
 
 def _row_sum_max(e: np.ndarray) -> float:

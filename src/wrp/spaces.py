@@ -315,7 +315,9 @@ def _kind_values(desc: dict, pts: np.ndarray) -> np.ndarray:
     if kind == "two_plus_sin":
         s, u = desc["scale"], np.array(desc["u"])
         return np.array([s * (2.0 + math.sin(p)) for p in contract(pts, u).tolist()])
-    return desc["c"] * _kind_values(desc["base"], pts)
+    base = _kind_values(desc["base"], pts)
+    with np.errstate(over="ignore"):
+        return desc["c"] * base
 
 
 def _builtin_weight(name: str, desc: dict, sup: float | None, inf: float | None) -> Weight:
@@ -383,7 +385,8 @@ def weight_from_desc(desc: dict, name: str, domain: DomainSet) -> Weight:
     certified sup and inf, so a descriptor's ``certified_sup`` and
     ``certified_inf`` are not read here.  A ``gauss`` weight needs
     ``a >= 0``, which bounds it by 1, and a ``two_plus_sin`` frequency
-    ``u`` has one entry per axis of ``domain``."""
+    ``u`` has one entry per axis of ``domain``, each a number.  A message
+    that starts with ``/`` names the entry by its pointer below ``desc``."""
     kind = desc.get("kind")
     if kind == "const":
         return const_weight(name, desc["c"])
@@ -394,9 +397,15 @@ def weight_from_desc(desc: dict, name: str, domain: DomainSet) -> Weight:
     if kind == "two_plus_sin":
         if len(desc["u"]) != domain.dim:
             raise DataError(f"u must have {domain.dim} entries, got {desc['u']!r}")
+        if not all(isinstance(v, (int, float)) for v in desc["u"]):
+            raise DataError(f"/u: must be a list of numbers, got {desc['u']!r}")
         return two_plus_sin_weight(name, desc["u"], desc.get("scale", 1.0))
     if kind == "scaled":
-        return scaled_weight(weight_from_desc(desc["base"], name, domain), desc["c"], name)
+        try:
+            base = weight_from_desc(desc["base"], name, domain)
+        except DataError as exc:
+            raise DataError(f"/base{exc}" if str(exc).startswith("/") else str(exc)) from None
+        return scaled_weight(base, desc["c"], name)
     raise DataError(f"unknown weight kind {kind!r}")
 
 

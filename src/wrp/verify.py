@@ -946,14 +946,14 @@ def generate_scenario(seed: int | ScenarioSeed) -> FamilyScenario:
 
 
 def validate_scenario(sc: FamilyScenario):
-    """Ingest validation: each factor's domains nest as the runners
-    combine them, coded jets agree with finite differences at a few points
-    and no grid evaluation contradicts a weight certificate.  Certificates
-    for sup quantities are only falsified here, never proved; the check
-    suite does the falsification of the dominance certificates.  A factor
-    whose domains do not nest, or a map that fails, is a DataError at its
-    JSON pointer."""
-    from .jets import validate_jet_maps
+    """Ingest validation of what a file can get wrong: each factor's
+    domains nest as the runners combine them, no grid evaluation
+    contradicts a weight certificate, every map's entry bounds over its
+    domain are finite at orders 0..2, and each factor's gammas take their
+    grid values inside the value domain of its superposition operand.
+    Certificates for sup quantities are only falsified here, never
+    proved; the check suite does the falsification of the dominance
+    certificates.  Each failure is a DataError at its JSON pointer."""
     from .spaces import validate_weight_on_points
 
     # 0 in V (the weights and family runners measure from it), V + U in W
@@ -967,7 +967,6 @@ def validate_scenario(sc: FamilyScenario):
         if not fs.u.contains_set(fs.v_tilde.minkowski_sum(r_ball)):
             raise DataError(f"/factors/{i}: U must contain V~ + ball(0, r), "
                             "r from /contraction/r")
-    rng = np.random.default_rng(0)
     grids = [fs.grid_u.points for fs in sc.factors]
     for member in sc.weights.members:
         for w, pts in zip(member.factors, grids):
@@ -976,10 +975,20 @@ def validate_scenario(sc: FamilyScenario):
              for i, wf in enumerate(getattr(sc, key).factors)]
             + [(f"/xis/{i}/map", op.xi) for i, op in enumerate(sc.xis)]
             + [(f"/sigmas/{i}", s) for i, s in enumerate(sc.sigmas)])
-    try:
-        validate_jet_maps([m for _, m in maps], rng)
-    except WrpError as exc:
-        raise DataError(f"{maps[exc.index][0]}: {exc}") from None
+    # one bound pass at orders 0..2 and one finiteness test over all its entries
+    bounds = _entry_bounds([(m, ell) for _, m in maps for ell in range(3)])
+    finite = np.isfinite(np.concatenate(bounds, axis=None))
+    if not finite.all():
+        ends = np.cumsum([b.size for b in bounds])
+        k, ell = divmod(int(np.searchsorted(ends, np.argmin(finite), side="right")), 3)
+        raise DataError(f"{maps[k][0]}: order-{ell} entry bounds are not finite")
+    # superpose's hypothesis, through its own cached read of the values
+    for i, (op, wf) in enumerate(zip(sc.xis, sc.gammas.factors)):
+        pts = wf.grid.points
+        inside = op.v.members(wf.map.tensors(pts, 0))
+        if not inside.all():
+            raise DataError(f"/elements/gammas/{i}/map: gamma({pts[np.argmin(inside)].tolist()}) "
+                            f"escapes /factors/{i}/v, the value domain of /xis/{i}")
     return sc
 
 
@@ -1728,6 +1737,14 @@ def _member(node, key, path: str, names) -> str:
     return name
 
 
+def _choice(node, key, path: str, choices) -> str:
+    """``node[key]``, which must be one of the strings ``choices``."""
+    v = _at(node, key, path)
+    if not (isinstance(v, str) and v in choices):
+        raise DataError(f"{path}/{key}: must be one of {sorted(choices)}, got {v!r}")
+    return v
+
+
 def _require(keys, entries, at: str):
     """Each of ``keys`` starts one of the tuples ``entries``, or a
     DataError at ``at``: the one rule for a certificate ingest requires."""
@@ -1749,7 +1766,9 @@ def _from_desc(build, desc, path: str, *args):
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
     except (DataError, ShapeError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+        # a message that starts with a pointer below the descriptor extends path
+        sep = "" if str(exc).startswith("/") else ": "
+        raise DataError(f"{path}{sep}{exc}") from None
     except (TypeError, IndexError, AttributeError, ValueError) as exc:
         raise DataError(f"{path}: malformed descriptor ({type(exc).__name__}: {exc})") from None
 
@@ -1846,7 +1865,7 @@ def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
 
 def _contraction(d: dict) -> ContractionConfig:
     """``/contraction``: its int fields are integers >= 1, the others
-    finite numbers."""
+    finite numbers, ``fix_tol`` above 0."""
     block = _at(d, "contraction", "")
     if not isinstance(block, dict):
         raise DataError("/contraction: must be an object")
@@ -1856,6 +1875,8 @@ def _contraction(d: dict) -> ContractionConfig:
                                    else _number(block, k, "/contraction") for k in block})
     except (TypeError, PreconditionError) as exc:
         raise DataError(f"/contraction: {exc}") from None
+    if not cfg.fix_tol > 0:
+        raise DataError(f"/contraction/fix_tol: must be above 0, got {cfg.fix_tol!r}")
     return cfg
 
 
@@ -1978,7 +1999,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
             _integer(c, "ell", f"/dominance/{i}", 0),
             _fw_from_dict(_at(c, "g", f"/dominance/{i}"), u_domains, f"/dominance/{i}/g"),
             _constants(c, f"/dominance/{i}", n),
-            context=_at(c, "context", f"/dominance/{i}"),
+            context=_choice(c, "context", f"/dominance/{i}", _DOMINANCE_IDS),
         )
         for i, c in enumerate(_at(d, "dominance", ""))
     )

@@ -47,7 +47,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrp import jets
+from wrp import jets, verify
 from wrp.errors import (
     ContractionViolationError,
     DataError,
@@ -86,7 +86,6 @@ from wrp.jets import (
     opnorms_inf,
     uncurry_last,
     validate_jet_map,
-    validate_jet_maps,
     xi2_pointwise_check,
     xi2_build,
 )
@@ -698,126 +697,28 @@ def test_validate_jet_map_max_order_one_compares_order_one_only():
     assert _validate_outcome(bad, 0) == want
 
 
-# -- one validation pass over many maps against the per-map oracle
+def test_unprobeable_domain_is_a_data_error():
+    # a box one ulp wide: the probes' midpoint rounds onto its open face,
+    # so no draw ever lands inside; without a cap on the rounds the draw
+    # loop never returns
+    def give_up(signum, frame):
+        raise TimeoutError("jet validation did not return within 10 s")
 
-
-class _Raising(_Poked):
-    """A poked polynomial whose order-``fail`` evaluations raise."""
-
-    def __init__(self, domain, terms, ell, value, fail):
-        super().__init__(domain, terms, ell, value)
-        self.fail = fail
-
-    def tensors(self, points, ell):
-        if ell == self.fail:
-            raise OverflowError(f"order {ell} evaluation overflows")
-        return super().tensors(points, ell)
-
-
-def _validate_list_oracle(maps, rng):
-    """Oracle: :func:`_validate_oracle` on each map in list order, every
-    map drawing its probes from the one ``rng``: the outcome of the first
-    map that fails, an exception from its evaluation included, or
-    ``None``.  A value-only map draws and compares nothing."""
-    for map_ in maps:
-        if map_.max_order is not None and map_.max_order < 1:
-            continue
-        try:
-            got = _validate_oracle(map_, None, rng=rng)
-        except OverflowError as exc:
-            return type(exc), str(exc)
-        if got is not None:
-            return got
-    return None
-
-
-def _validate_list_outcome(maps, rng):
+    stuck = PolynomialMap(box([1e16], [math.nextafter(1e16, math.inf)]), [([1.0], (1,))])
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
     try:
-        jets.validate_jet_maps(maps, rng)
-    except (DomainMembershipError, PreconditionError, OverflowError) as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def _random_maps(rng, n):
-    """``n`` maps that mix dims, out_shapes and domains (equal domains as
-    one object and as distinct ones), value-only and order-capped maps,
-    and, each with probability 0.15, a map that fails: a poked, NaN or
-    infinite entry, a wrong derivative, an evaluation that raises, or a
-    ball so small that some probes' stencils leave it."""
-    d1, d2 = box([-1.0], [1.0]), box([-1.0, -0.5], [1.0, 0.5])
-    sup_ball, tiny = ball([0.5], 0.75), ball([0.0, 0.0], 0.004, norm_kind="euclidean")
-
-    def terms(dom, n_out):
-        return [(rng.normal(size=n_out), tuple(int(p) for p in rng.integers(0, 4, dom.dim)))
-                for _ in range(3)]
-
-    def poke():
-        return int(rng.integers(0, 3)), [np.nan, np.inf, -np.inf, 7.0][rng.integers(4)]
-
-    good = [
-        lambda: PolynomialMap(d1, terms(d1, 1)),
-        lambda: PolynomialMap(box([-1.0, -0.5], [1.0, 0.5]), terms(d2, 2)),
-        lambda: ScaledMap(PolynomialMap(d2, terms(d2, 1)), -0.5),
-        lambda: DifferentialMap(PolynomialMap(d2, terms(d2, 2))),
-        lambda: PolynomialMap(sup_ball, terms(sup_ball, 3)),
-        lambda: _Capped(PolynomialMap(d1, terms(d1, 1)), int(rng.integers(0, 2))),
-        lambda: _Capped(_Poked(d1, terms(d1, 2), 0, np.nan), 0),
-        lambda: _Capped(_Poked(d2, terms(d2, 1), 2, 7.0), 1),
-    ]
-    bad = [
-        lambda: PolynomialMap(tiny, terms(tiny, 1)),
-        lambda: _OffByOne(tiny, [([1.0], (2, 1))]),
-        lambda: _Split(box([-1.0, -1.0], [1.0, 1.0]), [([1.0], (2, 1))]),
-        lambda: _Poked(d2, terms(d2, 2), *poke()),
-        lambda: _Poked(d1, terms(d1, 1), *poke()),
-        lambda: _Capped(_Poked(d1, terms(d1, 1), 1, 7.0), 1),
-        lambda: _Raising(d1, terms(d1, 1), *poke(), int(rng.integers(0, 3))),
-        lambda: _Raising(d2, terms(d2, 1), 1, 7.0, 2),
-    ]
-    return [(bad if rng.random() < 0.15 else good)[int(rng.integers(8))]() for _ in range(n)]
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
-def test_validate_jet_maps_raises_what_the_per_map_oracle_raises():
-    # an infinite value makes inf - inf in a difference: NaN, a disagreement
-    seen, later = set(), 0
-    for seed in range(150):
-        maps = _random_maps(np.random.default_rng(seed), 1 + seed % 12)
-        want = _validate_list_oracle(maps, np.random.default_rng(seed))
-        assert _validate_list_outcome(maps, np.random.default_rng(seed)) == want, seed
-        seen.add(None if want is None else want[0])
-        later += want is not None and _validate_list_outcome(maps[:1], np.random.default_rng(seed)) is None
-    assert seen == {None, PreconditionError, DomainMembershipError, OverflowError}
-    assert later  # some lists fail at a map after the first
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_validate_jet_maps_gives_each_map_the_probes_of_one_shared_stream(seed):
-    rng = np.random.default_rng(seed)
-    domains = [box([-1.0, 0.25], [1.0, 0.75]), ball([0.5], 0.75),
-               ball([0.0] * 5, 1.0, norm_kind="euclidean"),
-               ball([0.25, -0.5, 0.0, 0.0, 0.5, 0.0, 1.0], 2.0, norm_kind="euclidean")]
-    maps = []
-    for _ in range(12):
-        dom = domains[rng.integers(len(domains))]
-        m, n_out = dom.dim, int(rng.integers(1, 3))
-        pm = _Recording(dom, [(rng.normal(size=n_out), (1,) * m),
-                              (rng.normal(size=n_out), (2,) + (0,) * (m - 1))])
-        maps.append([pm, _Capped(pm, 1), _Capped(pm, 0)][rng.integers(3)])
-    want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    jets.validate_jet_maps(maps, rng)
-    for map_ in maps:
-        if map_.max_order == 0:
-            continue
-        want = np.array(_probe_draws(map_, None, want_rng))
-        seen = (map_.base if isinstance(map_, _Capped) else map_).seen
-        assert _same_bits(seen, want)
-    assert rng.bit_generator.state == want_rng.bit_generator.state
+        with pytest.raises(DataError, match=re.escape(
+                "jet validation: fewer than 3 probes land inside the box "
+                "lo=[1e+16] hi=[1.0000000000000002e+16]")):
+            validate_jet_map(stuck, np.random.default_rng(0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _validated_maps(sc):
-    """The maps ``validate_scenario`` validates, in order: every element's
+    """The maps ``validate_scenario`` bounds, in order: every element's
     factors, then the ``xis``, then the ``sigmas``."""
     return ([wf.map for key in ELEMENT_GRIDS for wf in getattr(sc, key).factors]
             + [op.xi for op in sc.xis] + list(sc.sigmas))
@@ -828,15 +729,23 @@ INGEST_SEEDS = (102, 105, 132, 136, 101, 104, 107, 143, 103, 106, 111, 109, 156,
                 110, 121, 161, 112, 114, 113, 128, 171, 173, 115, 117, 129, 169, 116, 118)
 
 
+def _fresh(map_):
+    """A copy of a file map with empty caches: the same descriptor read again."""
+    return jets.map_from_desc(jets.map_to_desc(map_), map_.domain)
+
+
 @pytest.mark.parametrize("source", ["fixture", *range(10), *(f"ingest-{s}" for s in INGEST_SEEDS)])
 def test_validate_scenario_is_one_pass_with_the_per_map_outcome(source, monkeypatch):
-    passes = []
+    """Ingest bounds every map at orders 0..2 in one ``_entry_bounds``
+    call, and each map's bounds carry the bits of bounding that map alone
+    from empty caches."""
+    passes, bounds = [], verify._entry_bounds
 
-    def recording(maps, rng):
-        passes.append(list(maps))
-        return validate_jet_maps(maps, rng)
+    def recording(jobs):
+        passes.append(list(jobs))
+        return bounds(jobs)
 
-    monkeypatch.setattr(jets, "validate_jet_maps", recording)
+    monkeypatch.setattr(verify, "_entry_bounds", recording)
     if source == "fixture":
         sc = load_scenario(ScenarioUnit(path=FIXTURE))
     elif isinstance(source, int):
@@ -847,44 +756,16 @@ def test_validate_scenario_is_one_pass_with_the_per_map_outcome(source, monkeypa
         passes.clear()
         sc = scenario_from_dict(doc)
     maps = _validated_maps(sc)
-    assert len(passes) == 1 and len(passes[0]) == len(maps)
-    assert all(a is b for a, b in zip(passes[0], maps))
-    rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
-    validate_jet_maps(maps, rng)
-    assert _validate_list_oracle(maps, want_rng) is None
-    assert rng.bit_generator.state == want_rng.bit_generator.state
+    # generation bounds its contraction maps first
+    assert len(passes) == 1 + isinstance(source, int)
+    jobs = passes[-1]
+    assert [ell for _, ell in jobs] == [0, 1, 2] * len(maps)
+    assert all(m is maps[k // 3] for k, (m, _) in enumerate(jobs))
+    got = bounds(jobs)
+    for (map_, ell), ent in zip(jobs, got):
+        (alone,) = bounds([(_fresh(map_), ell)])
+        assert np.isfinite(alone).all() and _same_bits(ent, alone)
 
-
-def test_unprobeable_domain_is_a_data_error_behind_earlier_failures():
-    # a box one ulp wide: the probes' midpoint rounds onto its open face,
-    # so no draw ever lands inside; without a cap on the rounds the draw
-    # loop never returns
-    def give_up(signum, frame):
-        raise TimeoutError("jet validation did not return within 10 s")
-
-    dom = box([1e16], [math.nextafter(1e16, math.inf)])
-    stuck = PolynomialMap(dom, [([1.0], (1,))])
-    good = PolynomialMap(box([-1.0], [1.0]), [([1.0], (3,))])
-    bad = _OffByOne(box([-1.0], [1.0]), [([1.0], (3,))])
-    previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(10)
-    try:
-        with pytest.raises(DataError, match=re.escape(
-                "jet validation: fewer than 3 probes land inside the box "
-                "lo=[1e+16] hi=[1.0000000000000002e+16]")):
-            validate_jet_map(stuck, np.random.default_rng(0))
-        with pytest.raises(DataError, match="1e\\+16"):
-            jets.validate_jet_maps([good, stuck, bad], np.random.default_rng(0))
-        # an earlier map's failure is raised instead
-        with pytest.raises(PreconditionError, match="order 1 disagrees"):
-            jets.validate_jet_maps([good, bad, stuck], np.random.default_rng(0))
-        with pytest.raises(OverflowError):
-            jets.validate_jet_maps(
-                [_Raising(good.domain, [([1.0], (1,))], 0, 0.0, 1), stuck],
-                np.random.default_rng(0))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 # -- domain membership
 
@@ -1744,5 +1625,7 @@ def test_one_plan_per_polynomial_and_order_on_seed_zero(monkeypatch):
     for plan in misses:
         if id(plan) in per_plan:
             per_plan[id(plan)] += 1
-    assert sum(per_plan.values()) > 2 * len(builds)  # plans reused
+    # plans reused; ingest evaluates none of them since it checks entry
+    # bounds instead of comparing jets with finite differences
+    assert sum(per_plan.values()) > len(builds)
     assert max(per_plan.values()) > 10

@@ -580,15 +580,18 @@ class TestIngestErrors:
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("terms, pointer", [
-        ("/elements/gammas/0/map/terms/0", "/elements/gammas/0/map"),
-        ("/xis/0/map/terms/0", "/xis/0/map"),
-        ("/sigmas/0/terms/0", "/sigmas/0"),
+    @pytest.mark.parametrize("terms, code, error", [
+        ("/elements/gammas/0/map/terms/0", 1,
+         "error: /elements/gammas/0/map: gamma(["),
+        ("/xis/0/map/terms/0", 2, ""),
+        ("/sigmas/0/terms/0", 2, ""),
     ], ids=["gammas", "xis", "sigmas"])
     def test_jet_validation_names_the_failing_map(self, tmp_path, scenario0, capsys,
-                                                  terms, pointer):
-        # a coefficient of 1e300 leaves finite differences of order 2 no
-        # significant digit, so the coded jet and the oracle disagree
+                                                  terms, code, error):
+        # a coefficient of 1e300 keeps every entry bound finite, so the
+        # file loads unless it breaks a hypothesis: the gammas leave the
+        # value domain V, while the xis and sigmas only fail the checks
+        # whose certificates no longer bound them
         def mutate(doc):
             node = doc
             for key in terms.split("/")[1:]:
@@ -596,28 +599,31 @@ class TestIngestErrors:
             node["coef"] = [1e300] * len(node["coef"])
 
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
-        assert main(["run", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg)]) == code
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {pointer}: jet of order 2 disagrees with finite "
-                              "differences by "), err
-        assert not (tmp_path / "report.json").exists()
+        assert err.startswith(error), err
+        if code == 1:
+            assert "escapes /factors/0/v, the value domain of /xis/0" in err, err
+            assert not (tmp_path / "report.json").exists()
+        else:
+            assert json.loads((tmp_path / "report.json").read_text())["summary"]["n_fail"] > 0
 
     def test_overflowing_power_exits_one_without_a_warning(self, tmp_path, scenario0, capsys):
-        # the W box reaches 1e160, so the powers at its probes overflow to
-        # inf, and the coded jets of the first map on W are not finite
+        # the W box reaches 1e160, so the powers at its corner overflow to
+        # inf, and the entry bounds of the first map on W are not finite
         cfg = _mutated_scenario_file(
             tmp_path, scenario0, lambda d: d["factors"][0]["w"].update(lo=[-1e160], hi=[1e160]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: /elements/comp_gammas/0/map: jet of order 1 disagrees "
-                              "with finite differences by nan at "), err
+        assert err == ("error: /elements/comp_gammas/0/map: order-0 entry bounds are not "
+                       "finite\n"), err
         assert not (tmp_path / "report.json").exists()
 
     def test_overflowing_scaled_map_exits_one_without_a_warning(self, tmp_path, scenario0,
                                                                  capsys):
-        # gamma times 1e300 twice overflows to inf, so the coded jets of
+        # gamma times 1e300 twice overflows to inf, so the entry bounds of
         # the map are not finite, and the multiplies warn nothing
         def mutate(doc):
             elements = doc["elements"]["gammas"][0]
@@ -629,9 +635,55 @@ class TestIngestErrors:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: /elements/gammas/0/map: jet of order 1 disagrees "
-                              "with finite differences by nan at "), err
+        assert err == "error: /elements/gammas/0/map: order-0 entry bounds are not finite\n", err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("mutate, code, error", [
+        # x**3 times c on V (|x| < 0.69) has the entry bounds 0.33 c,
+        # 1.42 c and 4.1 c at orders 0, 1 and 2
+        (lambda d: d["sigmas"][0]["terms"][2].__setitem__("coef", [1.5e308]), 1,
+         "/sigmas/0: order-1 entry bounds are not finite"),
+        (lambda d: d["sigmas"][0]["terms"][2].__setitem__("coef", [1e308]), 1,
+         "/sigmas/0: order-2 entry bounds are not finite"),
+        (lambda d: _gamma0_term(d).__setitem__("coef", [50.0]), 1,
+         "/elements/gammas/0/map: gamma(["),
+        (lambda d: d["dominance"][0].__setitem__("context", {"sp": 1}), 1,
+         "/dominance/0/context: "),
+        (lambda d: d["dominance"][0].__setitem__("context", ["sp"]), 1,
+         "/dominance/0/context: "),
+        (lambda d: d["dominance"][0].__setitem__("context", "bogus"), 1,
+         "/dominance/0/context: "),
+        (lambda d: d["contraction"].__setitem__("fix_tol", -1e-12), 1,
+         "/contraction/fix_tol: "),
+        (lambda d: d["contraction"].__setitem__("fix_tol", -1e300), 1,
+         "/contraction/fix_tol: "),
+        (lambda d: d["contraction"].__setitem__("fix_tol", 0.0), 1,
+         "/contraction/fix_tol: "),
+        (lambda d: d["weights"]["members"][3]["factors"][0]["u"].__setitem__(0, []), 1,
+         "/weights/members/3/factors/0/u: "),
+        (lambda d: d["weights"]["members"][3]["factors"].__setitem__(0, {
+            "kind": "scaled", "c": 1.0, "base": {**d["weights"]["members"][3]["factors"][0],
+                                                 "u": [[0.5]]}}), 1,
+         "/weights/members/3/factors/0/base/u: "),
+        # an overflowing scaled weight is inf: a value, not a malformed file
+        (lambda d: d["dominance"][1]["g"]["factors"][0]["base"].__setitem__("c", 1.7e308), 0,
+         None),
+    ], ids=["overflowing_slope", "overflowing_curvature", "gamma_outside_v", "dict_dominance_context", "list_dominance_context",
+            "unknown_dominance_context", "negative_fix_tol", "extreme_negative_fix_tol",
+            "zero_fix_tol", "list_in_two_plus_sin_u", "list_in_scaled_two_plus_sin_u",
+            "extreme_scaled_weight_c"])
+    def test_mutant_exits_with_its_pointer_and_no_warning(self, tmp_path, scenario0, capsys,
+                                                          mutate, code, error):
+        cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        if error is None:
+            assert err == "", err
+        else:
+            assert err.startswith(f"error: {error}"), err
+            assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("pointer", [
         "/elements/gammas/0/map", "/elements/comp_gammas/1/map", "/sigmas/1",

@@ -1,9 +1,9 @@
 """The ingest load path on whole arrays, held to the one-at-a-time rules.
 
-* Jet validation takes every map's first-round probes from one uniform
-  block.  The probes and the generator's end state are those of drawing
-  one map after another, row by row, also when a first-round row falls
-  outside its domain and the stream is re-synchronized.
+* The jet reference check draws each map's probes in rounds of one
+  uniform block.  The probes and the generator's end state are those of
+  drawing one map after another, row by row, also when a first-round row
+  falls outside its domain.
 * ``lattice`` masks the lattice rows and de-duplicates pinned points on
   arrays; its points are those of building them one tuple at a time.
 * The number rule names the bad entry of a coefficient row.
@@ -18,7 +18,7 @@ import pytest
 
 from wrp import jets
 from wrp.errors import DataError, DomainMembershipError
-from wrp.jets import PolynomialMap, validate_jet_maps
+from wrp.jets import PolynomialMap
 from wrp.seminorms import _assemble, lattice
 from wrp.spaces import ball, box
 from wrp.verify import (
@@ -81,22 +81,22 @@ def test_probes_after_a_rejected_first_round_row_are_the_sequential_stream(seed)
     maps = _maps(DOMAINS)
     want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = _one_at_a_time(maps, want_rng)
-    probes, error = jets._draw_probe_stack(maps, rng)
-    assert error is None and len(probes) == len(want)
+    probes = [jets._draw_probes(map_, rng) for map_ in maps]
     assert all(_same_bits(p, w) for p, w in zip(probes, want))
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_the_seeds_reject_first_round_rows_of_a_later_map():
-    # the seeds above re-synchronize the stream: a stream that drew only the
-    # first rounds would end elsewhere
-    resynced = 0
+    # the seeds above draw more rounds: a stream that drew only the first
+    # rounds would end elsewhere
+    rejected = 0
     for seed in range(8):
         rng, block = np.random.default_rng(seed), np.random.default_rng(seed)
-        jets._draw_probe_stack(_maps(DOMAINS), rng)
+        for map_ in _maps(DOMAINS):
+            jets._draw_probes(map_, rng)
         block.uniform(-1, 1, size=3 * sum(d.dim for d in DOMAINS))
-        resynced += rng.bit_generator.state != block.bit_generator.state
-    assert resynced >= 6
+        rejected += rng.bit_generator.state != block.bit_generator.state
+    assert rejected >= 6
 
 
 class _CountingGenerator:
@@ -119,20 +119,11 @@ def test_one_uniform_draw_when_every_first_round_row_lands():
                box([-1.0, 0.25], [1.0, 0.75]), ball([0.0, 0.0, 0.0], 2.0)]
     maps = _maps(domains)
     rng, want_rng = _CountingGenerator(3), np.random.default_rng(3)
-    validate_jet_maps(maps, rng)
-    assert rng.uniform_calls == 1
+    for map_ in maps:
+        jets.validate_jet_map(map_, rng)
+    assert rng.uniform_calls == len(maps)
     _one_at_a_time(maps, want_rng)
     assert rng.bit_generator.state == want_rng.bit_generator.state
-
-
-def test_an_unprobeable_domain_after_a_resync_stops_the_draws():
-    # the stuck map is drawn by the rounds loop; no map after it is drawn
-    stuck = PolynomialMap(box([1e16], [math.nextafter(1e16, math.inf)]), [([1.0], (1,))])
-    maps = _maps([box([0.0], [2.0])]) + [stuck] + _maps([box([0.0], [2.0])])
-    probes, error = jets._draw_probe_stack(maps, np.random.default_rng(0))
-    assert isinstance(error, DataError) and "1e+16" in str(error)
-    (first,) = probes
-    assert _same_bits(first, _one_at_a_time(maps[:1], np.random.default_rng(0))[0])
 
 
 # -- grids

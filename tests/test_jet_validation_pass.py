@@ -1,6 +1,7 @@
-"""Jet validation is one pass per scenario: no module of ``src/wrp``
-validates maps one at a time in a loop, and ``validate_scenario`` hands
-all its maps to one ``validate_jet_maps`` call.
+"""The ingest check of the maps is one pass per scenario: no module of
+``src/wrp`` runs the jet reference check ``validate_jet_map`` on maps one
+at a time in a loop, and ``validate_scenario`` hands all its maps to one
+``_entry_bounds`` call.
 
 Checked on the syntax tree.  A call to ``validate_jet_map`` (by name or
 attribute) anywhere inside a ``for`` or ``while`` loop or a comprehension
@@ -45,13 +46,13 @@ def per_map_validation_loops(source: str) -> list[int]:
 
 
 def validation_passes(source: str, function: str) -> int:
-    """The number of ``validate_jet_maps`` calls in ``function``, counting
-    a call inside a loop as two: a loop makes one pass per iteration."""
+    """The number of ``_entry_bounds`` calls in ``function``, counting a
+    call inside a loop as two: a loop makes one pass per iteration."""
     tree = ast.parse(source)
     fn = next(n for n in ast.walk(tree)
               if isinstance(n, ast.FunctionDef) and n.name == function)
-    looped = {id(c) for body in _loop_bodies(fn) for c in _calls(body, "validate_jet_maps")}
-    return sum(1 + (id(c) in looped) for c in _calls(fn, "validate_jet_maps"))
+    looped = {id(c) for body in _loop_bodies(fn) for c in _calls(body, "_entry_bounds")}
+    return sum(1 + (id(c) in looped) for c in _calls(fn, "_entry_bounds"))
 
 
 def test_modules_found():
@@ -79,13 +80,13 @@ def test_detector_flags_the_per_map_patterns():
         "            validate_jet_map(sc.xis[0].xi, rng)\n"
         "def per_group(sc, rng):\n"
         "    for key in KEYS:\n"
-        "        validate_jet_maps([wf.map for wf in getattr(sc, key).factors], rng)\n"
+        "        _entry_bounds([(wf.map, 0) for wf in getattr(sc, key).factors])\n"
         "def twice(sc, rng):\n"
-        "    validate_jet_maps(list(sc.sigmas), rng)\n"
-        "    jets.validate_jet_maps([op.xi for op in sc.xis], rng)\n"
+        "    _entry_bounds([(s, 0) for s in sc.sigmas])\n"
+        "    jets._entry_bounds([(op.xi, 0) for op in sc.xis])\n"
         "def once(sc, rng):\n"
         "    validate_jet_map(sc.sigmas[0], rng)\n"
-        "    validate_jet_maps([m for m in maps(sc)], rng)\n"
+        "    _entry_bounds([(m, ell) for m in maps(sc) for ell in range(3)])\n"
     )
     assert per_map_validation_loops(source) == [3, 4, 7]
     assert validation_passes(source, "per_map") == 0

@@ -1,17 +1,20 @@
-"""Jet validation evaluates its polynomials in one kernel pass per stack
-and order.
+"""The ingest bound pass evaluates its polynomials by power-table groups.
 
-``validate_jet_maps`` stacks a scenario's maps by (dimension, compared
-orders, out shape).  The maps of a stack that are polynomials, or
-multiples of one (``scaled`` over ``poly``), are evaluated by one
-``_poly_tensors`` call per order: the coded tensors at the probes and the
-values at the leading stencils inside.  The stacked arrays must hold
-exactly what each map's own ``tensors`` gives at the same points, nested
-multiples and non-finite entries included, no map may cache what
-validation evaluated, and a stack of top order 2 makes three kernel calls.
+``validate_scenario`` bounds every map of a file at orders 0..2 by one
+``_entry_bounds`` call, which runs the polynomial kernel ``_poly_tensors``
+once per order.  The kernel evaluates the polynomials of a stack that
+share a power table, an output width and a number of points as one group.
+Its arrays must hold exactly the entries of the one-point formula written
+out below, polynomial by polynomial, at orders 0..3: on a stack of every
+polynomial of a scenario (mixed power tables and widths, each at its own
+points), overflowing and NaN entries included.  Ingest caches bounds and
+no tensors but the gammas' grid values that ``superpose`` reads next, and
+the bound pass of a file makes three kernel calls.
 """
 
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -34,7 +37,7 @@ def _doc(source) -> dict:
 
 
 def _validated_maps(sc) -> list:
-    """The maps ``validate_scenario`` validates, in its order."""
+    """The maps ``validate_scenario`` bounds, in its order."""
     return ([wf.map for key in ELEMENT_GRIDS for wf in getattr(sc, key).factors]
             + [op.xi for op in sc.xis] + list(sc.sigmas))
 
@@ -50,55 +53,59 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _recorded_stacks(monkeypatch) -> list:
-    """Every ``_FdStack`` that ``validate_jet_maps`` builds from now on."""
-    stacks = []
+def _one_point(pm: PolynomialMap, x, ell: int) -> np.ndarray:
+    """Oracle: the order-``ell`` entries ``(n,) + (m,)*ell`` of one
+    polynomial at one point, in Python floats.  Per term and multi-index
+    j* whose entry survives: the coefficient times ((the falling
+    factorials' product times the power of axis 0) times the power of axis
+    1 ...), each power a multiplication chain from 1.0, summed over terms
+    in term order from 0.0."""
+    m = pm.dim
+    ent = [[0.0] * m**ell for _ in range(pm.out_dim)]
+    for coef, powers in pm.terms:
+        for f, jidx in enumerate(itertools.product(range(m), repeat=ell)):
+            beta = [jidx.count(a) for a in range(m)]
+            if any(b > p for b, p in zip(beta, powers)):
+                continue
+            scale = float(math.prod(p - k for p, b in zip(powers, beta) for k in range(b)))
+            for a in range(m):
+                power = 1.0
+                for _ in range(powers[a] - beta[a]):
+                    power *= float(x[a])
+                scale *= power
+            for o, c in enumerate(coef.tolist()):
+                ent[o][f] += c * scale
+    return np.array(ent).reshape((pm.out_dim,) + (m,) * ell)
 
-    class Recorded(jets._FdStack):
-        def __init__(self, *args):
-            super().__init__(*args)
-            stacks.append(self)
 
-    monkeypatch.setattr(jets, "_FdStack", Recorded)
-    return stacks
-
-
-def _extra_maps() -> list:
-    """Nested multiples of a polynomial, and a polynomial whose coded
-    order-1 and order-2 entries overflow to inf (and NaN, where a zero
-    coefficient meets the infinite power)."""
-    dom = box([-1.0], [1.0])
-    pm = PolynomialMap(dom, [([0.5, -1.5], (1,)), ([2.0, 0.25], (3,))])
-    huge = PolynomialMap(box([-64.0], [64.0]), [([1e308, 1.0], (1,)), ([1e308, 0.0], (300,))])
-    return [ScaledMap(ScaledMap(pm, 0.5), -3.0), ScaledMap(pm, 1e-3), huge,
-            ScaledMap(ScaledMap(ScaledMap(huge, 2.0), -1.0), 0.75)]
+def _huge() -> list[PolynomialMap]:
+    """Polynomials whose entries overflow to inf, and to NaN where a zero
+    coefficient meets the infinite power."""
+    return [PolynomialMap(box([-64.0], [64.0]), [([1e308, 1.0], (1,)), ([1e308, 0.0], (300,))]),
+            PolynomialMap(box([-2.0, -2.0], [2.0, 2.0]),
+                          [([1e300], (0, 1)), ([0.0], (0, 1100)), ([-1e300], (1, 0))])]
 
 
 @pytest.mark.parametrize("source", SOURCES)
-def test_stacked_arrays_hold_the_per_map_tensors(source, monkeypatch):
+def test_stacked_arrays_hold_the_per_map_tensors(source):
     sc = scenario_from_dict(_doc(source))
-    maps = _validated_maps(sc) + _extra_maps()
-    stacks = _recorded_stacks(monkeypatch)
-    with pytest.raises(jets.PreconditionError), np.errstate(over="ignore", invalid="ignore"):
-        # the overflowing map fails its comparison; every map is evaluated
-        jets.validate_jet_maps(maps, np.random.default_rng(0))
-    assert sum(len(s.jobs) for s in stacks) == len(maps)
+    polys = list({id(pm): pm for pm in map(_leaf, _validated_maps(sc))}.values()) + _huge()
+    # groups of one and of many, and polynomials of one table at different numbers of points
+    tables = [pm._power_key for pm in polys]
+    assert len(set(tables)) < len(polys) and len({pm.dim for pm in polys}) > 1
+    rng = np.random.default_rng(7)
+    points = []
+    for g, pm in enumerate(polys):
+        lo, hi = pm.domain.bounding_box()
+        points.append(rng.uniform(lo, hi, size=(1 + g % 3, pm.dim)))
     non_finite = nan = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stack in stacks:
-            # every map here is a scaled polynomial, so no map's tensors ran
-            assert [g for g, _, _ in stack.polys] == list(range(len(stack.jobs)))
-            for g, (k, map_, probes) in enumerate(stack.jobs):
-                for ell, exact in enumerate(stack.exact, 1):
-                    assert _same_bits(exact[g], map_.tensors(probes, ell)), (source, k, ell)
-                    non_finite += int(not np.isfinite(exact[g]).all())
-                    nan += int(np.isnan(exact[g]).any())
-                n_in = stack.n_in[g]
-                want = map_.tensors(stack.stencil[g, :n_in].reshape(-1, stack.m), 0)
-                assert _same_bits(stack.vals[g, :n_in],
-                                  want.reshape(stack.vals[g, :n_in].shape)), (source, k)
-                # stencils from the first one that leaves the domain on are not evaluated
-                assert not stack.vals[g, n_in:].any()
+    for ell in range(4):
+        ents = jets._poly_tensors([(pm._plan(ell), x) for pm, x in zip(polys, points)], ell)
+        for g, (pm, x, ent) in enumerate(zip(polys, points, ents)):
+            want = np.array([_one_point(pm, p, ell) for p in x])
+            assert _same_bits(ent, want), (source, g, ell)
+            non_finite += int(not np.isfinite(ent).all())
+            nan += int(np.isnan(ent).any())
     assert non_finite >= 4 and nan >= 2
 
 
@@ -107,28 +114,36 @@ def test_validation_caches_no_tensors(source):
     sc = scenario_from_dict(_doc(source))
     leaves = [_leaf(m) for m in _validated_maps(sc)]
     assert leaves and all(type(pm) is PolynomialMap for pm in leaves)
-    assert all(not pm._tensors_cache for pm in leaves)
+    gammas = {id(_leaf(wf.map)): wf.grid.points for wf in sc.gammas.factors}
+    for pm in leaves:
+        assert sorted(pm._bounds_cache) == [0, 1, 2]
+        if id(pm) in gammas:
+            # the values on the U grid that superpose reads again: a hit
+            (key,) = pm._tensors_cache
+            assert pm.tensors(gammas[id(pm)], 0) is pm._tensors_cache[key]
+        else:
+            assert not pm._tensors_cache
 
 
 def test_three_kernel_calls_per_stack_on_seed_zero(monkeypatch):
-    sc = generate_scenario(0)
-    maps = _validated_maps(sc)
+    doc = _doc(0)
     kernel, calls = jets._poly_tensors, []
     monkeypatch.setattr(jets, "_poly_tensors",
-                        lambda polys, ell: calls.append((len(polys), ell)) or kernel(polys, ell))
-    stacks = _recorded_stacks(monkeypatch)
-    jets.validate_jet_maps(maps, np.random.default_rng(0))
-    assert len(stacks) >= 2 and all(s.top == 2 for s in stacks)
-    want = []
-    for s in stacks:
-        want += [(len(s.jobs), 1), (len(s.jobs), 2), (int((s.n_in > 0).sum()), 0)]
-    assert calls == want
-    assert len(calls) == 3 * len(stacks) and len(calls) * 10 < 3 * len(maps)
+                        lambda polys, ell: calls.append((polys, ell)) or kernel(polys, ell))
+    sc = scenario_from_dict(doc)
+    leaves = {id(pm): pm for pm in map(_leaf, _validated_maps(sc))}
+    # one call per order with every polynomial of the file, then one
+    # value read per factor's gammas
+    assert [(len(polys), ell) for polys, ell in calls] == (
+        [(len(leaves), ell) for ell in range(3)] + [(1, 0)] * sc.n_factors)
+    groups = {(id(table), coef.shape[1], len(x)) for (table, coef), x in calls[0][0]}
+    assert len(groups) * 3 < len(leaves)
 
 
-def test_a_map_of_another_class_keeps_its_own_tensors_calls(monkeypatch):
-    """A subclass that overrides ``tensors`` is evaluated by its own
-    ``tensors`` inside the stack, next to the stacked polynomials."""
+def test_a_map_of_another_class_keeps_its_own_tensors_calls():
+    """The jet reference check evaluates a map by its own ``tensors``: a
+    subclass that overrides it is called at the probes at orders 1 and 2,
+    then at the stencils at order 0, also under a multiple."""
     seen = []
 
     class Counted(PolynomialMap):
@@ -138,11 +153,7 @@ def test_a_map_of_another_class_keeps_its_own_tensors_calls(monkeypatch):
 
     dom = box([-1.0], [1.0])
     terms = [([1.0], (2,)), ([-0.5], (3,))]
-    maps = [PolynomialMap(dom, terms), Counted(dom, terms), ScaledMap(Counted(dom, terms), 2.0)]
-    stacks = _recorded_stacks(monkeypatch)
-    jets.validate_jet_maps(maps, np.random.default_rng(3))
-    (stack,) = stacks
-    assert [g for g, _, _ in stack.polys] == [0] and stack.others == [1, 2]
+    for map_ in (PolynomialMap(dom, terms), Counted(dom, terms),
+                 ScaledMap(Counted(dom, terms), 2.0)):
+        jets.validate_jet_map(map_, np.random.default_rng(3))
     assert seen == [1, 2, 0, 1, 2, 0]
-    for g in range(3):
-        assert _same_bits(stack.exact[1][g], maps[g].tensors(stack.probes[g], 2))
