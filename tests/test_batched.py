@@ -697,14 +697,49 @@ def test_validate_jet_map_max_order_one_compares_order_one_only():
     assert _validate_outcome(bad, 0) == want
 
 
-def test_unprobeable_domain_is_a_data_error():
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_jet_maps_gives_each_map_the_probes_of_one_shared_stream(seed):
+    # maps checked one after another from one generator: each map's probes
+    # are the next rows of the one-row-at-a-time stream, and a map without
+    # a differentiable order draws none
+    rng = np.random.default_rng(seed)
+    domains = [box([-1.0, 0.25], [1.0, 0.75]), ball([0.5], 0.75),
+               ball([0.0] * 5, 1.0, norm_kind="euclidean"),
+               ball([0.25, -0.5, 0.0, 0.0, 0.5, 0.0, 1.0], 2.0, norm_kind="euclidean")]
+    maps = []
+    for _ in range(12):
+        dom = domains[rng.integers(len(domains))]
+        m, n_out = dom.dim, int(rng.integers(1, 3))
+        pm = _Recording(dom, [(rng.normal(size=n_out), (1,) * m),
+                              (rng.normal(size=n_out), (2,) + (0,) * (m - 1))])
+        maps.append([pm, _Capped(pm, 1), _Capped(pm, 0)][rng.integers(3)])
+    want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for map_ in maps:
+        validate_jet_map(map_, rng)
+    for map_ in maps:
+        if map_.max_order == 0:
+            continue
+        want = np.array(_probe_draws(map_, None, want_rng))
+        seen = (map_.base if isinstance(map_, _Capped) else map_).seen
+        assert _same_bits(seen, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_unprobeable_domain_is_a_data_error_behind_earlier_failures():
     # a box one ulp wide: the probes' midpoint rounds onto its open face,
     # so no draw ever lands inside; without a cap on the rounds the draw
     # loop never returns
     def give_up(signum, frame):
         raise TimeoutError("jet validation did not return within 10 s")
 
-    stuck = PolynomialMap(box([1e16], [math.nextafter(1e16, math.inf)]), [([1.0], (1,))])
+    def check_in_turn(maps, rng):
+        for map_ in maps:
+            validate_jet_map(map_, rng)
+
+    dom = box([1e16], [math.nextafter(1e16, math.inf)])
+    stuck = PolynomialMap(dom, [([1.0], (1,))])
+    good = PolynomialMap(box([-1.0], [1.0]), [([1.0], (3,))])
+    bad = _OffByOne(box([-1.0], [1.0]), [([1.0], (3,))])
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.alarm(10)
     try:
@@ -712,6 +747,11 @@ def test_unprobeable_domain_is_a_data_error():
                 "jet validation: fewer than 3 probes land inside the box "
                 "lo=[1e+16] hi=[1.0000000000000002e+16]")):
             validate_jet_map(stuck, np.random.default_rng(0))
+        with pytest.raises(DataError, match="1e\\+16"):
+            check_in_turn([good, stuck, bad], np.random.default_rng(0))
+        # an earlier map's failure is raised instead
+        with pytest.raises(PreconditionError, match="order 1 disagrees"):
+            check_in_turn([good, bad, stuck], np.random.default_rng(0))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -126,6 +126,23 @@ def test_one_uniform_draw_when_every_first_round_row_lands():
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def test_an_unprobeable_domain_after_a_resync_stops_the_draws():
+    # the stuck map draws its capped rounds and raises; the map before it
+    # keeps its one-at-a-time probes and no map after it is drawn
+    stuck = PolynomialMap(box([1e16], [math.nextafter(1e16, math.inf)]), [([1.0], (1,))])
+    maps = _maps(DOMAINS) + [stuck] + _maps([box([0.0], [2.0])])
+    rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
+    want = _one_at_a_time(maps[:len(DOMAINS)], want_rng)
+    with pytest.raises(DataError, match="1e\\+16"):
+        for map_ in maps:
+            probes = jets._draw_probes(map_, rng)
+            assert _same_bits(probes, want.pop(0))
+    assert not want
+    for _ in range(jets.MAX_PROBE_ROUNDS):
+        want_rng.uniform(-1, 1, size=(jets.FD_PROBES, 1))
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 # -- grids
 
 
