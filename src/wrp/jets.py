@@ -318,19 +318,19 @@ class JetMap:
     kernel samples.
     """
 
+    desc: dict | None = None  # the file descriptor, of the kinds a file holds
+
     def __init__(
         self,
         domain: DomainSet,
         out_shape: tuple[int, ...],
         max_order: int | None = None,
-        desc: dict | None = None,
         in_blocks: tuple[int, ...] | None = None,
         out_blocks: tuple[int, ...] | None = None,
     ):
         self.domain = domain
         self.out_shape = tuple(out_shape)
         self.max_order = max_order
-        self.desc = desc
         self.in_blocks = in_blocks
         self.out_blocks = out_blocks
 
@@ -340,7 +340,7 @@ class JetMap:
 
     @property
     def out_dim(self) -> int:
-        return int(np.prod(self.out_shape))
+        return math.prod(self.out_shape)
 
     def _check_order(self, ell: int):
         if ell < 0:
@@ -404,19 +404,19 @@ def identity_map(domain: DomainSet) -> AffineMap:
 
 @functools.cache
 def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
-    """Index tables of the order-``ell`` derivative of a polynomial with
+    """Index table of the order-``ell`` derivative of a polynomial with
     term powers ``powers``, built once per (powers, ell) and shared by
-    every map with those powers, so callers only read them.
+    every map with those powers, so callers only read it.
 
     One row per (term, multi-index j*) whose entry survives, i.e. no axis
     is differentiated more often than its power, in term order (at order
-    0, one row per term).  Returns the rows' flat entry indices and term
-    indices, their falling-factorial factors (exact integer products) as a
-    column ``(rows, 1)``, their remaining exponents ``(m, rows)``, one
-    index array per axis, and the largest of these.
+    0, one row per term).  Returns the integer rows ``(rows, 2 + m)``: the
+    flat entry index, the term index and the remaining exponent of each
+    axis; their falling-factorial factors (exact integer products) as a
+    column ``(rows, 1)``; and the largest remaining exponent.
     """
     m = len(powers[0])
-    flat, term, fall, expo = [], [], [], []
+    rows, fall = [], []
     for t, pw in enumerate(powers):
         if sum(pw) < ell:
             continue
@@ -424,38 +424,27 @@ def _poly_table(powers: tuple[tuple[int, ...], ...], ell: int):
             beta = [jidx.count(a) for a in range(m)]
             if any(b > p for b, p in zip(beta, pw)):
                 continue
-            flat.append(f)
-            term.append(t)
+            rows.append([f, t] + [p - b for p, b in zip(pw, beta)])
             fall.append([math.prod(p - k for p, b in zip(pw, beta) for k in range(b))])
-            expo.append([p - b for p, b in zip(pw, beta)])
-    table = (np.array(flat, dtype=np.intp), np.array(term, dtype=np.intp),
-             np.array(fall, dtype=float).reshape(-1, 1),
-             np.array(expo, dtype=np.intp).reshape(-1, m).T.copy())
-    for a in table:
-        a.flags.writeable = False
-    return table + (int(table[3].max(initial=0)),)
-
-
-def _poly_plan(coefs: np.ndarray, powers: tuple[tuple[int, ...], ...], ell: int) -> tuple:
-    """The evaluation plan of the polynomial with term coefficient vectors
-    ``coefs`` ``(T, n)`` and term powers ``powers`` at order ``ell``: what
-    :func:`_poly_tensors` reads of it, the :func:`_poly_table` of its
-    powers (shared, read-only) and the coefficient vector of each table
-    row's term ``(rows, n)``.  :meth:`PolynomialMap._plan` builds it once
-    per (polynomial, order)."""
-    table = _poly_table(powers, ell)
-    return table, coefs.take(table[1], axis=0)
+    idx = np.array(rows, dtype=np.intp).reshape(-1, 2 + m)
+    fall = np.array(fall, dtype=float).reshape(-1, 1)
+    idx.flags.writeable = fall.flags.writeable = False
+    return idx, fall, int(idx[:, 2:].max(initial=0))
 
 
 def _poly_tensors(polys, ell: int) -> list[np.ndarray]:
     """Order-``ell`` derivative entries of a stack of polynomials, each at
-    its own points: one ``(N, n) + (m,)*ell`` array per ``(plan, points)``
-    pair of ``polys``, with the polynomial's order-``ell`` plan
-    (:func:`_poly_plan`) and the points ``(N, m)``.
+    its own points: one ``(N, n, m**ell)`` array (the derivative
+    multi-indices flattened) per ``(table, coefs, points)`` item of
+    ``polys``, with the polynomial's order-``ell`` :func:`_poly_table`,
+    its term coefficient rows ``(T, n)`` and the points ``(N, m)``.  The
+    arrays are read-only views of their group's array.
 
-    The polynomials that share a power table (the same powers), an output
-    width n and a number of points N form one group, evaluated together
-    by one :func:`~wrp.arith.power_chain` call and one unbuffered
+    The items of one number of points N, axes m and output width n form
+    one group, whatever their power tables: their table rows are
+    concatenated, each item's entry and term indices offset past the
+    earlier items', and evaluated by one :func:`~wrp.arith.power_chain`
+    call, one gather of the coefficient rows and one unbuffered
     ``np.add.at``.  Every entry is computed in the order of the one-point
     formula: per term, the coefficient times ((falling factorials times
     the power of axis 0) times the power of axis 1 ...), summed over terms
@@ -463,31 +452,39 @@ def _poly_tensors(polys, ell: int) -> list[np.ndarray]:
     that meets inf - inf or 0 * inf makes its entry NaN, which the
     callers' finiteness checks see.
     """
-    groups: dict[tuple, list[int]] = {}
-    for g, ((table, coef), x) in enumerate(polys):
-        groups.setdefault((id(table), coef.shape[1], len(x)), []).append(g)
+    groups: dict[tuple, list] = {}
+    for g, (_, coef, x) in enumerate(polys):
+        groups.setdefault(x.shape + coef.shape[1:], []).append(g)
     out = [None] * len(polys)
     with np.errstate(over="ignore", invalid="ignore"):
-        for members in groups.values():
-            (table, coef), x = polys[members[0]]
-            flat, _, fall, expo, top = table
-            (n_pts, m), n_out = x.shape, coef.shape[1]
-            # (row, polynomial, output) coefficients and (axis, polynomial, point) points
-            if len(members) == 1:
-                coef, x = coef[:, None], x.T[:, None]
+        for (n_pts, m, n_out), members in groups.items():
+            size, k = m**ell, len(members)
+            if k == 1:
+                (idx, fall, top), coef, x = polys[members[0]]
+                x, owner = x.T[:, None], 0  # (axis, item, point)
             else:
-                coef = np.stack([polys[g][0][1] for g in members], axis=1)
-                x = np.stack([polys[g][1].T for g in members], axis=1)
-            pw = power_chain(x, top)  # (power, axis, polynomial, point)
-            scale = fall[:, :, None] * pw[expo[0], 0]
+                tables, coefs, xs = zip(*(polys[g] for g in members))
+                rows = np.fromiter((len(t[0]) for t in tables), np.intp, k)
+                owner = np.repeat(np.arange(k), rows)
+                terms = np.fromiter(map(len, coefs), np.intp, k)
+                idx = np.concatenate([t[0] for t in tables])
+                idx[:, 0] += owner * size
+                idx[:, 1] += (terms.cumsum() - terms)[owner]
+                fall = np.concatenate([t[1] for t in tables])
+                top = max(t[2] for t in tables)
+                coef = np.concatenate(coefs)
+                x = np.concatenate(xs).reshape(k, n_pts, m).transpose(2, 0, 1)
+            pw = power_chain(x, top)  # (power, axis, item, point)
+            scale = fall * pw[idx[:, 2], 0, owner]
             for a in range(1, m):
-                scale *= pw[expo[a], a]
-            ent = np.zeros((m**ell, len(members), n_out, n_pts))
+                scale *= pw[idx[:, 2 + a], a, owner]
+            ent = np.zeros((k * size, n_out, n_pts))
             # unbuffered adds in row (= term) order, as the one-point sum runs
-            np.add.at(ent, flat, coef[..., None] * scale[:, :, None, :])
-            ent = ent.transpose(1, 3, 2, 0).reshape((len(members), n_pts, n_out) + (m,) * ell)
-            for k, g in enumerate(members):
-                out[g] = ent[k]
+            np.add.at(ent, idx[:, 0], coef.take(idx[:, 1], axis=0)[:, :, None] * scale[:, None, :])
+            ent = ent.reshape(k, size, n_out, n_pts).transpose(0, 3, 2, 1)
+            ent.flags.writeable = False
+            for g, e in zip(members, ent):
+                out[g] = e
     return out
 
 
@@ -511,9 +508,7 @@ class PolynomialMap(JetMap):
     ``InverseMap.solves`` caches its fixed points: :meth:`tensors` by the
     points' dtype, shape and bytes and the order, the certified entry
     bounds by the order.  A cached array is shared and read-only; callers
-    copy before writing.  The kernel's plan of each order
-    (:func:`_poly_plan`) is kept too, so a miss of :meth:`tensors` costs
-    only its arithmetic.
+    copy before writing.  The descriptor is built when it is read.
     """
 
     def __init__(self, domain: DomainSet, terms, in_blocks=None):
@@ -528,14 +523,9 @@ class PolynomialMap(JetMap):
         dim = domain.dim
         if coefs is None or coefs.ndim != 2 or any(len(pw) != dim for pw in powers):
             _raise_term_fault(terms)
-        desc = {
-            "kind": "poly",
-            "terms": [{"coef": c, "powers": list(p)} for c, p in zip(coefs.tolist(), powers)],
-        }
-        super().__init__(domain, coefs.shape[1:], desc=desc, in_blocks=in_blocks)
+        super().__init__(domain, coefs.shape[1:], in_blocks=in_blocks)
         self._coefs = coefs
         self._power_key = powers  # key of _poly_table
-        self._plans: dict[int, tuple] = {}
         self._tensors_cache: dict[tuple, np.ndarray] = {}
         self._bounds_cache: dict[int, np.ndarray] = {}
 
@@ -544,20 +534,19 @@ class PolynomialMap(JetMap):
         """The ``(coefficient row, powers)`` of each term."""
         return tuple(zip(self._coefs, self._power_key))
 
-    def _plan(self, ell: int) -> tuple:
-        plan = self._plans.get(ell)
-        if plan is None:
-            plan = self._plans[ell] = _poly_plan(self._coefs, self._power_key, ell)
-        return plan
+    @property
+    def desc(self) -> dict:
+        return {"kind": "poly", "terms": [{"coef": c, "powers": list(p)}
+                                          for c, p in zip(self._coefs.tolist(), self._power_key)]}
 
     def tensors(self, points, ell):
         self._check_order(ell)
         key = (points.dtype.str, points.shape, points.tobytes(), ell)
         ent = self._tensors_cache.get(key)
         if ent is None:
-            (ent,) = _poly_tensors([(self._plan(ell), points)], ell)
-            ent.flags.writeable = False
-            self._tensors_cache[key] = ent
+            (ent,) = _poly_tensors([(_poly_table(self._power_key, ell), self._coefs, points)], ell)
+            ent = self._tensors_cache[key] = ent.reshape(
+                (len(points),) + self.out_shape + (self.dim,) * ell)
         return ent
 
 
@@ -616,14 +605,16 @@ class SumMap(JetMap):
 
 class ScaledMap(JetMap):
     def __init__(self, base: JetMap, c: float):
-        desc = None
-        if base.desc is not None:
-            desc = {"kind": "scaled", "c": float(c), "base": base.desc}
         super().__init__(
-            base.domain, base.out_shape, base.max_order, desc=desc,
+            base.domain, base.out_shape, base.max_order,
             in_blocks=base.in_blocks, out_blocks=base.out_blocks,
         )
         self.base, self.c = base, float(c)
+
+    @property
+    def desc(self) -> dict | None:
+        base = self.base.desc
+        return None if base is None else {"kind": "scaled", "c": self.c, "base": base}
 
     def tensors(self, points, ell):
         base = self.base.tensors(points, ell)
@@ -1277,20 +1268,20 @@ def _entry_bounds(jobs) -> list[np.ndarray]:
 
     for map_, ell in jobs:
         leaves(map_, ell)
-    corners: dict[int, np.ndarray] = {}  # by the id of the domain
+    args: dict[int, tuple] = {}  # each polynomial's |coefs| and corner, by its id
+    corners: dict[int, np.ndarray] = {}  # each domain's, by its id
     for ell, polys in todo.items():
-        polys = list(polys.values())
-        for pm in polys:
-            if id(pm.domain) not in corners:
-                corners[id(pm.domain)] = _axis_sups(pm.domain)[None]
-        # the rows of |coefs|: taking rows and abs commute
-        plans = [pm._plan(ell) for pm in polys]
-        ents = _poly_tensors([((table, np.abs(coef)), corners[id(pm.domain)])
-                              for (table, coef), pm in zip(plans, polys)], ell)
-        for pm, ent in zip(polys, ents):
-            ent = ent[0].reshape(ent.shape[1], -1)
-            ent.flags.writeable = False
-            pm._bounds_cache[ell] = ent
+        items = []
+        for key, pm in polys.items():
+            arg = args.get(key)
+            if arg is None:
+                corner = corners.get(id(pm.domain))
+                if corner is None:
+                    corner = corners[id(pm.domain)] = _axis_sups(pm.domain)[None]
+                arg = args[key] = (np.abs(pm._coefs), corner)
+            items.append((_poly_table(pm._power_key, ell),) + arg)
+        for pm, ent in zip(polys.values(), _poly_tensors(items, ell)):
+            pm._bounds_cache[ell] = ent[0]  # (n, m**ell), a read-only view
     with np.errstate(over="ignore", invalid="ignore"):
         return [combine(map_, ell) for map_, ell in jobs]
 
@@ -1349,9 +1340,9 @@ def map_from_desc(desc: dict, domain: DomainSet, in_blocks=None) -> JetMap:
 
 
 def map_to_desc(map_: JetMap) -> dict:
-    if map_.desc is None:
+    d = map_.desc  # built on this read: the caller's to keep
+    if d is None:
         raise ShapeError(f"{type(map_).__name__} carries no descriptor")
-    d = dict(map_.desc)
     if map_.in_blocks is not None:
         d["in_blocks"] = list(map_.in_blocks)
     return d

@@ -504,6 +504,8 @@ class InverseMap(JetMap):
         keys = [y.tobytes() for y in points]
         rows = np.array([i for i, key in enumerate(keys) if key not in self._cache],
                         dtype=np.intp)
+        if not len(rows):
+            return [self._cache[key] for key in keys]
         x, iters, worst, errors = _fixed_points(
             points[rows], lambda xl, live: self.phi.tensors(xl, 0), self.u, self.cfg,
             np.arange(len(rows)),

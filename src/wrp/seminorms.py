@@ -89,7 +89,9 @@ def lattice(
 
     With ``spacing`` the lattice sits on integer multiples of the spacing
     (boundary multiples drop out since points must be strictly interior);
-    with ``per_axis`` that many equispaced interior points are used.
+    with ``per_axis`` that many equispaced interior points are used, the
+    interior points of ``np.linspace(lo, hi, per_axis + 2)`` computed by
+    its arithmetic in Python floats.
     """
     lo, hi = domain.bounding_box()
     axes = []
@@ -102,9 +104,11 @@ def lattice(
         step = spacing
     else:
         n = per_axis or DEFAULT_PER_AXIS.get(domain.dim, 5)
-        for a in range(domain.dim):
-            axes.append(tuple(np.linspace(lo[a], hi[a], n + 2)[1:-1].tolist()))
-        step = float(axes[0][1] - axes[0][0]) if len(axes[0]) > 1 else float(hi[0] - lo[0])
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            h = (b - a) / (n + 1)  # linspace's step, and its branch for a step of 0
+            axes.append(tuple(i * h + a if h else i / (n + 1) * (b - a) + a
+                              for i in range(1, n + 1)))
+        step = axes[0][1] - axes[0][0] if len(axes[0]) > 1 else float(hi[0] - lo[0])
     pin = tuple(tuple(float(v) for v in p) for p in pinned)
     return SampleGrid(domain, tuple(axes), pin, _assemble(domain, axes, pin), step)
 

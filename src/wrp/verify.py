@@ -45,7 +45,7 @@ from .jets import (
     SumMap,
     _axis_sups,
     _entry_bounds,
-    _poly_plan,
+    _poly_table,
     _poly_tensors,
     _row_sum_max,
     crude_partial2_sup,
@@ -701,11 +701,11 @@ def _rescaled(draws: Sequence[_Draw]) -> list[PolynomialMap]:
     that its crude value bound is its target: one order-0 kernel pass over
     the drawn terms, with absolute coefficients at each box's corner."""
     ents = _poly_tensors(
-        [(_poly_plan(np.abs([c for c, _ in d.terms]), tuple(p for _, p in d.terms), 0),
+        [(_poly_table(tuple(p for _, p in d.terms), 0), np.abs([c for c, _ in d.terms]),
           _axis_sups(d.domain)[None]) for d in draws], 0)
     maps = []
     for d, e in zip(draws, ents):
-        b0 = _row_sum_max(e[0][:, None])
+        b0 = _row_sum_max(e[0])
         factor = d.target / b0 if b0 > 0 else 1.0
         maps.append(PolynomialMap(
             d.domain, [(factor * c, p) for c, p in d.terms], in_blocks=d.in_blocks))
@@ -949,8 +949,9 @@ def validate_scenario(sc: FamilyScenario):
     """Ingest validation of what a file can get wrong: each factor's
     domains nest as the runners combine them, no grid evaluation
     contradicts a weight certificate, every map's entry bounds over its
-    domain are finite at orders 0..2, and each factor's gammas take their
-    grid values inside the value domain of its superposition operand.
+    domain are finite at orders 0..2, and each factor's gammas and
+    gamma_alts take their grid values inside the value domain of its
+    superposition operand.
     Certificates for sup quantities are only falsified here, never
     proved; the check suite does the falsification of the dominance
     certificates.  Each failure is a DataError at its JSON pointer."""
@@ -982,13 +983,15 @@ def validate_scenario(sc: FamilyScenario):
         ends = np.cumsum([b.size for b in bounds])
         k, ell = divmod(int(np.searchsorted(ends, np.argmin(finite), side="right")), 3)
         raise DataError(f"{maps[k][0]}: order-{ell} entry bounds are not finite")
-    # superpose's hypothesis, through its own cached read of the values
-    for i, (op, wf) in enumerate(zip(sc.xis, sc.gammas.factors)):
-        pts = wf.grid.points
-        inside = op.v.members(wf.map.tensors(pts, 0))
-        if not inside.all():
-            raise DataError(f"/elements/gammas/{i}/map: gamma({pts[np.argmin(inside)].tolist()}) "
-                            f"escapes /factors/{i}/v, the value domain of /xis/{i}")
+    # superpose's hypothesis, through its own cached reads of the values
+    for key in ("gammas", "gamma_alts"):
+        for i, (op, wf) in enumerate(zip(sc.xis, getattr(sc, key).factors)):
+            pts = wf.grid.points
+            inside = op.v.members(wf.map.tensors(pts, 0))
+            if not inside.all():
+                raise DataError(
+                    f"/elements/{key}/{i}/map: {key[:-1]}({pts[np.argmin(inside)].tolist()}) "
+                    f"escapes /factors/{i}/v, the value domain of /xis/{i}")
     return sc
 
 

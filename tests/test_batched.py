@@ -154,6 +154,16 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _item(pm: PolynomialMap, ell: int, x) -> tuple:
+    """The kernel's ``(table, coefs, points)`` item of ``pm`` at order ``ell``."""
+    return jets._poly_table(pm._power_key, ell), pm._coefs, x
+
+
+def _as_tensors(ent, pm: PolynomialMap, ell: int) -> np.ndarray:
+    """Kernel entries ``(N, n, m**ell)`` in the shape of ``tensors``."""
+    return ent.reshape((len(ent), pm.out_dim) + (pm.dim,) * ell)
+
+
 def _probe_points(map_: JetMap, seed: int, n: int = 9) -> np.ndarray:
     rng = np.random.default_rng(seed)
     lo, hi = map_.domain.bounding_box()
@@ -1503,7 +1513,7 @@ def test_cached_tensors_and_values_carry_the_direct_bits(seed):
             first = pm.tensors(pts, ell)
             again = pm.tensors(pts, ell)
             assert again is first, (label, ell)
-            direct = jets._poly_tensors([(pm._plan(ell), pts)], ell)[0]
+            direct = _as_tensors(jets._poly_tensors([_item(pm, ell, pts)], ell)[0], pm, ell)
             assert _same_bits(again, direct), (label, ell)
             assert not again.flags.writeable, (label, ell)
     for name, w, pts in _scenario_weights(generate_scenario(seed)):
@@ -1517,7 +1527,7 @@ def test_tensors_cache_key_separates_dtype_and_signed_zero(monkeypatch):
     pm = PolynomialMap(box([-2.0], [2.0]), [([1.0, -1.0], (1,)), ([0.5, 2.0], (3,))])
     kernel, calls = jets._poly_tensors, []  # the (points, ell) of every miss
     monkeypatch.setattr(jets, "_poly_tensors",
-                        lambda polys, ell: calls.append((polys[0][1], ell)) or kernel(polys, ell))
+                        lambda polys, ell: calls.append((polys[0][2], ell)) or kernel(polys, ell))
     pts = np.array([[1.0], [0.5]])
     as_int = pts.view(np.int64)  # the same bytes, read as integers
     zero, neg_zero = np.array([[0.0]]), np.array([[-0.0]])
@@ -1525,7 +1535,7 @@ def test_tensors_cache_key_separates_dtype_and_signed_zero(monkeypatch):
         for x in (pts, as_int, zero, neg_zero):
             got = pm.tensors(x, ell)
             assert calls[-1][0] is x and calls[-1][1] == ell  # a miss
-            assert _same_bits(got, kernel([(pm._plan(ell), x)], ell)[0])
+            assert _same_bits(got, _as_tensors(kernel([_item(pm, ell, x)], ell)[0], pm, ell))
     assert len(calls) == 12
     assert not np.array_equal(pm.tensors(pts, 0), pm.tensors(as_int, 0))
     # hits, for an equal copy and for a non-contiguous view with equal bits
@@ -1591,7 +1601,7 @@ def test_crude_sup_bound_matches_uncached_arithmetic(seed):
 
 
 # ---------------------------------------------------------------------------
-# evaluation plans: one per (polynomial, order), one kernel for every stack
+# one kernel for every stack, one shared table per (powers, order)
 
 
 def _plan_stack_polys() -> list[PolynomialMap]:
@@ -1630,10 +1640,12 @@ def test_plan_kernel_matches_the_per_term_oracle(ell):
     for stack in stacks:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ents = jets._poly_tensors([(polys[g]._plan(ell), points[g]) for g in stack], ell)
+            ents = jets._poly_tensors([_item(polys[g], ell, points[g]) for g in stack], ell)
         for g, ent in zip(stack, ents):
             pm = polys[g]
-            assert ent.shape == (len(points[g]), pm.out_dim) + (pm.dim,) * ell
+            assert ent.shape == (len(points[g]), pm.out_dim, pm.dim**ell)
+            assert not ent.flags.writeable
+            ent = _as_tensors(ent, pm, ell)
             with np.errstate(all="ignore"):
                 want = np.array([_poly_derivative(pm.terms, x, ell, lambda c: c)
                                  for x in points[g]])
@@ -1643,29 +1655,35 @@ def test_plan_kernel_matches_the_per_term_oracle(ell):
     assert non_finite and nan
 
 
-def test_one_plan_per_polynomial_and_order_on_seed_zero(monkeypatch):
-    """Generating seed 0 and running every check builds each evaluated
-    (polynomial, order) plan once; its repeated misses reuse it."""
-    build, builds = jets._poly_plan, []
-
-    def counted(coefs, powers, ell):
-        plan = build(coefs, powers, ell)
-        builds.append((coefs, ell, plan))  # the coefficients kept alive: ids stay unique
-        return plan
-
-    kernel, misses = jets._poly_tensors, []
-    monkeypatch.setattr(jets, "_poly_plan", counted)
-    monkeypatch.setattr(jets, "_poly_tensors",
-                        lambda polys, ell: misses.extend(p for p, _ in polys) or kernel(polys, ell))
+def test_one_shared_table_per_powers_and_order_on_seed_zero(monkeypatch):
+    """Generating seed 0 and running every check evaluates each polynomial
+    from its own coefficient matrix, no per-order copy of its rows, and
+    the one cached table of its (powers, order), which polynomials with
+    the same powers share and repeated misses reuse."""
+    made, init = [], PolynomialMap.__init__
+    monkeypatch.setattr(PolynomialMap, "__init__",
+                        lambda self, *a, **k: made.append(self) or init(self, *a, **k))
+    kernel, items = jets._poly_tensors, []
+    monkeypatch.setattr(jets, "_poly_tensors", lambda polys, ell: items.extend(
+        (p, ell) for p in polys) or kernel(polys, ell))
     sc = generate_scenario(0)
     run_scenario_checks(sc)
-    keys = [(id(coefs), ell) for coefs, ell, _ in builds]
-    assert len(keys) == len(set(keys)) > 100
-    per_plan = {id(plan): 0 for _, _, plan in builds}
-    for plan in misses:
-        if id(plan) in per_plan:
-            per_plan[id(plan)] += 1
-    # plans reused; ingest evaluates none of them since it checks entry
-    # bounds instead of comparing jets with finite differences
-    assert sum(per_plan.values()) > len(builds)
-    assert max(per_plan.values()) > 10
+    owner = {id(pm._coefs): pm for pm in made}
+    uses, users = {}, {}  # per table: kernel items, and the (polynomial, order) pairs
+    for (table, coefs, _), ell in items:
+        pm = owner.get(id(coefs))
+        if pm is None:  # a bound pass: absolute coefficients at a corner
+            continue
+        assert table is jets._poly_table(pm._power_key, ell)
+        uses[id(table)] = uses.get(id(table), 0) + 1
+        users.setdefault(id(table), set()).add((id(pm), ell))
+    assert sum(uses.values()) > 100
+    assert sum(map(len, users.values())) > len(users)  # tables shared between polynomials
+    assert max(uses.values()) > 10
+    # besides its evaluation caches, a map holds its coefficient matrix
+    # and no container of per-order arrays
+    for pm in made:
+        held = [v for k, v in vars(pm).items() if k not in ("_tensors_cache", "_bounds_cache")]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is pm._coefs
+        assert not any(isinstance(v, (dict, list)) and v for v in held)

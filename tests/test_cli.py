@@ -647,6 +647,8 @@ class TestIngestErrors:
          "/sigmas/0: order-2 entry bounds are not finite"),
         (lambda d: _gamma0_term(d).__setitem__("coef", [50.0]), 1,
          "/elements/gammas/0/map: gamma(["),
+        (lambda d: d["elements"]["gamma_alts"][0]["map"]["terms"][0].__setitem__("coef", [50.0]),
+         1, "/elements/gamma_alts/0/map: gamma_alt(["),
         (lambda d: d["dominance"][0].__setitem__("context", {"sp": 1}), 1,
          "/dominance/0/context: "),
         (lambda d: d["dominance"][0].__setitem__("context", ["sp"]), 1,
@@ -668,7 +670,8 @@ class TestIngestErrors:
         # an overflowing scaled weight is inf: a value, not a malformed file
         (lambda d: d["dominance"][1]["g"]["factors"][0]["base"].__setitem__("c", 1.7e308), 0,
          None),
-    ], ids=["overflowing_slope", "overflowing_curvature", "gamma_outside_v", "dict_dominance_context", "list_dominance_context",
+    ], ids=["overflowing_slope", "overflowing_curvature", "gamma_outside_v", "gamma_alt_outside_v",
+            "dict_dominance_context", "list_dominance_context",
             "unknown_dominance_context", "negative_fix_tol", "extreme_negative_fix_tol",
             "zero_fix_tol", "list_in_two_plus_sin_u", "list_in_scaled_two_plus_sin_u",
             "extreme_scaled_weight_c"])

@@ -72,6 +72,53 @@ class TestGrids:
         assert any(p[0] == 0.123 for p in r.points)
 
 
+class _Strip:
+    """A domain stand-in with a given bounding box, of zero or subnormal
+    widths too, that holds every point, so ``lattice`` keeps every axis
+    coordinate."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi, self.dim = np.array(lo), np.array(hi), len(lo)
+
+    def bounding_box(self):
+        return self.lo, self.hi
+
+    def members(self, pts):
+        return np.ones(len(pts), dtype=bool)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _bounds(draw):
+    lo = draw(_finite)
+    kind = draw(st.sampled_from(["zero", "ulp", "subnormal", "any"]))
+    if kind == "zero":
+        hi = lo
+    elif kind == "ulp":
+        hi = math.nextafter(lo, math.inf)
+        hi = hi if math.isfinite(hi) else lo
+    elif kind == "subnormal":
+        hi = lo + draw(st.sampled_from([5e-324, 1e-320, 2.5e-310]))
+    else:
+        hi = draw(_finite.filter(lambda v: v >= lo))
+    return lo, hi
+
+
+@given(st.lists(_bounds(), min_size=1, max_size=2), st.integers(1, 12))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_lattice_axes_are_the_interior_of_linspace(bounds, n):
+    lo, hi = zip(*bounds)
+    grid = lattice(_Strip(lo, hi), per_axis=n)
+    with np.errstate(all="ignore"):  # a width beyond the float range is inf
+        want = [np.linspace(a, b, n + 2)[1:-1] for a, b in bounds]
+        spacing = float(want[0][1] - want[0][0]) if n > 1 else float(np.subtract(hi[0], lo[0]))
+    assert [np.array(axis).tobytes() for axis in grid.axes] == [w.tobytes() for w in want]
+    assert all(type(c) is float for axis in grid.axes for c in axis)
+    assert np.float64(grid.spacing).tobytes() == np.float64(spacing).tobytes()
+
+
 class TestWeightedSeminorm:
     def test_zero_map(self):
         wf = WeightedFunction(

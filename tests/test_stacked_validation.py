@@ -1,21 +1,25 @@
-"""The ingest bound pass evaluates its polynomials by power-table groups.
+"""The ingest bound pass evaluates its polynomials in ragged groups.
 
 ``validate_scenario`` bounds every map of a file at orders 0..2 by one
 ``_entry_bounds`` call, which runs the polynomial kernel ``_poly_tensors``
 once per order.  The kernel evaluates the polynomials of a stack that
-share a power table, an output width and a number of points as one group.
-Its arrays must hold exactly the entries of the one-point formula written
-out below, polynomial by polynomial, at orders 0..3: on a stack of every
-polynomial of a scenario (mixed power tables and widths, each at its own
-points), overflowing and NaN entries included.  Ingest caches bounds and
-no tensors but the gammas' grid values that ``superpose`` reads next, and
-the bound pass of a file makes three kernel calls.
+share a number of axes, an output width and a number of points as one
+group, whatever their power tables.  Its arrays must hold exactly the
+entries of the one-point formula written out below, polynomial by
+polynomial, at orders 0..3: on a stack of every polynomial of a scenario
+(mixed power tables and widths, each at its own points) and on one stack
+built to mix tables, widths, axes and point counts with overflowing,
+zero and subnormal coefficients, overflowing and NaN entries included.
+Ingest caches bounds and no tensors but the grid values of the gammas
+and gamma_alts that ``superpose`` reads next, and the bound pass of a
+file makes three kernel calls.
 """
 
 import itertools
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +82,15 @@ def _one_point(pm: PolynomialMap, x, ell: int) -> np.ndarray:
     return np.array(ent).reshape((pm.out_dim,) + (m,) * ell)
 
 
+def _kernel(polys, points, ell: int) -> list[np.ndarray]:
+    """One kernel call over ``polys``, each at its points, with each
+    polynomial's entries in the shape of ``tensors``."""
+    ents = jets._poly_tensors([(jets._poly_table(pm._power_key, ell), pm._coefs, x)
+                               for pm, x in zip(polys, points)], ell)
+    return [ent.reshape((len(x), pm.out_dim) + (pm.dim,) * ell)
+            for pm, x, ent in zip(polys, points, ents)]
+
+
 def _huge() -> list[PolynomialMap]:
     """Polynomials whose entries overflow to inf, and to NaN where a zero
     coefficient meets the infinite power."""
@@ -100,7 +113,7 @@ def test_stacked_arrays_hold_the_per_map_tensors(source):
         points.append(rng.uniform(lo, hi, size=(1 + g % 3, pm.dim)))
     non_finite = nan = 0
     for ell in range(4):
-        ents = jets._poly_tensors([(pm._plan(ell), x) for pm, x in zip(polys, points)], ell)
+        ents = _kernel(polys, points, ell)
         for g, (pm, x, ent) in enumerate(zip(polys, points, ents)):
             want = np.array([_one_point(pm, p, ell) for p in x])
             assert _same_bits(ent, want), (source, g, ell)
@@ -109,18 +122,68 @@ def test_stacked_arrays_hold_the_per_map_tensors(source):
     assert non_finite >= 4 and nan >= 2
 
 
+def _ragged_stack() -> tuple[list[PolynomialMap], list[np.ndarray]]:
+    """Polynomials of several power tables at one number of axes, output
+    width and number of points (so one group), of widths 1 and 3, of one
+    and two axes and at 1 to 4 points, some polynomials twice at other
+    point counts; with coefficients that overflow, are zero or signed
+    zero or subnormal, and three terms per polynomial that cancel at
+    x = 1 only when added in term order."""
+    tiny = 5e-324
+    one, two = box([-40.0], [40.0]), box([-30.0, -2.0], [30.0, 2.0])
+    polys = [
+        PolynomialMap(one, [([1.0, tiny], (3,)), ([1e16, 0.0], (3,)),
+                            ([-1e16, -0.0], (3,)), ([0.5, 2.0], (1,))]),
+        PolynomialMap(one, [([1e308, 0.0], (250,)), ([2.0, -1.0], (0,))]),
+        PolynomialMap(one, [([tiny, -tiny], (2,)), ([3.0, 1.0], (5,))]),
+        PolynomialMap(one, [([0.0], (4,)), ([-2.5], (2,)), ([1e-310], (1,))]),
+        PolynomialMap(two, [([1.0], (2, 1)), ([1e16], (3, 0)), ([-1e16], (3, 0)),
+                            ([tiny], (1, 1))]),
+        PolynomialMap(two, [([1e300], (300, 0)), ([0.0], (220, 1)), ([-0.0], (1, 1))]),
+        PolynomialMap(two, [([1.0, -2.0, tiny], (1, 2)), ([0.0, 1e308, 3.0], (3, 0)),
+                            ([2.0, 2.0, 2.0], (0, 0))]),
+        PolynomialMap(two, [([0.5, 0.25, -0.125], (2, 2))]),
+    ]
+    xs1 = np.array([[1.0], [35.0], [-0.0], [2.5e-3]])
+    xs2 = np.array([[1.0, 1.0], [29.0, -1.5], [-0.0, 0.0], [0.5, tiny]])
+    picks = [(0, xs1[:3]), (1, xs1[:3]), (2, xs1[:3]), (0, xs1[:1]), (3, xs1[:3]),
+             (3, xs1[:2]), (4, xs2[:2]), (5, xs2[:2]), (6, xs2[:2]), (7, xs2[:2]),
+             (6, xs2), (4, xs2[:1])]
+    return [polys[g] for g, _ in picks], [x for _, x in picks]
+
+
+@pytest.mark.parametrize("ell", range(4))
+def test_one_ragged_kernel_call_holds_the_per_map_tensors(ell):
+    polys, points = _ragged_stack()
+    groups: dict[tuple, set] = {}
+    for pm, x in zip(polys, points):
+        groups.setdefault((pm.dim, pm.out_dim, len(x)), set()).add(pm._power_key)
+    assert len(groups) < len(polys) and max(map(len, groups.values())) >= 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ents = _kernel(polys, points, ell)
+    non_finite = nan = 0
+    for g, (pm, x, ent) in enumerate(zip(polys, points, ents)):
+        want = np.array([_one_point(pm, p, ell) for p in x])
+        assert _same_bits(ent, want), (g, ell)
+        non_finite += int(not np.isfinite(ent).all())
+        nan += int(np.isnan(ent).any())
+    assert non_finite >= 2 and nan >= 1
+
+
 @pytest.mark.parametrize("source", SOURCES)
 def test_validation_caches_no_tensors(source):
     sc = scenario_from_dict(_doc(source))
     leaves = [_leaf(m) for m in _validated_maps(sc)]
     assert leaves and all(type(pm) is PolynomialMap for pm in leaves)
-    gammas = {id(_leaf(wf.map)): wf.grid.points for wf in sc.gammas.factors}
+    read = {id(_leaf(wf.map)): wf.grid.points
+            for key in ("gammas", "gamma_alts") for wf in getattr(sc, key).factors}
     for pm in leaves:
         assert sorted(pm._bounds_cache) == [0, 1, 2]
-        if id(pm) in gammas:
+        if id(pm) in read:
             # the values on the U grid that superpose reads again: a hit
             (key,) = pm._tensors_cache
-            assert pm.tensors(gammas[id(pm)], 0) is pm._tensors_cache[key]
+            assert pm.tensors(read[id(pm)], 0) is pm._tensors_cache[key]
         else:
             assert not pm._tensors_cache
 
@@ -133,10 +196,10 @@ def test_three_kernel_calls_per_stack_on_seed_zero(monkeypatch):
     sc = scenario_from_dict(doc)
     leaves = {id(pm): pm for pm in map(_leaf, _validated_maps(sc))}
     # one call per order with every polynomial of the file, then one
-    # value read per factor's gammas
+    # value read per factor's gammas and one per its gamma_alts
     assert [(len(polys), ell) for polys, ell in calls] == (
-        [(len(leaves), ell) for ell in range(3)] + [(1, 0)] * sc.n_factors)
-    groups = {(id(table), coef.shape[1], len(x)) for (table, coef), x in calls[0][0]}
+        [(len(leaves), ell) for ell in range(3)] + [(1, 0)] * 2 * sc.n_factors)
+    groups = {(x.shape[1], coef.shape[1], len(x)) for _, coef, x in calls[0][0]}
     assert len(groups) * 3 < len(leaves)
 
 

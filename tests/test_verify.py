@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from wrp.errors import ConfigError, DataError, PreconditionError
-from wrp.jets import JetMap
+from wrp.jets import JetMap, PolynomialMap, ScaledMap
 from wrp.operators import (
     InverseMap,
     compose_derivative_check,
@@ -130,6 +130,21 @@ class TestSerialization:
         a = [r.to_dict() for r in run_scenario_checks(scenario0, sel)]
         b = [r.to_dict() for r in run_scenario_checks(back, sel)]
         assert a == b
+
+    def test_descriptors_are_built_only_when_written(self, monkeypatch):
+        """A run of every check on seed 0 reads no map descriptor, and a
+        file read and written again is the file."""
+        sc = generate_scenario(0)
+        built = []
+        for cls in (PolynomialMap, ScaledMap):
+            monkeypatch.setattr(cls, "desc", property(
+                lambda self, read=cls.desc.fget: built.append(self) or read(self)))
+        run_scenario_checks(sc)
+        assert built == []
+        with open(FIXTURE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert scenario_to_dict(scenario_from_dict(doc)) == doc
+        assert built
 
     def test_ingest_rejects_lying_weight_certificate(self, scenario0):
         doc = scenario_to_dict(scenario0)
