@@ -30,6 +30,14 @@ whether that directory existed before the first run and the
 ``PYTHONDONTWRITEBYTECODE`` of the environment the runs get (the same for
 both sides); when one side has the directory and the other has not, the
 script exits 2 before any run.
+
+Both sides must also choose their own BLAS thread count: wrp sets
+``OPENBLAS_NUM_THREADS`` only when the caller has not, so a preset count
+would give the before side the after side's threads and hide the
+difference.  The record holds ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` of that environment next to
+``PYTHONDONTWRITEBYTECODE``, and the script exits 2 before any run when
+one of them is set.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from pathlib import Path
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -67,11 +76,12 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def compiled(root: Path) -> dict:
-    """How the runs in checkout ``root`` get wrp's bytecode: whether
-    ``src/wrp/__pycache__`` exists now, and ``PYTHONDONTWRITEBYTECODE`` of
-    the environment passed on to them."""
+    """How the runs in checkout ``root`` get wrp's bytecode and BLAS
+    threads: whether ``src/wrp/__pycache__`` exists now, and
+    ``PYTHONDONTWRITEBYTECODE`` and the ``THREAD_VARS`` of the environment
+    passed on to them."""
     return {"pycache": (root / "src" / "wrp" / "__pycache__").is_dir(),
-            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+            **{k: os.environ.get(k) for k in ("PYTHONDONTWRITEBYTECODE", *THREAD_VARS)}}
 
 
 def tier1(root: Path) -> dict:
@@ -130,6 +140,11 @@ def main() -> int:
     if compilation["before"]["pycache"] != compilation["after"]["pycache"]:
         print(f"the two sides are not compiled the same way: {compilation}; remove "
               "src/wrp/__pycache__ from both or build it in both", file=sys.stderr)
+        return 2
+    preset = [k for k in THREAD_VARS if os.environ.get(k) is not None]
+    if preset:
+        print(f"{', '.join(preset)} set: both sides would run with that thread count; "
+              "unset it", file=sys.stderr)
         return 2
     spec = json.loads((args.after / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]

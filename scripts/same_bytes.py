@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run ``wrp run`` under six CPU-dispatch environments and compare ``run_id``.
+"""Run ``wrp run`` under seven dispatch environments and compare ``run_id``.
 
     python3 scripts/same_bytes.py [--fixture-only]
 
@@ -12,7 +12,9 @@ variables, set only in the child process's environment:
   (OpenBLAS kernel choice);
 - ``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA`` (glibc's libm variants);
 - ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` (numpy's
-  SIMD dispatch).
+  SIMD dispatch);
+- ``OPENBLAS_NUM_THREADS=2`` (OpenBLAS's thread pool; wrp runs one
+  thread unless the caller sets the variable).
 
 No machine setting changes.  Every run starts in the checkout's root and
 names the fixture by its relative path, so the fixture's ``run_id`` is
@@ -40,6 +42,7 @@ ENVIRONMENTS = {
     "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
     "glibc-no-avx2-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"},
     "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "openblas-threads-2": {"OPENBLAS_NUM_THREADS": "2"},
 }
 
 

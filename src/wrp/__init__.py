@@ -6,6 +6,11 @@ check reports, finite-family restricted products with simultaneous
 operators, and a seeded verification suite.
 """
 
+import os
+
+# before numpy loads: wrp's arrays are small, and OpenBLAS's idle worker threads spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import WrpError
 from .jets import (
     JetMap,

@@ -626,6 +626,23 @@ def difference_map(a: JetMap, b: JetMap) -> SumMap:
     return SumMap([a, ScaledMap(b, -1.0)])
 
 
+class SampledMap(JetMap):
+    """``base`` with its order-0 values at the array ``points`` evaluated
+    once, so that several passes over one grid read one evaluation; other
+    points and orders go to ``base``."""
+
+    def __init__(self, base: JetMap, points: np.ndarray):
+        super().__init__(base.domain, base.out_shape, base.max_order,
+                         in_blocks=base.in_blocks, out_blocks=base.out_blocks)
+        self.base, self.points = base, points
+        self.values = base.tensors(points, 0)
+
+    def tensors(self, points, ell):
+        if ell == 0 and points is self.points:
+            return self.values
+        return self.base.tensors(points, ell)
+
+
 class PairMap(JetMap):
     """Stack the outputs of maps sharing a domain; codomain blocks recorded."""
 

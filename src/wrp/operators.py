@@ -35,6 +35,7 @@ from .jets import (
     ComposeMap,
     JetMap,
     PairMap,
+    SampledMap,
     SumMap,
     _fd_prefix,
     difference_map,
@@ -87,6 +88,12 @@ class ContractionConfig:
             raise PreconditionError("tau must lie in (0, 1)")
         if self.r <= 0:
             raise PreconditionError("r must be positive")
+
+    @property
+    def stop(self) -> float:
+        """The fixed-point iteration's stop rule: an increment at most
+        ``fix_tol (1 - tau) / tau`` leaves an error at most ``fix_tol``."""
+        return self.fix_tol * (1.0 - self.tau) / self.tau
 
 
 def convergence_report(
@@ -226,17 +233,18 @@ def superpose(
     result = WeightedFunction(result_map, gamma.grid, max_order)
 
     # one seminorm pass per order for all weights, and one for the pair gap:
-    # the result's tensors are evaluated once per order
+    # the result's tensors are evaluated once per order, the gap included
     reports: list[CheckReport] = []
     if not weights:
         return result, reports
     n = len(weights)
-    lhs0 = weighted_seminorms([result] * n, weights, 0)
-    lhs1 = weighted_seminorms([result] * n, weights, 1) if max_order >= 1 else None
+    sampled = WeightedFunction(SampledMap(result_map, pts), gamma.grid, max_order)
+    lhs0 = weighted_seminorms([sampled] * n, weights, 0)
+    lhs1 = weighted_seminorms([sampled] * n, weights, 1) if max_order >= 1 else None
     if pair is not None:
         gamma_alt, diff = pair
         alt_map = ComposeMap(op.xi, PairMap([identity_map(op.u), gamma_alt.map]))
-        gap = WeightedFunction(difference_map(result_map, alt_map), gamma.grid, 0)
+        gap = WeightedFunction(difference_map(sampled.map, alt_map), gamma.grid, 0)
         gaps = weighted_seminorms([gap] * n, weights, 0)
     for k, w in enumerate(weights):
         cert0 = gamma.require_bound(w.name, 0)
@@ -337,15 +345,16 @@ def compose_perturbed(
     max_order = min(gamma.max_order, eta.max_order)
     result = WeightedFunction(result_map, eta.grid, max_order)
 
+    sampled = SampledMap(result_map, pts)  # read again by the pair gap
     sup = lambda vals: np.max(np.abs(vals), axis=1)
-    sup_result = sup(result_map.tensors(pts, 0))
+    sup_result = sup(sampled.values)
     gamma_lip = gamma.require_bound("one", 1)
     sup_bound = gamma_lip * sup(eta_vals) + sup(gamma.map.tensors(pts, 0))
     reports: list[CheckReport] = []
     if pair is not None and weights:
         gamma0, eta0, gamma_diff, eta_diff = pair
         other = ComposeMap(gamma0.map, SumMap([eta0.map, identity_map(u)]))
-        gapf = WeightedFunction(difference_map(result_map, other), eta.grid, 0)
+        gapf = WeightedFunction(difference_map(sampled, other), eta.grid, 0)
         gaps = weighted_seminorms([gapf] * len(weights), weights, 0)
     for k, wgt in enumerate(weights):
         fx = np.abs(wgt.values(pts))
@@ -539,7 +548,7 @@ def _fixed_points(ys, evaluate, u: DomainSet, cfg: ContractionConfig, groups):
     failed row to its ContractionViolationError or IterationError.  Once a
     row fails, the rows of a later group (``groups`` is non-decreasing)
     stop: no error of theirs can come first."""
-    stop = cfg.fix_tol * (1.0 - cfg.tau) / cfg.tau
+    stop = cfg.stop
     x = ys.copy()
     prev_inc = np.full(len(ys), np.nan)  # NaN: no previous increment
     worst = np.zeros(len(ys))

@@ -1866,9 +1866,17 @@ def _fw_from_dict(d: dict, domains: list[DomainSet], path: str) -> FamilyWeight:
     return FamilyWeight(name, tuple(factors))
 
 
-def _contraction(d: dict) -> ContractionConfig:
+# Near its fixed point an iterate can alternate between neighbouring
+# floats, so an increment of one float spacing at the largest coordinate
+# of the U boxes, where the iterates lie, must meet the stop rule.
+FIX_STOP_ULPS = 4
+
+
+def _contraction(d: dict, factors: Sequence[FactorSpace]) -> ContractionConfig:
     """``/contraction``: its int fields are integers >= 1, the others
-    finite numbers, ``fix_tol`` above 0."""
+    finite numbers, ``fix_tol`` above 0 and large enough that the stop
+    rule is at least ``FIX_STOP_ULPS`` float spacings at the largest
+    coordinate of the factors' U boxes."""
     block = _at(d, "contraction", "")
     if not isinstance(block, dict):
         raise DataError("/contraction: must be an object")
@@ -1880,6 +1888,13 @@ def _contraction(d: dict) -> ContractionConfig:
         raise DataError(f"/contraction: {exc}") from None
     if not cfg.fix_tol > 0:
         raise DataError(f"/contraction/fix_tol: must be above 0, got {cfg.fix_tol!r}")
+    reach = max(float(np.max(np.abs(fs.u.bounding_box()))) for fs in factors)
+    floor = FIX_STOP_ULPS * math.ulp(reach)
+    if not cfg.stop >= floor:
+        raise DataError(
+            f"/contraction/fix_tol: {cfg.fix_tol!r} puts the stop rule fix_tol (1 - tau) / tau "
+            f"= {cfg.stop!r} below {floor!r}, {FIX_STOP_ULPS} float spacings at {reach!r}, the "
+            "largest coordinate of the factors' U boxes: the iteration could not stop")
     return cfg
 
 
@@ -2033,7 +2048,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
         op_q=_number(d, "op_q", ""),
         dominance=dominance,
         factorizations=tuple(factorizations),
-        contraction=_contraction(d),
+        contraction=_contraction(d, factors),
         **elements,
         **diffs,
     ))

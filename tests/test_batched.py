@@ -75,6 +75,7 @@ from wrp.jets import (
     PairMap,
     PartialD2Map,
     PolynomialMap,
+    SampledMap,
     ScaledMap,
     SumMap,
     TrigPolynomialMap,
@@ -194,6 +195,8 @@ def _scenario_maps(seed: int) -> list[tuple[str, JetMap, np.ndarray]]:
          fs.grid_u.points),
         ("composed", ComposeMap(
             sc.comp_gammas[0].map, SumMap([sc.comp_etas[0].map, identity_map(fs.u)])),
+         fs.grid_u.points),
+        ("sampled", SampledMap(ComposeMap(sc.sigmas[0], gamma), fs.grid_u.points),
          fs.grid_u.points),
         ("sigma_of_gamma", ComposeMap(sc.sigmas[0], gamma), fs.grid_u.points),
         ("near", SumMap([gamma, ScaledMap(sc.gamma_dirs[0].map, 0.02)]), fs.grid_u.points),

@@ -9,7 +9,7 @@ import pytest
 
 from wrp.cli import RunConfig, emit_config, main, parse_config, run
 from wrp.errors import ConfigError
-from wrp.verify import ALL_CHECK_IDS, DIFFERENCE_ROWS, MIN_ORDER
+from wrp.verify import ALL_CHECK_IDS, DIFFERENCE_ROWS, FIX_STOP_ULPS, MIN_ORDER
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "scenario_seed0.json"
 
@@ -661,6 +661,13 @@ class TestIngestErrors:
          "/contraction/fix_tol: "),
         (lambda d: d["contraction"].__setitem__("fix_tol", 0.0), 1,
          "/contraction/fix_tol: "),
+        # below the stop rule's floor the iterates cannot settle: this used to
+        # exit 1 with "no convergence within 200 iterations" and no pointer
+        (lambda d: d["contraction"].__setitem__("fix_tol", 1e-300), 1,
+         "/contraction/fix_tol: 1e-300 puts the stop rule fix_tol (1 - tau) / tau = 1e-300 "
+         "below 8.881784197001252e-16, 4 float spacings at 1.1821770123928725"),
+        (lambda d: d["contraction"].__setitem__("fix_tol", 5e-324), 1,
+         "/contraction/fix_tol: 5e-324 puts the stop rule"),
         (lambda d: d["weights"]["members"][3]["factors"][0]["u"].__setitem__(0, []), 1,
          "/weights/members/3/factors/0/u: "),
         (lambda d: d["weights"]["members"][3]["factors"].__setitem__(0, {
@@ -673,7 +680,7 @@ class TestIngestErrors:
     ], ids=["overflowing_slope", "overflowing_curvature", "gamma_outside_v", "gamma_alt_outside_v",
             "dict_dominance_context", "list_dominance_context",
             "unknown_dominance_context", "negative_fix_tol", "extreme_negative_fix_tol",
-            "zero_fix_tol", "list_in_two_plus_sin_u", "list_in_scaled_two_plus_sin_u",
+            "zero_fix_tol", "tiny_fix_tol", "subnormal_fix_tol", "list_in_two_plus_sin_u", "list_in_scaled_two_plus_sin_u",
             "extreme_scaled_weight_c"])
     def test_mutant_exits_with_its_pointer_and_no_warning(self, tmp_path, scenario0, capsys,
                                                           mutate, code, error):
@@ -687,6 +694,19 @@ class TestIngestErrors:
         else:
             assert err.startswith(f"error: {error}"), err
             assert not (tmp_path / "report.json").exists()
+
+    def test_fix_tol_at_its_floor_converges(self, tmp_path, scenario0, capsys):
+        # tau is 0.5, so the stop rule is fix_tol itself; one ulp lower exits 1
+        reach = max(abs(c) for fs in scenario0.factors for c in fs.u.lo + fs.u.hi)
+        floor = FIX_STOP_ULPS * math.ulp(reach)
+        for fix_tol, code in ((floor, 0), (math.nextafter(floor, 0.0), 1)):
+            cfg = _mutated_scenario_file(
+                tmp_path, scenario0, lambda d: d["contraction"].__setitem__("fix_tol", fix_tol))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["run", "--config", str(cfg)]) == code
+            err = capsys.readouterr().err
+            assert err == "" if code == 0 else err.startswith("error: /contraction/fix_tol: ")
 
     @pytest.mark.parametrize("pointer", [
         "/elements/gammas/0/map", "/elements/comp_gammas/1/map", "/sigmas/1",

@@ -617,3 +617,33 @@ class TestConvergenceReport:
         hs = [0.1, 0.05, 0.025, 0.0125]
         rep = convergence_report("x", hs, [0.1 + h**2 for h in hs])
         assert rep.status == "fail"
+
+
+@pytest.mark.parametrize("operator", ["superpose", "compose_perturbed"])
+def test_pair_call_evaluates_its_result_once_at_order_zero(monkeypatch, operator):
+    # the seminorms (or the pointwise sup) and the pair gap read one evaluation
+    from wrp.jets import ComposeMap
+    from wrp.verify import _weights_at, generate_scenario
+
+    sc = generate_scenario(2)
+    fs0 = sc.factors[0]
+    calls = []
+    tensors = ComposeMap.tensors
+
+    def counted(self, points, ell):
+        calls.append((self, ell))
+        return tensors(self, points, ell)
+
+    monkeypatch.setattr(ComposeMap, "tensors", counted)
+    if operator == "superpose":
+        result, reports = superpose(sc.xis[0], sc.gammas[0], _weights_at(sc, 0),
+                                    pair=(sc.gamma_alts[0], sc.gamma_diffs[0]))
+        gap_id = "est:f0-Norm_SPid-Differenz"
+    else:
+        result, reports = compose_perturbed(
+            sc.comp_gammas[0], sc.comp_etas[0], fs0.u, fs0.v, fs0.w, _weights_at(sc, 0),
+            pair=(sc.comp_gamma0s[0], sc.comp_eta0s[0], sc.comp_gamma_diffs[0],
+                  sc.comp_eta_diffs[0]))
+        gap_id = "est:f,0-Norm_Differenz_Kompo"
+    assert [ell for m, ell in calls if m is result.map].count(0) == 1
+    assert sum(r.check_id == gap_id for r in reports) == 2

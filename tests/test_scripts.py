@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -34,13 +36,14 @@ def test_margin_survey_script():
     assert all("min" in l and "median" in l for l in lines)
 
 
-def test_same_bytes_fixture_under_six_dispatch_environments():
-    # OpenBLAS kernels, glibc's libm variants and numpy's SIMD dispatch,
-    # each forced through the child's environment, give one run_id
+def test_same_bytes_fixture_under_seven_dispatch_environments():
+    # OpenBLAS kernels, glibc's libm variants, numpy's SIMD dispatch and
+    # OpenBLAS's thread count, each forced through the child's environment,
+    # give one run_id
     proc = run_script("same_bytes.py", "--fixture-only")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = [line.split("\t") for line in proc.stdout.splitlines()]
-    assert len(rows) == 6 and {r[0] for r in rows} == {"fixture"}
+    assert len(rows) == 7 and {r[0] for r in rows} == {"fixture"}
     assert len({r[2] for r in rows}) == 1
 
 
@@ -89,10 +92,13 @@ def test_bench_pairs_refuses_sides_compiled_differently(tmp_path, monkeypatch):
     (tmp_path / "a" / "src" / "wrp" / "__pycache__").mkdir()
     bench_pairs = _bench_pairs()
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    for var in bench_pairs.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    threads = dict.fromkeys(bench_pairs.THREAD_VARS)
     assert bench_pairs.compiled(tmp_path / "a") == {
-        "pycache": True, "PYTHONDONTWRITEBYTECODE": "1"}
+        "pycache": True, "PYTHONDONTWRITEBYTECODE": "1", **threads}
     assert bench_pairs.compiled(tmp_path / "b") == {
-        "pycache": False, "PYTHONDONTWRITEBYTECODE": "1"}
+        "pycache": False, "PYTHONDONTWRITEBYTECODE": "1", **threads}
     out = tmp_path / "BENCH_x.json"
     proc = run_script(
         "bench_pairs.py", "--before", str(tmp_path / "a"), "--after",
@@ -100,4 +106,25 @@ def test_bench_pairs_refuses_sides_compiled_differently(tmp_path, monkeypatch):
     )
     assert proc.returncode == 2
     assert "not compiled the same way" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_bench_pairs_refuses_a_preset_thread_count(tmp_path, monkeypatch, var):
+    # both sides are compiled alike, so only the thread-count preflight stops
+    # the script; importing wrp set OPENBLAS_NUM_THREADS in this process
+    for tree in ("a", "b"):
+        (tmp_path / tree / "src" / "wrp").mkdir(parents=True)
+    bench_pairs = _bench_pairs()
+    for name in bench_pairs.THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv(var, "1")
+    assert bench_pairs.compiled(tmp_path / "a")[var] == "1"
+    out = tmp_path / "BENCH_x.json"
+    proc = run_script(
+        "bench_pairs.py", "--before", str(tmp_path / "a"), "--after",
+        str(tmp_path / "b"), "--pairs", "2", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert f"{var} set" in proc.stderr
     assert proc.stdout == "" and not out.exists()
