@@ -7,8 +7,16 @@ multiplies elementwise and adds the products left to right.  No BLAS
 kernel, libm ``pow`` or dispatched reduction takes part, so each entry
 carries the bits of the same expression written out for it alone,
 whatever the CPU, the library's kernel choice or the stack around it.
-Overflow gives ±inf and inf - inf NaN without a warning, as a BLAS call
-does; the callers decide what a non-finite value means.
+Overflow gives ±inf and inf - inf NaN, as a BLAS call does; the callers
+decide what a non-finite value means.
+
+The helpers here do not silence numpy's overflow and invalid warnings:
+entering ``np.errstate`` costs more than a contraction of a few entries.
+The caller silences.  A check unit (``verify._run_unit``) enters one
+scope for everything it runs, and each stacked pass that is also called
+on its own (the polynomial kernel, the entry bounds, ``op_norms``,
+``opnorms_inf``, ``weighted_seminorms``) enters one scope for its whole
+pass, so a direct call never warns either.
 """
 
 from __future__ import annotations
@@ -36,34 +44,34 @@ def contract(a, b) -> np.ndarray:
     against each other but for their last (contracted) axes, which have
     one length: ``(a0*b0 + a1*b1) + a2*b2 ...``.  An empty axis sums to
     0.0.  A stack of contractions is one call, and no row depends on the
-    others."""
+    others.  The caller silences overflow and inf - inf."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n = a.shape[-1]
     if b.shape[-1] != n:
         raise ShapeError(f"contracted axes of lengths {n} and {b.shape[-1]}")
     if not n:
         return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = a[..., 0] * b[..., 0]
-        for k in range(1, n):
-            acc += a[..., k] * b[..., k]
+    acc = a[..., 0] * b[..., 0]
+    for k in range(1, n):
+        acc += a[..., k] * b[..., k]
     return acc
 
 
 def matmul(a, b) -> np.ndarray:
     """The stacked matrix products ``a @ b`` over the last two axes, each
-    entry a :func:`contract` of a row of ``a`` and a column of ``b``."""
+    entry a :func:`contract` of a row of ``a`` and a column of ``b``.  The
+    caller silences overflow and inf - inf."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return contract(a[..., :, None, :], np.swapaxes(b, -1, -2)[..., None, :, :])
+    return contract(a[..., :, None, :], b.swapaxes(-1, -2)[..., None, :, :])
 
 
 def row_sums(x) -> np.ndarray:
-    """The sums over the last axis of ``x``, added left to right."""
+    """The sums over the last axis of ``x``, added left to right.  The
+    caller silences overflow and inf - inf."""
     x = np.asarray(x, dtype=float)
     if not x.shape[-1]:
         return np.zeros(x.shape[:-1])
     acc = x[..., 0].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, x.shape[-1]):
-            acc += x[..., k]
+    for k in range(1, x.shape[-1]):
+        acc += x[..., k]
     return acc

@@ -48,6 +48,14 @@ class AsymmetryWarning(UserWarning):
     """A derivative tensor came out asymmetric beyond 1e-9 before averaging."""
 
 
+def _moved(a: np.ndarray, src: int, dst: int) -> np.ndarray:
+    """The view ``np.moveaxis(a, src, dst)`` of an array, for one axis: its
+    transpose, without ``moveaxis``'s argument normalization."""
+    perm = list(range(a.ndim))
+    perm.insert(dst % a.ndim, perm.pop(src))
+    return a.transpose(perm)
+
+
 @dataclass(frozen=True)
 class MultilinearMap:
     """A dense real multilinear map.
@@ -83,7 +91,7 @@ class MultilinearMap:
             raise ShapeError(f"expected {self.order} arguments, got {len(args)}")
         v = self.entries
         for a in args:
-            v = contract(np.moveaxis(v, self.out_rank, -1), a)
+            v = contract(_moved(v, self.out_rank, -1), a)
         return v
 
 
@@ -91,14 +99,14 @@ def curry_last(t: MultilinearMap) -> MultilinearMap:
     """Turn the last argument slot into an output axis (exact reindexing)."""
     if t.order < 1:
         raise OrderError("cannot curry a map of order 0")
-    return MultilinearMap(np.moveaxis(t.entries, -1, t.out_rank), t.out_rank + 1)
+    return MultilinearMap(_moved(t.entries, -1, t.out_rank), t.out_rank + 1)
 
 
 def uncurry_last(t: MultilinearMap) -> MultilinearMap:
     """Inverse of :func:`curry_last`."""
     if t.out_rank < 2:
         raise OrderError("nothing to uncurry")
-    return MultilinearMap(np.moveaxis(t.entries, t.out_rank - 1, -1), t.out_rank - 1)
+    return MultilinearMap(_moved(t.entries, t.out_rank - 1, -1), t.out_rank - 1)
 
 
 def contract_last(t: MultilinearMap, h) -> MultilinearMap:
@@ -132,7 +140,8 @@ def op_norms(entries, out_rank: int = 1, norm_kind: str = SUP) -> np.ndarray:
 
     A tensor with an infinite entry has norm +inf, since the norm bounds
     every entry; so has one whose finite sums overflow into inf - inf at a
-    vertex.  A tensor with an empty axis is the zero map, of norm 0.  A NaN
+    vertex, without a warning: the enumeration is one ``np.errstate``
+    scope.  A tensor with an empty axis is the zero map, of norm 0.  A NaN
     entry raises DataError naming the first such tensor and entry.
     """
     e = np.asarray(entries, dtype=float)
@@ -144,7 +153,7 @@ def op_norms(entries, out_rank: int = 1, norm_kind: str = SUP) -> np.ndarray:
         k, *idx = np.argwhere(nan)[0].tolist()
         raise DataError(f"operator norm of a tensor with a NaN entry at {tuple(idx)} in row {k}")
     while out_rank > 1:
-        e = np.moveaxis(e, out_rank, -1)
+        e = _moved(e, out_rank, -1)
         out_rank -= 1
     order, in_dims = e.ndim - 2, e.shape[2:]
     if norm_kind == EUCLIDEAN:
@@ -175,7 +184,9 @@ def op_norms(entries, out_rank: int = 1, norm_kind: str = SUP) -> np.ndarray:
     # rows are independent, so a stack is taken in slices of bounded size
     size = e[0].size * math.prod(len(s) for s in signs)
     step = max(1, OP_NORM_CHUNK // size)
-    best = np.concatenate([_vertex_max(e[i:i + step], signs) for i in range(0, len(e), step)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = np.concatenate([_vertex_max(e[i:i + step], signs)
+                               for i in range(0, len(e), step)])
     best[inf] = math.inf
     return best
 
@@ -190,8 +201,8 @@ def _vertex_max(e: np.ndarray, signs: list[np.ndarray]) -> np.ndarray:
         # (N, out, d_i+1, ..., d_k, V_1, ..., V_i); an argument of dimension
         # 1 has the one sign vector [1.0], and x * 1.0 = x, so its axis moves
         # to the vertex axes as it is
-        v = np.moveaxis(v, 2, -1) if s.shape[1] == 1 else _dot_axis(v, 2, s.T[None])
-    top = row_sums(np.abs(np.moveaxis(v, 2, -1)))
+        v = _moved(v, 2, -1) if s.shape[1] == 1 else _dot_axis(v, 2, s.T[None])
+    top = row_sums(np.abs(_moved(v, 2, -1)))
     # NaN here is finite sums overflowing into inf - inf
     return np.where(np.isnan(top), math.inf, top).reshape(len(e), -1).max(axis=1)
 
@@ -218,8 +229,9 @@ def op_norms_of(maps: Sequence[MultilinearMap]) -> np.ndarray:
 def opnorms_inf(mats) -> np.ndarray:
     """The matrix norm induced by the sup norm of each matrix of an ``(N,
     n, m)`` stack: its largest absolute row sum, 0.0 for an empty matrix;
-    a NaN propagates."""
-    return row_sums(np.abs(np.asarray(mats, dtype=float))).max(axis=1, initial=0.0)
+    a NaN propagates, and a sum that overflows is inf without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return row_sums(np.abs(np.asarray(mats, dtype=float))).max(axis=1, initial=0.0)
 
 
 def symmetrize(entries: np.ndarray, out_rank: int) -> tuple[np.ndarray, float]:
@@ -233,7 +245,7 @@ def symmetrize(entries: np.ndarray, out_rank: int) -> tuple[np.ndarray, float]:
     for p in perms:
         acc += np.transpose(entries, base + tuple(out_rank + i for i in p))
     acc /= len(perms)
-    asym = float(np.max(np.abs(entries - acc))) if entries.size else 0.0
+    asym = float(np.abs(entries - acc).max()) if entries.size else 0.0
     return acc, asym
 
 
@@ -262,9 +274,9 @@ def _dot_axis(v: np.ndarray, axis: int, w: np.ndarray) -> np.ndarray:
     """Per row ``i`` of two stacks, ``v[i]``'s axis ``axis - 1`` contracted
     with ``w[i]``'s first axis, as ``tensordot`` orders the rest: ``v``'s
     other axes, then ``w``'s.  A stack of one broadcasts against the other."""
-    x = np.moveaxis(v, axis, -1)
+    x = _moved(v, axis, -1)
     x = x.reshape(x.shape[:-1] + (1,) * (w.ndim - 2) + x.shape[-1:])
-    y = np.moveaxis(w, 1, -1)
+    y = _moved(w, 1, -1)
     return contract(x, y.reshape(y.shape[:1] + (1,) * (v.ndim - 2) + y.shape[1:]))
 
 
@@ -617,9 +629,8 @@ class ScaledMap(JetMap):
         return None if base is None else {"kind": "scaled", "c": self.c, "base": base}
 
     def tensors(self, points, ell):
-        base = self.base.tensors(points, ell)
-        with np.errstate(over="ignore"):
-            return self.c * base
+        """``c`` times the base map's tensors; the caller silences overflow."""
+        return self.c * self.base.tensors(points, ell)
 
 
 def difference_map(a: JetMap, b: JetMap) -> SumMap:
@@ -720,7 +731,7 @@ class DifferentialMap(JetMap):
     def tensors(self, points, ell):
         self._check_order(ell)
         t = self.base.tensors(points, ell + 1)
-        return np.moveaxis(t, -1, 1 + len(self.base.out_shape))
+        return _moved(t, -1, 1 + len(self.base.out_shape))
 
 
 class PartialD2Map(JetMap):
@@ -747,7 +758,7 @@ class PartialD2Map(JetMap):
     def tensors(self, points, ell):
         self._check_order(ell)
         t = self.base.tensors(points, ell + 1)
-        return np.moveaxis(t[..., self.m1:], -1, 2)
+        return _moved(t[..., self.m1:], -1, 2)
 
 
 class MultilinearPairMap(JetMap):
@@ -808,7 +819,7 @@ class PairedDerivativeMap(JetMap):
             s = compose_cols if compose_cols is not None else g.domain.dim
             e_shape = (q, s)
             out_shape = (p, s)
-        me = int(np.prod(e_shape))
+        me = math.prod(e_shape)
         dom = product_box(
             g.domain.as_box(), box([-e_box_radius] * me, [e_box_radius] * me)
         )
@@ -828,14 +839,14 @@ class PairedDerivativeMap(JetMap):
         e = points[:, mu:].reshape((n,) + self.e_shape)
         if ell == 0:
             return _dot_axis(self.g.tensors(u, 0), 2, e)
-        me = int(np.prod(self.e_shape))
+        me = math.prod(self.e_shape)
         m = mu + me
         ent = np.zeros((n,) + self.out_shape + (m,) * ell)
         pts_sl = (slice(None),) * (1 + len(self.out_shape))
         # all argument slots in the u block
         t1 = _dot_axis(self.g.tensors(u, ell), 2, e)  # (n, p) + (mu,)*ell [+ (s,)]
         if self.pairing == "compose":
-            t1 = np.moveaxis(t1, -1, 2)  # (n, p, s) + (mu,)*ell
+            t1 = _moved(t1, -1, 2)  # (n, p, s) + (mu,)*ell
         ent[pts_sl + (slice(0, mu),) * ell] = t1
         # exactly one argument slot in the e block
         tl1 = self.g.tensors(u, ell - 1)  # (n, p, q) + (mu,)*(ell-1)
@@ -936,7 +947,7 @@ def _fd_differences(vals: np.ndarray, m: int, order: int, h1: float, h2: float) 
     of a one-point difference: the one difference rule."""
     _, _, second, sym = _fd_offsets(m, order, h1, h2)
     # (point,) + out_shape + (stencil entry,)
-    v = np.moveaxis(vals, 1, -1)
+    v = _moved(vals, 1, -1)
     f0 = v[..., 0]
     tensors = [f0]
     # an infinite value gives an infinite or NaN difference, which the
@@ -976,9 +987,9 @@ def _fd_prefix(map_: JetMap, points, order: int, h: float | None):
     stencil = (x[:, None, :] + o1) + o2
     inside = map_.domain.members(stencil.reshape(-1, m)).reshape(n, -1)
     # the first point whose stencil is not inside, or n
-    n_in = int(np.argmin(np.append(inside.all(axis=1), False)))
+    n_in = int(np.append(inside.all(axis=1), False).argmin())
     outside = None if n_in == n else DomainMembershipError(
-        f"finite-difference stencil point {stencil[n_in, np.argmin(inside[n_in])].tolist()} "
+        f"finite-difference stencil point {stencil[n_in, inside[n_in].argmin()].tolist()} "
         "leaves the domain")
     vals = map_.tensors(stencil[:n_in].reshape(-1, m), 0) if n_in else \
         np.empty((0,) + map_.out_shape)
@@ -1043,9 +1054,9 @@ def validate_jet_map(map_: JetMap, rng: np.random.Generator):
     for i in range(len(approx[0])):
         for ell, ex, ap in zip(range(1, top + 1), exact, approx[1:]):
             with np.errstate(invalid="ignore"):
-                err = float(np.max(np.abs(ex[i] - ap[i])))
+                err = float(np.abs(ex[i] - ap[i]).max())
             # a NaN or infinite entry on either side makes err NaN or infinite
-            if not (math.isfinite(err) and err <= 1e-4 * max(1.0, float(np.max(np.abs(ex[i]))))):
+            if not (math.isfinite(err) and err <= 1e-4 * max(1.0, float(np.abs(ex[i]).max()))):
                 raise PreconditionError(
                     f"jet of order {ell} disagrees with finite differences "
                     f"by {err:.3e} at {probes[i].tolist()}"
@@ -1101,8 +1112,8 @@ def linear2_identities_check(
     alphas = (0.5, -1.25)
     vals = xi.tensors(np.array([np.concatenate([x, a * y]) for a in alphas] + [point]), 0)
     for alpha, val in zip(alphas, vals):
-        dev = float(np.max(np.abs(val - alpha * vals[-1])))
-        if dev > 1e-9 * max(1.0, float(np.max(np.abs(vals[-1])))):
+        dev = float(np.abs(val - alpha * vals[-1]).max())
+        if dev > 1e-9 * max(1.0, float(np.abs(vals[-1]).max())):
             raise PreconditionError(
                 f"map is not linear in its second argument (deviation {dev:.2e})"
             )
@@ -1121,7 +1132,7 @@ def linear2_identities_check(
     reports = []
 
     # zero section: d1^l xi(x, 0) = 0
-    dev0 = float(np.max(np.abs(p1[0])))
+    dev0 = float(np.abs(p1[0]).max())
     reports.append(
         identity_report(
             "id:Ableitung_Abb_linear_2Arg", dev0, tolerance=1e-12,
@@ -1133,7 +1144,7 @@ def linear2_identities_check(
     # splitting; the left side is a finite-difference oracle
     fd = (p1[1] - p1[2]) / (2 * h)
     contr = contract(p1_next[0], h1)
-    dev = float(np.max(np.abs(fd - (p1[3] + contr))))
+    dev = float(np.abs(fd - (p1[3] + contr)).max())
     reports.append(
         identity_report(
             "id:Ableitung_Abb_linear_2Arg", dev, tolerance=1e-8,
@@ -1155,7 +1166,7 @@ def linear2_identities_check(
         if ell >= 1:
             tensors["g_below"] = MultilinearMap(g.tensors(gx, ell - 1)[0], len(g.out_shape))
     n = dict(zip(tensors, op_norms_of(list(tensors.values())).tolist()))
-    y_sup = float(np.max(np.abs(y)) if y.size else 0.0)
+    y_sup = float(np.abs(y).max() if y.size else 0.0)
     witness = tuple(point.tolist())
 
     if ell >= 1:
@@ -1334,7 +1345,7 @@ def crude_partial2_sup(xi: JetMap) -> float:
         raise ShapeError("map must declare two input blocks")
     m1, m2 = xi.in_blocks
     (e,) = _entry_bounds([(xi, 1)])  # (n, m1 + m2)
-    return float(np.max(row_sums(e[:, m1:]))) if e.size else 0.0
+    return float(row_sums(e[:, m1:]).max()) if e.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def weak_integral(g, a: float, b: float, quad_n: int = 64) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     h = (b - a) / quad_n
-    return h / 3.0 * contract(np.moveaxis(vals, 0, -1), w)
+    return h / 3.0 * contract(vals.transpose(tuple(range(1, vals.ndim)) + (0,)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ class SuperpositionOperand:
 def _probe_zero_section(op: SuperpositionOperand, points: np.ndarray):
     probes = points[:: max(1, len(points) // 3)][:3]
     zero = np.zeros((len(probes), op.v.dim))
-    if np.max(np.abs(op.xi.tensors(np.concatenate([probes, zero], axis=1), 0))) > 1e-12:
+    if np.abs(op.xi.tensors(np.concatenate([probes, zero], axis=1), 0)).max() > 1e-12:
         raise PreconditionError("xi does not vanish on the zero section")
 
 
@@ -221,7 +221,7 @@ def superpose(
     inside = op.v.members(gamma.map.tensors(pts, 0))
     if not inside.all():
         raise RangeEscapeError(
-            f"gamma({pts[np.argmin(inside)].tolist()}) escapes the value domain"
+            f"gamma({pts[inside.argmin()].tolist()}) escapes the value domain"
         )
     _probe_zero_section(op, pts)
 
@@ -304,7 +304,7 @@ def superpose_derivative_check(
         xs = np.concatenate([np.concatenate([pts, gt], axis=1)
                              for t in admitted for gt in (g + t * d, g - t * d)])
         vals = op.xi.tensors(xs, 0).reshape((len(admitted), 2) + exact.shape)
-        errors = {t: np.max(np.abs((plus - minus) / (2 * t) - exact))
+        errors = {t: np.abs((plus - minus) / (2 * t) - exact).max()
                   for t, (plus, minus) in zip(admitted, vals)}
     return derivative_convergence(check_id, errors, DEFAULT_FD_STEPS)
 
@@ -338,7 +338,7 @@ def compose_perturbed(
     inside = v.members(eta_vals)
     if not inside.all():
         raise RangeEscapeError(
-            f"eta({pts[np.argmin(inside)].tolist()}) escapes the perturbation range"
+            f"eta({pts[inside.argmin()].tolist()}) escapes the perturbation range"
         )
     shifted = SumMap([eta.map, identity_map(u)])
     result_map = ComposeMap(gamma.map, shifted)
@@ -346,7 +346,7 @@ def compose_perturbed(
     result = WeightedFunction(result_map, eta.grid, max_order)
 
     sampled = SampledMap(result_map, pts)  # read again by the pair gap
-    sup = lambda vals: np.max(np.abs(vals), axis=1)
+    sup = lambda vals: np.abs(vals).max(axis=1)
     sup_result = sup(sampled.values)
     gamma_lip = gamma.require_bound("one", 1)
     sup_bound = gamma_lip * sup(eta_vals) + sup(gamma.map.tensors(pts, 0))
@@ -410,7 +410,7 @@ def compose_derivative_check(
         dirs = gamma_dir.tensors(zs, 0).reshape(shape)
         for t, (gp, gm), (dp, dm) in zip(admitted, vals, dirs):
             plus, minus = gp + t * dp, gm - t * dm
-            errors[t] = np.max(np.abs((plus - minus) / (2 * t) - exact))
+            errors[t] = np.abs((plus - minus) / (2 * t) - exact).max()
     return derivative_convergence(check_id, errors, DEFAULT_FD_STEPS)
 
 
@@ -446,7 +446,9 @@ def quasi_inverses(mats) -> np.ndarray:
     :func:`~wrp.arith.matmul`, so each row carries the bits of a one-matrix
     power chain.  The first row whose norm
     is not below 1, or that needs more than ``NEUMANN_MAX_TERMS`` terms,
-    raises what it raises alone."""
+    raises what it raises alone; a norm that overflows is inf, without a
+    warning.  The power chain needs no ``np.errstate``: with norms below 1
+    no power overflows."""
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3:
         raise ShapeError(f"quasi-inverses need an (N, k, k) stack, got shape {mats.shape}")
@@ -569,7 +571,7 @@ def _fixed_points(ys, evaluate, u: DomainSet, cfg: ContractionConfig, groups):
             break
         xl = x[live]
         x_next = ys[live] - evaluate(xl, live)
-        inc = np.max(np.abs(x_next - xl), axis=1)
+        inc = np.abs(x_next - xl).max(axis=1)
         prev = prev_inc[live]
         ratio = np.divide(inc, prev, out=np.zeros_like(inc), where=prev > 1e-14)
         # max(worst, ratio) as Python takes it: a NaN ratio is skipped
@@ -623,7 +625,7 @@ def invert_perturbed(
     solved = inv.solves(ys)
     xs = np.array([x for x, _, _ in solved])
     ratios = [ratio for _, _, ratio in solved]
-    sup = lambda vals: np.max(np.abs(vals), axis=1)
+    sup = lambda vals: np.abs(vals).max(axis=1)
     residuals = sup(xs + phi.map.tensors(xs, 0) - ys).tolist()
     sup_gap, sup_phi = sup(xs - ys), sup(phi.map.tensors(ys, 0))
     reports = [
@@ -676,14 +678,14 @@ def inversion_pair_difference_check(
     ys = grid_v.points
     inv_psi = InverseMap(psi.map, inv_phi.u, inv_phi.v, inv_phi.cfg)
     gaps = inv_psi.tensors(ys, 0) - inv_phi.tensors(ys, 0)
-    dist = np.max(np.abs(gaps), axis=1)
+    dist = np.abs(gaps).max(axis=1)
     reports = []
     for weight, rhs_w in zip(weights, rhs):
         with np.errstate(invalid="ignore"):
             gaps_w = np.abs(weight.values(ys)) * dist
         # the first largest positive gap; a NaN gap (an infinite weight
         # where the inverses agree) never exceeds another
-        k = int(np.argmax(np.where(gaps_w > 0.0, gaps_w, 0.0)))
+        k = int(np.where(gaps_w > 0.0, gaps_w, 0.0).argmax())
         lhs, witness = 0.0, ()
         if gaps_w[k] > 0.0:
             lhs, witness = float(gaps_w[k]), tuple(ys[k].tolist())

@@ -137,7 +137,7 @@ def deviation(a: float, b: float) -> float:
 def max_deviation(deviations) -> float:
     """The largest of ``deviations``, 0.0 for none; a NaN propagates,
     where Python's ``max`` keeps or drops it by its place."""
-    return float(np.max(np.asarray(deviations, dtype=float), initial=0.0))
+    return float(np.asarray(deviations, dtype=float).max(initial=0.0))
 
 
 def skipped_report(check_id: str, reason: str) -> CheckReport:
@@ -156,7 +156,7 @@ def _worst_index(margin: np.ndarray, fails: np.ndarray) -> int:
     m = margin[pool]
     if np.isnan(m[0]):
         return int(pool[0])
-    return int(pool[np.argmin(np.where(np.isnan(m), np.inf, m))])
+    return int(pool[np.where(np.isnan(m), np.inf, m).argmin()])
 
 
 def worst(reports: list[CheckReport]) -> CheckReport:

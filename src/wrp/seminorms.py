@@ -70,7 +70,7 @@ def _assemble(domain, axes, pinned) -> np.ndarray:
         inside = domain.members(pins)
         if not inside.all():
             raise DomainMembershipError(
-                f"pinned point {pinned[int(np.argmin(inside))]} not interior")
+                f"pinned point {pinned[int(inside.argmin())]} not interior")
         same = (pins[:, None] == np.concatenate([rows, pins])[None]).all(axis=2)
         repeat = same[:, :len(rows)].any(axis=1) | np.tril(same[:, len(rows):], -1).any(axis=1)
         rows = np.concatenate([rows, pins[~repeat]])
@@ -204,39 +204,40 @@ def weighted_seminorms(
     for wf, _ in pairs:
         if ell > wf.max_order:
             raise OrderError(f"order {ell} exceeds max order {wf.max_order}")
-    grids = [wf.grid.points for wf, _ in pairs]
-    evaluated: dict[int, np.ndarray] = {}  # a function given with several weights
-    for wf, _ in pairs:
-        if id(wf) not in evaluated:
-            evaluated[id(wf)] = wf.map.tensors(wf.grid.points, ell)
-    ts = [evaluated[id(wf)] for wf, _ in pairs]
-    # one stack per tensor shape and norm kind, in function order
-    groups: dict[tuple, list[int]] = {}
-    for i, ((wf, _), t) in enumerate(zip(pairs, ts)):
-        key = (t.shape[1:], len(wf.map.out_shape), wf.grid.domain.space.norm_kind)
-        groups.setdefault(key, []).append(i)
-    stacks = [(key, idx, np.concatenate([ts[i] for i in idx])) for key, idx in groups.items()]
-    if any(np.isnan(stack).any() for _, _, stack in stacks):
-        i = next(i for i, t in enumerate(ts) if np.isnan(t).any())
-        k = int(np.argmax(np.isnan(ts[i]).reshape(len(ts[i]), -1).any(axis=1)))
-        raise DataError(
-            f"order-{ell} tensor has a NaN entry at grid point {grids[i][k].tolist()}"
-        )
-    out: list = [None] * len(pairs)
-    for (_, out_rank, norm_kind), idx, stack in stacks:
-        norms = op_norms(stack, out_rank, norm_kind)
-        w = np.abs(np.concatenate([pairs[i][1].values(grids[i]) for i in idx]))
-        with np.errstate(invalid="ignore", over="ignore"):
+    # one scope for the pass: a scaled tensor or a weighted norm may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        grids = [wf.grid.points for wf, _ in pairs]
+        evaluated: dict[int, np.ndarray] = {}  # a function given with several weights
+        for wf, _ in pairs:
+            if id(wf) not in evaluated:
+                evaluated[id(wf)] = wf.map.tensors(wf.grid.points, ell)
+        ts = [evaluated[id(wf)] for wf, _ in pairs]
+        # one stack per tensor shape and norm kind, in function order
+        groups: dict[tuple, list[int]] = {}
+        for i, ((wf, _), t) in enumerate(zip(pairs, ts)):
+            key = (t.shape[1:], len(wf.map.out_shape), wf.grid.domain.space.norm_kind)
+            groups.setdefault(key, []).append(i)
+        stacks = [(key, idx, np.concatenate([ts[i] for i in idx])) for key, idx in groups.items()]
+        if any(np.isnan(stack).any() for _, _, stack in stacks):
+            i = next(i for i, t in enumerate(ts) if np.isnan(t).any())
+            k = int(np.isnan(ts[i]).reshape(len(ts[i]), -1).any(axis=1).argmax())
+            raise DataError(
+                f"order-{ell} tensor has a NaN entry at grid point {grids[i][k].tolist()}"
+            )
+        out: list = [None] * len(pairs)
+        for (_, out_rank, norm_kind), idx, stack in stacks:
+            norms = op_norms(stack, out_rank, norm_kind)
+            w = np.abs(np.concatenate([pairs[i][1].values(grids[i]) for i in idx]))
             v = np.where(
                 np.isinf(w) | np.isinf(norms),
                 np.where((w == 0.0) | (norms == 0.0), 0.0, math.inf),
                 w * norms,
             )
-        at = 0
-        for i in idx:
-            k = at + int(np.argmax(v[at:at + len(ts[i])]))  # the first point attaining the max
-            out[i] = SeminormValue(float(v[k]), GRID_LOWER, tuple(grids[i][k - at].tolist()))
-            at += len(ts[i])
+            at = 0
+            for i in idx:
+                k = at + int(v[at:at + len(ts[i])].argmax())  # the first point attaining the max
+                out[i] = SeminormValue(float(v[k]), GRID_LOWER, tuple(grids[i][k - at].tolist()))
+                at += len(ts[i])
     return out
 
 
@@ -358,7 +359,7 @@ def norm_comparison_1U(
     fnorm = weighted_seminorm(dwf, weight, 0).value
     pts = phi.grid.points
     gaps = phi.grid.domain.space.norms(diff.tensors(pts, 0))
-    unweighted = float(np.max(gaps))
+    unweighted = float(gaps.max())
     w = np.abs(weight.values(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(w == 0.0, math.inf, fnorm / w)

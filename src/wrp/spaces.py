@@ -53,7 +53,7 @@ class NormedSpaceDesc:
         """The norm of every row of the 2-D array ``rows``."""
         v = np.asarray(rows, dtype=float)
         if self.norm_kind == SUP:
-            return np.max(np.abs(v), axis=1) if v.shape[1] else np.zeros(len(v))
+            return np.abs(v).max(axis=1) if v.shape[1] else np.zeros(len(v))
         # one np.linalg.norm per row, as a single vector takes
         return np.array([np.linalg.norm(r) for r in v], dtype=float)
 
@@ -118,7 +118,7 @@ class DomainSet:
             raise GeometryError("point dimension mismatch")
         lo, hi, center = self._arrays
         if self.kind == BOX:
-            return np.all((x > lo) & (x < hi), axis=1)
+            return ((x > lo) & (x < hi)).all(axis=1)
         return self.space.norms(x - center) < self.radius
 
     def boundary_distances(self, points) -> np.ndarray:
@@ -129,7 +129,7 @@ class DomainSet:
         inside = self.members(x)
         if not inside.all():
             raise DomainMembershipError(
-                f"point {x[int(np.argmin(inside))].tolist()} outside domain"
+                f"point {x[int(inside.argmin())].tolist()} outside domain"
             )
         lo, hi, center = self._arrays
         if self.kind == BOX:
@@ -204,7 +204,7 @@ class DomainSet:
             ilo, ihi = inner.bounding_box()
             # the bounding-box extreme points all belong to the closure of
             # a box or euclidean ball, so this is exact, not conservative
-            return bool(np.all(ilo >= outer.lo) and np.all(ihi <= outer.hi))
+            return bool((ilo >= outer.lo).all() and (ihi <= outer.hi).all())
         c = np.asarray(outer.center, float)
         if inner.kind == BALL and inner.space.norm_kind == outer.space.norm_kind:
             (shift,) = outer.space.norms((np.asarray(inner.center) - c)[None])
@@ -278,7 +278,7 @@ class Weight:
         nan = np.isnan(v)
         if nan.any():
             raise DataError(
-                f"weight {self.name!r} evaluated to NaN at {pts[int(np.argmax(nan))].tolist()}"
+                f"weight {self.name!r} evaluated to NaN at {pts[int(nan.argmax())].tolist()}"
             )
         v.flags.writeable = False
         self._cache[key] = v
@@ -298,7 +298,7 @@ def validate_weight_on_points(weight: Weight, points: np.ndarray):
     above = v > (math.inf if cs is None else cs + tol)
     bad = above | (v < (-math.inf if ci is None else ci - tol))
     if bad.any():
-        k = int(np.argmax(bad))
+        k = int(bad.argmax())
         claim = f"exceeds certified sup {cs}" if above[k] else f"is below certified inf {ci}"
         raise DataError(f"weight {weight.name!r}: |f({pts[k].tolist()})| = {float(v[k])} {claim}")
 
@@ -522,7 +522,7 @@ def check_adjusting_weight(
         if not len(pts):
             raise DataError(f"empty grid for factor {i}")
         lows = np.abs(w.values(pts))
-        k = int(np.argmin(lows))
+        k = int(lows.argmin())
         grid_inf = float(lows[k])
         if w.certified_inf is not None and w.certified_inf < threshold:
             grid_inf = min(grid_inf, w.certified_inf)

@@ -981,7 +981,7 @@ def validate_scenario(sc: FamilyScenario):
     finite = np.isfinite(np.concatenate(bounds, axis=None))
     if not finite.all():
         ends = np.cumsum([b.size for b in bounds])
-        k, ell = divmod(int(np.searchsorted(ends, np.argmin(finite), side="right")), 3)
+        k, ell = divmod(int(np.searchsorted(ends, finite.argmin(), side="right")), 3)
         raise DataError(f"{maps[k][0]}: order-{ell} entry bounds are not finite")
     # superpose's hypothesis, through its own cached reads of the values
     for key in ("gammas", "gamma_alts"):
@@ -990,7 +990,7 @@ def validate_scenario(sc: FamilyScenario):
             inside = op.v.members(wf.map.tensors(pts, 0))
             if not inside.all():
                 raise DataError(
-                    f"/elements/{key}/{i}/map: {key[:-1]}({pts[np.argmin(inside)].tolist()}) "
+                    f"/elements/{key}/{i}/map: {key[:-1]}({pts[inside.argmin()].tolist()}) "
                     f"escapes /factors/{i}/v, the value domain of /xis/{i}")
     return sc
 
@@ -1146,7 +1146,7 @@ def _directional_derivative(sc, p, cid):
     x0 = sc.factors[0].grid_w.points[len(sc.factors[0].grid_w) // 3]
     exact = probe_map.tensor(x0, 1).entries
     steps = (2e-2, 1e-2, 5e-3, 2.5e-3)
-    errors = {h: np.max(np.abs(fd_tensors(probe_map, x0[None], 1, h=h)[1][0] - exact))
+    errors = {h: np.abs(fd_tensors(probe_map, x0[None], 1, h=h)[1][0] - exact).max()
               for h in steps}
     return [derivative_convergence(cid, errors, steps,
                                    detail="central differences against coded jets;")]
@@ -1168,8 +1168,8 @@ def _paired_derivative(sc, p, cid):
     for pairing in ("evaluate", "compose") if sc.dim == 1 else ("evaluate",):
         xi2 = xi2_build(op0.xi, pairing, _SLAB)
         zero_pt = np.concatenate([sc.factors[0].grid_u.points[0], np.full(sc.dim, 0.1),
-                                  np.zeros(int(np.prod(xi2.e_shape)))])
-        dev = float(np.max(np.abs(xi2.tensors(zero_pt[None], 0))))
+                                  np.zeros(math.prod(xi2.e_shape))])
+        dev = float(np.abs(xi2.tensors(zero_pt[None], 0)).max())
         reports.append(identity_report(cid, dev, tolerance=1e-12,
                                        detail=f"vanishes at e = 0 ({pairing})"))
         probe_grid = lattice(xi2.domain, per_axis=2)
@@ -1209,7 +1209,7 @@ def _parameter_integral(sc, p, cid):
 
     rhss = weak_integral(integrand, 0.0, 1.0, 64)
     return [merge_min_margin(cid, [
-        identity_report(cid, float(np.max(np.abs(lhs - rhs))),
+        identity_report(cid, float(np.abs(lhs - rhs).max()),
                         tolerance=1e-10, witness=tuple(float(c) for c in x))
         for x, lhs, rhs in zip(pts, lhss, rhss)
     ])]
@@ -1233,11 +1233,11 @@ def _superposition_defined(sc, p, cid):
     fs0 = sc.factors[0]
     zero_gamma = WeightedFunction(ConstMap(fs0.u, np.zeros(sc.dim)), fs0.grid_u, 2)
     zres, _ = superpose(sc.xis[0], zero_gamma, [])
-    dev = float(np.max(np.abs(zres.map.tensors(fs0.grid_u.points, 0))))
+    dev = float(np.abs(zres.map.tensors(fs0.grid_u.points, 0)).max())
     probes = fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]
     direct = sc.xis[0].xi.tensors(
         np.concatenate([probes, sc.gammas[0].map.tensors(probes, 0)], axis=1), 0)
-    value_dev = float(np.max(np.abs(via.map.tensors(probes, 0) - direct)))
+    value_dev = float(np.abs(via.map.tensors(probes, 0) - direct).max())
     return [identity_report(cid, float(np.max([dev, value_dev])), tolerance=1e-12,
                             detail="zero argument and pointwise value agreement")]
 
@@ -1257,7 +1257,7 @@ def _composition_defined(sc, p, cid):
     zres, _ = compose_perturbed(sc.comp_gammas[0], zero_eta, fs0.u, fs0.v, fs0.w)
     probes = fs0.grid_u.points[:: max(1, len(fs0.grid_u) // 4)]
     dev = float(np.max([
-        np.max(np.abs(zres.map.tensors(probes, ell) - sc.comp_gammas[0].map.tensors(probes, ell)))
+        np.abs(zres.map.tensors(probes, ell) - sc.comp_gammas[0].map.tensors(probes, ell)).max()
         for ell in (0, 1)
     ]))
     return [identity_report(cid, dev, tolerance=1e-12,
@@ -1339,9 +1339,9 @@ def _cauchy(sc, p, cid):
 def _multilinear_family(sc, p, cid):
     vecs = [np.full(sc.dim, 0.7), np.full(sc.dim, -0.9)]
     sup_b = float(op_norms(np.array(sc.beta2s)).max())
-    lhs = max(float(np.max(np.abs(MultilinearMap(b, 1).apply(vecs[0], vecs[1]))))
+    lhs = max(float(np.abs(MultilinearMap(b, 1).apply(vecs[0], vecs[1])).max())
               for b in sc.beta2s)
-    rhs = sup_b * float(np.max(np.abs(vecs[0]))) * float(np.max(np.abs(vecs[1])))
+    rhs = sup_b * float(np.abs(vecs[0]).max()) * float(np.abs(vecs[1]).max())
     return [bound_report(cid, lhs, rhs, tolerance=1e-12,
                          lhs_provenance=EXACT, rhs_provenance=EXACT)]
 
@@ -1697,6 +1697,15 @@ def _constants(node, path: str, n: int) -> tuple[float, ...]:
     return k
 
 
+def _spectral_bound(d) -> float:
+    """``/op_q``: the certified bound q of the op-gammas' operator norms,
+    a finite number with 0 <= q < 1, the hypothesis of quasi-inversion."""
+    q = _number(d, "op_q", "")
+    if not 0 <= q < 1:
+        raise DataError(f"/op_q: must be >= 0 and below 1, got {q!r}")
+    return q
+
+
 def _has_shape(v, shape: tuple[int, ...]) -> bool:
     if not shape:
         return not isinstance(v, list)
@@ -1888,7 +1897,7 @@ def _contraction(d: dict, factors: Sequence[FactorSpace]) -> ContractionConfig:
         raise DataError(f"/contraction: {exc}") from None
     if not cfg.fix_tol > 0:
         raise DataError(f"/contraction/fix_tol: must be above 0, got {cfg.fix_tol!r}")
-    reach = max(float(np.max(np.abs(fs.u.bounding_box()))) for fs in factors)
+    reach = max(float(np.abs(fs.u.bounding_box()).max()) for fs in factors)
     floor = FIX_STOP_ULPS * math.ulp(reach)
     if not cfg.stop >= floor:
         raise DataError(
@@ -2045,7 +2054,7 @@ def scenario_from_dict(d: dict) -> FamilyScenario:
             for i, (s, fs) in enumerate(zip(per_factor("sigmas"), factors))
         ),
         sigma_k=_bounds(d, "sigma_k", "", 2, READS["sigma_k"]),
-        op_q=_number(d, "op_q", ""),
+        op_q=_spectral_bound(d),
         dominance=dominance,
         factorizations=tuple(factorizations),
         contraction=_contraction(d, factors),
@@ -2077,9 +2086,14 @@ def load_scenario(unit: ScenarioUnit) -> FamilyScenario:
 
 
 def _run_unit(args) -> tuple[str, list[dict]]:
+    """Load one unit and run its checks.  The arithmetic helpers do not
+    silence numpy (``wrp.arith``): the unit enters one ``np.errstate``
+    scope, in-process and in a worker alike, so an overflow is inf and
+    inf - inf NaN without a warning."""
     unit, check_ids = args
-    sc = load_scenario(unit)
-    reports = run_scenario_checks(sc, check_ids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sc = load_scenario(unit)
+        reports = run_scenario_checks(sc, check_ids)
     return sc.name, [r.to_dict() for r in reports]
 
 
@@ -2093,12 +2107,14 @@ def run_suite(
     scenario units.  Output order is fixed by (unit index, check id)
     regardless of worker scheduling.  ``tolerances`` pairs (check id,
     tolerance) re-grade that id's non-skipped reports by the rule
-    ``margin >= -tolerance`` before they are counted and hashed."""
+    ``margin >= -tolerance`` before they are counted and hashed.  At most
+    one worker process per unit is started, none for a single unit."""
     work = [(u, tuple(check_ids) if check_ids is not None else None) for u in units]
-    if jobs > 1:
+    workers = min(jobs, len(work))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_unit, work))
     else:
         results = [_run_unit(w) for w in work]

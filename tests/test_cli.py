@@ -677,11 +677,16 @@ class TestIngestErrors:
         # an overflowing scaled weight is inf: a value, not a malformed file
         (lambda d: d["dominance"][1]["g"]["factors"][0]["base"].__setitem__("c", 1.7e308), 0,
          None),
+        # quasi-inversion needs 0 <= q < 1: 1.0 and 1.5 used to exit 1 without a
+        # pointer, and -0.5 exit 2 with a FAIL of lem:sim-SuperPos_QuasiInversion
+        (lambda d: d.__setitem__("op_q", 1.0), 1, "/op_q: must be >= 0 and below 1, got 1.0"),
+        (lambda d: d.__setitem__("op_q", 1.5), 1, "/op_q: must be >= 0 and below 1, got 1.5"),
+        (lambda d: d.__setitem__("op_q", -0.5), 1, "/op_q: must be >= 0 and below 1, got -0.5"),
     ], ids=["overflowing_slope", "overflowing_curvature", "gamma_outside_v", "gamma_alt_outside_v",
             "dict_dominance_context", "list_dominance_context",
             "unknown_dominance_context", "negative_fix_tol", "extreme_negative_fix_tol",
             "zero_fix_tol", "tiny_fix_tol", "subnormal_fix_tol", "list_in_two_plus_sin_u", "list_in_scaled_two_plus_sin_u",
-            "extreme_scaled_weight_c"])
+            "extreme_scaled_weight_c", "unit_op_q", "op_q_above_one", "negative_op_q"])
     def test_mutant_exits_with_its_pointer_and_no_warning(self, tmp_path, scenario0, capsys,
                                                           mutate, code, error):
         cfg = _mutated_scenario_file(tmp_path, scenario0, mutate)

@@ -248,6 +248,36 @@ class TestSuite:
         b = run_suite(units, sel, jobs=2)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    @pytest.mark.parametrize("n_units, jobs, workers", [
+        (1, 3, None), (2, 3, 2), (3, 2, 2),
+    ])
+    def test_worker_count_is_capped_at_the_units(self, monkeypatch, n_units, jobs, workers):
+        # a stub pool that records its size and runs the units in-process:
+        # under fork, a real pool starts all of its workers on the first submit
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        units = [ScenarioUnit(seed=s) for s in range(n_units)]
+        sel = ["qi:neumann_relation"]
+        payload = run_suite(units, sel, jobs=jobs)
+        assert sizes == ([] if workers is None else [workers])
+        assert payload["run_id"] == run_suite(units, sel, jobs=1)["run_id"]
+
 
 class TestNegativeControls:
     def test_tight_instance_is_tight(self):
