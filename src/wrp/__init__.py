@@ -55,7 +55,6 @@ from .spaces import (
     DomainSet,
     DominanceCertificate,
     FamilyWeight,
-    NormedSpaceDesc,
     Weight,
     WeightFamily,
     ball,

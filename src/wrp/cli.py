@@ -244,10 +244,15 @@ def main(argv=None) -> int:
     # run
     try:
         base = parse_config(args.config) if args.config else RunConfig()
+        if args.jobs is not None and args.jobs < 1:
+            raise ConfigError(f"--jobs: must be a positive integer, got {args.jobs}")
         seeds = tuple(args.seed) if args.seed else base.seeds
         if not seeds and not base.scenarios:
             env = os.environ.get("WRP_SEED")
-            seeds = (int(env),) if env else (0,)
+            try:
+                seeds = (int(env),) if env else (0,)
+            except ValueError:
+                raise ConfigError(f"WRP_SEED: must be an integer, got {env!r}") from None
         checks = base.checks
         if args.checks:
             checks = tuple(args.checks.split(","))
@@ -259,7 +264,7 @@ def main(argv=None) -> int:
             seeds=seeds,
             checks=checks,
             out=args.out or base.out,
-            jobs=args.jobs or base.jobs,
+            jobs=base.jobs if args.jobs is None else args.jobs,
             strict_preconditions=args.strict_preconditions or base.strict_preconditions,
         ))
     except WrpError as exc:

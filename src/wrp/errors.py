@@ -22,7 +22,7 @@ class EnumerationBudgetError(WrpError):
 
 
 class UnsupportedNormError(WrpError):
-    """The requested norm kind is not available for this computation."""
+    """The sign enumeration does not give the operator norm this estimate needs."""
 
 
 class RangeEscapeError(WrpError):

@@ -1,8 +1,8 @@
 """Exact derivative calculus at desk scale.
 
-Maps are closed-form built-ins (polynomial, trigonometric-polynomial,
-affine and combinators) whose derivative tensors of every order are coded
-symbolically, so inequality margins are limited only by float rounding.
+Maps are closed-form built-ins (polynomial, affine and combinators) whose
+derivative tensors of every order are coded symbolically, so inequality
+margins are limited only by float rounding.
 Operator norms are taken with the sup norm on every argument and computed
 exactly by sign-vector enumeration: a multilinear map restricted to one
 argument is linear, hence attains its sup over the unit ball at a vertex.
@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedNormError,
 )
 from .report import CheckReport, bound_report, bound_rows, identity_report
-from .spaces import BOX, EUCLIDEAN, SUP, DomainSet, box, desc_powers, product_box
+from .spaces import BOX, DomainSet, box, desc_powers, product_box
 
 ENUM_BUDGET = 16
 OP_NORM_CHUNK = 1 << 18  # entries of the vertex sums op_norms holds at once
@@ -123,8 +123,8 @@ def _sign_vectors(d: int) -> np.ndarray:
     return np.array([(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=d - 1)])
 
 
-def op_norms(entries, out_rank: int = 1, norm_kind: str = SUP) -> np.ndarray:
-    """Exact operator norm of every tensor of a stack, with the chosen norm
+def op_norms(entries, out_rank: int = 1) -> np.ndarray:
+    """Exact operator norm of every tensor of a stack, with the sup norm
     on all arguments and outputs.
 
     ``entries`` is an ``(N,) + out + args`` array of N tensors with
@@ -156,19 +156,8 @@ def op_norms(entries, out_rank: int = 1, norm_kind: str = SUP) -> np.ndarray:
         e = _moved(e, out_rank, -1)
         out_rank -= 1
     order, in_dims = e.ndim - 2, e.shape[2:]
-    if norm_kind == EUCLIDEAN:
-        if order > 1:
-            raise UnsupportedNormError("euclidean norms only for order <= 1")
-    elif norm_kind != SUP:
-        raise UnsupportedNormError(f"unknown norm kind {norm_kind!r}")
     if not e.size:
         return np.zeros(len(e))
-    if norm_kind == EUCLIDEAN:
-        if order == 0:
-            # one dot product per vector, as a single norm takes it; numpy's
-            # batched vector norm sums in another order
-            return np.array([np.linalg.norm(row) for row in e])
-        return np.linalg.norm(e, 2, axis=(1, 2))
     if order == 0:
         return np.abs(e).max(axis=1)
     if sum(in_dims) > ENUM_BUDGET:
@@ -207,10 +196,10 @@ def _vertex_max(e: np.ndarray, signs: list[np.ndarray]) -> np.ndarray:
     return np.where(np.isnan(top), math.inf, top).reshape(len(e), -1).max(axis=1)
 
 
-def op_norm(t: MultilinearMap, norm_kind: str = SUP) -> float:
+def op_norm(t: MultilinearMap) -> float:
     """Exact operator norm of one multilinear map: :func:`op_norms` over a
     stack of one, kept for the benchmark's tracer and kernel samples."""
-    return float(op_norms(t.entries[None], t.out_rank, norm_kind)[0])
+    return float(op_norms(t.entries[None], t.out_rank)[0])
 
 
 def op_norms_of(maps: Sequence[MultilinearMap]) -> np.ndarray:
@@ -562,35 +551,6 @@ class PolynomialMap(JetMap):
         return ent
 
 
-class TrigPolynomialMap(JetMap):
-    """sum over terms of coef * sin(freq . x + phase)."""
-
-    def __init__(self, domain: DomainSet, terms):
-        terms = tuple(
-            (np.asarray(c, dtype=float), np.asarray(u, dtype=float), float(p))
-            for c, u, p in terms
-        )
-        n = terms[0][0].shape[0]
-        for c, u, _ in terms:
-            if c.shape != (n,) or u.shape != (domain.dim,):
-                raise ShapeError("inconsistent trig term shapes")
-        super().__init__(domain, (n,))
-        self.terms = terms
-
-    def tensors(self, points, ell):
-        self._check_order(ell)
-        ent = np.zeros((len(points),) + self.out_shape + (self.dim,) * ell)
-        for c, u, phase in self.terms:
-            # libm's sin per value: numpy's vectorized sin rounds differently
-            s = np.array([math.sin(p + phase + ell * math.pi / 2.0)
-                          for p in contract(points, u).tolist()])
-            block = c
-            for _ in range(ell):
-                block = np.multiply.outer(block, u)
-            ent += s.reshape((-1,) + (1,) * block.ndim) * block
-        return ent
-
-
 class SumMap(JetMap):
     def __init__(self, parts: Sequence[JetMap]):
         parts = tuple(parts)
@@ -820,9 +780,7 @@ class PairedDerivativeMap(JetMap):
             e_shape = (q, s)
             out_shape = (p, s)
         me = math.prod(e_shape)
-        dom = product_box(
-            g.domain.as_box(), box([-e_box_radius] * me, [e_box_radius] * me)
-        )
+        dom = product_box(g.domain, box([-e_box_radius] * me, [e_box_radius] * me))
         super().__init__(
             dom,
             out_shape,
@@ -1031,7 +989,7 @@ def _draw_probes(map_: JetMap, rng: np.random.Generator) -> np.ndarray:
         if len(probes) == FD_PROBES:
             return probes
     where = (f"box lo={list(dom.lo)} hi={list(dom.hi)}" if dom.kind == BOX else
-             f"{dom.space.norm_kind} ball center={list(dom.center)} radius={dom.radius}")
+             f"sup ball center={list(dom.center)} radius={dom.radius}")
     raise DataError(f"jet validation: fewer than {FD_PROBES} probes land inside the "
                     f"{where} in {MAX_PROBE_ROUNDS} draw rounds")
 

@@ -62,7 +62,7 @@ from .seminorms import (
     require_row,
     weighted_seminorms,
 )
-from .spaces import DomainSet, Weight
+from .spaces import DomainSet, Weight, ball
 
 SLOPE_WINDOW = (1.7, 2.3)
 EXACTNESS_TOL = 1e-12
@@ -594,9 +594,7 @@ def gated_inverse(
     carries certified unweighted bounds ("one", 1) < tau and ("one", 0) <
     (r/2)(1 - tau): the operator domain.  Every inversion check reads one
     such inverse, so each point is solved once for all of them."""
-    ball_r = v.minkowski_sum(
-        DomainSet(u.space, "ball", center=(0.0,) * u.dim, radius=cfg.r)
-    )
+    ball_r = v.minkowski_sum(ball((0.0,) * u.dim, cfg.r))
     if not u.contains_set(ball_r):
         raise GeometryError("V + ball(0, r) is not contained in U")
     c11 = phi.require_bound("one", 1)

@@ -66,6 +66,7 @@ from .spaces import (
     DominanceCertificate,
     FactorizationCertificate,
     FamilyWeight,
+    sup_norms,
 )
 
 
@@ -257,7 +258,7 @@ def neighborhood_inclusion_check(
 ) -> CheckReport:
     """Elements with adjusted norm below tau map into tau-scaled value
     domains, with the worst-case perturbation radius of the proof route.
-    Values, like the boundary distance, are measured in V's own norm.
+    Values, like the boundary distance, are measured in the sup norm.
 
     Fails with a witness when the containment chain is violated, which can
     only happen if the claimed adjusting weight is not one.
@@ -275,7 +276,7 @@ def neighborhood_inclusion_check(
         d_i = v.boundary_distance(np.zeros(v.dim))
         vals = wf.map.tensors(wf.grid.points, 0)
         with np.errstate(divide="ignore"):
-            lhs.append(v.space.norms(vals) + s / np.abs(w.values(wf.grid.points)))
+            lhs.append(sup_norms(vals) + s / np.abs(w.values(wf.grid.points)))
         rhs.append(np.full(len(vals), tau * d_i))
         member.append(v.scaled(tau).members(vals))
     member = np.concatenate(member)

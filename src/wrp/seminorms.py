@@ -37,7 +37,7 @@ from .report import (
     identity_report,
     merge_min_margin,
 )
-from .spaces import DomainSet, Weight
+from .spaces import DomainSet, Weight, sup_norms
 
 DEFAULT_PER_AXIS = {1: 11, 2: 9, 3: 5}
 
@@ -194,8 +194,8 @@ def weighted_seminorms(
     out of the sup.  Every weight is evaluated on its whole grid, so a NaN
     weight value raises even where an earlier point already made the value
     infinite.  A function given more than once (with several weights) is
-    evaluated once.  The functions are stacked by tensor shape and norm kind
-    (usually one stack): one :func:`op_norms` call and one weight-value
+    evaluated once.  The functions are stacked by tensor shape and output
+    rank (usually one stack): one :func:`op_norms` call and one weight-value
     array per stack.  Errors come in this order: orders, tensors, NaN
     entries, then per stack operator norms and weights, each in function
     order; one error raises as one function alone raises it.
@@ -212,10 +212,10 @@ def weighted_seminorms(
             if id(wf) not in evaluated:
                 evaluated[id(wf)] = wf.map.tensors(wf.grid.points, ell)
         ts = [evaluated[id(wf)] for wf, _ in pairs]
-        # one stack per tensor shape and norm kind, in function order
+        # one stack per tensor shape and output rank, in function order
         groups: dict[tuple, list[int]] = {}
         for i, ((wf, _), t) in enumerate(zip(pairs, ts)):
-            key = (t.shape[1:], len(wf.map.out_shape), wf.grid.domain.space.norm_kind)
+            key = (t.shape[1:], len(wf.map.out_shape))
             groups.setdefault(key, []).append(i)
         stacks = [(key, idx, np.concatenate([ts[i] for i in idx])) for key, idx in groups.items()]
         if any(np.isnan(stack).any() for _, _, stack in stacks):
@@ -225,8 +225,8 @@ def weighted_seminorms(
                 f"order-{ell} tensor has a NaN entry at grid point {grids[i][k].tolist()}"
             )
         out: list = [None] * len(pairs)
-        for (_, out_rank, norm_kind), idx, stack in stacks:
-            norms = op_norms(stack, out_rank, norm_kind)
+        for (_, out_rank), idx, stack in stacks:
+            norms = op_norms(stack, out_rank)
             w = np.abs(np.concatenate([pairs[i][1].values(grids[i]) for i in idx]))
             v = np.where(
                 np.isinf(w) | np.isinf(norms),
@@ -358,7 +358,7 @@ def norm_comparison_1U(
     dwf = WeightedFunction(diff, phi.grid, 0)
     fnorm = weighted_seminorm(dwf, weight, 0).value
     pts = phi.grid.points
-    gaps = phi.grid.domain.space.norms(diff.tensors(pts, 0))
+    gaps = sup_norms(diff.tensors(pts, 0))
     unweighted = float(gaps.max())
     w = np.abs(weight.values(pts))
     with np.errstate(divide="ignore", invalid="ignore"):

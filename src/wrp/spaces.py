@@ -1,4 +1,4 @@
-"""Normed spaces, box/ball domains, weights and weight families.
+"""Sup-norm box/ball domains, weights and weight families.
 
 Domains are open boxes or balls so that membership, boundary distance and
 Minkowski-sum containment are exact.  Weights are scalar functions with
@@ -9,7 +9,6 @@ bound on a sup insists on a certificate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,29 +32,12 @@ from .report import (
 )
 
 SUP = "sup"
-EUCLIDEAN = "euclidean"
 
 
-@dataclass(frozen=True)
-class NormedSpaceDesc:
-    """A finite-dimensional real space with a fixed norm."""
-
-    dim: int
-    norm_kind: str = SUP
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.norm_kind not in (SUP, EUCLIDEAN):
-            raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-
-    def norms(self, rows) -> np.ndarray:
-        """The norm of every row of the 2-D array ``rows``."""
-        v = np.asarray(rows, dtype=float)
-        if self.norm_kind == SUP:
-            return np.abs(v).max(axis=1) if v.shape[1] else np.zeros(len(v))
-        # one np.linalg.norm per row, as a single vector takes
-        return np.array([np.linalg.norm(r) for r in v], dtype=float)
+def sup_norms(rows) -> np.ndarray:
+    """The sup norm of every row of the 2-D array ``rows``; 0.0 for an
+    empty row, and a NaN entry makes its row's norm NaN."""
+    return np.abs(np.asarray(rows, dtype=float)).max(axis=1, initial=0.0)
 
 
 BOX = "box"
@@ -64,13 +46,14 @@ BALL = "ball"
 
 @dataclass(frozen=True)
 class DomainSet:
-    """An open nonempty box or ball in a normed space.
+    """An open nonempty box or ball in R^dim with the sup norm.
 
-    Balls are taken with respect to the space's own norm; under the sup
-    norm a ball is a symmetric box, which keeps all set arithmetic exact.
+    A ball is a symmetric box, which keeps all set arithmetic exact; it
+    stays a kind of its own because its membership test ``|x - c| < r``
+    rounds differently from ``c - r < x < c + r``.
     """
 
-    space: NormedSpaceDesc
+    dim: int
     kind: str
     lo: tuple[float, ...] = ()
     hi: tuple[float, ...] = ()
@@ -78,22 +61,20 @@ class DomainSet:
     radius: float = 0.0
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.kind == BOX:
-            if len(self.lo) != self.space.dim or len(self.hi) != self.space.dim:
+            if len(self.lo) != self.dim or len(self.hi) != self.dim:
                 raise GeometryError("box bounds must match the space dimension")
             if not all(a < b for a, b in zip(self.lo, self.hi)):
                 raise GeometryError("box must have nonempty interior")
         elif self.kind == BALL:
-            if len(self.center) != self.space.dim:
+            if len(self.center) != self.dim:
                 raise GeometryError("ball center must match the space dimension")
             if not self.radius > 0:
                 raise GeometryError("ball must have positive radius")
         else:
             raise GeometryError(f"unknown domain kind {self.kind!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
 
     @property
     def star_shaped_at_zero(self) -> bool:
@@ -119,12 +100,12 @@ class DomainSet:
         lo, hi, center = self._arrays
         if self.kind == BOX:
             return ((x > lo) & (x < hi)).all(axis=1)
-        return self.space.norms(x - center) < self.radius
+        return sup_norms(x - center) < self.radius
 
     def boundary_distances(self, points) -> np.ndarray:
         """Distance from every row of ``points`` to the complement; exact
-        for both shapes and both norm kinds.  A row outside the domain is
-        a DomainMembershipError naming the first such row."""
+        for both shapes.  A row outside the domain is a
+        DomainMembershipError naming the first such row."""
         x = np.asarray(points, dtype=float)
         inside = self.members(x)
         if not inside.all():
@@ -133,9 +114,8 @@ class DomainSet:
             )
         lo, hi, center = self._arrays
         if self.kind == BOX:
-            # nearest face; the same for sup and euclidean metrics
-            return np.minimum(x - lo, hi - x).min(axis=1)
-        return self.radius - self.space.norms(x - center)
+            return np.minimum(x - lo, hi - x).min(axis=1)  # nearest face
+        return self.radius - sup_norms(x - center)
 
     def boundary_distance(self, point) -> float:
         """A batch of one of :meth:`boundary_distances`."""
@@ -148,11 +128,9 @@ class DomainSet:
         return c - self.radius, c + self.radius
 
     def as_box(self) -> "DomainSet":
-        """Rewrite as a box; exact only for boxes and sup-norm balls."""
+        """Rewrite as a box; exact, since a sup ball is a box."""
         if self.kind == BOX:
             return self
-        if self.space.norm_kind != SUP:
-            raise GeometryError("only a sup-norm ball is exactly a box")
         lo, hi = self.bounding_box()
         return box(lo, hi)
 
@@ -161,73 +139,35 @@ class DomainSet:
         if not t > 0:
             raise GeometryError("scale factor must be positive")
         if self.kind == BOX:
-            return box([t * a for a in self.lo], [t * b for b in self.hi],
-                       norm_kind=self.space.norm_kind)
-        return ball([t * c for c in self.center], t * self.radius,
-                    norm_kind=self.space.norm_kind)
+            return box([t * a for a in self.lo], [t * b for b in self.hi])
+        return ball([t * c for c in self.center], t * self.radius)
 
     def minkowski_sum(self, other: "DomainSet") -> "DomainSet":
+        """The box D + E, exact since both are boxes."""
         if self.dim != other.dim:
             raise GeometryError("dimension mismatch in Minkowski sum")
-        a, b = self, other
-        if a.kind == BALL and a.space.norm_kind == SUP:
-            a = a.as_box()
-        if b.kind == BALL and b.space.norm_kind == SUP:
-            b = b.as_box()
-        if a.kind == BOX and b.kind == BOX:
-            return box(
-                [p + q for p, q in zip(a.lo, b.lo)],
-                [p + q for p, q in zip(a.hi, b.hi)],
-            )
-        if (
-            a.kind == BALL
-            and b.kind == BALL
-            and a.space.norm_kind == b.space.norm_kind
-        ):
-            return ball(
-                [p + q for p, q in zip(a.center, b.center)],
-                a.radius + b.radius,
-                norm_kind=a.space.norm_kind,
-            )
-        raise GeometryError("unsupported Minkowski sum of mixed shapes")
+        a, b = self.as_box(), other.as_box()
+        return box([p + q for p, q in zip(a.lo, b.lo)], [p + q for p, q in zip(a.hi, b.hi)])
 
     def contains_set(self, inner: "DomainSet") -> bool:
-        """Exact containment test ``inner`` inside ``self``."""
+        """Exact containment test ``inner`` inside ``self``: both are boxes,
+        so their bounds decide it."""
         if self.dim != inner.dim:
             raise GeometryError("dimension mismatch in containment")
-        outer = self
-        if outer.kind == BALL and outer.space.norm_kind == SUP:
-            outer = outer.as_box()
-        if inner.kind == BALL and inner.space.norm_kind == SUP:
-            inner = inner.as_box()
-        if outer.kind == BOX:
-            ilo, ihi = inner.bounding_box()
-            # the bounding-box extreme points all belong to the closure of
-            # a box or euclidean ball, so this is exact, not conservative
-            return bool((ilo >= outer.lo).all() and (ihi <= outer.hi).all())
-        c = np.asarray(outer.center, float)
-        if inner.kind == BALL and inner.space.norm_kind == outer.space.norm_kind:
-            (shift,) = outer.space.norms((np.asarray(inner.center) - c)[None])
-            return bool(shift + inner.radius <= outer.radius)
-        # box inside a euclidean ball: check the corners
-        corners = np.array(list(itertools.product(*zip(*inner.bounding_box()))))
-        return not (outer.space.norms(corners - c) > outer.radius).any()
+        outer, inner = self.as_box(), inner.as_box()
+        return all(p >= q for p, q in zip(inner.lo, outer.lo)) and all(
+            p <= q for p, q in zip(inner.hi, outer.hi))
 
 
-def box(lo: Sequence[float], hi: Sequence[float], norm_kind: str = SUP) -> DomainSet:
+def box(lo: Sequence[float], hi: Sequence[float]) -> DomainSet:
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
-    return DomainSet(NormedSpaceDesc(len(lo), norm_kind), BOX, lo=lo, hi=hi)
+    return DomainSet(len(lo), BOX, lo=lo, hi=hi)
 
 
-def ball(center: Sequence[float], radius: float, norm_kind: str = SUP) -> DomainSet:
+def ball(center: Sequence[float], radius: float) -> DomainSet:
     center = tuple(float(v) for v in center)
-    return DomainSet(
-        NormedSpaceDesc(len(center), norm_kind),
-        BALL,
-        center=center,
-        radius=float(radius),
-    )
+    return DomainSet(len(center), BALL, center=center, radius=float(radius))
 
 
 def product_box(a: DomainSet, b: DomainSet) -> DomainSet:

@@ -1623,10 +1623,8 @@ def sabotaged_inclusion_instance():
 
 def _domain_to_dict(d: DomainSet) -> dict:
     if d.kind == "box":
-        return {"kind": "box", "lo": list(d.lo), "hi": list(d.hi),
-                "norm": d.space.norm_kind}
-    return {"kind": "ball", "center": list(d.center), "radius": d.radius,
-            "norm": d.space.norm_kind}
+        return {"kind": "box", "lo": list(d.lo), "hi": list(d.hi), "norm": SUP}
+    return {"kind": "ball", "center": list(d.center), "radius": d.radius, "norm": SUP}
 
 
 # Readers take the JSON pointer of the node they read, so that a missing
@@ -1802,9 +1800,9 @@ def _nonfinite_at(node, key=None) -> str | None:
 
 
 def _domain_from_dict(d: dict, path: str, dim: int) -> DomainSet:
-    """A sup-norm box or ball in dimension ``dim`` whose bounding box has
-    finite widths, so that probes drawn inside it are finite.  The runners
-    need the sup norm on every factor domain: they rewrite U and V as boxes
+    """A box or ball in dimension ``dim`` whose bounding box has finite
+    widths, so that probes drawn inside it are finite.  Its ``norm`` must
+    be ``"sup"``, wrp's only norm: the runners rewrite U and V as boxes
     (``product_box``, the sigmas' domain), add V + U and V~ + a ball of U
     as Minkowski sums, and take order-2 seminorms on W's grid."""
     kind, norm = _at(d, "kind", path), d.get("norm", SUP)
@@ -1812,9 +1810,9 @@ def _domain_from_dict(d: dict, path: str, dim: int) -> DomainSet:
         raise DataError(f"{path}/norm: must be {SUP!r}, got {norm!r}")
     try:
         if kind == "box":
-            dom = box(_floats(d, "lo", path, dim), _floats(d, "hi", path, dim), norm)
+            dom = box(_floats(d, "lo", path, dim), _floats(d, "hi", path, dim))
         elif kind == "ball":
-            dom = ball(_floats(d, "center", path, dim), _number(d, "radius", path), norm)
+            dom = ball(_floats(d, "center", path, dim), _number(d, "radius", path))
         else:
             raise DataError(f"{path}/kind: must be 'box' or 'ball', got {kind!r}")
     except GeometryError as exc:

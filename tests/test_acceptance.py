@@ -14,11 +14,11 @@ import numpy as np
 from wrp.cli import RunConfig, run
 from wrp.jets import (
     AffineMap,
+    ComposeMap,
     ConstMap,
     MultilinearMap,
     PairMap,
     PolynomialMap,
-    TrigPolynomialMap,
     op_norm,
 )
 from wrp.operators import (
@@ -124,6 +124,7 @@ def test_criterion_1_operator_norm_exactness(capsys):
 def _builtin_fixture_maps():
     maps = []
     d1 = box([-1.0], [1.0])
+    d_wide = box([-2.0], [2.0])
     d2 = box([-1.0, -0.8], [1.0, 0.8])
     g1 = lattice(d1, per_axis=9)
     g2 = lattice(d2, per_axis=5)
@@ -138,14 +139,10 @@ def _builtin_fixture_maps():
             )
         )
     for _ in range(5):
-        maps.append(
-            WeightedFunction(
-                TrigPolynomialMap(
-                    d1, [(rng.normal(size=1), rng.uniform(-2, 2, 1), float(rng.uniform(0, 3)))]
-                ),
-                g1, 3,
-            )
-        )
+        # a cubic of an affine map of D1 into (-2, 2)
+        outer = PolynomialMap(d_wide, [(rng.normal(size=1), (int(k),)) for k in range(4)])
+        inner = AffineMap(d1, [[rng.uniform(-1, 1)]], [rng.uniform(-0.9, 0.9)])
+        maps.append(WeightedFunction(ComposeMap(outer, inner), g1, 3))
     for _ in range(5):
         maps.append(
             WeightedFunction(

@@ -6,7 +6,7 @@ bits of the one-point evaluation, and the polynomial kernel must carry the
 bits of the plain one-point formula below, whose powers are multiplication
 chains and whose sums run left to right.  The same holds for domain
 membership (``DomainSet.members``), boundary distance
-(``DomainSet.boundary_distances``), norms (``NormedSpaceDesc.norms``),
+(``DomainSet.boundary_distances``), sup norms (``sup_norms``),
 finite-difference stencils (``fd_tensors``), the fixed-point inversion
 (``InverseMap.solves``), weight evaluation (``Weight.values``, of which
 ``Weight.__call__`` is a batch of one) and the weighted grid sup
@@ -59,7 +59,6 @@ from wrp.errors import (
     PreconditionError,
     SpectralConditionError,
     TruncationError,
-    UnsupportedNormError,
 )
 from wrp.jets import (
     ENUM_BUDGET,
@@ -78,7 +77,6 @@ from wrp.jets import (
     SampledMap,
     ScaledMap,
     SumMap,
-    TrigPolynomialMap,
     crude_sup_bound,
     fd_tensors,
     identity_map,
@@ -94,7 +92,7 @@ from wrp.operators import ContractionConfig, InverseMap, neumann_terms, quasi_in
 from wrp.restricted import PointwiseQIMap
 from wrp.report import bound_report, merge_min_margin
 from wrp.seminorms import WeightedFunction, lattice, weighted_seminorm
-from wrp.spaces import BOX, EUCLIDEAN, SUP, Weight, ball, box
+from wrp.spaces import BOX, Weight, ball, box, sup_norms
 from wrp.verify import (
     ELEMENT_GRIDS,
     ScenarioUnit,
@@ -226,15 +224,14 @@ def _builtin_maps() -> list[tuple[str, JetMap, np.ndarray]]:
     for dim in (1, 2, 3):
         dom = box([-1.0] * dim, [1.0] * dim)
         a, b = rng.normal(size=(2, dim)), rng.normal(size=2)
-        trig = [(rng.normal(size=2), rng.normal(size=dim), float(rng.normal()))
-                for _ in range(3)]
         poly = PolynomialMap(dom, [
             (rng.normal(size=2), tuple(int(p) for p in rng.integers(0, 4, size=dim)))
             for _ in range(4)
         ])
         out += [
             (f"affine{dim}", AffineMap(dom, a, b), _probe_points(AffineMap(dom, a, b), dim)),
-            (f"trig{dim}", TrigPolynomialMap(dom, trig), _probe_points(poly, dim)),
+            (f"sum{dim}", SumMap([poly, ScaledMap(AffineMap(dom, a, b), -0.5)]),
+             _probe_points(poly, dim)),
             (f"const{dim}", ConstMap(dom, b), _probe_points(poly, dim)),
             (f"component{dim}", ComponentMap(poly, 1, 2), _probe_points(poly, dim)),
             (f"pair{dim}", PairMap([poly, AffineMap(dom, a, b)]), _probe_points(poly, dim)),
@@ -397,8 +394,10 @@ def _stencil_leaves(map_, x) -> bool:
 
 
 def test_validate_jet_map_raises_for_the_earliest_probe():
-    # a ball so small that the order-2 stencil of an outer probe leaves it
-    dom = ball([0.0, 0.0], 0.004, norm_kind="euclidean")
+    # a ball so small that the order-2 stencil of an outer probe leaves it:
+    # probes lie within r/2 of the centre on each axis and the order-2 step
+    # is 1e-3, so a stencil leaves where a coordinate is beyond 5e-4
+    dom = ball([0.0, 0.0], 0.0015)
     bad = _OffByOne(dom, [([1.0], (2, 1))])
     seen = set()
     for seed in range(200):
@@ -605,13 +604,26 @@ class _Recording(PolynomialMap):
         return super().tensors(points, ell)
 
 
+# three float spacings wide on its first axis: a draw from the middle half
+# rounds onto the upper bound in about one row of six, which is outside
+NARROW = box([1.0, 0.0], [math.nextafter(math.nextafter(math.nextafter(1.0, 2.0), 2.0), 2.0),
+                          1.0])
+
+
+def _validate_unless_narrow(map_, rng):
+    """``validate_jet_map``; on NARROW, whose stencils leave it, the draw
+    and the coded tensors come before the stencil error."""
+    try:
+        validate_jet_map(map_, rng)
+    except DomainMembershipError:
+        assert map_.domain is NARROW
+
+
 @pytest.mark.parametrize("domain", [
     box([-1.0, 0.25], [1.0, 0.75]),
     ball([0.5], 0.75),
-    ball([0.0] * 5, 1.0, norm_kind="euclidean"),
-    ball([0.25, -0.5, 0.0, 0.0, 0.5, 0.0, 1.0], 2.0, norm_kind="euclidean"),
-    ball([0.0] * 10, 1.0, norm_kind="euclidean"),
-], ids=["box", "sup_ball", "euclid5", "euclid7", "euclid10"])
+    NARROW,
+], ids=["box", "sup_ball", "narrow"])
 def test_validate_jet_map_draws_the_one_at_a_time_stream(domain):
     m = domain.dim
     pm = _Recording(domain, [([1.0, -0.5], (1,) * m), ([0.25, 2.0], (2,) + (0,) * (m - 1))])
@@ -620,14 +632,14 @@ def test_validate_jet_map_draws_the_one_at_a_time_stream(domain):
         want_rng = np.random.default_rng(seed)
         want = np.array(_probe_draws(pm, seed, want_rng))
         rng = np.random.default_rng(seed)
-        validate_jet_map(pm, rng)
+        _validate_unless_narrow(pm, rng)
         assert _same_bits(pm.seen, want), seed
         assert rng.bit_generator.state == want_rng.bit_generator.state, seed
         three_rows = np.random.default_rng(seed)
         three_rows.uniform(size=3 * m)
         rejected += three_rows.bit_generator.state != rng.bit_generator.state
-    if m >= 7:
-        assert rejected > 0  # these euclidean balls reject some draws
+    # only the narrow box rejects draws, so only it reaches a second round
+    assert (rejected > 0) == (domain is NARROW)
 
 
 class _Split(PolynomialMap):
@@ -716,9 +728,8 @@ def test_validate_jet_maps_gives_each_map_the_probes_of_one_shared_stream(seed):
     # are the next rows of the one-row-at-a-time stream, and a map without
     # a differentiable order draws none
     rng = np.random.default_rng(seed)
-    domains = [box([-1.0, 0.25], [1.0, 0.75]), ball([0.5], 0.75),
-               ball([0.0] * 5, 1.0, norm_kind="euclidean"),
-               ball([0.25, -0.5, 0.0, 0.0, 0.5, 0.0, 1.0], 2.0, norm_kind="euclidean")]
+    domains = [box([-1.0, 0.25], [1.0, 0.75]), ball([0.5], 0.75), NARROW,
+               ball([0.25, -0.5, 0.0, 0.0, 0.5], 2.0)]
     maps = []
     for _ in range(12):
         dom = domains[rng.integers(len(domains))]
@@ -728,7 +739,7 @@ def test_validate_jet_maps_gives_each_map_the_probes_of_one_shared_stream(seed):
         maps.append([pm, _Capped(pm, 1), _Capped(pm, 0)][rng.integers(3)])
     want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for map_ in maps:
-        validate_jet_map(map_, rng)
+        _validate_unless_narrow(map_, rng)
     for map_ in maps:
         if map_.max_order == 0:
             continue
@@ -823,12 +834,10 @@ def test_validate_scenario_is_one_pass_with_the_per_map_outcome(source, monkeypa
 # -- domain membership
 
 
-def _norm_oracle(space, v) -> float:
-    """The one-vector norm rule."""
+def _norm_oracle(v) -> float:
+    """The one-vector sup norm."""
     v = np.asarray(v, dtype=float)
-    if space.norm_kind == "sup":
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    return float(np.linalg.norm(v))
+    return float(np.max(np.abs(v))) if v.size else 0.0
 
 
 def _contains_oracle(domain, x) -> bool:
@@ -836,17 +845,17 @@ def _contains_oracle(domain, x) -> bool:
     x = np.asarray(x, dtype=float)
     if domain.kind == BOX:
         return bool(np.all(x > domain.lo) and np.all(x < domain.hi))
-    return _norm_oracle(domain.space, x - np.asarray(domain.center)) < domain.radius
+    return _norm_oracle(x - np.asarray(domain.center)) < domain.radius
 
 
 def _membership_domains():
     return [
         box([-1.0, 0.25, -2.0], [1.0, 0.75, 0.5]),
-        box([-1.0], [1.0], norm_kind="euclidean"),
+        box([-1.0], [1.0]),
+        NARROW,
         ball([0.5, -0.25], 0.75),
         ball([0.0, 0.0, 0.0], 1.0),
-        ball([0.25, -0.5], 0.75, norm_kind="euclidean"),
-        ball([0.0, 0.0, 0.0], 1.0, norm_kind="euclidean"),
+        ball([0.1, -0.7], 0.3),
     ]
 
 
@@ -862,9 +871,9 @@ def _membership_points(domain, rng) -> np.ndarray:
             pts.append(p.copy())
             p[a] = np.nextafter(face, (lo[a] + hi[a]) / 2)
             pts.append(p.copy())
-    if domain.kind != BOX:  # on the sphere of a euclidean ball
+    if domain.kind != BOX:  # |x - c| = r at a face and a corner, rounded
         c = np.asarray(domain.center)
-        pts += [c + domain.radius * v for v in (np.eye(d)[0], np.ones(d) / np.sqrt(d))]
+        pts += [c + domain.radius * v for v in (np.eye(d)[0], np.ones(d), -np.ones(d))]
     pts.append(np.full(d, np.nan))
     pts = np.array(pts)
     pts[::7, 0] = -0.0
@@ -888,7 +897,7 @@ def _distance_oracle(domain, x) -> float:
     if domain.kind == BOX:
         return float(min(min(x[a] - domain.lo[a], domain.hi[a] - x[a])
                          for a in range(domain.dim)))
-    return domain.radius - _norm_oracle(domain.space, x - np.asarray(domain.center))
+    return domain.radius - _norm_oracle(x - np.asarray(domain.center))
 
 
 def test_boundary_distances_match_one_point_rule():
@@ -899,8 +908,7 @@ def test_boundary_distances_match_one_point_rule():
         want = np.array([_distance_oracle(domain, x) for x in pts])
         assert _same_bits(domain.boundary_distances(pts), want), domain
         centred = pts - np.asarray(domain.center or np.zeros(domain.dim))
-        assert _same_bits(domain.space.norms(centred),
-                          [_norm_oracle(domain.space, v) for v in centred])
+        assert _same_bits(sup_norms(centred), [_norm_oracle(v) for v in centred])
         assert _same_bits([domain.boundary_distance(x) for x in pts], want)
         outside = np.concatenate([pts[:2], [domain.bounding_box()[1]], pts[2:]])
         with pytest.raises(DomainMembershipError,
@@ -1075,7 +1083,7 @@ def test_weight_values_name_the_first_nan_row():
 # -- operator norms
 
 
-def _op_norm_oracle(t: MultilinearMap, norm_kind: str = SUP) -> float:
+def _op_norm_oracle(t: MultilinearMap) -> float:
     """The per-tensor rule: uncurry, then enumerate the sign vertices of
     all arguments but the last, one vertex sum per vertex and argument,
     the last optimized by an absolute row sum; each sum written out left
@@ -1086,12 +1094,6 @@ def _op_norm_oracle(t: MultilinearMap, norm_kind: str = SUP) -> float:
     if np.isnan(e).any():
         idx = tuple(np.argwhere(np.isnan(e))[0].tolist())
         raise DataError(f"operator norm of a tensor with a NaN entry at {idx}")
-    if norm_kind == EUCLIDEAN:
-        if t.order == 0:
-            return float(np.linalg.norm(e))
-        if t.order == 1:
-            return float(np.linalg.norm(e, 2))
-        raise UnsupportedNormError("euclidean norms only for order <= 1")
     if t.order == 0:
         return float(np.max(np.abs(e))) if e.size else 0.0
     if sum(t.in_dims) > ENUM_BUDGET:
@@ -1109,9 +1111,9 @@ def _op_norm_oracle(t: MultilinearMap, norm_kind: str = SUP) -> float:
     return best
 
 
-def _rows_match_oracle(stack, out_rank, norm_kind=SUP) -> bool:
-    want = [_op_norm_oracle(MultilinearMap(t, out_rank), norm_kind) for t in stack]
-    return _same_bits(op_norms(stack, out_rank, norm_kind), want)
+def _rows_match_oracle(stack, out_rank) -> bool:
+    want = [_op_norm_oracle(MultilinearMap(t, out_rank)) for t in stack]
+    return _same_bits(op_norms(stack, out_rank), want)
 
 
 def _op_norms_callers() -> dict:
@@ -1133,9 +1135,9 @@ def test_op_norms_rows_match_oracle_on_scenario_stacks(seed, monkeypatch):
     assert {"wrp.jets", "wrp.operators", "wrp.seminorms", "wrp.verify"} <= set(callers)
     stacks = {name: [] for name in callers}
     for name, mod in callers.items():
-        def record(entries, out_rank=1, norm_kind=SUP, _seen=stacks[name]):
-            _seen.append((np.array(entries), out_rank, norm_kind))
-            return op_norms(entries, out_rank, norm_kind)
+        def record(entries, out_rank=1, _seen=stacks[name]):
+            _seen.append((np.array(entries), out_rank))
+            return op_norms(entries, out_rank)
         monkeypatch.setattr(mod, "op_norms", record)
     run_suite([ScenarioUnit(seed=seed)])
     # the seminorms of a check's families and factors, and of superpose's
@@ -1144,8 +1146,8 @@ def test_op_norms_rows_match_oracle_on_scenario_stacks(seed, monkeypatch):
     assert len(stacks["wrp.seminorms"]) >= 40 and len(stacks["wrp.verify"]) >= 5
     assert len(stacks["wrp.jets"]) >= 9 and len(stacks["wrp.operators"]) == 1
     for name, seen in stacks.items():
-        for stack, out_rank, norm_kind in seen:
-            assert _rows_match_oracle(stack, out_rank, norm_kind), (name, stack.shape, out_rank)
+        for stack, out_rank in seen:
+            assert _rows_match_oracle(stack, out_rank), (name, stack.shape, out_rank)
 
 
 def _random_stack(rng, shape):
@@ -1227,16 +1229,7 @@ def test_op_norms_dimension_one_arguments_match_the_vertex_oracle(shape, monkeyp
     assert len(dots) == 5 * sum(d > 1 for d in shape[1:-1]), shape
 
 
-def test_op_norms_euclidean_and_budget_match_oracle():
-    rng = np.random.default_rng(12)
-    for shape in ((3,), (4, 1), (2, 3), (5, 5), (1, 4)):
-        stack = rng.normal(size=(7,) + shape)
-        stack[0] = -0.0
-        assert _rows_match_oracle(stack, 1, EUCLIDEAN), shape
-    with pytest.raises(UnsupportedNormError):
-        op_norms(np.zeros((2, 1, 2, 2)), 1, EUCLIDEAN)
-    with pytest.raises(UnsupportedNormError):
-        op_norms(np.zeros((2, 2)), 1, "taxicab")
+def test_op_norms_budget_matches_oracle():
     big = np.zeros((2, 1) + (3,) * 6)
     with pytest.raises(EnumerationBudgetError):
         _op_norm_oracle(MultilinearMap(big[0], 1))
@@ -1444,8 +1437,7 @@ def test_xi2_pointwise_check_is_the_merge_of_point_reports(seed):
 def _seminorm_oracle(wf, weight, ell):
     """The one-point sup: |f(x)| * |D^l map(x)| point by point, the
     infinite cases by the inf * 0 rules, the first largest point kept."""
-    norms = [_op_norm_oracle(MultilinearMap(t, len(wf.map.out_shape)),
-                             wf.grid.domain.space.norm_kind)
+    norms = [_op_norm_oracle(MultilinearMap(t, len(wf.map.out_shape)))
              for t in wf.map.tensors(wf.grid.points, ell)]
     best, witness = 0.0, None
     for x, n in zip(wf.grid.points, norms):

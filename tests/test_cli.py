@@ -802,12 +802,27 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "report.json").exists()
 
-    def test_env_seed_default(self, tmp_path, monkeypatch):
+    def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("WRP_SEED", "3")
         code = main(["run", "--checks", "def:family_seminorm", "--out", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"]["seeds"] == [3]
+        # a value that is not an integer is a usage error naming the variable
+        monkeypatch.setenv("WRP_SEED", "abc")
+        capsys.readouterr()
+        assert main(["run", "--out", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err == "error: WRP_SEED: must be an integer, got 'abc'\n"
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_flag_follows_the_jobs_rule(self, tmp_path, capsys, jobs):
+        # not the config's job count, and no report whose config block
+        # parse_config refuses
+        code = main(["run", "--seed", "0", "--jobs", jobs, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --jobs: must be a positive integer, got {jobs}\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_check_flag(self, tmp_path):
         assert main(["run", "--seed", "0", "--checks", "nope", "--out", str(tmp_path)]) == 1

@@ -32,7 +32,6 @@ from wrp.jets import (
     PartialD2Map,
     PolynomialMap,
     SumMap,
-    TrigPolynomialMap,
     contract_last,
     crude_partial2_sup,
     crude_sup_bound,
@@ -73,7 +72,6 @@ from wrp.spaces import (
     DominanceCertificate,
     FactorizationCertificate,
     FamilyWeight,
-    NormedSpaceDesc,
     Weight,
     WeightFamily,
     ball,
@@ -84,7 +82,7 @@ from wrp.spaces import (
     scaled_weight,
     weight_to_desc,
 )
-from wrp.verify import sabotaged_inclusion_instance, tight_superposition_instance
+from wrp.verify import _domain_from_dict, sabotaged_inclusion_instance, tight_superposition_instance
 
 U = box([-1.0], [1.0])
 U2 = box([-1.0, -1.0], [1.0, 1.0])
@@ -191,8 +189,6 @@ GUARDS = [
     ("no_terms", lambda: PolynomialMap(U, []), ShapeError, "polynomial needs at least one"),
     ("poly_term_shape", lambda: PolynomialMap(U, [([1.0], (1, 1))]),
      ShapeError, "inconsistent polynomial term shapes"),
-    ("trig_term_shape", lambda: TrigPolynomialMap(U, [([1.0], [1.0, 2.0], 0.0)]),
-     ShapeError, "inconsistent trig term shapes"),
     ("sum_shapes", lambda: SumMap([POLY, PolynomialMap(U, [([1.0, 2.0], (1,))])]),
      ShapeError, "summands must share"),
     ("pair_operator", lambda: PairMap([DifferentialMap(POLY)]),
@@ -283,16 +279,16 @@ GUARDS = [
                                                 GRID, 2),
      OrderError, "declared max order exceeds"),
     # spaces
-    ("dim_zero", lambda: NormedSpaceDesc(0), ValueError, "dim must be >= 1"),
-    ("norm_kind", lambda: NormedSpaceDesc(1, "l1"), ValueError, "unknown norm kind 'l1'"),
-    ("box_dims", lambda: DomainSet(NormedSpaceDesc(2), "box", lo=(0.0,), hi=(1.0,)),
+    ("dim_zero", lambda: box([], []), ValueError, "dim must be >= 1"),
+    ("norm_kind", lambda: _domain_from_dict({"kind": "box", "lo": [0.0], "hi": [1.0],
+                                             "norm": "l1"}, "/factors/0/u", 1),
+     DataError, "/factors/0/u/norm: must be 'sup', got 'l1'"),
+    ("box_dims", lambda: DomainSet(2, "box", lo=(0.0,), hi=(1.0,)),
      GeometryError, "box bounds must match"),
-    ("ball_dims", lambda: DomainSet(NormedSpaceDesc(2), "ball", center=(0.0,), radius=1.0),
+    ("ball_dims", lambda: DomainSet(2, "ball", center=(0.0,), radius=1.0),
      GeometryError, "ball center must match"),
-    ("domain_kind", lambda: DomainSet(NormedSpaceDesc(1), "simplex"),
+    ("domain_kind", lambda: DomainSet(1, "simplex"),
      GeometryError, "unknown domain kind 'simplex'"),
-    ("euclidean_as_box", lambda: ball([0.0, 0.0], 1.0, norm_kind="euclidean").as_box(),
-     GeometryError, "only a sup-norm ball"),
     ("scale_zero", lambda: U.scaled(0.0), GeometryError, "scale factor"),
     ("sum_dims", lambda: U.minkowski_sum(U2), GeometryError, "dimension mismatch in Minkowski"),
     ("contain_dims", lambda: U.contains_set(U2), GeometryError, "dimension mismatch in contain"),

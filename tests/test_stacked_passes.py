@@ -51,7 +51,7 @@ from wrp.seminorms import (
     weighted_seminorm,
     weighted_seminorms,
 )
-from wrp.spaces import MAX_POWER, FamilyWeight, Weight, box, const_weight, gaussian_weight
+from wrp.spaces import MAX_POWER, FamilyWeight, Weight, ball, box, const_weight, gaussian_weight
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wrp"
 
@@ -227,8 +227,8 @@ def _families(draw):
             weights.append(weights[k])
             continue
         m, out = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        norm = "euclidean" if ell <= 1 and rng.random() < 0.3 else "sup"
-        dom = box([-1.0] * m, [float(rng.uniform(0.5, 2.0))] * m, norm)
+        hi = float(rng.uniform(0.5, 2.0))
+        dom = ball([0.0] * m, hi) if rng.random() < 0.3 else box([-1.0] * m, [hi] * m)
         terms = [(rng.normal(size=out), tuple(int(p) for p in rng.integers(0, 4, size=m)))
                  for _ in range(int(rng.integers(1, 4)))]
         wfs.append(WeightedFunction(PolynomialMap(dom, terms), lattice(dom, per_axis=3), 2))
@@ -283,7 +283,7 @@ def test_family_seminorm_matches_the_per_factor_loop(family):
     assert [(f.weight_name, _bits(f.value), f.argmax, f.witness) for f in stacked] == [
         (f.weight_name, _bits(f.value), f.argmax, f.witness)
         for f in (family_seminorm(e, w, ell) for e, w in pairs)]
-    if ell == 0:  # the euclidean norm stops at order 1
+    if ell <= 1:  # order l + 1 is within the declared max order 2
         def key(r):  # an infinite weight makes inf - inf: NaN lhs and margin
             return r.status, _bits(r.lhs), _bits(r.rhs), _bits(r.margin), r.detail
         assert [key(r) for r in decomposition_checks(wfs, weights, ell)] == [
